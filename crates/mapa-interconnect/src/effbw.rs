@@ -23,7 +23,8 @@ pub const SATURATING_BYTES: f64 = 256e6;
 /// 0 GB/s; scoring layers treat them specially.
 ///
 /// # Panics
-/// Panics on duplicate/out-of-range GPUs or more than 10 of them.
+/// Panics on duplicate/out-of-range GPUs or more than
+/// [`MAX_RING_GPUS`](crate::rings::MAX_RING_GPUS) of them.
 #[must_use]
 pub fn measure(topology: &Topology, gpus: &[usize]) -> f64 {
     measure_at_size(topology, gpus, SATURATING_BYTES)
@@ -36,7 +37,9 @@ pub fn measure_at_size(topology: &Topology, gpus: &[usize], bytes: f64) -> f64 {
     allreduce::allreduce_bus_bandwidth_gbps(&rings, gpus.len(), bytes)
 }
 
-/// Reuses a pre-packed [`RingSet`] (for callers measuring many sizes).
+/// Reuses a pre-packed [`RingSet`] — for callers that need several sizes
+/// of one allocation (the simulator prices a placement at the workload's
+/// message size and at [`SATURATING_BYTES`] from a single packing).
 #[must_use]
 pub fn measure_rings_at_size(rings: &RingSet, n_gpus: usize, bytes: f64) -> f64 {
     allreduce::allreduce_bus_bandwidth_gbps(rings, n_gpus, bytes)

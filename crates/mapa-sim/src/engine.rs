@@ -32,14 +32,16 @@ use crate::event::{EventKind, EventQueue};
 use crate::queue::TimedEvent;
 use crate::slab::Slab;
 use crate::stats::{self, SchedulingStats};
+use mapa_core::fragmentation::IdealBandwidthTable;
 use mapa_core::policy::AllocationPolicy;
 use mapa_core::scoring::MatchScore;
-use mapa_core::{fragmentation, AllocatorConfig, CacheStats, MapaAllocator, PreemptionPolicy};
-use mapa_interconnect::effbw;
+use mapa_core::{AllocatorConfig, CacheStats, MapaAllocator, PreemptionPolicy};
+use mapa_interconnect::{effbw, rings};
 use mapa_isomorph::Matcher;
 use mapa_topology::Topology;
 use mapa_workloads::{perf, JobGroup, JobSpec};
 use std::collections::{HashSet, VecDeque};
+use std::fmt;
 use std::time::Duration;
 
 /// How jobs enter the dispatcher queue.
@@ -145,6 +147,78 @@ impl ArrivalClock {
         t
     }
 }
+
+/// Why a submitted job can never run, however long it waits. The engine
+/// checks every job (and gang member) as it arrives, before it is queued.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobRejection {
+    /// Zero GPUs, or more than the largest server has.
+    ServerSize {
+        /// The job's id.
+        job: u64,
+        /// GPUs (or slices) it asks for.
+        requested: usize,
+        /// GPU count of the largest server.
+        max_gpus: usize,
+    },
+    /// More GPUs than the interconnect model can price: starting a job
+    /// packs rings onto its allocation, and the packer is exact only up
+    /// to [`rings::MAX_RING_GPUS`].
+    RingLimit {
+        /// The job's id.
+        job: u64,
+        /// GPUs (or slices) it asks for.
+        requested: usize,
+    },
+}
+
+impl JobRejection {
+    /// Checks `job` against a backend whose largest server has `max_gpus`
+    /// GPUs.
+    ///
+    /// # Errors
+    /// The reason the job could never be started.
+    pub fn check(job: &JobSpec, max_gpus: usize) -> Result<(), JobRejection> {
+        let requested = job.num_gpus();
+        if requested < 1 || requested > max_gpus {
+            return Err(JobRejection::ServerSize {
+                job: job.id,
+                requested,
+                max_gpus,
+            });
+        }
+        if requested > rings::MAX_RING_GPUS {
+            return Err(JobRejection::RingLimit {
+                job: job.id,
+                requested,
+            });
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Display for JobRejection {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            JobRejection::ServerSize {
+                job,
+                requested,
+                max_gpus,
+            } => write!(
+                f,
+                "job {job} requests {requested} GPUs on a {max_gpus}-GPU machine"
+            ),
+            JobRejection::RingLimit { job, requested } => write!(
+                f,
+                "job {job} requests {requested} GPUs, but the interconnect model packs rings \
+                 onto at most {} GPUs per job",
+                rings::MAX_RING_GPUS
+            ),
+        }
+    }
+}
+
+impl std::error::Error for JobRejection {}
 
 /// One unit of submission to the engine: a single job, or a gang whose
 /// members must start at the same simulation tick or not at all.
@@ -1057,8 +1131,8 @@ impl<B: SchedulerBackend> Engine<B> {
     /// order) to completion and returns the report.
     ///
     /// # Panics
-    /// Panics if a job can *never* be placed (requests more GPUs than any
-    /// server has) — validate job files against the machines first.
+    /// Panics if a job can *never* be started (see [`JobRejection`]) —
+    /// validate job files with [`JobRejection::check`] first.
     #[must_use]
     pub fn run(self, jobs: &[JobSpec]) -> SimReport {
         self.run_stream(jobs.iter().cloned())
@@ -1083,10 +1157,12 @@ impl<B: SchedulerBackend> Engine<B> {
     /// entry point; [`Engine::run`] and [`Engine::run_stream`] wrap it.
     ///
     /// # Panics
-    /// Panics if any job (or gang member) requests more GPUs than the
-    /// largest server has, and at end of run if any submission could
-    /// never be scheduled (e.g. a gang whose members cannot co-fit the
-    /// fleet even when idle) — "all jobs must eventually run".
+    /// Panics with the [`JobRejection`] of any job (or gang member) that
+    /// fails [`JobRejection::check`] as it arrives — more GPUs than the
+    /// largest server has, or than the interconnect model can price — and
+    /// at end of run if any submission could never be scheduled (e.g. a
+    /// gang whose members cannot co-fit the fleet even when idle) — "all
+    /// jobs must eventually run".
     #[must_use]
     pub fn run_submissions(
         mut self,
@@ -1101,6 +1177,7 @@ impl<B: SchedulerBackend> Engine<B> {
         let mut st = RunState {
             shard_jobs: vec![0; self.backend.server_count()],
             shard_gpu_seconds: vec![0.0; self.backend.server_count()],
+            ideal_bandwidth: vec![IdealBandwidthTable::default(); self.backend.server_count()],
             ..RunState::default()
         };
         // Arrival events carry an ordinal; the submissions themselves
@@ -1164,13 +1241,9 @@ impl<B: SchedulerBackend> Engine<B> {
                     EventKind::JobArrival(_) => {
                         let sub = incoming.pop_front().expect("arrival scheduled with a job");
                         let validate = |job: &JobSpec| {
-                            assert!(
-                                job.num_gpus() >= 1 && job.num_gpus() <= max_gpus,
-                                "job {} requests {} GPUs on a {}-GPU machine",
-                                job.id,
-                                job.num_gpus(),
-                                max_gpus
-                            );
+                            if let Err(rejection) = JobRejection::check(job, max_gpus) {
+                                panic!("{rejection}");
+                            }
                         };
                         match sub {
                             Submission::Job(job) => {
@@ -1524,7 +1597,14 @@ impl<B: SchedulerBackend> Engine<B> {
     fn start_job(&mut self, pending: PendingJob, p: Placement, now: f64, st: &mut RunState) {
         let topology = self.backend.server_topology(p.server);
         let job = &pending.job;
-        let workload_bw = perf::workload_effbw(job.workload, topology, &p.gpus);
+        // Price the placement: one ring packing serves both bandwidth
+        // figures, and the ideal the quality ratio divides by comes from
+        // the server's table.
+        let ringset = rings::pack_rings(topology, &p.gpus);
+        let workload_bw = perf::workload_effbw_rings(job.workload, &ringset, p.gpus.len());
+        let measured_eff_bw =
+            effbw::measure_rings_at_size(&ringset, p.gpus.len(), effbw::SATURATING_BYTES);
+        let allocation_quality = st.ideal_bandwidth[p.server].allocation_quality(topology, &p.gpus);
         let iter_time = perf::iteration_time_with_effbw(job.workload, job.num_gpus(), workload_bw);
         let exec =
             iter_time * pending.remaining_iterations() as f64 + pending.restore_penalty_seconds;
@@ -1540,8 +1620,6 @@ impl<B: SchedulerBackend> Engine<B> {
                 st.gangs.max_wait_seconds = st.gangs.max_wait_seconds.max(wait);
             }
         }
-        let measured_eff_bw = effbw::measure(topology, &p.gpus);
-        let allocation_quality = fragmentation::allocation_quality(topology, &p.gpus);
         let slot = st.running.insert(PendingRecord {
             server: p.server,
             gpus: p.gpus,
@@ -1601,6 +1679,10 @@ struct RunState {
     /// Per-server busy GPU-seconds, accumulated in completion order (so
     /// the f64 sums are bit-identical to the re-walk they replace).
     shard_gpu_seconds: Vec<f64>,
+    /// Per-server ideal aggregate bandwidth by job size — the Fig. 4
+    /// denominator depends only on `(server, size)`, so each is worked out
+    /// the first time a job of that size starts there.
+    ideal_bandwidth: Vec<IdealBandwidthTable>,
     /// Do-not-evict set: gang members and previously-preempted jobs.
     shielded: HashSet<u64>,
     /// Gang ids whose first member already started (for wait accounting).

@@ -78,7 +78,7 @@ pub mod timeline;
 
 pub use engine::{
     configure_allocator, ArrivalProcess, DispatchReport, DispatchedJob, Engine, Eviction,
-    FedClusterStats, FedTenantStats, FederationReport, GangStats, JobRecord, PendingJob, Placement,
-    PreemptionStats, QueueStats, SchedulerBackend, ShardStats, SimConfig, SimReport, Simulation,
-    SingleServer, SloStats, Submission, DEFAULT_PREEMPTION_PENALTY_SECONDS,
+    FedClusterStats, FedTenantStats, FederationReport, GangStats, JobRecord, JobRejection,
+    PendingJob, Placement, PreemptionStats, QueueStats, SchedulerBackend, ShardStats, SimConfig,
+    SimReport, Simulation, SingleServer, SloStats, Submission, DEFAULT_PREEMPTION_PENALTY_SECONDS,
 };

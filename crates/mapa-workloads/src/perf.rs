@@ -61,7 +61,9 @@ pub fn workload_effbw(workload: Workload, topology: &Topology, gpus: &[usize]) -
     effbw::measure_at_size(topology, gpus, workload.model().avg_message_bytes)
 }
 
-/// Like [`workload_effbw`] but reusing pre-packed rings.
+/// Like [`workload_effbw`] but reusing pre-packed rings — the simulator's
+/// path: it packs an allocation once per job start and reads this and the
+/// saturating microbenchmark figure off the same [`rings::RingSet`].
 #[must_use]
 pub fn workload_effbw_rings(workload: Workload, ringset: &rings::RingSet, n_gpus: usize) -> f64 {
     if n_gpus < 2 {

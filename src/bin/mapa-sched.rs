@@ -52,7 +52,7 @@ use mapa::cluster::{
 use mapa::core::policy::AllocationPolicy;
 use mapa::core::{preemption_policy_by_name, PreemptionPolicy, PREEMPTION_POLICY_NAMES};
 use mapa::prelude::*;
-use mapa::sim::{ArrivalProcess, JobRecord, SimConfig, Submission};
+use mapa::sim::{ArrivalProcess, JobRecord, JobRejection, SimConfig, Submission};
 use mapa::topology::parse::{parse_topology_matrix, to_topology_matrix, NvlinkGeneration};
 use mapa::workloads::jobs;
 use mapa::workloads::JobGroup;
@@ -358,6 +358,11 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
             machine.name(),
             machine.gpu_count()
         ));
+    }
+    // The engine would refuse these on arrival (by panicking: its entry
+    // points return a report, not a `Result`); refuse them here, politely.
+    for job in &job_list {
+        JobRejection::check(job, machine.gpu_count()).map_err(|e| e.to_string())?;
     }
     if let Some(classes) = priorities {
         if classes == 0 {

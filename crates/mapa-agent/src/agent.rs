@@ -241,13 +241,6 @@ impl AllocateRequest {
         self
     }
 
-    /// Sets the workload annotation (builder style).
-    #[must_use]
-    pub fn with_workload(mut self, workload: Workload) -> Self {
-        self.workload = workload;
-        self
-    }
-
     /// The exact [`JobSpec`] the agent hands the allocator for this
     /// request under lease id `id`. Public so differential tests can
     /// drive a reference [`MapaAllocator`] with the identical job.
@@ -325,7 +318,6 @@ pub struct Agent<P: GpuProbe> {
     probe: P,
     state: StateDir,
     policy: String,
-    idle: IdlePolicy,
 }
 
 impl<P: GpuProbe> Agent<P> {
@@ -338,7 +330,6 @@ impl<P: GpuProbe> Agent<P> {
             probe,
             state,
             policy: "effbw-greedy".to_string(),
-            idle: IdlePolicy::default(),
         }
     }
 
@@ -353,13 +344,6 @@ impl<P: GpuProbe> Agent<P> {
         }
         self.policy = name.to_string();
         Ok(self)
-    }
-
-    /// Overrides the idle thresholds (builder style).
-    #[must_use]
-    pub fn with_idle_policy(mut self, idle: IdlePolicy) -> Self {
-        self.idle = idle;
-        self
     }
 
     /// The coordination directory (reclaim counters live here).
@@ -420,7 +404,8 @@ impl<P: GpuProbe> Agent<P> {
             if gpu.index >= n || leased.contains(&gpu.index) {
                 continue;
             }
-            let occ = assess_occupancy(gpu, &self.idle, |pid| self.state.pid_alive(pid));
+            let occ =
+                assess_occupancy(gpu, &IdlePolicy::default(), |pid| self.state.pid_alive(pid));
             if !occ.is_idle() {
                 allocator.adopt(EXTERNAL_BLOCKER_BASE + gpu.index as u64, &[gpu.index])?;
             }
@@ -499,7 +484,9 @@ impl<P: GpuProbe> Agent<P> {
             .map(|g| GpuStatus {
                 index: g.index,
                 leased_by: ledger.lease_of_gpu(g.index).map(|l| l.id),
-                occupancy: assess_occupancy(g, &self.idle, |pid| self.state.pid_alive(pid)),
+                occupancy: assess_occupancy(g, &IdlePolicy::default(), |pid| {
+                    self.state.pid_alive(pid)
+                }),
             })
             .collect();
         Ok(StatusReport {

@@ -68,18 +68,6 @@ impl FakeProbe {
         Self::from_machine(&machines::dgx1_v100(), "Tesla V100-SXM2-16GB", 16_160)
     }
 
-    /// Replays an arbitrary snapshot verbatim (escape hatch for
-    /// synthesized-machine and malformed-snapshot tests).
-    #[must_use]
-    pub fn from_snapshot(label: impl Into<String>, snapshot: ProbeSnapshot) -> Self {
-        Self {
-            label: label.into(),
-            snapshot,
-            calls: 0,
-            fail_on_calls: Vec::new(),
-        }
-    }
-
     /// Sets GPU `gpu`'s compute utilization (a busy device).
     ///
     /// # Panics

@@ -104,8 +104,8 @@ fn mask_indices(words: &[u64]) -> Vec<usize> {
 /// per-queue high-water marks the report surfaces.
 ///
 /// Two occupancy bitmasks keep every pump pass O(active shards) instead
-/// of O(all shards) (the 64-shard fleets of `BENCH_throughput.json` were
-/// ~14× *slower* than 1 shard without them):
+/// of O(all shards) (a 64-shard fleet draining small jobs was ~14×
+/// *slower* than 1 shard without them):
 ///
 /// * `occupied` — bit `s` set ⇔ shard `s`'s queue is non-empty; pump-side
 ///   scans (blocked-head accounting, steal passes) walk only set bits.
@@ -426,18 +426,6 @@ impl Cluster {
         self
     }
 
-    /// The configured dispatch mode.
-    #[must_use]
-    pub fn dispatch_mode(&self) -> DispatchMode {
-        self.dispatch
-    }
-
-    /// The configured migration policy.
-    #[must_use]
-    pub fn migration_policy(&self) -> MigrationPolicy {
-        self.migration
-    }
-
     /// Bound of each per-shard queue; `None` when the cluster runs on the
     /// engine's global FIFO queue.
     #[must_use]
@@ -464,12 +452,6 @@ impl Cluster {
     ) -> Self {
         assert!(servers >= 1, "a cluster needs at least one server");
         Self::new(vec![machine; servers], make_policy, server_policy)
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The allocator managing shard `id`.

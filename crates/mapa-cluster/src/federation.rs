@@ -218,7 +218,6 @@ pub struct Federation {
     gpu_counts: Vec<usize>,
     total_gpus: usize,
     default_quota: Option<usize>,
-    quotas: BTreeMap<u64, usize>,
     tenants: BTreeMap<u64, TenantUsage>,
     /// Active charge per job id: (tenant, units, fractional).
     ledger: HashMap<u64, (Option<u64>, usize, bool)>,
@@ -227,10 +226,9 @@ pub struct Federation {
     quota_blocked: HashSet<u64>,
     held: VecDeque<HeldJob>,
     held_gangs: VecDeque<HeldGang>,
-    /// Successful placements (global path) — rotation seq.
-    placements: u64,
-    /// Jobs routed into clusters (queued path) — rotation seq.
-    admitted: u64,
+    /// Jobs placed (global path) or routed into clusters (queued path;
+    /// the engine drives exactly one of the two) — rotation seq.
+    routed: u64,
     /// Arrival stamp for held-queue tie-breaks.
     arrivals: u64,
     spillovers: u64,
@@ -279,14 +277,12 @@ impl Federation {
             gpu_counts,
             total_gpus,
             default_quota: None,
-            quotas: BTreeMap::new(),
             tenants: BTreeMap::new(),
             ledger: HashMap::new(),
             quota_blocked: HashSet::new(),
             held: VecDeque::new(),
             held_gangs: VecDeque::new(),
-            placements: 0,
-            admitted: 0,
+            routed: 0,
             arrivals: 0,
             spillovers: 0,
             gangs_pinned: 0,
@@ -296,25 +292,12 @@ impl Federation {
         }
     }
 
-    /// Sets the quota every tenant gets unless overridden: at most `gpus`
-    /// accelerator units held concurrently (builder style).
+    /// Sets the quota every tenant gets: at most `gpus` accelerator units
+    /// held concurrently (builder style).
     #[must_use]
     pub fn with_default_quota(mut self, gpus: usize) -> Self {
         self.default_quota = Some(gpus);
         self
-    }
-
-    /// Overrides one tenant's quota (builder style).
-    #[must_use]
-    pub fn with_quota(mut self, tenant: u64, gpus: usize) -> Self {
-        self.quotas.insert(tenant, gpus);
-        self
-    }
-
-    /// Number of federated clusters.
-    #[must_use]
-    pub fn cluster_count(&self) -> usize {
-        self.clusters.len()
     }
 
     /// The cluster at `id` (panics on an invalid index).
@@ -323,22 +306,10 @@ impl Federation {
         &self.clusters[id]
     }
 
-    /// The routing policy's name.
-    #[must_use]
-    pub fn federation_policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Jobs routed away from the policy's first choice so far.
     #[must_use]
     pub fn spillovers(&self) -> u64 {
         self.spillovers
-    }
-
-    /// The quota `tenant` is subject to (`None` = unlimited).
-    #[must_use]
-    pub fn quota_for(&self, tenant: u64) -> Option<usize> {
-        self.quotas.get(&tenant).copied().or(self.default_quota)
     }
 
     /// Accelerator units `tenant` currently holds (queued-in-cluster +
@@ -378,8 +349,7 @@ impl Federation {
     /// its quota with one admission (anti-deadlock valve — see module
     /// docs).
     fn fits_quota(&self, tenant: Option<u64>, units: usize) -> bool {
-        let Some(t) = tenant else { return true };
-        let Some(quota) = self.quota_for(t) else {
+        let (Some(t), Some(quota)) = (tenant, self.default_quota) else {
             return true;
         };
         let used = self.tenant_gpus_in_use(t);
@@ -449,6 +419,26 @@ impl Federation {
         }
     }
 
+    /// Books `members` (one job, or a gang together) as routed to
+    /// cluster `c`: a spillover when `c` is not the policy's `first`
+    /// choice, the rotation counter, the quota-hold marker (the lead's
+    /// id) cleared, and every member charged to its tenant.
+    fn book_routed(&mut self, c: usize, first: usize, members: &[JobSpec]) {
+        let n = members.len() as u64;
+        if c != first {
+            self.spillovers += 1;
+            self.spill_ins[c] += n;
+        }
+        self.jobs_routed[c] += n;
+        self.routed += n;
+        self.quota_blocked.remove(&members[0].id);
+        for m in members {
+            self.charge(m.tenant, m.num_gpus(), m.is_fractional());
+            self.ledger
+                .insert(m.id, (m.tenant, m.num_gpus(), m.is_fractional()));
+        }
+    }
+
     /// Global-path placement with an explicit quota switch: the gang
     /// spanning path pre-checks the whole gang and must not be re-gated
     /// member by member (a gang admitted under the anti-deadlock valve
@@ -460,7 +450,7 @@ impl Federation {
             return None;
         }
         let views = self.views();
-        let rank = self.policy.rank(job, &views, self.placements);
+        let rank = self.policy.rank(job, &views, self.routed);
         let feasible: Vec<usize> = rank
             .into_iter()
             .filter(|&c| self.clusters[c].max_job_gpus() >= units)
@@ -469,16 +459,7 @@ impl Federation {
         for &c in &feasible {
             if let Some(mut p) = self.clusters[c].try_place(job) {
                 p.server += self.offsets[c];
-                if c != first {
-                    self.spillovers += 1;
-                    self.spill_ins[c] += 1;
-                }
-                self.jobs_routed[c] += 1;
-                self.placements += 1;
-                self.quota_blocked.remove(&job.id);
-                self.charge(job.tenant, units, job.is_fractional());
-                self.ledger
-                    .insert(job.id, (job.tenant, units, job.is_fractional()));
+                self.book_routed(c, first, std::slice::from_ref(job));
                 return Some(p);
             }
         }
@@ -493,7 +474,7 @@ impl Federation {
     fn route_job(&mut self, pending: PendingJob) {
         let units = pending.job.num_gpus();
         let views = self.views();
-        let rank = self.policy.rank(&pending.job, &views, self.admitted);
+        let rank = self.policy.rank(&pending.job, &views, self.routed);
         let feasible: Vec<usize> = rank
             .into_iter()
             .filter(|&c| self.clusters[c].max_job_gpus() >= units)
@@ -506,18 +487,7 @@ impl Federation {
             .copied()
             .find(|&c| self.clusters[c].total_free_gpus() >= units)
             .unwrap_or(first);
-        if pick != first {
-            self.spillovers += 1;
-            self.spill_ins[pick] += 1;
-        }
-        self.jobs_routed[pick] += 1;
-        self.admitted += 1;
-        self.quota_blocked.remove(&pending.job.id);
-        self.charge(pending.job.tenant, units, pending.job.is_fractional());
-        self.ledger.insert(
-            pending.job.id,
-            (pending.job.tenant, units, pending.job.is_fractional()),
-        );
+        self.book_routed(pick, first, std::slice::from_ref(&pending.job));
         self.clusters[pick].admit(pending);
     }
 
@@ -532,7 +502,7 @@ impl Federation {
             .max()
             .unwrap_or(0);
         let views = self.views();
-        let rank = self.policy.rank(&gang.members[0], &views, self.admitted);
+        let rank = self.policy.rank(&gang.members[0], &views, self.routed);
         let feasible: Vec<usize> = rank
             .into_iter()
             .filter(|&c| self.clusters[c].max_job_gpus() >= largest && self.gpu_counts[c] >= total)
@@ -545,18 +515,7 @@ impl Federation {
             .copied()
             .find(|&c| self.clusters[c].total_free_gpus() >= total)
             .unwrap_or(first);
-        if pick != first {
-            self.spillovers += 1;
-            self.spill_ins[pick] += gang.members.len() as u64;
-        }
-        self.jobs_routed[pick] += gang.members.len() as u64;
-        self.admitted += gang.members.len() as u64;
-        self.quota_blocked.remove(&gang.members[0].id);
-        for m in &gang.members {
-            self.charge(m.tenant, m.num_gpus(), m.is_fractional());
-            self.ledger
-                .insert(m.id, (m.tenant, m.num_gpus(), m.is_fractional()));
-        }
+        self.book_routed(pick, first, &gang.members);
         self.gangs_pinned += 1;
         self.clusters[pick].admit_gang(gang, submitted_at);
     }
@@ -695,7 +654,7 @@ impl SchedulerBackend for Federation {
         let largest = members.iter().map(JobSpec::num_gpus).max().unwrap_or(0);
         let lead = members.first()?;
         let views = self.views();
-        let rank = self.policy.rank(lead, &views, self.placements);
+        let rank = self.policy.rank(lead, &views, self.routed);
         let feasible: Vec<usize> = rank
             .into_iter()
             .filter(|&c| self.clusters[c].max_job_gpus() >= largest)
@@ -710,18 +669,7 @@ impl SchedulerBackend for Federation {
                 for p in &mut placements {
                     p.server += self.offsets[c];
                 }
-                if c != first {
-                    self.spillovers += 1;
-                    self.spill_ins[c] += members.len() as u64;
-                }
-                self.jobs_routed[c] += members.len() as u64;
-                self.placements += members.len() as u64;
-                self.quota_blocked.remove(&marker);
-                for m in members {
-                    self.charge(m.tenant, m.num_gpus(), m.is_fractional());
-                    self.ledger
-                        .insert(m.id, (m.tenant, m.num_gpus(), m.is_fractional()));
-                }
+                self.book_routed(c, first, members);
                 self.gangs_pinned += 1;
                 return Some(placements);
             }
@@ -734,7 +682,7 @@ impl SchedulerBackend for Federation {
             self.spillovers,
             self.spill_ins.clone(),
             self.jobs_routed.clone(),
-            self.placements,
+            self.routed,
         );
         let mut placed: Vec<Placement> = Vec::new();
         for (idx, job) in members.iter().enumerate() {
@@ -748,7 +696,7 @@ impl SchedulerBackend for Federation {
                         self.spillovers,
                         self.spill_ins,
                         self.jobs_routed,
-                        self.placements,
+                        self.routed,
                     ) = snapshot;
                     return None;
                 }
@@ -776,7 +724,7 @@ impl SchedulerBackend for Federation {
             return Vec::new();
         }
         let views = self.views();
-        let rank = self.policy.rank(job, &views, self.placements);
+        let rank = self.policy.rank(job, &views, self.routed);
         for c in rank {
             if self.clusters[c].max_job_gpus() < job.num_gpus() {
                 continue;
@@ -907,7 +855,7 @@ impl SchedulerBackend for Federation {
                 .iter()
                 .map(|(&tenant, u)| FedTenantStats {
                     tenant,
-                    quota_gpus: self.quota_for(tenant),
+                    quota_gpus: self.default_quota,
                     peak_gpus: u.peak,
                     quota_holds: u.quota_holds,
                     jobs_completed: 0,

@@ -210,40 +210,6 @@ fn argmax_set_by_score2(
     best.map(|(_, set)| set)
 }
 
-/// Pick the embedding maximizing `score`, breaking ties toward the first
-/// (lexicographically smallest) candidate. Returns its physical GPU set.
-///
-/// A building block for custom policies working on materialised matches
-/// (see the `custom_policy` example); the built-in policies stream instead.
-pub fn argmax_by_score(
-    candidates: &[Embedding],
-    mut score: impl FnMut(&Embedding) -> f64,
-) -> Option<Vec<usize>> {
-    argmax_by_score2(candidates, |e| (score(e), 0.0))
-}
-
-/// Like [`argmax_by_score`] with a two-level score: the second component
-/// breaks ties in the first (Algorithm 1 does not specify tie handling;
-/// we resolve primary-score ties by the score most aligned with the
-/// policy's intent, then lexicographically).
-pub fn argmax_by_score2(
-    candidates: &[Embedding],
-    mut score: impl FnMut(&Embedding) -> (f64, f64),
-) -> Option<Vec<usize>> {
-    let mut best: Option<((f64, f64), &Embedding)> = None;
-    for e in candidates {
-        let s = score(e);
-        let better = match &best {
-            None => true,
-            Some((bs, _)) => s.0 > bs.0 || (s.0 == bs.0 && s.1 > bs.1),
-        };
-        if better {
-            best = Some((s, e));
-        }
-    }
-    best.map(|(_, e)| e.vertex_set())
-}
-
 /// The Nvidia-Docker-style baseline: the lowest-indexed free GPUs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BaselinePolicy;

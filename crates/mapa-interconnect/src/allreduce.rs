@@ -10,7 +10,6 @@
 //! §3.1 notes NCCL "builds rings or trees and utilizes them depending on
 //! the data transfer size").
 
-use crate::model;
 use crate::rings::RingSet;
 
 /// Fixed per-step launch latency inside a collective (seconds). A single
@@ -104,13 +103,6 @@ pub fn allreduce_bus_bandwidth_gbps(rings: &RingSet, n_gpus: usize, bytes: f64) 
     // comparable to link bandwidth regardless of n.
     let algbw = bytes / t / 1e9;
     algbw * 2.0 * (n_gpus as f64 - 1.0) / n_gpus as f64
-}
-
-/// Point-to-point transfer time between two GPUs over the best link,
-/// re-exported here for workload models that mix collectives with sends.
-#[must_use]
-pub fn p2p_time(link: mapa_topology::LinkType, bytes: f64) -> f64 {
-    model::transfer_time(link, bytes)
 }
 
 #[cfg(test)]

@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod allreduce;
-pub mod collectives;
 pub mod effbw;
 pub mod model;
 pub mod rings;

@@ -78,6 +78,28 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
+    /// Checks the process's parameters, wherever they came from (a CLI
+    /// flag, a campaign grid axis, a caller's [`SimConfig`]).
+    ///
+    /// # Errors
+    /// The message names the offending parameter.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let non_negative = |gap: f64| gap >= 0.0 && gap.is_finite();
+        match *self {
+            Self::Uniform { gap } if !non_negative(gap) => {
+                Err("uniform gap must be non-negative and finite")
+            }
+            Self::Poisson { mean_gap, .. } if !(mean_gap > 0.0 && mean_gap.is_finite()) => {
+                Err("poisson mean gap must be positive and finite")
+            }
+            Self::Bursts { size: 0, .. } => Err("burst size must be at least 1"),
+            Self::Bursts { gap, .. } if !non_negative(gap) => {
+                Err("burst gap must be non-negative and finite")
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Submission times for `n` jobs, non-decreasing.
     #[cfg(test)]
     fn submission_times(self, n: usize) -> Vec<f64> {
@@ -97,29 +119,18 @@ struct ArrivalClock {
 }
 
 impl ArrivalClock {
+    /// # Panics
+    /// Panics with [`ArrivalProcess::check`]'s message on bad parameters.
     fn new(process: ArrivalProcess) -> Self {
+        if let Err(message) = process.check() {
+            panic!("{message}");
+        }
         let rng = match process {
-            ArrivalProcess::Uniform { gap } => {
-                assert!(gap >= 0.0 && gap.is_finite(), "gap must be non-negative");
-                None
-            }
-            ArrivalProcess::Poisson { mean_gap, seed } => {
-                assert!(
-                    mean_gap > 0.0 && mean_gap.is_finite(),
-                    "mean gap must be positive"
-                );
+            ArrivalProcess::Poisson { seed, .. } => {
                 use rand::SeedableRng;
                 Some(rand::rngs::StdRng::seed_from_u64(seed))
             }
-            ArrivalProcess::Bursts { size, gap } => {
-                assert!(size >= 1, "burst size must be at least 1");
-                assert!(
-                    gap >= 0.0 && gap.is_finite(),
-                    "burst gap must be non-negative"
-                );
-                None
-            }
-            ArrivalProcess::Batch => None,
+            _ => None,
         };
         Self {
             process,
@@ -880,14 +891,6 @@ impl JobRecord {
         } else {
             self.execution_seconds / self.job.iterations as f64 * 1e3
         }
-    }
-
-    /// Whether the job met its SLO target; `None` for untagged jobs.
-    #[must_use]
-    pub fn slo_met(&self) -> Option<bool> {
-        self.job
-            .slo_ms
-            .map(|target| self.request_latency_ms() <= target)
     }
 }
 

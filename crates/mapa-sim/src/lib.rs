@@ -74,7 +74,6 @@ pub mod logfile;
 pub mod queue;
 pub mod slab;
 pub mod stats;
-pub mod timeline;
 
 pub use engine::{
     configure_allocator, ArrivalProcess, DispatchReport, DispatchedJob, Engine, Eviction,

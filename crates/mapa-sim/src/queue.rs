@@ -6,8 +6,7 @@
 //! * [`ReferenceQueue`] is the pre-PR 6 engine queue: one
 //!   `BinaryHeap` with a reversed `(time, seq)` ordering. O(log n) per
 //!   operation, kept as the differential-test oracle
-//!   (`tests/event_queue_equivalence.rs`) and the benchmark baseline
-//!   (`bench_throughput`).
+//!   (`tests/event_queue_equivalence.rs`).
 //! * [`CalendarQueue`] is the engine's production queue: a paged
 //!   calendar of `buckets` × `width`-second buckets over the window
 //!   `[origin, origin + buckets × width)`, with a heap fallback for
@@ -80,8 +79,7 @@ impl<T> PartialOrd for Rev<T> {
 
 /// The pre-PR 6 engine queue: one binary heap, O(log n) per operation.
 /// Kept as the oracle the calendar queue is differentially tested
-/// against, and as the baseline the throughput benchmark re-measures on
-/// every run.
+/// against.
 #[derive(Debug, Default)]
 pub struct ReferenceQueue<T> {
     heap: BinaryHeap<Rev<T>>,

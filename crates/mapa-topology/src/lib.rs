@@ -40,7 +40,6 @@ mod link;
 pub mod machines;
 pub mod parse;
 mod state;
-pub mod survey;
 mod topology;
 pub mod virt;
 

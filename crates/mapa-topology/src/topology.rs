@@ -155,20 +155,6 @@ impl Topology {
         g
     }
 
-    /// Like [`Self::bandwidth_graph`] but weighted with [`LinkType`]s.
-    #[must_use]
-    pub fn complete_link_graph(&self) -> Graph<LinkType> {
-        let n = self.gpu_count();
-        let mut g = Graph::new(n);
-        for a in 0..n {
-            for b in (a + 1)..n {
-                g.add_edge(a, b, self.link_type(a, b))
-                    .expect("complete graph edges valid");
-            }
-        }
-        g
-    }
-
     /// Counts the link-type mix over a set of GPU pairs (the `(x, y, z)` of
     /// the paper's Eq. 2).
     #[must_use]

@@ -479,20 +479,13 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
             mean_gap: gap,
             seed,
         },
-        (None, Some(size)) => {
-            if size == 0 {
-                return Err("--burst needs at least 1 job per burst".to_string());
-            }
-            if !(burst_gap >= 0.0 && burst_gap.is_finite()) {
-                return Err("--burst-gap must be a non-negative number of seconds".to_string());
-            }
-            ArrivalProcess::Bursts {
-                size,
-                gap: burst_gap,
-            }
-        }
+        (None, Some(size)) => ArrivalProcess::Bursts {
+            size,
+            gap: burst_gap,
+        },
         (None, None) => ArrivalProcess::Batch,
     };
+    arrivals.check()?;
     let mut config = SimConfig {
         strict_fifo: !backfill,
         arrivals,

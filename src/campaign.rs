@@ -17,6 +17,7 @@ use crate::report::json_escape;
 use mapa_cluster::{server_policy_by_name, Cluster, DispatchMode, DEFAULT_SHARD_QUEUE_DEPTH};
 pub use mapa_core::policy::allocation_policy_by_name;
 use mapa_core::policy::BaselinePolicy;
+use mapa_interconnect::rings;
 use mapa_isomorph::WorkerPool;
 use mapa_model::EffBwModel;
 use mapa_sim::campaign::{run_campaign, CampaignSpec, CellSummary};
@@ -193,32 +194,45 @@ impl CampaignGrid {
         {
             return Err("every grid axis needs at least one value".into());
         }
-        for gap in self.arrival_gaps.iter().flatten() {
-            if !(*gap > 0.0 && gap.is_finite()) {
-                return Err("poisson mean gap must be positive and finite".into());
-            }
+        for &mean_gap in self.arrival_gaps.iter().flatten() {
+            ArrivalProcess::Poisson { mean_gap, seed: 0 }.check()?;
         }
-        for plan in self.partitions.iter().flatten() {
-            if plan.is_empty() {
-                return Err("an empty partition plan: spell the whole-GPU cell as None".into());
+        let largest = self.mix.gpus_max;
+        if largest > rings::MAX_RING_GPUS {
+            return Err(format!(
+                "the mix draws jobs up to {largest} GPUs, but the interconnect model packs \
+                 rings onto at most {} GPUs per job",
+                rings::MAX_RING_GPUS
+            ));
+        }
+        let n = self.machine.gpu_count();
+        let name = self.machine.name();
+        for plan in &self.partitions {
+            // An unpartitioned cell keeps every GPU whole.
+            let mut whole = n;
+            if let Some(plan) = plan {
+                if plan.is_empty() {
+                    return Err("an empty partition plan: spell the whole-GPU cell as None".into());
+                }
+                if let Some((gpu, _)) = plan.splits().find(|&(gpu, _)| gpu >= n) {
+                    return Err(format!(
+                        "partition plan '{plan}' splits GPU {gpu}, but '{name}' has only {n} GPUs"
+                    ));
+                }
+                whole -= plan.splits().count();
             }
-            let n = self.machine.gpu_count();
-            if let Some((gpu, _)) = plan.splits().find(|&(gpu, _)| gpu >= n) {
-                return Err(format!(
-                    "partition plan '{plan}' splits GPU {gpu}, but '{}' has only {n} GPUs",
-                    self.machine.name()
-                ));
-            }
-            // Whole-GPU training jobs never land on slices, so every plan
-            // must leave enough unsplit GPUs for the largest whole demand
-            // the mix can draw — otherwise a replication deadlocks on an
+            // Whole-GPU training jobs never land on slices, so every cell
+            // must offer enough unsplit GPUs for the largest whole demand
+            // the mix can draw — otherwise a replication dies on an
             // unplaceable job.
-            let whole_left = n - plan.splits().count();
-            if whole_left < self.mix.gpus_max {
+            if whole < largest {
+                let subject = plan.as_ref().map_or_else(
+                    || format!("machine '{name}'"),
+                    |plan| format!("partition plan '{plan}'"),
+                );
                 return Err(format!(
-                    "partition plan '{plan}' leaves {whole_left} whole GPUs, but the mix \
-                     draws whole-GPU jobs up to {}",
-                    self.mix.gpus_max
+                    "{subject} offers {whole} whole GPUs, but the mix draws whole-GPU jobs up \
+                     to {largest}"
                 ));
             }
         }
@@ -453,6 +467,15 @@ mod tests {
                 .split(3, 2),
         )];
         assert!(grid.validate().unwrap_err().contains("whole GPUs"));
+        // So does an unpartitioned 4-GPU machine under the default mix.
+        let mut grid = tiny_grid();
+        grid.machine = machines::fully_connected(4, mapa_topology::LinkType::SingleNvLink2);
+        assert!(grid.validate().unwrap_err().contains("4 whole GPUs"));
+        // And no machine can price a job above the ring-packing limit.
+        let mut grid = tiny_grid();
+        grid.machine = machines::dgx2();
+        grid.mix.gpus_max = rings::MAX_RING_GPUS + 1;
+        assert!(grid.validate().unwrap_err().contains("at most 10 GPUs"));
     }
 
     #[test]

@@ -120,25 +120,71 @@ fn the_engine_refuses_an_unpriceable_job_on_arrival() {
     let _ = Simulation::new(machines::dgx2(), Box::new(BaselinePolicy)).run(&[twelve_gpu_job()]);
 }
 
-#[test]
-fn the_cli_reports_an_unpriceable_job_instead_of_panicking() {
-    let jobs = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("twelve-gpu-job.txt");
-    std::fs::write(
-        &jobs,
-        "ID, NumGPUs, Topology, BW Sensitive, Workload, Iterations, Priority\n\
-         1, 12, Ring, True, resnet-50, 100, 0\n",
-    )
-    .expect("target tmpdir is writable");
+/// Runs `mapa-sched` with `args` and expects a polite refusal: exit status
+/// 1, an `error:` line carrying `message`, no panic.
+fn assert_cli_refuses(args: &[&str], message: &str) {
     let out = Command::new(env!("CARGO_BIN_EXE_mapa-sched"))
-        .args(["simulate", "--machine", "dgx-2", "--policy", "baseline"])
-        .arg("--jobs")
-        .arg(&jobs)
+        .args(args)
         .output()
         .expect("mapa-sched runs");
-    std::fs::remove_file(&jobs).expect("temp job file removable");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("error: job 1 requests 12 GPUs"), "{stderr}");
-    assert!(stderr.contains("at most 10 GPUs"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    let error_line = stderr.lines().find(|l| l.starts_with("error: "));
+    assert!(
+        error_line.is_some_and(|l| l.contains(message)),
+        "{args:?}: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+}
+
+#[test]
+fn the_cli_reports_bad_input_instead_of_panicking() {
+    let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let write = |name: &str, text: &str| {
+        let path = tmp.join(name);
+        std::fs::write(&path, text).expect("target tmpdir is writable");
+        path.into_os_string().into_string().expect("utf-8 tmpdir")
+    };
+    let header = "ID, NumGPUs, Topology, BW Sensitive, Workload, Iterations, Priority\n";
+    let twelve_gpu_job = write(
+        "twelve-gpu-job.txt",
+        &format!("{header}1, 12, Ring, True, resnet-50, 100, 0\n"),
+    );
+    let two_gpu_job = write(
+        "two-gpu-job.txt",
+        &format!("{header}1, 2, Ring, True, resnet-50, 100, 0\n"),
+    );
+    let four_gpu_machine = write(
+        "four-gpu-machine.txt",
+        "       GPU0  GPU1  GPU2  GPU3\n\
+         GPU0    X    NV2   NV1   SYS\n\
+         GPU1   NV2    X    SYS   NV1\n\
+         GPU2   NV1   SYS    X    NV2\n\
+         GPU3   SYS   NV1   NV2    X\n",
+    );
+    let simulate = ["simulate", "--machine", "dgx-2", "--policy", "baseline"];
+
+    // A job the interconnect model cannot price.
+    assert_cli_refuses(
+        &[&simulate[..], &["--jobs", &twelve_gpu_job]].concat(),
+        "job 1 requests 12 GPUs, but the interconnect model packs rings onto at most 10 GPUs",
+    );
+    // A degenerate arrival process (used to panic in `ArrivalClock::new`).
+    for gap in ["0", "-5", "nan"] {
+        assert_cli_refuses(
+            &[&simulate[..], &["--jobs", &two_gpu_job, "--poisson", gap]].concat(),
+            "poisson mean gap must be positive",
+        );
+    }
+    // The default mix draws 5-GPU jobs: a campaign on a 4-GPU machine is
+    // refused before any cell runs (used to panic in a pool worker).
+    let grid = ["--grid", "shards=1;jobs=20", "--replications", "1"];
+    assert_cli_refuses(
+        &[&["campaign", "--machine", &four_gpu_machine], &grid[..]].concat(),
+        "offers 4 whole GPUs, but the mix draws whole-GPU jobs up to 5",
+    );
+
+    for file in [twelve_gpu_job, two_gpu_job, four_gpu_machine] {
+        std::fs::remove_file(file).expect("temp file removable");
+    }
 }

@@ -30,6 +30,7 @@
 //! crashed agents deterministically.
 
 use crate::AgentError;
+use mapa_topology::Fnv1a;
 use std::collections::BTreeSet;
 use std::fs;
 use std::io::Write;
@@ -220,15 +221,11 @@ fn parse_lease_line(line: &str) -> Option<Lease> {
 }
 
 /// 64-bit FNV-1a over raw bytes (stable across platforms and releases —
-/// what an on-disk checksum needs; same constants as the engine's
-/// schedule digests).
+/// what an on-disk checksum needs).
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Handle on one coordination directory (lock + ledger).

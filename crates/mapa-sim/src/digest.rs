@@ -18,48 +18,9 @@
 
 use crate::engine::SimReport;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a hasher (64-bit). FNV is stable across platforms,
-/// releases, and `std` versions — unlike `DefaultHasher`, which
-/// documents no such guarantee — which is what a checked-in golden
-/// value needs.
-#[derive(Debug, Clone)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self(FNV_OFFSET)
-    }
-}
-
-impl Fnv1a {
-    /// Absorbs raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Absorbs a `u64` in little-endian byte order.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Absorbs an `f64` by exact bit pattern — bit-identical schedules
-    /// hash identically, and *any* numeric drift changes the digest.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// The accumulated hash.
-    #[must_use]
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
+/// The hasher behind every digest; it lives in `mapa-topology`, the one
+/// crate the simulator and the agent's ledger both depend on.
+pub use mapa_topology::Fnv1a;
 
 /// Digest of a report's schedule: every semantic per-record field, in
 /// completion order, plus the record count. Excludes wall-clock
@@ -111,20 +72,6 @@ pub fn schedule_digest(report: &SimReport) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a test vectors.
-        let mut h = Fnv1a::default();
-        h.write(b"");
-        assert_eq!(h.finish(), 0xcbf2_9ce4_8422_2325);
-        let mut h = Fnv1a::default();
-        h.write(b"a");
-        assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
-        let mut h = Fnv1a::default();
-        h.write(b"foobar");
-        assert_eq!(h.finish(), 0x85944171f73967e8);
-    }
 
     #[test]
     fn digest_is_deterministic_and_sensitive() {

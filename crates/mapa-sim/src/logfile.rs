@@ -8,20 +8,25 @@
 //! figures need (workload, execution time, queue wait, quality). The
 //! parser accepts both the extended format and the paper's minimal one.
 
-use crate::engine::SimReport;
+use crate::engine::{JobRecord, SimReport};
+use crate::stats;
 use std::fmt;
 
 /// Header of the extended log format.
 pub const LOG_HEADER: &str =
     "ID, Allocation, Topology, Effective BW (GBps), Workload, Exec (s), Wait (s), Quality, Sched (ms), Server";
 
-/// Serializes a report into the Fig. 14 log format (extended columns).
-/// Each record carries its per-job scheduling latency (§5.4) and the
-/// server that ran it; the trailer comments carry the run's
-/// allocation-cache counters, per-shard utilization, and dispatcher-queue
-/// statistics — the same numbers [`SimReport::scheduling_stats`] and
-/// [`SimReport::shards`] report, so log files and in-memory reports share
-/// one reporting path.
+/// Serializes a report into the Fig. 14 log format (extended columns) —
+/// the one text rendering of a [`SimReport`], and what `mapa-sched
+/// simulate` prints. The leading comments are the run at a glance
+/// (makespan, throughput, and the percentiles the paper's figures plot:
+/// execution time of bandwidth-sensitive multi-GPU jobs, Predicted EffBW
+/// of multi-GPU allocations, per-decision scheduling latency). Each
+/// record carries its per-job scheduling latency (§5.4) and the server
+/// that ran it; the trailer comments carry the run's allocation-cache
+/// counters, per-shard utilization, and dispatcher-queue statistics — the
+/// same numbers [`SimReport::scheduling_stats`] and [`SimReport::shards`]
+/// report, so log files and in-memory reports share one reporting path.
 #[must_use]
 pub fn write_log(report: &SimReport) -> String {
     let mut out = String::new();
@@ -29,6 +34,27 @@ pub fn write_log(report: &SimReport) -> String {
         "# machine: {} | policy: {}\n",
         report.topology_name, report.policy_name
     ));
+    out.push_str(&format!(
+        "# run: jobs={} makespan_s={:.2} jobs_per_hour={:.2}\n",
+        report.records.len(),
+        report.makespan_seconds,
+        report.throughput_jobs_per_hour,
+    ));
+    let sensitive = |r: &JobRecord| r.job.bandwidth_sensitive && r.job.num_gpus() >= 2;
+    let multi_gpu = |r: &JobRecord| r.job.num_gpus() >= 2;
+    for (what, values) in [
+        ("sensitive_exec_s", report.execution_times(sensitive)),
+        ("predicted_effbw_gbps", report.predicted_eff_bws(multi_gpu)),
+        ("sched_latency_ms", report.scheduling_latencies_ms()),
+    ] {
+        if !values.is_empty() {
+            let s = stats::summarize(&values);
+            out.push_str(&format!(
+                "# {what}: min={:.3} p25={:.3} p50={:.3} p75={:.3} max={:.3}\n",
+                s.min, s.p25, s.p50, s.p75, s.max
+            ));
+        }
+    }
     out.push_str(LOG_HEADER);
     out.push('\n');
     for r in &report.records {
@@ -338,6 +364,22 @@ mod tests {
             "per-shard trailer recorded"
         );
         assert!(text.contains("# queue: max_depth="), "queue trailer");
+        // The run at a glance leads the file.
+        assert!(
+            text.contains(&format!(
+                "# run: jobs=40 makespan_s={:.2}",
+                report.makespan_seconds
+            )),
+            "{text}"
+        );
+        for summary in ["# sensitive_exec_s: min=", "# sched_latency_ms: min="] {
+            assert!(text.contains(summary), "{summary}: {text}");
+        }
+        let effbw = stats::summarize(&report.predicted_eff_bws(|r| r.job.num_gpus() >= 2));
+        assert!(
+            text.contains(&format!("# predicted_effbw_gbps: min={:.3}", effbw.min)),
+            "{text}"
+        );
         // Each record line carries latency and server: 10 fields.
         let record_line = text
             .lines()

@@ -36,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod fnv;
 mod link;
 pub mod machines;
 pub mod parse;
@@ -43,6 +44,7 @@ mod state;
 mod topology;
 pub mod virt;
 
+pub use fnv::Fnv1a;
 pub use link::{LinkMix, LinkType};
 pub use state::{AllocationError, HardwareState, JobId, OccupancySignature};
 pub use topology::Topology;

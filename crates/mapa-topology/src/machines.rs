@@ -274,10 +274,31 @@ pub fn all_machines() -> Vec<Topology> {
     ]
 }
 
+/// A paper machine by name, ignoring case and punctuation (`dgx-1-v100`,
+/// `DGX-1 V100` and `dgx1v100` are the same machine).
+#[must_use]
+pub fn by_name(name: &str) -> Option<Topology> {
+    let norm = |s: &str| {
+        let letters = s.chars().filter(|c| c.is_alphanumeric());
+        letters.collect::<String>().to_ascii_lowercase()
+    };
+    all_machines()
+        .into_iter()
+        .find(|m| norm(m.name()) == norm(name))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::LinkType::Pcie;
+
+    #[test]
+    fn machines_resolve_by_name_ignoring_case_and_punctuation() {
+        for spelling in ["dgx-1-v100", "DGX-1 V100", "dgx1v100"] {
+            assert_eq!(by_name(spelling).unwrap().name(), "DGX-1 V100");
+        }
+        assert!(by_name("dgx-9").is_none());
+    }
 
     #[test]
     fn dgx1_v100_matches_paper_worked_examples() {

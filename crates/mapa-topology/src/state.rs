@@ -6,7 +6,7 @@
 //! the frozen-vertex mask the matcher consumes, and computes the remaining
 //! (induced) hardware graph used for Preserved Bandwidth.
 
-use crate::Topology;
+use crate::{Fnv1a, Topology};
 use mapa_graph::{BitSet, WeightedGraph};
 use std::collections::HashMap;
 use std::fmt;
@@ -79,17 +79,14 @@ pub struct OccupancySignature {
 impl OccupancySignature {
     fn from_busy(busy: &BitSet) -> Self {
         let busy_words = busy.as_words().to_vec();
-        // FNV-1a over the words; stable across runs (no RandomState).
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        // Stable across runs (no RandomState).
+        let mut h = Fnv1a::default();
         for &w in &busy_words {
-            for byte in w.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            h.write_u64(w);
         }
         Self {
             busy_words,
-            fingerprint: h,
+            fingerprint: h.finish(),
         }
     }
 

@@ -11,10 +11,7 @@ use mapa::topology::parse::{self, NvlinkGeneration};
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.len() == 3 && args[1] == "--dot" {
-        let Some(machine) = machines::all_machines()
-            .into_iter()
-            .find(|m| m.name().eq_ignore_ascii_case(&args[2]))
-        else {
+        let Some(machine) = machines::by_name(&args[2]) else {
             eprintln!("unknown machine '{}'", args[2]);
             std::process::exit(1);
         };

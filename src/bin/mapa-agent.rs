@@ -1,12 +1,5 @@
-//! `mapa-agent` — the real-hardware actuation front end.
-//!
-//! ```text
-//! mapa-agent probe    [--probe smi|fake:MACHINE] [--json FILE]
-//! mapa-agent status   [--probe ...] [--state-dir DIR] [--json FILE]
-//! mapa-agent allocate --gpus N [--probe ...] [--state-dir DIR]
-//!                     [--policy NAME] [--tag TEXT] [--json FILE]
-//! mapa-agent release  --lease ID [--state-dir DIR]
-//! ```
+//! `mapa-agent` — the real-hardware actuation front end. `mapa-agent
+//! --help` prints the synopsis, rendered from the flag tables below.
 //!
 //! The agent probes the machine (by default through `nvidia-smi`; with
 //! `--probe fake:MACHINE` through the deterministic fake, so everything
@@ -17,36 +10,46 @@
 //! pointed at one `--state-dir` never double-book a GPU.
 
 use mapa::agent::{Agent, AllocateRequest, FakeProbe, GpuProbe, SmiProbe, StateDir};
+use mapa::cli::{choose, Args, Cli};
+use mapa::core::ALLOCATION_POLICY_NAMES;
 use mapa::report::{agent_placement_to_json, agent_status_to_json};
 use mapa::topology::machines;
 use std::process::ExitCode;
 
+static CLI: Cli = Cli {
+    program: "mapa-agent",
+    commands: &[
+        (
+            "probe",
+            "[--probe smi|fake:MACHINE] [--state-dir DIR] [--json FILE]",
+        ),
+        (
+            "status",
+            "[--probe smi|fake:MACHINE] [--state-dir DIR] [--json FILE]",
+        ),
+        (
+            "allocate",
+            "--gpus N [--probe smi|fake:MACHINE] [--state-dir DIR] [--policy NAME] [--tag TEXT]
+             [--json FILE]",
+        ),
+        ("release", "--lease ID [--state-dir DIR]"),
+    ],
+    choices: &[("policies", &ALLOCATION_POLICY_NAMES)],
+    footer: "--policy defaults to effbw-greedy. --probe defaults to smi (parses `nvidia-smi`
+output); fake:MACHINE stands in any built-in machine, e.g. fake:dgx-1-v100,
+fully offline. --state-dir defaults to .mapa-agent; all agents coordinating
+one machine must share it.",
+};
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("{USAGE}");
-            ExitCode::FAILURE
-        }
-    }
+    CLI.main(|args| match args.command {
+        "probe" => cmd_probe(args),
+        "status" => cmd_status(args),
+        "allocate" => cmd_allocate(args),
+        "release" => cmd_release(args),
+        other => unreachable!("{other} is not in the table"),
+    })
 }
-
-const USAGE: &str = "\
-usage:
-  mapa-agent probe    [--probe smi|fake:MACHINE] [--json FILE]
-  mapa-agent status   [--probe smi|fake:MACHINE] [--state-dir DIR] [--json FILE]
-  mapa-agent allocate --gpus N [--probe smi|fake:MACHINE] [--state-dir DIR]
-                      [--policy NAME] [--tag TEXT] [--json FILE]
-  mapa-agent release  --lease ID [--state-dir DIR]
-
-probes:   smi (default; parses `nvidia-smi` output) or fake:MACHINE for
-          any built-in machine, e.g. fake:dgx-1-v100 — fully offline
-policies: baseline | topo-aware | greedy | preserve | effbw-greedy
-          (default effbw-greedy)
-state:    --state-dir defaults to .mapa-agent; all agents coordinating
-          one machine must share it";
 
 /// Either probe backend behind one seam.
 enum AnyProbe {
@@ -79,36 +82,13 @@ fn resolve_probe(spec: &str) -> Result<AnyProbe, String> {
             "unknown probe '{spec}' (expected smi or fake:MACHINE)"
         ));
     };
-    let norm = |s: &str| {
-        s.chars()
-            .filter(|c| c.is_alphanumeric())
-            .collect::<String>()
-            .to_ascii_lowercase()
+    // The names as a user would type them: `DGX-1 V100` → `dgx-1-v100`.
+    let dashed = |m: &mapa::topology::Topology| -> String {
+        let lower = m.name().to_ascii_lowercase();
+        lower.replace(|c: char| !c.is_alphanumeric(), "-")
     };
-    let machine = machines::all_machines()
-        .into_iter()
-        .find(|m| norm(m.name()) == norm(machine_name))
-        .ok_or_else(|| {
-            let names: Vec<String> = machines::all_machines()
-                .iter()
-                .map(|m| {
-                    m.name()
-                        .chars()
-                        .map(|c| {
-                            if c.is_alphanumeric() {
-                                c.to_ascii_lowercase()
-                            } else {
-                                '-'
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            format!(
-                "unknown fake machine '{machine_name}' (try one of: {})",
-                names.join(", ")
-            )
-        })?;
+    let names: Vec<String> = machines::all_machines().iter().map(dashed).collect();
+    let machine = choose("fake machine", machine_name, machines::by_name, &names)?;
     let model = if machine.name().contains("P100") {
         "Tesla P100-SXM2-16GB"
     } else {
@@ -119,86 +99,25 @@ fn resolve_probe(spec: &str) -> Result<AnyProbe, String> {
     )))
 }
 
-#[derive(Default)]
-struct CliOpts {
-    probe: Option<String>,
-    state_dir: Option<String>,
-    policy: Option<String>,
-    tag: Option<String>,
-    json: Option<String>,
-    gpus: Option<usize>,
-    lease: Option<u64>,
+fn state_dir(args: &Args) -> Result<StateDir, String> {
+    StateDir::new(args.str("--state-dir").unwrap_or(".mapa-agent")).map_err(|e| e.to_string())
 }
 
-fn parse_opts(args: &[String]) -> Result<CliOpts, String> {
-    let mut opts = CliOpts::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |what: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{what} needs a value"))
-        };
-        match arg.as_str() {
-            "--probe" => opts.probe = Some(take("--probe")?),
-            "--state-dir" => opts.state_dir = Some(take("--state-dir")?),
-            "--policy" => opts.policy = Some(take("--policy")?),
-            "--tag" => opts.tag = Some(take("--tag")?),
-            "--json" => opts.json = Some(take("--json")?),
-            "--gpus" => {
-                opts.gpus = Some(
-                    take("--gpus")?
-                        .parse()
-                        .map_err(|_| "--gpus: invalid value".to_string())?,
-                );
-            }
-            "--lease" => {
-                opts.lease = Some(
-                    take("--lease")?
-                        .parse()
-                        .map_err(|_| "--lease: invalid value".to_string())?,
-                );
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(opts)
+fn build_agent(args: &Args) -> Result<Agent<AnyProbe>, String> {
+    let probe = resolve_probe(args.str("--probe").unwrap_or("smi"))?;
+    Ok(Agent::new(probe, state_dir(args)?))
 }
 
-fn build_agent(opts: &CliOpts) -> Result<Agent<AnyProbe>, String> {
-    let probe = resolve_probe(opts.probe.as_deref().unwrap_or("smi"))?;
-    let state = StateDir::new(opts.state_dir.as_deref().unwrap_or(".mapa-agent"))
-        .map_err(|e| e.to_string())?;
-    let agent = Agent::new(probe, state);
-    match &opts.policy {
-        Some(name) => agent.with_policy(name).map_err(|e| e.to_string()),
-        None => Ok(agent),
-    }
-}
-
-fn write_artifact(path: &Option<String>, json: &str) -> Result<(), String> {
-    if let Some(path) = path {
+fn write_artifact(args: &Args, json: &str) -> Result<(), String> {
+    if let Some(path) = args.str("--json") {
         std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
     Ok(())
 }
 
-fn run(args: &[String]) -> Result<(), String> {
-    let (cmd, rest) = match args.split_first() {
-        Some((cmd, rest)) => (cmd.as_str(), rest),
-        None => return Err("no subcommand".to_string()),
-    };
-    let opts = parse_opts(rest)?;
-    match cmd {
-        "probe" => cmd_probe(&opts),
-        "status" => cmd_status(&opts),
-        "allocate" => cmd_allocate(&opts),
-        "release" => cmd_release(&opts),
-        other => Err(format!("unknown subcommand '{other}'")),
-    }
-}
-
-fn cmd_probe(opts: &CliOpts) -> Result<(), String> {
-    let mut agent = build_agent(opts)?;
+fn cmd_probe(args: &Args) -> Result<(), String> {
+    let mut agent = build_agent(args)?;
     let (snapshot, machine) = agent.probe_machine().map_err(|e| e.to_string())?;
     println!("host {}: {} GPUs", snapshot.hostname, snapshot.gpu_count());
     match &machine.matched_profile {
@@ -218,15 +137,15 @@ fn cmd_probe(opts: &CliOpts) -> Result<(), String> {
     }
     // The probe artifact is a status-shaped report (ledger will be
     // empty/absent); one schema for CI to check on every subcommand.
-    if opts.json.is_some() {
-        let status = build_agent(opts)?.status().map_err(|e| e.to_string())?;
-        write_artifact(&opts.json, &agent_status_to_json(&status))?;
+    if args.has("--json") {
+        let status = build_agent(args)?.status().map_err(|e| e.to_string())?;
+        write_artifact(args, &agent_status_to_json(&status))?;
     }
     Ok(())
 }
 
-fn cmd_status(opts: &CliOpts) -> Result<(), String> {
-    let mut agent = build_agent(opts)?;
+fn cmd_status(args: &Args) -> Result<(), String> {
+    let mut agent = build_agent(args)?;
     let status = agent.status().map_err(|e| e.to_string())?;
     let profile = status
         .machine
@@ -251,15 +170,18 @@ fn cmd_status(opts: &CliOpts) -> Result<(), String> {
             lease.id, lease.pid, lease.gpus, lease.tag
         );
     }
-    write_artifact(&opts.json, &agent_status_to_json(&status))
+    write_artifact(args, &agent_status_to_json(&status))
 }
 
-fn cmd_allocate(opts: &CliOpts) -> Result<(), String> {
-    let gpus = opts.gpus.ok_or("allocate needs --gpus N")?;
-    let mut agent = build_agent(opts)?;
+fn cmd_allocate(args: &Args) -> Result<(), String> {
+    let gpus = args.get("--gpus")?.expect("required by the table");
+    let mut agent = build_agent(args)?;
+    if let Some(name) = args.str("--policy") {
+        agent = agent.with_policy(name).map_err(|e| e.to_string())?;
+    }
     let mut request = AllocateRequest::new(gpus);
-    if let Some(tag) = &opts.tag {
-        request = request.with_tag(tag.clone());
+    if let Some(tag) = args.str("--tag") {
+        request = request.with_tag(tag.to_string());
     }
     let placement = agent.allocate(&request).map_err(|e| e.to_string())?;
     println!(
@@ -274,16 +196,14 @@ fn cmd_allocate(opts: &CliOpts) -> Result<(), String> {
         placement.gpus
     );
     println!("CUDA_VISIBLE_DEVICES={}", placement.cuda_visible_devices);
-    write_artifact(&opts.json, &agent_placement_to_json(&placement))
+    write_artifact(args, &agent_placement_to_json(&placement))
 }
 
-fn cmd_release(opts: &CliOpts) -> Result<(), String> {
-    let lease = opts.lease.ok_or("release needs --lease ID")?;
+fn cmd_release(args: &Args) -> Result<(), String> {
+    let lease = args.get("--lease")?.expect("required by the table");
     // Release never probes hardware; any probe backend satisfies the
     // type, so hand it the offline fake.
-    let state = StateDir::new(opts.state_dir.as_deref().unwrap_or(".mapa-agent"))
-        .map_err(|e| e.to_string())?;
-    let mut agent = Agent::new(AnyProbe::Fake(FakeProbe::dgx1_v100()), state);
+    let mut agent = Agent::new(AnyProbe::Fake(FakeProbe::dgx1_v100()), state_dir(args)?);
     let gpus = agent.release(lease).map_err(|e| e.to_string())?;
     println!("released lease {lease}: GPUs {gpus:?}");
     Ok(())

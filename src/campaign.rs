@@ -1,12 +1,12 @@
 //! Cluster campaign grids: the façade layer between the generic
-//! campaign runner ([`mapa_sim::campaign`]) and the fleet backend
-//! ([`mapa_cluster::Cluster`]).
+//! campaign runner ([`mapa_sim::campaign`]) and the fleet a cell runs
+//! ([`RunSpec`]).
 //!
 //! A [`CampaignGrid`] names a cross-product of server policies ×
 //! allocation policies × fleet sizes × load levels × dispatch modes ×
 //! arrival intensities × partition plans;
-//! [`CampaignGrid::run`] flattens it into cells, validates every policy
-//! name up front, pre-fits the effective-bandwidth model once per
+//! [`CampaignGrid::run`] flattens it into cells, validates every cell's
+//! [`RunSpec`] up front, pre-fits the effective-bandwidth model once per
 //! machine type, and fans the cells out over one shared worker pool.
 //! Every cell's replication `r` draws its job mix and arrival stream
 //! from [`mapa_sim::campaign::crn_seed`]`(base_seed, r)` — common random
@@ -14,39 +14,29 @@
 //! comparisons subtract away the arrival noise.
 
 use crate::report::json_escape;
-use mapa_cluster::{server_policy_by_name, Cluster, DispatchMode, DEFAULT_SHARD_QUEUE_DEPTH};
+use crate::runspec::{RunSpec, Shared};
+use mapa_cluster::{DispatchMode, DEFAULT_SHARD_QUEUE_DEPTH};
 pub use mapa_core::policy::allocation_policy_by_name;
-use mapa_core::policy::BaselinePolicy;
 use mapa_interconnect::rings;
 use mapa_isomorph::WorkerPool;
-use mapa_model::EffBwModel;
 use mapa_sim::campaign::{run_campaign, CampaignSpec, CellSummary};
-use mapa_sim::{ArrivalProcess, Engine, SimConfig, SimReport};
+use mapa_sim::{ArrivalProcess, SimConfig, SimReport, Submission};
 use mapa_topology::{PartitionPlan, Topology};
 use mapa_workloads::generator::{self, JobMixConfig};
-use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One flattened campaign cell: a complete cluster configuration.
-#[derive(Debug, Clone, PartialEq)]
+/// One flattened campaign cell: a fleet and the load it runs under.
+#[derive(Debug, Clone)]
 pub struct GridCell {
-    /// Cluster-level server-selection policy name.
-    pub server_policy: String,
-    /// Per-shard allocation policy name.
-    pub alloc_policy: String,
-    /// Number of identical shards in the fleet.
-    pub shards: usize,
+    /// The fleet: the grid's machine under the cell's partition plan, its
+    /// shard count and policies, behind the grid's per-shard queues.
+    pub spec: RunSpec,
     /// Jobs per replication (the load level).
     pub jobs: usize,
-    /// Dispatch mode for the queued path.
-    pub dispatch: DispatchMode,
     /// Arrival-intensity axis value: `Some(gap)` runs Poisson arrivals
     /// with that mean inter-arrival gap (seconds), `None` submits all
     /// jobs at t=0 (batch).
     pub poisson_gap: Option<f64>,
-    /// Partition-plan axis value: `Some(plan)` runs every shard as the
-    /// MIG-partitioned machine, `None` runs the whole-GPU machine.
-    pub partition: Option<PartitionPlan>,
 }
 
 impl GridCell {
@@ -55,25 +45,26 @@ impl GridCell {
     /// omitted, so pre-existing grids keep their historical labels.
     #[must_use]
     pub fn label(&self) -> String {
+        let spec = &self.spec;
         let mut label = format!(
             "{}/{}/shards={}/jobs={}/{}",
-            self.server_policy,
-            self.alloc_policy,
-            self.shards,
+            spec.server_policy.as_deref().unwrap_or_default(),
+            spec.alloc_policy,
+            spec.servers,
             self.jobs,
-            self.dispatch.name()
+            spec.dispatch.as_deref().unwrap_or_default()
         );
         if let Some(gap) = self.poisson_gap {
             label.push_str(&format!("/gap={gap}"));
         }
-        if let Some(plan) = &self.partition {
+        if let Some(plan) = &spec.partition {
             label.push_str(&format!("/mig={plan}"));
         }
         label
     }
 }
 
-/// A campaign over homogeneous [`Cluster`] fleets: the cross-product of
+/// A campaign over homogeneous [`mapa_cluster::Cluster`] fleets: the cross-product of
 /// the axis vectors below, each cell replicated `replications` times
 /// under common random numbers.
 #[derive(Debug, Clone)]
@@ -81,7 +72,7 @@ pub struct CampaignGrid {
     /// The machine every shard runs (homogeneous fleets).
     pub machine: Topology,
     /// Server-selection policy axis (names per
-    /// [`server_policy_by_name`]).
+    /// [`mapa_cluster::server_policy_by_name`]).
     pub server_policies: Vec<String>,
     /// Allocation policy axis (names per [`allocation_policy_by_name`]).
     pub alloc_policies: Vec<String>,
@@ -146,14 +137,18 @@ impl CampaignGrid {
                         for &dispatch in &self.dispatch {
                             for &gap in &self.arrival_gaps {
                                 for partition in &self.partitions {
-                                    out.push(GridCell {
-                                        server_policy: sp.clone(),
-                                        alloc_policy: ap.clone(),
-                                        shards,
-                                        jobs,
-                                        dispatch,
-                                        poisson_gap: gap,
+                                    let spec = RunSpec {
                                         partition: partition.clone(),
+                                        server_policy: Some(sp.clone()),
+                                        servers: shards,
+                                        dispatch: Some(dispatch.name().to_string()),
+                                        shard_queue_depth: Some(self.shard_queue_depth),
+                                        ..RunSpec::new(self.machine.clone(), ap)
+                                    };
+                                    out.push(GridCell {
+                                        spec,
+                                        jobs,
+                                        poisson_gap: gap,
                                     });
                                 }
                             }
@@ -168,31 +163,15 @@ impl CampaignGrid {
     /// Validates the grid without running it.
     ///
     /// # Errors
-    /// Returns a message naming the first unknown policy name or
-    /// degenerate axis.
+    /// Returns a message naming the first degenerate axis, or the first
+    /// cell whose [`RunSpec`] is invalid or too small for the mix.
     pub fn validate(&self) -> Result<(), String> {
-        for sp in &self.server_policies {
-            if server_policy_by_name(sp).is_none() {
-                return Err(format!("unknown server policy '{sp}'"));
-            }
-        }
-        for ap in &self.alloc_policies {
-            if allocation_policy_by_name(ap).is_none() {
-                return Err(format!("unknown allocation policy '{ap}'"));
-            }
-        }
-        if self.shards.contains(&0) {
-            return Err("shard counts must be at least 1".into());
-        }
-        if self.server_policies.is_empty()
-            || self.alloc_policies.is_empty()
-            || self.shards.is_empty()
-            || self.job_counts.is_empty()
-            || self.dispatch.is_empty()
-            || self.arrival_gaps.is_empty()
-            || self.partitions.is_empty()
-        {
+        let cells = self.cells();
+        if cells.is_empty() {
             return Err("every grid axis needs at least one value".into());
+        }
+        if self.job_counts.contains(&0) {
+            return Err("job counts must be at least 1".into());
         }
         for &mean_gap in self.arrival_gaps.iter().flatten() {
             ArrivalProcess::Poisson { mean_gap, seed: 0 }.check()?;
@@ -205,36 +184,11 @@ impl CampaignGrid {
                 rings::MAX_RING_GPUS
             ));
         }
-        let n = self.machine.gpu_count();
-        let name = self.machine.name();
-        for plan in &self.partitions {
-            // An unpartitioned cell keeps every GPU whole.
-            let mut whole = n;
-            if let Some(plan) = plan {
-                if plan.is_empty() {
-                    return Err("an empty partition plan: spell the whole-GPU cell as None".into());
-                }
-                if let Some((gpu, _)) = plan.splits().find(|&(gpu, _)| gpu >= n) {
-                    return Err(format!(
-                        "partition plan '{plan}' splits GPU {gpu}, but '{name}' has only {n} GPUs"
-                    ));
-                }
-                whole -= plan.splits().count();
-            }
-            // Whole-GPU training jobs never land on slices, so every cell
-            // must offer enough unsplit GPUs for the largest whole demand
-            // the mix can draw — otherwise a replication dies on an
-            // unplaceable job.
-            if whole < largest {
-                let subject = plan.as_ref().map_or_else(
-                    || format!("machine '{name}'"),
-                    |plan| format!("partition plan '{plan}'"),
-                );
-                return Err(format!(
-                    "{subject} offers {whole} whole GPUs, but the mix draws whole-GPU jobs up \
-                     to {largest}"
-                ));
-            }
+        for GridCell { spec, .. } in &cells {
+            spec.validate()?;
+            // Otherwise a replication dies on an unplaceable job.
+            spec.fits_whole(largest)
+                .map_err(|e| format!("{e}, but the mix draws whole-GPU jobs up to {largest}"))?;
         }
         Ok(())
     }
@@ -252,30 +206,17 @@ impl CampaignGrid {
     /// anything when the grid is invalid.
     pub fn run(&self, pool: &Arc<WorkerPool>) -> Result<Vec<CellSummary>, String> {
         self.validate()?;
-        // Pre-fit the model for every machine variant the partition axis
-        // produces, so cells only ever hit the cache inside
-        // `Cluster::with_shared_resources` (a partitioned machine's name
-        // encodes its plan, so each variant keys its own model).
-        let mut models: HashMap<String, EffBwModel> = HashMap::new();
+        let cells = self.cells();
+        // One model per machine variant the partition axis produces.
+        let mut shared = Shared::new(Arc::clone(pool));
         for partition in &self.partitions {
-            let _ = Cluster::with_shared_resources(
-                vec![machine_for(&self.machine, partition.as_ref())],
-                || Box::new(BaselinePolicy),
-                server_policy_by_name("round-robin").expect("built-in policy"),
-                Arc::clone(pool),
-                &mut models,
-            );
+            let mut spec = cells[0].spec.clone();
+            spec.partition.clone_from(partition);
+            spec.build(&mut shared)?;
         }
-        let ctx_proto = CellContext {
-            machine: self.machine.clone(),
-            pool: Arc::clone(pool),
-            models,
-            queue_depth: self.shard_queue_depth,
-            mix: self.mix.clone(),
-            cell: None,
-        };
+        let mix = self.mix.clone();
         let spec = CampaignSpec {
-            cells: self.cells(),
+            cells,
             replications: self.replications,
             base_seed: self.base_seed,
         };
@@ -284,71 +225,45 @@ impl CampaignGrid {
             pool,
             GridCell::label,
             move |cell: &GridCell| CellContext {
-                cell: Some(cell.clone()),
-                models: ctx_proto.models.clone(),
-                machine: ctx_proto.machine.clone(),
-                pool: Arc::clone(&ctx_proto.pool),
-                queue_depth: ctx_proto.queue_depth,
-                mix: ctx_proto.mix.clone(),
+                cell: cell.clone(),
+                shared: shared.clone(),
+                mix: JobMixConfig {
+                    job_count: cell.jobs,
+                    ..mix.clone()
+                },
             },
             CellContext::run_replication,
         ))
     }
 }
 
-/// The machine a cell's shards run: the base machine, or the plan
-/// applied to it.
-fn machine_for(base: &Topology, partition: Option<&PartitionPlan>) -> Topology {
-    match partition {
-        Some(plan) => plan.apply(base).into_topology(),
-        None => base.clone(),
-    }
-}
-
 /// Per-cell context: everything immutable a replication needs, built
-/// once per cell. Replications reset simulation state by constructing a
-/// fresh [`Cluster`], but reuse the fitted model map and the worker
-/// pool.
+/// once per cell. Replications reset simulation state by building a
+/// fresh fleet from the cell's spec, but reuse the fitted models and the
+/// worker pool in `shared`.
 struct CellContext {
-    machine: Topology,
-    pool: Arc<WorkerPool>,
-    models: HashMap<String, EffBwModel>,
-    queue_depth: usize,
+    cell: GridCell,
+    shared: Shared,
     mix: JobMixConfig,
-    cell: Option<GridCell>,
 }
 
 impl CellContext {
     fn run_replication(&mut self, seed: u64) -> SimReport {
-        let cell = self.cell.as_ref().expect("cell set by setup").clone();
-        let machine = machine_for(&self.machine, cell.partition.as_ref());
-        let cluster = Cluster::with_shared_resources(
-            vec![machine; cell.shards],
-            || allocation_policy_by_name(&cell.alloc_policy).expect("validated before the run"),
-            server_policy_by_name(&cell.server_policy).expect("validated before the run"),
-            Arc::clone(&self.pool),
-            &mut self.models,
-        )
-        .with_dispatch(cell.dispatch)
-        .with_shard_queues(self.queue_depth);
-        let mix = JobMixConfig {
-            job_count: cell.jobs,
-            ..self.mix.clone()
-        };
         // CRN: the job mix and the arrival process both draw from the
         // replication's seed — and from nothing cell-specific beyond the
         // load level, so paired comparisons subtract the arrival noise.
-        let jobs = generator::generate_jobs(&mix, seed);
-        let arrivals = match cell.poisson_gap {
+        let jobs = generator::generate_jobs(&self.mix, seed);
+        let arrivals = match self.cell.poisson_gap {
             Some(mean_gap) => ArrivalProcess::Poisson { mean_gap, seed },
             None => ArrivalProcess::Batch,
         };
-        Engine::over(cluster)
-            .with_config(SimConfig {
-                arrivals,
-                ..SimConfig::default()
-            })
-            .run(&jobs)
+        let config = SimConfig {
+            arrivals,
+            ..SimConfig::default()
+        };
+        let submissions = jobs.into_iter().map(Submission::Job);
+        let report = self.cell.spec.run(&mut self.shared, config, submissions);
+        report.expect("the grid was validated before the run")
     }
 }
 
@@ -429,8 +344,8 @@ mod tests {
         let grid = tiny_grid();
         let cells = grid.cells();
         assert_eq!(cells.len(), 2);
-        assert_eq!(cells[0].server_policy, "round-robin");
-        assert_eq!(cells[1].server_policy, "least-loaded");
+        assert_eq!(cells[0].spec.server_policy.as_deref(), Some("round-robin"));
+        assert_eq!(cells[1].spec.server_policy.as_deref(), Some("least-loaded"));
         assert_eq!(
             cells[0].label(),
             "round-robin/baseline/shards=2/jobs=30/sequential"
@@ -454,6 +369,9 @@ mod tests {
         let mut grid = tiny_grid();
         grid.partitions = vec![Some(PartitionPlan::new())];
         assert!(grid.validate().unwrap_err().contains("empty partition"));
+        let mut grid = tiny_grid();
+        grid.job_counts = vec![0];
+        assert!(grid.validate().unwrap_err().contains("job counts"));
         let mut grid = tiny_grid();
         grid.partitions = vec![Some(PartitionPlan::new().split(9, 2))];
         assert!(grid.validate().unwrap_err().contains("only 8 GPUs"));

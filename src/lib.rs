@@ -35,7 +35,9 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
+pub mod cli;
 pub mod report;
+pub mod runspec;
 
 pub use mapa_agent as agent;
 pub use mapa_cluster as cluster;
@@ -79,6 +81,7 @@ pub mod prelude {
     };
 
     pub use crate::campaign::{allocation_policy_by_name, CampaignGrid, GridCell};
+    pub use crate::runspec::{RunSpec, Shared};
     pub use mapa_topology::{
         machines, HardwareState, LinkMix, LinkType, OccupancySignature, PartitionPlan,
         SliceBandwidth, SliceMap, Topology, VirtualTopology,

@@ -1,0 +1,444 @@
+//! One description of the fleet a run schedules onto, and the one place
+//! it is turned into a backend and driven.
+//!
+//! `mapa-sched simulate` fills a [`RunSpec`] from its flags; a campaign
+//! [`GridCell`](crate::campaign::GridCell) produces one per cell. The
+//! spec resolves its names, validates itself, refuses a job stream the
+//! fleet could never drain, builds the [`SingleServer`], [`Cluster`] or
+//! [`Federation`] its fields call for, and runs the engine over it.
+
+use crate::cli::choose;
+use mapa_cluster::{
+    dispatch_mode_by_name, federation_policy_by_name, migration_policy_by_name,
+    server_policy_by_name, Cluster, DispatchMode, Federation, FederationPolicy, MigrationPolicy,
+    ServerPolicy, DISPATCH_MODE_NAMES, FEDERATION_POLICY_NAMES, MIGRATION_POLICY_NAMES,
+    SERVER_POLICY_NAMES,
+};
+use mapa_core::policy::{allocation_policy_by_name, AllocationPolicy};
+use mapa_core::ALLOCATION_POLICY_NAMES;
+use mapa_isomorph::WorkerPool;
+use mapa_model::EffBwModel;
+use mapa_sim::{
+    Engine, JobRejection, SchedulerBackend, SimConfig, SimReport, SingleServer, Submission,
+};
+use mapa_topology::{PartitionPlan, Topology};
+use std::collections::HashMap;
+use std::sync::Arc;
+
+/// What every fleet built in one process can share: the matcher worker
+/// pool, and the Predicted-EffBW models fitted so far (keyed by machine
+/// name — a partitioned machine's name encodes its plan). A campaign
+/// cell builds a fresh fleet per replication but pays for neither twice.
+#[derive(Clone)]
+pub struct Shared {
+    /// The pool every shard's matcher enumerates on.
+    pub pool: Arc<WorkerPool>,
+    /// Fitted models, extended by every fleet built.
+    pub models: HashMap<String, EffBwModel>,
+}
+
+impl Shared {
+    /// No models fitted yet, on `pool`.
+    #[must_use]
+    pub fn new(pool: Arc<WorkerPool>) -> Self {
+        let models = HashMap::new();
+        Self { pool, models }
+    }
+}
+
+/// The fleet of one run; the fields are `simulate`'s fleet flags. The
+/// tier follows from them: more than one cluster, a federation policy or
+/// a quota makes a [`Federation`] (a 1-cluster federation is valid —
+/// quotas and tenant accounting still apply); otherwise more than one
+/// server or any other cluster-layer field makes a [`Cluster`] (a
+/// 1-server cluster is valid too); otherwise the paper's [`SingleServer`].
+#[derive(Debug, Clone)]
+pub struct RunSpec {
+    /// The machine every server runs.
+    pub machine: Topology,
+    /// MIG-style plan applied to every server, `None` for whole GPUs.
+    pub partition: Option<PartitionPlan>,
+    /// Per-server allocation policy name.
+    pub alloc_policy: String,
+    /// Server-selection policy name (default `least-loaded`).
+    pub server_policy: Option<String>,
+    /// Cluster-selection policy name (default `spillover`).
+    pub federation_policy: Option<String>,
+    /// Servers per cluster.
+    pub servers: usize,
+    /// Clusters in the federation.
+    pub clusters: usize,
+    /// Dispatch mode name (default `sequential`).
+    pub dispatch: Option<String>,
+    /// Migration policy name (default `none`); any other policy implies
+    /// per-shard queues.
+    pub migration: Option<String>,
+    /// Bound of the per-shard queues that replace the global FIFO.
+    pub shard_queue_depth: Option<usize>,
+    /// Concurrent accelerator units every tenant is capped at.
+    pub quota_gpus: Option<usize>,
+}
+
+pub(crate) enum Fleet {
+    Single(Box<SingleServer>),
+    Cluster(Cluster),
+    Federation(Federation),
+}
+
+impl RunSpec {
+    /// One `machine` under `alloc_policy`, nothing else set.
+    #[must_use]
+    pub fn new(machine: Topology, alloc_policy: &str) -> Self {
+        Self {
+            machine,
+            partition: None,
+            alloc_policy: alloc_policy.to_string(),
+            server_policy: None,
+            federation_policy: None,
+            servers: 1,
+            clusters: 1,
+            dispatch: None,
+            migration: None,
+            shard_queue_depth: None,
+            quota_gpus: None,
+        }
+    }
+
+    fn alloc(&self) -> Result<Box<dyn AllocationPolicy>, String> {
+        let (name, names) = (&self.alloc_policy, &ALLOCATION_POLICY_NAMES);
+        choose("allocation policy", name, allocation_policy_by_name, names)
+    }
+
+    fn server(&self) -> Result<Box<dyn ServerPolicy>, String> {
+        let name = self.server_policy.as_deref().unwrap_or("least-loaded");
+        choose(
+            "server policy",
+            name,
+            server_policy_by_name,
+            &SERVER_POLICY_NAMES,
+        )
+    }
+
+    fn federation(&self) -> Result<Box<dyn FederationPolicy>, String> {
+        let name = self.federation_policy.as_deref().unwrap_or("spillover");
+        let names = &FEDERATION_POLICY_NAMES;
+        choose("federation policy", name, federation_policy_by_name, names)
+    }
+
+    fn dispatch(&self) -> Result<DispatchMode, String> {
+        let name = self.dispatch.as_deref().unwrap_or("sequential");
+        choose(
+            "dispatch mode",
+            name,
+            dispatch_mode_by_name,
+            &DISPATCH_MODE_NAMES,
+        )
+    }
+
+    fn migration(&self) -> Result<MigrationPolicy, String> {
+        let name = self.migration.as_deref().unwrap_or("none");
+        let names = &MIGRATION_POLICY_NAMES;
+        choose("migration policy", name, migration_policy_by_name, names)
+    }
+
+    /// Whether jobs wait in per-shard queues (strict FIFO per shard)
+    /// rather than the engine's global FIFO.
+    #[must_use]
+    pub fn queued(&self) -> bool {
+        self.shard_queue_depth.is_some() || self.migration() != Ok(MigrationPolicy::None)
+    }
+
+    /// Checks the counts, the names and the partition plan.
+    ///
+    /// # Errors
+    /// The first count below 1, unknown name (with the known ones), or
+    /// split the machine cannot hold.
+    pub fn validate(&self) -> Result<(), String> {
+        let counts = [
+            ("servers", Some(self.servers)),
+            ("clusters", Some(self.clusters)),
+            ("shard-queue-depth", self.shard_queue_depth),
+            ("quota-gpus", self.quota_gpus),
+        ];
+        if let Some((what, _)) = counts.iter().find(|(_, n)| *n == Some(0)) {
+            return Err(format!("{what} must be at least 1"));
+        }
+        self.alloc()?;
+        self.server()?;
+        self.federation()?;
+        self.dispatch()?;
+        self.migration()?;
+        let Some(plan) = &self.partition else {
+            return Ok(());
+        };
+        let (n, name) = (self.machine.gpu_count(), self.machine.name());
+        if plan.is_empty() {
+            return Err("an empty partition plan: leave it out to keep every GPU whole".into());
+        }
+        match plan.splits().find(|&(gpu, _)| gpu >= n) {
+            Some((gpu, _)) => Err(format!(
+                "partition plan '{plan}' splits GPU {gpu}, but '{name}' has only {n} GPUs"
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// The machine each server runs: [`RunSpec::machine`] with the plan
+    /// applied, slices as first-class vertices.
+    ///
+    /// # Panics
+    /// On a plan [`RunSpec::validate`] refuses.
+    #[must_use]
+    pub fn topology(&self) -> Topology {
+        match &self.partition {
+            Some(plan) => plan.apply(&self.machine).into_topology(),
+            None => self.machine.clone(),
+        }
+    }
+
+    /// Whole-GPU jobs never land on slice vertices, so the largest one a
+    /// server can ever start is bounded by its unsplit GPUs, not by its
+    /// vertex count.
+    ///
+    /// # Errors
+    /// `machine '…' offers N whole GPUs` when `gpus` exceeds them; the
+    /// caller says who asked.
+    pub fn fits_whole(&self, gpus: usize) -> Result<(), String> {
+        let split = self.partition.as_ref().map_or(0, |p| p.splits().count());
+        let whole = self.machine.gpu_count() - split;
+        if gpus <= whole {
+            return Ok(());
+        }
+        let name = self.topology().name().to_string();
+        Err(format!("machine '{name}' offers {whole} whole GPUs"))
+    }
+
+    /// Refuses a submission stream the fleet could never drain — the
+    /// engine's entry points return a report, not a `Result`, so they can
+    /// only panic on one. Every job must fit a server and the
+    /// interconnect model ([`JobRejection::check`]), and every gang must
+    /// be co-schedulable on the *idle* fleet. Pooled capacity is not
+    /// enough for that (three 5-GPU members total 15 ≤ 2×8, yet no two
+    /// fit one 8-GPU server together), so each gang is reserved on an
+    /// idle copy of this fleet through the placement path the scheduler
+    /// will use.
+    ///
+    /// # Errors
+    /// [`RunSpec::validate`]'s, or the first job or gang that cannot run.
+    pub fn admit(&self, submissions: &[Submission], shared: &mut Shared) -> Result<(), String> {
+        self.validate()?;
+        let vertices = self.topology().gpu_count();
+        let mut gangs = Vec::new();
+        for submission in submissions {
+            let members = match submission {
+                Submission::Job(job) => std::slice::from_ref(job),
+                Submission::Gang(gang) => {
+                    gangs.push(gang);
+                    &gang.members[..]
+                }
+            };
+            for job in members {
+                let (id, gpus) = (job.id, job.num_gpus());
+                if !job.is_fractional() {
+                    let asker = |e| format!("{e}, but job {id} requests {gpus}");
+                    self.fits_whole(gpus).map_err(asker)?;
+                }
+                JobRejection::check(job, vertices).map_err(|e| e.to_string())?;
+            }
+        }
+        if gangs.is_empty() {
+            return Ok(());
+        }
+        // Idle, on the global queue, and without quotas: an over-quota
+        // gang is held, not impossible.
+        let idle = Self {
+            quota_gpus: None,
+            shard_queue_depth: None,
+            migration: None,
+            ..self.clone()
+        };
+        let mut fleet = idle.build(shared)?;
+        let backend: &mut dyn SchedulerBackend = match &mut fleet {
+            Fleet::Single(b) => b.as_mut(),
+            Fleet::Cluster(b) => b,
+            Fleet::Federation(b) => b,
+        };
+        for gang in gangs {
+            let ids: Vec<u64> = gang.members.iter().map(|m| m.id).collect();
+            let placements = backend.try_place_gang(&gang.members).ok_or_else(|| {
+                format!(
+                    "gang {} (jobs {ids:?}, {} GPUs total) cannot be co-scheduled even on an \
+                     idle fleet of {}× {}× {} — make the gangs smaller or add servers",
+                    gang.id,
+                    gang.total_gpus(),
+                    self.clusters,
+                    self.servers,
+                    self.machine.name(),
+                )
+            })?;
+            for (id, p) in ids.into_iter().zip(&placements) {
+                backend.release(p.server, id);
+            }
+        }
+        Ok(())
+    }
+
+    fn cluster(&self, machine: &Topology, shared: &mut Shared) -> Result<Cluster, String> {
+        let mut cluster = Cluster::with_shared_resources(
+            vec![machine.clone(); self.servers],
+            || self.alloc().expect("validated by build"),
+            self.server()?,
+            Arc::clone(&shared.pool),
+            &mut shared.models,
+        )
+        .with_dispatch(self.dispatch()?);
+        if let Some(depth) = self.shard_queue_depth {
+            cluster = cluster.with_shard_queues(depth);
+        }
+        Ok(cluster.with_migration(self.migration()?))
+    }
+
+    /// The one place a backend is constructed.
+    pub(crate) fn build(&self, shared: &mut Shared) -> Result<Fleet, String> {
+        self.validate()?;
+        let machine = self.topology();
+        let federated =
+            self.clusters > 1 || self.federation_policy.is_some() || self.quota_gpus.is_some();
+        let clustered = self.servers > 1
+            || self.server_policy.is_some()
+            || self.dispatch.is_some()
+            || self.migration.is_some()
+            || self.shard_queue_depth.is_some();
+        if federated {
+            let members = (0..self.clusters).map(|_| self.cluster(&machine, shared));
+            let members = members.collect::<Result<Vec<_>, _>>()?;
+            let federation = Federation::new(members, self.federation()?);
+            Ok(Fleet::Federation(match self.quota_gpus {
+                Some(quota) => federation.with_default_quota(quota),
+                None => federation,
+            }))
+        } else if clustered {
+            Ok(Fleet::Cluster(self.cluster(&machine, shared)?))
+        } else {
+            Ok(Fleet::Single(Box::new(SingleServer::new(
+                machine,
+                self.alloc()?,
+            ))))
+        }
+    }
+
+    /// Builds the fleet and runs `submissions` on it to completion — the
+    /// one place the engine is driven. Whatever models the fleet's
+    /// machines needed are in `shared` afterwards.
+    ///
+    /// # Errors
+    /// [`RunSpec::validate`]'s.
+    ///
+    /// # Panics
+    /// As [`Engine::run_submissions`], on a stream [`RunSpec::admit`]
+    /// refuses.
+    pub fn run(
+        &self,
+        shared: &mut Shared,
+        config: SimConfig,
+        submissions: impl IntoIterator<Item = Submission>,
+    ) -> Result<SimReport, String> {
+        fn drive<B: SchedulerBackend>(
+            backend: B,
+            config: SimConfig,
+            submissions: impl IntoIterator<Item = Submission>,
+        ) -> SimReport {
+            let engine = Engine::over(backend).with_config(config);
+            engine.run_submissions(submissions)
+        }
+        Ok(match self.build(shared)? {
+            Fleet::Single(backend) => drive(*backend, config, submissions),
+            Fleet::Cluster(backend) => drive(backend, config, submissions),
+            Fleet::Federation(backend) => drive(backend, config, submissions),
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mapa_topology::machines;
+    use mapa_workloads::{GpuDemand, JobGroup, JobSpec, Workload};
+
+    fn shared() -> Shared {
+        Shared::new(Arc::new(WorkerPool::new(1)))
+    }
+
+    #[test]
+    fn validate_refuses_zero_counts_unknown_names_and_bad_plans() {
+        let base = RunSpec::new(machines::dgx1_v100(), "preserve");
+        base.validate().unwrap();
+        let refusal = |spec: RunSpec| spec.validate().unwrap_err();
+        let servers = RunSpec {
+            servers: 0,
+            ..base.clone()
+        };
+        assert_eq!(refusal(servers), "servers must be at least 1");
+        let quota = RunSpec {
+            quota_gpus: Some(0),
+            ..base.clone()
+        };
+        assert_eq!(refusal(quota), "quota-gpus must be at least 1");
+        assert_eq!(
+            refusal(RunSpec::new(machines::dgx1_v100(), "nope")),
+            "unknown allocation policy 'nope' (choose from: baseline | topo-aware | greedy | \
+             preserve | effbw-greedy)"
+        );
+        let migration = RunSpec {
+            migration: Some("nope".into()),
+            ..base.clone()
+        };
+        assert!(refusal(migration).contains("choose from: none | steal-on-idle"));
+        let plan = RunSpec {
+            partition: Some(PartitionPlan::new().split(9, 2)),
+            ..base
+        };
+        assert!(refusal(plan).contains("only 8 GPUs"));
+    }
+
+    #[test]
+    fn admit_refuses_what_the_fleet_can_never_run() {
+        let job = |id, gpus| JobSpec::new(id, GpuDemand::Whole(gpus), Workload::Gmm);
+        let spec = RunSpec {
+            servers: 2,
+            ..RunSpec::new(machines::dgx1_v100(), "baseline")
+        };
+        let subs = |jobs: Vec<JobSpec>| jobs.into_iter().map(Submission::Job).collect::<Vec<_>>();
+        spec.admit(&subs(vec![job(1, 8)]), &mut shared()).unwrap();
+        let too_big = spec
+            .admit(&subs(vec![job(1, 9)]), &mut shared())
+            .unwrap_err();
+        assert!(
+            too_big.contains("offers 8 whole GPUs, but job 1 requests 9"),
+            "{too_big}"
+        );
+        // Splitting GPU 0 leaves 7 whole GPUs, though the machine has 9 vertices.
+        let split = RunSpec {
+            partition: Some(PartitionPlan::new().split(0, 2)),
+            ..spec.clone()
+        };
+        let sliced = split
+            .admit(&subs(vec![job(1, 8)]), &mut shared())
+            .unwrap_err();
+        assert!(sliced.contains("offers 7 whole GPUs"), "{sliced}");
+        // 15 GPUs fit the pooled 16, but no two 5-GPU members share a server.
+        let gang = JobGroup::new(1, vec![job(1, 5), job(2, 5), job(3, 5)]);
+        let stuck = spec
+            .admit(&[Submission::Gang(gang.clone())], &mut shared())
+            .unwrap_err();
+        assert!(stuck.contains("cannot be co-scheduled"), "{stuck}");
+        let three = RunSpec {
+            servers: 3,
+            quota_gpus: Some(4),
+            ..spec
+        };
+        three
+            .admit(&[Submission::Gang(gang)], &mut shared())
+            .unwrap();
+    }
+}

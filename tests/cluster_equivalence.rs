@@ -11,7 +11,9 @@ use mapa::core::policy::{
     TopoAwarePolicy,
 };
 use mapa::prelude::*;
+use mapa::sim::digest::schedule_digest;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn policy_by_index(i: usize) -> Box<dyn AllocationPolicy> {
     match i % 5 {
@@ -140,4 +142,59 @@ fn multi_shard_runs_stay_well_formed_for_every_server_policy() {
             assert_eq!(r.gpus.len(), r.job.num_gpus());
         }
     }
+}
+
+/// A [`RunSpec`] is a description of these same fleets, not a different
+/// way to build them: for the single server, the 4-shard global-queue
+/// cluster and the 4-shard queued cluster with stealing, running the spec
+/// gives the schedule the explicit constructors give.
+#[test]
+fn run_spec_schedules_equal_the_explicit_constructors() {
+    let jobs = generator::paper_job_mix(57)[..80].to_vec();
+    let fleet = || {
+        Cluster::homogeneous(
+            machines::dgx1_v100(),
+            4,
+            || Box::new(PreservePolicy),
+            Box::new(LeastLoadedPolicy),
+        )
+    };
+    let base = RunSpec::new(machines::dgx1_v100(), "preserve");
+    let four = RunSpec {
+        servers: 4,
+        server_policy: Some("least-loaded".into()),
+        ..base.clone()
+    };
+    let stealing = RunSpec {
+        shard_queue_depth: Some(6),
+        migration: Some("steal".into()),
+        ..four.clone()
+    };
+    let by_hand = [
+        Simulation::new(machines::dgx1_v100(), Box::new(PreservePolicy)).run(&jobs),
+        Engine::over(fleet()).run(&jobs),
+        Engine::over(
+            fleet()
+                .with_shard_queues(6)
+                .with_migration(MigrationPolicy::StealOnIdle),
+        )
+        .run(&jobs),
+    ];
+    for (spec, expected) in [base, four, stealing].iter().zip(&by_hand) {
+        let mut shared = Shared::new(Arc::new(WorkerPool::new(2)));
+        let submissions = jobs.iter().cloned().map(Submission::Job);
+        let report = spec
+            .run(&mut shared, SimConfig::default(), submissions)
+            .expect("valid spec");
+        assert_eq!(report.policy_name, expected.policy_name, "{spec:?}");
+        assert_eq!(
+            schedule_digest(&report),
+            schedule_digest(expected),
+            "{spec:?}"
+        );
+    }
+    assert!(
+        by_hand[2].dispatch.as_ref().unwrap().jobs_stolen > 0,
+        "the stealing shape must actually steal"
+    );
 }

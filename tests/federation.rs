@@ -254,6 +254,7 @@ fn no_spillover_while_the_first_cluster_has_room() {
 
 /// Tight quotas visibly defer work (quota_holds > 0) without losing any,
 /// on both dispatch paths — and the log trailer carries the counters.
+/// Building the fleet from a [`RunSpec`] changes nothing.
 #[test]
 fn tight_quotas_defer_but_never_lose_jobs() {
     for queued in [false, true] {
@@ -279,6 +280,22 @@ fn tight_quotas_defer_but_never_lose_jobs() {
         let log = mapa::sim::logfile::write_log(&report);
         assert!(log.contains("# federation: policy=spillover"));
         assert!(log.contains("quota_holds="));
+        // The same 2×2 fleet described as a `RunSpec` is the same fleet.
+        let spec = RunSpec {
+            clusters: 2,
+            servers: 2,
+            server_policy: Some("least-loaded".into()),
+            shard_queue_depth: queued.then_some(4),
+            quota_gpus: Some(8),
+            ..RunSpec::new(machines::dgx1_v100(), "preserve")
+        };
+        let mut shared = Shared::new(std::sync::Arc::new(WorkerPool::new(2)));
+        let submissions = jobs.iter().cloned().map(Submission::Job);
+        let described = spec
+            .run(&mut shared, SimConfig::default(), submissions)
+            .expect("valid spec");
+        assert_identical_schedules(&report, &described, &format!("RunSpec, queued={queued}"));
+        assert_eq!(report.federation, described.federation, "queued={queued}");
     }
 }
 

@@ -12,8 +12,10 @@ use mapa::core::fragmentation;
 use mapa::core::policy::PreservePolicy;
 use mapa::interconnect::{effbw, rings};
 use mapa::prelude::*;
-use mapa::sim::JobRejection;
+use mapa::report::parse_json;
+use mapa::sim::{logfile, JobRejection};
 use mapa::workloads::generator::{generate_jobs, JobMixConfig};
+use mapa::workloads::jobs;
 use std::process::Command;
 
 /// Every server of `report`'s run is a `topology`.
@@ -120,13 +122,15 @@ fn the_engine_refuses_an_unpriceable_job_on_arrival() {
     let _ = Simulation::new(machines::dgx2(), Box::new(BaselinePolicy)).run(&[twelve_gpu_job()]);
 }
 
-/// Runs `mapa-sched` with `args` and expects a polite refusal: exit status
-/// 1, an `error:` line carrying `message`, no panic.
-fn assert_cli_refuses(args: &[&str], message: &str) {
-    let out = Command::new(env!("CARGO_BIN_EXE_mapa-sched"))
-        .args(args)
-        .output()
-        .expect("mapa-sched runs");
+const SCHED: &str = env!("CARGO_BIN_EXE_mapa-sched");
+const AGENT: &str = env!("CARGO_BIN_EXE_mapa-agent");
+
+/// Runs `exe` with `args` and expects a polite refusal: exit status 1, an
+/// `error:` line carrying `message`, no panic — and the usage text only
+/// when the command line itself was refused (`usage`), not when a run
+/// fails on its input.
+fn assert_cli_refuses(exe: &str, args: &[&str], message: &str, usage: bool) {
+    let out = Command::new(exe).args(args).output().expect("binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
     let error_line = stderr.lines().find(|l| l.starts_with("error: "));
@@ -135,6 +139,7 @@ fn assert_cli_refuses(args: &[&str], message: &str) {
         "{args:?}: {stderr}"
     );
     assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert_eq!(stderr.contains("usage:"), usage, "{args:?}: {stderr}");
 }
 
 #[test]
@@ -162,29 +167,140 @@ fn the_cli_reports_bad_input_instead_of_panicking() {
          GPU2   NV1   SYS    X    NV2\n\
          GPU3   SYS   NV1   NV2    X\n",
     );
+    let twenty_jobs = write(
+        "twenty-jobs.txt",
+        &jobs::write_job_file(&generator::paper_job_mix(7)[..20]),
+    );
     let simulate = ["simulate", "--machine", "dgx-2", "--policy", "baseline"];
+    let two = [&simulate[..], &["--jobs", &two_gpu_job]].concat();
+    let with = |extra: &[&'static str]| [&two[..], extra].concat();
+    let campaign = |machine, grid| vec!["campaign", "--machine", machine, "--grid", grid];
 
-    // A job the interconnect model cannot price.
-    assert_cli_refuses(
-        &[&simulate[..], &["--jobs", &twelve_gpu_job]].concat(),
-        "job 1 requests 12 GPUs, but the interconnect model packs rings onto at most 10 GPUs",
-    );
-    // A degenerate arrival process (used to panic in `ArrivalClock::new`).
-    for gap in ["0", "-5", "nan"] {
-        assert_cli_refuses(
-            &[&simulate[..], &["--jobs", &two_gpu_job, "--poisson", gap]].concat(),
+    // Runs that fail on their input: the message alone, no usage text.
+    let refused_runs = [
+        // A job the interconnect model cannot price.
+        (
+            [&simulate[..], &["--jobs", &twelve_gpu_job]].concat(),
+            "job 1 requests 12 GPUs, but the interconnect model packs rings onto at most 10 GPUs",
+        ),
+        // A degenerate arrival process (used to panic in `ArrivalClock::new`).
+        (
+            with(&["--poisson", "0"]),
             "poisson mean gap must be positive",
-        );
+        ),
+        (
+            with(&["--poisson", "-5"]),
+            "poisson mean gap must be positive",
+        ),
+        (
+            with(&["--poisson", "nan"]),
+            "poisson mean gap must be positive",
+        ),
+        // A burst spacing with no bursts to space (used to be ignored).
+        (with(&["--burst-gap", "5"]), "one arrival process at most"),
+        (
+            with(&["--servers", "two"]),
+            "--servers: 'two' is not a valid value",
+        ),
+        // Every by-name flag lists what it accepts — `--policy` used not to.
+        (
+            vec![
+                "simulate",
+                "--machine",
+                "dgx-2",
+                "--policy",
+                "nope",
+                "--jobs",
+                &two_gpu_job,
+            ],
+            "unknown allocation policy 'nope' (choose from: baseline | topo-aware",
+        ),
+        // The default mix draws 5-GPU jobs: a campaign on a 4-GPU machine is
+        // refused before any cell runs (used to panic in a pool worker).
+        (
+            campaign(&four_gpu_machine, "shards=1;jobs=20"),
+            "offers 4 whole GPUs, but the mix draws whole-GPU jobs up to 5",
+        ),
+        // A campaign of empty replications (used to print all-zero cells).
+        (
+            campaign("dgx-1-v100", "jobs=0"),
+            "job counts must be at least 1",
+        ),
+    ];
+    for (args, message) in &refused_runs {
+        assert_cli_refuses(SCHED, args, message, false);
     }
-    // The default mix draws 5-GPU jobs: a campaign on a 4-GPU machine is
-    // refused before any cell runs (used to panic in a pool worker).
-    let grid = ["--grid", "shards=1;jobs=20", "--replications", "1"];
-    assert_cli_refuses(
-        &[&["campaign", "--machine", &four_gpu_machine], &grid[..]].concat(),
-        "offers 4 whole GPUs, but the mix draws whole-GPU jobs up to 5",
-    );
+    // Command lines the flag tables refuse, usage attached — each used to be
+    // accepted and the stray words ignored: a flag of another subcommand,
+    // trailing arguments.
+    let refused_command_lines: [(&str, &[&str], &str); 4] = [
+        (
+            AGENT,
+            &["release", "--lease", "1", "--gpus", "3"],
+            "release: unknown flag '--gpus'",
+        ),
+        (
+            AGENT,
+            &["probe", "--lease", "4"],
+            "probe: unknown flag '--lease'",
+        ),
+        (
+            SCHED,
+            &["topo", "dgx-2", "extra", "junk"],
+            "topo: unexpected argument 'extra'",
+        ),
+        (
+            SCHED,
+            &["machines", "--bogus"],
+            "machines: unknown flag '--bogus'",
+        ),
+    ];
+    for (exe, args, message) in refused_command_lines {
+        assert_cli_refuses(exe, args, message, true);
+    }
 
-    for file in [twelve_gpu_job, two_gpu_job, four_gpu_machine] {
+    // And the success path: what `simulate` prints *is* the Fig. 14 log.
+    // Its stdout reads back through `parse_log` to the schedule the library
+    // computes for the same job file, and agrees with the `--json` artifact.
+    let json = tmp.join("twenty-jobs.json");
+    let json = json.to_str().expect("utf-8 tmpdir");
+    let out = Command::new(SCHED)
+        .args([
+            "simulate",
+            "--machine",
+            "dgx-1-v100",
+            "--policy",
+            "preserve",
+        ])
+        .args(["--jobs", &twenty_jobs, "--json", json])
+        .output()
+        .expect("mapa-sched runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 log");
+    assert!(stdout.contains(logfile::LOG_HEADER), "{stdout}");
+    let entries = logfile::parse_log(&stdout).expect("stdout is a log file");
+    let expected = Simulation::new(machines::dgx1_v100(), Box::new(PreservePolicy))
+        .run(&generator::paper_job_mix(7)[..20]);
+    assert_eq!(entries.len(), 20);
+    for (entry, record) in entries.iter().zip(&expected.records) {
+        assert_eq!((entry.id, &entry.gpus), (record.job.id, &record.gpus));
+    }
+    let artifact = parse_json(&std::fs::read_to_string(json).expect("artifact written")).unwrap();
+    assert_eq!(artifact.get("jobs").unwrap().as_f64(), Some(20.0));
+    let makespan = artifact.get("makespan_seconds").unwrap().as_f64().unwrap();
+    assert!((makespan - expected.makespan_seconds).abs() < 1e-3);
+
+    for file in [
+        twelve_gpu_job,
+        two_gpu_job,
+        four_gpu_machine,
+        twenty_jobs,
+        json.to_string(),
+    ] {
         std::fs::remove_file(file).expect("temp file removable");
     }
 }

@@ -146,8 +146,9 @@ mod tests {
     fn dgx_corpus_size_matches_papers_protocol() {
         // The paper reports 31 unique (x, y, z) samples for 2–5-GPU
         // allocations on its DGX-1 V100; our reconstruction of the link
-        // layout yields 26 — the same order, recorded in EXPERIMENTS.md.
-        // The test pins the exact value so topology changes are noticed.
+        // layout yields 26 (the `table2,corpus,unique_samples` row of
+        // `mapa-sched reproduce`). The test pins the exact value so
+        // topology changes are noticed.
         let dgx = machines::dgx1_v100();
         let corpus = build_corpus(&dgx, 2..=5);
         assert_eq!(corpus.len(), 26, "unique (x,y,z) mixes on DGX-1V");

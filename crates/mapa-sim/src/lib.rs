@@ -69,7 +69,6 @@ pub mod campaign;
 pub mod digest;
 mod engine;
 mod event;
-pub mod experiment;
 pub mod logfile;
 pub mod queue;
 pub mod slab;

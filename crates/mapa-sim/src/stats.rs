@@ -63,30 +63,6 @@ pub fn summarize(values: &[f64]) -> Summary {
     }
 }
 
-impl Summary {
-    /// Element-wise ratio `other / self` — used for Table 3's "normalized
-    /// execution time speedup", where `self` is the baseline distribution
-    /// and `other` the policy's (speedup > 1 means the policy's quantile
-    /// is *smaller*, i.e. faster).
-    ///
-    /// # Panics
-    /// Panics if any quantile of `other` is zero.
-    #[must_use]
-    pub fn speedup_over(&self, other: &Summary) -> SpeedupRow {
-        let div = |base: f64, v: f64| {
-            assert!(v != 0.0, "cannot normalize against zero");
-            base / v
-        };
-        SpeedupRow {
-            min: div(self.min, other.min),
-            p25: div(self.p25, other.p25),
-            p50: div(self.p50, other.p50),
-            p75: div(self.p75, other.p75),
-            max: div(self.max, other.max),
-        }
-    }
-}
-
 /// Scheduling-overhead report: the §5.4 per-job decision-latency
 /// distribution together with the allocation-cache counters of the run.
 /// This is the one reporting path shared by the Fig. 19 benchmark, the
@@ -105,21 +81,6 @@ impl SchedulingStats {
     pub fn cache_hit_rate(&self) -> f64 {
         self.cache.map_or(0.0, |c| c.hit_rate())
     }
-}
-
-/// One row of Table 3: baseline-time / policy-time per quantile.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpeedupRow {
-    /// Speedup at the minimum.
-    pub min: f64,
-    /// Speedup at the 25th percentile.
-    pub p25: f64,
-    /// Speedup at the median.
-    pub p50: f64,
-    /// Speedup at the 75th percentile.
-    pub p75: f64,
-    /// Speedup at the maximum.
-    pub max: f64,
 }
 
 #[cfg(test)]
@@ -155,19 +116,6 @@ mod tests {
         assert_eq!(s.p25, 7.0);
         assert_eq!(s.p75, 7.0);
         assert_eq!(s.max, 7.0);
-    }
-
-    #[test]
-    fn speedup_normalization() {
-        let baseline = summarize(&[10.0, 20.0, 30.0, 40.0, 50.0]);
-        let better = summarize(&[5.0, 10.0, 15.0, 20.0, 25.0]);
-        let row = baseline.speedup_over(&better);
-        assert_eq!(row.min, 2.0);
-        assert_eq!(row.p50, 2.0);
-        assert_eq!(row.max, 2.0);
-        // Self-speedup is exactly 1.
-        let unit = baseline.speedup_over(&baseline);
-        assert_eq!(unit.p75, 1.0);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! id % N`, `--tenants T` sets `tenant = id % T`, `--gang-size K`
 //! co-schedules every K consecutive jobs. The output is the paper's
 //! Fig. 14 log ([`mapa::sim::logfile`]); `--json` writes the same report
-//! as a pinned-schema artifact. The full semantics is documented in
-//! `docs/SCHEDULING.md`.
+//! as a pinned-schema artifact. `reproduce` prints the paper's evaluation
+//! ([`mapa::reproduce`]) as one CSV table and exits 1 when a row leaves
+//! its band. The full semantics is documented in `docs/SCHEDULING.md`.
 
 use mapa::cli::{choose, Args, Cli};
 use mapa::cluster::{
@@ -26,6 +27,7 @@ use mapa::cluster::{
 };
 use mapa::core::{preemption_policy_by_name, PreemptionPolicy, PREEMPTION_POLICY_NAMES};
 use mapa::prelude::*;
+use mapa::reproduce;
 use mapa::sim::logfile;
 use mapa::topology::parse::{parse_topology_matrix, to_topology_matrix, NvlinkGeneration};
 use mapa::workloads::jobs;
@@ -58,6 +60,7 @@ static CLI: Cli = Cli {
              [--base-seed S] [--poisson GAP1,GAP2,...|batch] [--partition SPEC|none]...
              [--inference-mix FRACTION] [--shard-queue-depth N] [--threads N] [--json FILE]",
         ),
+        ("reproduce", "[--only ARTEFACT]..."),
     ],
     choices: &[
         ("policies", &ALLOCATION_POLICY_NAMES),
@@ -67,11 +70,14 @@ static CLI: Cli = Cli {
         ("preemption policies", &PREEMPTION_POLICY_NAMES),
         ("federation policies", &FEDERATION_POLICY_NAMES),
         ("grid axes", &GRID_AXES),
+        ("artefacts", &reproduce::IDS),
     ],
     footer: "simulate: jobs arrive all at t=0, or per --poisson, or per --burst (--burst-gap
 apart) — one arrival process at most. campaign: every cell of the --grid
 cross-product runs N replications under common random numbers; --poisson adds
-an arrival-intensity axis, each --partition a MIG-plan axis value.
+an arrival-intensity axis, each --partition a MIG-plan axis value. reproduce:
+the paper's figures and tables as CSV rows (artefact,series,quantity,paper,ours,
+lo,hi,status); exits 1 when a row is outside its band.
 Semantics: docs/SCHEDULING.md",
 };
 
@@ -82,6 +88,7 @@ fn main() -> ExitCode {
         "generate" => cmd_generate(args),
         "simulate" => cmd_simulate(args),
         "campaign" => cmd_campaign(args),
+        "reproduce" => cmd_reproduce(args),
         other => unreachable!("{other} is not in the table"),
     })
 }
@@ -413,4 +420,10 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         println!("campaign JSON written to {path}");
     }
     Ok(())
+}
+
+fn cmd_reproduce(args: &Args) -> Result<(), String> {
+    let rows = reproduce::rows(&args.all("--only").collect::<Vec<_>>())?;
+    print!("{}", reproduce::csv(&rows));
+    reproduce::verdict(&rows)
 }

@@ -37,6 +37,7 @@
 pub mod campaign;
 pub mod cli;
 pub mod report;
+pub mod reproduce;
 pub mod runspec;
 
 pub use mapa_agent as agent;

@@ -1,0 +1,862 @@
+//! The paper's evaluation as one table.
+//!
+//! [`ARTEFACTS`] lists every figure, table and ablation this repository
+//! reproduces; each yields [`Row`]s — our value, the paper's where it
+//! prints one, and a band where a claim is made. `mapa-sched reproduce`
+//! prints the rows as CSV under [`HEADER`] and fails when a row leaves its
+//! band; `tests/paper_claims.rs` checks the same rows, so a claim is
+//! stated once. A row whose paper value the reproduction is known not to
+//! match carries that value and no band. Simulations go through
+//! [`RunSpec::run`], memoised in [`Table`] — Fig. 13, Table 3 and four
+//! ablations read the same five-seed DGX-1 V100 runs. Seeds, job counts
+//! and bands are constants of the table: there is nothing to configure.
+
+use crate::cli::choose;
+use crate::runspec::{RunSpec, Shared};
+use mapa_core::policy::allocation_policy_by_name;
+use mapa_core::{fragmentation, MapaAllocator};
+use mapa_graph::PatternGraph;
+use mapa_interconnect::effbw;
+use mapa_isomorph::{Backend, DedupMode, MatchOptions, Matcher, WorkerPool};
+use mapa_model::{corpus, metrics, paper_coefficients, EffBwModel};
+use mapa_sim::stats::{summarize, Summary};
+use mapa_sim::{ArrivalProcess, JobRecord, SimConfig, SimReport, Submission};
+use mapa_topology::{machines, LinkType, Topology};
+use mapa_workloads::{distributions, generator, perf, AppTopology, GpuDemand, JobSpec, Workload};
+use std::collections::HashMap;
+use std::hint::black_box;
+use std::rc::Rc;
+use std::sync::Arc;
+use std::time::Instant;
+
+/// One paper artefact.
+pub struct Artefact {
+    /// The id `--only` takes.
+    pub id: &'static str,
+    /// What the artefact shows.
+    pub title: &'static str,
+    /// Appends the artefact's rows to the table.
+    pub rows: fn(&mut Table),
+}
+
+/// One measured quantity of one artefact.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    /// The [`Artefact::id`] the row belongs to.
+    pub artefact: &'static str,
+    /// Which curve, policy, machine or workload.
+    pub series: String,
+    /// What was measured.
+    pub quantity: String,
+    /// The paper's value, where it prints one.
+    pub paper: Option<f64>,
+    /// This repository's value.
+    pub ours: f64,
+    /// The closed interval `ours` must lie in, where a claim is made.
+    pub band: Option<(f64, f64)>,
+}
+
+/// The fixed first line of the CSV.
+pub const HEADER: &str = "artefact,series,quantity,paper,ours,lo,hi,status";
+const INF: f64 = f64::INFINITY;
+
+impl Row {
+    fn paper(&mut self, paper: f64) -> &mut Self {
+        self.paper = Some(paper);
+        self
+    }
+
+    fn band(&mut self, lo: f64, hi: f64) -> &mut Self {
+        self.band = Some((lo, hi));
+        self
+    }
+
+    /// `ok` / `FAIL` inside / outside the band, `info` without one.
+    #[must_use]
+    pub fn status(&self) -> &'static str {
+        match self.band {
+            None => "info",
+            Some((lo, hi)) if (lo..=hi).contains(&self.ours) => "ok",
+            Some(_) => "FAIL",
+        }
+    }
+}
+
+impl std::fmt::Display for Row {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Four decimals, trailing zeros dropped; empty when absent.
+        let cell = |v: Option<f64>| match v.map(|v| format!("{v:.4}")) {
+            Some(text) if text.contains('.') => {
+                text.trim_end_matches('0').trim_end_matches('.').to_string()
+            }
+            text => text.unwrap_or_default(),
+        };
+        let (lo, hi) = self.band.unzip();
+        let cells = [self.paper, Some(self.ours), lo, hi].map(cell).join(",");
+        let (artefact, series, quantity) = (self.artefact, &self.series, &self.quantity);
+        let status = self.status();
+        write!(f, "{artefact},{series},{quantity},{cells},{status}")
+    }
+}
+
+/// [`HEADER`] and one line per row.
+#[must_use]
+pub fn csv(rows: &[Row]) -> String {
+    let lines = rows.iter().map(|row| format!("{row}\n"));
+    format!("{HEADER}\n{}", lines.collect::<String>())
+}
+
+/// Whether every banded row holds.
+///
+/// # Errors
+/// Counts the rows outside their band.
+pub fn verdict(rows: &[Row]) -> Result<(), String> {
+    match rows.iter().filter(|r| r.status() == "FAIL").count() {
+        0 => Ok(()),
+        n => Err(format!("{n} of {} rows outside their band", rows.len())),
+    }
+}
+
+/// The rows of the artefacts named by `only` — of all when it is empty.
+///
+/// # Errors
+/// An id that is not in [`IDS`].
+pub fn rows(only: &[&str]) -> Result<Vec<Row>, String> {
+    let by_id = |id: &str| ARTEFACTS.iter().find(|a| a.id == id);
+    let ids = if only.is_empty() { &IDS[..] } else { only };
+    let picked = ids.iter().map(|id| choose("artefact", id, by_id, &IDS));
+    let shared = Shared::new(Arc::new(WorkerPool::new(1)));
+    let (memo, rows) = (HashMap::new(), Vec::new());
+    let mut table = Table {
+        shared,
+        memo,
+        artefact: "",
+        rows,
+    };
+    for artefact in picked.collect::<Result<Vec<_>, _>>()? {
+        table.artefact = artefact.id;
+        (artefact.rows)(&mut table);
+    }
+    Ok(table.rows)
+}
+
+/// Which job list and engine configuration a memoised run uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Setup {
+    /// The paper's: `paper_job_mix(seed)`, all jobs at t = 0, strict FIFO.
+    Paper,
+    /// A blocked head job may be overtaken.
+    Backfill,
+    /// Poisson arrivals with this mean gap in seconds.
+    Poisson(u32),
+    /// Every job's sensitivity annotation flipped / set / cleared.
+    Inverted,
+    AllSensitive,
+    AllInsensitive,
+    /// Fig. 4's mix: 100 CNN training jobs of 2–5 GPUs.
+    Fig4,
+}
+
+/// The rows so far, and the simulations behind them by `(machine,
+/// policy, seed, setup)`.
+pub struct Table {
+    shared: Shared,
+    memo: HashMap<(String, &'static str, u64, Setup), Rc<SimReport>>,
+    artefact: &'static str,
+    rows: Vec<Row>,
+}
+
+impl Table {
+    /// Appends a row of the artefact being computed.
+    fn put(&mut self, series: impl ToString, quantity: impl ToString, ours: f64) -> &mut Row {
+        let (series, quantity) = (series.to_string(), quantity.to_string());
+        let (artefact, paper, band) = (self.artefact, None, None);
+        let row = Row {
+            artefact,
+            series,
+            quantity,
+            paper,
+            ours,
+            band,
+        };
+        self.rows.push(row);
+        self.rows.last_mut().expect("just pushed")
+    }
+
+    /// Appends `{what}_min` … `{what}_max` of one series.
+    fn five(&mut self, series: &str, what: &str, s: &Summary) {
+        for (q, v) in QUANTILES.iter().zip(quantiles(s)) {
+            self.put(series, format!("{what}_{q}"), v);
+        }
+    }
+
+    /// A row a loop appended; a typo in the table panics in tier-1.
+    fn row(&mut self, series: &str, quantity: &str) -> &mut Row {
+        let of = |r: &&mut Row| r.series == series && r.quantity == quantity;
+        self.rows
+            .iter_mut()
+            .rev()
+            .find(of)
+            .expect("a row the loop made")
+    }
+
+    fn run(
+        &mut self,
+        machine: Topology,
+        policy: &'static str,
+        seed: u64,
+        setup: Setup,
+    ) -> Rc<SimReport> {
+        let key = (machine.name().to_string(), policy, seed, setup);
+        if let Some(report) = self.memo.get(&key) {
+            return Rc::clone(report);
+        }
+        let fig4 = generator::JobMixConfig {
+            job_count: 100,
+            gpus_min: 2,
+            gpus_max: 5,
+            workloads: Workload::cnns().to_vec(),
+            iteration_jitter: 0.2,
+            ..generator::JobMixConfig::default()
+        };
+        let mut jobs = match setup {
+            Setup::Fig4 => generator::generate_jobs(&fig4, seed),
+            _ => generator::paper_job_mix(seed),
+        };
+        for job in &mut jobs {
+            job.bandwidth_sensitive = match setup {
+                Setup::Inverted => !job.bandwidth_sensitive,
+                Setup::AllSensitive => true,
+                Setup::AllInsensitive => false,
+                _ => job.bandwidth_sensitive,
+            };
+        }
+        let arrivals = match setup {
+            Setup::Poisson(gap) => ArrivalProcess::Poisson {
+                mean_gap: gap.into(),
+                seed,
+            },
+            _ => ArrivalProcess::Batch,
+        };
+        let strict_fifo = setup != Setup::Backfill;
+        let config = SimConfig {
+            strict_fifo,
+            arrivals,
+            ..SimConfig::default()
+        };
+        let jobs = jobs.into_iter().map(Submission::Job);
+        let report = RunSpec::new(machine, policy).run(&mut self.shared, config, jobs);
+        let report = Rc::new(report.expect("the table names built-in policies"));
+        self.memo.insert(key, Rc::clone(&report));
+        report
+    }
+
+    /// The five DGX-1 V100 runs of one policy.
+    fn dgx(&mut self, policy: &'static str, setup: Setup) -> Vec<Rc<SimReport>> {
+        let run = |seed| self.run(machines::dgx1_v100(), policy, seed, setup);
+        [1, 2, 3, 4, 5].map(run).to_vec()
+    }
+}
+
+/// The four policies of §4, by the names [`RunSpec`] resolves.
+const POLICIES: [&str; 4] = ["baseline", "topo-aware", "greedy", "preserve"];
+const QUANTILES: [&str; 5] = ["min", "p25", "p50", "p75", "max"];
+
+fn quantiles(s: &Summary) -> [f64; 5] {
+    [s.min, s.p25, s.p50, s.p75, s.max]
+}
+
+fn multi(r: &JobRecord) -> bool {
+    r.job.num_gpus() >= 2
+}
+
+fn sensitive(r: &JobRecord) -> bool {
+    r.job.bandwidth_sensitive && multi(r)
+}
+
+fn exec(r: &JobRecord) -> f64 {
+    r.execution_seconds
+}
+
+fn predicted(r: &JobRecord) -> f64 {
+    r.predicted_eff_bw
+}
+
+fn mean(xs: impl IntoIterator<Item = f64>) -> f64 {
+    let xs: Vec<f64> = xs.into_iter().collect();
+    xs.iter().sum::<f64>() / xs.len() as f64
+}
+
+/// `value` of every record of `reports` that passes `of`, summarised.
+fn pooled<'a>(
+    reports: impl IntoIterator<Item = &'a Rc<SimReport>>,
+    of: impl Fn(&JobRecord) -> bool,
+    value: fn(&JobRecord) -> f64,
+) -> Summary {
+    let records = reports.into_iter().flat_map(|r| &r.records);
+    summarize(&records.filter(|r| of(r)).map(value).collect::<Vec<_>>())
+}
+
+/// Median wall time of five runs of `work`, in milliseconds.
+fn median_ms<T>(mut work: impl FnMut() -> T) -> f64 {
+    let once = |_| {
+        let start = Instant::now();
+        black_box(work());
+        start.elapsed().as_secs_f64() * 1e3
+    };
+    summarize(&[0; 5].map(once)).p50
+}
+
+fn table1(t: &mut Table) {
+    let paper = [
+        (LinkType::SingleNvLink1, 20.0),
+        (LinkType::SingleNvLink2, 25.0),
+        (LinkType::DoubleNvLink2, 50.0),
+        (LinkType::Pcie, 12.0),
+    ];
+    for (link, gbps) in paper {
+        let row = t.put(link, "peak_gbps", link.bandwidth_gbps());
+        row.paper(gbps).band(gbps, gbps);
+    }
+}
+
+fn table2(t: &mut Table) {
+    let samples = corpus::build_corpus(&machines::dgx1_v100(), 2..=5);
+    let model = EffBwModel::fit(&samples).expect("more samples than coefficients");
+    t.put("corpus", "unique_samples", samples.len() as f64)
+        .paper(31.0);
+    let thetas = model.coefficients().iter().zip(paper_coefficients());
+    for (i, (&ours, paper)) in thetas.enumerate() {
+        t.put(format!("theta{}", i + 1), "coefficient", ours)
+            .paper(paper);
+    }
+    let fit = model.evaluate(&samples);
+    t.put("training", "rel_err", fit.relative_error)
+        .paper(0.0709);
+    t.put("training", "rmse_gbps", fit.rmse).paper(1.5153);
+    t.put("training", "mae_gbps", fit.mae).paper(7.0539);
+    t.put("training", "pearson_r", fit.pearson_r);
+}
+
+fn table3(t: &mut Table) {
+    // MIN, 25th, 50th, 75th, MAX and throughput, normalised to baseline.
+    const PAPER: [[f64; 6]; 4] = [
+        [1.0; 6],
+        [1.002, 1.029, 1.385, 1.014, 1.075, 1.07],
+        [0.997, 1.059, 1.519, 1.048, 1.319, 1.08],
+        [1.006, 1.057, 1.119, 1.124, 1.352, 1.12],
+    ];
+    type Population = fn(&JobRecord) -> bool;
+    let speedup = |base: &SimReport, ours: &SimReport, of: Population| {
+        let times = |r: &SimReport| quantiles(&summarize(&r.execution_times(of)));
+        let (base, ours) = (times(base), times(ours));
+        [0, 1, 2, 3, 4].map(|q| base[q] / ours[q])
+    };
+    let populations: [(_, Population); 2] = [("sensitive", sensitive), ("all", multi)];
+    let base = t.dgx("baseline", Setup::Paper);
+    for (policy, paper) in POLICIES.into_iter().zip(PAPER) {
+        let ours = t.dgx(policy, Setup::Paper);
+        let name = &ours[0].policy_name;
+        let seeds = || base.iter().zip(&ours);
+        // The baseline's own row is the unit, exactly.
+        let unit = (policy == "baseline").then_some((1.0, 1.0));
+        for (population, of) in populations {
+            let per_seed: Vec<_> = seeds().map(|(b, o)| speedup(b, o, of)).collect();
+            for (q, quantile) in QUANTILES.iter().enumerate() {
+                let ours = mean(per_seed.iter().map(|s| s[q]));
+                let (series, quantity) = (
+                    format!("{name}/{population}"),
+                    format!("speedup_{quantile}"),
+                );
+                t.put(series, quantity, ours).paper(paper[q]).band = unit;
+            }
+        }
+        let per_hour = |r: &Rc<SimReport>| r.throughput_jobs_per_hour;
+        let throughput = mean(seeds().map(|(b, o)| per_hour(o) / per_hour(b)));
+        t.put(name, "throughput", throughput).paper(paper[5]).band = unit;
+        // What the one-mix test asserted, on its seed.
+        let on_seed_2 = speedup(&base[1], &ours[1], sensitive);
+        for q in [1, 2] {
+            let quantity = format!("speedup_{}", QUANTILES[q]);
+            let row = t.put(format!("{name}/sensitive/seed2"), quantity, on_seed_2[q]);
+            row.band(0.97, INF);
+        }
+        if policy == "greedy" {
+            let effbw = |r: &Rc<SimReport>| pooled([r], multi, predicted);
+            let (base, ours) = (effbw(&base[1]), effbw(&ours[1]));
+            let series = format!("{name}/all/seed2");
+            t.put(&series, "effbw_p50", ours.p50).band(base.p50, INF);
+            t.put(&series, "effbw_p75", ours.p75)
+                .band(0.85 * base.max, INF);
+        }
+    }
+    // The abstract's headline: 12.4 % at the 75th percentile.
+    t.row("Preserve/sensitive", "speedup_p75").band(1.05, 1.20);
+}
+
+fn fig2a(t: &mut Table) {
+    let dgx = machines::dgx1_v100();
+    let pairs = [
+        ("double-nvlink", [0, 4], 50.0),
+        ("single-nvlink", [0, 1], 25.0),
+        ("pcie", [0, 5], 12.0),
+    ];
+    for (series, gpus, plateau) in pairs {
+        for exp in 4..=9 {
+            let gbps = effbw::measure_at_size(&dgx, &gpus, 10f64.powi(exp));
+            t.put(series, format!("gbps_at_1e{exp}"), gbps);
+        }
+        t.row(series, "gbps_at_1e9").paper(plateau);
+    }
+}
+
+fn fig2b(t: &mut Table) {
+    let dgx = machines::dgx1_v100();
+    // The paper's bar chart, read off: (double, single) speedup over PCIe.
+    let paper = [
+        (Workload::AlexNet, 2.3, 1.9),
+        (Workload::GoogleNet, 1.1, 1.1),
+        (Workload::Vgg16, 3.0, 2.1),
+        (Workload::ResNet50, 1.5, 1.4),
+        (Workload::InceptionV3, 1.5, 1.4),
+        (Workload::CaffeNet, 1.15, 1.1),
+    ];
+    for (workload, double, single) in paper {
+        let ours = perf::fig2b_speedup(workload, &dgx);
+        // To the two decimals the chart can be read to — but for the two
+        // rows §2 makes a looser claim about ("≈ 3×", "barely moves").
+        let (lo, hi) = match workload {
+            Workload::Vgg16 => (2.6, 3.4),
+            Workload::GoogleNet => (1.0, 1.2),
+            _ => (double - 0.005, double + 0.005),
+        };
+        let row = t.put(workload.name(), "double_vs_pcie", ours.double_vs_pcie);
+        row.paper(double).band(lo, hi);
+        let row = t.put(workload.name(), "single_vs_pcie", ours.single_vs_pcie);
+        row.paper(single);
+    }
+}
+
+fn fig4(t: &mut Table) {
+    let report = t.run(machines::dgx1_v100(), "baseline", 4, Setup::Fig4);
+    let quality = |r: &JobRecord| r.allocation_quality;
+    for k in 2..=5 {
+        let s = pooled([&report], |r| r.job.num_gpus() == k, quality);
+        t.five(&k.to_string(), "quality", &s);
+        t.put(k, "jobs", s.count as f64);
+    }
+    let sub_ideal = report.records.iter().filter(|r| quality(r) < 0.999);
+    t.put("all", "sub_ideal_jobs", sub_ideal.count() as f64);
+    t.put("all", "jobs", report.records.len() as f64);
+    // §2.2: "for 3 GPU jobs, 75% of jobs experience allocations with 20%
+    // less bandwidth availability or worse", a quarter 45 % less or worse.
+    t.row("3", "quality_p25").paper(0.55).band(-INF, 0.85);
+    t.row("3", "quality_p75").paper(0.8);
+}
+
+fn fig5(t: &mut Table) {
+    for workload in Workload::cnns() {
+        let (name, model) = (workload.name(), workload.model());
+        let above = 1.0 - distributions::message_size_cdf(workload, 1e5);
+        let calls = model.paper_calls_per_iter as f64;
+        let sensitive = f64::from(u8::from(model.bandwidth_sensitive));
+        // Fig. 5b labels CaffeNet and GoogleNet insensitive, the rest not.
+        let paper = !matches!(workload, Workload::CaffeNet | Workload::GoogleNet);
+        let paper = f64::from(u8::from(paper));
+        t.put(name, "avg_message_bytes", model.avg_message_bytes);
+        t.put(name, "mass_above_1e5_bytes", above);
+        t.put(name, "calls_per_iter", calls).paper(calls);
+        let row = t.put(name, "bandwidth_sensitive", sensitive);
+        row.paper(paper).band(paper, paper);
+    }
+}
+
+fn fig6(t: &mut Table) {
+    let dgx = machines::dgx1_v100();
+    let allocations: [(_, &[usize]); 4] = [
+        ("2-gpu-nvlink", &[0, 3]),
+        ("2-gpu-pcie", &[0, 5]),
+        ("4-gpu-nvlink", &[0, 1, 2, 3]),
+        ("4-gpu-fragmented", &[0, 1, 4, 5]),
+    ];
+    for workload in [Workload::GoogleNet, Workload::Vgg16] {
+        let time = |gpus, iterations| perf::execution_time(workload, &dgx, gpus, iterations);
+        for (allocation, gpus) in allocations {
+            let series = format!("{}/{allocation}", workload.name());
+            for iterations in (1000..=7000).step_by(1000) {
+                let quantity = format!("exec_at_{iterations}_iters");
+                t.put(&series, quantity, time(gpus, iterations));
+            }
+        }
+        let ratio = time(allocations[1].1, 7000) / time(allocations[0].1, 7000);
+        t.put(workload.name(), "pcie_over_nvlink_at_7000_iters", ratio);
+    }
+}
+
+fn fig11(t: &mut Table) {
+    let dgx = machines::dgx1_v100();
+    // Aggregated bandwidth, measured EffBW and VGG-16 execution time of
+    // every allocation of the given sizes.
+    let columns = |sizes: std::ops::RangeInclusive<usize>| {
+        let sets: Vec<_> = sizes.flat_map(|k| corpus::combinations(8, k)).collect();
+        let column = |f: &dyn Fn(&Vec<usize>) -> f64| sets.iter().map(f).collect::<Vec<_>>();
+        (
+            column(&|gpus| fragmentation::aggregate_bandwidth(&dgx, gpus)),
+            column(&|gpus| effbw::measure(&dgx, gpus)),
+            column(&|gpus| perf::execution_time(Workload::Vgg16, &dgx, gpus, 3000)),
+        )
+    };
+    let (agg, eff, time) = columns(4..=5);
+    let (agg_all, eff_all, _) = columns(2..=5);
+    let (r_agg, r_eff) = (metrics::pearson(&agg, &time), metrics::pearson(&eff, &time));
+    let r_all = metrics::pearson(&agg_all, &eff_all);
+    t.put("aggbw-vs-exec-time", "pearson_r", r_agg);
+    t.put("aggbw-vs-effbw", "pearson_r", r_all);
+    t.put("effbw-vs-exec-time", "pearson_r", r_eff)
+        .band(-INF, -0.8);
+    let margin = r_eff.abs() - r_agg.abs();
+    t.put("effbw-over-aggbw", "abs_r_margin", margin)
+        .band(0.1, INF);
+}
+
+fn fig12(t: &mut Table) {
+    let dgx = machines::dgx1_v100();
+    let train = corpus::build_corpus(&dgx, 2..=5);
+    let model = EffBwModel::fit(&train).expect("more samples than coefficients");
+    for k in 2..=5 {
+        let test = corpus::build_full_corpus(&dgx, k..=k);
+        let r = model.evaluate(&test).pearson_r;
+        t.put(format!("{k}-gpu"), "allocations", test.len() as f64);
+        t.put(format!("{k}-gpu"), "pearson_r", r);
+    }
+    let all = model.evaluate(&corpus::build_full_corpus(&dgx, 2..=5));
+    let row = t.put("all", "rel_err", all.relative_error);
+    row.paper(0.0709).band(-INF, 0.25);
+    t.put("all", "rmse_gbps", all.rmse).paper(1.5153);
+    t.put("all", "mae_gbps", all.mae).paper(7.0539);
+    t.put("all", "pearson_r", all.pearson_r).band(0.85, INF);
+}
+
+fn fig13(t: &mut Table) {
+    for policy in POLICIES {
+        let reports = t.dgx(policy, Setup::Paper);
+        for workload in Workload::all() {
+            let series = format!("{}/{}", workload.name(), reports[0].policy_name);
+            let of = |r: &JobRecord| r.job.workload == workload && multi(r);
+            let times = pooled(&reports, of, exec);
+            t.five(&series, "exec", &times);
+            t.five(&series, "effbw", &pooled(&reports, of, predicted));
+            t.put(series, "jobs", times.count as f64);
+        }
+    }
+}
+
+fn fig15(t: &mut Table) {
+    let report = t.run(machines::dgx1_v100(), "preserve", 1, Setup::Paper);
+    let jobs = || report.records.iter().filter(|r| multi(r));
+    let measured: Vec<f64> = jobs().map(|r| r.measured_eff_bw).collect();
+    let logged: Vec<f64> = jobs().map(predicted).collect();
+    let rel_err = metrics::mean_relative_error(&logged, &measured);
+    t.put("all", "jobs", measured.len() as f64);
+    t.put("all", "pearson_r", metrics::pearson(&measured, &logged));
+    t.put("all", "rel_err", rel_err);
+}
+
+fn fig16(t: &mut Table) {
+    // The paper's scatter pools all real runs; so does this.
+    let run = |policy| t.run(machines::dgx1_v100(), policy, 2, Setup::Paper);
+    let reports = POLICIES.map(run);
+    for workload in Workload::cnns() {
+        let of = |r: &&JobRecord| r.job.workload == workload && multi(r);
+        let jobs = || reports.iter().flat_map(|r| &r.records).filter(of);
+        let measured: Vec<f64> = jobs().map(|r| r.measured_eff_bw).collect();
+        let times: Vec<f64> = jobs().map(exec).collect();
+        let r = metrics::pearson(&measured, &times);
+        t.put(workload.name(), "jobs", times.len() as f64);
+        t.put(workload.name(), "effbw_vs_exec_pearson_r", r);
+    }
+}
+
+fn fig18(t: &mut Table) {
+    for machine in [machines::torus_2d(), machines::cube_mesh()] {
+        let mut baseline_p25 = 0.0;
+        for policy in POLICIES {
+            let report = t.run(machine.clone(), policy, 3, Setup::Paper);
+            let series = format!("{}/{}", machine.name(), report.policy_name);
+            let bandwidth = pooled([&report], sensitive, predicted);
+            t.five(&series, "effbw", &bandwidth);
+            t.five(&series, "exec", &pooled([&report], sensitive, exec));
+            if policy == "baseline" {
+                baseline_p25 = bandwidth.p25;
+            } else if policy == "preserve" {
+                // "Preserve's MIN at or above the other policies' p25" (§5.3).
+                let ratio = bandwidth.min / baseline_p25;
+                t.put(&series, "effbw_min_over_baseline_p25", ratio)
+                    .paper(1.0);
+            }
+        }
+        // What the test asserted instead, on the irregular machine.
+        if machine.name() == "CubeMesh-16" {
+            let row = t.row("CubeMesh-16/Preserve", "effbw_p25");
+            row.band(baseline_p25, INF);
+        }
+    }
+}
+
+fn fig19(t: &mut Table) {
+    let job = |id, k| {
+        JobSpec::new(id, GpuDemand::Whole(k), Workload::Vgg16)
+            .with_topology(AppTopology::Ring)
+            .with_bandwidth_sensitive(true)
+            .with_iterations(1)
+    };
+    for machine in ["Summit", "DGX-1 V100", "Torus-2d", "CubeMesh-16"] {
+        let machine = machines::by_name(machine).expect("a built-in machine");
+        for policy in ["greedy", "preserve"] {
+            let by_name = allocation_policy_by_name(policy).expect("a built-in policy");
+            let mut allocator = MapaAllocator::new(machine.clone(), by_name);
+            let series = format!("{}/{}", machine.name(), allocator.policy_name());
+            // Greedy streams embeddings, not vertex sets: a 7-ring into 16
+            // vertices is a soak test, not a cell.
+            let tractable = |k: &usize| policy != "greedy" || machine.gpu_count() <= 8 || *k <= 6;
+            for k in (2..=machine.gpu_count().min(9)).filter(tractable) {
+                let mut id = 0;
+                let ms = median_ms(|| {
+                    allocator.release(id).ok();
+                    id += 1;
+                    let placed = allocator.try_allocate(&job(id, k));
+                    placed.expect("a valid request").expect("an idle machine")
+                });
+                allocator.release(id).expect("the last job holds its GPUs");
+                t.put(&series, format!("decision_{k}_gpus_ms"), ms);
+            }
+        }
+    }
+    // §5.4: the overhead stays interactive, and grows with the hardware graph.
+    let series = "Torus-2d/Preserve";
+    t.row(series, "decision_4_gpus_ms").band(0.0, 5e3);
+    let mut at_4_gpus = |series| t.row(series, "decision_4_gpus_ms").ours;
+    let ratio = at_4_gpus(series) / at_4_gpus("DGX-1 V100/Preserve");
+    let row = t.put(series, "decision_4_gpus_over_dgx1_v100", ratio);
+    row.band(1.0, INF);
+}
+
+fn ablation_offered_load(t: &mut Table) {
+    let loads = [
+        ("batch", Setup::Paper),
+        ("poisson-30s", Setup::Poisson(30)),
+        ("poisson-90s", Setup::Poisson(90)),
+        ("poisson-180s", Setup::Poisson(180)),
+        ("poisson-400s", Setup::Poisson(400)),
+    ];
+    for (series, setup) in loads {
+        let mut p75 = |policy| {
+            let run = |seed| t.run(machines::dgx1_v100(), policy, seed, setup);
+            let reports = [1, 2, 3].map(run);
+            mean(reports.iter().map(|r| pooled([r], sensitive, exec).p75))
+        };
+        let (baseline, preserve) = (p75("baseline"), p75("preserve"));
+        t.put(series, "baseline_exec_p75", baseline);
+        t.put(series, "preserve_exec_p75", preserve);
+        t.put(series, "speedup_p75", baseline / preserve);
+    }
+}
+
+fn ablation_queue_discipline(t: &mut Table) {
+    for (discipline, setup) in [("strict-fifo", Setup::Paper), ("backfill", Setup::Backfill)] {
+        for policy in ["baseline", "preserve"] {
+            let reports = t.dgx(policy, setup);
+            let series = format!("{discipline}/{}", reports[0].policy_name);
+            t.five(&series, "exec", &pooled(&reports, sensitive, exec));
+            let makespan = mean(reports.iter().map(|r| r.makespan_seconds));
+            t.put(series, "mean_makespan_s", makespan);
+        }
+    }
+}
+
+fn ablation_scoring_metric(t: &mut Table) {
+    for policy in ["greedy", "effbw-greedy", "preserve"] {
+        let reports = t.dgx(policy, Setup::Paper);
+        let series = &reports[0].policy_name;
+        t.five(series, "exec", &pooled(&reports, sensitive, exec));
+        let per_seed = reports.iter().map(|r| pooled([r], sensitive, exec).p75);
+        t.put(series, "mean_per_seed_exec_p75", mean(per_seed));
+    }
+}
+
+fn ablation_sensitivity_annotation(t: &mut Table) {
+    let annotations = [
+        ("oracle", Setup::Paper),
+        ("inverted", Setup::Inverted),
+        ("all-sensitive", Setup::AllSensitive),
+        ("all-insensitive", Setup::AllInsensitive),
+    ];
+    // Judged on the jobs that truly are sensitive, whatever their label.
+    let truly = |r: &JobRecord| r.job.workload.is_bandwidth_sensitive() && multi(r);
+    for (series, setup) in annotations {
+        let times = pooled(&t.dgx("preserve", setup), truly, exec);
+        t.five(series, "exec", &times);
+    }
+}
+
+/// `matches` and `find_ms` of every variant of the matcher on one case,
+/// and each later variant's match count over the first's, which must be
+/// `expect`.
+fn enumerations(
+    t: &mut Table,
+    (case, pattern, n): (&str, PatternGraph, usize),
+    variants: &[(&str, MatchOptions)],
+    expect: f64,
+) {
+    let data = PatternGraph::all_to_all(n);
+    let mut first = None;
+    for (variant, options) in variants {
+        let matcher = Matcher::new(options.clone());
+        let find = || matcher.find(&pattern, &data).expect("sequential options");
+        let matches = find().len() as f64;
+        t.put(format!("{case}/{variant}"), "matches", matches);
+        t.put(format!("{case}/{variant}"), "find_ms", median_ms(find));
+        let (reference, base) = *first.get_or_insert((variant, matches));
+        if reference != variant {
+            let quantity = format!("{variant}_over_{reference}_matches");
+            t.put(case, quantity, matches / base).band(expect, expect);
+        }
+    }
+}
+
+fn ablation_matcher_backend(t: &mut Table) {
+    let cases = [
+        ("ring4-into-k8", PatternGraph::ring(4), 8),
+        ("ring5-into-k8", PatternGraph::ring(5), 8),
+        ("ring5-into-k16", PatternGraph::ring(5), 16),
+        ("tree5-into-k8", PatternGraph::binary_tree(5), 8),
+    ];
+    let of = |backend| MatchOptions {
+        backend,
+        ..MatchOptions::default()
+    };
+    let backends = [
+        ("vf2", of(Backend::Vf2)),
+        ("ullmann", of(Backend::Ullmann)),
+        ("brute-force", of(Backend::BruteForce)),
+    ];
+    for case in cases {
+        // Sixteen-vertex brute force is a soak test, not a cell.
+        let tractable = if case.2 < 16 { 3 } else { 2 };
+        enumerations(t, case, &backends[..tractable], 1.0);
+    }
+}
+
+fn ablation_symmetry_breaking(t: &mut Table) {
+    // The last column is the pattern's automorphism count — the factor
+    // canonical enumeration saves.
+    let cases = [
+        (("ring4-into-k8", PatternGraph::ring(4), 8), 8.0),
+        (("ring5-into-k8", PatternGraph::ring(5), 8), 10.0),
+        (("ring6-into-k10", PatternGraph::ring(6), 10), 12.0),
+        (("alltoall4-into-k8", PatternGraph::all_to_all(4), 8), 24.0),
+    ];
+    let of = |dedup| MatchOptions {
+        dedup,
+        ..MatchOptions::default()
+    };
+    let modes = [
+        ("canonical", of(DedupMode::CanonicalOnly)),
+        ("all-mappings", of(DedupMode::AllMappings)),
+    ];
+    for (case, automorphisms) in cases {
+        enumerations(t, case, &modes, automorphisms);
+    }
+}
+
+macro_rules! artefacts {
+    ($($id:literal $rows:ident $title:literal)*) => {
+        /// Every artefact, in the paper's order; the ablations last.
+        pub const ARTEFACTS: [Artefact; IDS.len()] =
+            [$(Artefact { id: $id, title: $title, rows: $rows }),*];
+        /// The ids `--only` accepts, in [`ARTEFACTS`] order.
+        pub const IDS: [&str; 21] = [$($id),*];
+    };
+}
+
+artefacts! {
+    "fig2a" fig2a "All-reduce bandwidth against transfer size, per link class"
+    "fig2b" fig2b "CNN training speedup on NVLink pairs over the PCIe pair"
+    "fig4" fig4 "Allocation quality under the baseline policy, by job size"
+    "fig5" fig5 "Collective message sizes, call counts and sensitivity per CNN"
+    "fig6" fig6 "Execution time against iterations, NVLink against PCIe"
+    "fig11" fig11 "Aggregated against effective bandwidth as a scoring metric"
+    "fig12" fig12 "Predicted against measured effective bandwidth (Eq. 2)"
+    "fig13" fig13 "DGX-1 V100: execution time and EffBW per workload and policy"
+    "fig15" fig15 "Simulator validation: measured against logged EffBW"
+    "fig16" fig16 "Effective bandwidth against execution time per workload"
+    "fig18" fig18 "16-GPU Torus-2d and CubeMesh-16, sensitive workloads"
+    "fig19" fig19 "Uncached decision latency by job size and machine"
+    "table1" table1 "Peak bandwidth per link"
+    "table2" table2 "The Eq. 2 regression fit"
+    "table3" table3 "Speedup and throughput normalised to baseline"
+    "ablation-offered-load" ablation_offered_load "Preserve's benefit against arrival intensity"
+    "ablation-queue-discipline" ablation_queue_discipline "Strict FIFO against backfill"
+    "ablation-scoring-metric" ablation_scoring_metric "AggBW-greedy, EffBW-greedy and Preserve"
+    "ablation-sensitivity-annotation" ablation_sensitivity_annotation "Preserve under wrong labels"
+    "ablation-matcher-backend" ablation_matcher_backend "VF2, Ullmann and brute force agree"
+    "ablation-symmetry-breaking" ablation_symmetry_breaking "Canonical against all mappings"
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ids_are_unique_and_are_the_help_list() {
+        let table: Vec<&str> = ARTEFACTS.iter().map(|a| a.id).collect();
+        assert_eq!(table, IDS, "--help prints IDS");
+        let mut unique = table.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), table.len(), "{table:?}");
+    }
+
+    #[test]
+    fn a_row_outside_its_band_fails_the_run() {
+        let row = |ours, band| Row {
+            artefact: "table3",
+            series: "Preserve/sensitive".to_string(),
+            quantity: "speedup_p75".to_string(),
+            paper: Some(1.124),
+            ours,
+            band,
+        };
+        let held = [row(1.117, Some((1.05, 1.2))), row(0.5, None)];
+        assert_eq!(
+            csv(&held),
+            format!(
+                "{HEADER}\ntable3,Preserve/sensitive,speedup_p75,1.124,1.117,1.05,1.2,ok\n\
+                 table3,Preserve/sensitive,speedup_p75,1.124,0.5,,,info\n"
+            )
+        );
+        assert_eq!(verdict(&held), Ok(()));
+        let broken = [held[0].clone(), row(1.01, Some((1.05, f64::INFINITY)))];
+        assert!(csv(&broken).ends_with(",1.124,1.01,1.05,inf,FAIL\n"));
+        // `Cli::main` turns the `Err` into exit status 1.
+        let outside = "1 of 2 rows outside their band".to_string();
+        assert_eq!(verdict(&broken), Err(outside));
+        let nan = [row(f64::NAN, Some((0.0, 1.0)))];
+        assert!(verdict(&nan).is_err(), "NaN is inside no band");
+    }
+
+    #[test]
+    fn everything_but_wall_time_is_deterministic() {
+        let timeless: Vec<&str> = IDS.into_iter().filter(|id| *id != "fig19").collect();
+        let run = || {
+            let mut rows = rows(&timeless).expect("ids from the table");
+            rows.retain(|r| !r.quantity.ends_with("_ms"));
+            csv(&rows)
+        };
+        let first = run();
+        assert_eq!(first, run());
+        for line in first.lines() {
+            assert_eq!(line.split(',').count(), 8, "{line}");
+        }
+    }
+}

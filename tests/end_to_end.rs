@@ -2,7 +2,7 @@
 //! → matching → scoring → policy → allocation → simulation) across crates.
 
 use mapa::prelude::*;
-use mapa::sim::{experiment, SimConfig};
+use mapa::sim::SimConfig;
 use mapa::workloads::jobs;
 
 fn job(id: u64, n: usize, workload: Workload) -> JobSpec {
@@ -94,13 +94,17 @@ fn simulation_conserves_jobs_across_policies_and_machines() {
         },
         9,
     );
+    let mut shared = Shared::new(std::sync::Arc::new(WorkerPool::new(1)));
     for machine in [
         machines::dgx1_v100(),
         machines::dgx1_p100(),
         machines::torus_2d(),
     ] {
-        let cmp = experiment::compare_policies(&machine, &jobs);
-        for rep in &cmp.reports {
+        for policy in ALLOCATION_POLICY_NAMES {
+            let submissions = jobs.iter().cloned().map(Submission::Job);
+            let rep = RunSpec::new(machine.clone(), policy)
+                .run(&mut shared, SimConfig::default(), submissions)
+                .expect("a built-in policy");
             assert_eq!(
                 rep.records.len(),
                 jobs.len(),

@@ -226,6 +226,11 @@ fn the_cli_reports_bad_input_instead_of_panicking() {
             campaign("dgx-1-v100", "jobs=0"),
             "job counts must be at least 1",
         ),
+        // `--only` lists the artefact ids like every other by-name flag.
+        (
+            vec!["reproduce", "--only", "nope"],
+            "unknown artefact 'nope' (choose from: fig2a | fig2b | fig4 | ",
+        ),
     ];
     for (args, message) in &refused_runs {
         assert_cli_refuses(SCHED, args, message, false);
@@ -293,6 +298,22 @@ fn the_cli_reports_bad_input_instead_of_panicking() {
     assert_eq!(artifact.get("jobs").unwrap().as_f64(), Some(20.0));
     let makespan = artifact.get("makespan_seconds").unwrap().as_f64().unwrap();
     assert!((makespan - expected.makespan_seconds).abs() < 1e-3);
+
+    // `reproduce` prints the table under its fixed header, no band broken.
+    let out = Command::new(SCHED)
+        .args(["reproduce", "--only", "table1", "--only", "fig2b"])
+        .output()
+        .expect("mapa-sched runs");
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 table");
+    let mut lines = stdout.lines();
+    let header = "artefact,series,quantity,paper,ours,lo,hi,status";
+    assert_eq!(lines.next(), Some(header));
+    assert_eq!(lines.clone().count(), 4 + 12, "{stdout}");
+    for line in lines {
+        assert_eq!(line.split(',').count(), 8, "{line}");
+        assert!(!line.ends_with("FAIL"), "{line}");
+    }
 
     for file in [
         twelve_gpu_job,

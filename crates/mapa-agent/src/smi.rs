@@ -16,6 +16,7 @@
 //! [`ProbeError::Unavailable`] with a hint to use the fake probe.
 
 use crate::probe::{GpuInfo, GpuProbe, ProbeError, ProbeSnapshot, ProcessInfo};
+use mapa_topology::parse::{parse_link_matrix, LinkMatrix};
 use std::collections::HashMap;
 use std::process::Command;
 
@@ -117,7 +118,8 @@ pub fn build_snapshot(
 ) -> Result<ProbeSnapshot, ProbeError> {
     let mut rows = parse_gpu_csv(gpu_csv)?;
     let apps = parse_apps_csv(apps_csv)?;
-    let (bricks, sockets) = parse_topo_matrix(topo_matrix)?;
+    let LinkMatrix { bricks, sockets } = parse_link_matrix(topo_matrix)
+        .map_err(|e| ProbeError::Malformed(format!("'topo -m' output: {e}")))?;
     if bricks.len() != rows.len() {
         return Err(ProbeError::Malformed(format!(
             "query-gpu lists {} GPUs but 'topo -m' lists {}",
@@ -222,100 +224,10 @@ fn parse_apps_csv(input: &str) -> Result<Vec<(String, u32, u64)>, ProbeError> {
     Ok(apps)
 }
 
-/// Parses the GPU-to-GPU corner of `nvidia-smi topo -m` into a brick
-/// matrix and a socket assignment (GPUs separated by `SYS` are on
-/// different sockets — the same inference `mapa-topology`'s matrix
-/// parser makes).
-fn parse_topo_matrix(input: &str) -> Result<(Vec<Vec<u8>>, Vec<usize>), ProbeError> {
-    // Data rows start with a "GPUn" *label* followed by link cells;
-    // the header row instead follows its first "GPU0" with more GPU
-    // column names. Everything after the GPU columns (CPU affinity,
-    // NIC columns, the legend) is ignored.
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for line in input.lines() {
-        let tokens: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-        match tokens.first() {
-            Some(first)
-                if first.starts_with("GPU")
-                    && tokens.len() > 1
-                    && !tokens[1].starts_with("GPU") =>
-            {
-                rows.push(tokens[1..].to_vec());
-            }
-            _ => {}
-        }
-    }
-    let n = rows.len();
-    if n == 0 {
-        return Err(ProbeError::Malformed(
-            "'topo -m' output listed no GPU rows".into(),
-        ));
-    }
-    let mut bricks = vec![vec![0u8; n]; n];
-    // `sys[i][j]` marks pairs the tool reports as crossing sockets.
-    let mut sys = vec![vec![false; n]; n];
-    for (i, row) in rows.iter().enumerate() {
-        if row.len() < n {
-            return Err(ProbeError::Malformed(format!(
-                "'topo -m' GPU row {i} has {} cells for {n} GPUs",
-                row.len()
-            )));
-        }
-        for (j, tok) in row.iter().take(n).enumerate() {
-            let t = tok.to_ascii_uppercase();
-            if i == j {
-                if t != "X" {
-                    return Err(ProbeError::Malformed(format!(
-                        "'topo -m' diagonal [{i}] is '{tok}', expected X"
-                    )));
-                }
-                continue;
-            }
-            if let Some(k) = t.strip_prefix("NV") {
-                let k: u8 = k.parse().map_err(|_| {
-                    ProbeError::Malformed(format!("bad NVLink cell '{tok}' at [{i}][{j}]"))
-                })?;
-                bricks[i][j] = k;
-            } else if matches!(t.as_str(), "SYS" | "QPI") {
-                sys[i][j] = true;
-            } else if !matches!(t.as_str(), "PHB" | "PXB" | "PIX" | "NODE") {
-                return Err(ProbeError::Malformed(format!(
-                    "unrecognized 'topo -m' cell '{tok}' at [{i}][{j}]"
-                )));
-            }
-        }
-    }
-    for (i, row) in bricks.iter().enumerate() {
-        for (j, &cell) in row.iter().enumerate().skip(i + 1) {
-            if cell != bricks[j][i] {
-                return Err(ProbeError::Malformed(format!(
-                    "'topo -m' NVLink cells asymmetric at [{i}][{j}]"
-                )));
-            }
-        }
-    }
-    // Socket inference: GPUs not separated by SYS share a socket with
-    // their lowest such peer.
-    let mut socket = vec![usize::MAX; n];
-    let mut next = 0;
-    for i in 0..n {
-        if socket[i] != usize::MAX {
-            continue;
-        }
-        socket[i] = next;
-        for j in (i + 1)..n {
-            if socket[j] == usize::MAX && !sys[i][j] {
-                socket[j] = next;
-            }
-        }
-        next += 1;
-    }
-    Ok((bricks, socket))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mapa_topology::parse::{parse_topology_matrix, NvlinkGeneration};
 
     const GPU_CSV: &str = "\
 0, GPU-aaaa, Tesla V100-SXM2-16GB, 16160, 0, 0
@@ -329,16 +241,9 @@ GPU-cccc, 4242, 510
 GPU-zzzz, 7, 100
 ";
 
-    const TOPO: &str = "\
-\tGPU0\tGPU1\tGPU2\tCPU Affinity
-GPU0\t X \tNV2\tSYS\t0-19
-GPU1\tNV2\t X \tNV1\t0-19
-GPU2\tSYS\tNV1\t X \t20-39
-
-Legend:
-  X    = Self
-  SYS  = Connection traversing PCIe as well as the SMP interconnect
-";
+    /// Real tool output — the fixture `mapa-topology`'s parser tests and
+    /// CI's `mapa-sched topo` smoke line read too.
+    const TOPO: &str = include_str!("../../../tests/fixtures/nvidia-smi-topo.txt");
 
     #[test]
     fn gpu_csv_parses_including_na_utilization() {
@@ -366,14 +271,21 @@ Legend:
 
     #[test]
     fn topo_matrix_parses_bricks_and_sockets() {
-        let (bricks, sockets) = parse_topo_matrix(TOPO).unwrap();
+        let snap = build_snapshot("h".into(), GPU_CSV, APPS_CSV, TOPO).unwrap();
+        let bricks = &snap.nvlink_bricks;
         assert_eq!(bricks[0][1], 2);
         assert_eq!(bricks[1][2], 1);
         assert_eq!(bricks[0][2], 0);
         // GPU2 sits across SYS from GPU0 but shares NVLink with GPU1, so
         // the lowest-peer union puts all three in socket 0 except where
-        // SYS separates the *seed* — mirroring mapa-topology's parser.
-        assert_eq!(sockets, vec![0, 0, 1]);
+        // SYS separates the *seed*.
+        let sockets: Vec<_> = snap.gpus.iter().map(|g| g.numa_node).collect();
+        assert_eq!(sockets, vec![Some(0), Some(0), Some(1)]);
+        // The machine the agent allocates on is the one `mapa-sched topo`
+        // shows for the same text.
+        let machine = crate::map::machine_from_snapshot(&snap).unwrap().topology;
+        let parsed = parse_topology_matrix(TOPO, "h", NvlinkGeneration::V2).unwrap();
+        assert!(crate::map::structurally_equal(&machine, &parsed));
     }
 
     #[test]
@@ -381,9 +293,16 @@ Legend:
         assert!(parse_gpu_csv("").is_err());
         assert!(parse_gpu_csv("0, uuid-only").is_err());
         assert!(parse_apps_csv("uuid, not-a-pid, 3").is_err());
-        assert!(parse_topo_matrix("no gpu rows here").is_err());
+        let with_topo = |topo| build_snapshot("h".into(), GPU_CSV, APPS_CSV, topo);
+        assert!(matches!(
+            with_topo("no gpu rows here"),
+            Err(ProbeError::Malformed(m)) if m.contains("no data rows")
+        ));
         let asym = "GPU0\tX\tNV2\nGPU1\tNV1\tX\n";
-        assert!(parse_topo_matrix(asym).is_err());
+        assert!(matches!(
+            with_topo(asym),
+            Err(ProbeError::Malformed(m)) if m.contains("asymmetric")
+        ));
         let counts_disagree = build_snapshot("h".into(), "0, GPU-aaaa, T, 1, 0, 0\n", "", TOPO);
         assert!(counts_disagree.is_err());
     }

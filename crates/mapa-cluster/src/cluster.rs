@@ -7,7 +7,7 @@ use crate::migrate::{MigrationPolicy, MigrationStats};
 use crate::policy::{ServerPolicy, ShardView};
 use mapa_core::policy::AllocationPolicy;
 use mapa_core::{AllocationOutcome, AllocatorError, CacheStats, MapaAllocator, PreemptionPolicy};
-use mapa_isomorph::{MatchOptions, Matcher, WorkerPool};
+use mapa_isomorph::WorkerPool;
 use mapa_model::{corpus, paper_coefficients, EffBwModel};
 use mapa_sim::{
     DispatchReport, DispatchedJob, Eviction, PendingJob, Placement, SchedulerBackend, SimConfig,
@@ -259,9 +259,9 @@ impl ShardQueues {
 /// occupancy state, its own allocation cache — so per-server decisions
 /// are exactly the single-server engine's. What the cluster adds:
 ///
-/// * one **shared matcher pool**: every shard's matcher enumerates on the
-///   same [`Arc`]`<`[`WorkerPool`]`>`, paying thread start-up once per
-///   cluster (PR 2's `Matcher::with_pool` cashed in);
+/// * one **shared worker pool**: [`DispatchMode::Parallel`] evaluates the
+///   shards' decisions on one [`Arc`]`<`[`WorkerPool`]`>`, paying thread
+///   start-up once per cluster;
 /// * a **server-selection stage** ([`ServerPolicy`]) that ranks shards
 ///   per job; the cluster tries each ranked shard in turn, so a full (or
 ///   too-small) shard falls through to the next;
@@ -338,7 +338,7 @@ impl Cluster {
     /// This is the campaign runner's per-cell context hoisting: a cell's
     /// replications rebuild fleet state from scratch each time, but the
     /// expensive immutable setup — the fitted regression model and the
-    /// matcher thread pool — is paid once per cell, not once per
+    /// dispatch thread pool — is paid once per cell, not once per
     /// replication. [`Cluster::new`] is this with a fresh pool and an
     /// empty model cache.
     ///
@@ -353,10 +353,6 @@ impl Cluster {
         models: &mut HashMap<String, EffBwModel>,
     ) -> Self {
         assert!(!machines.is_empty(), "a cluster needs at least one server");
-        let opts = MatchOptions {
-            threads: Some(pool.threads()),
-            ..MatchOptions::default()
-        };
         // Fit the EffBW regression once per machine *type*; same-named
         // shards share the fitted model instead of rebuilding the
         // microbenchmark corpus N times.
@@ -367,9 +363,7 @@ impl Cluster {
                     .entry(machine.name().to_string())
                     .or_insert_with(|| fit_model(&machine))
                     .clone();
-                let mut allocator = MapaAllocator::with_model(machine, make_policy(), model);
-                allocator.set_matcher(Matcher::with_pool(opts.clone(), Arc::clone(&pool)));
-                allocator
+                MapaAllocator::with_model(machine, make_policy(), model)
             })
             .collect();
         Self {
@@ -467,12 +461,6 @@ impl Cluster {
     #[must_use]
     pub fn server_policy_name(&self) -> &'static str {
         self.server_policy.name()
-    }
-
-    /// The worker pool every shard's matcher enumerates on.
-    #[must_use]
-    pub fn matcher_pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
     }
 
     /// Per-shard Predicted-EffBW peeks for `job` — the score inputs of a
@@ -1287,18 +1275,6 @@ mod tests {
             || Box::new(PreservePolicy),
             server_policy,
         )
-    }
-
-    #[test]
-    fn shards_share_one_matcher_pool() {
-        let c = fleet(4, Box::new(RoundRobinPolicy));
-        for id in 0..4 {
-            let pool = c.shard(id).matcher().pool().expect("pooled matcher");
-            assert!(
-                Arc::ptr_eq(pool, c.matcher_pool()),
-                "shard {id} must share the cluster pool"
-            );
-        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!
 //! * [`Cluster`] — N shards, each a full [`mapa_core::MapaAllocator`]
 //!   (its own [`mapa_topology::HardwareState`] and allocation cache) over
-//!   its own machine. All shards *share one pooled matcher* via
-//!   [`std::sync::Arc`] (the PR 2 worker pool), so thread start-up is
-//!   paid once per cluster, not once per server.
+//!   its own machine. Parallel dispatch evaluates the shards on *one
+//!   shared worker pool* (an [`std::sync::Arc`]), so thread start-up is
+//!   paid once per cluster, not once per dispatch round.
 //! * [`ServerPolicy`] — the pluggable server-selection stage that runs
 //!   *before* the per-server `AllocationPolicy`: round-robin,
 //!   least-loaded, best-pattern-score (peeks every shard's would-be

@@ -6,7 +6,7 @@ use crate::preempt::PreemptionPolicy;
 use crate::scoring::{self, MatchScore};
 use mapa_graph::PatternGraph;
 use mapa_graph::WeightedGraph;
-use mapa_isomorph::{MatchOptions, Matcher};
+use mapa_isomorph::Matcher;
 use mapa_model::{corpus, paper_coefficients, EffBwModel};
 use mapa_topology::{AllocationError, HardwareState, Topology};
 use mapa_workloads::JobSpec;
@@ -148,7 +148,7 @@ impl MapaAllocator {
     ) -> Self {
         Self {
             state: HardwareState::new(topology.clone()),
-            matcher: Matcher::new(MatchOptions::default()),
+            matcher: Matcher::default(),
             data_graph: scoring::matcher_data_graph(&topology),
             bandwidth_graph: topology.bandwidth_graph(),
             model,
@@ -182,18 +182,6 @@ impl MapaAllocator {
         }
     }
 
-    /// Replaces the matcher configuration (e.g. to enable parallel
-    /// enumeration on a shared worker pool, or switch backends). Clears
-    /// the allocation cache if one is active: cached decisions may depend
-    /// on the matcher configuration (backend, dedup mode, match caps) for
-    /// matcher-driven policies, so a swap invalidates them wholesale.
-    pub fn set_matcher(&mut self, matcher: Matcher) {
-        self.matcher = matcher;
-        if let Some(cache) = self.cache.as_mut() {
-            cache.clear();
-        }
-    }
-
     /// Counters of the allocation cache, if enabled.
     #[must_use]
     pub fn cache_stats(&self) -> Option<CacheStats> {
@@ -216,12 +204,6 @@ impl MapaAllocator {
     #[must_use]
     pub fn model(&self) -> &EffBwModel {
         &self.model
-    }
-
-    /// The subgraph matcher in use (see [`MapaAllocator::set_matcher`]).
-    #[must_use]
-    pub fn matcher(&self) -> &Matcher {
-        &self.matcher
     }
 
     /// The active policy's name.
@@ -650,23 +632,6 @@ mod tests {
         for id in held {
             assert_eq!(cached.release(id).unwrap(), plain.release(id).unwrap());
         }
-    }
-
-    #[test]
-    fn set_matcher_invalidates_cached_decisions() {
-        use mapa_isomorph::{MatchOptions, Matcher};
-        let mut a = MapaAllocator::new(machines::dgx1_v100(), Box::new(PreservePolicy))
-            .with_config(AllocatorConfig::cached());
-        a.try_allocate(&job(1, 2, true)).unwrap().unwrap();
-        a.release(1).unwrap();
-        // The idle-state decision is cached; swapping the matcher must
-        // drop it (a different backend/cap could select differently), so
-        // the repeat is a fresh miss, not a stale hit.
-        a.set_matcher(Matcher::new(MatchOptions::parallel()));
-        a.try_allocate(&job(2, 2, true)).unwrap().unwrap();
-        let stats = a.cache_stats().unwrap();
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses, 2);
     }
 
     #[test]

@@ -222,12 +222,6 @@ impl AllocationCache {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
-
-    /// Drops every entry (counters are kept).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
-    }
 }
 
 impl Default for AllocationCache {

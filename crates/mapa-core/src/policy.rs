@@ -31,9 +31,12 @@ pub struct PolicyContext<'a> {
     pub state: &'a HardwareState,
     /// The Predicted-EffBW regression model.
     pub model: &'a EffBwModel,
-    /// The configured subgraph matcher.
+    /// The subgraph matcher.
     pub matcher: &'a Matcher,
-    /// Complete unweighted hardware graph (matcher data graph).
+    /// Unweighted hardware graph (matcher data graph). Invariant: it is
+    /// *complete* — PCIe connects every GPU pair — so every k-subset of
+    /// free GPUs hosts every k-vertex pattern; [`for_each_candidate_set`]
+    /// relies on it.
     pub data_graph: &'a PatternGraph,
     /// Complete weighted hardware graph (for Eq. 1 scoring).
     pub bandwidth_graph: &'a WeightedGraph,
@@ -120,7 +123,6 @@ pub fn candidate_matches(job: &JobSpec, ctx: &PolicyContext<'_>) -> Vec<Embeddin
     let frozen = ctx.eligible_frozen(job);
     ctx.matcher
         .find_with_frozen(&pattern, ctx.data_graph, Some(&frozen))
-        .expect("matcher options are valid")
 }
 
 /// Streams every candidate *vertex set* (ascending GPU lists) that can
@@ -128,56 +130,49 @@ pub fn candidate_matches(job: &JobSpec, ctx: &PolicyContext<'_>) -> Vec<Embeddin
 ///
 /// Scores that depend only on the matched vertex set — Predicted EffBW and
 /// Preserved BW — do not distinguish embeddings of the same set, so
-/// set-based policies use this instead of [`candidate_matches`]. On a
-/// complete data graph (the paper's setting: PCIe connects everything)
-/// every k-subset of free GPUs hosts every k-vertex pattern, so the stream
-/// is a plain combination walk: `C(free, k)` visits instead of up to
-/// `C(free, k) · k!` embeddings. On sparse data graphs it falls back to
-/// the matcher and deduplicates vertex sets.
+/// set-based policies use this instead of [`candidate_matches`]. The data
+/// graph is complete ([`PolicyContext::data_graph`]'s invariant), so every
+/// k-subset of free GPUs hosts every k-vertex pattern and the stream is a
+/// plain combination walk: `C(free, k)` visits instead of up to
+/// `C(free, k) · k!` embeddings.
 pub fn for_each_candidate_set(
     job: &JobSpec,
     ctx: &PolicyContext<'_>,
     mut visit: impl FnMut(&[usize]),
 ) {
+    let n = ctx.data_graph.vertex_count();
+    debug_assert_eq!(
+        ctx.data_graph.edge_count(),
+        n * n.saturating_sub(1) / 2,
+        "PolicyContext::data_graph must be complete"
+    );
     let k = job.num_gpus();
     let free = ctx.eligible_free(job);
     if k == 0 || k > free.len() {
         return;
     }
-    let n = ctx.data_graph.vertex_count();
-    let complete = ctx.data_graph.edge_count() == n * (n - 1) / 2;
-    if complete {
-        // Lexicographic combination walk over the free list.
-        let mut idx: Vec<usize> = (0..k).collect();
-        let mut current: Vec<usize> = idx.iter().map(|&i| free[i]).collect();
+    // Lexicographic combination walk over the free list.
+    let mut idx: Vec<usize> = (0..k).collect();
+    let mut current: Vec<usize> = idx.iter().map(|&i| free[i]).collect();
+    loop {
+        visit(&current);
+        // Advance to the next combination.
+        let mut i = k;
         loop {
-            visit(&current);
-            // Advance to the next combination.
-            let mut i = k;
-            loop {
-                if i == 0 {
-                    return;
-                }
-                i -= 1;
-                if idx[i] != i + free.len() - k {
-                    break;
-                }
+            if i == 0 {
+                return;
             }
-            idx[i] += 1;
-            for j in (i + 1)..k {
-                idx[j] = idx[j - 1] + 1;
-            }
-            for (slot, &i) in current.iter_mut().zip(&idx) {
-                *slot = free[i];
+            i -= 1;
+            if idx[i] != i + free.len() - k {
+                break;
             }
         }
-    } else {
-        let mut seen: std::collections::HashSet<Vec<usize>> = std::collections::HashSet::new();
-        for e in candidate_matches(job, ctx) {
-            let set = e.vertex_set();
-            if seen.insert(set.clone()) {
-                visit(&set);
-            }
+        idx[i] += 1;
+        for j in (i + 1)..k {
+            idx[j] = idx[j - 1] + 1;
+        }
+        for (slot, &i) in current.iter_mut().zip(&idx) {
+            *slot = free[i];
         }
     }
 }
@@ -325,8 +320,7 @@ impl AllocationPolicy for GreedyPolicy {
                     best = Some((score, set));
                 }
                 true
-            })
-            .expect("matcher options are valid");
+            });
         best.map(|(_, set)| set)
     }
 }
@@ -431,10 +425,10 @@ pub fn allocation_policy_by_name(name: &str) -> Option<Box<dyn AllocationPolicy>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapa_isomorph::MatchOptions;
+    use mapa_isomorph::{Backend, DedupMode, MatchOptions};
     use mapa_model::{corpus, paper_coefficients};
     use mapa_topology::{machines, PartitionPlan};
-    use mapa_workloads::{GpuDemand, Workload};
+    use mapa_workloads::{AppTopology, GpuDemand, Workload};
 
     struct Fixture {
         topology: Topology,
@@ -457,7 +451,7 @@ mod tests {
                 state: HardwareState::new(topology.clone()),
                 data_graph: scoring::matcher_data_graph(&topology),
                 bandwidth_graph: topology.bandwidth_graph(),
-                matcher: Matcher::new(MatchOptions::default()),
+                matcher: Matcher::default(),
                 model,
                 topology,
             }
@@ -785,6 +779,35 @@ mod tests {
                         "{} refused although {} GPUs free for a {}-GPU job",
                         p.name(), free, n
                     ),
+                }
+            }
+        }
+
+        /// Greedy's choice is a function of the job and the occupancy, not
+        /// of how embeddings are enumerated: every backend and dedup mode
+        /// selects the same GPU set. Allocators always run the default
+        /// matcher; this is what makes that safe.
+        #[test]
+        fn greedy_choice_is_independent_of_enumeration(
+            busy in proptest::collection::vec(0usize..8, 0..6),
+            n in 1usize..6,
+            shape in 0usize..3,
+        ) {
+            let mut f = Fixture::dgx();
+            for (i, g) in busy.iter().enumerate() {
+                let _ = f.state.allocate(100 + i as u64, &[*g]);
+            }
+            let topology = [AppTopology::Ring, AppTopology::Tree, AppTopology::AllToAll][shape];
+            let spec = job(n, true).with_topology(topology);
+            let expected = GreedyPolicy.select(&spec, &f.ctx());
+            for backend in [Backend::Vf2, Backend::Ullmann, Backend::BruteForce] {
+                for dedup in [DedupMode::CanonicalOnly, DedupMode::AllMappings] {
+                    f.matcher = Matcher::new(MatchOptions { backend, dedup });
+                    proptest::prop_assert_eq!(
+                        GreedyPolicy.select(&spec, &f.ctx()),
+                        expected.clone(),
+                        "{:?}/{:?} on {}", backend, dedup, topology
+                    );
                 }
             }
         }

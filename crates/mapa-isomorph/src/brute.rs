@@ -1,20 +1,19 @@
 //! Brute-force reference enumerator.
 //!
 //! Tries every injective assignment of pattern vertices to data vertices and
-//! keeps the ones preserving pattern edges (and, in induced mode, non-edges).
+//! keeps the ones preserving pattern edges.
 //! Exponential, but exact — the other backends are property-tested against
 //! it on every build.
 
 use crate::Embedding;
 use mapa_graph::Graph;
 
-/// Enumerates all monomorphic (or induced, if `induced`) embeddings of
-/// `pattern` into `data` by exhaustive search.
+/// Enumerates all monomorphic embeddings of `pattern` into `data` by
+/// exhaustive search.
 #[must_use]
 pub fn brute_force_embeddings<P: Copy, D: Copy>(
     pattern: &Graph<P>,
     data: &Graph<D>,
-    induced: bool,
 ) -> Vec<Embedding> {
     let pn = pattern.vertex_count();
     let dn = data.vertex_count();
@@ -24,15 +23,13 @@ pub fn brute_force_embeddings<P: Copy, D: Copy>(
     let mut out = Vec::new();
     let mut map = vec![usize::MAX; pn];
     let mut used = vec![false; dn];
-    rec(pattern, data, induced, 0, &mut map, &mut used, &mut out);
+    rec(pattern, data, 0, &mut map, &mut used, &mut out);
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn rec<P: Copy, D: Copy>(
     pattern: &Graph<P>,
     data: &Graph<D>,
-    induced: bool,
     depth: usize,
     map: &mut Vec<usize>,
     used: &mut Vec<bool>,
@@ -46,19 +43,11 @@ fn rec<P: Copy, D: Copy>(
         if used[d] {
             continue;
         }
-        let ok = (0..depth).all(|p| {
-            let pe = pattern.has_edge(depth, p);
-            let de = data.has_edge(d, map[p]);
-            if induced {
-                pe == de
-            } else {
-                !pe || de
-            }
-        });
+        let ok = (0..depth).all(|p| !pattern.has_edge(depth, p) || data.has_edge(d, map[p]));
         if ok {
             map[depth] = d;
             used[d] = true;
-            rec(pattern, data, induced, depth + 1, map, used, out);
+            rec(pattern, data, depth + 1, map, used, out);
             used[d] = false;
             map[depth] = usize::MAX;
         }
@@ -74,7 +63,7 @@ mod tests {
     fn single_vertex_pattern_matches_every_vertex() {
         let p = PatternGraph::new(1);
         let d = PatternGraph::ring(4);
-        assert_eq!(brute_force_embeddings(&p, &d, false).len(), 4);
+        assert_eq!(brute_force_embeddings(&p, &d).len(), 4);
     }
 
     #[test]
@@ -82,42 +71,28 @@ mod tests {
         // One edge into K4: 4*3 = 12 ordered embeddings.
         let p = PatternGraph::ring(2);
         let d = PatternGraph::all_to_all(4);
-        assert_eq!(brute_force_embeddings(&p, &d, false).len(), 12);
+        assert_eq!(brute_force_embeddings(&p, &d).len(), 12);
     }
 
     #[test]
     fn triangle_into_ring_has_no_match() {
         let p = PatternGraph::all_to_all(3);
         let d = PatternGraph::ring(5);
-        assert!(brute_force_embeddings(&p, &d, false).is_empty());
+        assert!(brute_force_embeddings(&p, &d).is_empty());
     }
 
     #[test]
     fn pattern_larger_than_data() {
         let p = PatternGraph::ring(5);
         let d = PatternGraph::ring(4);
-        assert!(brute_force_embeddings(&p, &d, false).is_empty());
-    }
-
-    #[test]
-    fn induced_vs_monomorphic_counts_differ() {
-        // Pattern P3 (path) into K3: monomorphic = all 6 injections;
-        // induced = 0 because K3 has the chord.
-        let p = PatternGraph::chain(3);
-        let d = PatternGraph::all_to_all(3);
-        assert_eq!(brute_force_embeddings(&p, &d, false).len(), 6);
-        assert_eq!(brute_force_embeddings(&p, &d, true).len(), 0);
-        // P3 into C4 induced: each path of length 2; C4 has 4 such, times
-        // 2 orientations = 8.
-        let c4 = PatternGraph::ring(4);
-        assert_eq!(brute_force_embeddings(&p, &c4, true).len(), 8);
+        assert!(brute_force_embeddings(&p, &d).is_empty());
     }
 
     #[test]
     fn all_results_are_valid() {
         let p = PatternGraph::ring(4);
         let d = PatternGraph::all_to_all(5);
-        for e in brute_force_embeddings(&p, &d, false) {
+        for e in brute_force_embeddings(&p, &d) {
             assert!(e.is_valid_monomorphism(&p, &d));
         }
     }
@@ -128,8 +103,6 @@ mod tests {
         // 4! = 24 injective maps work since K4 is complete.
         let p = PatternGraph::ring(4);
         let d = PatternGraph::all_to_all(4);
-        assert_eq!(brute_force_embeddings(&p, &d, false).len(), 24);
-        // Induced C4 in K4: none (chords exist).
-        assert_eq!(brute_force_embeddings(&p, &d, true).len(), 0);
+        assert_eq!(brute_force_embeddings(&p, &d).len(), 24);
     }
 }

@@ -12,18 +12,16 @@
 //! * [`symmetry`] — pattern automorphism detection and GraphZero-style
 //!   symmetry-breaking constraints, Peregrine's key trick for enumerating
 //!   each match exactly once per automorphism class;
-//! * [`parallel`] — parallel enumeration splitting the search on
-//!   first-level candidates, running on a persistent [`WorkerPool`]
-//!   (long-lived threads, channel-fed queue, deterministic ordering);
-//! * [`Matcher`] — the high-level façade selecting backend, dedup mode and
-//!   match caps.
+//! * [`Matcher`] — the high-level façade selecting backend and dedup mode
+//!   over one sequential enumeration;
+//! * [`pool`] — the persistent [`WorkerPool`] that cluster parallel
+//!   dispatch and campaigns run on (no matcher uses it).
 //!
-//! Matching semantics are *monomorphism* by default: every pattern edge must
-//! map to a data-graph edge, extra data edges are allowed. That is exactly
-//! the paper's setting — hardware graphs are complete (PCIe fallback), so
-//! any injective placement is a valid match and scoring does the
-//! discrimination. Induced-isomorphism mode is available for callers that
-//! work on sparse (NVLink-only) hardware graphs.
+//! Matching semantics are *monomorphism*: every pattern edge must map to a
+//! data-graph edge, extra data edges are allowed. That is exactly the
+//! paper's setting — hardware graphs are complete (PCIe fallback), so any
+//! injective placement is a valid match and scoring does the
+//! discrimination.
 //!
 //! # Example
 //!
@@ -39,9 +37,7 @@
 //! hw.add_edge(0, 2, 12.0).unwrap();
 //! hw.add_edge(2, 3, 12.0).unwrap();
 //!
-//! let matches = Matcher::new(MatchOptions::default())
-//!     .find(&pattern, &hw.to_pattern())
-//!     .unwrap();
+//! let matches = Matcher::new(MatchOptions::default()).find(&pattern, &hw.to_pattern());
 //! // Only {0,1,2} forms a triangle; one canonical embedding survives
 //! // symmetry breaking (C3 has 6 automorphisms).
 //! assert_eq!(matches.len(), 1);
@@ -52,11 +48,9 @@
 #![warn(missing_docs)]
 
 mod brute;
-pub mod catalog;
 mod embedding;
 mod matcher;
 mod order;
-pub mod parallel;
 pub mod pool;
 pub mod symmetry;
 pub mod ullmann;
@@ -64,6 +58,6 @@ pub mod vf2;
 
 pub use brute::brute_force_embeddings;
 pub use embedding::Embedding;
-pub use matcher::{Backend, DedupMode, MatchError, MatchOptions, Matcher};
+pub use matcher::{Backend, DedupMode, MatchOptions, Matcher};
 pub use order::SearchPlan;
 pub use pool::{default_threads, WorkerPool};

@@ -1,17 +1,16 @@
 //! High-level matching façade.
 //!
 //! [`Matcher`] wraps the backends ([`crate::vf2`], [`crate::ullmann`],
-//! brute force) behind one configuration struct, handles symmetry-breaking
-//! deduplication, match caps, frozen-vertex masks, and (optionally)
-//! parallel enumeration, and returns results in a deterministic order.
+//! brute force) behind one configuration struct. One sequential
+//! enumeration — [`Matcher::for_each_with_frozen`] — selects the backend,
+//! applies symmetry-breaking deduplication and the frozen-vertex mask;
+//! collecting ([`Matcher::find`]) and counting ([`Matcher::count`]) are
+//! written on top of it.
 
-use crate::pool::{default_threads, WorkerPool};
 use crate::symmetry::{self, Constraint};
 use crate::vf2::Vf2Config;
-use crate::{brute_force_embeddings, parallel, ullmann, vf2, Embedding};
+use crate::{brute_force_embeddings, ullmann, vf2, Embedding};
 use mapa_graph::{BitSet, Graph};
-use std::fmt;
-use std::sync::Arc;
 
 /// Which search algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -37,107 +36,32 @@ pub enum DedupMode {
 }
 
 /// Matching configuration.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MatchOptions {
     /// Search backend.
     pub backend: Backend,
     /// Automorphic-duplicate handling.
     pub dedup: DedupMode,
-    /// Require induced isomorphism instead of monomorphism.
-    pub induced: bool,
-    /// Stop after this many matches (`None` = unbounded).
-    pub max_matches: Option<usize>,
-    /// Number of worker threads (`None` or `Some(1)` = sequential).
-    /// Only the VF2 backend parallelises; others ignore this.
-    pub threads: Option<usize>,
 }
 
-impl MatchOptions {
-    /// Default options with parallel enumeration sized by
-    /// [`default_threads`] (the machine's available parallelism) — the
-    /// replacement for caller-supplied magic thread counts.
-    #[must_use]
-    pub fn parallel() -> Self {
-        Self {
-            threads: Some(default_threads()),
-            ..Self::default()
-        }
-    }
-}
-
-/// Errors from [`Matcher::find`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MatchError {
-    /// `threads == Some(0)` was requested.
-    ZeroThreads,
-}
-
-impl fmt::Display for MatchError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MatchError::ZeroThreads => write!(f, "thread count must be at least 1"),
-        }
-    }
-}
-
-impl std::error::Error for MatchError {}
-
-/// A configured subgraph matcher. Holds no graph state; when configured
-/// with more than one thread it owns (or shares) a persistent
-/// [`WorkerPool`] that is reused across every `find` call — thread
-/// start-up is paid once, at construction. Cloning a matcher shares its
-/// pool.
-#[derive(Debug, Clone, Default)]
+/// A configured subgraph matcher: its options and nothing else — no graph
+/// state, no threads.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Matcher {
     opts: MatchOptions,
-    pool: Option<Arc<WorkerPool>>,
 }
 
 impl Matcher {
-    /// Creates a matcher with the given options. If `opts.threads`
-    /// requests parallelism (`Some(t)` with `t > 1`), a dedicated worker
-    /// pool of that size is spawned here and reused for the matcher's
-    /// lifetime.
+    /// Creates a matcher with the given options.
     #[must_use]
     pub fn new(opts: MatchOptions) -> Self {
-        let pool = match opts.threads {
-            Some(t) if t > 1 => Some(Arc::new(WorkerPool::new(t))),
-            _ => None,
-        };
-        Self { opts, pool }
-    }
-
-    /// Creates a matcher that runs parallel enumeration on an existing
-    /// shared pool (e.g. one pool serving every allocator of a server).
-    /// `opts.threads` still gates *whether* the parallel path is taken;
-    /// the pool decides the worker count.
-    #[must_use]
-    pub fn with_pool(opts: MatchOptions, pool: Arc<WorkerPool>) -> Self {
-        Self {
-            opts,
-            pool: Some(pool),
-        }
-    }
-
-    /// The worker pool backing parallel enumeration, if any. Exposed so
-    /// callers can verify pool sharing (e.g. every shard of a cluster
-    /// matching on one `Arc`'d pool) or hand the same pool to further
-    /// matchers.
-    #[must_use]
-    pub fn pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.pool.as_ref()
+        Self { opts }
     }
 
     /// Finds embeddings of `pattern` in `data`. All data vertices are
     /// available.
-    ///
-    /// # Errors
-    /// Returns [`MatchError`] on invalid configuration.
-    pub fn find<P: Copy, D: Copy>(
-        &self,
-        pattern: &Graph<P>,
-        data: &Graph<D>,
-    ) -> Result<Vec<Embedding>, MatchError> {
+    #[must_use]
+    pub fn find<P: Copy, D: Copy>(&self, pattern: &Graph<P>, data: &Graph<D>) -> Vec<Embedding> {
         self.find_with_frozen(pattern, data, None)
     }
 
@@ -145,179 +69,69 @@ impl Matcher {
     /// vertices (e.g. GPUs already allocated to other tenants).
     ///
     /// Results are sorted lexicographically by assignment vector, so output
-    /// is deterministic across backends and thread counts (except under
-    /// `max_matches`, where which matches are found first is
-    /// backend-dependent).
-    ///
-    /// # Errors
-    /// Returns [`MatchError`] on invalid configuration.
+    /// is the same across backends.
+    #[must_use]
     pub fn find_with_frozen<P: Copy, D: Copy>(
         &self,
         pattern: &Graph<P>,
         data: &Graph<D>,
         frozen: Option<&BitSet>,
-    ) -> Result<Vec<Embedding>, MatchError> {
-        if self.opts.threads == Some(0) {
-            return Err(MatchError::ZeroThreads);
-        }
-        let cap = self.opts.max_matches.unwrap_or(usize::MAX);
-        if cap == 0 {
-            return Ok(vec![]);
-        }
-
-        let constraints: Vec<Constraint> = match self.opts.dedup {
-            DedupMode::CanonicalOnly => {
-                let autos = symmetry::automorphisms(pattern);
-                symmetry::symmetry_breaking_constraints(&autos)
-            }
-            DedupMode::AllMappings => vec![],
-        };
-
-        let mut out: Vec<Embedding> = match self.opts.backend {
-            Backend::Vf2 => {
-                let config = Vf2Config {
-                    induced: self.opts.induced,
-                    constraints,
-                    first_candidates: None,
-                };
-                match (&self.pool, self.opts.threads) {
-                    (Some(pool), Some(t)) if t > 1 => {
-                        parallel::enumerate_parallel(pattern, data, &config, frozen, pool, cap)
-                    }
-                    _ => {
-                        let mut v = Vec::new();
-                        vf2::enumerate(pattern, data, &config, frozen, &mut |m| {
-                            v.push(Embedding::new(m.to_vec()));
-                            v.len() < cap
-                        });
-                        v
-                    }
-                }
-            }
-            Backend::Ullmann => {
-                let mut v = Vec::new();
-                ullmann::enumerate(pattern, data, self.opts.induced, frozen, &mut |m| {
-                    if symmetry::satisfies(m, &constraints) {
-                        v.push(Embedding::new(m.to_vec()));
-                    }
-                    v.len() < cap
-                });
-                v
-            }
-            Backend::BruteForce => {
-                let mut v: Vec<Embedding> =
-                    brute_force_embeddings(pattern, data, self.opts.induced)
-                        .into_iter()
-                        .filter(|e| {
-                            symmetry::satisfies(e.as_slice(), &constraints)
-                                && frozen
-                                    .is_none_or(|f| e.as_slice().iter().all(|&d| !f.contains(d)))
-                        })
-                        .collect();
-                v.truncate(cap);
-                v
-            }
-        };
-
+    ) -> Vec<Embedding> {
+        let mut out = Vec::new();
+        self.for_each_with_frozen(pattern, data, frozen, &mut |m| {
+            out.push(Embedding::new(m.to_vec()));
+            true
+        });
         out.sort();
-        out.dedup();
-        Ok(out)
+        out
     }
 
     /// Streams embeddings to `visit` without materialising them — the
     /// memory-safe path for large searches (a 9-vertex ring in a 16-vertex
     /// complete graph has hundreds of millions of mappings). Respects the
-    /// configured dedup mode and induced flag; `max_matches` caps the
-    /// number of visits; returning `false` from the visitor stops early.
-    ///
-    /// Only the configured backend's sequential path is used (`threads`
-    /// is ignored: a streaming visitor has no meaningful parallel order).
-    ///
-    /// # Errors
-    /// Returns [`MatchError`] on invalid configuration.
+    /// configured dedup mode; returning `false` from the visitor stops
+    /// early. Visit order is backend-dependent.
     pub fn for_each_with_frozen<P: Copy, D: Copy>(
         &self,
         pattern: &Graph<P>,
         data: &Graph<D>,
         frozen: Option<&BitSet>,
         visit: &mut dyn FnMut(&[usize]) -> bool,
-    ) -> Result<(), MatchError> {
-        if self.opts.threads == Some(0) {
-            return Err(MatchError::ZeroThreads);
-        }
-        let cap = self.opts.max_matches.unwrap_or(usize::MAX);
-        if cap == 0 {
-            return Ok(());
-        }
+    ) {
         let constraints: Vec<Constraint> = match self.opts.dedup {
-            DedupMode::CanonicalOnly => {
-                let autos = symmetry::automorphisms(pattern);
-                symmetry::symmetry_breaking_constraints(&autos)
-            }
+            DedupMode::CanonicalOnly => symmetry::analyze(pattern).1,
             DedupMode::AllMappings => vec![],
         };
-        let mut seen = 0usize;
         match self.opts.backend {
+            // VF2 prunes on the constraints inside the search; the two
+            // reference backends filter complete assignments.
             Backend::Vf2 => {
-                let config = Vf2Config {
-                    induced: self.opts.induced,
-                    constraints,
-                    first_candidates: None,
-                };
-                vf2::enumerate(pattern, data, &config, frozen, &mut |m| {
-                    seen += 1;
-                    visit(m) && seen < cap
-                });
+                vf2::enumerate(pattern, data, &Vf2Config { constraints }, frozen, visit)
             }
-            Backend::Ullmann => {
-                ullmann::enumerate(pattern, data, self.opts.induced, frozen, &mut |m| {
-                    if symmetry::satisfies(m, &constraints) {
-                        seen += 1;
-                        return visit(m) && seen < cap;
-                    }
-                    true
-                });
-            }
+            Backend::Ullmann => ullmann::enumerate(pattern, data, frozen, &mut |m| {
+                !symmetry::satisfies(m, &constraints) || visit(m)
+            }),
             Backend::BruteForce => {
-                for e in brute_force_embeddings(pattern, data, self.opts.induced) {
-                    if seen >= cap {
+                for e in brute_force_embeddings(pattern, data) {
+                    let m = e.as_slice();
+                    let free = frozen.is_none_or(|f| m.iter().all(|&d| !f.contains(d)));
+                    if free && symmetry::satisfies(m, &constraints) && !visit(m) {
                         break;
-                    }
-                    let ok = symmetry::satisfies(e.as_slice(), &constraints)
-                        && frozen.is_none_or(|f| e.as_slice().iter().all(|&d| !f.contains(d)));
-                    if ok {
-                        seen += 1;
-                        if !visit(e.as_slice()) {
-                            break;
-                        }
                     }
                 }
             }
         }
-        Ok(())
     }
 
     /// Counts embeddings without materialising them.
-    ///
-    /// # Errors
-    /// Returns [`MatchError`] on invalid configuration.
-    pub fn count<P: Copy, D: Copy>(
-        &self,
-        pattern: &Graph<P>,
-        data: &Graph<D>,
-    ) -> Result<usize, MatchError> {
+    #[must_use]
+    pub fn count<P: Copy, D: Copy>(&self, pattern: &Graph<P>, data: &Graph<D>) -> usize {
         let mut n = 0usize;
         self.for_each_with_frozen(pattern, data, None, &mut |_| {
             n += 1;
             true
-        })?;
-        Ok(n)
-    }
-
-    /// The options this matcher was built with.
-    #[must_use]
-    pub fn options(&self) -> &MatchOptions {
-        &self.opts
+        });
+        n
     }
 }
 
@@ -339,9 +153,8 @@ mod tests {
             let m = Matcher::new(MatchOptions {
                 backend,
                 dedup: DedupMode::AllMappings,
-                ..MatchOptions::default()
             });
-            results.push(m.find(&pattern, &data).unwrap());
+            results.push(m.find(&pattern, &data));
         }
         assert_eq!(results[0], results[1]);
         assert_eq!(results[1], results[2]);
@@ -358,7 +171,7 @@ mod tests {
                 backend,
                 ..MatchOptions::default()
             });
-            results.push(m.find(&pattern, &data).unwrap());
+            results.push(m.find(&pattern, &data));
         }
         assert_eq!(results[0], results[1]);
         assert_eq!(results[1], results[2]);
@@ -375,40 +188,9 @@ mod tests {
             dedup: DedupMode::AllMappings,
             ..MatchOptions::default()
         })
-        .find(&pattern, &data)
-        .unwrap();
-        let canon = Matcher::new(MatchOptions::default())
-            .find(&pattern, &data)
-            .unwrap();
+        .find(&pattern, &data);
+        let canon = Matcher::new(MatchOptions::default()).find(&pattern, &data);
         assert_eq!(all.len(), canon.len() * 8);
-    }
-
-    #[test]
-    fn max_matches_caps_results() {
-        let pattern = PatternGraph::ring(2);
-        let data = k(6);
-        let m = Matcher::new(MatchOptions {
-            max_matches: Some(4),
-            ..MatchOptions::default()
-        });
-        assert_eq!(m.find(&pattern, &data).unwrap().len(), 4);
-        let m0 = Matcher::new(MatchOptions {
-            max_matches: Some(0),
-            ..MatchOptions::default()
-        });
-        assert!(m0.find(&pattern, &data).unwrap().is_empty());
-    }
-
-    #[test]
-    fn zero_threads_rejected() {
-        let m = Matcher::new(MatchOptions {
-            threads: Some(0),
-            ..MatchOptions::default()
-        });
-        assert_eq!(
-            m.find(&PatternGraph::ring(2), &k(3)),
-            Err(MatchError::ZeroThreads)
-        );
     }
 
     #[test]
@@ -421,7 +203,7 @@ mod tests {
                 backend,
                 ..MatchOptions::default()
             });
-            let found = m.find_with_frozen(&pattern, &data, Some(&frozen)).unwrap();
+            let found = m.find_with_frozen(&pattern, &data, Some(&frozen));
             // Only {2,3,4} remains: exactly one triangle occurrence.
             assert_eq!(found.len(), 1, "{backend:?}");
             assert_eq!(found[0].vertex_set(), vec![2, 3, 4]);
@@ -433,9 +215,7 @@ mod tests {
         let pattern = PatternGraph::new(1);
         let data = k(8);
         let frozen = mapa_graph::BitSet::from_indices(8, &[0, 1, 2, 3, 4, 5, 6]);
-        let found = Matcher::default()
-            .find_with_frozen(&pattern, &data, Some(&frozen))
-            .unwrap();
+        let found = Matcher::default().find_with_frozen(&pattern, &data, Some(&frozen));
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].image(0), 7);
     }
@@ -446,44 +226,38 @@ mod tests {
         let data = k(7);
         for backend in [Backend::Vf2, Backend::Ullmann, Backend::BruteForce] {
             for dedup in [DedupMode::CanonicalOnly, DedupMode::AllMappings] {
-                let m = Matcher::new(MatchOptions {
-                    backend,
-                    dedup,
-                    ..MatchOptions::default()
-                });
-                let collected = m.find(&pattern, &data).unwrap();
+                let m = Matcher::new(MatchOptions { backend, dedup });
+                let collected = m.find(&pattern, &data);
                 let mut streamed: Vec<Vec<usize>> = Vec::new();
                 m.for_each_with_frozen(&pattern, &data, None, &mut |e| {
                     streamed.push(e.to_vec());
                     true
-                })
-                .unwrap();
+                });
                 streamed.sort();
                 let collected_raw: Vec<Vec<usize>> =
                     collected.iter().map(|e| e.as_slice().to_vec()).collect();
                 assert_eq!(streamed, collected_raw, "{backend:?}/{dedup:?}");
-                assert_eq!(m.count(&pattern, &data).unwrap(), collected.len());
+                assert_eq!(m.count(&pattern, &data), collected.len());
             }
         }
     }
 
     #[test]
-    fn streaming_early_stop_and_cap() {
+    fn streaming_early_stop() {
         let pattern = PatternGraph::ring(2);
         let data = k(6);
-        let m = Matcher::default();
-        let mut n = 0;
-        m.for_each_with_frozen(&pattern, &data, None, &mut |_| {
-            n += 1;
-            n < 3
-        })
-        .unwrap();
-        assert_eq!(n, 3);
-        let capped = Matcher::new(MatchOptions {
-            max_matches: Some(4),
-            ..MatchOptions::default()
-        });
-        assert_eq!(capped.count(&pattern, &data).unwrap(), 4);
+        for backend in [Backend::Vf2, Backend::Ullmann, Backend::BruteForce] {
+            let m = Matcher::new(MatchOptions {
+                backend,
+                ..MatchOptions::default()
+            });
+            let mut n = 0;
+            m.for_each_with_frozen(&pattern, &data, None, &mut |_| {
+                n += 1;
+                n < 3
+            });
+            assert_eq!(n, 3, "{backend:?}");
+        }
     }
 
     #[test]
@@ -496,73 +270,8 @@ mod tests {
         m.for_each_with_frozen(&pattern, &data, Some(&frozen), &mut |e| {
             sets.push(e.to_vec());
             true
-        })
-        .unwrap();
+        });
         assert!(!sets.is_empty());
         assert!(sets.iter().all(|s| !s.contains(&4)));
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let pattern = PatternGraph::ring(4);
-        let data = k(8);
-        let seq = Matcher::new(MatchOptions::default())
-            .find(&pattern, &data)
-            .unwrap();
-        let par = Matcher::new(MatchOptions {
-            threads: Some(4),
-            ..MatchOptions::default()
-        })
-        .find(&pattern, &data)
-        .unwrap();
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn matcher_reuses_its_pool_across_calls_and_clones() {
-        let m = Matcher::new(MatchOptions {
-            threads: Some(3),
-            ..MatchOptions::default()
-        });
-        let pool_ptr = std::sync::Arc::as_ptr(m.pool().expect("parallel matcher has a pool"));
-        let pattern = PatternGraph::ring(4);
-        let data = k(7);
-        let first = m.find(&pattern, &data).unwrap();
-        for _ in 0..3 {
-            assert_eq!(m.find(&pattern, &data).unwrap(), first);
-        }
-        // Clones share the same pool instead of spawning new threads.
-        let clone = m.clone();
-        assert_eq!(
-            std::sync::Arc::as_ptr(clone.pool().unwrap()),
-            pool_ptr,
-            "clone must share the pool"
-        );
-        assert_eq!(clone.find(&pattern, &data).unwrap(), first);
-    }
-
-    #[test]
-    fn shared_pool_serves_multiple_matchers() {
-        let pool = std::sync::Arc::new(crate::WorkerPool::new(2));
-        let a = Matcher::with_pool(
-            MatchOptions {
-                threads: Some(2),
-                ..MatchOptions::default()
-            },
-            std::sync::Arc::clone(&pool),
-        );
-        let b = Matcher::with_pool(MatchOptions::parallel(), std::sync::Arc::clone(&pool));
-        let pattern = PatternGraph::ring(3);
-        let data = k(6);
-        let seq = Matcher::default().find(&pattern, &data).unwrap();
-        assert_eq!(a.find(&pattern, &data).unwrap(), seq);
-        assert_eq!(b.find(&pattern, &data).unwrap(), seq);
-    }
-
-    #[test]
-    fn parallel_options_use_available_parallelism() {
-        let opts = MatchOptions::parallel();
-        assert_eq!(opts.threads, Some(crate::default_threads()));
-        assert!(opts.threads.unwrap() >= 1);
     }
 }

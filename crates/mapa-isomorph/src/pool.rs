@@ -1,17 +1,18 @@
-//! A persistent worker pool for parallel match enumeration.
+//! A persistent worker pool.
 //!
-//! The paper's §5.4 observes that MAPA's matching/scoring overhead "can be
-//! reduced by parallelizing ... since it is a data parallel problem". The
-//! first cut of this crate spawned fresh scoped threads on every matcher
-//! call; at allocation-decision frequency (one decision per job arrival)
-//! thread spawn/join dominates small searches. [`WorkerPool`] instead keeps
-//! long-lived workers fed by a channel work queue, so a [`crate::Matcher`]
-//! — or several matchers sharing one pool through an [`std::sync::Arc`] —
-//! pays thread start-up once per process.
+//! Its users are `mapa-cluster`'s `DispatchMode::Parallel` (one shard
+//! decision per task) and the campaign runner (one cell per task);
+//! at decision frequency spawning threads per call would dominate the
+//! work, so [`WorkerPool`] keeps long-lived workers fed by a channel work
+//! queue and a whole run — or several sharing one pool through an
+//! [`std::sync::Arc`] — pays thread start-up once per process. No matcher
+//! runs on it: enumeration is sequential. The pool stays in this crate
+//! because `mapa::isomorph::{WorkerPool, default_threads}` is the path the
+//! benchmark harness imports it by.
 //!
 //! Tasks are `'static` closures (the pool owns no caller stack frames);
-//! [`WorkerPool::scatter`] provides the fork/join idiom the matcher needs
-//! with *deterministic result ordering*: results come back indexed and are
+//! [`WorkerPool::scatter`] provides the fork/join idiom with
+//! *deterministic result ordering*: results come back indexed and are
 //! reassembled in submission order regardless of which worker finished
 //! first.
 
@@ -76,7 +77,7 @@ impl WorkerPool {
             .map(|i| {
                 let rx = Arc::clone(&receiver);
                 std::thread::Builder::new()
-                    .name(format!("mapa-matcher-{i}"))
+                    .name(format!("mapa-worker-{i}"))
                     .spawn(move || {
                         CURRENT_POOL.with(|p| p.set(id));
                         worker_loop(&rx);
@@ -117,9 +118,9 @@ impl WorkerPool {
     /// blocks until all tasks finish.
     ///
     /// Re-entrant: when called from a task already running on this pool
-    /// (e.g. a parallel dispatch task whose shard policy enumerates
-    /// through the same shared matcher pool), the batch runs inline on
-    /// the calling worker in task order — same results, no deadlock.
+    /// (e.g. a campaign cell whose cluster dispatches in parallel
+    /// on the same shared pool), the batch runs inline on the calling
+    /// worker in task order — same results, no deadlock.
     ///
     /// # Panics
     /// Panics if any task panicked (the batch cannot be completed).

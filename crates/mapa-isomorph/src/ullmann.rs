@@ -7,16 +7,13 @@
 //! row by row. Kept deliberately independent of the VF2 code so the two
 //! backends cross-validate each other.
 
-use crate::Embedding;
 use mapa_graph::{BitSet, Graph};
 
 /// Enumerates embeddings of `pattern` into `data` using Ullmann's
-/// algorithm. `induced` additionally requires pattern non-edges to map to
-/// data non-edges. `frozen` excludes data vertices from use.
+/// algorithm. `frozen` excludes data vertices from use.
 pub fn enumerate<P: Copy, D: Copy>(
     pattern: &Graph<P>,
     data: &Graph<D>,
-    induced: bool,
     frozen: Option<&BitSet>,
     visit: &mut dyn FnMut(&[usize]) -> bool,
 ) {
@@ -35,15 +32,7 @@ pub fn enumerate<P: Copy, D: Copy>(
             if frozen.is_some_and(|f| f.contains(d)) {
                 continue;
             }
-            let deg_ok = if induced {
-                // Induced embeddings into a fixed-size pattern still only
-                // need data degree >= pattern degree within the image; the
-                // non-edge condition is enforced during search.
-                data.degree(d) >= pattern.degree(p)
-            } else {
-                data.degree(d) >= pattern.degree(p)
-            };
-            if deg_ok {
+            if data.degree(d) >= pattern.degree(p) {
                 row.insert(d);
             }
         }
@@ -60,7 +49,6 @@ pub fn enumerate<P: Copy, D: Copy>(
     backtrack(
         pattern,
         data,
-        induced,
         &m,
         0,
         &mut map,
@@ -107,7 +95,6 @@ fn refine<P: Copy, D: Copy>(pattern: &Graph<P>, data: &Graph<D>, m: &mut [BitSet
 fn backtrack<P: Copy, D: Copy>(
     pattern: &Graph<P>,
     data: &Graph<D>,
-    induced: bool,
     m: &[BitSet],
     depth: usize,
     map: &mut Vec<usize>,
@@ -131,57 +118,34 @@ fn backtrack<P: Copy, D: Copy>(
         if used.contains(d) {
             continue;
         }
-        let ok = (0..depth).all(|p| {
-            let pe = pattern.has_edge(depth, p);
-            let de = data.has_edge(d, map[p]);
-            if induced {
-                pe == de
-            } else {
-                !pe || de
-            }
-        });
+        let ok = (0..depth).all(|p| !pattern.has_edge(depth, p) || data.has_edge(d, map[p]));
         if ok {
             map[depth] = d;
             used.insert(d);
-            backtrack(
-                pattern,
-                data,
-                induced,
-                m,
-                depth + 1,
-                map,
-                used,
-                stopped,
-                visit,
-            );
+            backtrack(pattern, data, m, depth + 1, map, used, stopped, visit);
             used.remove(d);
             map[depth] = usize::MAX;
         }
     }
 }
 
-/// Convenience wrapper collecting all embeddings into a sorted vector.
-#[must_use]
-pub fn all_embeddings<P: Copy, D: Copy>(
-    pattern: &Graph<P>,
-    data: &Graph<D>,
-    induced: bool,
-) -> Vec<Embedding> {
-    let mut out = Vec::new();
-    enumerate(pattern, data, induced, None, &mut |map| {
-        out.push(Embedding::new(map.to_vec()));
-        true
-    });
-    out.sort();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute_force_embeddings;
+    use crate::{brute_force_embeddings, Embedding};
     use mapa_graph::PatternGraph;
     use proptest::prelude::*;
+
+    /// All embeddings found by [`enumerate`], sorted.
+    fn all_embeddings(pattern: &PatternGraph, data: &PatternGraph) -> Vec<Embedding> {
+        let mut out = Vec::new();
+        enumerate(pattern, data, None, &mut |map| {
+            out.push(Embedding::new(map.to_vec()));
+            true
+        });
+        out.sort();
+        out
+    }
 
     #[test]
     fn matches_brute_force_on_fixed_cases() {
@@ -192,12 +156,10 @@ mod tests {
             (PatternGraph::star(4), PatternGraph::all_to_all(4)),
         ];
         for (p, d) in cases {
-            for induced in [false, true] {
-                let got = all_embeddings(&p, &d, induced);
-                let mut expect = brute_force_embeddings(&p, &d, induced);
-                expect.sort();
-                assert_eq!(got, expect, "pattern={p:?} induced={induced}");
-            }
+            let got = all_embeddings(&p, &d);
+            let mut expect = brute_force_embeddings(&p, &d);
+            expect.sort();
+            assert_eq!(got, expect, "pattern={p:?}");
         }
     }
 
@@ -207,7 +169,7 @@ mod tests {
         // adjacent, refinement must detect emptiness quickly.
         let p = PatternGraph::all_to_all(3);
         let d = PatternGraph::star(6);
-        assert!(all_embeddings(&p, &d, false).is_empty());
+        assert!(all_embeddings(&p, &d).is_empty());
     }
 
     #[test]
@@ -216,7 +178,7 @@ mod tests {
         let d = PatternGraph::all_to_all(4);
         let frozen = BitSet::from_indices(4, &[3]);
         let mut out = Vec::new();
-        enumerate(&p, &d, false, Some(&frozen), &mut |m| {
+        enumerate(&p, &d, Some(&frozen), &mut |m| {
             out.push(m.to_vec());
             true
         });
@@ -229,7 +191,7 @@ mod tests {
         let p = PatternGraph::ring(2);
         let d = PatternGraph::all_to_all(6);
         let mut n = 0;
-        enumerate(&p, &d, false, None, &mut |_| {
+        enumerate(&p, &d, None, &mut |_| {
             n += 1;
             n < 5
         });
@@ -244,7 +206,6 @@ mod tests {
             dn in 1usize..7,
             pedges in proptest::collection::vec((0usize..5, 0usize..5), 0..8),
             dedges in proptest::collection::vec((0usize..7, 0usize..7), 0..16),
-            induced in any::<bool>(),
         ) {
             let mut p = PatternGraph::new(pn);
             for (u, v) in pedges {
@@ -256,8 +217,8 @@ mod tests {
                 let (u, v) = (u % dn, v % dn);
                 if u != v { let _ = d.set_edge(u, v, ()); }
             }
-            let got = all_embeddings(&p, &d, induced);
-            let mut expect = brute_force_embeddings(&p, &d, induced);
+            let got = all_embeddings(&p, &d);
+            let mut expect = brute_force_embeddings(&p, &d);
             expect.sort();
             prop_assert_eq!(got, expect);
         }

@@ -14,14 +14,8 @@ use mapa_graph::{BitSet, Graph};
 /// Search configuration for a single [`enumerate`] call.
 #[derive(Debug, Clone, Default)]
 pub struct Vf2Config {
-    /// Require induced isomorphism (pattern non-edges map to non-edges).
-    pub induced: bool,
     /// Symmetry-breaking constraints over pattern vertices.
     pub constraints: Vec<Constraint>,
-    /// Restricts the candidate data vertices for the *first* pattern vertex
-    /// in plan order. Used by the parallel enumerator to partition the
-    /// search tree; `None` allows all.
-    pub first_candidates: Option<BitSet>,
 }
 
 /// Enumerates embeddings of `pattern` into `data`, invoking `visit` with the
@@ -65,12 +59,9 @@ pub fn enumerate<P: Copy, D: Copy>(
     }
 
     let mut state = State {
-        pattern,
         data,
         plan: &plan,
-        induced: config.induced,
         checks_at: &checks_at,
-        first_candidates: config.first_candidates.as_ref(),
         map: vec![usize::MAX; pn],
         used: frozen.cloned().unwrap_or_else(|| BitSet::new(dn)),
         stopped: false,
@@ -78,19 +69,16 @@ pub fn enumerate<P: Copy, D: Copy>(
     state.recurse(0, visit);
 }
 
-struct State<'a, P: Copy, D: Copy> {
-    pattern: &'a Graph<P>,
+struct State<'a, D: Copy> {
     data: &'a Graph<D>,
     plan: &'a SearchPlan,
-    induced: bool,
     checks_at: &'a [Vec<Constraint>],
-    first_candidates: Option<&'a BitSet>,
     map: Vec<usize>,
     used: BitSet,
     stopped: bool,
 }
 
-impl<P: Copy, D: Copy> State<'_, P, D> {
+impl<D: Copy> State<'_, D> {
     fn recurse(&mut self, depth: usize, visit: &mut dyn FnMut(&[usize]) -> bool) {
         if self.stopped {
             return;
@@ -134,27 +122,12 @@ impl<P: Copy, D: Copy> State<'_, P, D> {
             c
         };
         cand.difference_with(&self.used);
-        if depth == 0 {
-            if let Some(first) = self.first_candidates {
-                cand.intersect_with(first);
-            }
-        }
         cand
     }
 
-    /// Checks induced non-edges and symmetry constraints for assigning
-    /// data vertex `d` to pattern vertex `pv` at position `depth`.
+    /// Checks the symmetry constraints that become decidable when data
+    /// vertex `d` is assigned to pattern vertex `pv` at position `depth`.
     fn feasible(&self, depth: usize, pv: usize, d: usize) -> bool {
-        if self.induced {
-            // All earlier positions NOT adjacent to pv in the pattern must
-            // also be non-adjacent in the data graph.
-            for j in 0..depth {
-                let pu = self.plan.order[j];
-                if !self.pattern.has_edge(pv, pu) && self.data.has_edge(d, self.map[pu]) {
-                    return false;
-                }
-            }
-        }
         for c in &self.checks_at[depth] {
             let (s, l) = (self.image_or(c.small, pv, d), self.image_or(c.large, pv, d));
             if s >= l {
@@ -203,17 +176,10 @@ mod tests {
             (PatternGraph::ring(5), PatternGraph::ring(4)), // no match
         ];
         for (p, d) in cases {
-            for induced in [false, true] {
-                let cfg = Vf2Config {
-                    induced,
-                    constraints: vec![],
-                    first_candidates: None,
-                };
-                let got = collect(&p, &d, &cfg);
-                let mut expect = brute_force_embeddings(&p, &d, induced);
-                expect.sort();
-                assert_eq!(got, expect, "pattern={p:?} data={d:?} induced={induced}");
-            }
+            let got = collect(&p, &d, &Vf2Config::default());
+            let mut expect = brute_force_embeddings(&p, &d);
+            expect.sort();
+            assert_eq!(got, expect, "pattern={p:?} data={d:?}");
         }
     }
 
@@ -261,15 +227,7 @@ mod tests {
         ] {
             let (autos, constraints) = analyze(&pattern);
             let all = collect(&pattern, &data, &Vf2Config::default());
-            let canon = collect(
-                &pattern,
-                &data,
-                &Vf2Config {
-                    induced: false,
-                    constraints,
-                    first_candidates: None,
-                },
-            );
+            let canon = collect(&pattern, &data, &Vf2Config { constraints });
             assert_eq!(
                 all.len(),
                 canon.len() * autos.len(),
@@ -297,7 +255,6 @@ mod tests {
             dn in 1usize..7,
             pedges in proptest::collection::vec((0usize..5, 0usize..5), 0..8),
             dedges in proptest::collection::vec((0usize..7, 0usize..7), 0..16),
-            induced in any::<bool>(),
         ) {
             let mut p = PatternGraph::new(pn);
             for (u, v) in pedges {
@@ -309,9 +266,8 @@ mod tests {
                 let (u, v) = (u % dn, v % dn);
                 if u != v { let _ = d.set_edge(u, v, ()); }
             }
-            let cfg = Vf2Config { induced, constraints: vec![], first_candidates: None };
-            let got = collect(&p, &d, &cfg);
-            let mut expect = brute_force_embeddings(&p, &d, induced);
+            let got = collect(&p, &d, &Vf2Config::default());
+            let mut expect = brute_force_embeddings(&p, &d);
             expect.sort();
             prop_assert_eq!(got, expect);
         }
@@ -335,7 +291,7 @@ mod tests {
             }
             let (autos, constraints) = analyze(&p);
             let all = collect(&p, &d, &Vf2Config::default());
-            let canon = collect(&p, &d, &Vf2Config { induced: false, constraints, first_candidates: None });
+            let canon = collect(&p, &d, &Vf2Config { constraints });
             prop_assert_eq!(all.len(), canon.len() * autos.len());
         }
     }

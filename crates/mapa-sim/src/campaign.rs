@@ -460,7 +460,7 @@ pub struct CampaignSpec<C> {
 
 /// Runs a campaign: every cell becomes one pool task that builds its
 /// context once via `setup` (the expensive immutable state — fitted
-/// models, topologies, matcher pools — is paid per *cell*, not per
+/// models, topologies — is paid per *cell*, not per
 /// replication), then runs `replications` simulations sequentially in
 /// replication order, folding each report into a [`CellAccumulator`] and
 /// dropping it. `label` names the cell in its summary row.
@@ -469,7 +469,7 @@ pub struct CampaignSpec<C> {
 /// scheduling, and every cell's replication `r` receives the CRN seed
 /// [`crn_seed`]`(spec.base_seed, r)` — together these make the output
 /// table bit-identical at any worker-thread count. Cells may themselves
-/// use `pool` internally (e.g. parallel pattern matchers): [`WorkerPool`]
+/// use `pool` internally (e.g. parallel cluster dispatch): [`WorkerPool`]
 /// scatter calls are re-entrant, so nested use runs inline on the worker
 /// instead of deadlocking.
 pub fn run_campaign<C, Ctx, L, S, R>(

@@ -37,7 +37,6 @@ use mapa_core::policy::AllocationPolicy;
 use mapa_core::scoring::MatchScore;
 use mapa_core::{AllocatorConfig, CacheStats, MapaAllocator, PreemptionPolicy};
 use mapa_interconnect::{effbw, rings};
-use mapa_isomorph::Matcher;
 use mapa_topology::Topology;
 use mapa_workloads::{perf, JobGroup, JobSpec};
 use std::collections::{HashSet, VecDeque};
@@ -98,13 +97,6 @@ impl ArrivalProcess {
             }
             _ => Ok(()),
         }
-    }
-
-    /// Submission times for `n` jobs, non-decreasing.
-    #[cfg(test)]
-    fn submission_times(self, n: usize) -> Vec<f64> {
-        let mut clock = ArrivalClock::new(self);
-        (0..n).map(|_| clock.next_time()).collect()
     }
 }
 
@@ -365,10 +357,6 @@ pub struct SimConfig {
     /// custom policies that consult inputs outside the cache key (e.g.
     /// `job.workload` or `job.id`).
     pub cached: bool,
-    /// Matcher the backend's allocator(s) should use, e.g. one backed by
-    /// a worker pool shared across several simulations
-    /// (`Matcher::with_pool`). `None` keeps the backend's own matcher(s).
-    pub matcher: Option<Matcher>,
     /// Preemption policy: whether (and from whom) a blocked
     /// higher-priority arrival may take GPUs back. Default
     /// [`PreemptionPolicy::None`] — with it, schedules are bit-identical
@@ -391,7 +379,6 @@ impl Default for SimConfig {
             strict_fifo: true,
             arrivals: ArrivalProcess::Batch,
             cached: true,
-            matcher: None,
             preemption: PreemptionPolicy::None,
             preemption_penalty_seconds: DEFAULT_PREEMPTION_PENALTY_SECONDS,
         }
@@ -557,8 +544,7 @@ pub trait SchedulerBackend {
     /// is full" from "capacity exists but is fragmented across servers".
     fn total_free_gpus(&self) -> usize;
 
-    /// Applies the engine configuration (cache toggle, shared matcher)
-    /// before a run.
+    /// Applies the engine configuration (cache toggle) before a run.
     fn configure(&mut self, config: &SimConfig);
 
     /// Attempts to place `job` now; `None` means "retry after a release"
@@ -719,14 +705,11 @@ pub trait SchedulerBackend {
     }
 }
 
-/// Applies a [`SimConfig`]'s matcher/cache settings to one allocator —
+/// Applies a [`SimConfig`]'s cache setting to one allocator —
 /// the per-server half of [`SchedulerBackend::configure`], shared by
 /// [`SingleServer`] and multi-server backends (`mapa-cluster` applies it
 /// to every shard) so the two paths cannot drift apart.
 pub fn configure_allocator(allocator: &mut MapaAllocator, config: &SimConfig) {
-    if let Some(matcher) = config.matcher.clone() {
-        allocator.set_matcher(matcher);
-    }
     if !config.cached {
         allocator.apply_config(&AllocatorConfig::default());
     } else if allocator.cache_stats().is_none() {
@@ -750,7 +733,7 @@ impl SingleServer {
         }
     }
 
-    /// Wraps a pre-built allocator (custom model or matcher).
+    /// Wraps a pre-built allocator (e.g. one with a custom model).
     #[must_use]
     pub fn from_allocator(allocator: MapaAllocator) -> Self {
         Self { allocator }
@@ -1099,7 +1082,7 @@ impl Engine<SingleServer> {
         Engine::over(SingleServer::new(topology, policy))
     }
 
-    /// Uses a pre-built allocator (custom model or matcher).
+    /// Uses a pre-built allocator (e.g. one with a custom model).
     #[must_use]
     pub fn from_allocator(allocator: MapaAllocator) -> Self {
         Engine::over(SingleServer::from_allocator(allocator))
@@ -1774,6 +1757,14 @@ mod tests {
         JobSpec::new(id, mapa_workloads::GpuDemand::Whole(n), workload).with_iterations(iters)
     }
 
+    impl ArrivalProcess {
+        /// Submission times for `n` jobs, non-decreasing.
+        fn submission_times(self, n: usize) -> Vec<f64> {
+            let mut clock = ArrivalClock::new(self);
+            (0..n).map(|_| clock.next_time()).collect()
+        }
+    }
+
     #[test]
     fn single_job_runs_to_completion() {
         let jobs = vec![job(1, 2, Workload::Vgg16, 100)];
@@ -2134,57 +2125,6 @@ mod tests {
             assert_eq!(a.job.id, b.job.id);
             assert_eq!(a.gpus, b.gpus);
             assert_eq!(a.started_at, b.started_at);
-            assert_eq!(a.finished_at, b.finished_at);
-        }
-    }
-
-    #[test]
-    fn shared_matcher_pool_threads_through_the_engine() {
-        use mapa_isomorph::{MatchOptions, WorkerPool};
-        use std::sync::Arc;
-
-        /// A matcher-driven policy (unlike the built-in set-streaming
-        /// ones): enumerates embeddings through `candidate_matches`, i.e.
-        /// through `PolicyContext::matcher` — so a pooled matcher threaded
-        /// through the engine genuinely runs parallel enumeration here.
-        struct MatcherDrivenPolicy;
-
-        impl mapa_core::policy::AllocationPolicy for MatcherDrivenPolicy {
-            fn name(&self) -> &'static str {
-                "matcher-driven"
-            }
-
-            fn select(
-                &self,
-                job: &JobSpec,
-                ctx: &mapa_core::policy::PolicyContext<'_>,
-            ) -> Option<Vec<usize>> {
-                mapa_core::policy::candidate_matches(job, ctx)
-                    .first()
-                    .map(mapa_isomorph::Embedding::vertex_set)
-            }
-        }
-
-        let pool = Arc::new(WorkerPool::new(2));
-        let jobs = generator::paper_job_mix(23);
-        let base =
-            Simulation::new(machines::dgx1_v100(), Box::new(MatcherDrivenPolicy)).run(&jobs[..40]);
-        let pooled = Simulation::new(machines::dgx1_v100(), Box::new(MatcherDrivenPolicy))
-            .with_config(SimConfig {
-                matcher: Some(Matcher::with_pool(
-                    MatchOptions {
-                        threads: Some(2),
-                        ..MatchOptions::default()
-                    },
-                    pool,
-                )),
-                ..SimConfig::default()
-            })
-            .run(&jobs[..40]);
-        // Parallel enumeration on the shared pool returns the same
-        // deterministic candidate order, so schedules are identical.
-        for (a, b) in base.records.iter().zip(&pooled.records) {
-            assert_eq!(a.gpus, b.gpus);
             assert_eq!(a.finished_at, b.finished_at);
         }
     }

@@ -2,7 +2,8 @@
 //!
 //! The paper (§3.2) extracts hardware graphs "from existing tools, such as
 //! nvidia-smi". This module accepts the connectivity-matrix format that
-//! tool prints, so a user on a real machine can feed MAPA the same way:
+//! tool prints (trailing affinity/NIC columns, NIC rows and the legend
+//! block included), so a user on a real machine can feed MAPA the same way:
 //!
 //! ```text
 //!        GPU0  GPU1  GPU2
@@ -41,7 +42,7 @@ pub enum ParseError {
         row: usize,
         /// Cells found.
         found: usize,
-        /// Cells expected (GPU count + row label).
+        /// Cells expected (the GPU count).
         expected: usize,
     },
     /// An unrecognized cell token.
@@ -88,95 +89,74 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses an `nvidia-smi topo -m`-style matrix into a [`Topology`].
+/// The GPU-to-GPU corner of an `nvidia-smi topo -m` matrix.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LinkMatrix {
+    /// `bricks[i][j]`: bonded NVLink bricks between GPUs `i` and `j`
+    /// (`0` = a PCIe-class path only). Symmetric, zero diagonal.
+    pub bricks: Vec<Vec<u8>>,
+    /// Inferred socket of each GPU: a GPU shares the socket of its lowest
+    /// peer not separated from it by `SYS`. (For machines without `SYS`
+    /// cells everything lands in socket 0.)
+    pub sockets: Vec<usize>,
+}
+
+/// Parses the GPU-to-GPU corner of `nvidia-smi topo -m` output — the one
+/// grammar for that format, shared by [`parse_topology_matrix`] and
+/// `mapa-agent`'s `nvidia-smi` probe.
 ///
-/// Rows may carry a leading `GPU<n>` label; a header line of column labels
-/// is skipped automatically. Socket domains are inferred: GPUs connected by
-/// any NVLink or a non-`SYS` PCIe path share a socket with their lowest
-/// such peer; `SYS` implies crossing sockets. (For machines without `SYS`
-/// cells everything lands in socket 0.)
+/// A data row is a `GPU<n>` label followed by a link cell; the header
+/// (labels only, then `CPU Affinity` and the like), NIC rows, the columns
+/// after the GPU ones and the legend block are ignored.
 ///
 /// # Errors
 /// Returns a [`ParseError`] describing the first problem found.
-pub fn parse_topology_matrix(
-    input: &str,
-    name: &str,
-    generation: NvlinkGeneration,
-) -> Result<Topology, ParseError> {
-    // Collect data rows: lines whose first meaningful token is a GPU label
-    // or a cell. Skip the header (a line starting with column labels).
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for line in input.lines() {
-        let tokens: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-        if tokens.is_empty() {
-            continue;
-        }
-        // Header line: starts with a GPU label and contains ONLY labels.
-        let all_labels = tokens.iter().all(|t| t.starts_with("GPU"));
-        if all_labels {
-            continue;
-        }
-        rows.push(tokens);
-    }
-    if rows.is_empty() {
-        return Err(ParseError::Empty);
-    }
-    let n = rows.len();
-
-    // Normalise: drop a leading GPU label if present.
-    let mut cells: Vec<Vec<String>> = Vec::with_capacity(n);
-    for (i, mut row) in rows.into_iter().enumerate() {
-        if row.first().is_some_and(|t| t.starts_with("GPU")) {
-            row.remove(0);
-        }
-        if row.len() < n {
-            return Err(ParseError::RowLength {
-                row: i,
-                found: row.len(),
-                expected: n,
-            });
-        }
-        row.truncate(n); // ignore trailing columns (CPU affinity etc.)
-        cells.push(row);
-    }
-
+pub fn parse_link_matrix(input: &str) -> Result<LinkMatrix, ParseError> {
     #[derive(Clone, Copy, PartialEq)]
     enum Cell {
         Diagonal,
-        NvLink(u32),
+        NvLink(u8),
         PciLocal, // PHB / PXB / PIX / NODE: same PCIe root or NUMA node
         PciSys,   // SYS: across sockets
     }
 
-    let classify = |row: usize, col: usize, tok: &str| -> Result<Cell, ParseError> {
-        let t = tok.to_ascii_uppercase();
-        if t == "X" {
-            Ok(Cell::Diagonal)
-        } else if let Some(k) = t.strip_prefix("NV") {
-            k.parse::<u32>()
-                .map(Cell::NvLink)
-                .map_err(|_| ParseError::BadCell {
-                    row,
-                    col,
-                    token: tok.to_string(),
-                })
-        } else if matches!(t.as_str(), "PHB" | "PXB" | "PIX" | "NODE") {
-            Ok(Cell::PciLocal)
-        } else if t == "SYS" || t == "QPI" {
-            Ok(Cell::PciSys)
-        } else {
-            Err(ParseError::BadCell {
-                row,
-                col,
-                token: tok.to_string(),
-            })
-        }
-    };
+    let is_label = |t: &str| t.starts_with("GPU");
+    let rows: Vec<Vec<&str>> = input
+        .lines()
+        .map(|line| line.split_whitespace().collect::<Vec<_>>())
+        .filter(|t| t.len() > 1 && is_label(t[0]) && !is_label(t[1]))
+        .collect();
+    let n = rows.len();
+    if n == 0 {
+        return Err(ParseError::Empty);
+    }
 
     let mut grid = vec![vec![Cell::Diagonal; n]; n];
-    for i in 0..n {
-        for j in 0..n {
-            grid[i][j] = classify(i, j, &cells[i][j])?;
+    for (i, row) in rows.iter().enumerate() {
+        let cells = &row[1..];
+        if cells.len() < n {
+            return Err(ParseError::RowLength {
+                row: i,
+                found: cells.len(),
+                expected: n,
+            });
+        }
+        for (j, &tok) in cells[..n].iter().enumerate() {
+            let t = tok.to_ascii_uppercase();
+            let bricks = t.strip_prefix("NV").map(str::parse::<u8>);
+            grid[i][j] = match (t.as_str(), bricks) {
+                ("X", _) => Cell::Diagonal,
+                (_, Some(Ok(k))) => Cell::NvLink(k),
+                ("PHB" | "PXB" | "PIX" | "NODE", _) => Cell::PciLocal,
+                ("SYS" | "QPI", _) => Cell::PciSys,
+                _ => {
+                    return Err(ParseError::BadCell {
+                        row: i,
+                        col: j,
+                        token: tok.to_string(),
+                    })
+                }
+            };
         }
     }
 
@@ -191,39 +171,62 @@ pub fn parse_topology_matrix(
         }
     }
 
-    let mut links = Graph::new(n);
-    for (i, row) in grid.iter().enumerate() {
-        for (j, &cell) in row.iter().enumerate().skip(i + 1) {
-            if let Cell::NvLink(k) = cell {
-                let link = match (k, generation) {
-                    (0, _) => continue,
-                    (1, NvlinkGeneration::V1) => LinkType::SingleNvLink1,
-                    (1, NvlinkGeneration::V2) => LinkType::SingleNvLink2,
-                    // Treat >= 2 bricks as the paper's "double" class.
-                    (_, _) => LinkType::DoubleNvLink2,
-                };
-                links.add_edge(i, j, link).expect("matrix edges valid");
-            }
-        }
-    }
+    let bricks = grid
+        .iter()
+        .map(|row| {
+            row.iter()
+                .map(|&cell| match cell {
+                    Cell::NvLink(k) => k,
+                    _ => 0,
+                })
+                .collect()
+        })
+        .collect();
 
     // Socket inference: union GPUs not separated by SYS.
-    let mut socket = vec![usize::MAX; n];
+    let mut sockets = vec![usize::MAX; n];
     let mut next = 0;
     for i in 0..n {
-        if socket[i] != usize::MAX {
+        if sockets[i] != usize::MAX {
             continue;
         }
-        socket[i] = next;
+        sockets[i] = next;
         for j in (i + 1)..n {
-            if socket[j] == usize::MAX && grid[i][j] != Cell::PciSys {
-                socket[j] = next;
+            if sockets[j] == usize::MAX && grid[i][j] != Cell::PciSys {
+                sockets[j] = next;
             }
         }
         next += 1;
     }
 
-    Ok(Topology::new(name, links, socket))
+    Ok(LinkMatrix { bricks, sockets })
+}
+
+/// Parses an `nvidia-smi topo -m`-style matrix into a [`Topology`]: the
+/// link matrix of [`parse_link_matrix`], `NV1` as the single-NVLink class
+/// of `generation` and `NV2`+ as the paper's "double" class.
+///
+/// # Errors
+/// Returns a [`ParseError`] describing the first problem found.
+pub fn parse_topology_matrix(
+    input: &str,
+    name: &str,
+    generation: NvlinkGeneration,
+) -> Result<Topology, ParseError> {
+    let LinkMatrix { bricks, sockets } = parse_link_matrix(input)?;
+    let mut links = Graph::new(bricks.len());
+    for (i, row) in bricks.iter().enumerate() {
+        for (j, &k) in row.iter().enumerate().skip(i + 1) {
+            let link = match (k, generation) {
+                (0, _) => continue,
+                (1, NvlinkGeneration::V1) => LinkType::SingleNvLink1,
+                (1, NvlinkGeneration::V2) => LinkType::SingleNvLink2,
+                (_, _) => LinkType::DoubleNvLink2,
+            };
+            links.add_edge(i, j, link).expect("matrix edges valid");
+        }
+    }
+    Ok(Topology::new(name, links, sockets))
 }
 
 /// Renders a topology back into the matrix format (round-trips with
@@ -356,6 +359,23 @@ GPU3   SYS   NV1   NV2    X
             parse_topology_matrix(diag, "x", NvlinkGeneration::V2),
             Err(ParseError::BadDiagonal(0))
         ));
+    }
+
+    /// Real tool output: tab-separated, affinity and NIC columns after the
+    /// GPU ones, a NIC row, the legend block.
+    const SMI_OUTPUT: &str = include_str!("../../../tests/fixtures/nvidia-smi-topo.txt");
+
+    #[test]
+    fn real_tool_output_parses() {
+        let m = parse_link_matrix(SMI_OUTPUT).unwrap();
+        assert_eq!(m.bricks, [[0, 2, 0], [2, 0, 1], [0, 1, 0]]);
+        assert_eq!(m.sockets, [0, 0, 1]);
+        let t = parse_topology_matrix(SMI_OUTPUT, "smi", NvlinkGeneration::V2).unwrap();
+        assert_eq!(t.gpu_count(), 3);
+        assert_eq!(t.link_type(0, 1), LinkType::DoubleNvLink2);
+        assert_eq!(t.link_type(1, 2), LinkType::SingleNvLink2);
+        assert_eq!(t.link_type(0, 2), LinkType::Pcie);
+        assert_eq!(t.socket_count(), 2);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 use mapa::core::policy::{candidate_matches, AllocationPolicy, PolicyContext};
 use mapa::core::scoring;
 use mapa::prelude::*;
-use mapa::sim::{SimConfig, Simulation};
-use std::sync::Arc;
+use mapa::sim::Simulation;
 
 /// Adversarial policy: always take the worst-scoring match.
 struct WorstFitPolicy;
@@ -43,7 +42,6 @@ fn main() {
     };
     let jobs = generator::generate_jobs(&cfg, 77);
     let dgx = machines::dgx1_v100();
-    let pool = Arc::new(WorkerPool::with_default_threads());
 
     println!(
         "Policy comparison on {} jobs (sensitive multi-GPU jobs only):\n",
@@ -61,16 +59,9 @@ fn main() {
         ("baseline", Box::new(BaselinePolicy)),
         ("Preserve", Box::new(PreservePolicy)),
     ] {
-        // WorstFit goes through `candidate_matches`, i.e. the matcher —
-        // so all three runs share one persistent worker pool (the
-        // built-in set-streaming policies simply never call into it).
-        let pooled = Matcher::with_pool(MatchOptions::parallel(), Arc::clone(&pool));
-        let report = Simulation::new(dgx.clone(), policy)
-            .with_config(SimConfig {
-                matcher: Some(pooled),
-                ..SimConfig::default()
-            })
-            .run(&jobs);
+        // WorstFit goes through `candidate_matches`, i.e. the matcher; the
+        // built-in set-streaming policies never call into it.
+        let report = Simulation::new(dgx.clone(), policy).run(&jobs);
         let times = report.execution_times(|r| r.job.bandwidth_sensitive && r.job.num_gpus() >= 2);
         let s = stats::summarize(&times);
         println!(

@@ -25,13 +25,14 @@ use mapa_topology::{PartitionPlan, Topology};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// What every fleet built in one process can share: the matcher worker
-/// pool, and the Predicted-EffBW models fitted so far (keyed by machine
+/// What every fleet built in one process can share: the worker pool, and
+/// the Predicted-EffBW models fitted so far (keyed by machine
 /// name — a partitioned machine's name encodes its plan). A campaign
 /// cell builds a fresh fleet per replication but pays for neither twice.
 #[derive(Clone)]
 pub struct Shared {
-    /// The pool every shard's matcher enumerates on.
+    /// The pool clusters dispatch in parallel on and campaigns run their
+    /// cells on.
     pub pool: Arc<WorkerPool>,
     /// Fitted models, extended by every fleet built.
     pub models: HashMap<String, EffBwModel>,

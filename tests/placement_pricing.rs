@@ -315,6 +315,24 @@ fn the_cli_reports_bad_input_instead_of_panicking() {
         assert!(!line.ends_with("FAIL"), "{line}");
     }
 
+    // `topo FILE` reads `nvidia-smi topo -m` output as the tool prints it
+    // (affinity and NIC columns, a NIC row, the legend) — it used to count
+    // the header and legend lines as GPU rows.
+    let smi_output = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/nvidia-smi-topo.txt"
+    );
+    let out = Command::new(SCHED)
+        .args(["topo", smi_output])
+        .output()
+        .expect("mapa-sched runs");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 matrix");
+    assert!(
+        out.status.success() && stdout.contains("— 3 GPUs"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("GPU1    NV2     X   NV1"), "{stdout}");
+
     for file in [
         twelve_gpu_job,
         two_gpu_job,

@@ -3,7 +3,7 @@
 use crate::cache::{AllocationCache, CacheStats, DEFAULT_CACHE_CAPACITY};
 use crate::policy::{AllocationPolicy, PolicyContext};
 use crate::preempt::PreemptionPolicy;
-use crate::scoring::{self, MatchScore};
+use crate::scoring::{self, MatchScore, SetScorer};
 use mapa_graph::PatternGraph;
 use mapa_graph::WeightedGraph;
 use mapa_isomorph::Matcher;
@@ -337,29 +337,18 @@ impl MapaAllocator {
     }
 
     /// Scores a hypothetical allocation of `gpus` to `job` against the
-    /// current state, without allocating.
+    /// current state, without allocating. Aggregated bandwidth uses the
+    /// identity embedding of the pattern onto `gpus` as listed (a policy's
+    /// choice is already canonicalised to its ascending vertex set);
+    /// preserved bandwidth is defined against the current free graph.
+    ///
+    /// # Panics
+    /// Panics (`"allocated GPU must be free"`) if some `gpus` entry is busy
+    /// or out of range, and if one is listed twice.
     #[must_use]
     pub fn score_allocation(&self, job: &JobSpec, gpus: &[usize]) -> MatchScore {
-        let pattern = crate::appgraph::job_pattern(job);
-        // Aggregated bandwidth uses the identity embedding of the pattern
-        // onto the ascending GPU list (the embedding chosen by a policy is
-        // already canonicalised to its sorted vertex set).
-        let embedding = mapa_isomorph::Embedding::new(gpus.to_vec());
-        let (free_graph, free_map) = self.state.available_graph();
-        MatchScore {
-            aggregated_bw: scoring::aggregated_bandwidth(
-                &pattern,
-                &self.bandwidth_graph,
-                &embedding,
-            ),
-            predicted_eff_bw: scoring::predicted_effective_bandwidth(
-                &self.model,
-                &self.topology,
-                gpus,
-            ),
-            preserved_bw: scoring::preserved_bandwidth(&free_graph, &free_map, gpus),
-            link_mix: scoring::allocation_link_mix(&self.topology, gpus),
-        }
+        SetScorer::new(&self.state, &self.model, job)
+            .score(&crate::appgraph::job_pattern(job), gpus)
     }
 
     /// Releases a finished job's GPUs (§3.6 deallocation).
@@ -541,6 +530,14 @@ mod tests {
         assert_eq!(out.score.link_mix.double_nvlink, 1);
         assert!(out.score.preserved_bw > 0.0);
         assert!(out.scheduling_overhead < Duration::from_secs(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "allocated GPU must be free")]
+    fn score_allocation_rejects_busy_gpu() {
+        let mut a = MapaAllocator::new(machines::dgx1_v100(), Box::new(BaselinePolicy));
+        a.adopt(1, &[0]).unwrap();
+        let _ = a.score_allocation(&job(2, 2, true), &[0, 1]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! lexicographically smallest embedding.
 
 use crate::appgraph;
-use crate::scoring;
+use crate::scoring::{Ranking, SetScorer};
 use mapa_graph::{BitSet, PatternGraph, WeightedGraph};
 use mapa_isomorph::{Embedding, Matcher};
 use mapa_model::EffBwModel;
@@ -35,10 +35,11 @@ pub struct PolicyContext<'a> {
     pub matcher: &'a Matcher,
     /// Unweighted hardware graph (matcher data graph). Invariant: it is
     /// *complete* — PCIe connects every GPU pair — so every k-subset of
-    /// free GPUs hosts every k-vertex pattern; [`for_each_candidate_set`]
-    /// relies on it.
+    /// free GPUs hosts every k-vertex pattern; the set-scored policies
+    /// (Preserve, EffBW-greedy) rely on it and never call the matcher.
     pub data_graph: &'a PatternGraph,
-    /// Complete weighted hardware graph (for Eq. 1 scoring).
+    /// Complete weighted hardware graph (Eq. 1 scoring in custom
+    /// policies; the built-in ones read link speeds from a `SetScorer`).
     pub bandwidth_graph: &'a WeightedGraph,
 }
 
@@ -125,84 +126,27 @@ pub fn candidate_matches(job: &JobSpec, ctx: &PolicyContext<'_>) -> Vec<Embeddin
         .find_with_frozen(&pattern, ctx.data_graph, Some(&frozen))
 }
 
-/// Streams every candidate *vertex set* (ascending GPU lists) that can
-/// host the job's pattern, without materialising embeddings.
+/// The free vertex set maximising `ranking` for `job`, ties toward the
+/// lexicographically smallest set.
 ///
-/// Scores that depend only on the matched vertex set — Predicted EffBW and
-/// Preserved BW — do not distinguish embeddings of the same set, so
-/// set-based policies use this instead of [`candidate_matches`]. The data
-/// graph is complete ([`PolicyContext::data_graph`]'s invariant), so every
-/// k-subset of free GPUs hosts every k-vertex pattern and the stream is a
-/// plain combination walk: `C(free, k)` visits instead of up to
-/// `C(free, k) · k!` embeddings.
-pub fn for_each_candidate_set(
-    job: &JobSpec,
-    ctx: &PolicyContext<'_>,
-    mut visit: impl FnMut(&[usize]),
-) {
+/// Predicted EffBW, Preserved BW and the pressure penalty depend only on
+/// the matched vertex set, not on the embedding, and the data graph is
+/// complete ([`PolicyContext::data_graph`]'s invariant), so every k-subset
+/// of eligible free GPUs hosts every k-vertex pattern: the candidates are
+/// the `C(free, k)` combinations, scored from their prefixes by one
+/// [`SetScorer`], instead of up to `C(free, k) · k!` embeddings.
+fn best_set(job: &JobSpec, ctx: &PolicyContext<'_>, ranking: Ranking) -> Option<Vec<usize>> {
     let n = ctx.data_graph.vertex_count();
     debug_assert_eq!(
         ctx.data_graph.edge_count(),
         n * n.saturating_sub(1) / 2,
         "PolicyContext::data_graph must be complete"
     );
-    let k = job.num_gpus();
-    let free = ctx.eligible_free(job);
-    if k == 0 || k > free.len() {
-        return;
+    if job.num_gpus() > ctx.state.free_count() {
+        return None;
     }
-    // Lexicographic combination walk over the free list.
-    let mut idx: Vec<usize> = (0..k).collect();
-    let mut current: Vec<usize> = idx.iter().map(|&i| free[i]).collect();
-    loop {
-        visit(&current);
-        // Advance to the next combination.
-        let mut i = k;
-        loop {
-            if i == 0 {
-                return;
-            }
-            i -= 1;
-            if idx[i] != i + free.len() - k {
-                break;
-            }
-        }
-        idx[i] += 1;
-        for j in (i + 1)..k {
-            idx[j] = idx[j - 1] + 1;
-        }
-        for (slot, &i) in current.iter_mut().zip(&idx) {
-            *slot = free[i];
-        }
-    }
-}
-
-/// The ascending GPU set of an embedding's assignment slice.
-fn sorted_set(m: &[usize]) -> Vec<usize> {
-    let mut set = m.to_vec();
-    set.sort_unstable();
-    set
-}
-
-/// Pick the vertex set maximizing a two-level score over the candidate-set
-/// stream, ties toward the lexicographically smallest set.
-fn argmax_set_by_score2(
-    job: &JobSpec,
-    ctx: &PolicyContext<'_>,
-    mut score: impl FnMut(&[usize]) -> (f64, f64),
-) -> Option<Vec<usize>> {
-    let mut best: Option<((f64, f64), Vec<usize>)> = None;
-    for_each_candidate_set(job, ctx, |set| {
-        let s = score(set);
-        let better = match &best {
-            None => true,
-            Some((bs, _)) => s.0 > bs.0 || (s.0 == bs.0 && s.1 > bs.1),
-        };
-        if better {
-            best = Some((s, set.to_vec()));
-        }
-    });
-    best.map(|(_, set)| set)
+    SetScorer::new(ctx.state, ctx.model, job)
+        .best_set(ranking, job.num_gpus(), |v| ctx.demand_eligible(job, v))
 }
 
 /// The Nvidia-Docker-style baseline: the lowest-indexed free GPUs.
@@ -303,21 +247,24 @@ impl AllocationPolicy for GreedyPolicy {
         // class (not its labeling) — required for canonical-code keyed
         // allocation caching. On partitioned machines the co-residency
         // pressure penalty (zero elsewhere) is subtracted from AggBW.
+        let scorer = SetScorer::new(ctx.state, ctx.model, job);
+        let edges: Vec<(usize, usize)> = pattern.edges().map(|(p, q, ())| (p, q)).collect();
         let mut best: Option<(f64, Vec<usize>)> = None;
         ctx.matcher
             .for_each_with_frozen(&pattern, ctx.data_graph, Some(&frozen), &mut |m| {
-                let mut agg = 0.0;
-                for (u, v, ()) in pattern.edges() {
-                    agg += ctx.bandwidth_graph.weight(m[u], m[v]).unwrap_or(0.0);
-                }
-                let set = sorted_set(m);
-                let score = agg - scoring::pressure_penalty(job, ctx.state, &set);
-                let better = match &best {
-                    None => true,
-                    Some((b, bset)) => score > *b || (score == *b && set < *bset),
-                };
-                if better {
-                    best = Some((score, set));
+                // Both terms read the embedding as it comes; its ascending
+                // set is only needed to store a winner or settle a tie.
+                let score = scorer.aggregated_bandwidth(edges.iter().copied(), m)
+                    - scorer.pressure_penalty(m);
+                if best.as_ref().is_none_or(|(b, _)| score >= *b) {
+                    let mut set = m.to_vec();
+                    set.sort_unstable();
+                    if best
+                        .as_ref()
+                        .is_none_or(|(b, bset)| score > *b || set < *bset)
+                    {
+                        best = Some((score, set));
+                    }
                 }
                 true
             });
@@ -335,31 +282,19 @@ impl AllocationPolicy for PreservePolicy {
     }
 
     fn select(&self, job: &JobSpec, ctx: &PolicyContext<'_>) -> Option<Vec<usize>> {
-        let (free_graph, free_map) = ctx.state.available_graph();
-        if job.bandwidth_sensitive {
+        let ranking = if job.bandwidth_sensitive {
             // Primary: Predicted EffBW (Algorithm 1), less the co-residency
             // pressure penalty (zero on unpartitioned machines). Ties —
             // frequent, since many placements share a link mix — break
             // toward the one preserving the most bandwidth for later jobs.
-            argmax_set_by_score2(job, ctx, |gpus| {
-                (
-                    scoring::predicted_effective_bandwidth(ctx.model, ctx.topology, gpus)
-                        - scoring::pressure_penalty(job, ctx.state, gpus),
-                    scoring::preserved_bandwidth(&free_graph, &free_map, gpus),
-                )
-            })
+            Ranking::EffBwThenPreserved
         } else {
             // Primary: Preserved BW (Algorithm 1), less the pressure
             // penalty. Ties break toward the placement consuming the least
             // effective bandwidth itself.
-            argmax_set_by_score2(job, ctx, |gpus| {
-                (
-                    scoring::preserved_bandwidth(&free_graph, &free_map, gpus)
-                        - scoring::pressure_penalty(job, ctx.state, gpus),
-                    -scoring::predicted_effective_bandwidth(ctx.model, ctx.topology, gpus),
-                )
-            })
-        }
+            Ranking::PreservedThenLeastEffBw
+        };
+        best_set(job, ctx, ranking)
     }
 }
 
@@ -375,13 +310,7 @@ impl AllocationPolicy for EffBwGreedyPolicy {
     }
 
     fn select(&self, job: &JobSpec, ctx: &PolicyContext<'_>) -> Option<Vec<usize>> {
-        argmax_set_by_score2(job, ctx, |gpus| {
-            (
-                scoring::predicted_effective_bandwidth(ctx.model, ctx.topology, gpus)
-                    - scoring::pressure_penalty(job, ctx.state, gpus),
-                0.0,
-            )
-        })
+        best_set(job, ctx, Ranking::EffBw)
     }
 }
 
@@ -425,10 +354,213 @@ pub fn allocation_policy_by_name(name: &str) -> Option<Box<dyn AllocationPolicy>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scoring::{self, MatchScore};
+    use crate::MapaAllocator;
     use mapa_isomorph::{Backend, DedupMode, MatchOptions};
     use mapa_model::{corpus, paper_coefficients};
     use mapa_topology::{machines, PartitionPlan};
     use mapa_workloads::{AppTopology, GpuDemand, Workload};
+    use std::sync::OnceLock;
+
+    /// Oracle: streams every candidate vertex set (ascending GPU lists) in
+    /// lexicographic order — the walk `SetScorer::best_set` must reproduce.
+    fn for_each_candidate_set(
+        job: &JobSpec,
+        ctx: &PolicyContext<'_>,
+        mut visit: impl FnMut(&[usize]),
+    ) {
+        let k = job.num_gpus();
+        let free = ctx.eligible_free(job);
+        if k == 0 || k > free.len() {
+            return;
+        }
+        let mut idx: Vec<usize> = (0..k).collect();
+        let mut current: Vec<usize> = idx.iter().map(|&i| free[i]).collect();
+        loop {
+            visit(&current);
+            // Advance to the next combination.
+            let mut i = k;
+            loop {
+                if i == 0 {
+                    return;
+                }
+                i -= 1;
+                if idx[i] != i + free.len() - k {
+                    break;
+                }
+            }
+            idx[i] += 1;
+            for j in (i + 1)..k {
+                idx[j] = idx[j - 1] + 1;
+            }
+            for (slot, &i) in current.iter_mut().zip(&idx) {
+                *slot = free[i];
+            }
+        }
+    }
+
+    /// Oracle: the vertex set maximizing a two-level score over the
+    /// candidate-set stream, first strictly better set wins.
+    fn argmax_set_by_score2(
+        job: &JobSpec,
+        ctx: &PolicyContext<'_>,
+        mut score: impl FnMut(&[usize]) -> (f64, f64),
+    ) -> Option<Vec<usize>> {
+        let mut best: Option<((f64, f64), Vec<usize>)> = None;
+        for_each_candidate_set(job, ctx, |set| {
+            let s = score(set);
+            let better = match &best {
+                None => true,
+                Some((bs, _)) => s.0 > bs.0 || (s.0 == bs.0 && s.1 > bs.1),
+            };
+            if better {
+                best = Some((s, set.to_vec()));
+            }
+        });
+        best.map(|(_, set)| set)
+    }
+
+    /// Oracle: what the set-scored policies selected before `SetScorer` —
+    /// every candidate scored from scratch, Preserved BW by building the
+    /// graph that remains.
+    fn oracle_best_set(
+        job: &JobSpec,
+        ctx: &PolicyContext<'_>,
+        ranking: Ranking,
+    ) -> Option<Vec<usize>> {
+        let (free_graph, free_map) = ctx.state.available_graph();
+        let eff_bw =
+            |gpus: &[usize]| scoring::predicted_effective_bandwidth(ctx.model, ctx.topology, gpus);
+        let penalty = |gpus: &[usize]| scoring::pressure_penalty(job, ctx.state, gpus);
+        let preserved = |gpus: &[usize]| scoring::preserved_bandwidth(&free_graph, &free_map, gpus);
+        argmax_set_by_score2(job, ctx, |gpus| match ranking {
+            Ranking::EffBwThenPreserved => (eff_bw(gpus) - penalty(gpus), preserved(gpus)),
+            Ranking::PreservedThenLeastEffBw => (preserved(gpus) - penalty(gpus), -eff_bw(gpus)),
+            Ranking::EffBw => (eff_bw(gpus) - penalty(gpus), 0.0),
+        })
+    }
+
+    /// Oracle: `MapaAllocator::score_allocation` as it was before
+    /// `SetScorer` — `available_graph` plus three graph walks.
+    fn oracle_score(allocator: &MapaAllocator, job: &JobSpec, gpus: &[usize]) -> MatchScore {
+        let (free_graph, free_map) = allocator.state().available_graph();
+        MatchScore {
+            aggregated_bw: scoring::aggregated_bandwidth(
+                &appgraph::job_pattern(job),
+                &allocator.topology().bandwidth_graph(),
+                &Embedding::new(gpus.to_vec()),
+            ),
+            predicted_eff_bw: scoring::predicted_effective_bandwidth(
+                allocator.model(),
+                allocator.topology(),
+                gpus,
+            ),
+            preserved_bw: scoring::preserved_bandwidth(&free_graph, &free_map, gpus),
+            link_mix: scoring::allocation_link_mix(allocator.topology(), gpus),
+        }
+    }
+
+    const RANKINGS: [Ranking; 3] = [
+        Ranking::EffBwThenPreserved,
+        Ranking::PreservedThenLeastEffBw,
+        Ranking::EffBw,
+    ];
+
+    /// The machines of the walk ≡ oracle grid, models fitted once: the six
+    /// built-in servers and a DGX-1 V100 with GPU 0 in four MIG slices and
+    /// GPU 1 in two (vertices 0..4 and 4..6; 6..12 are whole GPUs).
+    fn grid_machines() -> &'static [Fixture] {
+        static GRID: OnceLock<Vec<Fixture>> = OnceLock::new();
+        GRID.get_or_init(|| {
+            let mig = PartitionPlan::new().split(0, 4).split(1, 2);
+            vec![
+                Fixture::of(machines::summit()),
+                Fixture::of(machines::dgx1_p100()),
+                Fixture::of(machines::dgx1_v100()),
+                Fixture::of(machines::dgx2()),
+                Fixture::of(machines::torus_2d()),
+                Fixture::of(machines::cube_mesh()),
+                Fixture::of(mig.apply(&machines::dgx1_v100()).into_topology()),
+            ]
+        })
+    }
+
+    /// The vertices bit-set in `mask`, topped up from the highest vertex
+    /// down until at most `max_free` are free (the oracle builds a graph
+    /// per candidate set; this bounds the sets, not the walk).
+    fn busy_vertices(n: usize, mask: u64, max_free: usize) -> Vec<usize> {
+        let mut busy: Vec<usize> = (0..n).filter(|&v| mask >> v & 1 == 1).collect();
+        for v in (0..n).rev() {
+            if n - busy.len() <= max_free {
+                break;
+            }
+            if !busy.contains(&v) {
+                busy.push(v);
+            }
+        }
+        busy
+    }
+
+    /// A `k`-vertex job of demand kind 0 = whole GPUs, 1 = slices,
+    /// 2 = SLO-tagged slices.
+    fn grid_job(k: usize, kind: usize) -> JobSpec {
+        match kind {
+            0 => job(k, false),
+            1 => JobSpec::new(1, GpuDemand::Slices(k), Workload::ResNet50),
+            _ => JobSpec::new(1, GpuDemand::Slices(k), Workload::BertServing).with_slo(25.0),
+        }
+    }
+
+    /// Asserts, on `machine` with `busy` occupied, that every ranking's
+    /// walk selects what the oracle selects for `spec`, and that
+    /// `score_allocation` prices those selections (and the highest
+    /// eligible set) as its old body did.
+    fn assert_walk_matches_oracle(machine: &Fixture, busy: &[usize], spec: &JobSpec) {
+        let mut allocator = MapaAllocator::with_model(
+            machine.topology.clone(),
+            Box::new(PreservePolicy),
+            machine.model.clone(),
+        );
+        for (i, &v) in busy.iter().enumerate() {
+            allocator.adopt(100 + i as u64, &[v]).unwrap();
+        }
+        let ctx = PolicyContext {
+            state: allocator.state(),
+            ..machine.ctx()
+        };
+        let what = format!(
+            "{} busy {busy:?} job {:?} slo {}",
+            machine.topology.name(),
+            spec.demand,
+            spec.has_slo()
+        );
+        let eligible = ctx.eligible_free(spec);
+        let mut sets = Vec::new();
+        if let Some(from) = eligible.len().checked_sub(spec.num_gpus()) {
+            sets.push(eligible[from..].to_vec());
+        }
+        for ranking in RANKINGS {
+            let walked = best_set(spec, &ctx, ranking);
+            assert_eq!(
+                walked,
+                oracle_best_set(spec, &ctx, ranking),
+                "{ranking:?} on {what}"
+            );
+            sets.extend(walked);
+        }
+        for gpus in &sets {
+            let (score, oracle) = (
+                allocator.score_allocation(spec, gpus),
+                oracle_score(&allocator, spec, gpus),
+            );
+            assert_eq!(score, oracle, "score of {gpus:?} on {what}");
+            // The schedule digests hash this one's bits (-0.0 for 1 GPU).
+            assert_eq!(
+                score.aggregated_bw.to_bits(),
+                oracle.aggregated_bw.to_bits()
+            );
+        }
+    }
 
     struct Fixture {
         topology: Topology,
@@ -663,6 +795,30 @@ mod tests {
         assert_eq!(streamed.len(), 20);
     }
 
+    #[test]
+    fn set_walk_matches_oracle_on_every_dgx1_occupancy() {
+        let dgx = &grid_machines()[2];
+        for mask in 0..1u64 << 8 {
+            let busy = busy_vertices(8, mask, 8);
+            for k in 1..=8 - busy.len() {
+                assert_walk_matches_oracle(dgx, &busy, &job(k, true));
+            }
+        }
+    }
+
+    #[test]
+    fn set_walk_counts_ineligible_free_slices_in_the_free_graph() {
+        // A whole-GPU job may not land on the free slices, yet they are
+        // part of the graph Eq. 3 sums: every slice inherits its GPU's
+        // NVLinks, so a whole GPU wired to a split one strands one link
+        // per free slice. Summing `deg_F` over the eligible vertices alone
+        // misses those links and picks differently here.
+        let mig = &grid_machines()[6];
+        for k in 1..=4 {
+            assert_walk_matches_oracle(mig, &[0, 4, 8], &grid_job(k, 0));
+        }
+    }
+
     /// DGX-1V with GPU 0 split into 4 MIG slices: vertices 0..4 are the
     /// slices, 4..11 the remaining whole GPUs.
     fn partitioned() -> Fixture {
@@ -852,6 +1008,27 @@ mod tests {
                 chosen_score,
                 best
             );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(160))]
+
+        /// The prefix walk selects exactly what scoring every candidate
+        /// set from scratch selects, and `score_allocation` prices a set
+        /// exactly as `available_graph` + three graph walks did: across
+        /// machines (MIG-partitioned included), occupancies, sizes, demand
+        /// kinds and rankings.
+        #[test]
+        fn set_walk_matches_oracle_on_random_occupancy(
+            machine in 0usize..7,
+            mask in proptest::prelude::any::<u64>(),
+            k in 1usize..9,
+            kind in 0usize..3,
+        ) {
+            let machine = &grid_machines()[machine];
+            let busy = busy_vertices(machine.topology.gpu_count(), mask, 10);
+            assert_walk_matches_oracle(machine, &busy, &grid_job(k, kind));
         }
     }
 }

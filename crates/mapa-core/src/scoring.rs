@@ -18,11 +18,19 @@
 //! primary score, weighted heavier for SLO-tagged tenants
 //! ([`pressure_penalty`]). On unpartitioned machines both terms are
 //! exactly zero, leaving the paper's rankings bit-identical.
+//!
+//! Eq. 2, Eq. 3 and the pressure term are all sums over the vertices and
+//! vertex pairs of the candidate set, so the built-in policies and
+//! [`crate::MapaAllocator::score_allocation`] never build a graph to get
+//! them: one [`SetScorer`] per decision tabulates the free part of the
+//! machine and scores a set from its prefix in O(k). The free functions
+//! below compute the same numbers from scratch; they stay for custom
+//! policies and as the oracle the scorer is tested against.
 
 use mapa_graph::{BitSet, Graph, PatternGraph, WeightedGraph};
 use mapa_isomorph::Embedding;
 use mapa_model::EffBwModel;
-use mapa_topology::{HardwareState, LinkMix, Topology};
+use mapa_topology::{HardwareState, LinkMix, LinkType, Topology};
 use mapa_workloads::JobSpec;
 
 /// All scores for one candidate match, as used by the policies and logged
@@ -54,6 +62,9 @@ pub fn aggregated_bandwidth(
 
 /// The `(x, y, z)` link mix of an allocation — every GPU pair inside the
 /// matched vertex set, mirroring the corpus protocol of §3.4.3.
+///
+/// The built-in policies no longer call this (a [`SetScorer`] counts the
+/// mix along the prefix); it serves custom policies and the tests.
 #[must_use]
 pub fn allocation_link_mix(topology: &Topology, gpus: &[usize]) -> LinkMix {
     let mut pairs = Vec::new();
@@ -68,6 +79,9 @@ pub fn allocation_link_mix(topology: &Topology, gpus: &[usize]) -> LinkMix {
 /// Eq. 2 — Predicted Effective Bandwidth of allocating `gpus`.
 ///
 /// 1-GPU allocations have no inter-GPU traffic: scored 0.
+///
+/// The built-in policies no longer call this (a [`SetScorer`] memoizes the
+/// model by link mix); it serves custom policies and the tests.
 #[must_use]
 pub fn predicted_effective_bandwidth(
     model: &EffBwModel,
@@ -87,6 +101,12 @@ pub fn predicted_effective_bandwidth(
 /// free GPUs) and `free_map` maps its vertex ids to physical GPU ids —
 /// both as produced by `HardwareState::available_graph`.
 ///
+/// Builds the induced graph of what remains, so it costs O(free²) and
+/// allocates per call. The built-in policies and
+/// [`crate::MapaAllocator::score_allocation`] no longer call it — a
+/// [`SetScorer`] gets the same number from three running sums — and it
+/// stays as the definition they are tested against.
+///
 /// # Panics
 /// Panics if some `gpus` entry is not in `free_map` (allocating a busy
 /// GPU is a state error upstream).
@@ -102,29 +122,6 @@ pub fn preserved_bandwidth(free_graph: &WeightedGraph, free_map: &[usize], gpus:
     }
     let (remaining, _) = free_graph.without_vertices(&removed);
     remaining.total_weight()
-}
-
-/// Computes all three scores for a candidate embedding.
-///
-/// `pattern` is the application graph; `embedding` maps it into
-/// `free_graph` (local vertex ids); `free_map` translates local ids to
-/// physical GPUs.
-#[must_use]
-pub fn score_match(
-    topology: &Topology,
-    model: &EffBwModel,
-    pattern: &PatternGraph,
-    free_graph: &WeightedGraph,
-    free_map: &[usize],
-    embedding: &Embedding,
-) -> MatchScore {
-    let physical: Vec<usize> = embedding.as_slice().iter().map(|&l| free_map[l]).collect();
-    MatchScore {
-        aggregated_bw: aggregated_bandwidth(pattern, free_graph, embedding),
-        predicted_eff_bw: predicted_effective_bandwidth(model, topology, &physical),
-        preserved_bw: preserved_bandwidth(free_graph, free_map, &physical),
-        link_mix: allocation_link_mix(topology, &physical),
-    }
 }
 
 /// The complete graph over all GPUs as an unweighted pattern — the data
@@ -156,12 +153,290 @@ pub fn co_residency_pressure(state: &HardwareState, gpus: &[usize]) -> f64 {
 /// SLO-tagged jobs and [`PRESSURE_WEIGHT`] otherwise.
 #[must_use]
 pub fn pressure_penalty(job: &JobSpec, state: &HardwareState, gpus: &[usize]) -> f64 {
-    let weight = if job.has_slo() {
+    pressure_weight(job) * co_residency_pressure(state, gpus)
+}
+
+/// GB/s charged to `job` per busy co-resident slice.
+fn pressure_weight(job: &JobSpec) -> f64 {
+    if job.has_slo() {
         SLO_PRESSURE_WEIGHT
     } else {
         PRESSURE_WEIGHT
-    };
-    weight * co_residency_pressure(state, gpus)
+    }
+}
+
+/// Which two-level score [`SetScorer::best_set`] maximises: the two
+/// branches of the paper's Algorithm 1 and the EffBW-greedy ablation. Every
+/// primary score is taken less the co-residency pressure penalty.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Ranking {
+    /// Predicted EffBW, ties toward the most Preserved BW (sensitive jobs).
+    EffBwThenPreserved,
+    /// Preserved BW, ties toward the least Predicted EffBW (insensitive
+    /// jobs).
+    PreservedThenLeastEffBw,
+    /// Predicted EffBW alone.
+    EffBw,
+}
+
+/// Link types, as a table size: [`SetScorer`] counts links by
+/// `LinkType as usize`.
+const LINK_TYPES: usize = LinkType::all().len();
+
+/// Scores candidate GPU sets of one decision without building a graph.
+///
+/// Built once per decision from the topology and the occupancy: the link
+/// type of every free pair, the free graph's total bandwidth `T`, and per
+/// free vertex its bandwidth into all other free vertices `deg_F(v)` and
+/// its busy co-residents. Eq. 2, Eq. 3 and the pressure penalty are sums
+/// over a set's vertices and pairs, so with `c[t]` the number of type-`t`
+/// links inside `S`,
+///
+/// * `preserved(S) = T − Σ_{v∈S} deg_F(v) + Σ_t c[t]·bw(t)` (links with an
+///   end in `S` leave the free graph; those with both ends there were
+///   subtracted twice),
+/// * `mix(S)` is `c` folded into `(x, y, z)`,
+/// * `penalty(S) = weight · Σ_{v∈S} co-residents(v)`,
+///
+/// and adding one vertex to a prefix of `d` vertices updates all of it
+/// with `d` table reads. The results equal the from-scratch functions of
+/// this module bit for bit, not approximately: every bandwidth and both
+/// pressure weights are small integers, so each sum is exact in `f64` in
+/// any order, and the model sees the identical [`LinkMix`].
+pub(crate) struct SetScorer<'a> {
+    state: &'a HardwareState,
+    model: &'a EffBwModel,
+    /// Vertex count; `links` is `n × n`, the per-vertex tables `n` long,
+    /// all indexed by vertex id and meaningful for free vertices only.
+    n: usize,
+    /// Free vertices, ascending — eligible for the job or not: a slice a
+    /// whole-GPU job may not use is still part of the free graph.
+    free: Vec<usize>,
+    links: Vec<LinkType>,
+    total: f64,
+    degree: Vec<f64>,
+    crowd: Vec<usize>,
+    pressure_weight: f64,
+}
+
+/// The running sums of a vertex-set prefix.
+#[derive(Clone, Copy, Default)]
+struct Prefix {
+    /// Links inside the prefix, by `LinkType as usize`.
+    links: [usize; LINK_TYPES],
+    /// `Σ deg_F(v)` over the prefix.
+    degree: f64,
+    /// `Σ co-residents(v)` over the prefix.
+    crowd: usize,
+}
+
+impl<'a> SetScorer<'a> {
+    /// Tabulates the free part of `state`'s machine for placing `job`
+    /// (only its SLO tag is read: it selects the pressure weight).
+    pub(crate) fn new(state: &'a HardwareState, model: &'a EffBwModel, job: &JobSpec) -> Self {
+        let topology = state.topology();
+        let n = topology.gpu_count();
+        let free = state.free_gpus();
+        let mut links = vec![LinkType::Pcie; n * n];
+        let mut degree = vec![0.0; n];
+        let mut crowd = vec![0; n];
+        let mut total = 0.0;
+        for (i, &u) in free.iter().enumerate() {
+            crowd[u] = state.co_resident_busy(u);
+            for &v in &free[i + 1..] {
+                let link = topology.link_type(u, v);
+                let w = link.bandwidth_gbps();
+                links[u * n + v] = link;
+                links[v * n + u] = link;
+                degree[u] += w;
+                degree[v] += w;
+                total += w;
+            }
+        }
+        Self {
+            state,
+            model,
+            n,
+            free,
+            links,
+            total,
+            degree,
+            crowd,
+            pressure_weight: pressure_weight(job),
+        }
+    }
+
+    /// `prefix` plus the free vertex `v`, given the prefix's vertices.
+    fn extend(&self, prefix: Prefix, members: &[usize], v: usize) -> Prefix {
+        let mut next = prefix;
+        next.degree += self.degree[v];
+        next.crowd += self.crowd[v];
+        for &u in members {
+            next.links[self.links[u * self.n + v] as usize] += 1;
+        }
+        next
+    }
+
+    /// Eq. 3, the link mix and the pressure penalty of a whole set.
+    fn finish(&self, set: Prefix) -> (f64, LinkMix, f64) {
+        let mut mix = LinkMix::default();
+        let mut inner = 0.0;
+        for link in LinkType::all() {
+            let count = set.links[link as usize];
+            mix.add_many(link, count);
+            inner += count as f64 * link.bandwidth_gbps();
+        }
+        (
+            self.total - set.degree + inner,
+            mix,
+            self.pressure_weight * set.crowd as f64,
+        )
+    }
+
+    /// Eq. 1 — Aggregated Bandwidth of the pattern `edges` under the
+    /// assignment `gpus` (pattern vertex `p` on free GPU `gpus[p]`).
+    ///
+    /// An edgeless pattern (a 1-GPU job) scores `-0.0`, the empty `f64`
+    /// sum, as [`aggregated_bandwidth`] does: the schedule digests hash
+    /// this value's bits.
+    pub(crate) fn aggregated_bandwidth(
+        &self,
+        edges: impl IntoIterator<Item = (usize, usize)>,
+        gpus: &[usize],
+    ) -> f64 {
+        edges
+            .into_iter()
+            .map(|(p, q)| self.links[gpus[p] * self.n + gpus[q]].bandwidth_gbps())
+            .sum()
+    }
+
+    /// [`pressure_penalty`] of placing on the free vertices `gpus`.
+    pub(crate) fn pressure_penalty(&self, gpus: &[usize]) -> f64 {
+        self.pressure_weight * gpus.iter().map(|&v| self.crowd[v]).sum::<usize>() as f64
+    }
+
+    /// All four scores of allocating `gpus` to a job with this `pattern`,
+    /// Aggregated Bandwidth under the identity embedding onto `gpus`.
+    ///
+    /// # Panics
+    /// Panics if some `gpus` entry is busy, out of range or listed twice.
+    pub(crate) fn score(&self, pattern: &PatternGraph, gpus: &[usize]) -> MatchScore {
+        let mut set = Prefix::default();
+        for (i, &v) in gpus.iter().enumerate() {
+            assert!(
+                v < self.n && self.state.is_free(v),
+                "allocated GPU must be free"
+            );
+            assert!(!gpus[..i].contains(&v), "GPU {v} allocated twice");
+            set = self.extend(set, &gpus[..i], v);
+        }
+        let (preserved_bw, link_mix, _) = self.finish(set);
+        MatchScore {
+            aggregated_bw: self
+                .aggregated_bandwidth(pattern.edges().map(|(p, q, ())| (p, q)), gpus),
+            predicted_eff_bw: if gpus.len() < 2 {
+                0.0
+            } else {
+                self.model.predict(&link_mix)
+            },
+            preserved_bw,
+            link_mix,
+        }
+    }
+
+    /// The `k`-subset of the free vertices passing `eligible` that
+    /// maximises `ranking`, ties toward the lexicographically smallest
+    /// set; `None` when there are fewer than `k` of them (or `k` is 0).
+    ///
+    /// A depth-first walk in lexicographic order, carrying the [`Prefix`]
+    /// sums down: a step costs O(depth) and nothing is allocated per set.
+    /// The first strictly better set wins, which is the tie-break.
+    pub(crate) fn best_set(
+        &self,
+        ranking: Ranking,
+        k: usize,
+        eligible: impl Fn(usize) -> bool,
+    ) -> Option<Vec<usize>> {
+        let pool: Vec<usize> = self.free.iter().copied().filter(|&v| eligible(v)).collect();
+        if k == 0 || k > pool.len() {
+            return None;
+        }
+        let pairs = k * (k - 1) / 2;
+        let mut walk = Walk {
+            scorer: self,
+            ranking,
+            pool: &pool,
+            chosen: vec![0; k],
+            best: None,
+            best_set: vec![0; k],
+            memo_stride: pairs + 1,
+            memo: vec![f64::NAN; (pairs + 1) * (pairs + 1)],
+        };
+        walk.descend(0, 0, Prefix::default());
+        walk.best.map(|_| walk.best_set)
+    }
+}
+
+/// The state of one [`SetScorer::best_set`] walk.
+struct Walk<'a> {
+    scorer: &'a SetScorer<'a>,
+    ranking: Ranking,
+    /// The candidate vertices, ascending.
+    pool: &'a [usize],
+    /// The current set; entries below the current depth are its prefix.
+    chosen: Vec<usize>,
+    best: Option<(f64, f64)>,
+    best_set: Vec<usize>,
+    /// `EffBwModel::predict` by `(x, y)` of the mix (`z` follows from the
+    /// set size), NaN where not yet asked: many sets share a mix.
+    memo: Vec<f64>,
+    memo_stride: usize,
+}
+
+impl Walk<'_> {
+    /// Visits every completion of the `depth`-vertex prefix in `chosen`
+    /// (sums in `prefix`) that draws its next vertex from `pool[from..]`.
+    fn descend(&mut self, depth: usize, from: usize, prefix: Prefix) {
+        let k = self.chosen.len();
+        // Leave room for the vertices still to come after this one.
+        let until = self.pool.len() - (k - depth - 1);
+        for i in from..until {
+            let v = self.pool[i];
+            let next = self.scorer.extend(prefix, &self.chosen[..depth], v);
+            self.chosen[depth] = v;
+            if depth + 1 == k {
+                self.leaf(next);
+            } else {
+                self.descend(depth + 1, i + 1, next);
+            }
+        }
+    }
+
+    fn leaf(&mut self, set: Prefix) {
+        let (preserved, mix, penalty) = self.scorer.finish(set);
+        let eff_bw = if self.chosen.len() < 2 {
+            0.0
+        } else {
+            let slot = &mut self.memo[mix.double_nvlink * self.memo_stride + mix.single_nvlink];
+            if slot.is_nan() {
+                *slot = self.scorer.model.predict(&mix);
+            }
+            *slot
+        };
+        let score = match self.ranking {
+            Ranking::EffBwThenPreserved => (eff_bw - penalty, preserved),
+            Ranking::PreservedThenLeastEffBw => (preserved - penalty, -eff_bw),
+            Ranking::EffBw => (eff_bw - penalty, 0.0),
+        };
+        let better = match self.best {
+            None => true,
+            Some(best) => score.0 > best.0 || (score.0 == best.0 && score.1 > best.1),
+        };
+        if better {
+            self.best = Some(score);
+            self.best_set.copy_from_slice(&self.chosen);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -246,22 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn score_match_translates_local_ids() {
-        let dgx = machines::dgx1_v100();
-        let model = dgx_model();
-        let mut state = mapa_topology::HardwareState::new(dgx.clone());
-        state.allocate(1, &[0, 2]).unwrap();
-        let (free, map) = state.available_graph();
-        // Pattern: 2-GPU ring on local vertices (1, 3) = physical (3, 5).
-        let pattern = PatternGraph::ring(2);
-        let e = Embedding::new(vec![1, 3]);
-        let score = score_match(&dgx, &model, &pattern, &free, &map, &e);
-        assert_eq!(score.aggregated_bw, dgx.bandwidth(3, 5));
-        assert_eq!(score.link_mix.total(), 1);
-        assert!(score.preserved_bw > 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "must be free")]
     fn preserved_bandwidth_rejects_busy_gpu() {
         let dgx = machines::dgx1_v100();
@@ -269,6 +528,20 @@ mod tests {
         state.allocate(1, &[0]).unwrap();
         let (free, map) = state.available_graph();
         let _ = preserved_bandwidth(&free, &map, &[0]);
+    }
+
+    #[test]
+    fn link_speeds_and_pressure_weights_are_whole_numbers() {
+        // `SetScorer` equals the from-scratch scores bit for bit only
+        // because every term it adds is an integer, so `f64` sums are
+        // exact whatever their order. A fractional link speed or pressure
+        // weight must come with a fixed summation order shared by the
+        // scorer and the functions it replaces.
+        for link in LinkType::all() {
+            assert_eq!(link.bandwidth_gbps().fract(), 0.0, "{link}");
+        }
+        assert_eq!(PRESSURE_WEIGHT.fract(), 0.0);
+        assert_eq!(SLO_PRESSURE_WEIGHT.fract(), 0.0);
     }
 
     #[test]

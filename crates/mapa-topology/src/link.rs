@@ -40,7 +40,7 @@ impl LinkType {
 
     /// All link types, slowest first.
     #[must_use]
-    pub fn all() -> [LinkType; 4] {
+    pub const fn all() -> [LinkType; 4] {
         [
             LinkType::Pcie,
             LinkType::SingleNvLink1,
@@ -78,10 +78,15 @@ pub struct LinkMix {
 impl LinkMix {
     /// Accumulates one link into the mix.
     pub fn add(&mut self, link: LinkType) {
+        self.add_many(link, 1);
+    }
+
+    /// Accumulates `count` links of one type into the mix.
+    pub fn add_many(&mut self, link: LinkType, count: usize) {
         match link {
-            LinkType::DoubleNvLink2 => self.double_nvlink += 1,
-            LinkType::SingleNvLink1 | LinkType::SingleNvLink2 => self.single_nvlink += 1,
-            LinkType::Pcie => self.pcie += 1,
+            LinkType::DoubleNvLink2 => self.double_nvlink += count,
+            LinkType::SingleNvLink1 | LinkType::SingleNvLink2 => self.single_nvlink += count,
+            LinkType::Pcie => self.pcie += count,
         }
     }
 

@@ -291,7 +291,7 @@ impl HardwareState {
     /// occupancy).
     #[must_use]
     pub fn free_aggregate_bandwidth(&self) -> f64 {
-        self.available_graph().0.total_weight()
+        self.topology.bandwidth_among(&self.free_gpus())
     }
 
     /// Assigns `gpus` to `job`.
@@ -442,6 +442,7 @@ mod tests {
         assert_eq!(g.vertex_count(), 6);
         assert_eq!(map, vec![1, 2, 4, 5, 6, 7]);
         assert!(s.free_aggregate_bandwidth() < full_bw);
+        assert_eq!(s.free_aggregate_bandwidth(), g.total_weight());
         s.deallocate(1).unwrap();
         assert_eq!(s.free_aggregate_bandwidth(), full_bw);
     }

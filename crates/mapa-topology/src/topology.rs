@@ -166,7 +166,19 @@ impl Topology {
     /// PCIe pairs — the total capacity of the complete hardware graph.
     #[must_use]
     pub fn total_bandwidth(&self) -> f64 {
-        self.bandwidth_graph().total_weight()
+        let all: Vec<usize> = (0..self.gpu_count()).collect();
+        self.bandwidth_among(&all)
+    }
+
+    /// Sum of peak bandwidths over every pair of the distinct `gpus`.
+    pub(crate) fn bandwidth_among(&self, gpus: &[usize]) -> f64 {
+        let mut total = 0.0;
+        for (i, &a) in gpus.iter().enumerate() {
+            for &b in &gpus[i + 1..] {
+                total += self.bandwidth(a, b);
+            }
+        }
+        total
     }
 
     /// Graphviz DOT rendering of the direct-link topology with bandwidth

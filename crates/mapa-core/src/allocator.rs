@@ -1,11 +1,10 @@
 //! The MAPA allocator engine: matching + scoring + policy + state (§3.6).
 
-use crate::cache::{AllocationCache, CacheStats, DEFAULT_CACHE_CAPACITY};
+use crate::cache::{AllocationCache, CacheKey, CacheStats};
 use crate::policy::{AllocationPolicy, PolicyContext};
 use crate::preempt::PreemptionPolicy;
 use crate::scoring::{self, MatchScore, SetScorer};
 use mapa_graph::PatternGraph;
-use mapa_graph::WeightedGraph;
 use mapa_isomorph::Matcher;
 use mapa_model::{corpus, paper_coefficients, EffBwModel};
 use mapa_topology::{AllocationError, HardwareState, Topology};
@@ -65,33 +64,19 @@ impl From<AllocationError> for AllocatorError {
 }
 
 /// Tunables of the allocation fast path.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AllocatorConfig {
     /// Memoize selections in an [`AllocationCache`]. Off by default so the
     /// uncached path stays the reference; the simulator turns it on (the
     /// property tests prove the two paths produce identical placements).
     pub cached: bool,
-    /// Entry bound of the cache when `cached` is set.
-    pub cache_capacity: usize,
-}
-
-impl Default for AllocatorConfig {
-    fn default() -> Self {
-        Self {
-            cached: false,
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
-        }
-    }
 }
 
 impl AllocatorConfig {
-    /// Config with the allocation cache enabled at the default capacity.
+    /// Config with the allocation cache enabled.
     #[must_use]
     pub fn cached() -> Self {
-        Self {
-            cached: true,
-            ..Self::default()
-        }
+        Self { cached: true }
     }
 }
 
@@ -107,7 +92,6 @@ pub struct MapaAllocator {
     model: EffBwModel,
     policy: Box<dyn AllocationPolicy>,
     data_graph: PatternGraph,
-    bandwidth_graph: WeightedGraph,
     cache: Option<AllocationCache>,
     /// Scheduling metadata of every active job — what preemption victim
     /// selection ranks on. Keyed by job id; maintained by
@@ -150,7 +134,6 @@ impl MapaAllocator {
             state: HardwareState::new(topology.clone()),
             matcher: Matcher::default(),
             data_graph: scoring::matcher_data_graph(&topology),
-            bandwidth_graph: topology.bandwidth_graph(),
             model,
             policy,
             topology,
@@ -169,16 +152,12 @@ impl MapaAllocator {
 
     /// Applies an [`AllocatorConfig`] in place. Disabling the cache drops
     /// it (and its counters); enabling it when one is already active keeps
-    /// the existing entries and counters but re-bounds the capacity,
-    /// evicting oldest-first if the cache now holds too many.
+    /// the existing entries and counters.
     pub fn apply_config(&mut self, config: &AllocatorConfig) {
-        if config.cached {
-            match self.cache.as_mut() {
-                Some(cache) => cache.set_capacity(config.cache_capacity),
-                None => self.cache = Some(AllocationCache::new(config.cache_capacity)),
-            }
-        } else {
+        if !config.cached {
             self.cache = None;
+        } else if self.cache.is_none() {
+            self.cache = Some(AllocationCache::default());
         }
     }
 
@@ -227,28 +206,20 @@ impl MapaAllocator {
             model: &self.model,
             matcher: &self.matcher,
             data_graph: &self.data_graph,
-            bandwidth_graph: &self.bandwidth_graph,
+        };
+        let Some(cache) = self.cache.as_mut() else {
+            return Ok(self.policy.select(job, &ctx));
         };
         // Fast path: answer from the allocation cache when the exact
-        // (pattern, sensitivity, demand kind, SLO tag, machine, occupancy)
-        // decision was already made. Oversized patterns yield no key and
-        // bypass the cache.
-        Ok(match self.cache.as_mut() {
-            Some(cache) => {
-                match cache.key_for(job, self.topology.name(), self.state.occupancy_signature()) {
-                    Some(key) => match cache.get(&key) {
-                        Some(hit) => hit.clone(),
-                        None => {
-                            let selected = self.policy.select(job, &ctx);
-                            cache.insert(key, selected.clone());
-                            selected
-                        }
-                    },
-                    None => self.policy.select(job, &ctx),
-                }
-            }
-            None => self.policy.select(job, &ctx),
-        })
+        // (pattern, sensitivity, demand kind, SLO tag, occupancy) decision
+        // was already made.
+        let key = CacheKey::new(job, self.state.occupancy_signature());
+        if let Some(hit) = cache.get(&key) {
+            return Ok(hit.clone());
+        }
+        let selected = self.policy.select(job, &ctx);
+        cache.insert(key, selected.clone());
+        Ok(selected)
     }
 
     /// Previews the placement `try_allocate` would make for `job` right
@@ -779,10 +750,7 @@ mod tests {
     fn config_toggling_drops_and_recreates_cache() {
         let mut a = MapaAllocator::new(machines::dgx1_v100(), Box::new(BaselinePolicy));
         assert!(a.cache_stats().is_none());
-        a.apply_config(&AllocatorConfig {
-            cached: true,
-            cache_capacity: 8,
-        });
+        a.apply_config(&AllocatorConfig::cached());
         a.try_allocate(&job(1, 2, true)).unwrap().unwrap();
         assert_eq!(a.cache_stats().unwrap().misses, 1);
         // Re-applying the cached config keeps counters and entries.

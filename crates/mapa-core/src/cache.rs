@@ -1,53 +1,59 @@
-//! Memoization of allocation decisions — the canonical-state cache.
+//! Memoization of allocation decisions — a plain memo table.
 //!
-//! A policy's selection is a pure function of six inputs: the job's
-//! pattern (up to isomorphism), its bandwidth-sensitivity flag, its demand
-//! kind (whole GPUs vs MIG slices — they see different eligible vertices
-//! on partitioned machines), whether it carries an SLO tag (the pressure
-//! penalty weighs tagged jobs harder), the machine, and the current
-//! free-GPU set. Multi-tenant traffic repeats those inputs constantly —
-//! the paper's job mix draws from four pattern shapes and eight sizes, and
-//! a machine that empties returns to a previously-seen occupancy — so
-//! [`AllocationCache`] memoizes the selected placement under the key
-//! `(pattern canonical code, sensitivity, fractional, SLO-tagged,
-//! machine id, occupancy signature)`.
+//! Within one [`crate::MapaAllocator`] (one machine, one policy, one
+//! model) a policy's selection is a pure function of five inputs: the job's
+//! pattern — [`crate::appgraph::build_pattern`] is deterministic in
+//! `(AppTopology, size)`, so that pair *is* the pattern —, its
+//! bandwidth-sensitivity flag, its demand kind (whole GPUs vs MIG slices —
+//! they see different eligible vertices on partitioned machines), whether
+//! it carries an SLO tag (the pressure penalty weighs tagged jobs harder),
+//! and the current free-GPU set. Multi-tenant traffic repeats those inputs
+//! constantly — the paper's job mix draws from four pattern shapes and
+//! eight sizes, and a machine that empties returns to a previously-seen
+//! occupancy — so [`AllocationCache`] memoizes the selected placement
+//! under [`CacheKey`], those values as they are.
 //!
 //! **Soundness.** The occupancy signature is the *exact* busy set (see
-//! [`OccupancySignature`]), the canonical code identifies the pattern's
-//! isomorphism class, and every built-in policy breaks score ties toward
-//! the lexicographically smallest GPU set — so equal keys imply identical
-//! selections and entries never go stale: "invalidation" is the signature
-//! changing under allocate/release, which simply rotates the key. A
-//! previously-seen state recurring is exactly when a hit is both safe and
-//! valuable. Negative results (`None`, "cannot place right now") are
-//! cached on the same grounds.
-//!
-//! Canonical codes are brute-force over vertex permutations, so they are
-//! computed once per `(AppTopology, size)` shape and memoized internally;
-//! patterns above [`MAX_CANONICAL_VERTICES`] report no key and bypass the
-//! cache entirely.
+//! [`OccupancySignature`]) and the other fields are the job's own, so
+//! equal keys mean the same labelled pattern asked of the same state: a
+//! deterministic policy selects the same GPUs, and entries never go stale —
+//! "invalidation" is the signature changing under allocate/release, which
+//! simply rotates the key. A previously-seen state recurring is exactly
+//! when a hit is both safe and valuable. Negative results (`None`, "cannot
+//! place right now") are cached on the same grounds. Two shapes that happen
+//! to be isomorphic (a 3-ring and a 3-clique) are two entries.
 
-use mapa_graph::canonical::{canonical_code, CanonicalCode, MAX_CANONICAL_VERTICES};
 use mapa_topology::OccupancySignature;
 use mapa_workloads::{AppTopology, JobSpec};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
-/// Default maximum number of cached decisions (FIFO eviction beyond it).
+/// Maximum number of cached decisions (FIFO eviction beyond it).
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
-/// The full identity of one allocation decision. The pattern code and
-/// machine id are `Arc`-shared with the cache's internal memo tables, so
-/// building a key on the hot path allocates only the (tiny) occupancy
-/// signature it is handed.
+/// The full identity of one allocation decision on one allocator.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    pattern: Arc<CanonicalCode>,
+    topology: AppTopology,
+    num_gpus: usize,
     bandwidth_sensitive: bool,
     fractional: bool,
     slo_tagged: bool,
-    machine: Arc<str>,
     signature: OccupancySignature,
+}
+
+impl CacheKey {
+    /// The key for placing `job` in the state identified by `signature`.
+    #[must_use]
+    pub fn new(job: &JobSpec, signature: OccupancySignature) -> Self {
+        Self {
+            topology: job.topology,
+            num_gpus: job.num_gpus(),
+            bandwidth_sensitive: job.bandwidth_sensitive,
+            fractional: job.is_fractional(),
+            slo_tagged: job.has_slo(),
+            signature,
+        }
+    }
 }
 
 /// Hit/miss/eviction counters of an [`AllocationCache`].
@@ -89,12 +95,6 @@ pub struct AllocationCache {
     order: VecDeque<CacheKey>,
     capacity: usize,
     stats: CacheStats,
-    /// Canonical codes memoized per pattern shape: `build_pattern` is
-    /// deterministic in `(AppTopology, size)`, so the brute-force
-    /// canonicalisation runs once per shape, not once per job.
-    pattern_codes: HashMap<(AppTopology, usize), Arc<CanonicalCode>>,
-    /// Interned machine names, so keys share one allocation per machine.
-    machine_ids: HashMap<String, Arc<str>>,
 }
 
 impl AllocationCache {
@@ -106,66 +106,7 @@ impl AllocationCache {
             order: VecDeque::new(),
             capacity: capacity.max(1),
             stats: CacheStats::default(),
-            pattern_codes: HashMap::new(),
-            machine_ids: HashMap::new(),
         }
-    }
-
-    /// Rebounds the cache to `capacity` entries (clamped to ≥ 1),
-    /// evicting oldest-first immediately if it now holds too many.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
-        while self.entries.len() > self.capacity {
-            if let Some(oldest) = self.order.pop_front() {
-                self.entries.remove(&oldest);
-                self.stats.evictions += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Builds the cache key for placing `job` on `machine` in the state
-    /// identified by `signature`. Returns `None` when the job's pattern is
-    /// too large to canonicalise — such jobs bypass the cache (and are
-    /// counted in neither hits nor misses).
-    #[must_use]
-    pub fn key_for(
-        &mut self,
-        job: &JobSpec,
-        machine: &str,
-        signature: OccupancySignature,
-    ) -> Option<CacheKey> {
-        if job.num_gpus() > MAX_CANONICAL_VERTICES {
-            return None;
-        }
-        let pattern = Arc::clone(
-            self.pattern_codes
-                .entry((job.topology, job.num_gpus()))
-                .or_insert_with(|| {
-                    Arc::new(canonical_code(&crate::appgraph::build_pattern(
-                        job.topology,
-                        job.num_gpus(),
-                    )))
-                }),
-        );
-        let machine = match self.machine_ids.get(machine) {
-            Some(id) => Arc::clone(id),
-            None => {
-                let id: Arc<str> = Arc::from(machine);
-                self.machine_ids
-                    .insert(machine.to_string(), Arc::clone(&id));
-                id
-            }
-        };
-        Some(CacheKey {
-            pattern,
-            bandwidth_sensitive: job.bandwidth_sensitive,
-            fractional: job.is_fractional(),
-            slo_tagged: job.has_slo(),
-            machine,
-            signature,
-        })
     }
 
     /// Looks up a decision, counting a hit or miss.
@@ -188,13 +129,10 @@ impl AllocationCache {
         if self.entries.insert(key.clone(), placement).is_none() {
             self.order.push_back(key);
             self.stats.insertions += 1;
-            while self.entries.len() > self.capacity {
-                if let Some(oldest) = self.order.pop_front() {
-                    self.entries.remove(&oldest);
-                    self.stats.evictions += 1;
-                } else {
-                    break;
-                }
+            if self.entries.len() > self.capacity {
+                let oldest = self.order.pop_front().expect("every entry is queued");
+                self.entries.remove(&oldest);
+                self.stats.evictions += 1;
             }
         }
     }
@@ -215,12 +153,6 @@ impl AllocationCache {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// The capacity bound.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -250,18 +182,14 @@ mod tests {
         let mut state = HardwareState::new(machines::dgx1_v100());
         let spec = job(3, AppTopology::Ring, true);
 
-        let k1 = cache
-            .key_for(&spec, "dgx", state.occupancy_signature())
-            .unwrap();
+        let k1 = CacheKey::new(&spec, state.occupancy_signature());
         assert!(cache.get(&k1).is_none());
         cache.insert(k1.clone(), Some(vec![0, 1, 2]));
 
         // The same machine state recurs after an allocate/release cycle.
         state.allocate(9, &[4, 5]).unwrap();
         state.deallocate(9).unwrap();
-        let k2 = cache
-            .key_for(&spec, "dgx", state.occupancy_signature())
-            .unwrap();
+        let k2 = CacheKey::new(&spec, state.occupancy_signature());
         assert_eq!(k1, k2, "recurring state rebuilds the same key");
         assert_eq!(cache.get(&k2), Some(&Some(vec![0, 1, 2])));
         assert_eq!(cache.stats().hits, 1);
@@ -273,84 +201,46 @@ mod tests {
         let mut cache = AllocationCache::default();
         let mut state = HardwareState::new(machines::dgx1_v100());
         let spec = job(2, AppTopology::Ring, true);
-        let idle = cache
-            .key_for(&spec, "dgx", state.occupancy_signature())
-            .unwrap();
+        let idle = CacheKey::new(&spec, state.occupancy_signature());
         cache.insert(idle.clone(), Some(vec![0, 3]));
         state.allocate(1, &[0, 3]).unwrap();
-        let busy = cache
-            .key_for(&spec, "dgx", state.occupancy_signature())
-            .unwrap();
+        let busy = CacheKey::new(&spec, state.occupancy_signature());
         assert_ne!(idle, busy, "allocation must invalidate (rotate) the key");
         assert!(cache.get(&busy).is_none());
     }
 
     #[test]
     fn key_distinguishes_sensitivity_machine_and_shape() {
-        let mut cache = AllocationCache::default();
         let state = HardwareState::new(machines::dgx1_v100());
         let sig = state.occupancy_signature();
-        let base = cache
-            .key_for(&job(3, AppTopology::Ring, true), "dgx", sig.clone())
-            .unwrap();
-        let insensitive = cache
-            .key_for(&job(3, AppTopology::Ring, false), "dgx", sig.clone())
-            .unwrap();
-        let other_machine = cache
-            .key_for(&job(3, AppTopology::Ring, true), "summit", sig.clone())
-            .unwrap();
-        let other_shape = cache
-            .key_for(&job(4, AppTopology::Ring, true), "dgx", sig.clone())
-            .unwrap();
+        let base = CacheKey::new(&job(3, AppTopology::Ring, true), sig.clone());
+        let insensitive = CacheKey::new(&job(3, AppTopology::Ring, false), sig.clone());
+        let other_shape = CacheKey::new(&job(4, AppTopology::Ring, true), sig.clone());
         assert_ne!(base, insensitive);
-        assert_ne!(base, other_machine);
         assert_ne!(base, other_shape);
-        // Isomorphic shapes share a key: ring(3) ≡ all_to_all(3).
-        let triangle = cache
-            .key_for(&job(3, AppTopology::AllToAll, true), "dgx", sig)
-            .unwrap();
-        assert_eq!(base, triangle);
+        // The key is the labelled pattern: ring(3) ≡ all_to_all(3) as
+        // graphs, but they are two keys.
+        let triangle = CacheKey::new(&job(3, AppTopology::AllToAll, true), sig);
+        assert_ne!(base, triangle);
     }
 
     #[test]
     fn key_distinguishes_demand_kind_and_slo_tag() {
-        let mut cache = AllocationCache::default();
         let state = HardwareState::new(machines::dgx1_v100());
         let sig = state.occupancy_signature();
-        let whole = cache
-            .key_for(&job(3, AppTopology::Ring, true), "dgx", sig.clone())
-            .unwrap();
+        let whole = CacheKey::new(&job(3, AppTopology::Ring, true), sig.clone());
         let mut slices = job(3, AppTopology::Ring, true);
         slices.demand = mapa_workloads::GpuDemand::Slices(3);
-        let fractional = cache.key_for(&slices, "dgx", sig.clone()).unwrap();
+        let fractional = CacheKey::new(&slices, sig.clone());
         assert_ne!(
             whole, fractional,
             "whole and slice demands see different eligible vertices"
         );
-        let tagged = cache
-            .key_for(
-                &job(3, AppTopology::Ring, true).with_slo(25.0),
-                "dgx",
-                sig.clone(),
-            )
-            .unwrap();
+        let tagged = CacheKey::new(&job(3, AppTopology::Ring, true).with_slo(25.0), sig.clone());
         assert_ne!(whole, tagged, "SLO tag changes the pressure weight");
         // The SLO *value* is not part of the key — selection ignores it.
-        let tagged_other = cache
-            .key_for(&job(3, AppTopology::Ring, true).with_slo(90.0), "dgx", sig)
-            .unwrap();
+        let tagged_other = CacheKey::new(&job(3, AppTopology::Ring, true).with_slo(90.0), sig);
         assert_eq!(tagged, tagged_other);
-    }
-
-    #[test]
-    fn oversized_patterns_bypass() {
-        let mut cache = AllocationCache::default();
-        let state = HardwareState::new(machines::torus_2d());
-        let spec = job(MAX_CANONICAL_VERTICES + 1, AppTopology::Ring, true);
-        assert!(cache
-            .key_for(&spec, "torus", state.occupancy_signature())
-            .is_none());
-        assert_eq!(cache.stats().lookups(), 0);
     }
 
     #[test]
@@ -361,9 +251,7 @@ mod tests {
         let mut keys = Vec::new();
         for g in 0..3usize {
             state.allocate(100 + g as u64, &[g]).unwrap();
-            let k = cache
-                .key_for(&spec, "dgx", state.occupancy_signature())
-                .unwrap();
+            let k = CacheKey::new(&spec, state.occupancy_signature());
             cache.insert(k.clone(), Some(vec![g + 1]));
             keys.push(k);
         }
@@ -374,25 +262,52 @@ mod tests {
     }
 
     #[test]
-    fn set_capacity_rebounds_and_trims() {
-        let mut cache = AllocationCache::new(8);
-        let mut state = HardwareState::new(machines::dgx1_v100());
-        let spec = job(1, AppTopology::Ring, true);
-        for g in 0..4usize {
-            state.allocate(100 + g as u64, &[g]).unwrap();
-            let k = cache
-                .key_for(&spec, "dgx", state.occupancy_signature())
-                .unwrap();
-            cache.insert(k, Some(vec![g + 4]));
+    fn default_capacity_evicts_the_oldest_key() {
+        let mut cache = AllocationCache::default();
+        // Keys are plain values: one per job size on one occupancy.
+        let idle = HardwareState::new(machines::dgx2()).occupancy_signature();
+        let key = |i: usize| CacheKey::new(&job(1 + i, AppTopology::Ring, true), idle.clone());
+        for i in 0..=DEFAULT_CACHE_CAPACITY {
+            cache.insert(key(i), None);
         }
-        assert_eq!(cache.len(), 4);
-        cache.set_capacity(2);
-        assert_eq!(cache.capacity(), 2);
-        assert_eq!(cache.len(), 2, "oldest entries trimmed immediately");
-        assert_eq!(cache.stats().evictions, 2);
-        cache.set_capacity(0);
-        assert_eq!(cache.capacity(), 1, "capacity clamps to at least 1");
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.len(), DEFAULT_CACHE_CAPACITY);
+        assert_eq!(cache.stats().evictions, 1);
+        assert!(cache.get(&key(0)).is_none(), "oldest entry evicted");
+        assert!(cache.get(&key(1)).is_some());
+        assert!(cache.get(&key(DEFAULT_CACHE_CAPACITY)).is_some());
+    }
+
+    fn cached_preserve(machine: mapa_topology::Topology) -> crate::MapaAllocator {
+        crate::MapaAllocator::new(machine, Box::new(crate::policy::PreservePolicy))
+            .with_config(crate::AllocatorConfig::cached())
+    }
+
+    #[test]
+    fn isomorphic_shapes_are_two_entries_with_one_placement() {
+        let mut a = cached_preserve(machines::dgx1_v100());
+        let ring = a
+            .peek(&job(3, AppTopology::Ring, true))
+            .unwrap()
+            .expect("an idle machine places");
+        let clique = a
+            .peek(&job(3, AppTopology::AllToAll, true))
+            .unwrap()
+            .expect("an idle machine places");
+        assert_eq!(ring.0, clique.0, "ring(3) ≡ all_to_all(3) as graphs");
+        let stats = a.cache_stats().unwrap();
+        assert_eq!((stats.hits, stats.misses, stats.insertions), (0, 2, 2));
+    }
+
+    #[test]
+    fn twelve_gpu_job_on_dgx2_is_cached_like_any_other() {
+        let mut a = cached_preserve(machines::dgx2());
+        let spec = job(12, AppTopology::Ring, true);
+        let first = a.try_allocate(&spec).unwrap().expect("16 GPUs are free");
+        a.release(spec.id).unwrap();
+        let again = a.try_allocate(&spec).unwrap().expect("16 GPUs are free");
+        assert_eq!(first.gpus, again.gpus);
+        let stats = a.cache_stats().unwrap();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]
@@ -400,9 +315,7 @@ mod tests {
         let mut cache = AllocationCache::default();
         let state = HardwareState::new(machines::summit());
         let spec = job(4, AppTopology::Ring, true);
-        let k = cache
-            .key_for(&spec, "summit", state.occupancy_signature())
-            .unwrap();
+        let k = CacheKey::new(&spec, state.occupancy_signature());
         cache.insert(k.clone(), None);
         assert_eq!(cache.get(&k), Some(&None));
     }

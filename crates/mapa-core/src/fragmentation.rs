@@ -12,13 +12,7 @@ use mapa_topology::Topology;
 /// it (the complete matching pattern, as in the §2.2 worked example).
 #[must_use]
 pub fn aggregate_bandwidth(topology: &Topology, gpus: &[usize]) -> f64 {
-    let mut total = 0.0;
-    for i in 0..gpus.len() {
-        for j in (i + 1)..gpus.len() {
-            total += topology.bandwidth(gpus[i], gpus[j]);
-        }
-    }
-    total
+    topology.bandwidth_among(gpus)
 }
 
 /// The best aggregate bandwidth achievable by any `k`-GPU allocation on an

@@ -13,9 +13,9 @@
 //! 5. **Pattern selection** ([`policy`]): Baseline, Topo-aware, Greedy, and
 //!    the paper's Preserve policy (Algorithm 1).
 //! 6. **State management** ([`MapaAllocator`]): allocate on job start, restore
-//!    on job finish (§3.6), with an optional canonical-state decision
-//!    cache ([`cache`]) memoizing selections across identical job shapes
-//!    and recurring occupancy states.
+//!    on job finish (§3.6), with an optional decision cache ([`cache`])
+//!    memoizing selections across identical job shapes and recurring
+//!    occupancy states.
 //! 7. **Preemption** ([`preempt`]): when a high-priority arrival finds no
 //!    feasible pattern, a [`PreemptionPolicy`] plans which running
 //!    low-priority jobs to vacate ([`MapaAllocator::preemption_plan`] —

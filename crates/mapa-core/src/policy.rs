@@ -17,7 +17,7 @@
 
 use crate::appgraph;
 use crate::scoring::{Ranking, SetScorer};
-use mapa_graph::{BitSet, PatternGraph, WeightedGraph};
+use mapa_graph::{BitSet, PatternGraph};
 use mapa_isomorph::{Embedding, Matcher};
 use mapa_model::EffBwModel;
 use mapa_topology::{HardwareState, Topology};
@@ -38,9 +38,6 @@ pub struct PolicyContext<'a> {
     /// free GPUs hosts every k-vertex pattern; the set-scored policies
     /// (Preserve, EffBW-greedy) rely on it and never call the matcher.
     pub data_graph: &'a PatternGraph,
-    /// Complete weighted hardware graph (Eq. 1 scoring in custom
-    /// policies; the built-in ones read link speeds from a `SetScorer`).
-    pub bandwidth_graph: &'a WeightedGraph,
 }
 
 impl PolicyContext<'_> {
@@ -89,19 +86,16 @@ impl PolicyContext<'_> {
 ///
 /// # Purity contract (allocation caching)
 ///
-/// The canonical-state allocation cache ([`crate::cache`]) memoizes
-/// selections keyed by *(pattern isomorphism class, `bandwidth_sensitive`,
-/// demand kind, SLO-tagged, machine, free-GPU set)*. For cached and
-/// uncached paths to be equivalent, `select` must be a deterministic
-/// function of exactly those inputs — it must not consult other
+/// The allocation cache ([`crate::cache`]) memoizes selections keyed by
+/// *(`topology`, GPU count, `bandwidth_sensitive`, demand kind, SLO-tagged,
+/// free-GPU set)*. For cached and uncached paths to be equivalent, `select`
+/// must be a deterministic function of exactly those inputs and the
+/// allocator's own machine and model — it must not consult other
 /// [`JobSpec`] fields (`id`, `workload`, `iterations`, the SLO *value*),
-/// wall-clock time, or external state, and its
-/// tie-breaking must not depend on the pattern's vertex labeling (break
-/// score ties toward the lexicographically smallest GPU set, as every
-/// built-in policy does). A policy that needs more inputs is still valid —
-/// run it with the cache disabled (`AllocatorConfig::default()`, or
-/// `SimConfig { cached: false, .. }` in the simulator, which otherwise
-/// caches by default).
+/// wall-clock time, or external state. A policy that needs more inputs is
+/// still valid — run it with the cache disabled
+/// (`AllocatorConfig::default()`, or `SimConfig { cached: false, .. }` in
+/// the simulator, which otherwise caches by default).
 pub trait AllocationPolicy: Send + Sync {
     /// Short name used in result tables ("baseline", "Preserve", …).
     fn name(&self) -> &'static str;
@@ -456,7 +450,7 @@ mod tests {
                 gpus,
             ),
             preserved_bw: scoring::preserved_bandwidth(&free_graph, &free_map, gpus),
-            link_mix: scoring::allocation_link_mix(allocator.topology(), gpus),
+            link_mix: corpus::allocation_mix(allocator.topology(), gpus),
         }
     }
 
@@ -568,7 +562,6 @@ mod tests {
         model: EffBwModel,
         matcher: Matcher,
         data_graph: PatternGraph,
-        bandwidth_graph: WeightedGraph,
     }
 
     impl Fixture {
@@ -582,7 +575,6 @@ mod tests {
             Self {
                 state: HardwareState::new(topology.clone()),
                 data_graph: scoring::matcher_data_graph(&topology),
-                bandwidth_graph: topology.bandwidth_graph(),
                 matcher: Matcher::default(),
                 model,
                 topology,
@@ -596,7 +588,6 @@ mod tests {
                 model: &self.model,
                 matcher: &self.matcher,
                 data_graph: &self.data_graph,
-                bandwidth_graph: &self.bandwidth_graph,
             }
         }
     }

@@ -22,14 +22,14 @@
 //! Eq. 2, Eq. 3 and the pressure term are all sums over the vertices and
 //! vertex pairs of the candidate set, so the built-in policies and
 //! [`crate::MapaAllocator::score_allocation`] never build a graph to get
-//! them: one [`SetScorer`] per decision tabulates the free part of the
+//! them: one `SetScorer` per decision tabulates the free part of the
 //! machine and scores a set from its prefix in O(k). The free functions
 //! below compute the same numbers from scratch; they stay for custom
 //! policies and as the oracle the scorer is tested against.
 
 use mapa_graph::{BitSet, Graph, PatternGraph, WeightedGraph};
 use mapa_isomorph::Embedding;
-use mapa_model::EffBwModel;
+use mapa_model::{corpus, EffBwModel};
 use mapa_topology::{HardwareState, LinkMix, LinkType, Topology};
 use mapa_workloads::JobSpec;
 
@@ -60,27 +60,11 @@ pub fn aggregated_bandwidth(
     embedding.mapped_edge_weight(pattern, hardware)
 }
 
-/// The `(x, y, z)` link mix of an allocation — every GPU pair inside the
-/// matched vertex set, mirroring the corpus protocol of §3.4.3.
-///
-/// The built-in policies no longer call this (a [`SetScorer`] counts the
-/// mix along the prefix); it serves custom policies and the tests.
-#[must_use]
-pub fn allocation_link_mix(topology: &Topology, gpus: &[usize]) -> LinkMix {
-    let mut pairs = Vec::new();
-    for i in 0..gpus.len() {
-        for j in (i + 1)..gpus.len() {
-            pairs.push((gpus[i], gpus[j]));
-        }
-    }
-    topology.link_mix(&pairs)
-}
-
 /// Eq. 2 — Predicted Effective Bandwidth of allocating `gpus`.
 ///
 /// 1-GPU allocations have no inter-GPU traffic: scored 0.
 ///
-/// The built-in policies no longer call this (a [`SetScorer`] memoizes the
+/// The built-in policies no longer call this (a `SetScorer` memoizes the
 /// model by link mix); it serves custom policies and the tests.
 #[must_use]
 pub fn predicted_effective_bandwidth(
@@ -91,7 +75,7 @@ pub fn predicted_effective_bandwidth(
     if gpus.len() < 2 {
         return 0.0;
     }
-    model.predict(&allocation_link_mix(topology, gpus))
+    model.predict(&corpus::allocation_mix(topology, gpus))
 }
 
 /// Eq. 3 — Preserved Bandwidth: total link bandwidth of the hardware graph
@@ -104,7 +88,7 @@ pub fn predicted_effective_bandwidth(
 /// Builds the induced graph of what remains, so it costs O(free²) and
 /// allocates per call. The built-in policies and
 /// [`crate::MapaAllocator::score_allocation`] no longer call it — a
-/// [`SetScorer`] gets the same number from three running sums — and it
+/// `SetScorer` gets the same number from three running sums — and it
 /// stays as the definition they are tested against.
 ///
 /// # Panics

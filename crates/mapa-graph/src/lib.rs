@@ -11,8 +11,6 @@
 //! * [`Graph`] — an undirected graph with per-edge weights of any `Copy`
 //!   type. Hardware graphs use `f64` bandwidths, pattern graphs use `()`.
 //! * [`BitSet`] — a dynamic bitset used for adjacency rows and vertex sets.
-//! * [`canonical`] — canonical adjacency codes for comparing small graphs
-//!   up to isomorphism (used heavily in tests and for pattern deduplication).
 //! * [`dot`] — Graphviz DOT export for debugging and documentation.
 //!
 //! # Example
@@ -35,7 +33,6 @@
 #![warn(missing_docs)]
 
 mod bitset;
-pub mod canonical;
 pub mod dot;
 mod error;
 mod graph;

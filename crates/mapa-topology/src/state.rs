@@ -112,10 +112,8 @@ pub struct HardwareState {
     jobs: HashMap<JobId, Vec<usize>>,
     /// Busy-GPU mask, maintained incrementally (never rescanned).
     busy: BitSet,
-    /// Bumped on every successful allocate/deallocate; failed transitions
-    /// leave it (and the signature) untouched.
-    generation: u64,
-    /// Signature of `busy`, recomputed only when `busy` changes.
+    /// Signature of `busy`, recomputed only when `busy` changes: failed
+    /// transitions leave it untouched.
     signature: OccupancySignature,
 }
 
@@ -131,7 +129,6 @@ impl HardwareState {
             owner: vec![None; n],
             jobs: HashMap::new(),
             busy,
-            generation: 0,
             signature,
         }
     }
@@ -146,14 +143,6 @@ impl HardwareState {
     #[must_use]
     pub fn free_count(&self) -> usize {
         self.topology.gpu_count() - self.busy.count()
-    }
-
-    /// Monotone counter of successful state transitions. Two reads that
-    /// observe the same generation observed the same occupancy, so callers
-    /// can skip recomputing derived data without comparing signatures.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// The incremental identity key of the current free/busy set. O(words)
@@ -329,7 +318,7 @@ impl HardwareState {
             self.busy.insert(g);
         }
         self.jobs.insert(job, sorted);
-        self.bump();
+        self.refresh_signature();
         Ok(())
     }
 
@@ -347,14 +336,12 @@ impl HardwareState {
             self.owner[g] = None;
             self.busy.remove(g);
         }
-        self.bump();
+        self.refresh_signature();
         Ok(gpus)
     }
 
-    /// Advances the generation and refreshes the signature after a
-    /// successful mutation of `busy`.
-    fn bump(&mut self) {
-        self.generation += 1;
+    /// Refreshes the signature after a successful mutation of `busy`.
+    fn refresh_signature(&mut self) {
         self.signature = OccupancySignature::from_busy(&self.busy);
     }
 }
@@ -461,19 +448,13 @@ mod tests {
     }
 
     #[test]
-    fn generation_bumps_only_on_successful_transitions() {
+    fn failed_transitions_leave_the_signature_untouched() {
         let mut s = state();
-        assert_eq!(s.generation(), 0);
         s.allocate(1, &[0, 1]).unwrap();
-        assert_eq!(s.generation(), 1);
-        // Failed transitions leave generation and signature untouched.
         let sig = s.occupancy_signature();
         assert!(s.allocate(2, &[1]).is_err());
         assert!(s.deallocate(9).is_err());
-        assert_eq!(s.generation(), 1);
         assert_eq!(s.occupancy_signature(), sig);
-        s.deallocate(1).unwrap();
-        assert_eq!(s.generation(), 2);
     }
 
     #[test]
@@ -499,7 +480,6 @@ mod tests {
         // the recurrence an allocation cache keys on.
         a.deallocate(1).unwrap();
         assert_eq!(a.occupancy_signature(), idle);
-        assert!(a.generation() > 0, "generation never rewinds");
     }
 
     #[test]

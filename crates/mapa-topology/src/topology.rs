@@ -171,7 +171,8 @@ impl Topology {
     }
 
     /// Sum of peak bandwidths over every pair of the distinct `gpus`.
-    pub(crate) fn bandwidth_among(&self, gpus: &[usize]) -> f64 {
+    #[must_use]
+    pub fn bandwidth_among(&self, gpus: &[usize]) -> f64 {
         let mut total = 0.0;
         for (i, &a) in gpus.iter().enumerate() {
             for &b in &gpus[i + 1..] {

@@ -79,6 +79,15 @@ fn mask_clear(words: &mut [u64], i: usize) {
     words[i / 64] &= !(1u64 << (i % 64));
 }
 
+/// Sets bit `i` of a `u64`-word bitmask to `on`.
+fn mask_assign(words: &mut [u64], i: usize, on: bool) {
+    if on {
+        mask_set(words, i);
+    } else {
+        mask_clear(words, i);
+    }
+}
+
 /// Reads bit `i` of a `u64`-word bitmask.
 fn mask_get(words: &[u64], i: usize) -> bool {
     words[i / 64] & (1u64 << (i % 64)) != 0
@@ -87,28 +96,37 @@ fn mask_get(words: &[u64], i: usize) -> bool {
 /// Indices of set bits, ascending — word-at-a-time scan, so iterating a
 /// sparse mask over many shards touches O(words + set bits), not
 /// O(shards).
-fn mask_indices(words: &[u64]) -> Vec<usize> {
-    let mut out = Vec::new();
-    for (w, &word) in words.iter().enumerate() {
+fn mask_indices(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
         let mut bits = word;
-        while bits != 0 {
-            out.push(w * 64 + bits.trailing_zeros() as usize);
-            bits &= bits - 1;
-        }
-    }
-    out
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                i
+            })
+        })
+    })
 }
 
 /// The per-shard-queue state of queued dispatch: one bounded FIFO per
 /// shard, a backlog for arrivals no eligible queue could hold, and the
 /// per-queue high-water marks the report surfaces.
 ///
-/// Two occupancy bitmasks keep every pump pass O(active shards) instead
-/// of O(all shards) (a 64-shard fleet draining small jobs was ~14×
-/// *slower* than 1 shard without them):
+/// Three bitmasks and a head-size table mirror the queues, so that no
+/// pump or routing step dereferences a queue it has no business with (a
+/// 64-shard fleet draining small jobs was ~14× *slower* than 1 shard
+/// without the first two):
 ///
 /// * `occupied` — bit `s` set ⇔ shard `s`'s queue is non-empty; pump-side
 ///   scans (blocked-head accounting, steal passes) walk only set bits.
+/// * `room` — bit `s` set ⇔ shard `s`'s queue has a free slot. Routing's
+///   "could any queue take this job?" pre-check reads it in O(words): on a
+///   backlogged fleet every queue is full, the mask is zero, and the
+///   backlog head is refused without ranking or touching a shard.
+/// * `head_gpus[s]` — GPUs the head of queue `s` asks for (0 when empty):
+///   blocked-head accounting compares it with the pooled free GPUs
+///   instead of following `occupied` queues to their front jobs.
 /// * `ready` — bit `s` set ⇔ shard `s`'s head is worth (re)trying: a new
 ///   head was exposed, or the shard's capacity grew since the head last
 ///   failed to place. A failed head decision clears the bit — placement
@@ -136,60 +154,63 @@ struct ShardQueues {
     occupied: Vec<u64>,
     /// Heads worth a placement retry (see type docs).
     ready: Vec<u64>,
+    /// Queues with a free slot (see type docs).
+    room: Vec<u64>,
+    /// GPUs each queue's head asks for (see type docs).
+    head_gpus: Vec<usize>,
 }
 
 impl ShardQueues {
     fn new(shards: usize, depth: usize) -> Self {
+        let words = shards.div_ceil(64);
+        let mut room = vec![0; words];
+        (0..shards).for_each(|s| mask_set(&mut room, s));
         Self {
             depth: depth.max(1),
             queues: vec![VecDeque::new(); shards],
             backlog: VecDeque::new(),
             max_depths: vec![0; shards],
             waiting: 0,
-            occupied: vec![0; shards.div_ceil(64)],
-            ready: vec![0; shards.div_ceil(64)],
+            occupied: vec![0; words],
+            ready: vec![0; words],
+            room,
+            head_gpus: vec![0; shards],
         }
+    }
+
+    /// Re-derives shard `shard`'s `occupied` / `room` / `head_gpus`
+    /// mirrors from its queue; every change to a queue ends here.
+    fn resync(&mut self, shard: usize) {
+        let queue = &self.queues[shard];
+        let head = queue.front().map_or(0, |item| item.job.num_gpus());
+        mask_assign(&mut self.occupied, shard, !queue.is_empty());
+        mask_assign(&mut self.room, shard, queue.len() < self.depth);
+        self.head_gpus[shard] = head;
     }
 
     fn push(&mut self, shard: usize, item: PendingJob) {
         if self.queues[shard].is_empty() {
             // A new head is exposed: this shard must be (re)tried.
-            mask_set(&mut self.occupied, shard);
             mask_set(&mut self.ready, shard);
         }
         self.queues[shard].push_back(item);
         self.max_depths[shard] = self.max_depths[shard].max(self.queues[shard].len());
         self.waiting += 1;
+        self.resync(shard);
     }
 
-    /// Removes and returns shard `shard`'s queue head (a placed job).
-    fn pop_head(&mut self, shard: usize) -> Option<PendingJob> {
-        let item = self.queues[shard].pop_front();
-        if item.is_some() {
-            self.waiting -= 1;
-            if self.queues[shard].is_empty() {
-                mask_clear(&mut self.occupied, shard);
-                mask_clear(&mut self.ready, shard);
-            } else {
-                // The next head is exposed and has never been tried
-                // against the shard's current state.
-                mask_set(&mut self.ready, shard);
-            }
-        }
-        item
-    }
-
-    /// Removes the job at `idx` of shard `victim`'s queue (migration).
+    /// Removes the job at `idx` of shard `victim`'s queue (migration, or
+    /// a placed head at `idx` 0).
     fn take_at(&mut self, victim: usize, idx: usize) -> Option<PendingJob> {
         let item = self.queues[victim].remove(idx);
         if item.is_some() {
             self.waiting -= 1;
-            if self.queues[victim].is_empty() {
-                mask_clear(&mut self.occupied, victim);
-                mask_clear(&mut self.ready, victim);
-            } else if idx == 0 {
-                mask_set(&mut self.ready, victim);
+            if idx == 0 {
+                // The next head, if any, is exposed and has never been
+                // tried against the shard's current state.
+                mask_assign(&mut self.ready, victim, !self.queues[victim].is_empty());
             }
+            self.resync(victim);
         }
         item
     }
@@ -206,16 +227,6 @@ impl ShardQueues {
     /// its capacity grows, retrying is pointless.
     fn note_head_blocked(&mut self, shard: usize) {
         mask_clear(&mut self.ready, shard);
-    }
-
-    /// Shards whose head is worth a placement attempt, ascending.
-    fn ready_shards(&self) -> Vec<usize> {
-        mask_indices(&self.ready)
-    }
-
-    /// Shards with a non-empty queue, ascending.
-    fn occupied_shards(&self) -> Vec<usize> {
-        mask_indices(&self.occupied)
     }
 
     /// Number of shards with a non-empty queue.
@@ -243,11 +254,12 @@ impl ShardQueues {
             "incremental waiting counter must mirror the shard queues"
         );
         debug_assert!(
-            self.queues
-                .iter()
-                .enumerate()
-                .all(|(s, q)| mask_get(&self.occupied, s) != q.is_empty()),
-            "occupancy mask must mirror the shard queues"
+            self.queues.iter().enumerate().all(|(s, q)| {
+                mask_get(&self.occupied, s) != q.is_empty()
+                    && mask_get(&self.room, s) == (q.len() < self.depth)
+                    && self.head_gpus[s] == q.front().map_or(0, |item| item.job.num_gpus())
+            }),
+            "occupied / room masks and head sizes must mirror the shard queues"
         );
         self.waiting
     }
@@ -300,6 +312,21 @@ pub struct Cluster {
     /// Members across every backlogged gang — incremental mirror so
     /// [`SchedulerBackend::queued_jobs`] is O(1) per engine event.
     gang_members_queued: usize,
+    /// Largest machine of the fleet; shards never change after
+    /// construction.
+    max_job_gpus: usize,
+    /// The quiescence memo: the `(blocked, fragmentation-blocked)` head
+    /// counts the last [`SchedulerBackend::pump`] ended on, while nothing
+    /// that could change a pump's outcome has happened since. A pump
+    /// always ends quiescent — its last round placed and moved nothing —
+    /// so a second pump on the same queues and shards would dispatch
+    /// nothing and count the same heads again; with the memo set, `pump`
+    /// does exactly that in O(1). Cleared when a job enters a shard queue
+    /// or an empty backlog, a gang is admitted, or a release, eviction or
+    /// direct placement touches a shard; an arrival that only lengthens a
+    /// non-empty backlog leaves it, since pumps look at the backlog's
+    /// head alone.
+    quiescent: Option<(u64, u64)>,
 }
 
 /// Shard decisions move whole allocators onto pool worker threads in
@@ -356,7 +383,7 @@ impl Cluster {
         // Fit the EffBW regression once per machine *type*; same-named
         // shards share the fitted model instead of rebuilding the
         // microbenchmark corpus N times.
-        let shards = machines
+        let shards: Vec<MapaAllocator> = machines
             .into_iter()
             .map(|machine| {
                 let model = models
@@ -366,6 +393,11 @@ impl Cluster {
                 MapaAllocator::with_model(machine, make_policy(), model)
             })
             .collect();
+        let max_job_gpus = shards
+            .iter()
+            .map(|s| s.topology().gpu_count())
+            .max()
+            .expect("cluster is non-empty");
         Self {
             shards,
             server_policy,
@@ -380,6 +412,8 @@ impl Cluster {
             queue_frag_blocks: 0,
             gang_backlog: VecDeque::new(),
             gang_members_queued: 0,
+            max_job_gpus,
+            quiescent: None,
         }
     }
 
@@ -404,6 +438,7 @@ impl Cluster {
     pub fn with_shard_queues(mut self, depth: usize) -> Self {
         let shards = self.shards.len();
         self.queues = Some(ShardQueues::new(shards, depth));
+        self.quiescent = None;
         self
     }
 
@@ -414,6 +449,7 @@ impl Cluster {
     #[must_use]
     pub fn with_migration(mut self, policy: MigrationPolicy) -> Self {
         self.migration = policy;
+        self.quiescent = None;
         if policy != MigrationPolicy::None && self.queues.is_none() {
             self = self.with_shard_queues(DEFAULT_SHARD_QUEUE_DEPTH);
         }
@@ -546,16 +582,16 @@ impl Cluster {
     /// queue is full (the job then waits in the backlog).
     fn route_target(&mut self, job: &JobSpec) -> Option<usize> {
         let eligible = |shards: &[MapaAllocator], queues: &ShardQueues, s: usize| {
-            job.num_gpus() <= shards[s].topology().gpu_count()
-                && queues.queues[s].len() < queues.depth
+            mask_get(&queues.room, s) && job.num_gpus() <= shards[s].topology().gpu_count()
         };
         // Ranking can be expensive (best-score peeks every shard), and
         // the backlog retries routing after every event — bail out before
         // ranking when no eligible queue has room, since no preference
-        // order could change the answer.
+        // order could change the answer. On a backlogged fleet `room` is
+        // all zeros and this touches no shard.
         {
             let queues = self.queues.as_ref().expect("routing requires queues");
-            if !(0..self.shards.len()).any(|s| eligible(&self.shards, queues, s)) {
+            if !mask_indices(&queues.room).any(|s| eligible(&self.shards, queues, s)) {
                 return None;
             }
         }
@@ -600,11 +636,11 @@ impl Cluster {
     /// in ascending shard order, so the round is deterministic in both
     /// modes. Returns the jobs placed this round.
     fn decision_round(&mut self) -> Vec<DispatchedJob> {
-        let candidates = self
+        let queues = self
             .queues
             .as_ref()
-            .expect("decision rounds require queues")
-            .ready_shards();
+            .expect("decision rounds require queues");
+        let candidates: Vec<usize> = mask_indices(&queues.ready).collect();
         if candidates.is_empty() {
             return Vec::new();
         }
@@ -629,7 +665,9 @@ impl Cluster {
                 queues.note_head_blocked(server);
                 continue;
             };
-            let item = queues.pop_head(server).expect("outcome for a queued head");
+            let item = queues
+                .take_at(server, 0)
+                .expect("outcome for a queued head");
             debug_assert_eq!(item.job.id, outcome.job_id);
             self.placements += 1;
             placed.push(DispatchedJob {
@@ -749,18 +787,18 @@ impl Cluster {
     /// One migration pull for `thief` (a shard with an empty queue): take
     /// the oldest waiting job the thief could start *right now* — checked
     /// through [`MapaAllocator::peek`], so the subsequent placement is a
-    /// guaranteed cache hit — from the deepest queue among `victims`
-    /// (depth ties break toward the lowest victim id). Returns whether a
-    /// job moved.
-    fn pull_waiting_job(&mut self, thief: usize, victims: &[bool]) -> bool {
+    /// guaranteed cache hit — from the deepest non-empty queue among
+    /// `victims` (a mask; `None` = every queue; depth ties break toward
+    /// the lowest victim id). Returns whether a job moved.
+    fn pull_waiting_job(&mut self, thief: usize, victims: Option<&[u64]>) -> bool {
         let Some(queues) = self.queues.as_ref() else {
             return false;
         };
-        if !queues.queues[thief].is_empty() {
+        if mask_get(&queues.occupied, thief) {
             return false;
         }
-        let victim = (0..self.shards.len())
-            .filter(|&v| v != thief && victims[v] && !queues.queues[v].is_empty())
+        let victim = mask_indices(victims.unwrap_or(&queues.occupied))
+            .filter(|&v| v != thief && mask_get(&queues.occupied, v))
             .max_by_key(|&v| (queues.queues[v].len(), std::cmp::Reverse(v)));
         let Some(victim) = victim else { return false };
         let thief_capacity = self.shards[thief].topology().gpu_count();
@@ -796,12 +834,10 @@ impl Cluster {
         if occupied == 0 || occupied == self.shards.len() {
             return false;
         }
-        let victims: Vec<bool> = (0..self.shards.len())
-            .map(|s| mask_get(&queues.occupied, s))
-            .collect();
+        let victims = queues.occupied.clone();
         let mut moved = false;
         for thief in 0..self.shards.len() {
-            if !victims[thief] && self.pull_waiting_job(thief, &victims) {
+            if !mask_get(&victims, thief) && self.pull_waiting_job(thief, Some(&victims)) {
                 self.migration_stats.jobs_stolen += 1;
                 moved = true;
             }
@@ -809,24 +845,44 @@ impl Cluster {
         moved
     }
 
-    /// Counts still-blocked queue heads (and a still-blocked gang-backlog
-    /// head) after a pump reached quiescence.
-    fn account_blocked_heads(&mut self) {
+    /// Dispatch rounds until quiescence: placements expose new queue
+    /// heads and free backlog slots; gang launches drain the gang
+    /// backlog; migrations hand a placeable job to an idle shard (the
+    /// next round starts it). Every round but the last either places or
+    /// moves a job, so the loop terminates. Returns the jobs placed.
+    fn dispatch_rounds(&mut self) -> Vec<DispatchedJob> {
+        let mut placed = Vec::new();
+        loop {
+            self.refill_from_backlog();
+            let round = self.decision_round();
+            let gangs = self.launch_ready_gangs();
+            let progressed = !round.is_empty() || !gangs.is_empty();
+            placed.extend(round);
+            placed.extend(gangs);
+            let moved = match self.migration {
+                MigrationPolicy::StealOnIdle => self.steal_pass(),
+                MigrationPolicy::None | MigrationPolicy::RebalanceOnRelease => false,
+            };
+            if !progressed && !moved {
+                return placed;
+            }
+        }
+    }
+
+    /// Counts the queue heads (and the gang-backlog head) still blocked
+    /// once a pump reached quiescence, and how many of them the fleet's
+    /// pooled free GPUs would have fit.
+    fn blocked_heads(&self) -> (u64, u64) {
         let queues = self.queues.as_ref().expect("accounting requires queues");
         let mut blocked = queues.occupied_count() as u64;
         let mut frag = 0u64;
         // The free-GPU sum is only needed for fragmentation accounting;
         // skip it (and the occupied walk) when nothing is blocked.
         if blocked > 0 || !self.gang_backlog.is_empty() {
-            let total_free: usize = self.shards.iter().map(|s| s.state().free_count()).sum();
-            for s in queues.occupied_shards() {
-                let head = queues.queues[s]
-                    .front()
-                    .expect("occupied shards have heads");
-                if total_free >= head.job.num_gpus() {
-                    frag += 1;
-                }
-            }
+            let total_free = self.total_free_gpus();
+            frag = mask_indices(&queues.occupied)
+                .filter(|&s| total_free >= queues.head_gpus[s])
+                .count() as u64;
             if let Some((gang, _)) = self.gang_backlog.front() {
                 blocked += 1;
                 if total_free >= gang.total_gpus() {
@@ -834,8 +890,7 @@ impl Cluster {
                 }
             }
         }
-        self.queue_blocks += blocked;
-        self.queue_frag_blocks += frag;
+        (blocked, frag)
     }
 }
 
@@ -908,11 +963,7 @@ impl SchedulerBackend for Cluster {
     }
 
     fn max_job_gpus(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.topology().gpu_count())
-            .max()
-            .expect("cluster is non-empty")
+        self.max_job_gpus
     }
 
     fn total_free_gpus(&self) -> usize {
@@ -941,6 +992,7 @@ impl SchedulerBackend for Cluster {
             "try_place is the global-queue path; queued clusters dispatch via pump"
         );
         let started = Instant::now();
+        self.quiescent = None;
         let seq = self.placements;
         let order = self.rank_shards(job, seq);
         for server in order {
@@ -980,6 +1032,7 @@ impl SchedulerBackend for Cluster {
         self.shards[server]
             .release(job)
             .expect("running job is allocated on its shard");
+        self.quiescent = None;
         // The shard's free set grew: its blocked queue head (if any) is
         // worth retrying on the next pump.
         if let Some(queues) = self.queues.as_mut() {
@@ -989,11 +1042,10 @@ impl SchedulerBackend for Cluster {
         // pulls a waiting job from the deepest queue if its own is empty;
         // the engine's post-event pump then places it. A single pull has
         // no chaining to guard against, so every other queue is a victim.
-        if self.migration == MigrationPolicy::RebalanceOnRelease {
-            let victims = vec![true; self.shards.len()];
-            if self.pull_waiting_job(server, &victims) {
-                self.migration_stats.jobs_rebalanced += 1;
-            }
+        if self.migration == MigrationPolicy::RebalanceOnRelease
+            && self.pull_waiting_job(server, None)
+        {
+            self.migration_stats.jobs_rebalanced += 1;
         }
     }
 
@@ -1007,6 +1059,7 @@ impl SchedulerBackend for Cluster {
             0,
             "batched release requires empty queues"
         );
+        self.quiescent = None;
         for &(server, job) in released {
             self.shards[server]
                 .release(job)
@@ -1034,6 +1087,7 @@ impl SchedulerBackend for Cluster {
         if self.total_free_gpus() < wanted {
             return None;
         }
+        self.quiescent = None;
         // Two-phase reservation: members are placed in order (peek picks
         // the shard, the committing allocation is a guaranteed cache
         // hit); if any member finds no shard, every reservation made so
@@ -1092,6 +1146,7 @@ impl SchedulerBackend for Cluster {
             return Vec::new();
         };
         self.shards[server].evict(&plan);
+        self.quiescent = None;
         if let Some(queues) = self.queues.as_mut() {
             queues.note_capacity_freed(server);
         }
@@ -1109,14 +1164,10 @@ impl SchedulerBackend for Cluster {
         // one shard's queue and will be placed on that shard, so only
         // that shard's running jobs are candidate victims (pair with a
         // migration policy to escape a mis-routed head).
-        if self.queues.is_none() {
+        let Some(queues) = self.queues.as_ref() else {
             return Vec::new();
-        }
-        let occupied = self
-            .queues
-            .as_ref()
-            .expect("checked above")
-            .occupied_shards();
+        };
+        let occupied: Vec<usize> = mask_indices(&queues.occupied).collect();
         let mut evictions = Vec::new();
         for s in occupied {
             let head = self.queues.as_ref().expect("checked above").queues[s]
@@ -1129,6 +1180,7 @@ impl SchedulerBackend for Cluster {
             if let Some(plan) = self.shards[s].preemption_plan(&head, policy, shielded) {
                 if !plan.is_empty() {
                     self.shards[s].evict(&plan);
+                    self.quiescent = None;
                     // The eviction freed capacity for this head — without
                     // this the ready mask would never retry it and the
                     // preemption would be wasted.
@@ -1160,9 +1212,12 @@ impl SchedulerBackend for Cluster {
             .expect("checked above")
             .backlog
             .is_empty();
+        // Behind a non-empty backlog the arrival changes nothing a pump
+        // looks at; anywhere else it may (see `quiescent`).
         let target = if backlogged {
             None
         } else {
+            self.quiescent = None;
             self.route_target(&item.job)
         };
         let queues = self.queues.as_mut().expect("checked above");
@@ -1182,34 +1237,23 @@ impl SchedulerBackend for Cluster {
         );
         self.gang_members_queued += gang.len();
         self.gang_backlog.push_back((gang, submitted_at));
+        self.quiescent = None;
     }
 
     fn pump(&mut self, _now: f64) -> Vec<DispatchedJob> {
         if self.queues.is_none() {
             return Vec::new();
         }
+        // With the memo set nothing happened since the last pump ended:
+        // this one would place nothing and end on the same blocked heads.
         let mut placed = Vec::new();
-        // Rounds until quiescence: placements expose new queue heads and
-        // free backlog slots; gang launches drain the gang backlog;
-        // migrations hand a placeable job to an idle shard (the next
-        // round starts it). Every round either places or moves a job, so
-        // the loop terminates.
-        loop {
-            self.refill_from_backlog();
-            let round = self.decision_round();
-            let gangs = self.launch_ready_gangs();
-            let progressed = !round.is_empty() || !gangs.is_empty();
-            placed.extend(round);
-            placed.extend(gangs);
-            let moved = match self.migration {
-                MigrationPolicy::StealOnIdle => self.steal_pass(),
-                MigrationPolicy::None | MigrationPolicy::RebalanceOnRelease => false,
-            };
-            if !progressed && !moved {
-                break;
-            }
+        if self.quiescent.is_none() {
+            placed = self.dispatch_rounds();
+            self.quiescent = Some(self.blocked_heads());
         }
-        self.account_blocked_heads();
+        let (blocked, frag) = self.quiescent.expect("set above");
+        self.queue_blocks += blocked;
+        self.queue_frag_blocks += frag;
         placed
     }
 
@@ -1260,9 +1304,11 @@ mod tests {
     use super::*;
     use crate::policy::{BestScorePolicy, LeastLoadedPolicy, PackFirstPolicy, RoundRobinPolicy};
     use mapa_core::policy::{BaselinePolicy, PreservePolicy};
+    use mapa_core::scoring::MatchScore;
     use mapa_sim::{ArrivalProcess, Engine, SimConfig};
     use mapa_topology::machines;
     use mapa_workloads::{generator, Workload};
+    use proptest::prelude::*;
 
     fn job(id: u64, n: usize) -> JobSpec {
         JobSpec::new(id, mapa_workloads::GpuDemand::Whole(n), Workload::Vgg16).with_iterations(10)
@@ -1770,6 +1816,130 @@ mod tests {
         assert_eq!(j2.preemptions, 0, "the other shard's monster survived");
         assert_eq!(j3.started_at, 0.0, "urgent job started immediately");
         assert_eq!(j3.server, 0, "placed on the shard it preempted");
+    }
+
+    impl Cluster {
+        /// Forgets the quiescence memo, so the next pump walks its rounds
+        /// in full — the oracle the memo is tested against.
+        fn forget_quiescence(&mut self) {
+            self.quiescent = None;
+        }
+    }
+
+    /// The semantic half of a pump's output (`scheduling_overhead` is
+    /// wall-clock).
+    fn dispatched(jobs: &[DispatchedJob]) -> Vec<(&PendingJob, usize, &[usize], &MatchScore)> {
+        jobs.iter()
+            .map(|d| {
+                let p = &d.placement;
+                (&d.pending, p.server, p.gpus.as_slice(), &p.score)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Two identical clusters take the same random backend calls, two
+        /// pumps after each; one of them forgets its quiescence memo before
+        /// every pump and so walks every round in full. The second pump
+        /// dispatches nothing and counts the first one's blocked heads
+        /// again. Depth-2 queues overflow into the backlog, and on DGX-1 +
+        /// DGX-2 + DGX-1 a queue with room is not a queue that can host the
+        /// job.
+        #[test]
+        fn dispatch_pump_memo_replays_the_full_pump(
+            steal in any::<bool>(),
+            server_policy_idx in 0usize..4,
+            ops in proptest::collection::vec((0usize..7, 0usize..16, 0usize..16), 1..60),
+        ) {
+            let build = || {
+                let server_policy = crate::policy::server_policy_by_name(
+                    crate::policy::SERVER_POLICY_NAMES[server_policy_idx],
+                )
+                .expect("listed name");
+                let mut c = Cluster::new(
+                    vec![machines::dgx1_v100(), machines::dgx2(), machines::dgx1_v100()],
+                    || Box::new(BaselinePolicy),
+                    server_policy,
+                )
+                .with_shard_queues(2)
+                .with_migration(if steal {
+                    MigrationPolicy::StealOnIdle
+                } else {
+                    MigrationPolicy::RebalanceOnRelease
+                });
+                c.configure(&SimConfig::default());
+                c
+            };
+            let (mut memo, mut full) = (build(), build());
+            let mut running: Vec<(usize, JobSpec)> = Vec::new();
+            let mut next_id = 0u64;
+            let mut fresh = |gpus: usize, priority: usize| {
+                next_id += 1;
+                pri_job(next_id, gpus, 10, priority as u8)
+            };
+            for (kind, a, b) in ops {
+                match kind {
+                    // Up to 12 GPUs: only the DGX-2 can ever host those.
+                    0..=2 => {
+                        let item = PendingJob::new(fresh(1 + a % 12, b % 3), 0.0);
+                        memo.admit(item.clone());
+                        full.admit(item);
+                    }
+                    3 => {
+                        let gang = JobGroup::new(
+                            1000 + a as u64,
+                            vec![fresh(1 + a % 8, 0), fresh(1 + b % 8, 0)],
+                        );
+                        memo.admit_gang(gang.clone(), 0.0);
+                        full.admit_gang(gang, 0.0);
+                    }
+                    4 | 5 if !running.is_empty() => {
+                        let (server, job) = running.remove(a % running.len());
+                        memo.release(server, job.id);
+                        full.release(server, job.id);
+                    }
+                    6 => {
+                        let shielded = HashSet::new();
+                        let evicted = memo.preempt_blocked(PreemptionPolicy::PriorityEvict, &shielded);
+                        prop_assert_eq!(
+                            &evicted,
+                            &full.preempt_blocked(PreemptionPolicy::PriorityEvict, &shielded)
+                        );
+                        // Victims go back to the queues, as the engine does.
+                        for e in evicted {
+                            let at = running
+                                .iter()
+                                .position(|(_, job)| job.id == e.job_id)
+                                .expect("victims were running");
+                            let item = PendingJob::new(running.remove(at).1, 0.0);
+                            memo.admit(item.clone());
+                            full.admit(item);
+                        }
+                    }
+                    // A release with nothing running: no call this step.
+                    _ => {}
+                }
+                let blocks = |c: &Cluster| (c.queue_blocks, c.queue_frag_blocks);
+                let before = blocks(&memo);
+                full.forget_quiescence();
+                let (placed, oracle) = (memo.pump(0.0), full.pump(0.0));
+                prop_assert_eq!(dispatched(&placed), dispatched(&oracle));
+                running.extend(placed.into_iter().map(|d| (d.placement.server, d.pending.job)));
+                let once = blocks(&memo);
+                full.forget_quiescence();
+                prop_assert!(memo.pump(0.0).is_empty() && full.pump(0.0).is_empty());
+                let twice = blocks(&memo);
+                prop_assert_eq!(
+                    (twice.0 - once.0, twice.1 - once.1),
+                    (once.0 - before.0, once.1 - before.1)
+                );
+                prop_assert_eq!(memo.queued_jobs(), full.queued_jobs());
+                prop_assert_eq!(memo.total_free_gpus(), full.total_free_gpus());
+                prop_assert_eq!(memo.dispatch_report(), full.dispatch_report());
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The MAPA allocator engine: matching + scoring + policy + state (§3.6).
 
-use crate::cache::{AllocationCache, CacheKey, CacheStats};
+use crate::cache::{AllocationCache, CacheKey, CacheStats, Decision};
 use crate::policy::{AllocationPolicy, PolicyContext};
 use crate::preempt::PreemptionPolicy;
 use crate::scoring::{self, MatchScore, SetScorer};
@@ -66,14 +66,18 @@ impl From<AllocationError> for AllocatorError {
 /// Tunables of the allocation fast path.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AllocatorConfig {
-    /// Memoize selections in an [`AllocationCache`]. Off by default so the
+    /// Memoize decisions in an [`AllocationCache`]. Off by default so the
     /// uncached path stays the reference; the simulator turns it on (the
-    /// property tests prove the two paths produce identical placements).
+    /// property tests prove the two paths produce identical placements
+    /// and bit-identical scores).
     pub cached: bool,
 }
 
 impl AllocatorConfig {
-    /// Config with the allocation cache enabled.
+    /// Config with the allocation cache enabled: an entry is the whole
+    /// decision — the GPU set and its [`MatchScore`] — so a hit runs
+    /// neither the policy nor the scorer. Sound because the key pins
+    /// everything both read (see [`crate::cache`]).
     #[must_use]
     pub fn cached() -> Self {
         Self { cached: true }
@@ -191,9 +195,10 @@ impl MapaAllocator {
         self.policy.name()
     }
 
-    /// Runs the policy's selection for `job` against the current occupancy
-    /// (through the allocation cache when enabled) without touching state.
-    fn select_for(&mut self, job: &JobSpec) -> Result<Option<Vec<usize>>, AllocatorError> {
+    /// Decides `job` against the current occupancy — the policy's selection
+    /// and its scores — without touching state. With the cache on this is
+    /// get-or-compute: the policy and the scorer run on a miss only.
+    fn select_for(&mut self, job: &JobSpec) -> Result<Decision, AllocatorError> {
         if job.num_gpus() == 0 || job.num_gpus() > self.topology.gpu_count() {
             return Err(AllocatorError::InvalidRequest {
                 requested: job.num_gpus(),
@@ -207,8 +212,16 @@ impl MapaAllocator {
             matcher: &self.matcher,
             data_graph: &self.data_graph,
         };
+        // Scored before any state transition: preserved BW is defined
+        // against the pre-allocation free graph.
+        let decide = || {
+            self.policy.select(job, &ctx).map(|gpus| {
+                let score = Self::score_in(ctx.state, ctx.model, job, &gpus);
+                (gpus, score)
+            })
+        };
         let Some(cache) = self.cache.as_mut() else {
-            return Ok(self.policy.select(job, &ctx));
+            return Ok(decide());
         };
         // Fast path: answer from the allocation cache when the exact
         // (pattern, sensitivity, demand kind, SLO tag, occupancy) decision
@@ -217,9 +230,9 @@ impl MapaAllocator {
         if let Some(hit) = cache.get(&key) {
             return Ok(hit.clone());
         }
-        let selected = self.policy.select(job, &ctx);
-        cache.insert(key, selected.clone());
-        Ok(selected)
+        let decision = decide();
+        cache.insert(key, decision.clone());
+        Ok(decision)
     }
 
     /// Previews the placement `try_allocate` would make for `job` right
@@ -237,11 +250,7 @@ impl MapaAllocator {
         &mut self,
         job: &JobSpec,
     ) -> Result<Option<(Vec<usize>, MatchScore)>, AllocatorError> {
-        let Some(gpus) = self.select_for(job)? else {
-            return Ok(None);
-        };
-        let score = self.score_allocation(job, &gpus);
-        Ok(Some((gpus, score)))
+        self.select_for(job)
     }
 
     /// Attempts to place `job`. Returns `Ok(None)` when the machine lacks
@@ -256,12 +265,9 @@ impl MapaAllocator {
         job: &JobSpec,
     ) -> Result<Option<AllocationOutcome>, AllocatorError> {
         let started = Instant::now();
-        let Some(gpus) = self.select_for(job)? else {
+        let Some((gpus, score)) = self.select_for(job)? else {
             return Ok(None);
         };
-        // Score the chosen allocation before mutating state (preserved BW
-        // is defined against the pre-allocation free graph).
-        let score = self.score_allocation(job, &gpus);
         let scheduling_overhead = started.elapsed();
         self.state.allocate(job.id, &gpus)?;
         self.alloc_seq += 1;
@@ -318,8 +324,18 @@ impl MapaAllocator {
     /// or out of range, and if one is listed twice.
     #[must_use]
     pub fn score_allocation(&self, job: &JobSpec, gpus: &[usize]) -> MatchScore {
-        SetScorer::new(&self.state, &self.model, job)
-            .score(&crate::appgraph::job_pattern(job), gpus)
+        Self::score_in(&self.state, &self.model, job, gpus)
+    }
+
+    /// [`Self::score_allocation`] over borrowed parts, so `select_for` can
+    /// score while the policy context borrows the same fields.
+    fn score_in(
+        state: &HardwareState,
+        model: &EffBwModel,
+        job: &JobSpec,
+        gpus: &[usize],
+    ) -> MatchScore {
+        SetScorer::new(state, model, job).score(&crate::appgraph::job_pattern(job), gpus)
     }
 
     /// Releases a finished job's GPUs (§3.6 deallocation).
@@ -445,6 +461,8 @@ mod tests {
     use crate::policy::{BaselinePolicy, GreedyPolicy, PreservePolicy};
     use mapa_topology::machines;
     use mapa_workloads::Workload;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn job(id: u64, n: usize, sensitive: bool) -> JobSpec {
         JobSpec::new(id, mapa_workloads::GpuDemand::Whole(n), Workload::Vgg16)
@@ -547,6 +565,65 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 3);
         assert!(stats.hit_rate() > 0.74);
+    }
+
+    /// Baseline's choice (the lowest free GPUs, whatever the pattern)
+    /// with every `select` call counted.
+    struct CountingPolicy(Arc<AtomicU64>);
+
+    impl AllocationPolicy for CountingPolicy {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn select(&self, job: &JobSpec, ctx: &PolicyContext<'_>) -> Option<Vec<usize>> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            BaselinePolicy.select(job, ctx)
+        }
+    }
+
+    #[test]
+    fn a_hit_returns_the_stored_decision_without_deciding_again() {
+        use mapa_workloads::AppTopology;
+        let selects = Arc::new(AtomicU64::new(0));
+        let mut a = MapaAllocator::new(
+            machines::dgx1_v100(),
+            Box::new(CountingPolicy(selects.clone())),
+        )
+        .with_config(AllocatorConfig::cached());
+        let calls = || selects.load(Ordering::Relaxed);
+        // The policy runs (and the scorer with it, in `select_for`'s one
+        // closure) on the miss only; peek, allocate and a recurrence of
+        // the state all answer from the entry.
+        let ring = job(1, 4, true).with_topology(AppTopology::Ring);
+        let (gpus, score) = a.peek(&ring).unwrap().expect("idle machine places");
+        assert_eq!(calls(), 1);
+        assert_eq!(score, a.score_allocation(&ring, &gpus));
+        let out = a.try_allocate(&ring).unwrap().unwrap();
+        a.release(1).unwrap();
+        assert_eq!(a.peek(&ring).unwrap(), Some((gpus.clone(), score.clone())));
+        assert_eq!((out.gpus, out.score), (gpus.clone(), score.clone()));
+        assert_eq!(calls(), 1);
+        // Same set, other pattern: the stored score depends on `topology`,
+        // so this is a second entry with its own aggregated bandwidth.
+        let clique = job(2, 4, true).with_topology(AppTopology::AllToAll);
+        let (clique_gpus, clique_score) = a.peek(&clique).unwrap().unwrap();
+        assert_eq!(clique_gpus, gpus);
+        assert_eq!(clique_score, a.score_allocation(&clique, &gpus));
+        assert_ne!(clique_score.aggregated_bw, score.aggregated_bw);
+        // Same set, other occupancy: preserved bandwidth reads the free
+        // graph, which is the signature.
+        a.adopt(9, &[6, 7]).unwrap();
+        let (busier_gpus, busier_score) = a.peek(&ring).unwrap().unwrap();
+        assert_eq!(busier_gpus, gpus);
+        assert_eq!(busier_score, a.score_allocation(&ring, &gpus));
+        assert_ne!(busier_score.preserved_bw, score.preserved_bw);
+        assert_eq!(calls(), 3);
+        let stats = a.cache_stats().unwrap();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.insertions, stats.evictions),
+            (2, 3, 3, 0)
+        );
     }
 
     #[test]

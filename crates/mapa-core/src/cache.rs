@@ -10,25 +10,38 @@
 //! and the current free-GPU set. Multi-tenant traffic repeats those inputs
 //! constantly — the paper's job mix draws from four pattern shapes and
 //! eight sizes, and a machine that empties returns to a previously-seen
-//! occupancy — so [`AllocationCache`] memoizes the selected placement
-//! under [`CacheKey`], those values as they are.
+//! occupancy — so [`AllocationCache`] memoizes the whole [`Decision`] —
+//! the selected GPU set *and* its [`MatchScore`] — under [`CacheKey`],
+//! those values as they are. A hit is one hash lookup and one `Vec` clone:
+//! neither the policy nor the scorer runs.
 //!
 //! **Soundness.** The occupancy signature is the *exact* busy set (see
 //! [`OccupancySignature`]) and the other fields are the job's own, so
 //! equal keys mean the same labelled pattern asked of the same state: a
 //! deterministic policy selects the same GPUs, and entries never go stale —
 //! "invalidation" is the signature changing under allocate/release, which
-//! simply rotates the key. A previously-seen state recurring is exactly
-//! when a hit is both safe and valuable. Negative results (`None`, "cannot
-//! place right now") are cached on the same grounds. Two shapes that happen
-//! to be isomorphic (a 3-ring and a 3-clique) are two entries.
+//! simply rotates the key. The scores are pinned by the same key:
+//! aggregated bandwidth reads the pattern (`(AppTopology, size)`) on the
+//! chosen set, the link mix and Predicted EffBW read the chosen set and the
+//! allocator's fixed model, and preserved bandwidth reads the free graph,
+//! which *is* the signature (the SLO pressure term steers selection but is
+//! not part of [`MatchScore`]). A previously-seen state recurring is
+//! exactly when a hit is both safe and valuable. Negative results (`None`,
+//! "cannot place right now") are cached on the same grounds. Two shapes
+//! that happen to be isomorphic (a 3-ring and a 3-clique) are two entries.
 
+use crate::scoring::MatchScore;
 use mapa_topology::OccupancySignature;
 use mapa_workloads::{AppTopology, JobSpec};
 use std::collections::{HashMap, VecDeque};
 
 /// Maximum number of cached decisions (FIFO eviction beyond it).
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
+
+/// One memoized allocation decision: the selected GPUs (ascending) with
+/// the scores [`crate::MapaAllocator::score_allocation`] gave them in the
+/// keyed state, or `None` when the policy declined.
+pub type Decision = Option<(Vec<usize>, MatchScore)>;
 
 /// The full identity of one allocation decision on one allocator.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -87,11 +100,11 @@ impl CacheStats {
     }
 }
 
-/// A bounded memo table from [`CacheKey`] to the selected placement
+/// A bounded memo table from [`CacheKey`] to the [`Decision`] made there
 /// (`None` = the policy declined; also memoized).
 #[derive(Debug, Clone)]
 pub struct AllocationCache {
-    entries: HashMap<CacheKey, Option<Vec<usize>>>,
+    entries: HashMap<CacheKey, Decision>,
     order: VecDeque<CacheKey>,
     capacity: usize,
     stats: CacheStats,
@@ -111,7 +124,7 @@ impl AllocationCache {
 
     /// Looks up a decision, counting a hit or miss.
     #[must_use]
-    pub fn get(&mut self, key: &CacheKey) -> Option<&Option<Vec<usize>>> {
+    pub fn get(&mut self, key: &CacheKey) -> Option<&Decision> {
         match self.entries.get(key) {
             Some(hit) => {
                 self.stats.hits += 1;
@@ -125,8 +138,8 @@ impl AllocationCache {
     }
 
     /// Stores a decision, evicting the oldest entry beyond capacity.
-    pub fn insert(&mut self, key: CacheKey, placement: Option<Vec<usize>>) {
-        if self.entries.insert(key.clone(), placement).is_none() {
+    pub fn insert(&mut self, key: CacheKey, decision: Decision) {
+        if self.entries.insert(key.clone(), decision).is_none() {
             self.order.push_back(key);
             self.stats.insertions += 1;
             if self.entries.len() > self.capacity {
@@ -176,6 +189,17 @@ mod tests {
             .with_iterations(1)
     }
 
+    /// A stored decision on `gpus`; these table tests never read the score.
+    fn placed(gpus: Vec<usize>) -> Decision {
+        let score = MatchScore {
+            aggregated_bw: 0.0,
+            predicted_eff_bw: 0.0,
+            preserved_bw: 0.0,
+            link_mix: mapa_topology::LinkMix::default(),
+        };
+        Some((gpus, score))
+    }
+
     #[test]
     fn hit_after_insert_and_signature_recurrence() {
         let mut cache = AllocationCache::default();
@@ -184,14 +208,14 @@ mod tests {
 
         let k1 = CacheKey::new(&spec, state.occupancy_signature());
         assert!(cache.get(&k1).is_none());
-        cache.insert(k1.clone(), Some(vec![0, 1, 2]));
+        cache.insert(k1.clone(), placed(vec![0, 1, 2]));
 
         // The same machine state recurs after an allocate/release cycle.
         state.allocate(9, &[4, 5]).unwrap();
         state.deallocate(9).unwrap();
         let k2 = CacheKey::new(&spec, state.occupancy_signature());
         assert_eq!(k1, k2, "recurring state rebuilds the same key");
-        assert_eq!(cache.get(&k2), Some(&Some(vec![0, 1, 2])));
+        assert_eq!(cache.get(&k2), Some(&placed(vec![0, 1, 2])));
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
     }
@@ -202,7 +226,7 @@ mod tests {
         let mut state = HardwareState::new(machines::dgx1_v100());
         let spec = job(2, AppTopology::Ring, true);
         let idle = CacheKey::new(&spec, state.occupancy_signature());
-        cache.insert(idle.clone(), Some(vec![0, 3]));
+        cache.insert(idle.clone(), placed(vec![0, 3]));
         state.allocate(1, &[0, 3]).unwrap();
         let busy = CacheKey::new(&spec, state.occupancy_signature());
         assert_ne!(idle, busy, "allocation must invalidate (rotate) the key");
@@ -252,7 +276,7 @@ mod tests {
         for g in 0..3usize {
             state.allocate(100 + g as u64, &[g]).unwrap();
             let k = CacheKey::new(&spec, state.occupancy_signature());
-            cache.insert(k.clone(), Some(vec![g + 1]));
+            cache.insert(k.clone(), placed(vec![g + 1]));
             keys.push(k);
         }
         assert_eq!(cache.len(), 2);

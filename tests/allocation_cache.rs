@@ -1,14 +1,15 @@
 //! Equivalence proof for the allocation fast path: under arbitrary job
 //! streams with interleaved releases, a cache-enabled allocator must
-//! produce *bit-identical* placements (and rejections) to the uncached
-//! reference path, for every built-in policy. This is the property the
-//! simulator relies on when it turns the cache on by default.
+//! produce *bit-identical* placements (and rejections) and scores to the
+//! uncached reference path, for every built-in policy. This is the
+//! property the simulator relies on when it turns the cache on by default.
 
 use mapa::core::policy::{
     AllocationPolicy, BaselinePolicy, EffBwGreedyPolicy, GreedyPolicy, PreservePolicy,
     TopoAwarePolicy,
 };
 use mapa::prelude::*;
+use mapa::topology::LinkMix;
 use proptest::prelude::*;
 
 fn policy_by_index(i: usize) -> Box<dyn AllocationPolicy> {
@@ -48,12 +49,47 @@ fn machine_by_index(i: usize) -> (Topology, usize) {
 /// previously-allocated job first.
 type Step = (usize, usize, bool, bool, bool, bool);
 
+/// A score as the bits `schedule_digest` hashes — `==` on the floats would
+/// take a stored `0.0` for a fresh `-0.0`.
+type ScoreBits = ([u64; 3], LinkMix);
+
+/// One step's outcome: the GPUs chosen and their score, or a rejection.
+type Decided = Option<(Vec<usize>, ScoreBits)>;
+
+fn bits(score: &scoring::MatchScore) -> ScoreBits {
+    let floats = [
+        score.aggregated_bw,
+        score.predicted_eff_bw,
+        score.preserved_bw,
+    ];
+    (floats.map(f64::to_bits), score.link_mix)
+}
+
+/// Previews, then commits `job`. The previewed and the committed score
+/// must both be `score_allocation` of the chosen set on the state it was
+/// chosen in — on a cached allocator that compares a stored score (the
+/// allocation always hits its own preview, the preview hits whenever the
+/// state recurred) with a fresh one.
+fn decide_checked(alloc: &mut MapaAllocator, job: &JobSpec) -> Decided {
+    let peeked = alloc.peek(job).expect("sizes are valid");
+    let fresh = peeked
+        .as_ref()
+        .map(|(gpus, _)| bits(&alloc.score_allocation(job, gpus)));
+    let outcome = alloc.try_allocate(job).expect("sizes are valid");
+    let decided = outcome.map(|o| (o.gpus, bits(&o.score)));
+    assert_eq!(peeked.map(|(gpus, score)| (gpus, bits(&score))), decided);
+    assert_eq!(decided.as_ref().map(|(_, score)| *score), fresh);
+    decided
+}
+
+/// Runs `steps` on one allocator and returns every decision with its
+/// score bits, plus the cache counters.
 fn run_stream(
     machine_idx: usize,
     policy_idx: usize,
     steps: &[Step],
     cached: bool,
-) -> (Vec<Option<Vec<usize>>>, u64) {
+) -> (Vec<Decided>, Option<CacheStats>) {
     let config = if cached {
         AllocatorConfig::cached()
     } else {
@@ -86,21 +122,22 @@ fn run_stream(
         if slo {
             job = job.with_slo(25.0);
         }
-        let outcome = alloc.try_allocate(&job).expect("sizes are valid");
-        if outcome.is_some() {
+        let decided = decide_checked(&mut alloc, &job);
+        if decided.is_some() {
             held.push(job.id);
         }
-        trace.push(outcome.map(|o| o.gpus));
+        trace.push(decided);
     }
-    let hits = alloc.cache_stats().map_or(0, |c| c.hits);
-    (trace, hits)
+    (trace, alloc.cache_stats())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The cached allocator's full decision trace equals the uncached
-    /// one's, for every policy and machine, under random allocate/release
+    /// The cached allocator's full decision trace — GPU sets and score
+    /// bits — equals the uncached one's, and every memoised score equals a
+    /// fresh `score_allocation` (checked inside `run_stream`), for every
+    /// policy and machine, under random allocate/release
     /// streams that mix shapes, sizes, demand kinds and SLO tags. A stream
     /// asks for a few (shape, size) requests over and over, under every
     /// flag, so that a request meets an occupancy it — or its sibling
@@ -129,16 +166,50 @@ proptest! {
 }
 
 #[test]
+fn cached_scores_keep_the_sign_of_their_zeros() {
+    // 1 GPU (no pattern edge: AggBW is the empty sum, -0.0), then 5, then
+    // 2: the DGX-1 is full, no free pair is left (preserved BW 0.0). The
+    // second round meets the first round's states, so its previews answer
+    // from the cache and `decide_checked` compares stored with fresh bits.
+    let mut alloc = MapaAllocator::new(machines::dgx1_v100(), Box::new(PreservePolicy))
+        .with_config(AllocatorConfig::cached());
+    for _ in 0..2 {
+        let scores: Vec<ScoreBits> = [1usize, 5, 2]
+            .iter()
+            .map(|&n| {
+                let job = JobSpec::new(n as u64, GpuDemand::Whole(n), Workload::Vgg16);
+                decide_checked(&mut alloc, &job).expect("fits").1
+            })
+            .collect();
+        assert_eq!(scores[0].0[0], (-0.0f64).to_bits(), "1-GPU AggBW");
+        assert_eq!(
+            scores[2].0[2],
+            0.0f64.to_bits(),
+            "full-machine preserved BW"
+        );
+        for id in [1, 5, 2] {
+            alloc.release(id).expect("held job releases");
+        }
+    }
+    let stats = alloc.cache_stats().expect("cache enabled");
+    assert_eq!((stats.hits, stats.misses), (9, 3));
+}
+
+#[test]
 fn repeated_shapes_on_recurring_states_hit_the_cache() {
     // A deterministic stream where every 4th step releases everything
-    // back to idle, so identical (shape, occupancy) pairs recur.
+    // back to idle, so identical (shape, occupancy) pairs recur. Each
+    // step looks up twice (preview, then the allocation, which hits its
+    // own preview), so recurrence shows in the misses.
     let steps: Vec<Step> = (0..24)
         .map(|i| (0usize, 2usize, true, i % 4 == 3, false, false))
         .collect();
-    let (_, hits_without_recurrence) = run_stream(0, 3, &steps[..1], true);
-    let (_, hits) = run_stream(0, 3, &steps, true);
-    assert_eq!(hits_without_recurrence, 0, "single decision cannot hit");
-    assert!(hits > 0, "recurring states must produce cache hits");
+    let misses = |steps: &[Step]| run_stream(0, 3, steps, true).1.expect("cached").misses;
+    assert_eq!(misses(&steps[..1]), 1, "a first decision cannot hit");
+    assert!(
+        misses(&steps) < steps.len() as u64,
+        "recurring states must be answered from the cache"
+    );
 }
 
 #[test]

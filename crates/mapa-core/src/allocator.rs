@@ -196,8 +196,11 @@ impl MapaAllocator {
     }
 
     /// Decides `job` against the current occupancy — the policy's selection
-    /// and its scores — without touching state. With the cache on this is
-    /// get-or-compute: the policy and the scorer run on a miss only.
+    /// and its scores — without touching state. A request for more GPUs
+    /// than are free is refused by that comparison alone (a policy may only
+    /// return free, distinct GPUs, so no policy could place it): nothing is
+    /// hashed, looked up, counted or stored. Otherwise, with the cache on,
+    /// this is get-or-compute: the policy and the scorer run on a miss only.
     fn select_for(&mut self, job: &JobSpec) -> Result<Decision, AllocatorError> {
         if job.num_gpus() == 0 || job.num_gpus() > self.topology.gpu_count() {
             return Err(AllocatorError::InvalidRequest {
@@ -205,18 +208,25 @@ impl MapaAllocator {
                 machine: self.topology.gpu_count(),
             });
         }
-        let ctx = PolicyContext {
-            topology: &self.topology,
-            state: &self.state,
-            model: &self.model,
-            matcher: &self.matcher,
-            data_graph: &self.data_graph,
-        };
-        // Scored before any state transition: preserved BW is defined
-        // against the pre-allocation free graph.
+        if self.state.free_count() < job.num_gpus() {
+            return Ok(None);
+        }
+        // One scorer per decision: the policy ranks candidates with it and
+        // the winner is scored from the same tables — before any state
+        // transition, since preserved BW is defined against the
+        // pre-allocation free graph.
         let decide = || {
+            let scorer = SetScorer::new(&self.state, &self.model, job);
+            let ctx = PolicyContext {
+                topology: &self.topology,
+                state: &self.state,
+                model: &self.model,
+                matcher: &self.matcher,
+                data_graph: &self.data_graph,
+                scorer: &scorer,
+            };
             self.policy.select(job, &ctx).map(|gpus| {
-                let score = Self::score_in(ctx.state, ctx.model, job, &gpus);
+                let score = scorer.score(&crate::appgraph::job_pattern(job), &gpus);
                 (gpus, score)
             })
         };
@@ -324,18 +334,8 @@ impl MapaAllocator {
     /// or out of range, and if one is listed twice.
     #[must_use]
     pub fn score_allocation(&self, job: &JobSpec, gpus: &[usize]) -> MatchScore {
-        Self::score_in(&self.state, &self.model, job, gpus)
-    }
-
-    /// [`Self::score_allocation`] over borrowed parts, so `select_for` can
-    /// score while the policy context borrows the same fields.
-    fn score_in(
-        state: &HardwareState,
-        model: &EffBwModel,
-        job: &JobSpec,
-        gpus: &[usize],
-    ) -> MatchScore {
-        SetScorer::new(state, model, job).score(&crate::appgraph::job_pattern(job), gpus)
+        SetScorer::new(&self.state, &self.model, job)
+            .score(&crate::appgraph::job_pattern(job), gpus)
     }
 
     /// Releases a finished job's GPUs (§3.6 deallocation).
@@ -393,9 +393,7 @@ impl MapaAllocator {
         // Trial evictions with full rollback: deallocate victims one at a
         // time until the policy can place the job, remembering each
         // victim's GPUs so occupancy can be restored exactly.
-        let placeable = |a: &mut Self| {
-            a.state.free_count() >= job.num_gpus() && matches!(a.peek(job), Ok(Some(_)))
-        };
+        let placeable = |a: &mut Self| matches!(a.peek(job), Ok(Some(_)));
         let mut evicted: Vec<(u64, Vec<usize>, ActiveJob)> = Vec::new();
         let mut plan = None;
         if placeable(self) {
@@ -624,6 +622,90 @@ mod tests {
             (stats.hits, stats.misses, stats.insertions, stats.evictions),
             (2, 3, 3, 0)
         );
+    }
+
+    #[test]
+    fn room_gate_refuses_an_oversized_request_without_a_lookup() {
+        let selects = Arc::new(AtomicU64::new(0));
+        let mut a = MapaAllocator::new(
+            machines::dgx1_v100(),
+            Box::new(CountingPolicy(selects.clone())),
+        )
+        .with_config(AllocatorConfig::cached());
+        a.try_allocate(&job(1, 5, true)).unwrap().unwrap();
+        let before = (a.cache_stats().unwrap(), a.cache.as_ref().unwrap().len());
+        assert_eq!((before.0.lookups(), before.1), (1, 1));
+        // 3 GPUs are free: 4..=8 are refused by the comparison alone, on
+        // every entry point that decides.
+        for n in 4..=8 {
+            assert_eq!(a.peek(&job(2, n, true)).unwrap(), None);
+            assert_eq!(a.try_allocate(&job(2, n, false)).unwrap(), None);
+        }
+        let shielded = HashSet::new();
+        assert_eq!(
+            a.preemption_plan(
+                &pri_job(2, 4, true, 0),
+                PreemptionPolicy::PriorityEvict,
+                &shielded
+            ),
+            None,
+            "no lower-priority victim: the plan is one refused peek"
+        );
+        assert_eq!(
+            selects.load(Ordering::Relaxed),
+            1,
+            "select ran for job 1 only"
+        );
+        let after = (a.cache_stats().unwrap(), a.cache.as_ref().unwrap().len());
+        assert_eq!(after, before, "refusals are not lookups, misses or entries");
+        // An impossible request is still an error, not a refusal; and the
+        // uncached allocator refuses the same way.
+        assert!(matches!(
+            a.peek(&job(2, 9, true)),
+            Err(AllocatorError::InvalidRequest { .. })
+        ));
+        a.apply_config(&AllocatorConfig::default());
+        assert_eq!(a.peek(&job(2, 4, true)).unwrap(), None);
+        assert_eq!(selects.load(Ordering::Relaxed), 1);
+        // Exactly the free count passes the gate.
+        assert!(a.peek(&job(2, 3, true)).unwrap().is_some());
+        assert_eq!(selects.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn room_gate_counts_vertices_so_a_whole_gpu_job_short_of_whole_gpus_reaches_the_policy() {
+        use mapa_topology::PartitionPlan;
+        // GPU 0 in four MIG slices (vertices 0..4), whole GPUs on 4..11.
+        let machine = PartitionPlan::new()
+            .split(0, 4)
+            .apply(&machines::dgx1_v100())
+            .into_topology();
+        let selects = Arc::new(AtomicU64::new(0));
+        let mut a = MapaAllocator::new(machine, Box::new(CountingPolicy(selects.clone())))
+            .with_config(AllocatorConfig::cached());
+        a.adopt(9, &[4, 5, 6, 7, 8, 9]).unwrap();
+        // Five vertices are free — four slices and whole GPU 10 — so a
+        // 2-GPU whole job passes the gate, and only the policy knows it has
+        // one eligible vertex. Its `None` is the one negative entry left.
+        assert_eq!(a.state().free_count(), 5);
+        let whole = job(1, 2, true);
+        assert_eq!(a.peek(&whole).unwrap(), None);
+        assert_eq!(a.try_allocate(&whole).unwrap(), None);
+        assert_eq!(
+            selects.load(Ordering::Relaxed),
+            1,
+            "the second ask is a hit"
+        );
+        let stats = a.cache_stats().unwrap();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.insertions),
+            (1, 1, 1),
+            "a declined decision is cached like a placement"
+        );
+        assert_eq!(a.cache.as_ref().unwrap().len(), 1);
+        // The same two vertices as slices do place.
+        let slices = JobSpec::new(2, mapa_workloads::GpuDemand::Slices(2), Workload::ResNet50);
+        assert!(a.peek(&slices).unwrap().is_some());
     }
 
     #[test]

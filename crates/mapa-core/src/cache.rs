@@ -26,14 +26,30 @@
 //! allocator's fixed model, and preserved bandwidth reads the free graph,
 //! which *is* the signature (the SLO pressure term steers selection but is
 //! not part of [`MatchScore`]). A previously-seen state recurring is
-//! exactly when a hit is both safe and valuable. Negative results (`None`,
-//! "cannot place right now") are cached on the same grounds. Two shapes
-//! that happen to be isomorphic (a 3-ring and a 3-clique) are two entries.
+//! exactly when a hit is both safe and valuable. Two shapes that happen to
+//! be isomorphic (a 3-ring and a 3-clique) are two entries.
+//!
+//! **Negative entries.** A request for more vertices than are free never
+//! gets here: [`crate::MapaAllocator`] refuses it by comparing two integers
+//! before a key is built, so it is neither a lookup (the hit/miss counters
+//! count only decisions that needed one) nor an entry. The one `None` still
+//! memoized, on the same grounds as a placement, is a policy declining
+//! although enough vertices are free: a whole-GPU job on a partitioned
+//! machine whose free vertices are mostly MIG slices.
+//!
+//! **Hashing vs equality.** A key hashes as one word — the signature's own
+//! FNV-1a fingerprint (maintained by `HardwareState`) mixed with the five
+//! small fields — computed in [`CacheKey::new`] and passed through by the
+//! table's hasher. Equality stays the derived comparison over the exact
+//! busy words, so two keys sharing a word cost an extra probe and never
+//! share an entry. Keys come from the allocator's own occupancy states,
+//! not from outside input, so SipHash's collision resistance buys nothing.
 
 use crate::scoring::MatchScore;
 use mapa_topology::OccupancySignature;
 use mapa_workloads::{AppTopology, JobSpec};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Maximum number of cached decisions (FIFO eviction beyond it).
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
@@ -44,8 +60,10 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 pub type Decision = Option<(Vec<usize>, MatchScore)>;
 
 /// The full identity of one allocation decision on one allocator.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheKey {
+    /// What [`Hash`] writes; a function of the fields below.
+    hash_word: u64,
     topology: AppTopology,
     num_gpus: usize,
     bandwidth_sensitive: bool,
@@ -58,14 +76,47 @@ impl CacheKey {
     /// The key for placing `job` in the state identified by `signature`.
     #[must_use]
     pub fn new(job: &JobSpec, signature: OccupancySignature) -> Self {
+        let (fractional, slo_tagged) = (job.is_fractional(), job.has_slo());
+        // The small fields packed into one word, spread over all 64 bits by
+        // an odd multiplier before meeting the fingerprint.
+        let small = (job.num_gpus() as u64) << 5
+            | (job.topology as u64) << 3
+            | u64::from(job.bandwidth_sensitive) << 2
+            | u64::from(fractional) << 1
+            | u64::from(slo_tagged);
         Self {
+            hash_word: signature.fingerprint() ^ small.wrapping_mul(0x9e37_79b9_7f4a_7c15),
             topology: job.topology,
             num_gpus: job.num_gpus(),
             bandwidth_sensitive: job.bandwidth_sensitive,
-            fractional: job.is_fractional(),
-            slo_tagged: job.has_slo(),
+            fractional,
+            slo_tagged,
             signature,
         }
+    }
+}
+
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash_word);
+    }
+}
+
+/// The table's hasher: the one word a [`CacheKey`] writes, as it is.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a CacheKey hashes as one u64");
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = word;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -101,10 +152,11 @@ impl CacheStats {
 }
 
 /// A bounded memo table from [`CacheKey`] to the [`Decision`] made there
-/// (`None` = the policy declined; also memoized).
+/// (`None` = the policy declined although enough vertices were free; also
+/// memoized).
 #[derive(Debug, Clone)]
 pub struct AllocationCache {
-    entries: HashMap<CacheKey, Decision>,
+    entries: HashMap<CacheKey, Decision, BuildHasherDefault<WordHasher>>,
     order: VecDeque<CacheKey>,
     capacity: usize,
     stats: CacheStats,
@@ -115,7 +167,7 @@ impl AllocationCache {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Self {
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             order: VecDeque::new(),
             capacity: capacity.max(1),
             stats: CacheStats::default(),
@@ -265,6 +317,70 @@ mod tests {
         // The SLO *value* is not part of the key — selection ignores it.
         let tagged_other = CacheKey::new(&job(3, AppTopology::Ring, true).with_slo(90.0), sig);
         assert_eq!(tagged, tagged_other);
+    }
+
+    impl CacheKey {
+        /// This key on another hash word, so that two unequal keys can be
+        /// made to collide.
+        fn with_hash_word(mut self, word: u64) -> Self {
+            self.hash_word = word;
+            self
+        }
+    }
+
+    fn hash_of(key: &CacheKey) -> u64 {
+        let mut hasher = WordHasher::default();
+        key.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    #[test]
+    fn hash_is_one_word_that_follows_every_field_and_equality_stays_exact() {
+        let mut state = HardwareState::new(machines::dgx1_v100());
+        state.allocate(1, &[0, 3]).unwrap();
+        let base_job = job(3, AppTopology::Ring, true);
+        let base = CacheKey::new(&base_job, state.occupancy_signature());
+        // Equal keys — rebuilt from a recurrence of the state — hash equal.
+        let mut again = state.clone();
+        again.allocate(2, &[5]).unwrap();
+        again.deallocate(2).unwrap();
+        let rebuilt = CacheKey::new(&base_job, again.occupancy_signature());
+        assert_eq!(base, rebuilt);
+        assert_eq!(hash_of(&base), hash_of(&rebuilt));
+        // Each small field, and one occupancy bit, makes another key; the
+        // packing keeps them apart in the hash word too.
+        let mut slices = base_job.clone();
+        slices.demand = mapa_workloads::GpuDemand::Slices(3);
+        again.allocate(2, &[5]).unwrap();
+        let here = |job: &JobSpec| CacheKey::new(job, state.occupancy_signature());
+        let flipped = [
+            here(&job(4, AppTopology::Ring, true)),
+            here(&job(3, AppTopology::Tree, true)),
+            here(&job(3, AppTopology::Ring, false)),
+            here(&slices),
+            here(&base_job.clone().with_slo(25.0)),
+            CacheKey::new(&base_job, again.occupancy_signature()),
+        ];
+        for (i, key) in flipped.iter().enumerate() {
+            assert_ne!(&base, key, "flip {i}");
+            assert_ne!(hash_of(&base), hash_of(key), "flip {i}");
+        }
+        // Two unequal keys on one hash word are two entries, each with its
+        // own decision: a collision costs a probe, never an answer.
+        let word = hash_of(&base);
+        let colliding = flipped.map(|key| key.with_hash_word(word));
+        let mut cache = AllocationCache::default();
+        cache.insert(base.clone(), placed(vec![1, 2, 4]));
+        for (i, key) in colliding.iter().enumerate() {
+            assert_eq!(hash_of(key), word);
+            assert!(cache.get(key).is_none(), "collision {i} must not hit");
+            cache.insert(key.clone(), placed(vec![i]));
+        }
+        assert_eq!(cache.len(), 1 + colliding.len());
+        assert_eq!(cache.get(&base), Some(&placed(vec![1, 2, 4])));
+        for (i, key) in colliding.iter().enumerate() {
+            assert_eq!(cache.get(key), Some(&placed(vec![i])));
+        }
     }
 
     #[test]

@@ -38,6 +38,10 @@ pub struct PolicyContext<'a> {
     /// free GPUs hosts every k-vertex pattern; the set-scored policies
     /// (Preserve, EffBW-greedy) rely on it and never call the matcher.
     pub data_graph: &'a PatternGraph,
+    /// The decision's one [`SetScorer`], tabulated over `state` for the job
+    /// being placed: the built-in MAPA policies rank candidates with it and
+    /// the allocator scores the winner from the same tables.
+    pub(crate) scorer: &'a SetScorer<'a>,
 }
 
 impl PolicyContext<'_> {
@@ -127,8 +131,9 @@ pub fn candidate_matches(job: &JobSpec, ctx: &PolicyContext<'_>) -> Vec<Embeddin
 /// the matched vertex set, not on the embedding, and the data graph is
 /// complete ([`PolicyContext::data_graph`]'s invariant), so every k-subset
 /// of eligible free GPUs hosts every k-vertex pattern: the candidates are
-/// the `C(free, k)` combinations, scored from their prefixes by one
-/// [`SetScorer`], instead of up to `C(free, k) · k!` embeddings.
+/// the `C(free, k)` combinations, scored from their prefixes by the
+/// context's [`SetScorer`], instead of up to `C(free, k) · k!` embeddings
+/// (`None` when fewer than `k` eligible vertices are free).
 fn best_set(job: &JobSpec, ctx: &PolicyContext<'_>, ranking: Ranking) -> Option<Vec<usize>> {
     let n = ctx.data_graph.vertex_count();
     debug_assert_eq!(
@@ -136,10 +141,7 @@ fn best_set(job: &JobSpec, ctx: &PolicyContext<'_>, ranking: Ranking) -> Option<
         n * n.saturating_sub(1) / 2,
         "PolicyContext::data_graph must be complete"
     );
-    if job.num_gpus() > ctx.state.free_count() {
-        return None;
-    }
-    SetScorer::new(ctx.state, ctx.model, job)
+    ctx.scorer
         .best_set(ranking, job.num_gpus(), |v| ctx.demand_eligible(job, v))
 }
 
@@ -228,7 +230,7 @@ impl AllocationPolicy for GreedyPolicy {
     }
 
     fn select(&self, job: &JobSpec, ctx: &PolicyContext<'_>) -> Option<Vec<usize>> {
-        if job.num_gpus() == 0 || job.num_gpus() > ctx.state.free_count() {
+        if job.num_gpus() == 0 {
             return None;
         }
         let pattern = appgraph::job_pattern(job);
@@ -241,15 +243,14 @@ impl AllocationPolicy for GreedyPolicy {
         // class (not its labeling) — required for canonical-code keyed
         // allocation caching. On partitioned machines the co-residency
         // pressure penalty (zero elsewhere) is subtracted from AggBW.
-        let scorer = SetScorer::new(ctx.state, ctx.model, job);
         let edges: Vec<(usize, usize)> = pattern.edges().map(|(p, q, ())| (p, q)).collect();
         let mut best: Option<(f64, Vec<usize>)> = None;
         ctx.matcher
             .for_each_with_frozen(&pattern, ctx.data_graph, Some(&frozen), &mut |m| {
                 // Both terms read the embedding as it comes; its ascending
                 // set is only needed to store a winner or settle a tie.
-                let score = scorer.aggregated_bandwidth(edges.iter().copied(), m)
-                    - scorer.pressure_penalty(m);
+                let score = ctx.scorer.aggregated_bandwidth(edges.iter().copied(), m)
+                    - ctx.scorer.pressure_penalty(m);
                 if best.as_ref().is_none_or(|(b, _)| score >= *b) {
                     let mut set = m.to_vec();
                     set.sort_unstable();
@@ -518,10 +519,8 @@ mod tests {
         for (i, &v) in busy.iter().enumerate() {
             allocator.adopt(100 + i as u64, &[v]).unwrap();
         }
-        let ctx = PolicyContext {
-            state: allocator.state(),
-            ..machine.ctx()
-        };
+        let scorer = SetScorer::new(allocator.state(), &machine.model, spec);
+        let ctx = machine.ctx(allocator.state(), &scorer);
         let what = format!(
             "{} busy {busy:?} job {:?} slo {}",
             machine.topology.name(),
@@ -581,14 +580,31 @@ mod tests {
             }
         }
 
-        fn ctx(&self) -> PolicyContext<'_> {
+        /// The decision context `MapaAllocator::select_for` builds: this
+        /// fixture's parts around a scorer tabulated over `state`.
+        fn ctx<'a>(
+            &'a self,
+            state: &'a HardwareState,
+            scorer: &'a SetScorer<'a>,
+        ) -> PolicyContext<'a> {
             PolicyContext {
                 topology: &self.topology,
-                state: &self.state,
+                state,
                 model: &self.model,
                 matcher: &self.matcher,
                 data_graph: &self.data_graph,
+                scorer,
             }
+        }
+
+        /// `policy`'s selection for `job` on this fixture's occupancy.
+        fn select<P: AllocationPolicy + ?Sized>(
+            &self,
+            policy: &P,
+            job: &JobSpec,
+        ) -> Option<Vec<usize>> {
+            let scorer = SetScorer::new(&self.state, &self.model, job);
+            policy.select(job, &self.ctx(&self.state, &scorer))
         }
     }
 
@@ -606,18 +622,18 @@ mod tests {
     #[test]
     fn baseline_takes_lowest_ids() {
         let mut f = Fixture::dgx();
-        let got = BaselinePolicy.select(&job(3, true), &f.ctx()).unwrap();
+        let got = f.select(&BaselinePolicy, &job(3, true)).unwrap();
         assert_eq!(got, vec![0, 1, 2]);
         f.state.allocate(9, &[0, 2]).unwrap();
-        let got = BaselinePolicy.select(&job(3, true), &f.ctx()).unwrap();
+        let got = f.select(&BaselinePolicy, &job(3, true)).unwrap();
         assert_eq!(got, vec![1, 3, 4]);
     }
 
     #[test]
     fn baseline_rejects_oversized() {
         let f = Fixture::dgx();
-        assert!(BaselinePolicy.select(&job(9, true), &f.ctx()).is_none());
-        assert!(BaselinePolicy.select(&job(0, true), &f.ctx()).is_none());
+        assert!(f.select(&BaselinePolicy, &job(9, true)).is_none());
+        assert!(f.select(&BaselinePolicy, &job(0, true)).is_none());
     }
 
     #[test]
@@ -625,10 +641,10 @@ mod tests {
         let mut f = Fixture::dgx();
         // Occupy 2 GPUs of socket 0; a 4-GPU job must go to socket 1.
         f.state.allocate(9, &[0, 1]).unwrap();
-        let got = TopoAwarePolicy.select(&job(4, true), &f.ctx()).unwrap();
+        let got = f.select(&TopoAwarePolicy, &job(4, true)).unwrap();
         assert_eq!(got, vec![4, 5, 6, 7]);
         // A 2-GPU job best-fits in socket 0's remaining pair.
-        let got2 = TopoAwarePolicy.select(&job(2, true), &f.ctx()).unwrap();
+        let got2 = f.select(&TopoAwarePolicy, &job(2, true)).unwrap();
         assert_eq!(got2, vec![2, 3]);
     }
 
@@ -638,7 +654,7 @@ mod tests {
         f.state.allocate(9, &[0, 1, 4, 5]).unwrap();
         // 3 free in no single socket... each socket has 2 free; a 3-GPU
         // job must span.
-        let got = TopoAwarePolicy.select(&job(3, true), &f.ctx()).unwrap();
+        let got = f.select(&TopoAwarePolicy, &job(3, true)).unwrap();
         assert_eq!(got.len(), 3);
         assert!(got.iter().all(|&g| f.state.is_free(g)));
     }
@@ -648,7 +664,7 @@ mod tests {
         let f = Fixture::dgx();
         // 2-GPU ring: the best pair by AggBW is any double-NVLink pair
         // (50); (0,3) is the lexicographically-first such pair.
-        let got = GreedyPolicy.select(&job(2, true), &f.ctx()).unwrap();
+        let got = f.select(&GreedyPolicy, &job(2, true)).unwrap();
         let bw = f.topology.bandwidth(got[0], got[1]);
         assert_eq!(bw, 50.0, "greedy must land on a double link, got {got:?}");
     }
@@ -656,7 +672,7 @@ mod tests {
     #[test]
     fn preserve_sensitive_maximizes_predicted_effbw() {
         let f = Fixture::dgx();
-        let got = PreservePolicy.select(&job(2, true), &f.ctx()).unwrap();
+        let got = f.select(&PreservePolicy, &job(2, true)).unwrap();
         // Best predicted EffBW pair is a double-NVLink pair.
         assert_eq!(f.topology.bandwidth(got[0], got[1]), 50.0);
     }
@@ -669,7 +685,7 @@ mod tests {
         // link is strong (it would be stranded anyway) and whose outward
         // links are weak.
         let f = Fixture::dgx();
-        let got = PreservePolicy.select(&job(2, false), &f.ctx()).unwrap();
+        let got = f.select(&PreservePolicy, &job(2, false)).unwrap();
         let (free_graph, free_map) = f.state.available_graph();
         let chosen = scoring::preserved_bandwidth(&free_graph, &free_map, &got);
         let mut best = f64::NEG_INFINITY;
@@ -699,18 +715,14 @@ mod tests {
         let jobs = [job(2, false), job(2, true)];
 
         let mut greedy_world = Fixture::dgx();
-        let g1 = GreedyPolicy.select(&jobs[0], &greedy_world.ctx()).unwrap();
+        let g1 = greedy_world.select(&GreedyPolicy, &jobs[0]).unwrap();
         greedy_world.state.allocate(1, &g1).unwrap();
-        let g2 = GreedyPolicy.select(&jobs[1], &greedy_world.ctx()).unwrap();
+        let g2 = greedy_world.select(&GreedyPolicy, &jobs[1]).unwrap();
 
         let mut preserve_world = Fixture::dgx();
-        let p1 = PreservePolicy
-            .select(&jobs[0], &preserve_world.ctx())
-            .unwrap();
+        let p1 = preserve_world.select(&PreservePolicy, &jobs[0]).unwrap();
         preserve_world.state.allocate(1, &p1).unwrap();
-        let p2 = PreservePolicy
-            .select(&jobs[1], &preserve_world.ctx())
-            .unwrap();
+        let p2 = preserve_world.select(&PreservePolicy, &jobs[1]).unwrap();
 
         let greedy_bw = greedy_world.topology.bandwidth(g2[0], g2[1]);
         let preserve_bw = preserve_world.topology.bandwidth(p2[0], p2[1]);
@@ -733,7 +745,7 @@ mod tests {
         ];
         for p in &policies {
             for n in 1..=5 {
-                if let Some(gpus) = p.select(&job(n, true), &f.ctx()) {
+                if let Some(gpus) = f.select(p.as_ref(), &job(n, true)) {
                     assert_eq!(gpus.len(), n, "{}", p.name());
                     assert!(
                         gpus.iter().all(|&g| f.state.is_free(g)),
@@ -749,10 +761,10 @@ mod tests {
     fn single_gpu_jobs_always_placeable_until_full() {
         let mut f = Fixture::dgx();
         for i in 0..8 {
-            let gpus = PreservePolicy.select(&job(1, false), &f.ctx()).unwrap();
+            let gpus = f.select(&PreservePolicy, &job(1, false)).unwrap();
             f.state.allocate(i, &gpus).unwrap();
         }
-        assert!(PreservePolicy.select(&job(1, false), &f.ctx()).is_none());
+        assert!(f.select(&PreservePolicy, &job(1, false)).is_none());
     }
 
     #[test]
@@ -765,12 +777,11 @@ mod tests {
     fn candidate_set_stream_matches_matcher_dedup() {
         // On a complete data graph, the combination fast path must visit
         // exactly the vertex sets the matcher would find.
-        let f = Fixture::dgx();
-        let mut state = f.state.clone();
-        state.allocate(9, &[2, 6]).unwrap();
-        let fixture = Fixture { state, ..f };
-        let ctx = fixture.ctx();
+        let mut f = Fixture::dgx();
+        f.state.allocate(9, &[2, 6]).unwrap();
         let spec = job(3, true);
+        let scorer = SetScorer::new(&f.state, &f.model, &spec);
+        let ctx = f.ctx(&f.state, &scorer);
         let mut streamed: Vec<Vec<usize>> = vec![];
         for_each_candidate_set(&spec, &ctx, |set| streamed.push(set.to_vec()));
         let mut via_matcher: Vec<Vec<usize>> = candidate_matches(&spec, &ctx)
@@ -830,8 +841,8 @@ mod tests {
         ];
         for p in &policies {
             for n in 1..=4 {
-                let gpus = p
-                    .select(&job(n, true), &f.ctx())
+                let gpus = f
+                    .select(p.as_ref(), &job(n, true))
                     .unwrap_or_else(|| panic!("{} refused a {n}-GPU whole job", p.name()));
                 assert!(
                     gpus.iter().all(|&v| !map.is_slice(v)),
@@ -849,14 +860,14 @@ mod tests {
         f.state.allocate(9, &[4, 5, 6, 7, 8, 9, 10]).unwrap();
         let spec = JobSpec::new(1, GpuDemand::Slices(2), Workload::ResNet50);
         assert!(
-            PreservePolicy.select(&job(2, true), &f.ctx()).is_none(),
+            f.select(&PreservePolicy, &job(2, true)).is_none(),
             "whole jobs must not fall back to slices"
         );
         for p in [
             Box::new(GreedyPolicy) as Box<dyn AllocationPolicy>,
             Box::new(PreservePolicy),
         ] {
-            let gpus = p.select(&spec, &f.ctx()).unwrap();
+            let gpus = f.select(p.as_ref(), &spec).unwrap();
             assert_eq!(gpus.len(), 2, "{}", p.name());
             assert!(gpus.iter().all(|&v| v < 4), "{}: {gpus:?}", p.name());
         }
@@ -866,7 +877,7 @@ mod tests {
     fn fractional_jobs_place_on_unpartitioned_machines() {
         let f = Fixture::dgx();
         let spec = JobSpec::new(1, GpuDemand::Slices(2), Workload::ResNet50);
-        let gpus = PreservePolicy.select(&spec, &f.ctx()).unwrap();
+        let gpus = f.select(&PreservePolicy, &spec).unwrap();
         assert_eq!(gpus.len(), 2);
     }
 
@@ -879,7 +890,7 @@ mod tests {
         let mut f = Fixture::of(plan.apply(&machines::dgx1_v100()).into_topology());
         f.state.allocate(9, &[0]).unwrap();
         let spec = JobSpec::new(1, GpuDemand::Slices(1), Workload::BertServing).with_slo(25.0);
-        let got = GreedyPolicy.select(&spec, &f.ctx()).unwrap();
+        let got = f.select(&GreedyPolicy, &spec).unwrap();
         assert_eq!(got, vec![2], "expected the quiet physical GPU, got {got:?}");
         assert_eq!(f.state.co_resident_busy(got[0]), 0);
     }
@@ -909,7 +920,7 @@ mod tests {
                 Box::new(EffBwGreedyPolicy),
             ];
             for p in &policies {
-                match p.select(&spec, &f.ctx()) {
+                match f.select(p.as_ref(), &spec) {
                     Some(gpus) => {
                         proptest::prop_assert_eq!(gpus.len(), n, "{}", p.name());
                         proptest::prop_assert!(
@@ -946,12 +957,12 @@ mod tests {
             }
             let topology = [AppTopology::Ring, AppTopology::Tree, AppTopology::AllToAll][shape];
             let spec = job(n, true).with_topology(topology);
-            let expected = GreedyPolicy.select(&spec, &f.ctx());
+            let expected = f.select(&GreedyPolicy, &spec);
             for backend in [Backend::Vf2, Backend::Ullmann, Backend::BruteForce] {
                 for dedup in [DedupMode::CanonicalOnly, DedupMode::AllMappings] {
                     f.matcher = Matcher::new(MatchOptions { backend, dedup });
                     proptest::prop_assert_eq!(
-                        GreedyPolicy.select(&spec, &f.ctx()),
+                        f.select(&GreedyPolicy, &spec),
                         expected.clone(),
                         "{:?}/{:?} on {}", backend, dedup, topology
                     );
@@ -974,7 +985,7 @@ mod tests {
             if f.state.free_count() < n {
                 return Ok(());
             }
-            let chosen = PreservePolicy.select(&spec, &f.ctx()).unwrap();
+            let chosen = f.select(&PreservePolicy, &spec).unwrap();
             let chosen_score =
                 scoring::predicted_effective_bandwidth(&f.model, &f.topology, &chosen);
             // Brute force over free subsets.

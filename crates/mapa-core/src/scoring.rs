@@ -169,10 +169,11 @@ const LINK_TYPES: usize = LinkType::all().len();
 
 /// Scores candidate GPU sets of one decision without building a graph.
 ///
-/// Built once per decision from the topology and the occupancy: the link
-/// type of every free pair, the free graph's total bandwidth `T`, and per
-/// free vertex its bandwidth into all other free vertices `deg_F(v)` and
-/// its busy co-residents. Eq. 2, Eq. 3 and the pressure penalty are sums
+/// Built once per decision from the occupancy, over the machine's own
+/// [`Topology::pair_links`] table: the free graph's total bandwidth `T`,
+/// and per free vertex its bandwidth into all other free vertices
+/// `deg_F(v)` and its busy co-residents. Eq. 2, Eq. 3 and the pressure
+/// penalty are sums
 /// over a set's vertices and pairs, so with `c[t]` the number of type-`t`
 /// links inside `S`,
 ///
@@ -190,13 +191,14 @@ const LINK_TYPES: usize = LinkType::all().len();
 pub(crate) struct SetScorer<'a> {
     state: &'a HardwareState,
     model: &'a EffBwModel,
-    /// Vertex count; `links` is `n × n`, the per-vertex tables `n` long,
-    /// all indexed by vertex id and meaningful for free vertices only.
+    /// Vertex count; `links` is the machine's `n × n` pair table, the
+    /// per-vertex tables are `n` long, indexed by vertex id and meaningful
+    /// for free vertices only.
     n: usize,
     /// Free vertices, ascending — eligible for the job or not: a slice a
     /// whole-GPU job may not use is still part of the free graph.
     free: Vec<usize>,
-    links: Vec<LinkType>,
+    links: &'a [LinkType],
     total: f64,
     degree: Vec<f64>,
     crowd: Vec<usize>,
@@ -221,17 +223,14 @@ impl<'a> SetScorer<'a> {
         let topology = state.topology();
         let n = topology.gpu_count();
         let free = state.free_gpus();
-        let mut links = vec![LinkType::Pcie; n * n];
+        let links = topology.pair_links();
         let mut degree = vec![0.0; n];
         let mut crowd = vec![0; n];
         let mut total = 0.0;
         for (i, &u) in free.iter().enumerate() {
             crowd[u] = state.co_resident_busy(u);
             for &v in &free[i + 1..] {
-                let link = topology.link_type(u, v);
-                let w = link.bandwidth_gbps();
-                links[u * n + v] = link;
-                links[v * n + u] = link;
+                let w = links[u * n + v].bandwidth_gbps();
                 degree[u] += w;
                 degree[v] += w;
                 total += w;

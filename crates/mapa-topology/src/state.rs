@@ -66,9 +66,9 @@ impl std::error::Error for AllocationError {}
 /// Two signatures of states over the *same machine* are equal iff the
 /// states have identical free/busy GPU sets — the words are exact, so
 /// there are no false positives (the fingerprint is a convenience for
-/// logging and fast inequality, never the source of truth). The signature
-/// is maintained incrementally by [`HardwareState`]: reading it never
-/// rescans the owner table, which is what makes allocation-decision
+/// logging, fast inequality and hashing, never the source of truth). The
+/// signature is maintained incrementally by [`HardwareState`]: reading it
+/// never rescans the owner table, which is what makes allocation-decision
 /// caching keyed on it viable on the hot path.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OccupancySignature {

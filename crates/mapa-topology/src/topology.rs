@@ -15,6 +15,9 @@ use mapa_graph::{dot, Graph, WeightedGraph};
 pub struct Topology {
     name: String,
     links: Graph<LinkType>,
+    /// `link_type` of every ordered pair, row-major `n × n`, derived from
+    /// `links` (the diagonal reads PCIe and means nothing).
+    pair_links: Vec<LinkType>,
     sockets: Vec<usize>,
     /// Present iff this machine came out of a
     /// [`crate::virt::PartitionPlan`]: which physical GPU each vertex
@@ -40,9 +43,16 @@ impl Topology {
             links.edges().all(|(_, _, l)| l != LinkType::Pcie),
             "PCIe is the implicit fallback; do not add explicit PCIe links"
         );
+        let n = links.vertex_count();
+        let mut pair_links = vec![LinkType::Pcie; n * n];
+        for (a, b, link) in links.edges() {
+            pair_links[a * n + b] = link;
+            pair_links[b * n + a] = link;
+        }
         Self {
             name: name.into(),
             links,
+            pair_links,
             sockets,
             slices: None,
         }
@@ -122,6 +132,15 @@ impl Topology {
         );
         assert_ne!(a, b, "no self-links");
         self.links.weight(a, b).unwrap_or(LinkType::Pcie)
+    }
+
+    /// [`Topology::link_type`] of every ordered pair as one dense table:
+    /// entry `a * gpu_count() + b` is the best link between `a` and `b`,
+    /// for scoring loops that read many pairs and have checked their
+    /// indices. The diagonal holds PCIe and is not a link.
+    #[must_use]
+    pub fn pair_links(&self) -> &[LinkType] {
+        &self.pair_links
     }
 
     /// Peak bandwidth between two GPUs in GB/s.
@@ -225,6 +244,28 @@ mod tests {
         assert_eq!(g.weight(0, 3), Some(12.0));
         // total: 50 + 25 + 4 * 12
         assert_eq!(t.total_bandwidth(), 50.0 + 25.0 + 4.0 * 12.0);
+    }
+
+    #[test]
+    fn pair_links_agree_with_link_type_on_every_ordered_pair() {
+        let mut topologies = crate::machines::all_machines();
+        let plan = crate::virt::PartitionPlan::new().split(0, 4).split(5, 2);
+        topologies.push(plan.apply(&crate::machines::dgx1_v100()).into_topology());
+        topologies.push(tiny());
+        for t in &topologies {
+            let n = t.gpu_count();
+            assert_eq!(t.pair_links().len(), n * n, "{}", t.name());
+            for a in 0..n {
+                for b in (0..n).filter(|&b| b != a) {
+                    assert_eq!(
+                        t.pair_links()[a * n + b],
+                        t.link_type(a, b),
+                        "{} pair ({a}, {b})",
+                        t.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

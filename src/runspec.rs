@@ -222,7 +222,9 @@ impl RunSpec {
     /// enough for that (three 5-GPU members total 15 ≤ 2×8, yet no two
     /// fit one 8-GPU server together), so each gang is reserved on an
     /// idle copy of this fleet through the placement path the scheduler
-    /// will use.
+    /// will use. With per-shard queues a federation pins every gang to
+    /// one cluster (only the global path may span clusters), so there the
+    /// idle copy is a single cluster.
     ///
     /// # Errors
     /// [`RunSpec::validate`]'s, or the first job or gang that cannot run.
@@ -253,6 +255,7 @@ impl RunSpec {
         // Idle, on the global queue, and without quotas: an over-quota
         // gang is held, not impossible.
         let idle = Self {
+            clusters: if self.queued() { 1 } else { self.clusters },
             quota_gpus: None,
             shard_queue_depth: None,
             migration: None,

@@ -191,6 +191,9 @@ fn cached_scores_keep_the_sign_of_their_zeros() {
             alloc.release(id).expect("held job releases");
         }
     }
+    // 1 + 5 + 2 fills the 8 GPUs exactly, so no ask is refused for room
+    // (a refusal would not be a lookup): 2 rounds × 3 jobs × (preview +
+    // allocation) = 12 lookups, the first round's 3 previews the misses.
     let stats = alloc.cache_stats().expect("cache enabled");
     assert_eq!((stats.hits, stats.misses), (9, 3));
 }

@@ -328,3 +328,50 @@ fn an_unsatisfiable_gang_panics_at_drain() {
     let gang = JobGroup::new(1, members);
     let _ = Engine::over(fleet(2, 0, 0)).run_submissions(vec![Submission::Gang(gang)]);
 }
+
+/// With per-shard queues a federation pins a gang to one cluster, so a gang
+/// that only a cluster-spanning placement could start is refused before the
+/// run (it used to die on "backend queues must drain completely"); the same
+/// gang runs on the global path, which may span, and gangs a cluster can
+/// pack still run queued.
+#[test]
+fn a_gang_no_single_cluster_can_pack_is_refused_before_a_queued_run() {
+    let member = |id| {
+        JobSpec::new(id, GpuDemand::Whole(5), Workload::Gmm)
+            .with_bandwidth_sensitive(false)
+            .with_iterations(1)
+    };
+    // 5 + 5 + 5 GPUs: under both the pooled 32 and one cluster's 16, yet no
+    // two members share an 8-GPU server, so one 2-server cluster never fits.
+    let three = vec![Submission::Gang(JobGroup::new(
+        1,
+        (1..=3).map(member).collect(),
+    ))];
+    let two = vec![Submission::Gang(JobGroup::new(
+        1,
+        (1..=2).map(member).collect(),
+    ))];
+    let global = RunSpec {
+        clusters: 2,
+        servers: 2,
+        ..RunSpec::new(machines::dgx1_v100(), "preserve")
+    };
+    let queued = RunSpec {
+        shard_queue_depth: Some(4),
+        ..global.clone()
+    };
+    let mut shared = Shared::new(std::sync::Arc::new(WorkerPool::new(1)));
+    let refusal = queued.admit(&three, &mut shared).unwrap_err();
+    assert!(
+        refusal.starts_with("gang 1 (jobs [1, 2, 3], 15 GPUs total) cannot be co-scheduled"),
+        "{refusal}"
+    );
+    for (spec, submissions, members) in [(&global, &three, 3), (&queued, &two, 2)] {
+        spec.admit(submissions, &mut shared).unwrap();
+        let report = spec
+            .run(&mut shared, SimConfig::default(), submissions.clone())
+            .expect("valid spec");
+        assert_eq!(report.records.len(), members);
+        assert_eq!(report.gangs.gangs_dispatched, 1);
+    }
+}

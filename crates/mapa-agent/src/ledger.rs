@@ -92,15 +92,6 @@ impl Ledger {
         Self::default()
     }
 
-    /// Every GPU currently under lease.
-    #[must_use]
-    pub fn leased_gpus(&self) -> BTreeSet<usize> {
-        self.leases
-            .iter()
-            .flat_map(|l| l.gpus.iter().copied())
-            .collect()
-    }
-
     /// The lease holding `gpu`, if any.
     #[must_use]
     pub fn lease_of_gpu(&self, gpu: usize) -> Option<&Lease> {
@@ -552,10 +543,6 @@ mod tests {
         let text = ledger.render();
         let back = Ledger::parse(&text, Path::new("x")).unwrap();
         assert_eq!(back, ledger);
-        assert_eq!(
-            ledger.leased_gpus().into_iter().collect::<Vec<_>>(),
-            vec![0, 1, 4, 5]
-        );
         assert_eq!(ledger.lease_of_gpu(5).unwrap().id, 7);
         assert!(ledger.lease_of_gpu(2).is_none());
     }

@@ -493,12 +493,6 @@ impl Cluster {
         &self.shards[id]
     }
 
-    /// The server-selection policy's name.
-    #[must_use]
-    pub fn server_policy_name(&self) -> &'static str {
-        self.server_policy.name()
-    }
-
     /// Per-shard Predicted-EffBW peeks for `job` — the score inputs of a
     /// [`ServerPolicy::needs_scores`] ranking, evaluated per the dispatch
     /// mode. An impossible request on a shard (heterogeneous fleet, job
@@ -732,28 +726,28 @@ impl Cluster {
         }
     }
 
-    /// Places one job fleet-wide, two-phase: rank shards, **peek** each
-    /// ranked shard (the cheap reservation check, which also primes the
-    /// allocation cache), and commit on the first feasible shard with a
-    /// `try_allocate` that is then a guaranteed cache hit. Shared by gang
-    /// placement; unlike [`SchedulerBackend::try_place`] it carries no
+    /// Places one job fleet-wide: rank the shards, then commit on the
+    /// first one whose allocator accepts the job (a full shard answers
+    /// `Ok(None)` without touching its state). Shared by
+    /// [`SchedulerBackend::try_place`] and gang placement; it carries no
     /// global-queue-path assertions, so the queued path may use it too.
     fn place_fleetwide(&mut self, job: &JobSpec) -> Option<(usize, AllocationOutcome)> {
         let seq = self.placements;
         let order = self.rank_shards(job, seq);
         for server in order {
-            match self.shards[server].peek(job) {
-                Ok(Some(_)) => {
-                    let outcome = self.shards[server]
-                        .try_allocate(job)
-                        .expect("peek validated the request")
-                        .expect("peek found a placement");
+            debug_assert!(server < self.shards.len(), "policy ranked unknown shard");
+            match self.shards[server].try_allocate(job) {
+                Ok(Some(outcome)) => {
                     self.placements += 1;
                     return Some((server, outcome));
                 }
                 // Full right now, or impossible for this (smaller)
-                // machine: the next ranked shard may still host it.
+                // machine of a heterogeneous fleet: the next ranked shard
+                // may still host it.
                 Ok(None) | Err(AllocatorError::InvalidRequest { .. }) => {}
+                // A state error (duplicate active job id) is a caller
+                // bug; surface it like the single-server backend would
+                // instead of silently double-placing the job elsewhere.
                 Err(e @ AllocatorError::State(_)) => {
                     panic!("cluster placement of job {}: {e}", job.id)
                 }
@@ -993,39 +987,15 @@ impl SchedulerBackend for Cluster {
         );
         let started = Instant::now();
         self.quiescent = None;
-        let seq = self.placements;
-        let order = self.rank_shards(job, seq);
-        for server in order {
-            debug_assert!(server < self.shards.len(), "policy ranked unknown shard");
-            match self.shards[server].try_allocate(job) {
-                Ok(Some(outcome)) => {
-                    self.placements += 1;
-                    return Some(Placement {
-                        server,
-                        gpus: outcome.gpus,
-                        score: outcome.score,
-                        // The cluster's decision includes the server-
-                        // selection stage (and any shards probed and
-                        // refused).
-                        scheduling_overhead: started.elapsed(),
-                    });
-                }
-                // This shard is full right now; the next ranked shard may
-                // still host the job.
-                Ok(None) => {}
-                // An impossible request *for this shard* — a small
-                // machine in a heterogeneous fleet; other shards may be
-                // large enough.
-                Err(AllocatorError::InvalidRequest { .. }) => {}
-                // A state error (duplicate active job id) is a caller
-                // bug; surface it like the single-server backend would
-                // instead of silently double-placing the job elsewhere.
-                Err(e @ AllocatorError::State(_)) => {
-                    panic!("cluster placement of job {}: {e}", job.id)
-                }
-            }
-        }
-        None
+        let (server, outcome) = self.place_fleetwide(job)?;
+        Some(Placement {
+            server,
+            gpus: outcome.gpus,
+            score: outcome.score,
+            // The cluster's decision includes the server-selection stage
+            // (and any shards probed and refused).
+            scheduling_overhead: started.elapsed(),
+        })
     }
 
     fn release(&mut self, server: usize, job: u64) {
@@ -1088,10 +1058,9 @@ impl SchedulerBackend for Cluster {
             return None;
         }
         self.quiescent = None;
-        // Two-phase reservation: members are placed in order (peek picks
-        // the shard, the committing allocation is a guaranteed cache
-        // hit); if any member finds no shard, every reservation made so
-        // far is rolled back — occupancy is untouched on failure.
+        // Members are placed in order; if any member finds no shard,
+        // every reservation made so far is rolled back — occupancy is
+        // untouched on failure.
         let started = Instant::now();
         let mut placed: Vec<(usize, AllocationOutcome)> = Vec::new();
         for member in members {

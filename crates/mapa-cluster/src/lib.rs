@@ -17,11 +17,6 @@
 //!   placement through the allocation cache), and pack-first. The
 //!   two-stage pipeline answers "which server, then which GPUs" in one
 //!   [`mapa_sim::SchedulerBackend::try_place`] call.
-//! * [`ingest`] — an async-style job ingestion front end: a bounded MPSC
-//!   channel plus a producer thread ([`JobFeed`]), so jobs *stream* into
-//!   the event loop with backpressure instead of arriving as a
-//!   pre-materialized vector. Built on std's channel primitives — no
-//!   tokio needed offline.
 //! * **Queued dispatch** ([`Cluster::with_shard_queues`]) — each shard
 //!   gets its own bounded FIFO queue; the server policy routes arrivals
 //!   at admission and each shard drains its own queue, so a slow shard
@@ -34,12 +29,11 @@
 //!   rebalancing), with counters surfaced in `SimReport`, the log file,
 //!   and the CLI's `--json` report.
 //! * **Gangs + preemption at fleet scale** — the cluster reserves
-//!   capacity for a `JobGroup` atomically across shards (peek, then a
-//!   cache-hit commit; any member failing rolls the whole reservation
-//!   back), and under a `PreemptionPolicy` a blocked high-priority
-//!   arrival evicts lower-priority victims on the cheapest shard
-//!   (global-queue path) or its own shard (queued path). Semantics:
-//!   `docs/SCHEDULING.md`.
+//!   capacity for a `JobGroup` atomically across shards (any member
+//!   failing rolls the whole reservation back), and under a
+//!   `PreemptionPolicy` a blocked high-priority arrival evicts
+//!   lower-priority victims on the cheapest shard (global-queue path) or
+//!   its own shard (queued path). Semantics: `docs/SCHEDULING.md`.
 //! * [`Federation`] ([`federation`]) — the same pattern one level up: N
 //!   clusters behind a pluggable [`FederationPolicy`] (spillover,
 //!   round-robin, least-loaded), with per-tenant GPU quotas enforced at
@@ -79,7 +73,6 @@
 
 mod cluster;
 pub mod federation;
-pub mod ingest;
 pub mod migrate;
 pub mod policy;
 
@@ -90,7 +83,6 @@ pub use federation::{
     federation_policy_by_name, ClusterView, FedLeastLoadedPolicy, FedRoundRobinPolicy, Federation,
     FederationPolicy, SpilloverPolicy, FEDERATION_POLICY_NAMES,
 };
-pub use ingest::{Feed, JobFeed, SubmissionFeed, DEFAULT_INGEST_CAPACITY};
 pub use migrate::{
     migration_policy_by_name, MigrationPolicy, MigrationStats, MIGRATION_POLICY_NAMES,
 };

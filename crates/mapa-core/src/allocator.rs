@@ -434,12 +434,6 @@ impl MapaAllocator {
                 .expect("preemption victim is an active job");
         }
     }
-
-    /// Priority recorded for an active job, if it is running here.
-    #[must_use]
-    pub fn active_priority(&self, job_id: u64) -> Option<u8> {
-        self.active.get(&job_id).map(|meta| meta.priority)
-    }
 }
 
 impl fmt::Debug for MapaAllocator {
@@ -809,11 +803,11 @@ mod tests {
         assert_eq!(plan, vec![3, 1]);
         // Planning never changes occupancy.
         assert_eq!(a.state().free_count(), 0);
-        assert!(a.active_priority(1).is_some());
+        assert!(a.active.contains_key(&1));
         // Committing does.
         a.evict(&plan);
         assert_eq!(a.state().free_count(), 5);
-        assert!(a.active_priority(1).is_none());
+        assert!(!a.active.contains_key(&1));
         assert!(a.try_allocate(&pri_job(9, 4, true, 2)).unwrap().is_some());
     }
 

@@ -76,7 +76,18 @@ mod tests {
             AppTopology::AllToAll,
         ] {
             for n in 2..=6 {
-                assert!(build_pattern(t, n).is_connected(), "{t} n={n}");
+                let pattern = build_pattern(t, n);
+                let mut reached = vec![0];
+                let mut next = 0;
+                while let Some(&u) = reached.get(next) {
+                    for v in pattern.neighbors(u) {
+                        if !reached.contains(&v) {
+                            reached.push(v);
+                        }
+                    }
+                    next += 1;
+                }
+                assert_eq!(reached.len(), n, "{t} n={n}");
             }
         }
     }

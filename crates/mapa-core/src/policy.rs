@@ -309,17 +309,6 @@ impl AllocationPolicy for EffBwGreedyPolicy {
     }
 }
 
-/// The four policies evaluated in the paper's §4, in presentation order.
-#[must_use]
-pub fn paper_policies() -> Vec<Box<dyn AllocationPolicy>> {
-    vec![
-        Box::new(BaselinePolicy),
-        Box::new(TopoAwarePolicy),
-        Box::new(GreedyPolicy),
-        Box::new(PreservePolicy),
-    ]
-}
-
 /// Names accepted by [`allocation_policy_by_name`], in documentation
 /// order (canonical spellings; the lookup also accepts the common
 /// unhyphenated variants).
@@ -765,12 +754,6 @@ mod tests {
             f.state.allocate(i, &gpus).unwrap();
         }
         assert!(f.select(&PreservePolicy, &job(1, false)).is_none());
-    }
-
-    #[test]
-    fn paper_policies_roster() {
-        let names: Vec<&str> = paper_policies().iter().map(|p| p.name()).collect();
-        assert_eq!(names, vec!["baseline", "Topo-aware", "Greedy", "Preserve"]);
     }
 
     #[test]

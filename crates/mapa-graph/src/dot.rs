@@ -81,7 +81,9 @@ mod tests {
 
     #[test]
     fn dot_contains_all_vertices_and_edges() {
-        let g: Graph<f64> = Graph::from_edges(3, &[(0, 1, 50.0), (1, 2, 12.0)]).unwrap();
+        let mut g: Graph<f64> = Graph::new(3);
+        g.add_edge(0, 1, 50.0).unwrap();
+        g.add_edge(1, 2, 12.0).unwrap();
         let dot = to_dot(&g, &DotOptions::default());
         assert!(dot.starts_with("graph G {"));
         assert!(dot.contains("n0 [label=\"0\"];"));

@@ -16,8 +16,6 @@ pub enum GraphError {
     SelfLoop(usize),
     /// The edge already exists and duplicate insertion was not requested.
     DuplicateEdge(usize, usize),
-    /// The edge does not exist.
-    MissingEdge(usize, usize),
 }
 
 impl fmt::Display for GraphError {
@@ -31,7 +29,6 @@ impl fmt::Display for GraphError {
             }
             GraphError::SelfLoop(v) => write!(f, "self-loop on vertex {v} not allowed"),
             GraphError::DuplicateEdge(u, v) => write!(f, "edge ({u}, {v}) already exists"),
-            GraphError::MissingEdge(u, v) => write!(f, "edge ({u}, {v}) does not exist"),
         }
     }
 }

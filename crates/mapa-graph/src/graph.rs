@@ -37,19 +37,6 @@ impl<W: Copy> Graph<W> {
         }
     }
 
-    /// Builds a graph from an edge list.
-    ///
-    /// # Errors
-    /// Returns the first construction error (out-of-range vertex, self-loop,
-    /// or duplicate edge).
-    pub fn from_edges(n: usize, edges: &[(usize, usize, W)]) -> Result<Self, GraphError> {
-        let mut g = Self::new(n);
-        for &(u, v, w) in edges {
-            g.add_edge(u, v, w)?;
-        }
-        Ok(g)
-    }
-
     /// Builds the complete graph on `n` vertices with uniform weight `w`.
     #[must_use]
     pub fn complete(n: usize, w: W) -> Self {
@@ -93,46 +80,6 @@ impl<W: Copy> Graph<W> {
         self.weights[v * self.n + u] = Some(w);
         self.edge_count += 1;
         Ok(())
-    }
-
-    /// Inserts edge `(u, v)` or overwrites its weight if present.
-    ///
-    /// # Errors
-    /// Rejects out-of-range endpoints and self-loops.
-    pub fn set_edge(&mut self, u: usize, v: usize, w: W) -> Result<(), GraphError> {
-        self.check_vertex(u)?;
-        self.check_vertex(v)?;
-        if u == v {
-            return Err(GraphError::SelfLoop(u));
-        }
-        if !self.adj[u].contains(v) {
-            self.adj[u].insert(v);
-            self.adj[v].insert(u);
-            self.edge_count += 1;
-        }
-        self.weights[u * self.n + v] = Some(w);
-        self.weights[v * self.n + u] = Some(w);
-        Ok(())
-    }
-
-    /// Removes edge `(u, v)`, returning its weight.
-    ///
-    /// # Errors
-    /// Returns [`GraphError::MissingEdge`] if absent (or endpoints invalid).
-    pub fn remove_edge(&mut self, u: usize, v: usize) -> Result<W, GraphError> {
-        self.check_vertex(u)?;
-        self.check_vertex(v)?;
-        if u == v || !self.adj[u].contains(v) {
-            return Err(GraphError::MissingEdge(u, v));
-        }
-        self.adj[u].remove(v);
-        self.adj[v].remove(u);
-        let w = self.weights[u * self.n + v]
-            .take()
-            .expect("edge weight present");
-        self.weights[v * self.n + u] = None;
-        self.edge_count -= 1;
-        Ok(w)
     }
 
     /// Tests whether edge `(u, v)` exists. Out-of-range vertices yield `false`.
@@ -234,26 +181,6 @@ impl<W: Copy> Graph<W> {
             .induced_subgraph(&keep)
             .expect("kept vertices are valid and unique");
         (g, keep)
-    }
-
-    /// True when the graph is connected (the empty graph counts as
-    /// connected, a single vertex is connected).
-    #[must_use]
-    pub fn is_connected(&self) -> bool {
-        if self.n <= 1 {
-            return true;
-        }
-        let mut visited = BitSet::new(self.n);
-        let mut stack = vec![0usize];
-        visited.insert(0);
-        while let Some(u) = stack.pop() {
-            for v in self.adj[u].iter() {
-                if visited.insert(v) {
-                    stack.push(v);
-                }
-            }
-        }
-        visited.count() == self.n
     }
 
     /// Applies `f` to every edge weight, producing a graph of a new weight
@@ -425,8 +352,16 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn from_edges(n: usize, edges: &[(usize, usize, f64)]) -> WeightedGraph {
+        let mut g = Graph::new(n);
+        for &(u, v, w) in edges {
+            g.add_edge(u, v, w).unwrap();
+        }
+        g
+    }
+
     fn triangle() -> WeightedGraph {
-        Graph::from_edges(3, &[(0, 1, 50.0), (1, 2, 25.0), (0, 2, 12.0)]).unwrap()
+        from_edges(3, &[(0, 1, 50.0), (1, 2, 25.0), (0, 2, 12.0)])
     }
 
     #[test]
@@ -455,27 +390,8 @@ mod tests {
     }
 
     #[test]
-    fn set_edge_overwrites() {
-        let mut g = triangle();
-        g.set_edge(0, 1, 99.0).unwrap();
-        assert_eq!(g.weight(0, 1), Some(99.0));
-        assert_eq!(g.edge_count(), 3);
-        g.set_edge(0, 1, 12.0).unwrap();
-        assert_eq!(g.weight(1, 0), Some(12.0));
-    }
-
-    #[test]
-    fn remove_edge_roundtrip() {
-        let mut g = triangle();
-        assert_eq!(g.remove_edge(2, 1), Ok(25.0));
-        assert!(!g.has_edge(1, 2));
-        assert_eq!(g.edge_count(), 2);
-        assert_eq!(g.remove_edge(2, 1), Err(GraphError::MissingEdge(2, 1)));
-    }
-
-    #[test]
     fn edge_iterator_is_sorted_upper_triangle() {
-        let g = Graph::from_edges(4, &[(2, 3, 1.0), (0, 3, 2.0), (1, 0, 3.0)]).unwrap();
+        let g = from_edges(4, &[(2, 3, 1.0), (0, 3, 2.0), (1, 0, 3.0)]);
         let edges: Vec<_> = g.edges().collect();
         assert_eq!(edges, vec![(0, 1, 3.0), (0, 3, 2.0), (2, 3, 1.0)]);
     }
@@ -508,19 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn connectivity() {
-        assert!(Graph::<f64>::new(0).is_connected());
-        assert!(Graph::<f64>::new(1).is_connected());
-        assert!(!Graph::<f64>::new(2).is_connected());
-        assert!(triangle().is_connected());
-        let mut g = triangle();
-        g.remove_edge(0, 1).unwrap();
-        assert!(g.is_connected()); // still a path
-        g.remove_edge(0, 2).unwrap();
-        assert!(!g.is_connected()); // vertex 0 isolated
-    }
-
-    #[test]
     fn pattern_constructors_shapes() {
         assert_eq!(PatternGraph::ring(2).edge_count(), 1);
         assert_eq!(PatternGraph::ring(5).edge_count(), 5);
@@ -528,7 +431,6 @@ mod tests {
         assert_eq!(PatternGraph::binary_tree(5).edge_count(), 4);
         assert_eq!(PatternGraph::star(5).edge_count(), 4);
         assert_eq!(PatternGraph::all_to_all(5).edge_count(), 10);
-        assert!(PatternGraph::ring(5).is_connected());
         // Every vertex in a ring has degree 2.
         let r = PatternGraph::ring(6);
         assert!((0..6).all(|v| r.degree(v) == 2));
@@ -569,7 +471,7 @@ mod tests {
             for (u, v) in edges {
                 let (u, v) = (u % n, v % n);
                 if u != v {
-                    let _ = g.set_edge(u, v, (u + v) as f64);
+                    let _ = g.add_edge(u, v, (u + v) as f64);
                 }
             }
             // Deduplicate picked vertices, keep in-range.
@@ -597,7 +499,7 @@ mod tests {
             for (u, v) in edges {
                 let (u, v) = (u % n, v % n);
                 if u != v {
-                    let _ = g.set_edge(u, v, 1.0);
+                    let _ = g.add_edge(u, v, 1.0);
                 }
             }
             prop_assert_eq!(g.edges().count(), g.edge_count());

@@ -14,7 +14,7 @@ use crate::rings::RingSet;
 
 /// Fixed per-step launch latency inside a collective (seconds). A single
 /// NCCL kernel step costs roughly a microsecond-scale sync plus the link
-/// α; we fold both into the link α from [`model`] and this small constant.
+/// α; we fold both into the per-ring α below and this small constant.
 const STEP_OVERHEAD_S: f64 = 2e-6;
 
 /// Which collective algorithm a run used.

@@ -4,8 +4,8 @@
 //! achievable bandwidth for a given allocation. This metric is measured by
 //! running microbenchmarks … we use the NCCL All-reduce microbenchmark."
 //! [`measure`] is our simulated equivalent: pack rings onto the allocation
-//! and report the saturating all-reduce bus bandwidth. [`sweep_sizes`]
-//! produces the Fig. 2a bandwidth-vs-size curves.
+//! and report the saturating all-reduce bus bandwidth; [`measure_at_size`]
+//! at a sweep of sizes gives the Fig. 2a bandwidth-vs-size curves.
 
 use crate::allreduce;
 use crate::rings::{pack_rings, RingSet};
@@ -45,39 +45,6 @@ pub fn measure_rings_at_size(rings: &RingSet, n_gpus: usize, bytes: f64) -> f64 
     allreduce::allreduce_bus_bandwidth_gbps(rings, n_gpus, bytes)
 }
 
-/// One point of a bandwidth-vs-size curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CurvePoint {
-    /// Transfer size in bytes.
-    pub bytes: f64,
-    /// Observed bus bandwidth in GB/s.
-    pub bandwidth_gbps: f64,
-}
-
-/// Sweeps all-reduce sizes for an allocation — the Fig. 2a measurement.
-/// `decades` are log₁₀ sizes, e.g. `4..=9` for 10⁴–10⁹ bytes, with
-/// `points_per_decade` geometric steps each.
-#[must_use]
-pub fn sweep_sizes(
-    topology: &Topology,
-    gpus: &[usize],
-    decades: std::ops::RangeInclusive<u32>,
-    points_per_decade: usize,
-) -> Vec<CurvePoint> {
-    let rings = pack_rings(topology, gpus);
-    let mut out = Vec::new();
-    for d in decades {
-        for p in 0..points_per_decade {
-            let bytes = 10f64.powf(f64::from(d) + p as f64 / points_per_decade as f64);
-            out.push(CurvePoint {
-                bytes,
-                bandwidth_gbps: allreduce::allreduce_bus_bandwidth_gbps(&rings, gpus.len(), bytes),
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,21 +79,27 @@ mod tests {
     #[test]
     fn curves_are_monotone_and_ordered_like_fig2a() {
         let dgx = machines::dgx1_v100();
-        let double = sweep_sizes(&dgx, &[0, 3], 4..=9, 3);
-        let single = sweep_sizes(&dgx, &[0, 1], 4..=9, 3);
-        let pcie = sweep_sizes(&dgx, &[0, 5], 4..=9, 3);
+        // 10⁴–10⁹ bytes, three geometric steps per decade.
+        let sweep = |gpus: &[usize]| -> Vec<f64> {
+            (12..30)
+                .map(|step| measure_at_size(&dgx, gpus, 10f64.powf(f64::from(step) / 3.0)))
+                .collect()
+        };
+        let double = sweep(&[0, 3]);
+        let single = sweep(&[0, 1]);
+        let pcie = sweep(&[0, 5]);
         for ((d, s), p) in double.iter().zip(&single).zip(&pcie) {
-            assert!(d.bandwidth_gbps >= s.bandwidth_gbps);
-            assert!(s.bandwidth_gbps >= p.bandwidth_gbps);
+            assert!(d >= s);
+            assert!(s >= p);
         }
         for c in [&double, &single, &pcie] {
             for w in c.windows(2) {
-                assert!(w[1].bandwidth_gbps >= w[0].bandwidth_gbps - 1e-9);
+                assert!(w[1] >= w[0] - 1e-9);
             }
         }
         // Plateau values.
-        assert!((double.last().unwrap().bandwidth_gbps - 50.0).abs() < 3.0);
-        assert!((pcie.last().unwrap().bandwidth_gbps - 12.0).abs() < 1.0);
+        assert!((double.last().unwrap() - 50.0).abs() < 3.0);
+        assert!((pcie.last().unwrap() - 12.0).abs() < 1.0);
     }
 
     #[test]

@@ -5,17 +5,15 @@
 //! microbenchmark on real hardware (§3.4.1). This crate reproduces that
 //! measurement in simulation:
 //!
-//! * [`model`] — an α–β (latency–bandwidth) cost model per link type,
-//!   calibrated so the size–bandwidth ramp matches the paper's Fig. 2a
-//!   (links saturate only above ~10⁵–10⁶-byte transfers);
 //! * [`rings`] — NCCL-style ring construction: the NVLink bricks of an
 //!   allocation form a multigraph, and the simulator packs edge-disjoint
 //!   Hamiltonian rings, each bottlenecked by its slowest link;
 //! * [`allreduce`] — ring and tree all-reduce time models with NCCL's
-//!   size-based algorithm choice;
+//!   size-based algorithm choice, an α–β (latency–bandwidth) cost per step
+//!   so the size–bandwidth ramp matches the paper's Fig. 2a (links
+//!   saturate only above ~10⁵–10⁶-byte transfers);
 //! * [`effbw`] — the public "microbenchmark": effective bandwidth of a GPU
-//!   allocation at a given (or saturating) transfer size, plus the Fig. 2a
-//!   curve sweep.
+//!   allocation at a given (or saturating) transfer size.
 //!
 //! The single property MAPA depends on (per Fig. 11b of the paper): EffBW is
 //! a *non-linear* function of the allocation's link mix `(x, y, z)` — not of
@@ -42,5 +40,4 @@
 
 pub mod allreduce;
 pub mod effbw;
-pub mod model;
 pub mod rings;

@@ -1,6 +1,6 @@
 //! Embeddings: injective maps from pattern vertices to data vertices.
 
-use mapa_graph::{BitSet, Graph};
+use mapa_graph::Graph;
 
 /// An embedding of a pattern graph into a data graph.
 ///
@@ -64,15 +64,6 @@ impl Embedding {
         v
     }
 
-    /// The set of data vertices used, as a bitset of capacity `data_n`.
-    ///
-    /// # Panics
-    /// Panics if any mapped vertex is `>= data_n`.
-    #[must_use]
-    pub fn vertex_bitset(&self, data_n: usize) -> BitSet {
-        BitSet::from_indices(data_n, &self.map)
-    }
-
     /// Sum of data-graph weights over the *pattern's* edges — the paper's
     /// Aggregated Bandwidth (Eq. 1) when `data` is a hardware graph: only
     /// links the application actually uses are counted.
@@ -110,23 +101,6 @@ impl Embedding {
             .edges()
             .all(|(u, v, _)| data.has_edge(self.image(u), self.image(v)))
     }
-
-    /// Normalises the embedding by the pattern's automorphism group: returns
-    /// the lexicographically-least assignment vector among `{map ∘ a}` for
-    /// all automorphisms `a`. Two embeddings are equivalent (same subgraph
-    /// occurrence) iff their canonical forms are equal.
-    #[must_use]
-    pub fn canonicalize(&self, automorphisms: &[Vec<usize>]) -> Embedding {
-        let mut best = self.map.clone();
-        for a in automorphisms {
-            debug_assert_eq!(a.len(), self.map.len());
-            let candidate: Vec<usize> = a.iter().map(|&pa| self.map[pa]).collect();
-            if candidate < best {
-                best = candidate;
-            }
-        }
-        Embedding { map: best }
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +114,6 @@ mod tests {
         assert_eq!(e.len(), 3);
         assert_eq!(e.image(0), 3);
         assert_eq!(e.vertex_set(), vec![1, 2, 3]);
-        assert_eq!(e.vertex_bitset(5).to_vec(), vec![1, 2, 3]);
         assert!(!e.is_empty());
         assert!(Embedding::new(vec![]).is_empty());
     }
@@ -149,8 +122,10 @@ mod tests {
     fn mapped_edge_weight_counts_only_pattern_edges() {
         // Pattern: chain 0-1-2. Data: triangle with distinct weights.
         let pattern = PatternGraph::chain(3);
-        let data =
-            mapa_graph::Graph::from_edges(3, &[(0, 1, 50.0), (1, 2, 25.0), (0, 2, 12.0)]).unwrap();
+        let mut data = Graph::new(3);
+        for (u, v, w) in [(0, 1, 50.0), (1, 2, 25.0), (0, 2, 12.0)] {
+            data.add_edge(u, v, w).unwrap();
+        }
         let e = Embedding::new(vec![0, 1, 2]);
         // Chain uses edges (0,1) and (1,2) only; the 12.0 link is unused.
         assert!((e.mapped_edge_weight(&pattern, &data) - 75.0).abs() < 1e-12);
@@ -170,24 +145,5 @@ mod tests {
         assert!(!Embedding::new(vec![0, 1]).is_valid_monomorphism(&pattern, &tri));
         // Out of range.
         assert!(!Embedding::new(vec![0, 1, 5]).is_valid_monomorphism(&pattern, &tri));
-    }
-
-    #[test]
-    fn canonicalize_picks_least_under_automorphism() {
-        // C3 automorphisms = all 6 permutations of {0,1,2}.
-        let autos: Vec<Vec<usize>> = vec![
-            vec![0, 1, 2],
-            vec![0, 2, 1],
-            vec![1, 0, 2],
-            vec![1, 2, 0],
-            vec![2, 0, 1],
-            vec![2, 1, 0],
-        ];
-        let e = Embedding::new(vec![7, 3, 5]);
-        let canon = e.canonicalize(&autos);
-        assert_eq!(canon.as_slice(), &[3, 5, 7]);
-        // Any other embedding of the same set canonicalizes identically.
-        let e2 = Embedding::new(vec![5, 7, 3]);
-        assert_eq!(e2.canonicalize(&autos), canon);
     }
 }

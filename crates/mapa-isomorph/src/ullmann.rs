@@ -210,12 +210,12 @@ mod tests {
             let mut p = PatternGraph::new(pn);
             for (u, v) in pedges {
                 let (u, v) = (u % pn, v % pn);
-                if u != v { let _ = p.set_edge(u, v, ()); }
+                if u != v { let _ = p.add_edge(u, v, ()); }
             }
             let mut d = PatternGraph::new(dn);
             for (u, v) in dedges {
                 let (u, v) = (u % dn, v % dn);
-                if u != v { let _ = d.set_edge(u, v, ()); }
+                if u != v { let _ = d.add_edge(u, v, ()); }
             }
             let got = all_embeddings(&p, &d);
             let mut expect = brute_force_embeddings(&p, &d);

@@ -1,7 +1,7 @@
 //! Parallel experiment campaigns: grids of simulation configurations
 //! ("cells"), each replicated N times under **common random numbers**
-//! (CRN), fanned out across a worker pool and folded into streaming
-//! summary statistics.
+//! (CRN), fanned out across a worker pool and folded into summary
+//! statistics.
 //!
 //! MAPA's claim is comparative — pattern-aware placement beats baseline
 //! policies — so the interesting output is never one run but a *grid*:
@@ -20,22 +20,17 @@
 //!   [`WorkerPool`]; results come back in cell submission order and each
 //!   cell's replications run sequentially in index order, so the output
 //!   table is bit-identical at any worker-thread count.
-//! * **Streaming aggregation.** Each replication's [`SimReport`] is
-//!   folded into a fixed-size [`CellAccumulator`] (Welford moments +
-//!   bounded quantile state) and dropped — campaign memory is O(cells),
-//!   not O(cells × jobs).
+//! * **Per-cell aggregation.** Each replication's [`SimReport`] is
+//!   folded into its cell's [`CellAccumulator`] (Welford moments + the
+//!   pooled per-job queue waits, 8 bytes per job-run) and dropped; the
+//!   accumulator itself lives only inside its cell's pool task, so what a
+//!   campaign returns is O(cells).
 
 use crate::digest::{schedule_digest, Fnv1a};
 use crate::engine::SimReport;
 use crate::stats;
 use mapa_isomorph::WorkerPool;
 use std::sync::Arc;
-
-/// Exact-quantile buffer bound of [`StreamingQuantiles`]: up to this many
-/// observations quantiles are computed exactly from a sorted copy; beyond
-/// it the state collapses to fixed-size P² estimators. Keeps a cell's
-/// aggregation state O(1) regardless of jobs × replications.
-pub const EXACT_QUANTILE_CAP: usize = 4096;
 
 /// Derives replication `replication`'s RNG seed from the campaign base
 /// seed — and from **nothing else**. This is the CRN contract: the seed
@@ -107,216 +102,6 @@ impl Welford {
     }
 }
 
-/// One P² (Jain & Chlamtac) quantile estimator: five markers tracking a
-/// single probability in O(1) state. Used by [`StreamingQuantiles`] only
-/// past [`EXACT_QUANTILE_CAP`] observations.
-#[derive(Debug, Clone)]
-struct P2Quantile {
-    p: f64,
-    /// Marker heights (the five tracked order statistics).
-    q: [f64; 5],
-    /// Actual marker positions, 1-based.
-    n: [f64; 5],
-    /// Desired marker positions.
-    np: [f64; 5],
-    /// Desired position increments per observation.
-    dn: [f64; 5],
-    count: usize,
-    /// First five observations, buffered until initialization.
-    init: Vec<f64>,
-}
-
-impl P2Quantile {
-    fn new(p: f64) -> Self {
-        Self {
-            p,
-            q: [0.0; 5],
-            n: [1.0, 2.0, 3.0, 4.0, 5.0],
-            np: [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
-            dn: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
-            count: 0,
-            init: Vec::with_capacity(5),
-        }
-    }
-
-    fn push(&mut self, x: f64) {
-        self.count += 1;
-        if self.count <= 5 {
-            self.init.push(x);
-            if self.count == 5 {
-                self.init.sort_by(f64::total_cmp);
-                for (slot, &v) in self.q.iter_mut().zip(&self.init) {
-                    *slot = v;
-                }
-                self.init.clear();
-            }
-            return;
-        }
-        // Locate the cell x falls into and bump marker positions.
-        let k = if x < self.q[0] {
-            self.q[0] = x;
-            0
-        } else if x < self.q[1] {
-            0
-        } else if x < self.q[2] {
-            1
-        } else if x < self.q[3] {
-            2
-        } else if x <= self.q[4] {
-            3
-        } else {
-            self.q[4] = x;
-            3
-        };
-        for i in (k + 1)..5 {
-            self.n[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.np[i] += self.dn[i];
-        }
-        // Adjust interior markers toward their desired positions with the
-        // piecewise-parabolic (P²) update, falling back to linear when the
-        // parabola would leave the bracket.
-        for i in 1..4 {
-            let d = self.np[i] - self.n[i];
-            if (d >= 1.0 && self.n[i + 1] - self.n[i] > 1.0)
-                || (d <= -1.0 && self.n[i - 1] - self.n[i] < -1.0)
-            {
-                let d = d.signum();
-                let qp = self.parabolic(i, d);
-                self.q[i] = if self.q[i - 1] < qp && qp < self.q[i + 1] {
-                    qp
-                } else {
-                    self.linear(i, d)
-                };
-                self.n[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let (qm, qi, qp) = (self.q[i - 1], self.q[i], self.q[i + 1]);
-        let (nm, ni, np) = (self.n[i - 1], self.n[i], self.n[i + 1]);
-        qi + d / (np - nm)
-            * ((ni - nm + d) * (qp - qi) / (np - ni) + (np - ni - d) * (qi - qm) / (ni - nm))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.q[i] + d * (self.q[j] - self.q[i]) / (self.n[j] - self.n[i])
-    }
-
-    fn quantile(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        if self.count <= 5 || !self.init.is_empty() {
-            // Still in (or never left) the exact buffer regime.
-            let mut sorted = if self.init.is_empty() {
-                self.q[..self.count.min(5)].to_vec()
-            } else {
-                self.init.clone()
-            };
-            sorted.sort_by(f64::total_cmp);
-            return stats::percentile(&sorted, self.p * 100.0);
-        }
-        self.q[2]
-    }
-}
-
-/// Streaming p50/p95/p99 of one metric. Exact (buffered, computed via
-/// [`stats::percentile`] on a sorted copy) up to [`EXACT_QUANTILE_CAP`]
-/// observations; past the cap the buffer is replayed into three P²
-/// estimators and dropped, capping the state at O(1). The estimates past
-/// the cap are approximate — documented, deterministic in insertion
-/// order, and within a few percent on unimodal latency-shaped data.
-#[derive(Debug, Clone)]
-pub struct StreamingQuantiles {
-    exact: Option<Vec<f64>>,
-    sketch: [P2Quantile; 3],
-    count: u64,
-}
-
-/// The probabilities [`StreamingQuantiles`] tracks, in output order.
-const QUANTILE_PROBS: [f64; 3] = [0.50, 0.95, 0.99];
-
-impl Default for StreamingQuantiles {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StreamingQuantiles {
-    /// An empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            exact: Some(Vec::new()),
-            sketch: QUANTILE_PROBS.map(P2Quantile::new),
-            count: 0,
-        }
-    }
-
-    /// Folds one observation in.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        if let Some(buf) = self.exact.as_mut() {
-            buf.push(x);
-            if buf.len() > EXACT_QUANTILE_CAP {
-                // Graduate to the fixed-size sketch: replay the buffer in
-                // arrival order (deterministic), then drop it.
-                let buf = self.exact.take().expect("checked above");
-                for v in buf {
-                    for q in &mut self.sketch {
-                        q.push(v);
-                    }
-                }
-            }
-        } else {
-            for q in &mut self.sketch {
-                q.push(x);
-            }
-        }
-    }
-
-    /// Observations so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Whether quantiles are still computed exactly (at or below
-    /// [`EXACT_QUANTILE_CAP`] observations).
-    #[must_use]
-    pub fn is_exact(&self) -> bool {
-        self.exact.is_some()
-    }
-
-    /// `(p50, p95, p99)`; zeros when no observation has been folded.
-    #[must_use]
-    pub fn quantiles(&self) -> (f64, f64, f64) {
-        if self.count == 0 {
-            return (0.0, 0.0, 0.0);
-        }
-        match self.exact.as_ref() {
-            Some(buf) => {
-                let mut sorted = buf.clone();
-                sorted.sort_by(f64::total_cmp);
-                (
-                    stats::percentile(&sorted, 50.0),
-                    stats::percentile(&sorted, 95.0),
-                    stats::percentile(&sorted, 99.0),
-                )
-            }
-            None => (
-                self.sketch[0].quantile(),
-                self.sketch[1].quantile(),
-                self.sketch[2].quantile(),
-            ),
-        }
-    }
-}
-
 /// Mean and 95% CI half-width of one metric across a cell's replications.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricSummary {
@@ -363,11 +148,10 @@ pub struct CellSummary {
     pub schedule_digest: u64,
 }
 
-/// Streaming per-cell fold: accepts one [`SimReport`] per replication,
-/// keeps O(1) state (Welford moments, bounded quantile buffers, a digest
-/// chain), and emits a [`CellSummary`]. The report is dropped after
-/// [`CellAccumulator::observe`] returns — this is what makes campaign
-/// memory O(cells) instead of O(cells × jobs).
+/// Per-cell fold: accepts one [`SimReport`] per replication, keeps Welford
+/// moments, a digest chain and the pooled queue waits (the quantiles are
+/// exact at every size), and emits a [`CellSummary`]. The report is
+/// dropped after [`CellAccumulator::observe`] returns.
 #[derive(Debug, Clone, Default)]
 pub struct CellAccumulator {
     replications: u64,
@@ -375,7 +159,7 @@ pub struct CellAccumulator {
     makespan: Welford,
     throughput: Welford,
     queue_wait_mean: Welford,
-    queue_waits: StreamingQuantiles,
+    queue_waits: Vec<f64>,
     slo_attainment: Welford,
     digest: Fnv1a,
 }
@@ -393,17 +177,13 @@ impl CellAccumulator {
         self.jobs += report.records.len() as u64;
         self.makespan.push(report.makespan_seconds);
         self.throughput.push(report.throughput_jobs_per_hour);
-        let waits: Vec<f64> = report
-            .records
-            .iter()
-            .map(|r| r.queue_wait_seconds)
-            .collect();
+        let pooled = self.queue_waits.len();
+        self.queue_waits
+            .extend(report.records.iter().map(|r| r.queue_wait_seconds));
+        let waits = &self.queue_waits[pooled..];
         if !waits.is_empty() {
             self.queue_wait_mean
                 .push(waits.iter().sum::<f64>() / waits.len() as f64);
-        }
-        for w in waits {
-            self.queue_waits.push(w);
         }
         // Replications without SLO-tagged jobs have no attainment to
         // fold in — skipping them keeps mixed grids honest.
@@ -415,12 +195,19 @@ impl CellAccumulator {
 
     /// Finishes the fold into a [`CellSummary`] labelled `label`.
     #[must_use]
-    pub fn finish(self, label: String) -> CellSummary {
+    pub fn finish(mut self, label: String) -> CellSummary {
         let summary = |w: &Welford| MetricSummary {
             mean: w.mean(),
             ci95: w.ci95_half_width(),
         };
-        let (p50, p95, p99) = self.queue_waits.quantiles();
+        self.queue_waits.sort_by(f64::total_cmp);
+        let wait = |p| {
+            if self.queue_waits.is_empty() {
+                0.0 // no job ran
+            } else {
+                stats::percentile(&self.queue_waits, p)
+            }
+        };
         CellSummary {
             label,
             replications: self.replications,
@@ -428,9 +215,9 @@ impl CellAccumulator {
             makespan_seconds: summary(&self.makespan),
             throughput_jobs_per_hour: summary(&self.throughput),
             queue_wait_mean_seconds: summary(&self.queue_wait_mean),
-            queue_wait_p50_seconds: p50,
-            queue_wait_p95_seconds: p95,
-            queue_wait_p99_seconds: p99,
+            queue_wait_p50_seconds: wait(50.0),
+            queue_wait_p95_seconds: wait(95.0),
+            queue_wait_p99_seconds: wait(99.0),
             slo_attainment: if self.slo_attainment.count() > 0 {
                 Some(summary(&self.slo_attainment))
             } else {
@@ -539,39 +326,6 @@ mod tests {
         assert!((w.mean() - mean).abs() < 1e-12);
         assert!((w.sample_std() - var.sqrt()).abs() < 1e-12);
         assert!((w.ci95_half_width() - 1.96 * var.sqrt() / (xs.len() as f64).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantiles_exact_below_cap() {
-        let mut q = StreamingQuantiles::new();
-        let xs: Vec<f64> = (0..1000).map(|i| ((i * 7919) % 1000) as f64).collect();
-        for &x in &xs {
-            q.push(x);
-        }
-        assert!(q.is_exact());
-        let mut sorted = xs;
-        sorted.sort_by(f64::total_cmp);
-        let (p50, p95, p99) = q.quantiles();
-        assert_eq!(p50, stats::percentile(&sorted, 50.0));
-        assert_eq!(p95, stats::percentile(&sorted, 95.0));
-        assert_eq!(p99, stats::percentile(&sorted, 99.0));
-    }
-
-    #[test]
-    fn quantiles_approximate_beyond_cap() {
-        let mut q = StreamingQuantiles::new();
-        let n = EXACT_QUANTILE_CAP * 4;
-        for i in 0..n {
-            // A deterministic permutation of 0..n (n is a power of two, so
-            // any odd multiplier is a bijection mod n).
-            q.push(((i * 40503) % n) as f64);
-        }
-        assert!(!q.is_exact());
-        let (p50, p95, p99) = q.quantiles();
-        let n = n as f64;
-        assert!((p50 - 0.50 * n).abs() / n < 0.05, "p50 {p50}");
-        assert!((p95 - 0.95 * n).abs() / n < 0.05, "p95 {p95}");
-        assert!((p99 - 0.99 * n).abs() / n < 0.05, "p99 {p99}");
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! answers "place this job now?" — so the same dispatcher, queue, and
 //! event loop drive one multi-GPU server ([`SingleServer`], the paper's
 //! Fig. 14 setting) or a whole fleet of them (`mapa-cluster`'s sharded
-//! `Cluster`, which prepends a server-selection stage). Jobs reach the
-//! dispatcher as a *stream* ([`Engine::run_stream`]): arrivals are
-//! scheduled one ahead of the event loop, so a bounded ingestion channel
-//! can feed the simulation without materializing the whole job file.
+//! `Cluster`, which prepends a server-selection stage). Submissions are
+//! pulled from an iterator ([`Engine::run_submissions`]), each arrival
+//! scheduled one ahead of the event loop.
 //!
 //! Two multi-tenant mechanisms sit on top (both off by default, and with
 //! both off the engine replays the preemption-free schedules
@@ -32,7 +31,7 @@ use crate::event::{EventKind, EventQueue};
 use crate::queue::TimedEvent;
 use crate::slab::Slab;
 use crate::stats::{self, SchedulingStats};
-use mapa_core::fragmentation::IdealBandwidthTable;
+use mapa_core::fragmentation;
 use mapa_core::policy::AllocationPolicy;
 use mapa_core::scoring::MatchScore;
 use mapa_core::{AllocatorConfig, CacheStats, MapaAllocator, PreemptionPolicy};
@@ -577,7 +576,7 @@ pub trait SchedulerBackend {
     /// [`Self::try_place`], and on the first refusal roll back every
     /// placement made so far via [`Self::release`] — which is correct for
     /// any backend; `mapa-cluster` layers a cross-shard feasibility
-    /// prefilter and peek-then-commit shard selection on top.
+    /// prefilter on top.
     fn try_place_gang(&mut self, members: &[JobSpec]) -> Option<Vec<Placement>> {
         let mut placed: Vec<Placement> = Vec::new();
         for (idx, job) in members.iter().enumerate() {
@@ -1121,26 +1120,14 @@ impl<B: SchedulerBackend> Engine<B> {
     /// validate job files with [`JobRejection::check`] first.
     #[must_use]
     pub fn run(self, jobs: &[JobSpec]) -> SimReport {
-        self.run_stream(jobs.iter().cloned())
+        self.run_submissions(jobs.iter().cloned().map(Submission::Job))
     }
 
-    /// Runs a *stream* of jobs to completion. Jobs are pulled from the
-    /// iterator one at a time, exactly when the next arrival must be
-    /// scheduled — so a bounded ingestion channel (e.g. `mapa-cluster`'s
-    /// `JobFeed`) drives the simulation with backpressure instead of a
-    /// pre-materialized job vector.
-    ///
-    /// # Panics
-    /// As [`Engine::run`]; job sizes are validated as they arrive.
-    #[must_use]
-    pub fn run_stream(self, jobs: impl IntoIterator<Item = JobSpec>) -> SimReport {
-        self.run_submissions(jobs.into_iter().map(Submission::Job))
-    }
-
-    /// Runs a stream of [`Submission`]s — independent jobs and/or gangs —
-    /// to completion. Each submission (a gang counts as one) takes one
-    /// slot of the configured arrival process. This is the most general
-    /// entry point; [`Engine::run`] and [`Engine::run_stream`] wrap it.
+    /// Runs [`Submission`]s — independent jobs and/or gangs — to
+    /// completion. Each submission (a gang counts as one) takes one slot
+    /// of the configured arrival process and is pulled from the iterator
+    /// exactly when the next arrival must be scheduled. This is the
+    /// general entry point; [`Engine::run`] wraps it.
     ///
     /// # Panics
     /// Panics with the [`JobRejection`] of any job (or gang member) that
@@ -1163,7 +1150,6 @@ impl<B: SchedulerBackend> Engine<B> {
         let mut st = RunState {
             shard_jobs: vec![0; self.backend.server_count()],
             shard_gpu_seconds: vec![0.0; self.backend.server_count()],
-            ideal_bandwidth: vec![IdealBandwidthTable::default(); self.backend.server_count()],
             ..RunState::default()
         };
         // Arrival events carry an ordinal; the submissions themselves
@@ -1584,13 +1570,13 @@ impl<B: SchedulerBackend> Engine<B> {
         let topology = self.backend.server_topology(p.server);
         let job = &pending.job;
         // Price the placement: one ring packing serves both bandwidth
-        // figures, and the ideal the quality ratio divides by comes from
-        // the server's table.
+        // figures, and the ideal the quality ratio divides by is memoised
+        // on the machine.
         let ringset = rings::pack_rings(topology, &p.gpus);
         let workload_bw = perf::workload_effbw_rings(job.workload, &ringset, p.gpus.len());
         let measured_eff_bw =
             effbw::measure_rings_at_size(&ringset, p.gpus.len(), effbw::SATURATING_BYTES);
-        let allocation_quality = st.ideal_bandwidth[p.server].allocation_quality(topology, &p.gpus);
+        let allocation_quality = fragmentation::allocation_quality(topology, &p.gpus);
         let iter_time = perf::iteration_time_with_effbw(job.workload, job.num_gpus(), workload_bw);
         let exec =
             iter_time * pending.remaining_iterations() as f64 + pending.restore_penalty_seconds;
@@ -1665,10 +1651,6 @@ struct RunState {
     /// Per-server busy GPU-seconds, accumulated in completion order (so
     /// the f64 sums are bit-identical to the re-walk they replace).
     shard_gpu_seconds: Vec<f64>,
-    /// Per-server ideal aggregate bandwidth by job size — the Fig. 4
-    /// denominator depends only on `(server, size)`, so each is worked out
-    /// the first time a job of that size starts there.
-    ideal_bandwidth: Vec<IdealBandwidthTable>,
     /// Do-not-evict set: gang members and previously-preempted jobs.
     shielded: HashSet<u64>,
     /// Gang ids whose first member already started (for wait accounting).
@@ -1755,6 +1737,13 @@ mod tests {
 
     fn job(id: u64, n: usize, workload: Workload, iters: u64) -> JobSpec {
         JobSpec::new(id, mapa_workloads::GpuDemand::Whole(n), workload).with_iterations(iters)
+    }
+
+    /// The four policies evaluated in the paper's §4, by CLI name.
+    const PAPER_POLICIES: [&str; 4] = ["baseline", "topo-aware", "greedy", "preserve"];
+
+    fn paper_policy(name: &str) -> Box<dyn AllocationPolicy> {
+        mapa_core::policy::allocation_policy_by_name(name).expect("a paper policy")
     }
 
     impl ArrivalProcess {
@@ -1846,9 +1835,8 @@ mod tests {
     #[test]
     fn all_300_paper_jobs_complete_under_every_policy() {
         let jobs = generator::paper_job_mix(11);
-        for policy in mapa_core::policy::paper_policies() {
-            let name = policy.name();
-            let report = Simulation::new(machines::dgx1_v100(), policy).run(&jobs);
+        for name in PAPER_POLICIES {
+            let report = Simulation::new(machines::dgx1_v100(), paper_policy(name)).run(&jobs);
             assert_eq!(report.records.len(), 300, "{name}");
             assert!(report.throughput_jobs_per_hour > 0.0, "{name}");
             // GPU occupancy sanity: records have correct sizes.
@@ -2089,14 +2077,10 @@ mod tests {
     #[test]
     fn cached_and_uncached_sims_produce_identical_schedules() {
         let jobs = generator::paper_job_mix(19);
-        for policy in mapa_core::policy::paper_policies() {
-            let name = policy.name();
-            let cached = Simulation::new(machines::dgx1_v100(), policy).run(&jobs[..60]);
-            let uncached_policy = mapa_core::policy::paper_policies()
-                .into_iter()
-                .find(|p| p.name() == name)
-                .unwrap();
-            let uncached = Simulation::new(machines::dgx1_v100(), uncached_policy)
+        for name in PAPER_POLICIES {
+            let cached =
+                Simulation::new(machines::dgx1_v100(), paper_policy(name)).run(&jobs[..60]);
+            let uncached = Simulation::new(machines::dgx1_v100(), paper_policy(name))
                 .with_config(SimConfig {
                     cached: false,
                     ..SimConfig::default()
@@ -2110,22 +2094,6 @@ mod tests {
                 assert_eq!(a.started_at, b.started_at, "{name}");
                 assert_eq!(a.finished_at, b.finished_at, "{name}");
             }
-        }
-    }
-
-    #[test]
-    fn run_stream_equals_run_on_the_same_jobs() {
-        let jobs = generator::paper_job_mix(21);
-        let slice =
-            Simulation::new(machines::dgx1_v100(), Box::new(PreservePolicy)).run(&jobs[..70]);
-        let streamed = Simulation::new(machines::dgx1_v100(), Box::new(PreservePolicy))
-            .run_stream(jobs[..70].iter().cloned());
-        assert_eq!(slice.records.len(), streamed.records.len());
-        for (a, b) in slice.records.iter().zip(&streamed.records) {
-            assert_eq!(a.job.id, b.job.id);
-            assert_eq!(a.gpus, b.gpus);
-            assert_eq!(a.started_at, b.started_at);
-            assert_eq!(a.finished_at, b.finished_at);
         }
     }
 

@@ -22,9 +22,7 @@
 //! ([`SchedulerBackend`]): [`Simulation`] is the paper's single-server
 //! instantiation ([`Engine`]`<`[`SingleServer`]`>`), and `mapa-cluster`
 //! plugs a sharded multi-server fleet into the same dispatcher, queue,
-//! and event loop. Jobs can also be *streamed* in through
-//! [`Engine::run_stream`] (arrivals are scheduled one ahead), which is
-//! what the cluster crate's bounded ingestion channel feeds.
+//! and event loop.
 //!
 //! Two multi-tenant mechanisms extend the Fig. 14 semantics, both off
 //! by default (and provably inert when off):

@@ -32,12 +32,6 @@ impl LinkType {
         }
     }
 
-    /// True for any NVLink variant.
-    #[must_use]
-    pub fn is_nvlink(self) -> bool {
-        !matches!(self, LinkType::Pcie)
-    }
-
     /// All link types, slowest first.
     #[must_use]
     pub const fn all() -> [LinkType; 4] {
@@ -136,13 +130,6 @@ mod tests {
         all.sort();
         let bws: Vec<f64> = all.iter().map(|l| l.bandwidth_gbps()).collect();
         assert!(bws.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn nvlink_classification() {
-        assert!(!LinkType::Pcie.is_nvlink());
-        assert!(LinkType::SingleNvLink1.is_nvlink());
-        assert!(LinkType::DoubleNvLink2.is_nvlink());
     }
 
     #[test]

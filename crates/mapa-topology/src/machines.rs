@@ -168,31 +168,6 @@ pub fn cube_mesh() -> Topology {
     Topology::new("CubeMesh-16", g, sockets)
 }
 
-/// Amazon P3dn (EC2 p3dn.24xlarge): 8 V100s in the same NVLink hybrid
-/// cube-mesh as DGX-1 V100 — the paper lists it among the heterogeneous
-/// machines motivating MAPA.
-#[must_use]
-pub fn p3dn() -> Topology {
-    let mut t = dgx1_v100();
-    // Same fabric, different label.
-    t = Topology::new(
-        "P3dn",
-        t.link_graph().clone(),
-        (0..8).map(|g| g / 4).collect(),
-    );
-    t
-}
-
-/// Facebook Big Basin (refresh): 8 V100s, hybrid cube-mesh like DGX-1V.
-#[must_use]
-pub fn big_basin() -> Topology {
-    Topology::new(
-        "Big Basin",
-        dgx1_v100().link_graph().clone(),
-        (0..8).map(|g| g / 4).collect(),
-    )
-}
-
 /// A general `rows × cols` 2-D torus with configurable link classes for
 /// row and column neighbors. [`torus_2d`] is `torus(4, 4, double, single)`.
 ///
@@ -407,7 +382,6 @@ mod tests {
             let n = t.gpu_count();
             let g = t.bandwidth_graph();
             assert_eq!(g.edge_count(), n * (n - 1) / 2, "{}", t.name());
-            assert!(g.is_connected());
         }
     }
 
@@ -457,16 +431,6 @@ mod tests {
         assert_eq!(q3.link_type(0, 7), Pcie);
         let q4 = hypercube(4, DoubleNvLink2);
         assert_eq!(q4.link_graph().edge_count(), 32);
-    }
-
-    #[test]
-    fn p3dn_and_big_basin_mirror_dgx_fabric() {
-        for m in [p3dn(), big_basin()] {
-            assert_eq!(m.gpu_count(), 8);
-            assert_eq!(m.link_graph().edge_count(), 16);
-            assert_eq!(m.link_type(0, 4), DoubleNvLink2, "{}", m.name());
-        }
-        assert_eq!(p3dn().name(), "P3dn");
     }
 
     #[test]

@@ -172,12 +172,6 @@ impl HardwareState {
         self.jobs.is_empty()
     }
 
-    /// Number of active jobs.
-    #[must_use]
-    pub fn active_jobs(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Whether `gpu` is free.
     ///
     /// # Panics
@@ -185,15 +179,6 @@ impl HardwareState {
     #[must_use]
     pub fn is_free(&self, gpu: usize) -> bool {
         self.owner[gpu].is_none()
-    }
-
-    /// The job holding `gpu`, if any.
-    ///
-    /// # Panics
-    /// Panics if `gpu` is out of range.
-    #[must_use]
-    pub fn owner_of(&self, gpu: usize) -> Option<JobId> {
-        self.owner[gpu]
     }
 
     /// The GPUs held by `job`, ascending; `None` if the job is unknown.
@@ -226,14 +211,6 @@ impl HardwareState {
         self.topology.slice_map().map_or(v, |m| m.physical_of(v))
     }
 
-    /// Number of physical GPUs (≤ vertex count on partitioned machines).
-    #[must_use]
-    pub fn physical_gpu_count(&self) -> usize {
-        self.topology
-            .slice_map()
-            .map_or(self.topology.gpu_count(), |m| m.physical_count())
-    }
-
     /// How many *busy* vertices co-reside with `v` on its physical GPU,
     /// excluding `v` itself. Always 0 on unpartitioned machines — the
     /// allocator's co-residency pressure term reads exactly this.
@@ -249,20 +226,6 @@ impl HardwareState {
                 .filter(|&w| w != v && !self.is_free(w))
                 .count(),
             None => 0,
-        }
-    }
-
-    /// Occupied slices on physical GPU `phys` (0 or 1 on unpartitioned
-    /// machines). Never exceeds the GPU's slice count — the conservation
-    /// invariant the slice property tests pin.
-    ///
-    /// # Panics
-    /// Panics if `phys` is out of range.
-    #[must_use]
-    pub fn busy_slices_of_physical(&self, phys: usize) -> usize {
-        match self.topology.slice_map() {
-            Some(m) => m.vertices_of(phys).filter(|&w| !self.is_free(w)).count(),
-            None => usize::from(!self.is_free(phys)),
         }
     }
 
@@ -381,7 +344,7 @@ mod tests {
         let mut s = state();
         s.allocate(1, &[2, 0, 3]).unwrap();
         assert_eq!(s.gpus_of(1), Some(&[0, 2, 3][..]));
-        assert_eq!(s.owner_of(2), Some(1));
+        assert_eq!(s.owner[2], Some(1));
         assert!(s.is_free(1));
         assert_eq!(s.free_count(), 5);
         assert_eq!(s.frozen_mask().to_vec(), vec![0, 2, 3]);
@@ -400,7 +363,7 @@ mod tests {
         let err = s.allocate(2, &[3, 1]).unwrap_err();
         assert_eq!(err, AllocationError::GpuBusy { gpu: 1, held_by: 1 });
         assert!(s.is_free(3), "failed allocation must not hold GPU 3");
-        assert_eq!(s.active_jobs(), 1);
+        assert_eq!(s.jobs.len(), 1);
     }
 
     #[test]
@@ -440,11 +403,11 @@ mod tests {
         s.allocate(10, &[0, 1]).unwrap();
         s.allocate(11, &[2, 3, 4]).unwrap();
         s.allocate(12, &[7]).unwrap();
-        assert_eq!(s.active_jobs(), 3);
+        assert_eq!(s.jobs.len(), 3);
         assert_eq!(s.free_gpus(), vec![5, 6]);
         s.deallocate(11).unwrap();
         assert_eq!(s.free_gpus(), vec![2, 3, 4, 5, 6]);
-        assert_eq!(s.owner_of(0), Some(10));
+        assert_eq!(s.owner[0], Some(10));
     }
 
     #[test]
@@ -499,13 +462,10 @@ mod tests {
     fn slice_queries_on_unpartitioned_machines_are_identity() {
         let mut s = state();
         s.allocate(1, &[0, 1]).unwrap();
-        assert_eq!(s.physical_gpu_count(), 8);
         for v in 0..8 {
             assert_eq!(s.physical_of(v), v);
             assert_eq!(s.co_resident_busy(v), 0);
         }
-        assert_eq!(s.busy_slices_of_physical(0), 1);
-        assert_eq!(s.busy_slices_of_physical(2), 0);
     }
 
     #[test]
@@ -517,7 +477,6 @@ mod tests {
             .apply(&machines::dgx1_v100())
             .into_topology();
         let mut s = HardwareState::new(topo);
-        assert_eq!(s.physical_gpu_count(), 8);
         assert_eq!(s.physical_of(2), 0);
         assert_eq!(s.physical_of(3), 1);
 
@@ -527,13 +486,9 @@ mod tests {
         assert_eq!(s.co_resident_busy(1), 2);
         assert_eq!(s.co_resident_busy(0), 1, "excludes itself");
         assert_eq!(s.co_resident_busy(3), 0, "whole GPUs have no co-residents");
-        assert_eq!(s.busy_slices_of_physical(0), 2);
-        assert_eq!(s.busy_slices_of_physical(1), 1);
-        assert_eq!(s.busy_slices_of_physical(2), 0);
 
         s.deallocate(2).unwrap();
         assert_eq!(s.co_resident_busy(1), 1);
-        assert_eq!(s.busy_slices_of_physical(0), 1);
     }
 
     proptest! {
@@ -554,7 +509,7 @@ mod tests {
                 // Invariants.
                 let mut counted = 0;
                 for g in 0..8 {
-                    if let Some(j) = s.owner_of(g) {
+                    if let Some(j) = s.owner[g] {
                         counted += 1;
                         prop_assert!(s.gpus_of(j).unwrap().contains(&g));
                     }
@@ -565,7 +520,7 @@ mod tests {
                 // The incrementally-maintained busy mask agrees with the
                 // owner table (the rescans it replaced).
                 let owner_busy: Vec<usize> =
-                    (0..8).filter(|&g| s.owner_of(g).is_some()).collect();
+                    (0..8).filter(|&g| s.owner[g].is_some()).collect();
                 prop_assert_eq!(s.frozen_mask().to_vec(), owner_busy);
             }
         }

@@ -4,6 +4,7 @@
 use crate::virt::SliceMap;
 use crate::{LinkMix, LinkType};
 use mapa_graph::{dot, Graph, WeightedGraph};
+use std::sync::{Arc, OnceLock};
 
 /// A multi-GPU server topology.
 ///
@@ -11,7 +12,7 @@ use mapa_graph::{dot, Graph, WeightedGraph};
 /// implicitly communicates over PCIe at 12 GB/s, per §3.2 of the paper. The
 /// effective hardware graph handed to the matcher is therefore complete —
 /// see [`Topology::bandwidth_graph`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     name: String,
     links: Graph<LinkType>,
@@ -23,6 +24,21 @@ pub struct Topology {
     /// [`crate::virt::PartitionPlan`]: which physical GPU each vertex
     /// lives on. `None` for ordinary machines.
     slices: Option<SliceMap>,
+    /// [`Topology::ideal_aggregate_bandwidth`] per `k`, each worked out the
+    /// first time it is asked for. Clones share the table: every server of
+    /// a homogeneous fleet reads one.
+    ideal_bandwidth: Arc<[OnceLock<f64>]>,
+}
+
+/// Two machines are equal when they describe the same hardware, whatever
+/// either has memoised about it.
+impl PartialEq for Topology {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.links == other.links
+            && self.sockets == other.sockets
+            && self.slices == other.slices
+    }
 }
 
 impl Topology {
@@ -55,6 +71,7 @@ impl Topology {
             pair_links,
             sockets,
             slices: None,
+            ideal_bandwidth: (0..=n).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -201,6 +218,53 @@ impl Topology {
         total
     }
 
+    /// The best [`Topology::bandwidth_among`] of any `k` GPUs of an idle
+    /// machine — the denominator of the paper's Fig. 4 quality ratio.
+    /// Returns 0 for `k < 2` (no links to aggregate) and for `k` above the
+    /// GPU count (no such allocation). Computed once per `k` and machine.
+    #[must_use]
+    pub fn ideal_aggregate_bandwidth(&self, k: usize) -> f64 {
+        if k < 2 || k > self.gpu_count() {
+            return 0.0;
+        }
+        *self.ideal_bandwidth[k].get_or_init(|| self.best_bandwidth_among_any(k))
+    }
+
+    /// Walks the `C(n, k)` subsets (`2 <= k <= n`) in lexicographic order
+    /// without building them: `within[d]` is the pair sum inside the first
+    /// `d + 1` chosen GPUs, so advancing the last position costs `k - 1`
+    /// additions instead of `k(k-1)/2`. Link bandwidths are whole GB/s, so
+    /// a pair sum is exact in whatever order it is added up.
+    fn best_bandwidth_among_any(&self, k: usize) -> f64 {
+        let n = self.gpu_count();
+        let mut chosen: Vec<usize> = (0..k).collect();
+        let mut within = vec![0.0; k];
+        // `chosen[from..]` changed: redo the running sums from there.
+        let resum = |chosen: &[usize], within: &mut [f64], from: usize| {
+            for d in from.max(1)..k {
+                let into: f64 = chosen[..d]
+                    .iter()
+                    .map(|&g| self.bandwidth(g, chosen[d]))
+                    .sum();
+                within[d] = within[d - 1] + into;
+            }
+        };
+        resum(&chosen, &mut within, 0);
+        let mut ideal = 0.0f64;
+        loop {
+            ideal = ideal.max(within[k - 1]);
+            // Rightmost position that can still move right.
+            let Some(i) = (0..k).rfind(|&i| chosen[i] != i + n - k) else {
+                return ideal;
+            };
+            chosen[i] += 1;
+            for j in (i + 1)..k {
+                chosen[j] = chosen[j - 1] + 1;
+            }
+            resum(&chosen, &mut within, i);
+        }
+    }
+
     /// Graphviz DOT rendering of the direct-link topology with bandwidth
     /// labels (PCIe pairs omitted for readability).
     #[must_use]
@@ -266,6 +330,30 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn ideal_bandwidth_memo_is_shared_by_clones_and_left_out_of_equality() {
+        let machine = crate::machines::dgx1_v100();
+        let clone = machine.clone();
+        assert!(Arc::ptr_eq(
+            &machine.ideal_bandwidth,
+            &clone.ideal_bandwidth
+        ));
+        assert_eq!(machine.ideal_aggregate_bandwidth(3), 125.0);
+        // The clone answers from the entry the original filled.
+        assert_eq!(clone.ideal_bandwidth[3].get(), Some(&125.0));
+        assert_eq!(clone.ideal_aggregate_bandwidth(3), 125.0);
+        assert_eq!(machine.ideal_aggregate_bandwidth(1), 0.0);
+        assert_eq!(machine.ideal_aggregate_bandwidth(9), 0.0);
+
+        let fresh = crate::machines::dgx1_v100();
+        assert!(fresh.ideal_bandwidth.iter().all(|k| k.get().is_none()));
+        assert_eq!(
+            fresh, machine,
+            "a filled memo does not make a machine differ"
+        );
+        assert_ne!(fresh, tiny());
     }
 
     #[test]

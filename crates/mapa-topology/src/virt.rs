@@ -121,12 +121,6 @@ impl SliceMap {
         self.slice_count[self.phys_of[v]] > 1
     }
 
-    /// Whether two vertices share a physical GPU.
-    #[must_use]
-    pub fn co_resident(&self, a: usize, b: usize) -> bool {
-        self.phys_of[a] == self.phys_of[b]
-    }
-
     /// Whether any GPU is actually split.
     #[must_use]
     pub fn is_partitioned(&self) -> bool {
@@ -467,7 +461,6 @@ mod tests {
         assert_eq!(virt.gpu_count(), 14);
         let bw = virt.bandwidth_graph();
         assert_eq!(bw.edge_count(), 14 * 13 / 2);
-        assert!(bw.is_connected());
     }
 
     #[test]
@@ -516,8 +509,6 @@ mod tests {
         assert_eq!(map.vertices_of(3), 9..11);
         assert!(map.is_slice(0) && map.is_slice(9));
         assert!(!map.is_slice(7), "unsplit GPUs are whole vertices");
-        assert!(map.co_resident(9, 10));
-        assert!(!map.co_resident(0, 9));
         // The map also rides inside the topology.
         assert_eq!(virt.topology().slice_map(), Some(map));
         assert!(virt.topology().is_partitioned());

@@ -4,7 +4,7 @@
 //! message sizes. We model each network's distribution as log-normal around
 //! its calibrated mean message size with a spread typical of layer-wise
 //! gradient synchronization (layers span ~3 orders of magnitude), and
-//! expose the CDF both analytically and as sampled curve points.
+//! expose the CDF analytically.
 
 use crate::network::Workload;
 
@@ -24,31 +24,6 @@ pub fn message_size_cdf(workload: Workload, bytes: f64) -> f64 {
     let mu_ln = workload.model().avg_message_bytes.ln();
     let z = (bytes.ln() - mu_ln) / SIGMA_LN;
     standard_normal_cdf(z)
-}
-
-/// One point of a CDF curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CdfPoint {
-    /// Message size in bytes.
-    pub bytes: f64,
-    /// Cumulative probability in `[0, 1]`.
-    pub cdf: f64,
-}
-
-/// Samples the Fig. 5a curve for `workload` over `10^lo ..= 10^hi` bytes.
-#[must_use]
-pub fn cdf_curve(workload: Workload, lo: u32, hi: u32, points_per_decade: usize) -> Vec<CdfPoint> {
-    let mut out = Vec::new();
-    for d in lo..=hi {
-        for p in 0..points_per_decade {
-            let bytes = 10f64.powf(f64::from(d) + p as f64 / points_per_decade as f64);
-            out.push(CdfPoint {
-                bytes,
-                cdf: message_size_cdf(workload, bytes),
-            });
-        }
-    }
-    out
 }
 
 /// Standard normal CDF via the Abramowitz–Stegun erf approximation
@@ -76,12 +51,15 @@ mod tests {
     #[test]
     fn cdf_is_monotone_and_bounded() {
         for w in Workload::cnns() {
-            let curve = cdf_curve(w, 2, 9, 4);
+            // 10²–10⁹·⁷⁵ bytes, four geometric steps per decade.
+            let curve: Vec<f64> = (8..40)
+                .map(|step| message_size_cdf(w, 10f64.powf(f64::from(step) / 4.0)))
+                .collect();
             for p in &curve {
-                assert!((0.0..=1.0).contains(&p.cdf), "{w}: {p:?}");
+                assert!((0.0..=1.0).contains(p), "{w}: {p}");
             }
             for pair in curve.windows(2) {
-                assert!(pair[1].cdf >= pair[0].cdf - 1e-12, "{w}");
+                assert!(pair[1] >= pair[0] - 1e-12, "{w}");
             }
         }
     }

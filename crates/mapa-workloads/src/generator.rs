@@ -147,7 +147,12 @@ pub fn paper_job_mix(seed: u64) -> Vec<JobSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WorkloadClass;
     use std::collections::HashMap;
+
+    fn is_inference(job: &JobSpec) -> bool {
+        job.workload.model().class == WorkloadClass::Inference
+    }
 
     #[test]
     fn deterministic_for_fixed_seed() {
@@ -245,7 +250,7 @@ mod tests {
             ..JobMixConfig::default()
         };
         let jobs = generate_jobs(&cfg, 11);
-        let inference: Vec<_> = jobs.iter().filter(|j| j.workload.is_inference()).collect();
+        let inference: Vec<_> = jobs.iter().filter(|j| is_inference(j)).collect();
         // The accumulator interleaving is exact, not probabilistic.
         assert_eq!(inference.len(), 25);
         for j in &inference {
@@ -254,7 +259,7 @@ mod tests {
             assert_eq!(j.slo_ms, Some(default_slo_ms(j.workload)), "{}", j.id);
         }
         // Training jobs are untouched by the mix.
-        for j in jobs.iter().filter(|j| !j.workload.is_inference()) {
+        for j in jobs.iter().filter(|j| !is_inference(j)) {
             assert!(!j.is_fractional());
             assert!(!j.has_slo());
         }
@@ -270,7 +275,7 @@ mod tests {
         };
         let jobs = generate_jobs(&cfg, 3);
         assert!(jobs.iter().all(|j| j.slo_ms == Some(33.0)));
-        assert!(jobs.iter().all(|j| j.workload.is_inference()));
+        assert!(jobs.iter().all(is_inference));
     }
 
     #[test]
@@ -279,7 +284,7 @@ mod tests {
         // yields the identical mix as the config that predates it.
         let jobs = generate_jobs(&JobMixConfig::default(), 42);
         assert_eq!(jobs, paper_job_mix(42));
-        assert!(jobs.iter().all(|j| !j.workload.is_inference()));
+        assert!(!jobs.iter().any(is_inference));
     }
 
     #[test]

@@ -251,13 +251,6 @@ impl JobSpec {
         self.slo_ms = Some(target_ms);
         self
     }
-
-    /// Returns the job tagged with a tenant identity (builder style).
-    #[must_use]
-    pub fn with_tenant(mut self, tenant: u64) -> Self {
-        self.tenant = Some(tenant);
-        self
-    }
 }
 
 /// Assigns round-robin tenant classes by job id: `priority = id % classes`
@@ -618,7 +611,10 @@ mod tests {
     #[test]
     fn tenant_column_roundtrips_and_defaults() {
         let jobs = vec![
-            JobSpec::new(1, GpuDemand::Whole(2), Workload::Vgg16).with_tenant(3),
+            JobSpec {
+                tenant: Some(3),
+                ..JobSpec::new(1, GpuDemand::Whole(2), Workload::Vgg16)
+            },
             JobSpec::new(2, GpuDemand::Whole(1), Workload::GoogleNet),
         ];
         let text = write_job_file(&jobs);

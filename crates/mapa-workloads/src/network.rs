@@ -273,12 +273,6 @@ impl Workload {
     pub fn is_bandwidth_sensitive(self) -> bool {
         self.model().bandwidth_sensitive
     }
-
-    /// Whether this is a latency-SLO inference-serving workload.
-    #[must_use]
-    pub fn is_inference(self) -> bool {
-        self.model().class == WorkloadClass::Inference
-    }
 }
 
 impl fmt::Display for Workload {
@@ -350,10 +344,11 @@ mod tests {
         // workloads out of it is what preserves the golden schedules.
         for w in Workload::inference() {
             assert!(!Workload::all().contains(&w), "{w}");
-            assert!(w.is_inference());
             assert_eq!(w.model().class, WorkloadClass::Inference);
         }
-        assert!(Workload::all().iter().all(|w| !w.is_inference()));
+        assert!(Workload::all()
+            .iter()
+            .all(|w| w.model().class != WorkloadClass::Inference));
     }
 
     #[test]

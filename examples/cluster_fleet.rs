@@ -1,13 +1,12 @@
 //! Scheduling a heterogeneous GPU fleet: the cluster layer end to end.
 //!
-//! Builds a mixed fleet (two DGX-1 V100s, a DGX-2, a Summit node), streams
-//! a bursty job mix through the bounded ingestion channel, and compares
-//! the four server-selection policies on makespan, balance, and
-//! cross-server fragmentation — the scale axis the single-server paper
-//! setting cannot ask about. A second study switches the fleet to
-//! per-shard queues (`--dispatch parallel --migration steal` in the CLI)
-//! and compares the three migration policies: per-shard FIFO routing is
-//! cheap but can strand work behind a hot shard; stealing and
+//! Builds a mixed fleet (two DGX-1 V100s, a DGX-2, a Summit node), submits
+//! a bursty job mix, and compares the four server-selection policies on
+//! makespan, balance, and cross-server fragmentation — the scale axis the
+//! single-server paper setting cannot ask about. A second study switches
+//! the fleet to per-shard queues (`--dispatch parallel --migration steal`
+//! in the CLI) and compares the three migration policies: per-shard FIFO
+//! routing is cheap but can strand work behind a hot shard; stealing and
 //! release-time rebalancing drain the imbalance.
 //!
 //! Run with: `cargo run --release --example cluster_fleet`
@@ -37,7 +36,7 @@ fn run_policy(server_policy: Box<dyn ServerPolicy>, jobs: &[JobSpec]) -> SimRepo
             },
             ..SimConfig::default()
         })
-        .run_stream(JobFeed::from_jobs(jobs.to_vec(), 32))
+        .run(jobs)
 }
 
 fn describe(report: &SimReport) {
@@ -127,5 +126,5 @@ fn run_queued(migration: MigrationPolicy, jobs: &[JobSpec]) -> SimReport {
             },
             ..SimConfig::default()
         })
-        .run_stream(JobFeed::from_jobs(jobs.to_vec(), 32))
+        .run(jobs)
 }

@@ -22,8 +22,8 @@
 
 use mapa::cli::{choose, Args, Cli};
 use mapa::cluster::{
-    dispatch_mode_by_name, SubmissionFeed, DEFAULT_INGEST_CAPACITY, DISPATCH_MODE_NAMES,
-    FEDERATION_POLICY_NAMES, MIGRATION_POLICY_NAMES, SERVER_POLICY_NAMES,
+    dispatch_mode_by_name, DISPATCH_MODE_NAMES, FEDERATION_POLICY_NAMES, MIGRATION_POLICY_NAMES,
+    SERVER_POLICY_NAMES,
 };
 use mapa::core::{preemption_policy_by_name, PreemptionPolicy, PREEMPTION_POLICY_NAMES};
 use mapa::prelude::*;
@@ -278,10 +278,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
 
     let mut shared = Shared::new(Arc::new(WorkerPool::with_default_threads()));
     spec.admit(&submissions, &mut shared)?;
-    // Submissions stream into the dispatcher through the bounded
-    // ingestion channel — the same front end live traffic would use.
-    let feed = SubmissionFeed::from_submissions(submissions, DEFAULT_INGEST_CAPACITY);
-    let report = spec.run(&mut shared, config, feed)?;
+    let report = spec.run(&mut shared, config, submissions)?;
     print!("{}", logfile::write_log(&report));
     if let Some(path) = args.str("--json") {
         std::fs::write(path, mapa::report::to_json(&report))

@@ -60,9 +60,9 @@ pub mod prelude {
     pub use mapa_cluster::{
         dispatch_mode_by_name, federation_policy_by_name, migration_policy_by_name,
         server_policy_by_name, BestScorePolicy, Cluster, ClusterView, DispatchMode, Federation,
-        FederationPolicy, JobFeed, LeastLoadedPolicy, MigrationPolicy, MigrationStats,
-        PackFirstPolicy, RoundRobinPolicy, ServerPolicy, ShardView, SpilloverPolicy,
-        SubmissionFeed, DEFAULT_SHARD_QUEUE_DEPTH, FEDERATION_POLICY_NAMES,
+        FederationPolicy, LeastLoadedPolicy, MigrationPolicy, MigrationStats, PackFirstPolicy,
+        RoundRobinPolicy, ServerPolicy, ShardView, SpilloverPolicy, DEFAULT_SHARD_QUEUE_DEPTH,
+        FEDERATION_POLICY_NAMES,
     };
     pub use mapa_core::policy::{
         AllocationPolicy, BaselinePolicy, EffBwGreedyPolicy, GreedyPolicy, PreservePolicy,

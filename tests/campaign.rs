@@ -9,13 +9,12 @@
 //!    including the chained schedule digests, the same FNV fingerprint
 //!    the golden-digest harness pins — is bit-identical whichever
 //!    worker-pool size runs it.
-//! 3. **Aggregator exactness**: the streaming mean/CI and quantile
-//!    accumulators match from-scratch exact computations on small N.
+//! 3. **Aggregator exactness**: the streaming mean/CI matches the
+//!    from-scratch computation, and a cell's pooled queue-wait quantiles
+//!    equal `stats::percentile` over every wait it saw, at any size.
 
 use mapa::prelude::*;
-use mapa::sim::campaign::{
-    crn_seed, run_campaign, CampaignSpec, StreamingQuantiles, Welford, EXACT_QUANTILE_CAP,
-};
+use mapa::sim::campaign::{crn_seed, run_campaign, CampaignSpec, Welford};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
@@ -161,54 +160,52 @@ proptest! {
                 / var.sqrt().max(1.0) < 1e-6
         );
     }
-
-    /// Property 3b: below the exact-buffer cap the streaming quantiles
-    /// equal `stats::percentile` on the sorted sample, bit for bit.
-    #[test]
-    fn streaming_quantiles_exact_below_cap(xs in proptest::collection::vec(-1e3f64..1e3, 1..400)) {
-        let mut q = StreamingQuantiles::new();
-        for &x in &xs {
-            q.push(x);
-        }
-        prop_assert!(q.is_exact());
-        let mut sorted = xs;
-        sorted.sort_by(f64::total_cmp);
-        let (p50, p95, p99) = q.quantiles();
-        prop_assert_eq!(p50, stats::percentile(&sorted, 50.0));
-        prop_assert_eq!(p95, stats::percentile(&sorted, 95.0));
-        prop_assert_eq!(p99, stats::percentile(&sorted, 99.0));
-    }
 }
 
-/// Property 3c: past the cap the P² sketch stays close to the exact
-/// quantiles on a shuffled uniform ramp (documented approximation, so a
-/// tolerance, not equality).
+/// Property 3b: a cell's queue-wait quantiles are exact however many
+/// waits it pools — 3 replications × 2 000 jobs here — bit for bit
+/// `stats::percentile` over the concatenated, sorted waits.
 #[test]
-fn streaming_quantiles_track_exact_beyond_cap() {
-    let n = EXACT_QUANTILE_CAP * 8;
-    let mut q = StreamingQuantiles::new();
-    let mut xs = Vec::with_capacity(n);
-    for i in 0..n {
-        let x = ((i * 48271) % n) as f64;
-        q.push(x);
-        xs.push(x);
+fn pooled_wait_quantiles_are_exact_at_any_size() {
+    const BASE_SEED: u64 = 5;
+    fn replicate(seed: u64) -> SimReport {
+        let mix = generator::JobMixConfig {
+            job_count: 2000,
+            ..generator::JobMixConfig::default()
+        };
+        Simulation::new(machines::dgx1_v100(), Box::new(PreservePolicy))
+            .run(&generator::generate_jobs(&mix, seed))
     }
-    assert!(!q.is_exact());
-    xs.sort_by(f64::total_cmp);
-    let (p50, p95, p99) = q.quantiles();
-    let span = n as f64;
-    assert!(
-        (p50 - stats::percentile(&xs, 50.0)).abs() / span < 0.02,
-        "p50 {p50}"
+    let spec = CampaignSpec {
+        cells: vec![()],
+        replications: 3,
+        base_seed: BASE_SEED,
+    };
+    let pool = Arc::new(WorkerPool::new(1));
+    let cells = run_campaign(
+        spec,
+        &pool,
+        |()| "big".to_string(),
+        |()| (),
+        |(), seed| replicate(seed),
     );
-    assert!(
-        (p95 - stats::percentile(&xs, 95.0)).abs() / span < 0.02,
-        "p95 {p95}"
-    );
-    assert!(
-        (p99 - stats::percentile(&xs, 99.0)).abs() / span < 0.02,
-        "p99 {p99}"
-    );
+    let mut waits: Vec<f64> = (0..3)
+        .flat_map(|r| replicate(crn_seed(BASE_SEED, r)).records)
+        .map(|record| record.queue_wait_seconds)
+        .collect();
+    assert_eq!(waits.len(), 6000);
+    waits.sort_by(f64::total_cmp);
+    for (got, p) in [
+        (cells[0].queue_wait_p50_seconds, 50.0),
+        (cells[0].queue_wait_p95_seconds, 95.0),
+        (cells[0].queue_wait_p99_seconds, 99.0),
+    ] {
+        assert_eq!(
+            got.to_bits(),
+            stats::percentile(&waits, p).to_bits(),
+            "p{p}"
+        );
+    }
 }
 
 /// The CRN derivation rule itself: seeds depend on `(base_seed,

@@ -83,9 +83,9 @@ proptest! {
     }
 }
 
-/// The equivalence also holds with the async ingestion front end in the
-/// loop and under non-batch arrivals — the streamed cluster is still the
-/// single-server engine.
+/// The equivalence also holds under non-batch arrivals with the jobs
+/// pulled from an iterator as they arrive — the streamed cluster is still
+/// the single-server engine.
 #[test]
 fn one_shard_cluster_streamed_under_poisson_equals_single_server() {
     let jobs = generator::paper_job_mix(33);
@@ -109,7 +109,7 @@ fn one_shard_cluster_streamed_under_poisson_equals_single_server() {
         );
         let clustered = Engine::over(cluster)
             .with_config(config.clone())
-            .run_stream(JobFeed::from_jobs(jobs.to_vec(), 8));
+            .run_submissions(jobs.iter().cloned().map(Submission::Job));
         assert_identical_schedules(
             &single,
             &clustered,

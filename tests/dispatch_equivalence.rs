@@ -248,8 +248,8 @@ fn golden_replay_pins_the_pre_overhaul_schedules() {
     golden::check_goldens("dispatch.txt", &entries);
 }
 
-/// The equivalence holds with the full production front end in the loop:
-/// bounded-channel ingestion, bursty arrivals, queued dispatch, stealing.
+/// The equivalence holds with jobs pulled from an iterator as they
+/// arrive: bursty arrivals, queued dispatch, stealing.
 #[test]
 fn dispatch_modes_agree_through_the_streamed_ingest_path() {
     let jobs = generator::paper_job_mix(43);
@@ -269,7 +269,7 @@ fn dispatch_modes_agree_through_the_streamed_ingest_path() {
                 .with_dispatch(mode),
         )
         .with_config(config.clone())
-        .run_stream(JobFeed::from_jobs(jobs.to_vec(), 8))
+        .run_submissions(jobs.iter().cloned().map(Submission::Job))
     };
     let seq = run(DispatchMode::Sequential);
     let par = run(DispatchMode::Parallel);

@@ -173,3 +173,72 @@ fn migration_respects_machine_capacity_in_heterogeneous_fleets() {
         }
     }
 }
+
+/// Under per-shard queues a slow shard stalls only its own queue: while
+/// shard 0 grinds through a monster job, everything that reached shard 1
+/// keeps flowing — no global head-of-line blocking. Shard 0's *own*
+/// waiters do stall (that is per-shard FIFO working as designed); adding
+/// steal-on-idle migration then drains even those through shard 1.
+#[test]
+fn migration_slow_shard_stalls_only_its_own_queue() {
+    let job = |id: u64, iterations: u64| {
+        JobSpec::new(id, GpuDemand::Whole(8), Workload::Vgg16)
+            .with_topology(AppTopology::Ring)
+            .with_bandwidth_sensitive(true)
+            .with_iterations(iterations)
+    };
+    let mut jobs = vec![job(1, 200_000)];
+    jobs.extend((2..42).map(|id| job(id, 1)));
+    let run = |migration: MigrationPolicy| {
+        let cluster = Cluster::homogeneous(
+            machines::dgx1_v100(),
+            2,
+            || Box::new(PreservePolicy),
+            Box::new(RoundRobinPolicy),
+        )
+        .with_shard_queues(8)
+        .with_migration(migration);
+        Engine::over(cluster).run(&jobs)
+    };
+
+    // Without migration: shard 1's stream is untouched by the monster;
+    // only jobs routed to shard 0's queue wait behind it.
+    let report = run(MigrationPolicy::None);
+    assert_eq!(report.records.len(), 41);
+    let monster = report.records.iter().find(|r| r.job.id == 1).unwrap();
+    assert_eq!(monster.server, 0, "round-robin routes job 1 to shard 0");
+    let (on_shard1, stalled_on_shard0): (Vec<_>, Vec<_>) = report
+        .records
+        .iter()
+        .filter(|r| r.job.id != 1)
+        .partition(|r| r.server == 1);
+    assert!(on_shard1.len() > 20, "shard 1 absorbed its half + overflow");
+    for r in &on_shard1 {
+        assert!(
+            r.finished_at < monster.finished_at,
+            "job {} on shard 1 must not wait for shard 0's monster",
+            r.job.id
+        );
+    }
+    // Per-shard FIFO: shard 0's own waiters did stall behind the monster.
+    assert!(!stalled_on_shard0.is_empty());
+    for r in &stalled_on_shard0 {
+        assert!(r.started_at >= monster.finished_at, "{r:?}");
+    }
+    // Shard 0's queue really was bounded the whole time.
+    let d = report.dispatch.as_ref().unwrap();
+    assert!(d.max_queue_depths[0] <= 8, "{d:?}");
+
+    // With stealing: the idle shard drains shard 0's queue too, so *every*
+    // quick job finishes while the monster still runs.
+    let stolen = run(MigrationPolicy::StealOnIdle);
+    let monster = stolen.records.iter().find(|r| r.job.id == 1).unwrap();
+    for r in stolen.records.iter().filter(|r| r.job.id != 1) {
+        assert!(
+            r.finished_at < monster.finished_at,
+            "with stealing, job {} must not wait for the monster",
+            r.job.id
+        );
+    }
+    assert!(stolen.dispatch.as_ref().unwrap().jobs_stolen > 0);
+}

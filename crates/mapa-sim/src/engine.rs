@@ -27,8 +27,8 @@
 //! The full scheduling semantics — lifecycle, ordering rules, worked
 //! examples — lives in `docs/SCHEDULING.md`.
 
-use crate::event::{EventKind, EventQueue};
-use crate::queue::TimedEvent;
+use crate::event::EventKind;
+use crate::queue::{EventQueue, TimedEvent};
 use crate::slab::Slab;
 use crate::stats::{self, SchedulingStats};
 use mapa_core::fragmentation;
@@ -1152,17 +1152,12 @@ impl<B: SchedulerBackend> Engine<B> {
             shard_gpu_seconds: vec![0.0; self.backend.server_count()],
             ..RunState::default()
         };
-        // Arrival events carry an ordinal; the submissions themselves
-        // wait in `incoming` (arrivals fire in scheduling order: times
-        // are non-decreasing and the heap breaks ties by sequence
-        // number).
-        let mut incoming: VecDeque<Submission> = VecDeque::new();
-        let mut arrivals = 0usize;
-        if let Some(sub) = source.next() {
-            st.events
-                .push(clock.next_time(), EventKind::JobArrival(arrivals));
-            incoming.push_back(sub);
-            arrivals += 1;
+        // One arrival is pending at a time: its submission waits in
+        // `incoming`, and the next one is pulled from `source` and
+        // scheduled when it fires.
+        let mut incoming = source.next();
+        if incoming.is_some() {
+            st.events.push(clock.next_time(), EventKind::JobArrival);
         }
 
         // Events drain in same-tick batches: one `pop_batch` call hands
@@ -1210,8 +1205,8 @@ impl<B: SchedulerBackend> Engine<B> {
                     }
                 }
                 match batch[i].payload {
-                    EventKind::JobArrival(_) => {
-                        let sub = incoming.pop_front().expect("arrival scheduled with a job");
+                    EventKind::JobArrival => {
+                        let sub = incoming.take().expect("arrival scheduled with a job");
                         let validate = |job: &JobSpec| {
                             if let Err(rejection) = JobRejection::check(job, max_gpus) {
                                 panic!("{rejection}");
@@ -1247,11 +1242,9 @@ impl<B: SchedulerBackend> Engine<B> {
                                 }
                             }
                         }
-                        if let Some(next) = source.next() {
-                            st.events
-                                .push(clock.next_time(), EventKind::JobArrival(arrivals));
-                            incoming.push_back(next);
-                            arrivals += 1;
+                        incoming = source.next();
+                        if incoming.is_some() {
+                            st.events.push(clock.next_time(), EventKind::JobArrival);
                         }
                     }
                     EventKind::JobFinished { slot } => {
@@ -1552,7 +1545,7 @@ impl<B: SchedulerBackend> Engine<B> {
         let running = &st.running;
         events.maybe_compact(|kind| match kind {
             EventKind::JobFinished { slot } => running.contains(*slot),
-            EventKind::JobArrival(_) => true,
+            EventKind::JobArrival => true,
         });
         debug_assert!(
             st.events.len() <= st.running.len() + st.events.cancelled_hint() + 2,
@@ -1631,7 +1624,7 @@ impl QueueItem {
 /// readable.
 #[derive(Default)]
 struct RunState {
-    events: EventQueue,
+    events: EventQueue<EventKind>,
     queue: VecDeque<QueueItem>,
     /// Running jobs, slab-allocated: a job's slot id is embedded in its
     /// finish event, so a finish resolves with one generation-checked
@@ -2027,6 +2020,36 @@ mod tests {
         }
         assert!(report.queue.mean_depth >= 0.0);
         assert!(report.queue.max_depth as f64 >= report.queue.mean_depth);
+    }
+
+    #[test]
+    fn huge_arrival_gaps_run_to_completion() {
+        // Gaps of 1e19 s put event times past 2^63 s, where adding a
+        // few seconds to a time no longer changes it; the run must still
+        // end.
+        let jobs: Vec<JobSpec> = (0..3).map(|i| job(i + 1, 2, Workload::Gmm, 10)).collect();
+        for arrivals in [
+            ArrivalProcess::Poisson {
+                mean_gap: 1e19,
+                seed: 1,
+            },
+            ArrivalProcess::Bursts { size: 1, gap: 1e19 },
+        ] {
+            let report = Simulation::new(machines::dgx1_v100(), Box::new(PreservePolicy))
+                .with_config(SimConfig {
+                    arrivals,
+                    ..SimConfig::default()
+                })
+                .run(&jobs);
+            assert_eq!(report.records.len(), 3, "{arrivals:?}");
+            assert!(
+                report
+                    .records
+                    .windows(2)
+                    .all(|w| w[1].submitted_at >= w[0].submitted_at),
+                "{arrivals:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,19 +1,19 @@
-//! Engine event types, scheduled on the calendar queue.
+//! Engine event types, scheduled on the engine's
+//! [`EventQueue`](crate::queue::EventQueue).
 //!
-//! The queue machinery itself lives in [`crate::queue`] (with the
-//! pre-PR 6 `BinaryHeap` kept as [`crate::queue::ReferenceQueue`], the
-//! differential-test oracle); the per-job state the finish events point
-//! into lives in [`crate::slab`].
+//! The per-job state the finish events point into lives in
+//! [`crate::slab`].
 
-use crate::queue::CalendarQueue;
 use crate::slab::SlotId;
 
-/// A pending simulation event's payload. `Copy` and 16 bytes — events
-/// move through bucket sorts and batch drains by value.
+/// A pending simulation event's payload. `Copy` and 12 bytes — events
+/// move through the heap and batch drains by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum EventKind {
-    /// A submission arrives at the dispatcher (index into the stream).
-    JobArrival(usize),
+    /// The next submission arrives at the dispatcher. Only one arrival
+    /// is ever pending: the engine schedules the next one when this one
+    /// fires.
+    JobArrival,
     /// A running job completes and frees its GPUs. `slot` addresses the
     /// job's entry in the engine's running-job slab; preempting a job
     /// removes that entry (bumping the slot's generation), so the
@@ -21,15 +21,9 @@ pub(crate) enum EventKind {
     /// `Slab::remove` returns `None` — lazy cancellation with no
     /// separate epoch table. Stale entries are additionally compacted
     /// out of the queue in bulk after eviction waves
-    /// (`CalendarQueue::maybe_compact`) so they never accumulate.
+    /// (`EventQueue::maybe_compact`) so they never accumulate.
     JobFinished {
         /// Slab slot (index + generation) of the running job.
         slot: SlotId,
     },
 }
-
-/// The engine's time-ordered event queue: a paged calendar/time-wheel
-/// with a far-future overflow heap — O(1) push and pop for the
-/// homogeneous finish-event traffic the engine generates, same-tick
-/// batches drained in one call (`pop_batch`).
-pub(crate) type EventQueue = CalendarQueue<EventKind>;

@@ -69,7 +69,7 @@ mod engine;
 mod event;
 pub mod logfile;
 pub mod queue;
-pub mod slab;
+mod slab;
 pub mod stats;
 
 pub use engine::{

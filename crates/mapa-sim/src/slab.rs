@@ -1,5 +1,6 @@
 //! A generational slab: dense, reusable storage for per-job state on
-//! the engine's hot path.
+//! the engine's hot path. Private to the crate — the engine's
+//! running-job table is its only user.
 //!
 //! The pre-PR 6 engine kept two `HashMap`s keyed by job id — one for
 //! running-job records and one for preemption epochs — and every finish
@@ -59,16 +60,6 @@ impl<T> Default for Slab<T> {
 }
 
 impl<T> Slab<T> {
-    /// An empty slab with room for `capacity` entries before growing.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            slots: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            len: 0,
-        }
-    }
-
     /// Stores `value`, recycling a freed slot when one exists, and
     /// returns its id. O(1); allocates only when the slab must grow.
     pub fn insert(&mut self, value: T) -> SlotId {
@@ -195,7 +186,7 @@ mod tests {
 
     #[test]
     fn no_growth_when_recycling() {
-        let mut slab = Slab::with_capacity(4);
+        let mut slab = Slab::default();
         let mut ids = Vec::new();
         for round in 0..100u32 {
             for i in 0..4 {

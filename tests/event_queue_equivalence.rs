@@ -1,22 +1,20 @@
-//! Differential harness for the engine's calendar/time-wheel event
-//! queue (`mapa::sim::queue::CalendarQueue`) against the pre-overhaul
-//! `BinaryHeap` implementation, kept as `ReferenceQueue` exactly so it
-//! can serve as the oracle here.
+//! Differential harness for the engine's event queue
+//! (`mapa::sim::queue::EventQueue`, a `BinaryHeap`) against a naive
+//! oracle: a `Vec` of pending `(time, push index, id)` whose minimum is
+//! found by linear scan.
 //!
 //! The property: for any monotone event stream — same-tick ties,
-//! lazily-cancelled entries, far-future outliers that overflow the
-//! wheel's paged window — both queues pop the *identical* sequence, with
-//! equal-time events in FIFO (insertion) order. The engine's bit-identical
-//! schedule guarantees (parallel ≡ sequential, pre- vs post-overhaul
-//! golden digests) reduce to this property plus "the engine processes
-//! batch members in order", so this is the test that lets the queue keep
-//! being optimised.
+//! lazily-cancelled entries, far-future outliers — the queue pops the
+//! oracle's sequence, with equal-time events in FIFO (insertion) order.
+//! The engine's bit-identical schedule guarantees (parallel ≡
+//! sequential, golden digests) reduce to this property plus "the engine
+//! processes batch members in order".
 //!
 //! Also pinned here: `pop_batch` is exactly "repeated `pop` while the
 //! time does not change", and bulk compaction of cancelled entries never
 //! reorders survivors while keeping the queue length O(live entries).
 
-use mapa::sim::queue::{CalendarQueue, ReferenceQueue, TimedEvent, COMPACT_MIN_CANCELLED};
+use mapa::sim::queue::{EventQueue, TimedEvent, COMPACT_MIN_CANCELLED};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -26,15 +24,15 @@ use std::collections::HashSet;
 #[derive(Debug, Clone, Copy)]
 enum Op {
     /// Push at `floor + delta` (deltas of 0.0 create same-tick ties;
-    /// huge deltas land in the overflow heap beyond the wheel horizon).
+    /// huge deltas are far-future outliers).
     Push(f64),
-    /// Pop the next surviving event from both queues and compare.
+    /// Pop the next surviving event from both sides and compare.
     Pop,
     /// Lazily cancel a pending event (both sides skip it on pop; the
-    /// calendar queue is additionally told via `note_cancelled`).
+    /// queue is additionally told via `note_cancelled`).
     Cancel,
-    /// Give the calendar queue a chance to bulk-compact cancelled
-    /// entries — must be invisible in the pop sequence.
+    /// Give the queue a chance to bulk-compact cancelled entries — must
+    /// be invisible in the pop sequence.
     Compact,
 }
 
@@ -43,15 +41,39 @@ fn decode(kind: u8, magnitude: u16) -> Op {
         0..=44 => Op::Push(match magnitude % 7 {
             // Exact ties at the current floor: the FIFO-stability case.
             0 | 1 => 0.0,
-            // Far beyond the wheel horizon (1024 buckets × 1.0 s):
-            // exercises the overflow heap and window re-anchoring.
+            // Far-future outliers, orders of magnitude past the rest.
             2 => 5.0e6 + f64::from(magnitude),
-            // Ordinary near-future deltas, spread across pages.
+            // Ordinary near-future deltas.
             _ => f64::from(magnitude) * 0.37,
         }),
         45..=74 => Op::Pop,
         75..=89 => Op::Cancel,
         _ => Op::Compact,
+    }
+}
+
+/// The oracle: pending `(time, push index, id)`, popped by a linear
+/// scan for the smallest `(time, push index)`.
+#[derive(Default)]
+struct NaiveQueue {
+    pending: Vec<(f64, u64, u32)>,
+    pushes: u64,
+}
+
+impl NaiveQueue {
+    fn push(&mut self, time: f64, id: u32) {
+        self.pending.push((time, self.pushes, id));
+        self.pushes += 1;
+    }
+
+    fn pop(&mut self) -> Option<TimedEvent<u32>> {
+        let at = (0..self.pending.len()).min_by(|&a, &b| {
+            let (ta, sa, _) = self.pending[a];
+            let (tb, sb, _) = self.pending[b];
+            ta.total_cmp(&tb).then(sa.cmp(&sb))
+        })?;
+        let (time, seq, payload) = self.pending.swap_remove(at);
+        Some(TimedEvent { time, seq, payload })
     }
 }
 
@@ -81,16 +103,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The headline differential property: random streams through the
-    /// bucketed queue and the reference heap produce identical pop
-    /// order — times bit-equal, ties FIFO-stable (payload ids are
-    /// insertion-ordered, and the heap breaks ties by sequence number,
-    /// so equal payloads *is* FIFO stability).
+    /// heap and the linear-scan oracle produce identical pop order —
+    /// times bit-equal, ties FIFO-stable (payload ids are
+    /// insertion-ordered, so equal payloads *is* FIFO stability).
     #[test]
-    fn calendar_queue_replays_the_reference_heap(
+    fn event_queue_matches_naive_oracle(
         ops in proptest::collection::vec((0u8..100, 0u16..1000), 50..400),
     ) {
-        let mut calendar: CalendarQueue<u32> = CalendarQueue::default();
-        let mut reference: ReferenceQueue<u32> = ReferenceQueue::default();
+        let mut queue: EventQueue<u32> = EventQueue::default();
+        let mut oracle = NaiveQueue::default();
         let mut cancelled: HashSet<u32> = HashSet::new();
         let mut pending: Vec<u32> = Vec::new();
         let mut next_id: u32 = 0;
@@ -100,22 +121,22 @@ proptest! {
             match decode(kind, magnitude) {
                 Op::Push(delta) => {
                     let time = floor + delta;
-                    calendar.push(time, next_id);
-                    reference.push(time, next_id);
+                    queue.push(time, next_id);
+                    oracle.push(time, next_id);
                     pending.push(next_id);
                     next_id += 1;
                 }
                 Op::Pop => {
                     let before = floor;
-                    let got = pop_live(|| calendar.pop(), &cancelled, &mut floor);
-                    let want = pop_live(|| reference.pop(), &cancelled, &mut floor);
+                    let got = pop_live(|| queue.pop(), &cancelled, &mut floor);
+                    let want = pop_live(|| oracle.pop(), &cancelled, &mut floor);
                     match (&got, &want) {
                         (None, None) => {}
                         (Some(g), Some(w)) => {
                             prop_assert_eq!(
                                 g.time.to_bits(),
                                 w.time.to_bits(),
-                                "pop times diverge: calendar {} vs reference {}",
+                                "pop times diverge: queue {} vs oracle {}",
                                 g.time,
                                 w.time
                             );
@@ -128,7 +149,7 @@ proptest! {
                         }
                         _ => prop_assert!(
                             false,
-                            "one queue empty, the other not: calendar {:?} vs reference {:?}",
+                            "one side empty, the other not: queue {:?} vs oracle {:?}",
                             got.map(|e| e.payload),
                             want.map(|e| e.payload)
                         ),
@@ -141,44 +162,44 @@ proptest! {
                         pending.get(usize::from(magnitude) % pending.len().max(1))
                     {
                         if cancelled.insert(id) {
-                            calendar.note_cancelled();
+                            queue.note_cancelled();
                         }
                         pending.retain(|&p| p != id);
                     }
                 }
                 Op::Compact => {
-                    calendar.maybe_compact(|id| !cancelled.contains(id));
+                    queue.maybe_compact(|id| !cancelled.contains(id));
                 }
             }
         }
 
-        // Drain both queues completely: every survivor must still match.
+        // Drain both completely: every survivor must still match.
         loop {
-            let got = pop_live(|| calendar.pop(), &cancelled, &mut floor);
-            let want = pop_live(|| reference.pop(), &cancelled, &mut floor);
+            let got = pop_live(|| queue.pop(), &cancelled, &mut floor);
+            let want = pop_live(|| oracle.pop(), &cancelled, &mut floor);
             match (&got, &want) {
                 (None, None) => break,
                 (Some(g), Some(w)) => {
                     prop_assert_eq!(g.time.to_bits(), w.time.to_bits());
                     prop_assert_eq!(g.payload, w.payload);
                 }
-                _ => prop_assert!(false, "queues drained to different lengths"),
+                _ => prop_assert!(false, "queue and oracle drained to different lengths"),
             }
         }
-        prop_assert!(calendar.is_empty());
-        prop_assert!(reference.is_empty());
+        prop_assert!(queue.is_empty());
+        prop_assert!(oracle.pending.is_empty());
     }
 
     /// `pop_batch` is observationally "repeated `pop` while the time is
-    /// unchanged": replaying one push stream through two calendar queues,
-    /// one drained a batch at a time and one an event at a time, yields
-    /// the same flat sequence — and every batch is a maximal tie group.
+    /// unchanged": replaying one push stream through two queues, one
+    /// drained a batch at a time and one an event at a time, yields the
+    /// same flat sequence — and every batch is a maximal tie group.
     #[test]
-    fn pop_batch_flattens_to_single_pops(
+    fn event_queue_pop_batch_flattens_to_single_pops(
         deltas in proptest::collection::vec((0u8..4, 0u16..500), 20..200),
     ) {
-        let mut batched: CalendarQueue<u32> = CalendarQueue::default();
-        let mut single: CalendarQueue<u32> = CalendarQueue::default();
+        let mut batched: EventQueue<u32> = EventQueue::default();
+        let mut single: EventQueue<u32> = EventQueue::default();
         let mut time = 0.0;
         for (i, &(tie, magnitude)) in deltas.iter().enumerate() {
             // Three in four pushes reuse the current time — dense ties.
@@ -219,10 +240,10 @@ proptest! {
     /// O(live entries) — stale events never accumulate past the
     /// compaction policy's slack.
     #[test]
-    fn queue_length_stays_linear_in_live_entries(
+    fn event_queue_length_stays_linear_in_live_entries(
         waves in proptest::collection::vec((1u16..20, 0u8..10), 10..120),
     ) {
-        let mut queue: CalendarQueue<u32> = CalendarQueue::default();
+        let mut queue: EventQueue<u32> = EventQueue::default();
         let mut live: HashSet<u32> = HashSet::new();
         let mut next_id = 0u32;
         let mut time = 0.0;
@@ -256,10 +277,10 @@ proptest! {
 /// oracle: interleave two tie groups and a far-future outlier, and
 /// assert insertion order within each group survives batching.
 #[test]
-fn same_tick_ties_pop_in_insertion_order() {
-    let mut queue: CalendarQueue<u32> = CalendarQueue::default();
+fn event_queue_same_tick_ties_pop_in_insertion_order() {
+    let mut queue: EventQueue<u32> = EventQueue::default();
     queue.push(10.0, 0);
-    queue.push(4.0e7, 99); // overflow outlier, must come out last
+    queue.push(4.0e7, 99); // far-future outlier, must come out last
     queue.push(10.0, 1);
     queue.push(2.0, 10);
     queue.push(10.0, 2);

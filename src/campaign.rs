@@ -13,13 +13,13 @@
 //! numbers, so cells differ only by their configuration and paired
 //! comparisons subtract away the arrival noise.
 
-use crate::report::json_escape;
+use crate::report::{document, fields, Value};
 use crate::runspec::{RunSpec, Shared};
 use mapa_cluster::{DispatchMode, DEFAULT_SHARD_QUEUE_DEPTH};
 pub use mapa_core::policy::allocation_policy_by_name;
 use mapa_interconnect::rings;
 use mapa_isomorph::WorkerPool;
-use mapa_sim::campaign::{run_campaign, CampaignSpec, CellSummary};
+use mapa_sim::campaign::{run_campaign, CampaignSpec, CellSummary, MetricSummary};
 use mapa_sim::{ArrivalProcess, SimConfig, SimReport, Submission};
 use mapa_topology::{PartitionPlan, Topology};
 use mapa_workloads::generator::{self, JobMixConfig};
@@ -276,48 +276,25 @@ impl CellContext {
 /// had any — never a vacuous 1.0.
 #[must_use]
 pub fn campaign_to_json(summaries: &[CellSummary], replications: usize, base_seed: u64) -> String {
-    let cells: Vec<String> = summaries
-        .iter()
-        .map(|s| {
-            let slo = s.slo_attainment.as_ref().map_or_else(
-                || "null".to_string(),
-                |a| {
-                    format!(
-                        "{{\"mean\": {:.6}, \"ci95\": {:.6}, \"replications\": {}}}",
-                        a.mean, a.ci95, s.slo_replications
-                    )
-                },
-            );
-            format!(
-                "    {{\"label\": \"{}\", \"replications\": {}, \"jobs\": {}, \
-                 \"makespan_seconds\": {{\"mean\": {:.6}, \"ci95\": {:.6}}}, \
-                 \"throughput_jobs_per_hour\": {{\"mean\": {:.6}, \"ci95\": {:.6}}}, \
-                 \"queue_wait_mean_seconds\": {{\"mean\": {:.6}, \"ci95\": {:.6}}}, \
-                 \"queue_wait_p50_seconds\": {:.6}, \"queue_wait_p95_seconds\": {:.6}, \
-                 \"queue_wait_p99_seconds\": {:.6}, \"slo_attainment\": {slo}, \
-                 \"schedule_digest\": \"{:#018x}\"}}",
-                json_escape(&s.label),
-                s.replications,
-                s.jobs,
-                s.makespan_seconds.mean,
-                s.makespan_seconds.ci95,
-                s.throughput_jobs_per_hour.mean,
-                s.throughput_jobs_per_hour.ci95,
-                s.queue_wait_mean_seconds.mean,
-                s.queue_wait_mean_seconds.ci95,
-                s.queue_wait_p50_seconds,
-                s.queue_wait_p95_seconds,
-                s.queue_wait_p99_seconds,
-                s.schedule_digest
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"campaign\": {{\"replications\": {replications}, \"base_seed\": {base_seed}, \
-         \"cells\": {}}},\n  \"cells\": [\n{}\n  ],\n  \"schema\": 1\n}}\n",
-        summaries.len(),
-        cells.join(",\n")
-    )
+    use Value::Fixed;
+    let mean_ci =
+        |m: &MetricSummary| fields!["mean" => Fixed(m.mean, 6), "ci95" => Fixed(m.ci95, 6)];
+    let campaign = fields!["replications" => replications, "base_seed" => base_seed,
+        "cells" => summaries.len()];
+    document(fields!["campaign" => campaign,
+        "cells" => Value::Array(summaries.iter().map(|s| fields![
+            "label" => &s.label, "replications" => s.replications, "jobs" => s.jobs,
+            "makespan_seconds" => mean_ci(&s.makespan_seconds),
+            "throughput_jobs_per_hour" => mean_ci(&s.throughput_jobs_per_hour),
+            "queue_wait_mean_seconds" => mean_ci(&s.queue_wait_mean_seconds),
+            "queue_wait_p50_seconds" => Fixed(s.queue_wait_p50_seconds, 6),
+            "queue_wait_p95_seconds" => Fixed(s.queue_wait_p95_seconds, 6),
+            "queue_wait_p99_seconds" => Fixed(s.queue_wait_p99_seconds, 6),
+            "slo_attainment" => s.slo_attainment.as_ref().map(|a| fields![
+                "mean" => Fixed(a.mean, 6), "ci95" => Fixed(a.ci95, 6),
+                "replications" => s.slo_replications]),
+            "schedule_digest" => format!("{:#018x}", s.schedule_digest)].into()).collect()),
+        "schema" => 1_u32])
 }
 
 #[cfg(test)]

@@ -1,159 +1,120 @@
-//! The machine-readable simulation report: `SimReport` → JSON, and a
-//! minimal JSON reader so tests (and downstream tooling) can verify the
-//! emitted artifact round-trips — the same schema CI checks on the
-//! uploaded `CLUSTER_report.json` artifacts.
+//! The machine-readable artefacts — every `--json` file `mapa-sched` and
+//! `mapa-agent` write — and the JSON reader tests and tooling read them
+//! back with. The workspace is dependency-free offline, so both are
+//! hand-rolled, once each.
 //!
-//! The workspace is dependency-free offline, so both directions are
-//! hand-rolled: [`to_json`] is the single serializer the `mapa-sched`
-//! CLI's `--json` flag uses, and [`parse_json`] is a small, total JSON
-//! reader sufficient for the reports we emit (objects, arrays, strings
-//! with escapes, f64 numbers, booleans, null). `tests/report_schema.rs`
-//! is the golden test pinning that what the binary emits parses back to
-//! the values in the in-memory [`SimReport`].
+//! One writer: [`to_json`], [`agent_status_to_json`],
+//! [`agent_placement_to_json`] and [`crate::campaign::campaign_to_json`]
+//! are `fields!` lists that build an ordered `Value` tree — integers
+//! exact, each float with the decimals its field asks for, `None` as
+//! `null` — and `document` alone turns that tree into text: braces,
+//! brackets, commas, indentation, quoted keys, and every string through
+//! [`json_escape`]. No artefact writes JSON syntax of its own.
+//!
+//! One strict reader: [`parse_json`] accepts RFC 8259 JSON and nothing
+//! else — what Python's `json.loads` rejects, it rejects — in time linear
+//! in its input. `tests/report_schema.rs` pins that what the binary
+//! emits parses back to the values in the in-memory [`SimReport`].
 
+use mapa_agent::{MachineDescription, Occupancy};
 use mapa_sim::SimReport;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Serializes a [`SimReport`] to the CLI's `--json` schema: run summary,
-/// queue statistics, the dispatch layer (when one ran), the federation
-/// layer (when one ran), preemption and gang counters, and one object
-/// per shard. `slo.attainment` is a number for runs with SLO-tagged jobs
-/// and JSON `null` otherwise — a vacuous run has no attainment, not a
-/// perfect one.
-#[must_use]
-pub fn to_json(report: &SimReport) -> String {
-    // `scheduling_stats` panics on an empty run; report zeros instead.
-    let (latency_p50, latency_max, hit_rate) = if report.records.is_empty() {
-        (0.0, 0.0, 0.0)
-    } else {
-        let sched = report.scheduling_stats();
-        (
-            sched.latency_ms.p50,
-            sched.latency_ms.max,
-            sched.cache_hit_rate(),
-        )
+/// An object's members from `key => value` pairs, in writing order; each
+/// value goes through [`Value::from`]:
+/// `fields!["jobs" => n, "makespan_seconds" => Value::Fixed(m, 3)]`.
+macro_rules! fields {
+    ($($key:literal => $value:expr),* $(,)?) => {
+        vec![$(($key, $crate::report::Value::from($value))),*]
     };
-    let dispatch = report.dispatch.as_ref().map_or(String::new(), |d| {
-        let depths: Vec<String> = d.max_queue_depths.iter().map(usize::to_string).collect();
-        format!(
-            "  \"dispatch\": {{\"mode\": \"{}\", \"migration\": \"{}\", \
-             \"shard_queue_depth\": {}, \"jobs_stolen\": {}, \"jobs_rebalanced\": {}, \
-             \"max_queue_depths\": [{}]}},\n",
-            d.mode,
-            d.migration,
-            d.shard_queue_depth,
-            d.jobs_stolen,
-            d.jobs_rebalanced,
-            depths.join(", ")
-        )
-    });
-    let federation = report.federation.as_ref().map_or(String::new(), |fed| {
-        let clusters: Vec<String> = fed
-            .clusters
-            .iter()
-            .map(|c| {
-                format!(
-                    "      {{\"cluster\": {}, \"machine\": \"{}\", \"first_server\": {}, \
-                     \"servers\": {}, \"gpu_count\": {}, \"jobs_routed\": {}, \
-                     \"spill_ins\": {}, \"jobs_completed\": {}, \"gpu_seconds\": {:.3}}}",
-                    c.cluster,
-                    json_escape(&c.label),
-                    c.first_server,
-                    c.servers,
-                    c.gpu_count,
-                    c.jobs_routed,
-                    c.spill_ins,
-                    c.jobs_completed,
-                    c.gpu_seconds
-                )
-            })
-            .collect();
-        let tenants: Vec<String> = fed
-            .tenants
-            .iter()
-            .map(|t| {
-                let quota = t
-                    .quota_gpus
-                    .map_or_else(|| "null".to_string(), |q| q.to_string());
-                format!(
-                    "      {{\"tenant\": {}, \"quota_gpus\": {quota}, \"peak_gpus\": {}, \
-                     \"quota_holds\": {}, \"jobs_completed\": {}, \"gpu_seconds\": {:.3}}}",
-                    t.tenant, t.peak_gpus, t.quota_holds, t.jobs_completed, t.gpu_seconds
-                )
-            })
-            .collect();
-        format!(
-            "  \"federation\": {{\"policy\": \"{}\", \"spillovers\": {}, \"quota_holds\": {}, \
-             \"gangs_pinned\": {}, \"gangs_spanned\": {},\n    \"clusters\": [\n{}\n    ],\n    \
-             \"tenants\": [{}{}{}]}},\n",
-            fed.policy,
-            fed.spillovers,
-            fed.quota_holds,
-            fed.gangs_pinned,
-            fed.gangs_spanned,
-            clusters.join(",\n"),
-            if fed.tenants.is_empty() { "" } else { "\n" },
-            tenants.join(",\n"),
-            if fed.tenants.is_empty() { "" } else { "\n    " },
-        )
-    });
-    let attainment = report
-        .slo
-        .attainment()
-        .map_or_else(|| "null".to_string(), |a| format!("{a:.6}"));
-    let shards: Vec<String> = report
-        .shards
-        .iter()
-        .map(|s| {
-            let (hits, misses) = s.cache.map_or((0, 0), |c| (c.hits, c.misses));
-            format!(
-                "    {{\"server\": {}, \"machine\": \"{}\", \"gpu_count\": {}, \
-                 \"jobs_completed\": {}, \"gpu_seconds\": {:.3}, \"utilization\": {:.6}, \
-                 \"cache_hits\": {hits}, \"cache_misses\": {misses}}}",
-                s.server, s.machine, s.gpu_count, s.jobs_completed, s.gpu_seconds, s.utilization
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"machine\": \"{}\",\n  \"policy\": \"{}\",\n  \"jobs\": {},\n  \
-         \"makespan_seconds\": {:.3},\n  \"throughput_jobs_per_hour\": {:.3},\n  \
-         \"scheduling_latency_ms\": {{\"p50\": {:.6}, \"max\": {:.6}}},\n  \
-         \"cache_hit_rate\": {:.6},\n  \
-         \"queue\": {{\"max_depth\": {}, \"mean_depth\": {:.3}, \"dispatch_blocks\": {}, \
-         \"fragmentation_blocks\": {}}},\n{dispatch}{federation}  \
-         \"preemption\": {{\"jobs_preempted\": {}, \"gpu_seconds_lost\": {:.3}, \
-         \"penalty_seconds_charged\": {:.3}}},\n  \
-         \"gangs\": {{\"dispatched\": {}, \"members\": {}, \"total_wait_seconds\": {:.3}, \
-         \"max_wait_seconds\": {:.3}}},\n  \
-         \"slo\": {{\"jobs\": {}, \"met\": {}, \"missed\": {}, \"attainment\": {attainment}, \
-         \"p95_latency_ms\": {:.6}, \"p95_target_ms\": {:.6}}},\n  \"shards\": [\n{}\n  ]\n}}\n",
-        report.topology_name,
-        report.policy_name,
-        report.records.len(),
-        report.makespan_seconds,
-        report.throughput_jobs_per_hour,
-        latency_p50,
-        latency_max,
-        hit_rate,
-        report.queue.max_depth,
-        report.queue.mean_depth,
-        report.queue.dispatch_blocks,
-        report.queue.fragmentation_blocks,
-        report.preemption.jobs_preempted,
-        report.preemption.gpu_seconds_lost,
-        report.preemption.penalty_seconds_charged,
-        report.gangs.gangs_dispatched,
-        report.gangs.members_dispatched,
-        report.gangs.total_wait_seconds,
-        report.gangs.max_wait_seconds,
-        report.slo.jobs,
-        report.slo.met,
-        report.slo.missed,
-        report.slo.p95_latency_ms,
-        report.slo.p95_target_ms,
-        shards.join(",\n")
-    )
+}
+pub(crate) use fields;
+
+/// An artefact as the one writer sees it: an ordered tree whose integers
+/// are exact and whose floats carry their decimals — unlike the reader's
+/// [`Json`], whose numbers are `f64` and whose objects are sorted maps.
+pub(crate) enum Value {
+    Null,
+    Bool(bool),
+    Int(u64),
+    /// A float and the decimals it is written with; NaN and the
+    /// infinities, which JSON cannot express, are written `null`.
+    Fixed(f64, usize),
+    Str(String),
+    Array(Vec<Value>),
+    /// Members in writing order.
+    Object(Vec<(&'static str, Value)>),
+}
+
+/// The one JSON writer: the object `members` make, two spaces of indent a
+/// level, keys quoted and every string escaped, then a newline.
+pub(crate) fn document(members: Vec<(&'static str, Value)>) -> String {
+    let mut out = String::new();
+    Value::Object(members).write(&mut out, "\n");
+    out + "\n"
+}
+
+impl Value {
+    /// Appends this value; `newline` starts a line at its indentation.
+    fn write(&self, out: &mut String, newline: &str) {
+        let (open, close, members): (_, _, Vec<(Option<&str>, &Value)>) = match self {
+            Value::Array(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Value::Object(m) => ('{', '}', m.iter().map(|(k, v)| (Some(*k), v)).collect()),
+            Value::Str(s) => return out.push_str(&format!("\"{}\"", json_escape(s))),
+            Value::Fixed(x, d) if x.is_finite() => return out.push_str(&format!("{x:.d$}")),
+            Value::Int(n) => return out.push_str(&n.to_string()),
+            Value::Bool(b) => return out.push_str(&b.to_string()),
+            Value::Null | Value::Fixed(..) => return out.push_str("null"),
+        };
+        let inner = format!("{newline}  ");
+        out.push(open);
+        for (i, (key, value)) in members.iter().enumerate() {
+            out.push_str(if i == 0 { "" } else { "," });
+            out.push_str(&inner);
+            if let Some(key) = key {
+                out.push_str(&format!("\"{}\": ", json_escape(key)));
+            }
+            value.write(out, &inner);
+        }
+        if !members.is_empty() {
+            out.push_str(newline);
+        }
+        out.push(close);
+    }
+}
+
+/// `Value::from` for each scalar type an artefact holds.
+macro_rules! value_from {
+    ($($t:ty => |$v:ident| $value:expr),+ $(,)?) => {$(
+        impl From<$t> for Value {
+            fn from($v: $t) -> Self {
+                $value
+            }
+        }
+    )+};
+}
+value_from! {
+    bool => |b| Value::Bool(b),
+    u32 => |n| Value::Int(n.into()),
+    u64 => |n| Value::Int(n),
+    usize => |n| Value::Int(n as u64), // lossless: usize is at most 64 bits
+    &str => |s| Value::Str(s.to_owned()),
+    &String => |s| Value::Str(s.clone()),
+    String => |s| Value::Str(s),
+    Vec<(&'static str, Value)> => |members| Value::Object(members),
+}
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(value: Option<T>) -> Self {
+        value.map_or(Value::Null, Into::into)
+    }
+}
+
+impl<T: Copy + Into<Value>> From<&Vec<T>> for Value {
+    fn from(items: &Vec<T>) -> Self {
+        Value::Array(items.iter().map(|&item| item.into()).collect())
+    }
 }
 
 /// Escapes a string for embedding inside a JSON string literal
@@ -176,47 +137,80 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-fn agent_machine_json(machine: &mapa_agent::MachineDescription) -> String {
-    let profile = machine
-        .matched_profile
-        .as_deref()
-        .map_or_else(|| "null".to_string(), |p| format!("\"{}\"", json_escape(p)));
-    format!(
-        "{{\"name\": \"{}\", \"gpu_count\": {}, \"matched_profile\": {}, \
-         \"synthesized\": {}}}",
-        json_escape(machine.topology.name()),
-        machine.topology.gpu_count(),
-        profile,
-        machine.is_synthesized()
-    )
-}
-
-fn agent_occupancy_json(occupancy: &mapa_agent::Occupancy) -> String {
-    use mapa_agent::Occupancy;
-    match occupancy {
-        Occupancy::Idle => "{\"kind\": \"idle\"}".to_string(),
-        Occupancy::Utilized { pct } => {
-            format!("{{\"kind\": \"utilized\", \"pct\": {pct}}}")
-        }
-        Occupancy::GhostProcess { pid, memory_mib } => {
-            format!("{{\"kind\": \"ghost-process\", \"pid\": {pid}, \"memory_mib\": {memory_mib}}}")
-        }
-        Occupancy::MemoryHeld { mib } => {
-            format!("{{\"kind\": \"memory-held\", \"mib\": {mib}}}")
-        }
+/// Serializes a [`SimReport`] to the CLI's `--json` schema: run summary,
+/// queue statistics, the dispatch layer (when one ran), the federation
+/// layer (when one ran), preemption and gang counters, and one object
+/// per shard. `slo.attainment` is a number for runs with SLO-tagged jobs
+/// and JSON `null` otherwise — a vacuous run has no attainment, not a
+/// perfect one.
+#[must_use]
+pub fn to_json(report: &SimReport) -> String {
+    use Value::Fixed;
+    // `scheduling_stats` panics on an empty run; report zeros instead.
+    let sched = (!report.records.is_empty()).then(|| report.scheduling_stats());
+    let (queue, p, slo) = (&report.queue, &report.preemption, &report.slo);
+    let mut doc = fields![
+        "machine" => &report.topology_name, "policy" => &report.policy_name,
+        "jobs" => report.records.len(),
+        "makespan_seconds" => Fixed(report.makespan_seconds, 3),
+        "throughput_jobs_per_hour" => Fixed(report.throughput_jobs_per_hour, 3),
+        "scheduling_latency_ms" => fields![
+            "p50" => Fixed(sched.as_ref().map_or(0.0, |s| s.latency_ms.p50), 6),
+            "max" => Fixed(sched.as_ref().map_or(0.0, |s| s.latency_ms.max), 6)],
+        "cache_hit_rate" => Fixed(sched.as_ref().map_or(0.0, |s| s.cache_hit_rate()), 6),
+        "queue" => fields!["max_depth" => queue.max_depth,
+            "mean_depth" => Fixed(queue.mean_depth, 3), "dispatch_blocks" => queue.dispatch_blocks,
+            "fragmentation_blocks" => queue.fragmentation_blocks]];
+    if let Some(d) = &report.dispatch {
+        doc.extend(fields![
+            "dispatch" => fields!["mode" => d.mode, "migration" => d.migration,
+                "shard_queue_depth" => d.shard_queue_depth, "jobs_stolen" => d.jobs_stolen,
+                "jobs_rebalanced" => d.jobs_rebalanced,
+                "max_queue_depths" => &d.max_queue_depths]]);
     }
+    if let Some(fed) = &report.federation {
+        doc.extend(fields![
+            "federation" => fields!["policy" => fed.policy,
+                "spillovers" => fed.spillovers, "quota_holds" => fed.quota_holds,
+                "gangs_pinned" => fed.gangs_pinned, "gangs_spanned" => fed.gangs_spanned,
+                "clusters" => Value::Array(fed.clusters.iter().map(|c| fields![
+                    "cluster" => c.cluster, "machine" => &c.label,
+                    "first_server" => c.first_server, "servers" => c.servers,
+                    "gpu_count" => c.gpu_count, "jobs_routed" => c.jobs_routed,
+                    "spill_ins" => c.spill_ins, "jobs_completed" => c.jobs_completed,
+                    "gpu_seconds" => Fixed(c.gpu_seconds, 3)].into()).collect()),
+                "tenants" => Value::Array(fed.tenants.iter().map(|t| fields![
+                    "tenant" => t.tenant, "quota_gpus" => t.quota_gpus,
+                    "peak_gpus" => t.peak_gpus, "quota_holds" => t.quota_holds,
+                    "jobs_completed" => t.jobs_completed,
+                    "gpu_seconds" => Fixed(t.gpu_seconds, 3)].into()).collect())]]);
+    }
+    doc.extend(fields![
+        "preemption" => fields!["jobs_preempted" => p.jobs_preempted,
+            "gpu_seconds_lost" => Fixed(p.gpu_seconds_lost, 3),
+            "penalty_seconds_charged" => Fixed(p.penalty_seconds_charged, 3)],
+        "gangs" => fields!["dispatched" => report.gangs.gangs_dispatched,
+            "members" => report.gangs.members_dispatched,
+            "total_wait_seconds" => Fixed(report.gangs.total_wait_seconds, 3),
+            "max_wait_seconds" => Fixed(report.gangs.max_wait_seconds, 3)],
+        "slo" => fields!["jobs" => slo.jobs, "met" => slo.met, "missed" => slo.missed,
+            "attainment" => slo.attainment().map(|a| Fixed(a, 6)),
+            "p95_latency_ms" => Fixed(slo.p95_latency_ms, 6),
+            "p95_target_ms" => Fixed(slo.p95_target_ms, 6)],
+        "shards" => Value::Array(report.shards.iter().map(|s| fields![
+            "server" => s.server, "machine" => &s.machine, "gpu_count" => s.gpu_count,
+            "jobs_completed" => s.jobs_completed, "gpu_seconds" => Fixed(s.gpu_seconds, 3),
+            "utilization" => Fixed(s.utilization, 6),
+            "cache_hits" => s.cache.map_or(0, |c| c.hits),
+            "cache_misses" => s.cache.map_or(0, |c| c.misses)].into()).collect())]);
+    document(doc)
 }
 
-fn agent_lease_json(lease: &mapa_agent::Lease) -> String {
-    let gpus: Vec<String> = lease.gpus.iter().map(usize::to_string).collect();
-    format!(
-        "{{\"id\": {}, \"pid\": {}, \"created_unix\": {}, \"gpus\": [{}], \"tag\": \"{}\"}}",
-        lease.id,
-        lease.pid,
-        lease.created_unix,
-        gpus.join(", "),
-        json_escape(&lease.tag)
-    )
+/// The `machine` object both agent artefacts carry.
+fn agent_machine(m: &MachineDescription) -> Value {
+    Value::from(fields![
+        "name" => m.topology.name(), "gpu_count" => m.topology.gpu_count(),
+        "matched_profile" => m.matched_profile.as_deref(), "synthesized" => m.is_synthesized()])
 }
 
 /// Serializes an agent [`StatusReport`](mapa_agent::StatusReport) to the
@@ -224,69 +218,38 @@ fn agent_lease_json(lease: &mapa_agent::Lease) -> String {
 /// `AGENT_report.json` artifact).
 #[must_use]
 pub fn agent_status_to_json(status: &mapa_agent::StatusReport) -> String {
-    let gpus: Vec<String> = status
-        .gpus
-        .iter()
-        .map(|g| {
-            let leased = g
-                .leased_by
-                .map_or_else(|| "null".to_string(), |id| id.to_string());
-            format!(
-                "    {{\"index\": {}, \"leased_by\": {}, \"free\": {}, \"occupancy\": {}}}",
-                g.index,
-                leased,
-                g.is_free(),
-                agent_occupancy_json(&g.occupancy)
-            )
-        })
-        .collect();
-    let leases: Vec<String> = status
-        .leases
-        .iter()
-        .map(|l| format!("    {}", agent_lease_json(l)))
-        .collect();
-    let free: Vec<String> = status.free_gpus().iter().map(usize::to_string).collect();
-    format!(
-        "{{\n  \"schema\": \"mapa-agent-status-v1\",\n  \"source\": \"{}\",\n  \
-         \"hostname\": \"{}\",\n  \"machine\": {},\n  \"free_gpus\": [{}],\n  \
-         \"gpus\": [\n{}\n  ],\n  \"leases\": [{}{}]\n}}\n",
-        json_escape(&status.source),
-        json_escape(&status.hostname),
-        agent_machine_json(&status.machine),
-        free.join(", "),
-        gpus.join(",\n"),
-        if leases.is_empty() { "" } else { "\n" },
-        if leases.is_empty() {
-            String::new()
-        } else {
-            format!("{}\n  ", leases.join(",\n"))
-        }
-    )
+    document(fields!["schema" => "mapa-agent-status-v1",
+        "source" => &status.source, "hostname" => &status.hostname,
+        "machine" => agent_machine(&status.machine), "free_gpus" => &status.free_gpus(),
+        "gpus" => Value::Array(status.gpus.iter().map(|g| fields![
+            "index" => g.index, "leased_by" => g.leased_by, "free" => g.is_free(),
+            "occupancy" => match g.occupancy {
+                Occupancy::Idle => fields!["kind" => "idle"],
+                Occupancy::Utilized { pct } => fields!["kind" => "utilized", "pct" => pct],
+                Occupancy::GhostProcess { pid, memory_mib } => fields!["kind" => "ghost-process",
+                    "pid" => pid, "memory_mib" => memory_mib],
+                Occupancy::MemoryHeld { mib } => fields!["kind" => "memory-held", "mib" => mib],
+            }].into()).collect()),
+        "leases" => Value::Array(status.leases.iter().map(|l| fields![
+            "id" => l.id, "pid" => l.pid, "created_unix" => l.created_unix,
+            "gpus" => &l.gpus, "tag" => &l.tag].into()).collect())])
 }
 
 /// Serializes an agent [`Placement`](mapa_agent::Placement) to the
 /// `mapa-agent allocate --json` schema.
 #[must_use]
 pub fn agent_placement_to_json(placement: &mapa_agent::Placement) -> String {
-    let gpus: Vec<String> = placement.gpus.iter().map(usize::to_string).collect();
-    format!(
-        "{{\n  \"schema\": \"mapa-agent-placement-v1\",\n  \"lease_id\": {},\n  \
-         \"gpus\": [{}],\n  \"cuda_visible_devices\": \"{}\",\n  \"policy\": \"{}\",\n  \
-         \"machine\": {},\n  \"score\": {{\"aggregated_bw\": {:.3}, \
-         \"predicted_eff_bw\": {:.3}, \"preserved_bw\": {:.3}, \
-         \"link_mix\": {{\"double_nvlink\": {}, \"single_nvlink\": {}, \"pcie\": {}}}}}\n}}\n",
-        placement.lease_id,
-        gpus.join(", "),
-        json_escape(&placement.cuda_visible_devices),
-        json_escape(&placement.policy),
-        agent_machine_json(&placement.machine),
-        placement.score.aggregated_bw,
-        placement.score.predicted_eff_bw,
-        placement.score.preserved_bw,
-        placement.score.link_mix.double_nvlink,
-        placement.score.link_mix.single_nvlink,
-        placement.score.link_mix.pcie
-    )
+    use Value::Fixed;
+    let (score, mix) = (&placement.score, &placement.score.link_mix);
+    document(fields!["schema" => "mapa-agent-placement-v1",
+        "lease_id" => placement.lease_id, "gpus" => &placement.gpus,
+        "cuda_visible_devices" => &placement.cuda_visible_devices,
+        "policy" => &placement.policy, "machine" => agent_machine(&placement.machine),
+        "score" => fields!["aggregated_bw" => Fixed(score.aggregated_bw, 3),
+            "predicted_eff_bw" => Fixed(score.predicted_eff_bw, 3),
+            "preserved_bw" => Fixed(score.preserved_bw, 3),
+            "link_mix" => fields!["double_nvlink" => mix.double_nvlink,
+                "single_nvlink" => mix.single_nvlink, "pcie" => mix.pcie]]])
 }
 
 /// A parsed JSON value (the subset our reports use; no integer/float
@@ -369,18 +332,17 @@ impl std::error::Error for JsonError {}
 /// "total, never panics" contract would otherwise die on `[[[[…`).
 pub const MAX_JSON_DEPTH: usize = 128;
 
-/// Parses a JSON document (total: never panics on any input; containers
-/// nested deeper than [`MAX_JSON_DEPTH`] are a [`JsonError`], not a
-/// stack overflow).
+/// Parses a JSON document: RFC 8259 and nothing laxer, in time linear in
+/// the input (total: never panics on any input; containers nested deeper
+/// than [`MAX_JSON_DEPTH`] are a [`JsonError`], not a stack overflow).
 ///
 /// # Errors
 /// Returns a [`JsonError`] with the byte offset of the first problem.
 pub fn parse_json(input: &str) -> Result<Json, JsonError> {
-    let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(input, &mut pos, 0)?;
+    skip_ws(input.as_bytes(), &mut pos);
+    if pos != input.len() {
         return Err(JsonError {
             offset: pos,
             message: "trailing characters after the document",
@@ -407,7 +369,8 @@ fn expect(bytes: &[u8], pos: &mut usize, what: u8, message: &'static str) -> Res
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+fn parse_value(input: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = input.as_bytes();
     if depth > MAX_JSON_DEPTH {
         return Err(JsonError {
             offset: *pos,
@@ -416,13 +379,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
     }
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos, depth),
-        Some(b'[') => parse_array(bytes, pos, depth),
-        Some(b'"') => Ok(Json::String(parse_string(bytes, pos)?)),
+        Some(b'{') => parse_object(input, pos, depth),
+        Some(b'[') => parse_array(input, pos, depth),
+        Some(b'"') => Ok(Json::String(parse_string(input, pos)?)),
         Some(b't') => parse_literal(bytes, pos, b"true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, b"false", Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, b"null", Json::Null),
-        Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
+        Some(b'-' | b'0'..=b'9') => parse_number(input, pos),
         _ => Err(JsonError {
             offset: *pos,
             message: "expected a JSON value",
@@ -447,20 +410,35 @@ fn parse_literal(
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// RFC 8259's number: `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`.
+fn parse_number(input: &str, pos: &mut usize) -> Result<Json, JsonError> {
+    let bytes = input.as_bytes();
     let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
+    // Consumes the next byte if it is one of `set`.
+    let eat = |pos: &mut usize, set: &[u8]| {
+        let hit = bytes.get(*pos).is_some_and(|b| set.contains(b));
+        *pos += usize::from(hit);
+        hit
+    };
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while eat(pos, b"0123456789") {}
+        *pos - from
+    };
+    eat(pos, b"-");
+    let leading_zero = bytes.get(*pos) == Some(&b'0');
+    let int_digits = digits(pos);
+    let mut well_formed = int_digits == 1 || (int_digits > 1 && !leading_zero);
+    if eat(pos, b".") {
+        well_formed &= digits(pos) > 0;
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
+    if eat(pos, b"eE") {
+        eat(pos, b"+-");
+        well_formed &= digits(pos) > 0;
     }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|n| n.is_finite())
+    let number = input[start..*pos].parse::<f64>().ok();
+    number
+        .filter(|n| well_formed && n.is_finite())
         .map(Json::Number)
         .ok_or(JsonError {
             offset: start,
@@ -468,7 +446,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         })
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+fn parse_string(input: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let bytes = input.as_bytes();
     expect(bytes, pos, b'"', "expected a string")?;
     let mut out = String::new();
     loop {
@@ -504,8 +483,10 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                             offset: *pos,
                             message: "truncated \\u escape",
                         })?;
+                        // `from_str_radix` alone would also take a sign.
                         let code = std::str::from_utf8(hex)
                             .ok()
+                            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
                             .and_then(|h| u32::from_str_radix(h, 16).ok())
                             .and_then(char::from_u32)
                             .ok_or(JsonError {
@@ -523,23 +504,31 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     }
                 }
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so byte
-                // boundaries are valid; find the char at this offset).
-                let rest = &bytes[*pos..];
-                let s = std::str::from_utf8(rest).map_err(|_| JsonError {
+            Some(0..0x20) => {
+                return Err(JsonError {
                     offset: *pos,
-                    message: "invalid UTF-8",
-                })?;
-                let ch = s.chars().next().expect("non-empty checked above");
-                out.push(ch);
-                *pos += ch.len_utf8();
+                    message: "unescaped control character in string",
+                })
+            }
+            Some(_) => {
+                // Copy the run of plain characters up to the next quote,
+                // backslash or control character: each is one ASCII byte,
+                // so the run ends on a character boundary.
+                let start = *pos;
+                while bytes
+                    .get(*pos)
+                    .is_some_and(|&b| !matches!(b, b'"' | b'\\' | 0..0x20))
+                {
+                    *pos += 1;
+                }
+                out.push_str(&input[start..*pos]);
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+fn parse_array(input: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = input.as_bytes();
     expect(bytes, pos, b'[', "expected an array")?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -548,7 +537,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
         return Ok(Json::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos, depth + 1)?);
+        items.push(parse_value(input, pos, depth + 1)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -566,7 +555,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+fn parse_object(input: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = input.as_bytes();
     expect(bytes, pos, b'{', "expected an object")?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -576,10 +566,10 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Jso
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(input, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':', "expected ':' after object key")?;
-        let value = parse_value(bytes, pos, depth + 1)?;
+        let value = parse_value(input, pos, depth + 1)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -627,9 +617,97 @@ mod tests {
             "1 2",
             "\"abc",
             "{\"a\": +}",
+            // Python's `json.loads` rejects these too: RFC 8259 numbers
+            // only, and no raw control character inside a string.
+            "01",
+            "1.",
+            "-.5",
+            "1.e5",
+            "-",
+            "1e+",
+            "\"a\tb\"",
+            "\"\\u+041\"",
         ] {
             let err = parse_json(doc).expect_err(doc);
             assert!(err.offset <= doc.len(), "{doc}: {err}");
+        }
+        for (doc, value) in [("-0", 0.0), ("1e5", 1e5), ("-1.5E-2", -0.015)] {
+            assert_eq!(parse_json(doc), Ok(Json::Number(value)), "{doc}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 2 MB of one- to four-byte characters; each character used to
+        // re-validate the rest of the document, minutes at this size.
+        let text = "aé€🦀 ".repeat(2_000_000 / 11);
+        let doc = format!("[\"{text}\"]");
+        assert_eq!(parse_json(&doc), Ok(Json::Array(vec![Json::String(text)])));
+    }
+
+    #[test]
+    fn writer_indents_and_prints_fixed_decimals() {
+        let doc = document(fields![
+            "third" => Value::Fixed(1.0 / 3.0, 3), "nan" => Value::Fixed(f64::NAN, 6),
+            "empty" => &Vec::<usize>::new(), "one" => fields!["id" => u64::MAX]]);
+        let expected = "{\n  \"third\": 0.333,\n  \"nan\": null,\n  \"empty\": [],\n  \
+                        \"one\": {\n    \"id\": 18446744073709551615\n  }\n}\n";
+        assert_eq!(doc, expected);
+    }
+
+    const KEYS: [&str; 4] = ["a", "q\"\\", "\u{1}\n", "é🦀"];
+
+    /// Draws a value from `tape`: integers below 2^53, strings of quotes,
+    /// backslashes, control and non-ASCII characters, nested arrays and
+    /// objects — as the writer's [`Value`] and as the [`Json`] it must
+    /// read back as.
+    fn draw(tape: &mut impl Iterator<Item = u64>, depth: usize) -> (Value, Json) {
+        const CHARS: [char; 8] = ['"', '\\', '\n', '\u{1}', '\u{1f}', 'x', 'é', '🦀'];
+        let r = tape.next().unwrap_or(0);
+        let n = r >> 11;
+        match r % if depth < 3 { 7 } else { 5 } {
+            0 => (Value::Null, Json::Null),
+            1 => (Value::Bool(n % 2 == 0), Json::Bool(n % 2 == 0)),
+            2 => (Value::Int(n), Json::Number(n as f64)),
+            3 | 4 => {
+                let text: String = (0..n % 9)
+                    .map(|i| CHARS[(n >> (4 + 3 * i)) as usize % 8])
+                    .collect();
+                (Value::Str(text.clone()), Json::String(text))
+            }
+            5 => {
+                let (values, jsons) = (0..n % 4).map(|_| draw(tape, depth + 1)).unzip();
+                (Value::Array(values), Json::Array(jsons))
+            }
+            _ => {
+                let (members, map) = draw_members(tape, n as usize % 5, depth + 1);
+                (Value::Object(members), Json::Object(map))
+            }
+        }
+    }
+
+    fn draw_members(
+        tape: &mut impl Iterator<Item = u64>,
+        count: usize,
+        depth: usize,
+    ) -> (Vec<(&'static str, Value)>, BTreeMap<String, Json>) {
+        KEYS[..count]
+            .iter()
+            .map(|&key| {
+                let (value, json) = draw(tape, depth);
+                ((key, value), (key.to_string(), json))
+            })
+            .unzip()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn written_documents_parse_back_to_what_was_written(
+            tape in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..64),
+        ) {
+            let (members, map) = draw_members(&mut tape.into_iter(), KEYS.len(), 1);
+            let text = document(members);
+            proptest::prop_assert_eq!(parse_json(&text), Ok(Json::Object(map)), "{}", text);
         }
     }
 

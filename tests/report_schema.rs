@@ -10,6 +10,7 @@ use mapa::core::PreemptionPolicy;
 use mapa::prelude::*;
 use mapa::report::{parse_json, to_json, Json};
 use mapa::sim::Submission;
+use mapa::topology::parse::{parse_topology_matrix, to_topology_matrix, NvlinkGeneration};
 use mapa::workloads::JobGroup;
 
 /// The top-level keys CI's schema check asserts on the artifact —
@@ -313,6 +314,24 @@ fn federated_report_carries_the_federation_block() {
     let by_tenant: usize = fed.tenants.iter().map(|t| t.jobs_completed).sum();
     assert_eq!(by_cluster, report.records.len());
     assert_eq!(by_tenant, report.records.len());
+}
+
+#[test]
+fn machine_names_are_escaped_in_every_field() {
+    // `--machine FILE` names the machine after its path, and a path may
+    // hold any character: a quote, a backslash, a control character.
+    let name = "dgx\"1\\box\u{7}";
+    let matrix = to_topology_matrix(&machines::dgx1_v100());
+    let topology = parse_topology_matrix(&matrix, name, NvlinkGeneration::V2).unwrap();
+    let jobs = generator::paper_job_mix(44);
+    let report = Simulation::new(topology, Box::new(PreservePolicy)).run(&jobs[..6]);
+    let parsed = parse_json(&to_json(&report)).expect("the report is valid JSON");
+    assert_eq!(parsed.get("machine").unwrap().as_str(), Some(name));
+    let shards = parsed.get("shards").unwrap().as_array().unwrap();
+    assert!(!shards.is_empty());
+    for shard in shards {
+        assert_eq!(shard.get("machine").unwrap().as_str(), Some(name));
+    }
 }
 
 #[test]

@@ -14,11 +14,11 @@
 //!
 //! * **Preemption** ([`SimConfig::preemption`]): when a blocked arrival
 //!   outranks running jobs, the backend plans and commits an eviction
-//!   ([`SchedulerBackend::preempt_for`]); the engine cancels the victims'
-//!   finish events (generation-stamped slab slots, lazily dropped and
-//!   bulk-compacted), requeues them with their completed iterations
-//!   checkpointed, and charges a configurable restore penalty on
-//!   restart. A job is preempted **at most once**.
+//!   ([`SchedulerBackend::preempt_for`]); the engine frees the victims'
+//!   slots, drops their finish events (queued or already popped),
+//!   requeues them with their completed iterations checkpointed, and
+//!   charges a configurable restore penalty on restart. A job is
+//!   preempted **at most once**.
 //! * **Gang scheduling** ([`Submission::Gang`]): a [`JobGroup`]'s members
 //!   are placed all-or-nothing via [`SchedulerBackend::try_place_gang`]
 //!   (two-phase: place-all-or-roll-back), so every member starts at the
@@ -77,22 +77,39 @@ pub enum ArrivalProcess {
 
 impl ArrivalProcess {
     /// Checks the process's parameters, wherever they came from (a CLI
-    /// flag, a campaign grid axis, a caller's [`SimConfig`]).
+    /// flag, a campaign grid axis, a caller's [`SimConfig`]), for a run
+    /// of `n` submissions: whatever the draws, the last arrival must come
+    /// before `f64::MAX / 2` seconds, so that it and the finish events
+    /// after it stay finite.
     ///
     /// # Errors
     /// The message names the offending parameter.
-    pub fn check(&self) -> Result<(), &'static str> {
+    pub fn check(&self, n: usize) -> Result<(), &'static str> {
         let non_negative = |gap: f64| gap >= 0.0 && gap.is_finite();
+        let fits = |last: f64| last < f64::MAX / 2.0;
+        let steps = n.saturating_sub(1);
         match *self {
             Self::Uniform { gap } if !non_negative(gap) => {
                 Err("uniform gap must be non-negative and finite")
             }
+            Self::Uniform { gap } if !fits(steps as f64 * gap) => {
+                Err("uniform gap too large: the last arrival time would overflow")
+            }
             Self::Poisson { mean_gap, .. } if !(mean_gap > 0.0 && mean_gap.is_finite()) => {
                 Err("poisson mean gap must be positive and finite")
+            }
+            // One exponential draw is at most `mean_gap · −ln(MIN_POSITIVE)`.
+            Self::Poisson { mean_gap, .. }
+                if !fits(n as f64 * mean_gap * -f64::MIN_POSITIVE.ln()) =>
+            {
+                Err("poisson mean gap too large: the last arrival time could overflow")
             }
             Self::Bursts { size: 0, .. } => Err("burst size must be at least 1"),
             Self::Bursts { gap, .. } if !non_negative(gap) => {
                 Err("burst gap must be non-negative and finite")
+            }
+            Self::Bursts { size, gap } if !fits((steps / size) as f64 * gap) => {
+                Err("burst gap too large: the last arrival time would overflow")
             }
             _ => Ok(()),
         }
@@ -110,12 +127,7 @@ struct ArrivalClock {
 }
 
 impl ArrivalClock {
-    /// # Panics
-    /// Panics with [`ArrivalProcess::check`]'s message on bad parameters.
     fn new(process: ArrivalProcess) -> Self {
-        if let Err(message) = process.check() {
-            panic!("{message}");
-        }
         let rng = match process {
             ArrivalProcess::Poisson { seed, .. } => {
                 use rand::SeedableRng;
@@ -131,7 +143,12 @@ impl ArrivalClock {
         }
     }
 
+    /// # Panics
+    /// Panics with [`ArrivalProcess::check`]'s refusal of this arrival.
     fn next_time(&mut self) -> f64 {
+        if let Err(message) = self.process.check(self.index + 1) {
+            panic!("{message}");
+        }
         let t = match self.process {
             ArrivalProcess::Batch => 0.0,
             ArrivalProcess::Uniform { gap } => self.index as f64 * gap,
@@ -1166,12 +1183,11 @@ impl<B: SchedulerBackend> Engine<B> {
         // strictly in order — a placement depends on the free set at its
         // decision point — but a run of finish events with nothing
         // waiting anywhere releases in one batched backend call.
-        let mut batch: Vec<TimedEvent<EventKind>> = Vec::new();
         let mut released: Vec<(usize, u64)> = Vec::new();
-        while st.events.pop_batch(&mut batch) > 0 {
-            let now = batch[0].time;
-            let mut i = 0;
-            while i < batch.len() {
+        while st.events.pop_batch(&mut st.tick) > 0 {
+            let now = st.tick[0].time;
+            st.next = 0;
+            while st.next < st.tick.len() {
                 // Fast path: while every queue is empty, a finish event
                 // can only *free* capacity — dispatch (or pump) after it
                 // is provably a no-op and its queue-depth sample is 0.
@@ -1179,32 +1195,29 @@ impl<B: SchedulerBackend> Engine<B> {
                 // one call instead of N.
                 if st.queue.is_empty() && self.backend.queued_jobs() == 0 {
                     released.clear();
-                    let mut live = 0u64;
                     while let Some(&TimedEvent {
                         payload: EventKind::JobFinished { slot },
                         ..
-                    }) = batch.get(i)
+                    }) = st.tick.get(st.next)
                     {
-                        if let Some(record) = st.running.remove(slot) {
-                            released.push((record.server, record.pending.job.id));
-                            st.record_finish(record, now);
-                            live += 1;
-                        } else {
-                            st.events.note_drained_stale();
-                        }
-                        i += 1;
+                        st.next += 1;
+                        let record = st.running.remove(slot).expect("finish of a running job");
+                        released.push((record.server, record.pending.job.id));
+                        st.record_finish(record, now);
                     }
                     if !released.is_empty() {
                         self.backend.release_batch(&released);
                     }
-                    // Each live finish still contributes its (zero)
+                    // Each finish still contributes its (zero)
                     // queue-depth sample, exactly as the slow path would.
-                    st.depth_samples += live;
-                    if i >= batch.len() {
+                    st.depth_samples += released.len() as u64;
+                    if st.next >= st.tick.len() {
                         break;
                     }
                 }
-                match batch[i].payload {
+                let payload = st.tick[st.next].payload;
+                st.next += 1;
+                match payload {
                     EventKind::JobArrival => {
                         let sub = incoming.take().expect("arrival scheduled with a job");
                         let validate = |job: &JobSpec| {
@@ -1248,16 +1261,7 @@ impl<B: SchedulerBackend> Engine<B> {
                         }
                     }
                     EventKind::JobFinished { slot } => {
-                        // Preempting a job removes its slab entry (and
-                        // bumps the slot's generation), so the finish
-                        // event scheduled for the aborted run no longer
-                        // resolves — drop it without touching state
-                        // (lazy cancellation).
-                        let Some(record) = st.running.remove(slot) else {
-                            st.events.note_drained_stale();
-                            i += 1;
-                            continue;
-                        };
+                        let record = st.running.remove(slot).expect("finish of a running job");
                         self.backend.release(record.server, record.pending.job.id);
                         st.record_finish(record, now);
                     }
@@ -1287,7 +1291,6 @@ impl<B: SchedulerBackend> Engine<B> {
                 st.depth_max = st.depth_max.max(depth);
                 st.depth_sum += depth as u64;
                 st.depth_samples += 1;
-                i += 1;
             }
         }
 
@@ -1482,18 +1485,17 @@ impl<B: SchedulerBackend> Engine<B> {
     }
 
     /// The engine's half of every eviction: cancel the victim's finish
-    /// event (epoch bump), checkpoint its completed iterations, charge
-    /// the restore penalty to its next run, shield it from further
-    /// preemption, and requeue it at the back of the queue (or re-admit
-    /// it into a queue-managing backend).
+    /// event, checkpoint its completed iterations, charge the restore
+    /// penalty to its next run, shield it from further preemption, and
+    /// requeue it at the back of the queue (or re-admit it into a
+    /// queue-managing backend).
     fn handle_evictions(&mut self, evictions: Vec<Eviction>, now: f64, st: &mut RunState) {
         let managed = self.backend.manages_queues();
+        let mut freed = Vec::with_capacity(evictions.len());
         for ev in evictions {
             // Victims arrive by job id; the slab is keyed by slot, so
             // find the entry with a scan (preemption waves are rare and
-            // the slab holds only running jobs). Removing it bumps the
-            // slot's generation — the victim's scheduled finish event is
-            // now stale and will be dropped on drain.
+            // the slab holds only running jobs).
             let slot = st
                 .running
                 .iter()
@@ -1501,7 +1503,7 @@ impl<B: SchedulerBackend> Engine<B> {
                 .map(|(slot, _)| slot)
                 .expect("evicted job was running");
             let record = st.running.remove(slot).expect("slot just found");
-            st.events.note_cancelled();
+            freed.push(slot);
             debug_assert_eq!(
                 record.server, ev.server,
                 "eviction names the victim's server"
@@ -1538,21 +1540,20 @@ impl<B: SchedulerBackend> Engine<B> {
                 st.queue.push_back(QueueItem::Job(pending));
             }
         }
-        // After an eviction wave, bulk-drop the stale finish events if
-        // they have come to dominate the queue — this is what pins queue
-        // length to O(running jobs) under heavy preemption.
-        let events = &mut st.events;
-        let running = &st.running;
-        events.maybe_compact(|kind| match kind {
-            EventKind::JobFinished { slot } => running.contains(*slot),
-            EventKind::JobArrival => true,
-        });
+        // The victims' finish events go now, before a start can reuse a
+        // freed slot: afterwards the slot would name someone else's run.
+        // A victim due to finish at this very tick has its event in the
+        // popped rest of the tick, not in the heap, so both are swept.
+        let stale =
+            |k: &EventKind| matches!(k, EventKind::JobFinished { slot } if freed.contains(slot));
+        st.events.cancel(stale);
+        st.tick.drain(..st.next);
+        st.next = 0;
+        st.tick.retain(|event| !stale(&event.payload));
+        // One pending arrival plus one finish per running job.
         debug_assert!(
-            st.events.len() <= st.running.len() + st.events.cancelled_hint() + 2,
-            "event queue must stay O(running jobs): {} events, {} running, {} stale",
-            st.events.len(),
-            st.running.len(),
-            st.events.cancelled_hint()
+            st.events.len() + st.tick.len() <= st.running.len() + 1,
+            "a finish event outlived its run"
         );
     }
 
@@ -1625,13 +1626,13 @@ impl QueueItem {
 #[derive(Default)]
 struct RunState {
     events: EventQueue<EventKind>,
+    /// The tick `pop_batch` took from `events`; `tick[next..]` is pending.
+    tick: Vec<TimedEvent<EventKind>>,
+    next: usize,
     queue: VecDeque<QueueItem>,
-    /// Running jobs, slab-allocated: a job's slot id is embedded in its
-    /// finish event, so a finish resolves with one generation-checked
-    /// index instead of a hash lookup, and slots recycle without
-    /// allocating. Removing a job (finish *or* preemption) bumps the
-    /// generation, which is also the lazy-cancellation mechanism — no
-    /// separate epoch table.
+    /// Running jobs, slab-allocated: a job's slot index is embedded in
+    /// its finish event, so a finish resolves with one index instead of
+    /// a hash lookup, and slots recycle without allocating.
     running: Slab<PendingRecord>,
     records: Vec<JobRecord>,
     /// Jobs waiting in `queue` (gangs count per member) — maintained
@@ -2053,6 +2054,38 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_arrival_gaps_are_refused() {
+        // Three arrivals 1e308 s apart end past f64::MAX; the Poisson
+        // bound (3 × 1e308 × 708 s) does before any draw.
+        for arrivals in [
+            ArrivalProcess::Poisson {
+                mean_gap: 1e308,
+                seed: 1,
+            },
+            ArrivalProcess::Uniform { gap: 1e308 },
+            ArrivalProcess::Bursts {
+                size: 1,
+                gap: 1e308,
+            },
+        ] {
+            let refusal = arrivals.check(3).expect_err("the last arrival overflows");
+            assert!(refusal.contains("overflow"), "{arrivals:?}: {refusal}");
+            let clock = std::panic::catch_unwind(|| arrivals.submission_times(3));
+            let message = *clock
+                .expect_err("the clock refuses too")
+                .downcast::<String>()
+                .unwrap();
+            assert_eq!(message, refusal, "{arrivals:?}");
+        }
+        // The first arrival is at 0 s however large the gap.
+        let one_burst = ArrivalProcess::Bursts {
+            size: 3,
+            gap: 1e308,
+        };
+        assert_eq!(one_burst.submission_times(3), vec![0.0; 3]);
+    }
+
+    #[test]
     fn light_load_gives_policies_more_freedom() {
         // Under light Poisson load the machine is often near-idle when a
         // job arrives, so Preserve should place sensitive jobs near their
@@ -2219,6 +2252,96 @@ mod tests {
             assert!(r.preemptions <= 1, "job {} evicted twice", r.job.id);
         }
         assert_eq!(report.preemption.jobs_preempted, 1);
+    }
+
+    #[test]
+    fn preemption_victim_slot_reused_by_preemptor_keeps_its_own_finish() {
+        use mapa_core::PreemptionPolicy;
+        // Four 2-GPU jobs fill the machine at t = 0; at t = 1 an urgent
+        // whole-machine job evicts all four in one wave and starts in one
+        // of their freed slots. Every victim's original finish falls
+        // inside the preemptor's run, so a victim finish event that
+        // outlived the eviction would end the preemptor's run instead.
+        let victims: Vec<JobSpec> = (1..=4).map(|id| pri_job(id, 2, 1_000, 0)).collect();
+        let mut jobs = victims.clone();
+        jobs.push(pri_job(5, 8, 100_000, 1));
+        let report = Simulation::new(machines::dgx1_v100(), Box::new(BaselinePolicy))
+            .with_config(SimConfig {
+                arrivals: ArrivalProcess::Bursts { size: 4, gap: 1.0 },
+                preemption: PreemptionPolicy::PriorityEvict,
+                ..SimConfig::default()
+            })
+            .run(&jobs);
+        let mut ids: Vec<u64> = report.records.iter().map(|r| r.job.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![1, 2, 3, 4, 5], "every job completes exactly once");
+        assert_eq!(
+            report.preemption.jobs_preempted, 4,
+            "one wave, four victims"
+        );
+
+        let preemptor = report.records.iter().find(|r| r.job.id == 5).unwrap();
+        assert_eq!(preemptor.started_at, 1.0);
+        assert_eq!(
+            preemptor.finished_at,
+            preemptor.started_at + preemptor.execution_seconds
+        );
+        let undisturbed =
+            Simulation::new(machines::dgx1_v100(), Box::new(BaselinePolicy)).run(&victims);
+        for original in &undisturbed.records {
+            assert!(
+                (1.0..preemptor.finished_at).contains(&original.finished_at),
+                "job {}'s original finish must fall inside the preemptor's run",
+                original.job.id
+            );
+        }
+        for victim in report.records.iter().filter(|r| r.job.id != 5) {
+            assert_eq!(victim.preemptions, 1);
+            assert_eq!(victim.preempted_seconds, 1.0, "ran 0..1 before eviction");
+            assert!(
+                victim.started_at >= preemptor.finished_at,
+                "job {} restarts after the preemptor",
+                victim.job.id
+            );
+            assert_eq!(
+                victim.finished_at,
+                victim.started_at + victim.execution_seconds
+            );
+        }
+    }
+
+    #[test]
+    fn preemption_of_a_job_finishing_at_the_same_tick_keeps_the_preemptors_run() {
+        use mapa_core::PreemptionPolicy;
+        // The urgent job arrives at the exact instant the holder's run
+        // ends, so one popped tick holds [arrival 2, finish 1]. The
+        // arrival evicts job 1 and job 2 takes its freed slot; job 1's
+        // finish event, already popped, must not end job 2's run.
+        let holder = pri_job(1, 4, 1_000, 0);
+        let solo = Simulation::new(machines::dgx1_v100(), Box::new(BaselinePolicy))
+            .run(std::slice::from_ref(&holder));
+        let gap = solo.records[0].finished_at;
+        let report = Simulation::new(machines::dgx1_v100(), Box::new(BaselinePolicy))
+            .with_config(preemptive_config(PreemptionPolicy::PriorityEvict, gap))
+            .run(&[holder, pri_job(2, 8, 1_000, 1)]);
+        assert_eq!(report.records.len(), 2, "every job completes exactly once");
+        assert_eq!(report.preemption.jobs_preempted, 1);
+        let urgent = report.records.iter().find(|r| r.job.id == 2).unwrap();
+        assert_eq!(urgent.started_at, gap);
+        assert_eq!(
+            urgent.finished_at,
+            urgent.started_at + urgent.execution_seconds
+        );
+        let victim = report.records.iter().find(|r| r.job.id == 1).unwrap();
+        assert_eq!(victim.preemptions, 1);
+        assert!(
+            victim.started_at >= urgent.finished_at,
+            "restarts after job 2"
+        );
+        assert_eq!(
+            victim.finished_at,
+            victim.started_at + victim.execution_seconds
+        );
     }
 
     #[test]

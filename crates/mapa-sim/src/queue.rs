@@ -5,9 +5,8 @@
 //! job (a few hundred at most), so nothing cleverer pays for itself.
 //!
 //! On top of the heap: [`EventQueue::pop_batch`] hands the engine a whole
-//! same-tick batch, and lazily-cancelled entries are compacted in bulk
-//! ([`EventQueue::maybe_compact`]) so the queue stays O(live entries)
-//! under heavy preemption.
+//! same-tick batch, and [`EventQueue::cancel`] drops the pending events a
+//! predicate picks (the engine's preempted jobs' finish events).
 //!
 //! Pushes must be *monotone* — every push's time is ≥ the last popped
 //! time — which discrete-event simulation guarantees by construction (an
@@ -56,20 +55,11 @@ impl<T> PartialOrd for Rev<T> {
     }
 }
 
-/// Compact lazily-cancelled entries once more than this many have
-/// accumulated *and* they outnumber live entries (see
-/// [`EventQueue::maybe_compact`]). Public so the boundedness tests
-/// can phrase their O(live) pin in terms of the policy's actual slack.
-pub const COMPACT_MIN_CANCELLED: usize = 32;
-
 /// A min-heap of [`TimedEvent`]s on `(time, seq)`. See the module docs.
 #[derive(Debug)]
 pub struct EventQueue<T> {
     heap: BinaryHeap<Rev<T>>,
     next_seq: u64,
-    /// Entries the owner has marked stale via [`Self::note_cancelled`]
-    /// but that still occupy a slot.
-    cancelled: usize,
     /// Largest time popped so far (monotone-push check).
     floor: f64,
 }
@@ -83,7 +73,6 @@ impl<T> Default for EventQueue<T> {
         Self {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            cancelled: 0,
             floor: 0.0,
         }
     }
@@ -141,54 +130,16 @@ impl<T> EventQueue<T> {
         self.heap.is_empty()
     }
 
-    /// Pending event count (live + not-yet-compacted cancelled).
+    /// Pending event count.
     #[must_use]
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    /// Records that one stored entry went stale (lazily cancelled by
-    /// the owner). Drives the [`Self::maybe_compact`] policy.
-    pub fn note_cancelled(&mut self) {
-        self.cancelled += 1;
-    }
-
-    /// Records that a popped entry turned out to be one of the stale
-    /// ones — the owner dropped it on drain, so it no longer counts
-    /// toward the compaction debt. Without this, the cancelled counter
-    /// only ever resets on compaction and lazily-drained entries keep
-    /// inflating it, triggering full-heap compactions that do no work.
-    pub fn note_drained_stale(&mut self) {
-        self.cancelled = self.cancelled.saturating_sub(1);
-    }
-
-    /// Entries reported stale and not yet compacted away.
-    #[must_use]
-    pub fn cancelled_hint(&self) -> usize {
-        self.cancelled
-    }
-
-    /// Drops every stored event for which `live` returns false, in bulk
-    /// — one O(n) sweep, no per-entry heap pops — when enough
-    /// cancellations have accumulated to be worth it (more than
-    /// `COMPACT_MIN_CANCELLED` and outnumbering live entries). Returns
-    /// how many entries were dropped. This is what keeps queue length
-    /// O(running jobs) under heavy preemption.
-    pub fn maybe_compact(&mut self, live: impl Fn(&T) -> bool) -> usize {
-        if self.cancelled <= COMPACT_MIN_CANCELLED || 2 * self.cancelled < self.len() {
-            return 0;
-        }
-        self.compact(live)
-    }
-
-    /// Unconditional bulk compaction (see [`Self::maybe_compact`]) over
-    /// `BinaryHeap::retain`. Pop order is the total `(time, seq)` order
-    /// of the survivors, so dropping entries never reorders them.
-    pub fn compact(&mut self, live: impl Fn(&T) -> bool) -> usize {
-        let before = self.len();
-        self.heap.retain(|r| live(&r.0.payload));
-        self.cancelled = 0;
-        before - self.len()
+    /// Drops every pending event `pred` picks in one O(n)
+    /// `BinaryHeap::retain` sweep; survivors keep their `(time, seq)` order.
+    pub fn cancel(&mut self, mut pred: impl FnMut(&T) -> bool) {
+        self.heap.retain(|r| !pred(&r.0.payload));
     }
 }
 
@@ -268,71 +219,17 @@ mod tests {
     }
 
     #[test]
-    fn compaction_drops_stale_entries_in_bulk() {
+    fn cancel_drops_the_picked_events_and_keeps_the_survivors_order() {
         let mut q = EventQueue::default();
-        for i in 0..100u32 {
-            q.push(f64::from(i) * 0.5, i);
+        for i in 0..20u32 {
+            // Pairs of ties: 0 and 1 at t=0, 2 and 3 at t=0.5, …
+            q.push(f64::from(i / 2) * 0.5, i);
         }
-        // Everything odd goes stale.
-        for _ in 0..50 {
-            q.note_cancelled();
-        }
-        assert_eq!(q.len(), 100);
-        let dropped = q.maybe_compact(|payload| payload % 2 == 0);
-        assert_eq!(dropped, 50);
-        assert_eq!(q.len(), 50);
-        assert_eq!(q.cancelled_hint(), 0);
-        let popped = drain(&mut q);
-        assert_eq!(popped.len(), 50);
-        assert!(popped.iter().all(|(_, p)| p % 2 == 0));
-    }
-
-    #[test]
-    fn compaction_policy_waits_for_enough_cancellations() {
-        let mut q = EventQueue::<u32>::default();
-        for i in 0..40u32 {
-            q.push(f64::from(i), i);
-        }
-        for _ in 0..10 {
-            q.note_cancelled();
-        }
-        // 10 ≤ 32: not worth a pass yet.
-        assert_eq!(q.maybe_compact(|p| p % 4 != 0), 0);
-        assert_eq!(q.len(), 40);
-    }
-
-    #[test]
-    fn queue_length_stays_bounded_under_heavy_cancellation() {
-        // The satellite-3 regression: the old heap accumulated every
-        // stale finish event until popped. With note_cancelled +
-        // maybe_compact after each cancellation wave, stored length must
-        // stay O(live), never O(total cancelled) — by wave 200 the old
-        // behaviour would hold ~1800 stale entries.
-        let mut q = EventQueue::default();
-        let mut next_id = 0u32;
-        let mut live: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        for wave in 0..200u32 {
-            let t = f64::from(wave) * 0.25;
-            for _ in 0..10 {
-                q.push(t + 100.0, next_id);
-                live.insert(next_id);
-                next_id += 1;
-            }
-            // Cancel 9 of the 10 — heavy preemption.
-            for victim in (next_id - 10)..(next_id - 1) {
-                live.remove(&victim);
-                q.note_cancelled();
-            }
-            q.maybe_compact(|id| live.contains(id));
-            let bound = 2 * live.len() + 4 * COMPACT_MIN_CANCELLED;
-            assert!(
-                q.len() <= bound,
-                "wave {wave}: stored {} > bound {bound} ({} live) — stale \
-                 events accumulate",
-                q.len(),
-                live.len()
-            );
-        }
+        q.cancel(|p| p % 3 == 0);
+        assert_eq!(q.len(), 13);
+        let survivors: Vec<u32> = drain(&mut q).into_iter().map(|(_, p)| p).collect();
+        let want: Vec<u32> = (0..20).filter(|p| p % 3 != 0).collect();
+        assert_eq!(survivors, want, "time order, ties FIFO");
     }
 
     #[test]

@@ -244,7 +244,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
                 .to_string())
         }
     };
-    arrivals.check()?;
+    arrivals.check(submissions.len())?;
     let mut config = SimConfig {
         strict_fifo: !args.has("--backfill"),
         arrivals,

@@ -173,8 +173,9 @@ impl CampaignGrid {
         if self.job_counts.contains(&0) {
             return Err("job counts must be at least 1".into());
         }
+        let most_jobs = self.job_counts.iter().copied().max().unwrap_or(0);
         for &mean_gap in self.arrival_gaps.iter().flatten() {
-            ArrivalProcess::Poisson { mean_gap, seed: 0 }.check()?;
+            ArrivalProcess::Poisson { mean_gap, seed: 0 }.check(most_jobs)?;
         }
         let largest = self.mix.gpus_max;
         if largest > rings::MAX_RING_GPUS {
@@ -343,6 +344,9 @@ mod tests {
         let mut grid = tiny_grid();
         grid.arrival_gaps = vec![Some(0.0)];
         assert!(grid.validate().is_err());
+        let mut grid = tiny_grid();
+        grid.arrival_gaps = vec![Some(1e308)];
+        assert!(grid.validate().unwrap_err().contains("overflow"));
         let mut grid = tiny_grid();
         grid.partitions = vec![Some(PartitionPlan::new())];
         assert!(grid.validate().unwrap_err().contains("empty partition"));

@@ -4,23 +4,23 @@
 //! found by linear scan.
 //!
 //! The property: for any monotone event stream — same-tick ties,
-//! lazily-cancelled entries, far-future outliers — the queue pops the
-//! oracle's sequence, with equal-time events in FIFO (insertion) order.
+//! cancelled entries, far-future outliers — the queue pops the oracle's
+//! sequence, with equal-time events in FIFO (insertion) order.
 //! The engine's bit-identical schedule guarantees (parallel ≡
 //! sequential, golden digests) reduce to this property plus "the engine
 //! processes batch members in order".
 //!
 //! Also pinned here: `pop_batch` is exactly "repeated `pop` while the
-//! time does not change", and bulk compaction of cancelled entries never
-//! reorders survivors while keeping the queue length O(live entries).
+//! time does not change", and `cancel` drops exactly the picked events
+//! without reordering the survivors.
 
-use mapa::sim::queue::{EventQueue, TimedEvent, COMPACT_MIN_CANCELLED};
+use mapa::sim::queue::{EventQueue, TimedEvent};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
 /// One scripted step of the differential run, decoded from a pair of
 /// random bytes: mostly pushes (with deliberate tie/far-future skew),
-/// interleaved with pops, lazy cancellations, and compaction attempts.
+/// interleaved with pops and cancellations.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     /// Push at `floor + delta` (deltas of 0.0 create same-tick ties;
@@ -28,12 +28,8 @@ enum Op {
     Push(f64),
     /// Pop the next surviving event from both sides and compare.
     Pop,
-    /// Lazily cancel a pending event (both sides skip it on pop; the
-    /// queue is additionally told via `note_cancelled`).
+    /// Cancel a pending event on both sides.
     Cancel,
-    /// Give the queue a chance to bulk-compact cancelled entries — must
-    /// be invisible in the pop sequence.
-    Compact,
 }
 
 fn decode(kind: u8, magnitude: u16) -> Op {
@@ -46,9 +42,8 @@ fn decode(kind: u8, magnitude: u16) -> Op {
             // Ordinary near-future deltas.
             _ => f64::from(magnitude) * 0.37,
         }),
-        45..=74 => Op::Pop,
-        75..=89 => Op::Cancel,
-        _ => Op::Compact,
+        45..=79 => Op::Pop,
+        _ => Op::Cancel,
     }
 }
 
@@ -66,6 +61,10 @@ impl NaiveQueue {
         self.pushes += 1;
     }
 
+    fn cancel(&mut self, id: u32) {
+        self.pending.retain(|&(_, _, p)| p != id);
+    }
+
     fn pop(&mut self) -> Option<TimedEvent<u32>> {
         let at = (0..self.pending.len()).min_by(|&a, &b| {
             let (ta, sa, _) = self.pending[a];
@@ -74,28 +73,6 @@ impl NaiveQueue {
         })?;
         let (time, seq, payload) = self.pending.swap_remove(at);
         Some(TimedEvent { time, seq, payload })
-    }
-}
-
-/// Pops until a non-cancelled event (or emptiness), exactly the
-/// lazy-cancellation discipline the engine uses. Advances `floor` past
-/// every popped entry — cancelled ones included — because the
-/// monotone-push contract is against the last *popped* time, not the
-/// last live one (the engine's `now` likewise comes from the popped
-/// batch, stale members or not).
-fn pop_live<Q: FnMut() -> Option<TimedEvent<u32>>>(
-    mut pop: Q,
-    cancelled: &HashSet<u32>,
-    floor: &mut f64,
-) -> Option<TimedEvent<u32>> {
-    loop {
-        let ev = pop()?;
-        if ev.time > *floor {
-            *floor = ev.time;
-        }
-        if !cancelled.contains(&ev.payload) {
-            return Some(ev);
-        }
     }
 }
 
@@ -112,7 +89,6 @@ proptest! {
     ) {
         let mut queue: EventQueue<u32> = EventQueue::default();
         let mut oracle = NaiveQueue::default();
-        let mut cancelled: HashSet<u32> = HashSet::new();
         let mut pending: Vec<u32> = Vec::new();
         let mut next_id: u32 = 0;
         let mut floor: f64 = 0.0;
@@ -128,8 +104,8 @@ proptest! {
                 }
                 Op::Pop => {
                     let before = floor;
-                    let got = pop_live(|| queue.pop(), &cancelled, &mut floor);
-                    let want = pop_live(|| oracle.pop(), &cancelled, &mut floor);
+                    let got = queue.pop();
+                    let want = oracle.pop();
                     match (&got, &want) {
                         (None, None) => {}
                         (Some(g), Some(w)) => {
@@ -145,6 +121,7 @@ proptest! {
                                 "tie order diverges at t={}", g.time
                             );
                             prop_assert!(w.time >= before, "oracle went back in time");
+                            floor = w.time;
                             pending.retain(|&id| id != w.payload);
                         }
                         _ => prop_assert!(
@@ -161,22 +138,19 @@ proptest! {
                     if let Some(&id) =
                         pending.get(usize::from(magnitude) % pending.len().max(1))
                     {
-                        if cancelled.insert(id) {
-                            queue.note_cancelled();
-                        }
+                        queue.cancel(|&p| p == id);
+                        oracle.cancel(id);
                         pending.retain(|&p| p != id);
                     }
                 }
-                Op::Compact => {
-                    queue.maybe_compact(|id| !cancelled.contains(id));
-                }
             }
+            prop_assert_eq!(queue.len(), pending.len());
         }
 
         // Drain both completely: every survivor must still match.
         loop {
-            let got = pop_live(|| queue.pop(), &cancelled, &mut floor);
-            let want = pop_live(|| oracle.pop(), &cancelled, &mut floor);
+            let got = queue.pop();
+            let want = oracle.pop();
             match (&got, &want) {
                 (None, None) => break,
                 (Some(g), Some(w)) => {
@@ -235,10 +209,8 @@ proptest! {
         prop_assert!(single.pop().is_none(), "single-pop queue has leftovers");
     }
 
-    /// Satellite-3 pin at the property level: under arbitrarily heavy
-    /// lazy cancellation, `maybe_compact` keeps the stored length
-    /// O(live entries) — stale events never accumulate past the
-    /// compaction policy's slack.
+    /// Under arbitrarily heavy cancellation the queue holds exactly the
+    /// live entries: `cancel` leaves nothing stale behind.
     #[test]
     fn event_queue_length_stays_linear_in_live_entries(
         waves in proptest::collection::vec((1u16..20, 0u8..10), 10..120),
@@ -257,18 +229,15 @@ proptest! {
             // Cancel all but every `keep`-th pending event this wave.
             let mut ids: Vec<u32> = live.iter().copied().collect();
             ids.sort_unstable();
-            for (i, id) in ids.into_iter().enumerate() {
-                if (keep == 0 || i % usize::from(keep) + 1 != 1) && live.remove(&id) {
-                    queue.note_cancelled();
-                }
-            }
-            queue.maybe_compact(|id| live.contains(id));
-            prop_assert!(
-                queue.len() <= 2 * live.len() + 4 * COMPACT_MIN_CANCELLED,
-                "queue holds {} entries for {} live jobs",
-                queue.len(),
-                live.len()
-            );
+            let victims: HashSet<u32> = ids
+                .into_iter()
+                .enumerate()
+                .filter(|&(i, _)| keep == 0 || i % usize::from(keep) != 0)
+                .map(|(_, id)| id)
+                .collect();
+            live.retain(|id| !victims.contains(id));
+            queue.cancel(|id| victims.contains(id));
+            prop_assert_eq!(queue.len(), live.len());
         }
     }
 }

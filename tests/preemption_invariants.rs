@@ -294,8 +294,8 @@ fn preempted_records_are_internally_consistent() {
 }
 
 /// The overhauled event core replays the **pre-overhaul** preemptive
-/// schedules bit-identically: priority-evict runs (whose epoch-stale
-/// finish events exercise the lazy-cancellation path hardest) across the
+/// schedules bit-identically: priority-evict runs (whose cancelled
+/// finish events exercise the cancellation path hardest) across the
 /// 5×4 policy matrix on the queued cluster must match
 /// `tests/golden/preemption.txt`, blessed on the PR 5 engine before the
 /// calendar-queue/slab rewrite.
@@ -315,6 +315,48 @@ fn golden_replay_pins_the_pre_overhaul_preemptive_schedules() {
         }
     }
     golden::check_goldens("preemption.txt", &entries);
+}
+
+/// The queued cluster evicts through `pump` / `preempt_blocked`, not the
+/// engine's own dispatch: an urgent arrival at the exact instant the
+/// holder's run ends evicts the holder and takes its freed slot, and the
+/// holder's finish event, popped in the same tick, must not end the
+/// urgent job's run.
+#[test]
+fn preemption_at_the_victims_finish_tick_keeps_the_preemptors_run_on_the_cluster() {
+    let job = |id, gpus, priority| {
+        JobSpec::new(id, GpuDemand::Whole(gpus), Workload::Gmm)
+            .with_iterations(1_000)
+            .with_priority(priority)
+    };
+    let run = |jobs: &[JobSpec], gap| {
+        Engine::over(fleet(1, 0, 0).with_shard_queues(5))
+            .with_config(SimConfig {
+                preemption: PreemptionPolicy::PriorityEvict,
+                arrivals: ArrivalProcess::Uniform { gap },
+                ..SimConfig::default()
+            })
+            .run(jobs)
+    };
+    let gap = run(&[job(1, 4, 0)], 1.0).records[0].finished_at;
+    let report = run(&[job(1, 4, 0), job(2, 8, 1)], gap);
+    assert_preemption_invariants(&report, &[job(1, 4, 0), job(2, 8, 1)], "same-tick eviction");
+    assert_eq!(report.preemption.jobs_preempted, 1);
+    let urgent = report.records.iter().find(|r| r.job.id == 2).unwrap();
+    assert_eq!(urgent.started_at, gap);
+    assert_eq!(
+        urgent.finished_at,
+        urgent.started_at + urgent.execution_seconds
+    );
+    let victim = report.records.iter().find(|r| r.job.id == 1).unwrap();
+    assert!(
+        victim.started_at >= urgent.finished_at,
+        "restarts after job 2"
+    );
+    assert_eq!(
+        victim.finished_at,
+        victim.started_at + victim.execution_seconds
+    );
 }
 
 /// The preemptive single-server engine still beats a preemption-free one

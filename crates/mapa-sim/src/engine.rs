@@ -14,11 +14,11 @@
 //!
 //! * **Preemption** ([`SimConfig::preemption`]): when a blocked arrival
 //!   outranks running jobs, the backend plans and commits an eviction
-//!   ([`SchedulerBackend::preempt_for`]); the engine frees the victims'
-//!   slots, drops their finish events (queued or already popped),
-//!   requeues them with their completed iterations checkpointed, and
-//!   charges a configurable restore penalty on restart. A job is
-//!   preempted **at most once**.
+//!   ([`SchedulerBackend::preempt_for`]); the engine takes the victims'
+//!   finish events — each owns its job's running record — out of the
+//!   event queue, requeues the jobs with their completed iterations
+//!   checkpointed, and charges a configurable restore penalty on
+//!   restart. A job is preempted **at most once**.
 //! * **Gang scheduling** ([`Submission::Gang`]): a [`JobGroup`]'s members
 //!   are placed all-or-nothing via [`SchedulerBackend::try_place_gang`]
 //!   (two-phase: place-all-or-roll-back), so every member starts at the
@@ -27,9 +27,7 @@
 //! The full scheduling semantics — lifecycle, ordering rules, worked
 //! examples — lives in `docs/SCHEDULING.md`.
 
-use crate::event::EventKind;
 use crate::queue::{EventQueue, TimedEvent};
-use crate::slab::Slab;
 use crate::stats::{self, SchedulingStats};
 use mapa_core::fragmentation;
 use mapa_core::policy::AllocationPolicy;
@@ -1164,11 +1162,7 @@ impl<B: SchedulerBackend> Engine<B> {
 
         let mut source = submissions.into_iter();
         let mut clock = ArrivalClock::new(self.config.arrivals);
-        let mut st = RunState {
-            shard_jobs: vec![0; self.backend.server_count()],
-            shard_gpu_seconds: vec![0.0; self.backend.server_count()],
-            ..RunState::default()
-        };
+        let mut st = RunState::default();
         // One arrival is pending at a time: its submission waits in
         // `incoming`, and the next one is pulled from `source` and
         // scheduled when it fires.
@@ -1177,121 +1171,116 @@ impl<B: SchedulerBackend> Engine<B> {
             st.events.push(clock.next_time(), EventKind::JobArrival);
         }
 
-        // Events drain in same-tick batches: one `pop_batch` call hands
-        // the engine every event scheduled for a single simulation
-        // instant (FIFO within the tick). Members are still processed
-        // strictly in order — a placement depends on the free set at its
-        // decision point — but a run of finish events with nothing
-        // waiting anywhere releases in one batched backend call.
+        // Events are processed one at a time, in `(time, push order)`: a
+        // placement depends on the free set at its decision point.
         let mut released: Vec<(usize, u64)> = Vec::new();
-        while st.events.pop_batch(&mut st.tick) > 0 {
-            let now = st.tick[0].time;
-            st.next = 0;
-            while st.next < st.tick.len() {
+        while let Some(TimedEvent {
+            time: now, payload, ..
+        }) = st.events.pop()
+        {
+            match payload {
+                EventKind::JobArrival => {
+                    let sub = incoming.take().expect("arrival scheduled with a job");
+                    let validate = |job: &JobSpec| {
+                        if let Err(rejection) = JobRejection::check(job, max_gpus) {
+                            panic!("{rejection}");
+                        }
+                    };
+                    match sub {
+                        Submission::Job(job) => {
+                            validate(&job);
+                            let pending = PendingJob::new(job, now);
+                            if managed {
+                                self.backend.admit(pending);
+                            } else {
+                                st.waiting += 1;
+                                st.queue.push_back(QueueItem::Job(pending));
+                            }
+                        }
+                        Submission::Gang(gang) => {
+                            for member in &gang.members {
+                                validate(member);
+                                // Gang members are never preemption
+                                // victims: evicting one would break the
+                                // co-scheduling contract.
+                                st.shielded.insert(member.id);
+                            }
+                            if managed {
+                                self.backend.admit_gang(gang, now);
+                            } else {
+                                st.waiting += gang.len();
+                                st.queue.push_back(QueueItem::Gang {
+                                    gang,
+                                    submitted_at: now,
+                                });
+                            }
+                        }
+                    }
+                    incoming = source.next();
+                    if incoming.is_some() {
+                        st.events.push(clock.next_time(), EventKind::JobArrival);
+                    }
+                }
                 // Fast path: while every queue is empty, a finish event
                 // can only *free* capacity — dispatch (or pump) after it
                 // is provably a no-op and its queue-depth sample is 0.
-                // Consume the run of finish events and release them in
-                // one call instead of N.
-                if st.queue.is_empty() && self.backend.queued_jobs() == 0 {
+                // Take the run of finish events due at this instant and
+                // release them in one call instead of N.
+                EventKind::JobFinished(mut record)
+                    if st.queue.is_empty() && self.backend.queued_jobs() == 0 =>
+                {
                     released.clear();
-                    while let Some(&TimedEvent {
-                        payload: EventKind::JobFinished { slot },
-                        ..
-                    }) = st.tick.get(st.next)
-                    {
-                        st.next += 1;
-                        let record = st.running.remove(slot).expect("finish of a running job");
+                    loop {
                         released.push((record.server, record.pending.job.id));
-                        st.record_finish(record, now);
+                        st.records.push(record.into_record(now));
+                        let Some(TimedEvent {
+                            payload: EventKind::JobFinished(next),
+                            ..
+                        }) = st.events.pop_if(|e| {
+                            e.time.total_cmp(&now).is_eq()
+                                && matches!(e.payload, EventKind::JobFinished(_))
+                        })
+                        else {
+                            break;
+                        };
+                        record = next;
                     }
-                    if !released.is_empty() {
-                        self.backend.release_batch(&released);
-                    }
+                    self.backend.release_batch(&released);
                     // Each finish still contributes its (zero)
                     // queue-depth sample, exactly as the slow path would.
                     st.depth_samples += released.len() as u64;
-                    if st.next >= st.tick.len() {
+                    continue;
+                }
+                EventKind::JobFinished(record) => {
+                    self.backend.release(record.server, record.pending.job.id);
+                    st.records.push(record.into_record(now));
+                }
+            }
+            if managed {
+                // Pump, then let blocked queue heads preempt, then pump
+                // again — until preemption has nothing left to offer.
+                loop {
+                    for d in self.backend.pump(now) {
+                        self.start_job(d.pending, d.placement, now, &mut st);
+                    }
+                    if !self.config.preemption.enabled() {
                         break;
                     }
-                }
-                let payload = st.tick[st.next].payload;
-                st.next += 1;
-                match payload {
-                    EventKind::JobArrival => {
-                        let sub = incoming.take().expect("arrival scheduled with a job");
-                        let validate = |job: &JobSpec| {
-                            if let Err(rejection) = JobRejection::check(job, max_gpus) {
-                                panic!("{rejection}");
-                            }
-                        };
-                        match sub {
-                            Submission::Job(job) => {
-                                validate(&job);
-                                let pending = PendingJob::new(job, now);
-                                if managed {
-                                    self.backend.admit(pending);
-                                } else {
-                                    st.waiting += 1;
-                                    st.queue.push_back(QueueItem::Job(pending));
-                                }
-                            }
-                            Submission::Gang(gang) => {
-                                for member in &gang.members {
-                                    validate(member);
-                                    // Gang members are never preemption
-                                    // victims: evicting one would break the
-                                    // co-scheduling contract.
-                                    st.shielded.insert(member.id);
-                                }
-                                if managed {
-                                    self.backend.admit_gang(gang, now);
-                                } else {
-                                    st.waiting += gang.len();
-                                    st.queue.push_back(QueueItem::Gang {
-                                        gang,
-                                        submitted_at: now,
-                                    });
-                                }
-                            }
-                        }
-                        incoming = source.next();
-                        if incoming.is_some() {
-                            st.events.push(clock.next_time(), EventKind::JobArrival);
-                        }
+                    let evictions = self
+                        .backend
+                        .preempt_blocked(self.config.preemption, &st.shielded);
+                    if evictions.is_empty() {
+                        break;
                     }
-                    EventKind::JobFinished { slot } => {
-                        let record = st.running.remove(slot).expect("finish of a running job");
-                        self.backend.release(record.server, record.pending.job.id);
-                        st.record_finish(record, now);
-                    }
+                    self.handle_evictions(evictions, now, &mut st);
                 }
-                if managed {
-                    // Pump, then let blocked queue heads preempt, then pump
-                    // again — until preemption has nothing left to offer.
-                    loop {
-                        for d in self.backend.pump(now) {
-                            self.start_job(d.pending, d.placement, now, &mut st);
-                        }
-                        if !self.config.preemption.enabled() {
-                            break;
-                        }
-                        let evictions = self
-                            .backend
-                            .preempt_blocked(self.config.preemption, &st.shielded);
-                        if evictions.is_empty() {
-                            break;
-                        }
-                        self.handle_evictions(evictions, now, &mut st);
-                    }
-                } else {
-                    self.dispatch(now, &mut st);
-                }
-                let depth = st.waiting_jobs() + self.backend.queued_jobs();
-                st.depth_max = st.depth_max.max(depth);
-                st.depth_sum += depth as u64;
-                st.depth_samples += 1;
+            } else {
+                self.dispatch(now, &mut st);
             }
+            let depth = st.waiting_jobs() + self.backend.queued_jobs();
+            st.depth_max = st.depth_max.max(depth);
+            st.depth_sum += depth as u64;
+            st.depth_samples += 1;
         }
 
         assert!(st.queue.is_empty(), "all jobs must eventually run");
@@ -1300,13 +1289,9 @@ impl<B: SchedulerBackend> Engine<B> {
             0,
             "backend queues must drain completely"
         );
-        assert!(st.running.is_empty());
-        debug_assert!(st.events.is_empty());
 
         let RunState {
             records,
-            shard_jobs,
-            shard_gpu_seconds,
             mut blocks,
             mut frag_blocks,
             depth_max,
@@ -1322,10 +1307,6 @@ impl<B: SchedulerBackend> Engine<B> {
         } else {
             0.0
         };
-        // Per-shard totals were accumulated incrementally as each job
-        // finished (`RunState::record_finish`) — in completion order,
-        // which is also record order, so the sums are bit-identical to
-        // the re-walk over `records` this replaces.
         let mut shards: Vec<ShardStats> = (0..self.backend.server_count())
             .map(|s| {
                 let topo = self.backend.server_topology(s);
@@ -1333,13 +1314,18 @@ impl<B: SchedulerBackend> Engine<B> {
                     server: s,
                     machine: topo.name().to_string(),
                     gpu_count: topo.gpu_count(),
-                    jobs_completed: shard_jobs.get(s).copied().unwrap_or(0),
-                    gpu_seconds: shard_gpu_seconds.get(s).copied().unwrap_or(0.0),
+                    jobs_completed: 0,
+                    gpu_seconds: 0.0,
                     utilization: 0.0,
                     cache: self.backend.server_cache_stats(s),
                 }
             })
             .collect();
+        for r in &records {
+            let shard = &mut shards[r.server];
+            shard.jobs_completed += 1;
+            shard.gpu_seconds += r.execution_seconds * r.gpus.len() as f64;
+        }
         if makespan > 0.0 {
             for shard in &mut shards {
                 shard.utilization = shard.gpu_seconds / (shard.gpu_count as f64 * makespan);
@@ -1484,26 +1470,31 @@ impl<B: SchedulerBackend> Engine<B> {
         self.backend.try_place(job)
     }
 
-    /// The engine's half of every eviction: cancel the victim's finish
-    /// event, checkpoint its completed iterations, charge the restore
-    /// penalty to its next run, shield it from further preemption, and
-    /// requeue it at the back of the queue (or re-admit it into a
-    /// queue-managing backend).
+    /// The engine's half of every eviction: take the victim's finish
+    /// event (and with it the running record) out of the event queue,
+    /// checkpoint its completed iterations, charge the restore penalty to
+    /// its next run, shield it from further preemption, and requeue it at
+    /// the back of the queue (or re-admit it into a queue-managing
+    /// backend).
     fn handle_evictions(&mut self, evictions: Vec<Eviction>, now: f64, st: &mut RunState) {
         let managed = self.backend.manages_queues();
-        let mut freed = Vec::with_capacity(evictions.len());
+        let is_victim = |id: u64| evictions.iter().any(|ev| ev.job_id == id);
+        let mut victims: Vec<Box<PendingRecord>> = st
+            .events
+            .extract(|e| matches!(e, EventKind::JobFinished(r) if is_victim(r.pending.job.id)))
+            .into_iter()
+            .filter_map(|e| match e {
+                EventKind::JobFinished(record) => Some(record),
+                EventKind::JobArrival => None,
+            })
+            .collect();
+        // Requeue in the backend's eviction order, not the heap's.
         for ev in evictions {
-            // Victims arrive by job id; the slab is keyed by slot, so
-            // find the entry with a scan (preemption waves are rare and
-            // the slab holds only running jobs).
-            let slot = st
-                .running
+            let at = victims
                 .iter()
-                .find(|(_, r)| r.pending.job.id == ev.job_id)
-                .map(|(slot, _)| slot)
+                .position(|r| r.pending.job.id == ev.job_id)
                 .expect("evicted job was running");
-            let record = st.running.remove(slot).expect("slot just found");
-            freed.push(slot);
+            let record = victims.swap_remove(at);
             debug_assert_eq!(
                 record.server, ev.server,
                 "eviction names the victim's server"
@@ -1540,21 +1531,6 @@ impl<B: SchedulerBackend> Engine<B> {
                 st.queue.push_back(QueueItem::Job(pending));
             }
         }
-        // The victims' finish events go now, before a start can reuse a
-        // freed slot: afterwards the slot would name someone else's run.
-        // A victim due to finish at this very tick has its event in the
-        // popped rest of the tick, not in the heap, so both are swept.
-        let stale =
-            |k: &EventKind| matches!(k, EventKind::JobFinished { slot } if freed.contains(slot));
-        st.events.cancel(stale);
-        st.tick.drain(..st.next);
-        st.next = 0;
-        st.tick.retain(|event| !stale(&event.payload));
-        // One pending arrival plus one finish per running job.
-        debug_assert!(
-            st.events.len() + st.tick.len() <= st.running.len() + 1,
-            "a finish event outlived its run"
-        );
     }
 
     /// Turns a placement into a running record and its finish event — the
@@ -1586,7 +1562,7 @@ impl<B: SchedulerBackend> Engine<B> {
                 st.gangs.max_wait_seconds = st.gangs.max_wait_seconds.max(wait);
             }
         }
-        let slot = st.running.insert(PendingRecord {
+        let record = Box::new(PendingRecord {
             server: p.server,
             gpus: p.gpus,
             started_at: now,
@@ -1599,7 +1575,7 @@ impl<B: SchedulerBackend> Engine<B> {
             scheduling_overhead: p.scheduling_overhead,
             pending,
         });
-        st.events.push(now + exec, EventKind::JobFinished { slot });
+        st.events.push(now + exec, EventKind::JobFinished(record));
     }
 }
 
@@ -1621,30 +1597,31 @@ impl QueueItem {
     }
 }
 
+/// A pending simulation event's payload.
+enum EventKind {
+    /// The next submission arrives at the dispatcher. Only one arrival
+    /// is ever pending: the engine schedules the next one when this one
+    /// fires.
+    JobArrival,
+    /// A running job completes and frees its GPUs. The event owns the
+    /// job's running record — there is no other — so evicting the job is
+    /// taking its event out of the queue. Boxed: the heap moves events
+    /// on every sift, and the record is 232 bytes against the box's 8.
+    JobFinished(Box<PendingRecord>),
+}
+
 /// The mutable state of one run, bundled so dispatch helpers stay
 /// readable.
 #[derive(Default)]
 struct RunState {
+    /// One pending arrival plus one finish event per running job.
     events: EventQueue<EventKind>,
-    /// The tick `pop_batch` took from `events`; `tick[next..]` is pending.
-    tick: Vec<TimedEvent<EventKind>>,
-    next: usize,
     queue: VecDeque<QueueItem>,
-    /// Running jobs, slab-allocated: a job's slot index is embedded in
-    /// its finish event, so a finish resolves with one index instead of
-    /// a hash lookup, and slots recycle without allocating.
-    running: Slab<PendingRecord>,
     records: Vec<JobRecord>,
     /// Jobs waiting in `queue` (gangs count per member) — maintained
     /// incrementally at every queue mutation so the per-event depth
     /// sample is O(1) instead of an O(queue) re-walk.
     waiting: usize,
-    /// Per-server completion counters, accumulated as each job finishes
-    /// (struct-of-arrays; replaces the end-of-run records re-walk).
-    shard_jobs: Vec<usize>,
-    /// Per-server busy GPU-seconds, accumulated in completion order (so
-    /// the f64 sums are bit-identical to the re-walk they replace).
-    shard_gpu_seconds: Vec<f64>,
     /// Do-not-evict set: gang members and previously-preempted jobs.
     shielded: HashSet<u64>,
     /// Gang ids whose first member already started (for wait accounting).
@@ -1667,18 +1644,6 @@ impl RunState {
             "incremental waiting counter must mirror the queue"
         );
         self.waiting
-    }
-
-    /// Finalizes one finished job: converts its running record, folds it
-    /// into the per-shard counters, and appends it to the log — in
-    /// completion order, the same order the old end-of-run re-walk
-    /// visited records, so every floating-point sum is unchanged.
-    fn record_finish(&mut self, record: PendingRecord, finished_at: f64) {
-        let record = record.into_record(finished_at);
-        self.shard_jobs[record.server] += 1;
-        self.shard_gpu_seconds[record.server] +=
-            record.execution_seconds * record.gpus.len() as f64;
-        self.records.push(record);
     }
 }
 
@@ -2519,5 +2484,88 @@ mod tests {
         }
         assert_eq!(report.slo.jobs, 2);
         assert_eq!(report.slo, SloStats::from_records(&report.records));
+    }
+
+    /// The release calls a [`CountingBackend`] saw.
+    #[derive(Default)]
+    struct ReleaseCalls {
+        /// Job ids released one at a time, in call order.
+        single: Vec<u64>,
+        /// Sizes of the batched releases, in call order.
+        batches: Vec<usize>,
+    }
+
+    /// A [`SingleServer`] that counts the engine's release calls.
+    struct CountingBackend {
+        inner: SingleServer,
+        calls: std::rc::Rc<std::cell::RefCell<ReleaseCalls>>,
+    }
+
+    impl SchedulerBackend for CountingBackend {
+        fn label(&self) -> String {
+            self.inner.label()
+        }
+        fn policy_label(&self) -> String {
+            self.inner.policy_label()
+        }
+        fn server_count(&self) -> usize {
+            self.inner.server_count()
+        }
+        fn server_topology(&self, server: usize) -> &Topology {
+            self.inner.server_topology(server)
+        }
+        fn server_cache_stats(&self, server: usize) -> Option<CacheStats> {
+            self.inner.server_cache_stats(server)
+        }
+        fn max_job_gpus(&self) -> usize {
+            self.inner.max_job_gpus()
+        }
+        fn total_free_gpus(&self) -> usize {
+            self.inner.total_free_gpus()
+        }
+        fn configure(&mut self, config: &SimConfig) {
+            self.inner.configure(config);
+        }
+        fn try_place(&mut self, job: &JobSpec) -> Option<Placement> {
+            self.inner.try_place(job)
+        }
+        fn release(&mut self, server: usize, job: u64) {
+            self.calls.borrow_mut().single.push(job);
+            self.inner.release(server, job);
+        }
+        fn release_batch(&mut self, released: &[(usize, u64)]) {
+            self.calls.borrow_mut().batches.push(released.len());
+            self.inner.release_batch(released);
+        }
+    }
+
+    fn release_calls(jobs: &[JobSpec]) -> ReleaseCalls {
+        let calls = std::rc::Rc::default();
+        let backend = CountingBackend {
+            inner: SingleServer::new(machines::dgx1_v100(), Box::new(BaselinePolicy)),
+            calls: std::rc::Rc::clone(&calls),
+        };
+        let report = Engine::over(backend).run(jobs);
+        assert_eq!(report.records.len(), jobs.len());
+        calls.take()
+    }
+
+    #[test]
+    fn event_queue_same_instant_finishes_release_in_one_batch_only_while_nothing_waits() {
+        // Eight identical 1-GPU jobs fill the DGX-1 at t = 0 and finish
+        // at one instant. A waiting 8-GPU job keeps the queue non-empty
+        // through all eight finishes, so each goes through `release` and
+        // a dispatch; its own finish, with nothing waiting, is a batch
+        // of one.
+        let small: Vec<JobSpec> = (1..=8).map(|id| job(id, 1, Workload::Gmm, 50)).collect();
+        let mut with_big = small.clone();
+        with_big.push(job(9, 8, Workload::Gmm, 50));
+        let calls = release_calls(&with_big);
+        assert_eq!(calls.single, (1..=8).collect::<Vec<u64>>());
+        assert_eq!(calls.batches, vec![1]);
+        // Without it, the eight finishes go out in one batch.
+        let calls = release_calls(&small);
+        assert!(calls.single.is_empty(), "{:?}", calls.single);
+        assert_eq!(calls.batches, vec![8]);
     }
 }

@@ -66,10 +66,8 @@
 pub mod campaign;
 pub mod digest;
 mod engine;
-mod event;
 pub mod logfile;
 pub mod queue;
-mod slab;
 pub mod stats;
 
 pub use engine::{

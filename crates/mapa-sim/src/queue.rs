@@ -4,9 +4,10 @@
 //! engine holds one pending arrival plus one finish event per running
 //! job (a few hundred at most), so nothing cleverer pays for itself.
 //!
-//! On top of the heap: [`EventQueue::pop_batch`] hands the engine a whole
-//! same-tick batch, and [`EventQueue::cancel`] drops the pending events a
-//! predicate picks (the engine's preempted jobs' finish events).
+//! On top of the heap: [`EventQueue::pop_if`] pops the head only when a
+//! predicate accepts it (the engine's run of same-instant finishes), and
+//! [`EventQueue::extract`] takes out the pending events a predicate picks
+//! (the engine's preempted jobs' finish events, which own their runs).
 //!
 //! Pushes must be *monotone* — every push's time is ≥ the last popped
 //! time — which discrete-event simulation guarantees by construction (an
@@ -101,27 +102,13 @@ impl<T> EventQueue<T> {
         Some(event)
     }
 
-    /// Drains the entire same-tick batch at the queue's minimum time
-    /// into `out` (cleared first): the earliest event plus every stored
-    /// event scheduled for the exact same time, in FIFO order. Returns
-    /// the batch size (0 when empty). Observationally repeated [`Self::pop`]
-    /// while the time does not change; the engine still processes batch
-    /// members one by one, so scheduling semantics are unchanged.
-    pub fn pop_batch(&mut self, out: &mut Vec<TimedEvent<T>>) -> usize {
-        out.clear();
-        let Some(first) = self.pop() else {
-            return 0;
-        };
-        let tick = first.time;
-        out.push(first);
-        while self
-            .heap
-            .peek()
-            .is_some_and(|top| top.0.time.total_cmp(&tick) == Ordering::Equal)
-        {
-            out.push(self.heap.pop().expect("peeked").0);
+    /// Pops the earliest event only when `pred` accepts it; otherwise
+    /// leaves the queue untouched.
+    pub fn pop_if(&mut self, pred: impl FnOnce(&TimedEvent<T>) -> bool) -> Option<TimedEvent<T>> {
+        if !pred(&self.heap.peek()?.0) {
+            return None;
         }
-        out.len()
+        self.pop()
     }
 
     /// Whether no events are pending.
@@ -136,10 +123,17 @@ impl<T> EventQueue<T> {
         self.heap.len()
     }
 
-    /// Drops every pending event `pred` picks in one O(n)
-    /// `BinaryHeap::retain` sweep; survivors keep their `(time, seq)` order.
-    pub fn cancel(&mut self, mut pred: impl FnMut(&T) -> bool) {
-        self.heap.retain(|r| !pred(&r.0.payload));
+    /// Removes every pending event `pred` picks and returns their
+    /// payloads, in no particular order: one O(n) pass that splits the
+    /// heap's storage and re-heapifies the survivors, which keep their
+    /// `(time, seq)` order.
+    pub fn extract(&mut self, mut pred: impl FnMut(&T) -> bool) -> Vec<T> {
+        let (picked, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.heap)
+            .into_vec()
+            .into_iter()
+            .partition(|r| pred(&r.0.payload));
+        self.heap = BinaryHeap::from(kept);
+        picked.into_iter().map(|r| r.0.payload).collect()
     }
 }
 
@@ -182,50 +176,15 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_returns_whole_ties() {
-        let mut q = EventQueue::default();
-        q.push(1.0, 1);
-        q.push(2.0, 2);
-        q.push(1.0, 3);
-        q.push(1.0, 4);
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_batch(&mut batch), 3);
-        assert_eq!(
-            batch.iter().map(|e| e.payload).collect::<Vec<_>>(),
-            vec![1, 3, 4],
-            "ties pop FIFO in one batch"
-        );
-        assert_eq!(q.pop_batch(&mut batch), 1);
-        assert_eq!(batch[0].payload, 2);
-        assert_eq!(q.pop_batch(&mut batch), 0);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn mid_batch_same_tick_pushes_form_the_next_batch() {
-        let mut q = EventQueue::default();
-        q.push(1.0, 1);
-        let mut batch = Vec::new();
-        q.pop_batch(&mut batch);
-        // The engine may schedule new work at the tick it is processing;
-        // those form a *subsequent* batch at the same time.
-        q.push(1.0, 2);
-        q.push(1.0, 3);
-        assert_eq!(q.pop_batch(&mut batch), 2);
-        assert_eq!(
-            batch.iter().map(|e| e.payload).collect::<Vec<_>>(),
-            vec![2, 3]
-        );
-    }
-
-    #[test]
     fn cancel_drops_the_picked_events_and_keeps_the_survivors_order() {
         let mut q = EventQueue::default();
         for i in 0..20u32 {
             // Pairs of ties: 0 and 1 at t=0, 2 and 3 at t=0.5, …
             q.push(f64::from(i / 2) * 0.5, i);
         }
-        q.cancel(|p| p % 3 == 0);
+        let mut cancelled = q.extract(|p| p % 3 == 0);
+        cancelled.sort_unstable();
+        assert_eq!(cancelled, vec![0, 3, 6, 9, 12, 15, 18]);
         assert_eq!(q.len(), 13);
         let survivors: Vec<u32> = drain(&mut q).into_iter().map(|(_, p)| p).collect();
         let want: Vec<u32> = (0..20).filter(|p| p % 3 != 0).collect();

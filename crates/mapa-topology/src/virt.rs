@@ -22,7 +22,7 @@
 
 use crate::{LinkType, Topology};
 use mapa_graph::Graph;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// How a slice shares its physical GPU's external links.
@@ -208,7 +208,8 @@ impl PartitionPlan {
     /// [`SliceBandwidth::Degraded`].
     ///
     /// # Errors
-    /// Returns a human-readable message for malformed input.
+    /// Returns a human-readable message for malformed input, including a
+    /// GPU listed twice.
     pub fn parse(s: &str) -> Result<Self, String> {
         let s = s.trim();
         let (body, mode) = match s.split_once(';') {
@@ -224,6 +225,7 @@ impl PartitionPlan {
             }
             Some(m) => return Err(format!("unknown slice-bandwidth mode '{m}'")),
         }
+        let mut seen = BTreeSet::new();
         for part in body.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             let (gpu, slices) = part
                 .split_once(':')
@@ -238,6 +240,9 @@ impl PartitionPlan {
                 .map_err(|_| format!("bad slice count '{slices}'"))?;
             if !(1..=7).contains(&slices) {
                 return Err(format!("MIG supports 1..=7 slices, got {slices}"));
+            }
+            if !seen.insert(gpu) {
+                return Err(format!("GPU {gpu} is split twice"));
             }
             plan = plan.split(gpu, slices);
         }
@@ -543,6 +548,15 @@ mod tests {
             PartitionPlan::parse("0:2;shared").unwrap(),
             PartitionPlan::parse("0:2").unwrap()
         );
+    }
+
+    #[test]
+    fn plan_parse_refuses_a_gpu_listed_twice() {
+        for text in ["0:7,0:2", "0:7,0:1", "0:2, 0:2;degraded"] {
+            let error = PartitionPlan::parse(text).unwrap_err();
+            assert_eq!(error, "GPU 0 is split twice", "{text}");
+        }
+        assert_eq!(PartitionPlan::parse("0:7,1:2").unwrap().label(), "0:7,1:2");
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //! found by linear scan.
 //!
 //! The property: for any monotone event stream — same-tick ties,
-//! cancelled entries, far-future outliers — the queue pops the oracle's
+//! extracted entries, far-future outliers — the queue pops the oracle's
 //! sequence, with equal-time events in FIFO (insertion) order.
 //! The engine's bit-identical schedule guarantees (parallel ≡
 //! sequential, golden digests) reduce to this property plus "the engine
-//! processes batch members in order".
+//! processes events one at a time, in pop order".
 //!
-//! Also pinned here: `pop_batch` is exactly "repeated `pop` while the
-//! time does not change", and `cancel` drops exactly the picked events
+//! Also pinned here: `pop_if` pops the oracle's head exactly when the
+//! predicate accepts it, and `extract` returns exactly the picked events
 //! without reordering the survivors.
 
 use mapa::sim::queue::{EventQueue, TimedEvent};
@@ -20,7 +20,7 @@ use std::collections::HashSet;
 
 /// One scripted step of the differential run, decoded from a pair of
 /// random bytes: mostly pushes (with deliberate tie/far-future skew),
-/// interleaved with pops and cancellations.
+/// interleaved with pops, conditional pops and cancellations.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     /// Push at `floor + delta` (deltas of 0.0 create same-tick ties;
@@ -28,7 +28,9 @@ enum Op {
     Push(f64),
     /// Pop the next surviving event from both sides and compare.
     Pop,
-    /// Cancel a pending event on both sides.
+    /// Pop from both sides only if the head is due at the current floor.
+    PopIf,
+    /// Extract a pending event on both sides.
     Cancel,
 }
 
@@ -42,7 +44,8 @@ fn decode(kind: u8, magnitude: u16) -> Op {
             // Ordinary near-future deltas.
             _ => f64::from(magnitude) * 0.37,
         }),
-        45..=79 => Op::Pop,
+        45..=69 => Op::Pop,
+        70..=79 => Op::PopIf,
         _ => Op::Cancel,
     }
 }
@@ -65,14 +68,28 @@ impl NaiveQueue {
         self.pending.retain(|&(_, _, p)| p != id);
     }
 
-    fn pop(&mut self) -> Option<TimedEvent<u32>> {
-        let at = (0..self.pending.len()).min_by(|&a, &b| {
+    fn head(&self) -> Option<usize> {
+        (0..self.pending.len()).min_by(|&a, &b| {
             let (ta, sa, _) = self.pending[a];
             let (tb, sb, _) = self.pending[b];
             ta.total_cmp(&tb).then(sa.cmp(&sb))
-        })?;
+        })
+    }
+
+    fn pop(&mut self) -> Option<TimedEvent<u32>> {
+        let at = self.head()?;
         let (time, seq, payload) = self.pending.swap_remove(at);
         Some(TimedEvent { time, seq, payload })
+    }
+
+    /// Pops the head only when it is due at `time`.
+    fn pop_due(&mut self, time: f64) -> Option<TimedEvent<u32>> {
+        let at = self.head()?;
+        if self.pending[at].0 == time {
+            self.pop()
+        } else {
+            None
+        }
     }
 }
 
@@ -132,13 +149,25 @@ proptest! {
                         ),
                     }
                 }
+                Op::PopIf => {
+                    let got = queue.pop_if(|e| e.time == floor);
+                    let want = oracle.pop_due(floor);
+                    prop_assert_eq!(
+                        got.as_ref().map(|e| (e.time.to_bits(), e.payload)),
+                        want.as_ref().map(|e| (e.time.to_bits(), e.payload)),
+                        "conditional pops diverge at floor {}", floor
+                    );
+                    if let Some(w) = want {
+                        pending.retain(|&id| id != w.payload);
+                    }
+                }
                 Op::Cancel => {
-                    // Cancel the pending event picked by the magnitude
+                    // Extract the pending event picked by the magnitude
                     // (a no-op when nothing is pending).
                     if let Some(&id) =
                         pending.get(usize::from(magnitude) % pending.len().max(1))
                     {
-                        queue.cancel(|&p| p == id);
+                        prop_assert_eq!(queue.extract(|&p| p == id), vec![id]);
                         oracle.cancel(id);
                         pending.retain(|&p| p != id);
                     }
@@ -164,53 +193,8 @@ proptest! {
         prop_assert!(oracle.pending.is_empty());
     }
 
-    /// `pop_batch` is observationally "repeated `pop` while the time is
-    /// unchanged": replaying one push stream through two queues, one
-    /// drained a batch at a time and one an event at a time, yields the
-    /// same flat sequence — and every batch is a maximal tie group.
-    #[test]
-    fn event_queue_pop_batch_flattens_to_single_pops(
-        deltas in proptest::collection::vec((0u8..4, 0u16..500), 20..200),
-    ) {
-        let mut batched: EventQueue<u32> = EventQueue::default();
-        let mut single: EventQueue<u32> = EventQueue::default();
-        let mut time = 0.0;
-        for (i, &(tie, magnitude)) in deltas.iter().enumerate() {
-            // Three in four pushes reuse the current time — dense ties.
-            if tie == 0 {
-                time += f64::from(magnitude) * 0.51;
-            }
-            let id = u32::try_from(i).expect("bounded by the strategy");
-            batched.push(time, id);
-            single.push(time, id);
-        }
-
-        let mut batch: Vec<TimedEvent<u32>> = Vec::new();
-        while batched.pop_batch(&mut batch) > 0 {
-            let tick = batch[0].time;
-            for ev in &batch {
-                prop_assert_eq!(
-                    ev.time.to_bits(),
-                    tick.to_bits(),
-                    "batch mixes times"
-                );
-                let want = single.pop().expect("single-pop queue drained early");
-                prop_assert_eq!(ev.payload, want.payload);
-                prop_assert_eq!(ev.time.to_bits(), want.time.to_bits());
-            }
-            // Maximality: the next event (if any) is a *later* tick.
-            if let Some(next) = batched.pop() {
-                prop_assert!(next.time > tick, "batch ended inside its tie group");
-                // Push it back is impossible; mirror by popping the twin.
-                let twin = single.pop().expect("twin exists");
-                prop_assert_eq!(next.payload, twin.payload);
-            }
-        }
-        prop_assert!(single.pop().is_none(), "single-pop queue has leftovers");
-    }
-
     /// Under arbitrarily heavy cancellation the queue holds exactly the
-    /// live entries: `cancel` leaves nothing stale behind.
+    /// live entries: `extract` leaves nothing stale behind.
     #[test]
     fn event_queue_length_stays_linear_in_live_entries(
         waves in proptest::collection::vec((1u16..20, 0u8..10), 10..120),
@@ -236,7 +220,8 @@ proptest! {
                 .map(|(_, id)| id)
                 .collect();
             live.retain(|id| !victims.contains(id));
-            queue.cancel(|id| victims.contains(id));
+            let extracted = queue.extract(|id| victims.contains(id));
+            prop_assert_eq!(extracted.len(), victims.len());
             prop_assert_eq!(queue.len(), live.len());
         }
     }
@@ -244,7 +229,7 @@ proptest! {
 
 /// Deterministic spot check of FIFO tie stability, independent of the
 /// oracle: interleave two tie groups and a far-future outlier, and
-/// assert insertion order within each group survives batching.
+/// assert insertion order within each group survives the heap.
 #[test]
 fn event_queue_same_tick_ties_pop_in_insertion_order() {
     let mut queue: EventQueue<u32> = EventQueue::default();
@@ -255,18 +240,18 @@ fn event_queue_same_tick_ties_pop_in_insertion_order() {
     queue.push(10.0, 2);
     queue.push(2.0, 11);
 
-    let mut batch = Vec::new();
-    assert_eq!(queue.pop_batch(&mut batch), 2);
+    let popped: Vec<(f64, u32)> =
+        std::iter::from_fn(|| queue.pop().map(|e| (e.time, e.payload))).collect();
     assert_eq!(
-        batch.iter().map(|e| e.payload).collect::<Vec<_>>(),
-        vec![10, 11]
+        popped,
+        vec![
+            (2.0, 10),
+            (2.0, 11),
+            (10.0, 0),
+            (10.0, 1),
+            (10.0, 2),
+            (4.0e7, 99)
+        ]
     );
-    assert_eq!(queue.pop_batch(&mut batch), 3);
-    assert_eq!(
-        batch.iter().map(|e| e.payload).collect::<Vec<_>>(),
-        vec![0, 1, 2]
-    );
-    assert_eq!(queue.pop_batch(&mut batch), 1);
-    assert_eq!(batch[0].payload, 99);
     assert!(queue.is_empty());
 }

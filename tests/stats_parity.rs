@@ -1,14 +1,13 @@
-//! Parity pin for the engine's struct-of-arrays shard statistics.
+//! Parity pin for the engine's per-shard statistics.
 //!
-//! PR 6 moved per-shard `jobs_completed` / `gpu_seconds` from an
-//! end-of-run re-walk over the record log to incremental counters
-//! bumped as each job finishes. The two must be *exactly* equal — not
-//! approximately: the counters accumulate in completion order, which is
-//! also record order, so even the floating-point sums are bit-identical
-//! to a from-scratch recount of the owner table. This harness does that
-//! recount on every report and compares with `==` (and `to_bits` for
-//! the f64s), across random job streams, fleet shapes, server policies,
-//! and with preemption exercising the cancel/requeue path.
+//! The engine fills each shard's `jobs_completed` / `gpu_seconds` in one
+//! pass over the record log at the end of a run. An independent recount
+//! must match it *exactly* — not approximately: both walk the records
+//! in order, so even the floating-point sums are bit-identical. This
+//! harness does that recount on every report and compares with `==`
+//! (and `to_bits` for the f64s), across random job streams, fleet
+//! shapes, server policies, and with preemption exercising the
+//! evict/requeue path.
 
 use mapa::core::policy::PreservePolicy;
 use mapa::core::PreemptionPolicy;

@@ -32,8 +32,18 @@
 //! execution time depend on it. Pruning only ever skips cycles that could
 //! not have replaced the incumbent, so the result equals the
 //! enumerate-everything packer kept as the test oracle in this module.
+//!
+//! # Packing once per link pattern
+//!
+//! The packing is a function of the allocation's ordered link-type matrix
+//! alone, and a run sees few of them: `paper_server`'s 30 000 starts of 3
+//! GPUs or more per repetition span 129 matrices, `cube16_server`'s 756
+//! span 365. [`RingMemo`] keys packings by that matrix, so the simulator
+//! searches once per pattern; [`pack_rings`] stays the definition the memo
+//! must equal.
 
 use mapa_topology::{LinkType, Topology};
+use std::collections::HashMap;
 
 /// Largest allocation [`pack_rings`] accepts. The search is exact and its
 /// worst case (a PCIe-bound allocation, where little can be pruned) is
@@ -70,6 +80,17 @@ impl RingSet {
     }
 }
 
+/// The NVLink lanes a link of type `link` contributes, and the bandwidth of
+/// each in GB/s; PCIe contributes none.
+fn nvlink_lanes(link: LinkType) -> (u8, f64) {
+    match link {
+        LinkType::DoubleNvLink2 => (2, 25.0),
+        LinkType::SingleNvLink2 => (1, 25.0),
+        LinkType::SingleNvLink1 => (1, 20.0),
+        LinkType::Pcie => (0, 0.0),
+    }
+}
+
 /// Unclaimed NVLink lanes between allocation-local GPU pairs. A pair has
 /// one link type, so "its best remaining lane" is a counter, not a scan.
 /// The PCIe path needs no bookkeeping: only the first ring may use it.
@@ -91,12 +112,7 @@ impl Lanes {
         };
         for i in 0..n {
             for j in (i + 1)..n {
-                let (count, gbps) = match topology.link_type(gpus[i], gpus[j]) {
-                    LinkType::DoubleNvLink2 => (2, 25.0),
-                    LinkType::SingleNvLink2 => (1, 25.0),
-                    LinkType::SingleNvLink1 => (1, 20.0),
-                    LinkType::Pcie => (0, 0.0),
-                };
+                let (count, gbps) = nvlink_lanes(topology.link_type(gpus[i], gpus[j]));
                 lanes.nvlink_left[i][j] = count;
                 lanes.nvlink_left[j][i] = count;
                 lanes.nvlink_gbps[i][j] = gbps;
@@ -274,27 +290,22 @@ impl<'a> Search<'a> {
 #[must_use]
 pub fn pack_rings(topology: &Topology, gpus: &[usize]) -> RingSet {
     let n = gpus.len();
-    assert!(
-        n <= MAX_RING_GPUS,
-        "exact ring packing supports at most {MAX_RING_GPUS} GPUs, got {n}"
-    );
+    assert_ring_limit(n);
     if n < 2 {
         return RingSet { rings: vec![] };
     }
 
-    let mut lanes = Lanes::build(topology, gpus);
-
     if n == 2 {
-        let rings = match lanes.nvlink_left[0][1] {
-            0 => vec![Ring {
+        let rings = match nvlink_lanes(topology.link_type(gpus[0], gpus[1])) {
+            (0, _) => vec![Ring {
                 order: vec![0, 1],
                 bottleneck_gbps: PCIE_GBPS,
                 all_nvlink: false,
             }],
-            channels => (0..channels)
+            (channels, gbps) => (0..channels)
                 .map(|_| Ring {
                     order: vec![0, 1],
-                    bottleneck_gbps: lanes.nvlink_gbps[0][1],
+                    bottleneck_gbps: gbps,
                     all_nvlink: true,
                 })
                 .collect(),
@@ -302,6 +313,7 @@ pub fn pack_rings(topology: &Topology, gpus: &[usize]) -> RingSet {
         return RingSet { rings };
     }
 
+    let mut lanes = Lanes::build(topology, gpus);
     let mut rings: Vec<Ring> = Vec::new();
     // Only the first ring may fall back to the host path.
     while let Some(best) = Search::best_cycle(&lanes, rings.is_empty()) {
@@ -316,6 +328,54 @@ pub fn pack_rings(topology: &Topology, gpus: &[usize]) -> RingSet {
         });
     }
     RingSet { rings }
+}
+
+fn assert_ring_limit(n: usize) {
+    assert!(
+        n <= MAX_RING_GPUS,
+        "exact ring packing supports at most {MAX_RING_GPUS} GPUs, got {n}"
+    );
+}
+
+/// [`pack_rings`] results, memoised by the allocation's **ordered
+/// link-type matrix** — one search per link pattern, not per job start.
+///
+/// The key is exact because the packing reads nothing else: `Lanes::build`
+/// (and the `n == 2` branch) read only `link_type(gpus[i], gpus[j])` for
+/// `i < j`, and the search and [`Ring::order`] speak allocation-local
+/// indices. So two allocations whose link types agree pair by pair, in
+/// order, pack to equal [`RingSet`]s. The key is that matrix: 2 bits per
+/// pair, row-major over `i < j`, behind a leading 1 bit that fixes the pair
+/// count — at most 91 bits at [`MAX_RING_GPUS`]. It names no GPU and no
+/// machine, so one entry serves every set and every server with the same
+/// wiring, and it keeps the link generation (an NVLink-v1 and an NVLink-v2
+/// brick are different codes).
+#[derive(Debug, Default)]
+pub struct RingMemo {
+    packings: HashMap<u128, RingSet>,
+}
+
+impl RingMemo {
+    /// `pack_rings(topology, gpus)`, searched only the first time its link
+    /// pattern is seen.
+    ///
+    /// # Panics
+    /// Where [`pack_rings`] does, hit or miss: more than [`MAX_RING_GPUS`]
+    /// GPUs is refused before the key is built (from 12 GPUs on, the
+    /// shifted key would silently collide), and `link_type` refuses an
+    /// out-of-range or repeated GPU as its pair enters the key.
+    pub fn pack(&mut self, topology: &Topology, gpus: &[usize]) -> &RingSet {
+        assert_ring_limit(gpus.len());
+        let mut key = 1u128;
+        for (i, &a) in gpus.iter().enumerate() {
+            for &b in &gpus[i + 1..] {
+                key = key << 2 | topology.link_type(a, b) as u128;
+            }
+        }
+        self.packings
+            .entry(key)
+            .or_insert_with(|| pack_rings(topology, gpus))
+    }
 }
 
 /// The pre-search packer — list every Hamiltonian cycle, score each against
@@ -846,5 +906,105 @@ mod tests {
     fn more_than_max_ring_gpus_is_an_invariant_violation() {
         let gpus: Vec<usize> = (0..=MAX_RING_GPUS).collect();
         let _ = pack_rings(&machines::dgx2(), &gpus);
+    }
+
+    /// Every built-in machine, and a DGX-1 with two GPUs split into MIG
+    /// slices.
+    fn memo_machines() -> Vec<Topology> {
+        let mut all = machines::all_machines();
+        let mig = mapa_topology::PartitionPlan::new()
+            .split(0, 4)
+            .split(5, 2)
+            .apply(&machines::dgx1_v100());
+        all.push(mig.into_topology());
+        all
+    }
+
+    thread_local! {
+        /// One memo for every case of the property below, across machines.
+        static SHARED_MEMO: std::cell::RefCell<RingMemo> = std::cell::RefCell::default();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// A memoised packing equals `pack_rings`, `Ring::order` included,
+        /// whether the memo is cold (first sight of the pattern, or a hit
+        /// left by another machine) or warm (asked again).
+        #[test]
+        fn ring_memo_equals_pack_rings_on_every_machine(
+            draws in proptest::collection::vec(
+                (0usize..7, proptest::collection::vec(0usize..64, 0..11)),
+                1..8,
+            ),
+        ) {
+            let machines = memo_machines();
+            for (machine, picks) in draws {
+                let machine = &machines[machine % machines.len()];
+                // Partial Fisher–Yates: distinct GPUs in random order.
+                let n = machine.gpu_count();
+                let mut pool: Vec<usize> = (0..n).collect();
+                let k = picks.len().min(n);
+                for (i, pick) in picks.iter().take(k).enumerate() {
+                    pool.swap(i, i + pick % (n - i));
+                }
+                let gpus = &pool[..k];
+                let expected = pack_rings(machine, gpus);
+                for pass in ["cold", "warm"] {
+                    let packed =
+                        SHARED_MEMO.with_borrow_mut(|memo| memo.pack(machine, gpus).clone());
+                    proptest::prop_assert_eq!(
+                        &packed,
+                        &expected,
+                        "{} pass on {} {:?}",
+                        pass,
+                        machine.name(),
+                        gpus
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no self-links")]
+    fn ring_memo_warm_hit_still_refuses_a_repeated_gpu() {
+        // Warm the memo with the pattern [0, 1, 1] would have if a GPU's
+        // pair with itself read as PCIe (as the diagonal of `pair_links`
+        // does): link(0,1), link(0,1), then PCIe.
+        let dgx = machines::dgx1_v100();
+        let link = dgx.link_type(0, 1);
+        let twin = (0..8)
+            .flat_map(|a| (0..8).flat_map(move |b| (0..8).map(move |c| [a, b, c])))
+            .find(|&[a, b, c]| {
+                a != b
+                    && a != c
+                    && b != c
+                    && dgx.link_type(a, b) == link
+                    && dgx.link_type(a, c) == link
+                    && dgx.link_type(b, c) == LinkType::Pcie
+            })
+            .expect("the DGX-1 has such a triple");
+        let mut memo = RingMemo::default();
+        let _ = memo.pack(&dgx, &twin);
+        let _ = memo.pack(&dgx, &[0, 1, 1]);
+    }
+
+    /// Past [`MAX_RING_GPUS`] a key would shift its leading pairs out. Here
+    /// the 12-GPU allocation's key, cut to 128 bits, is the key of its last
+    /// ten GPUs: the pairs among them are PCIe, the 18 pairs before them
+    /// too, then the one NVLink (GPU 1 – GPU 11) lands on the leading bit.
+    #[test]
+    #[should_panic(expected = "at most 10 GPUs, got 12")]
+    fn ring_memo_warm_hit_still_refuses_more_than_max_ring_gpus() {
+        let mut graph = Graph::new(12);
+        graph
+            .add_edge(1, 11, LinkType::SingleNvLink1)
+            .expect("one edge");
+        let machine = Topology::new("shifted", graph, vec![0; 12]);
+        let gpus: Vec<usize> = (0..12).collect();
+        let mut memo = RingMemo::default();
+        let _ = memo.pack(&machine, &gpus[2..]);
+        let _ = memo.pack(&machine, &gpus);
     }
 }

@@ -1540,12 +1540,19 @@ impl<B: SchedulerBackend> Engine<B> {
         let topology = self.backend.server_topology(p.server);
         let job = &pending.job;
         // Price the placement: one ring packing serves both bandwidth
-        // figures, and the ideal the quality ratio divides by is memoised
-        // on the machine.
-        let ringset = rings::pack_rings(topology, &p.gpus);
-        let workload_bw = perf::workload_effbw_rings(job.workload, &ringset, p.gpus.len());
+        // figures, searched once per link pattern (below 3 GPUs there is no
+        // search, and packing is cheaper than a lookup), and the ideal the
+        // quality ratio divides by is memoised on the machine.
+        let small;
+        let ringset = if p.gpus.len() < 3 {
+            small = rings::pack_rings(topology, &p.gpus);
+            &small
+        } else {
+            st.ring_memo.pack(topology, &p.gpus)
+        };
+        let workload_bw = perf::workload_effbw_rings(job.workload, ringset, p.gpus.len());
         let measured_eff_bw =
-            effbw::measure_rings_at_size(&ringset, p.gpus.len(), effbw::SATURATING_BYTES);
+            effbw::measure_rings_at_size(ringset, p.gpus.len(), effbw::SATURATING_BYTES);
         let allocation_quality = fragmentation::allocation_quality(topology, &p.gpus);
         let iter_time = perf::iteration_time_with_effbw(job.workload, job.num_gpus(), workload_bw);
         let exec =
@@ -1628,6 +1635,10 @@ struct RunState {
     gangs_started: HashSet<u64>,
     preemption: PreemptionStats,
     gangs: GangStats,
+    /// Ring packings of the run's placements of 3 GPUs or more, shared by
+    /// every server: the key is the allocation's link pattern, not the
+    /// machine.
+    ring_memo: rings::RingMemo,
     depth_max: usize,
     depth_sum: u64,
     depth_samples: u64,

@@ -63,6 +63,20 @@ pub enum ParseError {
     },
     /// A diagonal cell was not `X`.
     BadDiagonal(usize),
+    /// Data row `row` was not labelled `GPU{row}`.
+    RowLabel {
+        /// Zero-based row index.
+        row: usize,
+        /// The label found.
+        label: String,
+    },
+    /// The header named a different number of GPUs than there were rows.
+    HeaderCount {
+        /// `GPU<n>` labels on the header line.
+        header: usize,
+        /// Data rows found.
+        rows: usize,
+    },
 }
 
 impl fmt::Display for ParseError {
@@ -83,6 +97,12 @@ impl fmt::Display for ParseError {
                 write!(f, "matrix asymmetric at ({row}, {col})")
             }
             ParseError::BadDiagonal(row) => write!(f, "diagonal cell of row {row} must be X"),
+            ParseError::RowLabel { row, label } => {
+                write!(f, "row {row} is labelled '{label}', expected 'GPU{row}'")
+            }
+            ParseError::HeaderCount { header, rows } => {
+                write!(f, "header lists {header} GPUs but {rows} GPU rows follow")
+            }
         }
     }
 }
@@ -105,8 +125,12 @@ pub struct LinkMatrix {
 /// grammar for that format, shared by [`parse_topology_matrix`] and
 /// `mapa-agent`'s `nvidia-smi` probe.
 ///
-/// A data row is a `GPU<n>` label followed by a link cell; the header
-/// (labels only, then `CPU Affinity` and the like), NIC rows, the columns
+/// A data row is a `GPU<n>` label followed by a link cell, and row `i` is
+/// labelled `GPU{i}`; once the rows have begun, every `GPU<n>` line is one.
+/// A `GPU<n>` line before them that is not a data row is the header (its
+/// labels, then `CPU Affinity` and the like): when present, its count of
+/// GPU labels must equal the number of rows, so a truncated matrix is
+/// refused rather than read as a smaller machine. NIC rows, the columns
 /// after the GPU ones and the legend block are ignored.
 ///
 /// # Errors
@@ -120,15 +144,50 @@ pub fn parse_link_matrix(input: &str) -> Result<LinkMatrix, ParseError> {
         PciSys,   // SYS: across sockets
     }
 
-    let is_label = |t: &str| t.starts_with("GPU");
-    let rows: Vec<Vec<&str>> = input
+    let parse_cell = |token: &str| {
+        let t = token.to_ascii_uppercase();
+        let bricks = t.strip_prefix("NV").map(str::parse::<u8>);
+        match (t.as_str(), bricks) {
+            ("X", _) => Some(Cell::Diagonal),
+            (_, Some(Ok(k))) => Some(Cell::NvLink(k)),
+            ("PHB" | "PXB" | "PIX" | "NODE", _) => Some(Cell::PciLocal),
+            ("SYS" | "QPI", _) => Some(Cell::PciSys),
+            _ => None,
+        }
+    };
+    let is_label = |t: &str| {
+        t.strip_prefix("GPU")
+            .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
+    };
+    let mut header = None;
+    let mut rows: Vec<Vec<&str>> = Vec::new();
+    for tokens in input
         .lines()
-        .map(|line| line.split_whitespace().collect::<Vec<_>>())
-        .filter(|t| t.len() > 1 && is_label(t[0]) && !is_label(t[1]))
-        .collect();
+        .map(|l| l.split_whitespace().collect::<Vec<_>>())
+    {
+        if !tokens.first().is_some_and(|t| is_label(t)) {
+            continue;
+        }
+        let link_cell_follows = tokens.get(1).is_some_and(|t| parse_cell(t).is_some());
+        if rows.is_empty() && !link_cell_follows {
+            header = Some(tokens.iter().take_while(|t| is_label(t)).count());
+            continue;
+        }
+        let row = rows.len();
+        if tokens[0] != format!("GPU{row}") {
+            return Err(ParseError::RowLabel {
+                row,
+                label: tokens[0].to_string(),
+            });
+        }
+        rows.push(tokens);
+    }
     let n = rows.len();
     if n == 0 {
         return Err(ParseError::Empty);
+    }
+    if let Some(header) = header.filter(|&h| h != n) {
+        return Err(ParseError::HeaderCount { header, rows: n });
     }
 
     let mut grid = vec![vec![Cell::Diagonal; n]; n];
@@ -142,21 +201,11 @@ pub fn parse_link_matrix(input: &str) -> Result<LinkMatrix, ParseError> {
             });
         }
         for (j, &tok) in cells[..n].iter().enumerate() {
-            let t = tok.to_ascii_uppercase();
-            let bricks = t.strip_prefix("NV").map(str::parse::<u8>);
-            grid[i][j] = match (t.as_str(), bricks) {
-                ("X", _) => Cell::Diagonal,
-                (_, Some(Ok(k))) => Cell::NvLink(k),
-                ("PHB" | "PXB" | "PIX" | "NODE", _) => Cell::PciLocal,
-                ("SYS" | "QPI", _) => Cell::PciSys,
-                _ => {
-                    return Err(ParseError::BadCell {
-                        row: i,
-                        col: j,
-                        token: tok.to_string(),
-                    })
-                }
-            };
+            grid[i][j] = parse_cell(tok).ok_or_else(|| ParseError::BadCell {
+                row: i,
+                col: j,
+                token: tok.to_string(),
+            })?;
         }
     }
 
@@ -376,6 +425,44 @@ GPU3   SYS   NV1   NV2    X
         assert_eq!(t.link_type(1, 2), LinkType::SingleNvLink2);
         assert_eq!(t.link_type(0, 2), LinkType::Pcie);
         assert_eq!(t.socket_count(), 2);
+    }
+
+    /// A single-GPU machine's header has one label, then `CPU Affinity`:
+    /// it used to be read as a data row whose first cell was `CPU`.
+    #[test]
+    fn single_gpu_tool_output_parses() {
+        let one = include_str!("../../../tests/fixtures/nvidia-smi-topo-1gpu.txt");
+        let m = parse_link_matrix(one).unwrap();
+        assert_eq!(m.bricks, [[0]]);
+        assert_eq!(m.sockets, [0]);
+    }
+
+    /// A matrix whose last row is missing used to parse as a smaller
+    /// machine, its last column dropped as if it were an affinity column.
+    #[test]
+    fn a_truncated_matrix_is_refused_by_its_header() {
+        let truncated = include_str!("../../../tests/fixtures/nvidia-smi-topo-truncated.txt");
+        assert_eq!(
+            parse_link_matrix(truncated),
+            Err(ParseError::HeaderCount { header: 4, rows: 3 })
+        );
+    }
+
+    #[test]
+    fn rows_out_of_order_are_refused() {
+        let swapped = "GPU0  X   NV1  NV2\nGPU2  NV2 NV1  X\nGPU1  NV1 X    NV1\n";
+        assert_eq!(
+            parse_link_matrix(swapped),
+            Err(ParseError::RowLabel {
+                row: 1,
+                label: "GPU2".to_string()
+            })
+        );
+        let missing_middle = "GPU0  X   NV1\nGPU2  NV1  X\n";
+        assert!(matches!(
+            parse_link_matrix(missing_middle),
+            Err(ParseError::RowLabel { row: 1, .. })
+        ));
     }
 
     #[test]

@@ -62,8 +62,9 @@ pub fn workload_effbw(workload: Workload, topology: &Topology, gpus: &[usize]) -
 }
 
 /// Like [`workload_effbw`] but reusing pre-packed rings — the simulator's
-/// path: it packs an allocation once per job start and reads this and the
-/// saturating microbenchmark figure off the same [`rings::RingSet`].
+/// path: it packs rings once per link pattern ([`rings::RingMemo`]) and
+/// reads this and the saturating microbenchmark figure off the same
+/// [`rings::RingSet`].
 #[must_use]
 pub fn workload_effbw_rings(workload: Workload, ringset: &rings::RingSet, n_gpus: usize) -> f64 {
     if n_gpus < 2 {

@@ -1,12 +1,15 @@
 //! Pricing a placement: what `Engine::start_job` writes into a
 //! [`JobRecord`] — the workload's effective bandwidth, the saturating
 //! microbenchmark figure and the Fig. 4 quality ratio — comes from one
-//! ring packing and a per-server ideal-bandwidth table. Those are a cheaper
-//! route to the numbers the free functions give, not different numbers:
-//! every record must equal `perf::workload_effbw`, `effbw::measure` and
-//! `fragmentation::allocation_quality` on its `(server topology, gpus)`,
-//! bit for bit. And a job the interconnect model cannot price is refused
-//! when it enters, not when it starts.
+//! ring packing, memoised per run by the allocation's ordered link-type
+//! matrix and shared by every server, and an ideal-bandwidth table
+//! memoised on the machine. Those are a cheaper route to the numbers the
+//! free functions give, not different numbers: every record must equal
+//! `perf::workload_effbw`, `effbw::measure` and
+//! `fragmentation::allocation_quality` on its own `(server topology,
+//! gpus)`, bit for bit — on a heterogeneous fleet too. And a job the
+//! interconnect model cannot price is refused when it enters, not when it
+//! starts.
 
 use mapa::core::fragmentation;
 use mapa::core::policy::PreservePolicy;
@@ -18,11 +21,15 @@ use mapa::workloads::generator::{generate_jobs, JobMixConfig};
 use mapa::workloads::jobs;
 use std::process::Command;
 
-/// Every server of `report`'s run is a `topology`.
-fn assert_records_equal_free_functions(report: &SimReport, topology: &Topology) {
+/// Server `s` of `report`'s run is `topology_of(s)`.
+fn assert_records_equal_free_functions<'a>(
+    report: &SimReport,
+    topology_of: impl Fn(usize) -> &'a Topology,
+) {
     assert!(!report.records.is_empty());
     let mut multi_gpu = 0;
     for r in &report.records {
+        let topology = topology_of(r.server);
         let context = format!("job {} on server {} gpus {:?}", r.job.id, r.server, r.gpus);
         assert_eq!(
             r.workload_eff_bw.to_bits(),
@@ -54,7 +61,8 @@ fn cube_mesh_preserve_records_equal_the_free_functions() {
         },
         17,
     );
-    let report = Simulation::new(machines::cube_mesh(), Box::new(PreservePolicy)).run(&jobs);
+    let cube_mesh = machines::cube_mesh();
+    let report = Simulation::new(cube_mesh.clone(), Box::new(PreservePolicy)).run(&jobs);
     assert_eq!(report.records.len(), jobs.len());
     for size in 2..=8 {
         assert!(
@@ -62,14 +70,15 @@ fn cube_mesh_preserve_records_equal_the_free_functions() {
             "the mix must start a {size}-GPU job"
         );
     }
-    assert_records_equal_free_functions(&report, &machines::cube_mesh());
+    assert_records_equal_free_functions(&report, |_| &cube_mesh);
 }
 
 #[test]
 fn four_shard_cluster_records_equal_the_free_functions() {
     let jobs = generator::paper_job_mix(23);
+    let dgx1 = machines::dgx1_v100();
     let cluster = Cluster::homogeneous(
-        machines::dgx1_v100(),
+        dgx1.clone(),
         4,
         || Box::new(PreservePolicy),
         Box::new(LeastLoadedPolicy),
@@ -82,7 +91,65 @@ fn four_shard_cluster_records_equal_the_free_functions() {
             "every shard's table must be exercised"
         );
     }
-    assert_records_equal_free_functions(&report, &machines::dgx1_v100());
+    assert_records_equal_free_functions(&report, |_| &dgx1);
+}
+
+/// One run's packings are shared by every server, keyed by link pattern
+/// alone, so the key must keep the NVLink generation: a P100 square of
+/// NVLink-v1 bricks (GPUs 0, 2, 6, 4) has the pattern, generation aside, of
+/// a cube-mesh square of NVLink-v2 bricks through the board bridges (0, 1,
+/// 9, 8), and a generation-blind key would price one at the other's
+/// bandwidth. The V100 is the P100's adjacency with some links doubled.
+#[test]
+fn ring_memo_on_a_heterogeneous_fleet_records_equal_the_free_functions() {
+    let fleet = [
+        machines::dgx1_v100(),
+        machines::dgx1_p100(),
+        machines::cube_mesh(),
+    ];
+    let jobs = generate_jobs(
+        &JobMixConfig {
+            job_count: 300,
+            gpus_max: 8,
+            ..JobMixConfig::default()
+        },
+        1,
+    );
+    let cluster = Cluster::new(
+        fleet.to_vec(),
+        || Box::new(PreservePolicy),
+        Box::new(LeastLoadedPolicy),
+    );
+    let report = Engine::over(cluster).run(&jobs);
+    assert_eq!(report.records.len(), jobs.len());
+    // The run must start two allocations whose link patterns differ only
+    // in NVLink generation, and whose prices differ.
+    let priced: Vec<(Vec<LinkType>, f64)> = report
+        .records
+        .iter()
+        .filter(|r| r.gpus.len() >= 3)
+        .map(|r| {
+            let machine = &fleet[r.server];
+            let generation_blind = r
+                .gpus
+                .iter()
+                .enumerate()
+                .flat_map(|(i, &a)| r.gpus[i + 1..].iter().map(move |&b| (a, b)))
+                .map(|(a, b)| match machine.link_type(a, b) {
+                    LinkType::SingleNvLink1 => LinkType::SingleNvLink2,
+                    link => link,
+                })
+                .collect();
+            (generation_blind, effbw::measure(machine, &r.gpus))
+        })
+        .collect();
+    assert!(
+        priced
+            .iter()
+            .any(|(p, bw)| priced.iter().any(|(q, other)| p == q && bw != other)),
+        "the run must tell the NVLink generations apart"
+    );
+    assert_records_equal_free_functions(&report, |server| &fleet[server]);
 }
 
 fn twelve_gpu_job() -> JobSpec {
@@ -230,6 +297,17 @@ fn the_cli_reports_bad_input_instead_of_panicking() {
         (
             vec!["reproduce", "--only", "nope"],
             "unknown artefact 'nope' (choose from: fig2a | fig2b | fig4 | ",
+        ),
+        // A matrix missing its last row (used to read as a 3-GPU machine).
+        (
+            vec![
+                "topo",
+                concat!(
+                    env!("CARGO_MANIFEST_DIR"),
+                    "/tests/fixtures/nvidia-smi-topo-truncated.txt"
+                ),
+            ],
+            "header lists 4 GPUs but 3 GPU rows follow",
         ),
     ];
     for (args, message) in &refused_runs {

@@ -8,7 +8,7 @@ use crate::policy::{ServerPolicy, ShardView};
 use mapa_core::policy::AllocationPolicy;
 use mapa_core::{AllocationOutcome, AllocatorError, CacheStats, MapaAllocator, PreemptionPolicy};
 use mapa_isomorph::WorkerPool;
-use mapa_model::{corpus, paper_coefficients, EffBwModel};
+use mapa_model::EffBwModel;
 use mapa_sim::{
     DispatchReport, DispatchedJob, Eviction, PendingJob, Placement, SchedulerBackend, SimConfig,
 };
@@ -388,7 +388,7 @@ impl Cluster {
             .map(|machine| {
                 let model = models
                     .entry(machine.name().to_string())
-                    .or_insert_with(|| fit_model(&machine))
+                    .or_insert_with(|| EffBwModel::for_machine(&machine))
                     .clone();
                 MapaAllocator::with_model(machine, make_policy(), model)
             })
@@ -726,6 +726,19 @@ impl Cluster {
         }
     }
 
+    /// Panics when job id `job` is already active anywhere in the fleet —
+    /// a caller bug. Per-shard states only know their own jobs, so without
+    /// this fleet-wide check a duplicate id would silently double-place on
+    /// whichever other shard the ranking probes first (the single-server
+    /// backend surfaces the same input as an error).
+    fn assert_not_active(&self, job: u64) {
+        if let Some(holder) =
+            (0..self.shards.len()).find(|&s| self.shards[s].state().gpus_of(job).is_some())
+        {
+            panic!("job {job} is already allocated on shard {holder}");
+        }
+    }
+
     /// Places one job fleet-wide: rank the shards, then commit on the
     /// first one whose allocator accepts the job (a full shard answers
     /// `Ok(None)` without touching its state). Shared by
@@ -902,14 +915,6 @@ fn decide_head(shard: &mut MapaAllocator, job: JobSpec) -> Option<AllocationOutc
     }
 }
 
-/// Fits the machine's own EffBW model, falling back to the paper's
-/// Table 2 coefficients exactly like `MapaAllocator::new`.
-fn fit_model(machine: &Topology) -> EffBwModel {
-    let max_fit = machine.gpu_count().min(5);
-    EffBwModel::fit(&corpus::build_corpus(machine, 2..=max_fit))
-        .unwrap_or_else(|_| EffBwModel::from_coefficients(paper_coefficients()))
-}
-
 impl SchedulerBackend for Cluster {
     fn label(&self) -> String {
         // "4× DGX-1 V100" or "2× DGX-1 V100 + DGX-2": counts per machine
@@ -971,16 +976,7 @@ impl SchedulerBackend for Cluster {
     }
 
     fn try_place(&mut self, job: &JobSpec) -> Option<Placement> {
-        // A job id already active anywhere in the fleet is a caller bug:
-        // per-shard states only know their own jobs, so without this
-        // fleet-wide check a duplicate id would silently double-place on
-        // whichever other shard the ranking probes first (the
-        // single-server backend surfaces the same input as an error).
-        if let Some(holder) =
-            (0..self.shards.len()).find(|&s| self.shards[s].state().gpus_of(job.id).is_some())
-        {
-            panic!("job {} is already allocated on shard {holder}", job.id);
-        }
+        self.assert_not_active(job.id);
         debug_assert!(
             self.queues.is_none(),
             "try_place is the global-queue path; queued clusters dispatch via pump"
@@ -1042,14 +1038,8 @@ impl SchedulerBackend for Cluster {
     }
 
     fn try_place_gang(&mut self, members: &[JobSpec]) -> Option<Vec<Placement>> {
-        // Duplicate active ids are caller bugs on the gang path exactly
-        // as on `try_place`'s.
         for member in members {
-            if let Some(holder) = (0..self.shards.len())
-                .find(|&s| self.shards[s].state().gpus_of(member.id).is_some())
-            {
-                panic!("job {} is already allocated on shard {holder}", member.id);
-            }
+            self.assert_not_active(member.id);
         }
         // Cheap feasibility prefilter: the pooled free GPUs must fit the
         // whole gang before any per-member work is worth doing.

@@ -22,11 +22,12 @@
 //!   gang) larger than its tenant's quota is admitted only when the
 //!   tenant holds nothing — a concurrency cap must not deadlock the
 //!   engine's "all jobs eventually run" contract.
-//! * **DRF at admission** — held work is re-admitted in ascending order
-//!   of the owning tenant's *dominant share* (its largest per-dimension
-//!   fraction of federation capacity, whole GPUs and MIG slices counted
-//!   separately), ties broken by arrival order. The least-served tenant
-//!   always re-enters first.
+//! * **DRF at admission** — held jobs and gangs wait in one arrival-order
+//!   queue of [`QueueItem`]s and re-enter in ascending order of the owning
+//!   tenant's *dominant share* (its largest per-dimension fraction of
+//!   federation capacity, whole GPUs and MIG slices counted separately; a
+//!   gang takes its members' largest), earliest arrival first on a tie.
+//!   The least-served tenant always re-enters first.
 //! * **Spillover** — when the policy's first-choice cluster cannot take a
 //!   job (saturated on the global path, less free capacity than the
 //!   demand on the queued path), the job routes to the next ranked
@@ -34,18 +35,19 @@
 //!   `spill_ins`) records it. Under [`SpilloverPolicy`] this makes the
 //!   invariant testable: no spillover ever happens while cluster 0 has
 //!   room.
-//! * **Gangs** — on the queued path a gang is *pinned*: admitted whole to
-//!   one cluster that can ever host it. On the global path the federation
-//!   first tries to pin (each ranked cluster's atomic peek-then-commit
-//!   [`Cluster::try_place_gang`]), then falls back to *spanning* members
-//!   across clusters via the generic two-phase commit (place members one
-//!   at a time, roll everything back on the first refusal).
+//! * **Gangs** — on the queued path a gang is *pinned*: routed whole, as a
+//!   job is, to one cluster that can ever host it. On the global path the
+//!   federation first tries to pin (each ranked cluster's atomic
+//!   peek-then-commit [`Cluster::try_place_gang`]), then falls back to
+//!   *spanning* members across clusters via the generic two-phase commit
+//!   (place members one at a time; on the first refusal roll occupancy,
+//!   routing counters and tenant peaks back).
 
 use crate::cluster::Cluster;
 use mapa_core::PreemptionPolicy;
 use mapa_sim::{
     DispatchReport, DispatchedJob, Eviction, FedClusterStats, FedTenantStats, FederationReport,
-    PendingJob, Placement, SchedulerBackend, SimConfig,
+    PendingJob, Placement, QueueItem, SchedulerBackend, SimConfig,
 };
 use mapa_topology::Topology;
 use mapa_workloads::{JobGroup, JobSpec};
@@ -189,21 +191,6 @@ impl TenantUsage {
     }
 }
 
-/// A quota-deferred job waiting at the federation gate.
-#[derive(Debug)]
-struct HeldJob {
-    pending: PendingJob,
-    seq: u64,
-}
-
-/// A quota-deferred gang waiting at the federation gate.
-#[derive(Debug)]
-struct HeldGang {
-    gang: JobGroup,
-    submitted_at: f64,
-    seq: u64,
-}
-
 /// N clusters behind one [`FederationPolicy`], with per-tenant quotas and
 /// DRF re-admission. Implements [`SchedulerBackend`] by delegation:
 /// servers are numbered federation-wide (cluster 0's shards first), and
@@ -224,13 +211,15 @@ pub struct Federation {
     /// Job (or gang-lead) ids whose quota hold has been counted, so a
     /// retried `try_place` does not re-count the same deferral.
     quota_blocked: HashSet<u64>,
-    held: VecDeque<HeldJob>,
-    held_gangs: VecDeque<HeldGang>,
+    /// Quota-deferred jobs and gangs, in arrival order: items are only
+    /// pushed at the back or removed.
+    held: VecDeque<QueueItem>,
+    /// Jobs in `held` (a gang counts per member): the engine reads
+    /// `queued_jobs` on every event, and a backlog can hold thousands.
+    held_jobs: usize,
     /// Jobs placed (global path) or routed into clusters (queued path;
     /// the engine drives exactly one of the two) — rotation seq.
     routed: u64,
-    /// Arrival stamp for held-queue tie-breaks.
-    arrivals: u64,
     spillovers: u64,
     gangs_pinned: u64,
     gangs_spanned: u64,
@@ -281,9 +270,8 @@ impl Federation {
             ledger: HashMap::new(),
             quota_blocked: HashSet::new(),
             held: VecDeque::new(),
-            held_gangs: VecDeque::new(),
+            held_jobs: 0,
             routed: 0,
-            arrivals: 0,
             spillovers: 0,
             gangs_pinned: 0,
             gangs_spanned: 0,
@@ -344,29 +332,25 @@ impl Federation {
         }
     }
 
-    /// Whether `tenant` may take `units` more right now. Untenanted and
-    /// unquota'd work always fits; a tenant holding nothing may exceed
-    /// its quota with one admission (anti-deadlock valve — see module
-    /// docs).
-    fn fits_quota(&self, tenant: Option<u64>, units: usize) -> bool {
-        let (Some(t), Some(quota)) = (tenant, self.default_quota) else {
-            return true;
-        };
-        let used = self.tenant_gpus_in_use(t);
-        used + units <= quota || used == 0
-    }
-
-    /// The first over-quota tenant a gang admission would create, if any.
-    fn gang_quota_violation(&self, members: &[JobSpec]) -> Option<u64> {
-        let mut need: BTreeMap<u64, usize> = BTreeMap::new();
-        for m in members {
-            if let Some(t) = m.tenant {
-                *need.entry(t).or_default() += m.num_gpus();
-            }
-        }
-        need.into_iter()
-            .find(|&(t, units)| !self.fits_quota(Some(t), units))
-            .map(|(t, _)| t)
+    /// The lowest-numbered tenant that admitting `members` (one job, or a
+    /// gang together) would put over quota, if any. Untenanted and
+    /// unquota'd work always fits; a tenant holding nothing may exceed its
+    /// quota with one admission (anti-deadlock valve — see module docs).
+    fn quota_violation(&self, members: &[JobSpec]) -> Option<u64> {
+        let quota = self.default_quota?;
+        members
+            .iter()
+            .filter_map(|m| m.tenant)
+            .filter(|&t| {
+                let used = self.tenant_gpus_in_use(t);
+                let need: usize = members
+                    .iter()
+                    .filter(|m| m.tenant == Some(t))
+                    .map(JobSpec::num_gpus)
+                    .sum();
+                used + need > quota && used != 0
+            })
+            .min()
     }
 
     /// DRF dominant share: the tenant's largest per-dimension fraction of
@@ -411,11 +395,9 @@ impl Federation {
 
     /// Counts one quota deferral for `marker` (a job or gang-lead id),
     /// once — retried attempts on the same blocked item do not re-count.
-    fn note_quota_hold(&mut self, tenant: Option<u64>, marker: u64) {
+    fn note_quota_hold(&mut self, tenant: u64, marker: u64) {
         if self.quota_blocked.insert(marker) {
-            if let Some(t) = tenant {
-                self.tenants.entry(t).or_default().quota_holds += 1;
-            }
+            self.tenants.entry(tenant).or_default().quota_holds += 1;
         }
     }
 
@@ -439,22 +421,12 @@ impl Federation {
         }
     }
 
-    /// Global-path placement with an explicit quota switch: the gang
-    /// spanning path pre-checks the whole gang and must not be re-gated
-    /// member by member (a gang admitted under the anti-deadlock valve
-    /// would otherwise wedge halfway through).
-    fn try_place_inner(&mut self, job: &JobSpec, enforce_quota: bool) -> Option<Placement> {
-        let units = job.num_gpus();
-        if enforce_quota && !self.fits_quota(job.tenant, units) {
-            self.note_quota_hold(job.tenant, job.id);
-            return None;
-        }
-        let views = self.views();
-        let rank = self.policy.rank(job, &views, self.routed);
-        let feasible: Vec<usize> = rank
-            .into_iter()
-            .filter(|&c| self.clusters[c].max_job_gpus() >= units)
-            .collect();
+    /// Global-path placement past the quota gate: the gang spanning path
+    /// pre-checks the whole gang and must not be re-gated member by member
+    /// (a gang admitted under the anti-deadlock valve would otherwise
+    /// wedge halfway through).
+    fn place(&mut self, job: &JobSpec) -> Option<Placement> {
+        let feasible = self.ranked(job, job.num_gpus());
         let first = *feasible.first()?;
         for &c in &feasible {
             if let Some(mut p) = self.clusters[c].try_place(job) {
@@ -466,107 +438,84 @@ impl Federation {
         None
     }
 
-    /// Queued-path routing: hands `pending` to the chosen cluster's own
-    /// queues and charges its tenant. Spillover on this path means "the
-    /// first-choice cluster had less free capacity than the demand" — a
-    /// routing heuristic, since placement happens later inside the
-    /// cluster.
-    fn route_job(&mut self, pending: PendingJob) {
-        let units = pending.job.num_gpus();
+    /// The policy's ranking for `lead`, keeping the clusters whose
+    /// largest server fits a `largest`-unit job.
+    fn ranked(&self, lead: &JobSpec, largest: usize) -> Vec<usize> {
         let views = self.views();
-        let rank = self.policy.rank(&pending.job, &views, self.routed);
-        let feasible: Vec<usize> = rank
+        self.policy
+            .rank(lead, &views, self.routed)
             .into_iter()
-            .filter(|&c| self.clusters[c].max_job_gpus() >= units)
-            .collect();
-        let first = *feasible
-            .first()
-            .expect("engine pre-validates job sizes against max_job_gpus");
-        let pick = feasible
-            .iter()
-            .copied()
-            .find(|&c| self.clusters[c].total_free_gpus() >= units)
-            .unwrap_or(first);
-        self.book_routed(pick, first, std::slice::from_ref(&pending.job));
-        self.clusters[pick].admit(pending);
+            .filter(|&c| self.clusters[c].max_job_gpus() >= largest)
+            .collect()
     }
 
-    /// Queued-path gang routing: pins the whole gang to one cluster that
-    /// can ever host it (largest member and total demand both fit).
-    fn route_gang(&mut self, gang: JobGroup, submitted_at: f64) {
-        let total: usize = gang.members.iter().map(JobSpec::num_gpus).sum();
-        let largest = gang
-            .members
-            .iter()
-            .map(JobSpec::num_gpus)
-            .max()
-            .unwrap_or(0);
-        let views = self.views();
-        let rank = self.policy.rank(&gang.members[0], &views, self.routed);
-        let feasible: Vec<usize> = rank
-            .into_iter()
-            .filter(|&c| self.clusters[c].max_job_gpus() >= largest && self.gpu_counts[c] >= total)
-            .collect();
+    /// Admits `item` at the federation gate: holds it when a member's
+    /// tenant is over quota, routes it otherwise.
+    fn enter(&mut self, item: QueueItem) {
+        let members = item.members();
+        if let Some(t) = self.quota_violation(members) {
+            self.note_quota_hold(t, members[0].id);
+            self.held_jobs += item.job_count();
+            self.held.push_back(item);
+        } else {
+            self.route(item);
+        }
+    }
+
+    /// Queued-path routing: hands `item` whole to the first ranked cluster
+    /// with free room for it, else to the first that can ever host it, and
+    /// charges its tenants. A spillover here is a routing heuristic, since
+    /// placement happens later inside the cluster.
+    fn route(&mut self, item: QueueItem) {
+        let members = item.members();
+        let total = item.gpus();
+        let largest = members.iter().map(JobSpec::num_gpus).max().unwrap_or(0);
+        let mut feasible = self.ranked(&members[0], largest);
+        feasible.retain(|&c| self.gpu_counts[c] >= total);
         let first = *feasible
             .first()
-            .expect("gangs are pre-validated against cluster capacity");
+            .expect("the engine pre-validates jobs and gangs against the clusters");
         let pick = feasible
             .iter()
             .copied()
             .find(|&c| self.clusters[c].total_free_gpus() >= total)
             .unwrap_or(first);
-        self.book_routed(pick, first, &gang.members);
-        self.gangs_pinned += 1;
-        self.clusters[pick].admit_gang(gang, submitted_at);
+        self.book_routed(pick, first, members);
+        match item {
+            QueueItem::Job(pending) => self.clusters[pick].admit(pending),
+            QueueItem::Gang { gang, submitted_at } => {
+                self.gangs_pinned += 1;
+                self.clusters[pick].admit_gang(gang, submitted_at);
+            }
+        }
     }
 
-    /// Re-admits held work in DRF order: repeatedly pick the admissible
-    /// held item whose tenant has the lowest dominant share (ties by
-    /// arrival order), admit it, recompute shares, repeat until nothing
-    /// held fits. Recomputing after every admission is what makes this
-    /// dominant-resource *fair* rather than merely FIFO-under-quota.
+    /// Re-admits held work in DRF order: route the admissible item whose
+    /// tenants' largest dominant share is lowest (the earliest on a tie),
+    /// recompute shares, repeat until nothing held fits. Recomputing after
+    /// every admission is what makes this dominant-resource *fair* rather
+    /// than merely FIFO-under-quota.
     fn drain_held(&mut self) {
         loop {
-            // (share, arrival seq, is_gang, index) of the best candidate.
-            let mut best: Option<(f64, u64, bool, usize)> = None;
-            let consider = |cand: (f64, u64, bool, usize), best: &mut Option<_>| {
-                if best
-                    .is_none_or(|(s, q, _, _): (f64, u64, bool, usize)| (cand.0, cand.1) < (s, q))
-                {
-                    *best = Some(cand);
-                }
-            };
-            for (i, h) in self.held.iter().enumerate() {
-                if !self.fits_quota(h.pending.job.tenant, h.pending.job.num_gpus()) {
+            let mut best: Option<(f64, usize)> = None;
+            for (i, item) in self.held.iter().enumerate() {
+                let members = item.members();
+                if self.quota_violation(members).is_some() {
                     continue;
                 }
-                let share = h.pending.job.tenant.map_or(0.0, |t| self.dominant_share(t));
-                consider((share, h.seq, false, i), &mut best);
-            }
-            for (i, h) in self.held_gangs.iter().enumerate() {
-                if self.gang_quota_violation(&h.gang.members).is_some() {
-                    continue;
-                }
-                let share = h
-                    .gang
-                    .members
+                let share = members
                     .iter()
                     .filter_map(|m| m.tenant)
                     .map(|t| self.dominant_share(t))
                     .fold(0.0, f64::max);
-                consider((share, h.seq, true, i), &mut best);
-            }
-            match best {
-                None => break,
-                Some((_, _, false, i)) => {
-                    let h = self.held.remove(i).expect("index from enumerate");
-                    self.route_job(h.pending);
-                }
-                Some((_, _, true, i)) => {
-                    let h = self.held_gangs.remove(i).expect("index from enumerate");
-                    self.route_gang(h.gang, h.submitted_at);
+                if best.is_none_or(|(s, _)| share < s) {
+                    best = Some((share, i));
                 }
             }
+            let Some((_, i)) = best else { break };
+            let item = self.held.remove(i).expect("index from enumerate");
+            self.held_jobs -= item.job_count();
+            self.route(item);
         }
     }
 }
@@ -618,7 +567,11 @@ impl SchedulerBackend for Federation {
     }
 
     fn try_place(&mut self, job: &JobSpec) -> Option<Placement> {
-        self.try_place_inner(job, true)
+        if let Some(t) = self.quota_violation(std::slice::from_ref(job)) {
+            self.note_quota_hold(t, job.id);
+            return None;
+        }
+        self.place(job)
     }
 
     fn release(&mut self, server: usize, job: u64) {
@@ -646,19 +599,13 @@ impl SchedulerBackend for Federation {
 
     fn try_place_gang(&mut self, members: &[JobSpec]) -> Option<Vec<Placement>> {
         let marker = members.first().map_or(u64::MAX, |m| m.id);
-        if let Some(t) = self.gang_quota_violation(members) {
-            self.note_quota_hold(Some(t), marker);
+        if let Some(t) = self.quota_violation(members) {
+            self.note_quota_hold(t, marker);
             return None;
         }
         let total: usize = members.iter().map(JobSpec::num_gpus).sum();
         let largest = members.iter().map(JobSpec::num_gpus).max().unwrap_or(0);
-        let lead = members.first()?;
-        let views = self.views();
-        let rank = self.policy.rank(lead, &views, self.routed);
-        let feasible: Vec<usize> = rank
-            .into_iter()
-            .filter(|&c| self.clusters[c].max_job_gpus() >= largest)
-            .collect();
+        let feasible = self.ranked(members.first()?, largest);
         let first = *feasible.first()?;
         // Pinned attempt: each ranked cluster's own atomic gang path.
         for &c in &feasible {
@@ -677,16 +624,17 @@ impl SchedulerBackend for Federation {
         // Spanning fallback: generic two-phase commit across clusters —
         // place members one at a time (quota pre-checked gang-wide
         // above), roll everything back on the first refusal. Routing
-        // counters are committed only on success.
+        // counters and tenant peaks are committed only on success.
         let snapshot = (
             self.spillovers,
             self.spill_ins.clone(),
             self.jobs_routed.clone(),
             self.routed,
+            self.tenants.clone(),
         );
         let mut placed: Vec<Placement> = Vec::new();
         for (idx, job) in members.iter().enumerate() {
-            match self.try_place_inner(job, false) {
+            match self.place(job) {
                 Some(p) => placed.push(p),
                 None => {
                     for (m, p) in members[..idx].iter().zip(&placed) {
@@ -697,6 +645,7 @@ impl SchedulerBackend for Federation {
                         self.spill_ins,
                         self.jobs_routed,
                         self.routed,
+                        self.tenants,
                     ) = snapshot;
                     return None;
                 }
@@ -720,15 +669,10 @@ impl SchedulerBackend for Federation {
     ) -> Vec<Eviction> {
         // A quota-blocked job is short of *permission*, not capacity —
         // eviction cannot help it.
-        if !self.fits_quota(job.tenant, job.num_gpus()) {
+        if self.quota_violation(std::slice::from_ref(job)).is_some() {
             return Vec::new();
         }
-        let views = self.views();
-        let rank = self.policy.rank(job, &views, self.routed);
-        for c in rank {
-            if self.clusters[c].max_job_gpus() < job.num_gpus() {
-                continue;
-            }
+        for c in self.ranked(job, job.num_gpus()) {
             let evictions = self.clusters[c].preempt_for(job, policy, shielded);
             if !evictions.is_empty() {
                 return evictions
@@ -766,31 +710,11 @@ impl SchedulerBackend for Federation {
     }
 
     fn admit(&mut self, pending: PendingJob) {
-        if !self.fits_quota(pending.job.tenant, pending.job.num_gpus()) {
-            self.note_quota_hold(pending.job.tenant, pending.job.id);
-            let seq = self.arrivals;
-            self.arrivals += 1;
-            self.held.push_back(HeldJob { pending, seq });
-            return;
-        }
-        self.arrivals += 1;
-        self.route_job(pending);
+        self.enter(QueueItem::Job(pending));
     }
 
     fn admit_gang(&mut self, gang: JobGroup, submitted_at: f64) {
-        if let Some(t) = self.gang_quota_violation(&gang.members) {
-            self.note_quota_hold(Some(t), gang.members[0].id);
-            let seq = self.arrivals;
-            self.arrivals += 1;
-            self.held_gangs.push_back(HeldGang {
-                gang,
-                submitted_at,
-                seq,
-            });
-            return;
-        }
-        self.arrivals += 1;
-        self.route_gang(gang, submitted_at);
+        self.enter(QueueItem::Gang { gang, submitted_at });
     }
 
     fn pump(&mut self, now: f64) -> Vec<DispatchedJob> {
@@ -810,8 +734,7 @@ impl SchedulerBackend for Federation {
 
     fn queued_jobs(&self) -> usize {
         let inner: usize = self.clusters.iter().map(Cluster::queued_jobs).sum();
-        let held_members: usize = self.held_gangs.iter().map(|h| h.gang.len()).sum();
-        inner + self.held.len() + held_members
+        inner + self.held_jobs
     }
 
     fn dispatch_report(&self) -> Option<DispatchReport> {
@@ -1025,6 +948,76 @@ mod tests {
         assert_eq!(report.spillovers, 0, "counters rolled back");
         assert_eq!(report.clusters[0].jobs_routed, 0);
         assert_eq!(report.gangs_pinned + report.gangs_spanned, 0);
+    }
+
+    #[test]
+    fn spanning_gang_rollback_leaves_no_phantom_tenant_peak() {
+        let mut fed = federation(2, 1, Box::new(SpilloverPolicy));
+        // 3 × 6 GPUs of tenant 5: the span books 12 GPUs, then fails.
+        let doomed: Vec<JobSpec> = (1..=3).map(|id| job(id, Some(5), 6)).collect();
+        assert!(fed.try_place_gang(&doomed).is_none());
+        assert_eq!(fed.tenant_gpus_in_use(5), 0);
+        let report = fed.federation_report().unwrap();
+        assert!(
+            report.tenants.is_empty(),
+            "no tenant row for a gang that never ran: {:?}",
+            report.tenants
+        );
+        // A tenant that really holds GPUs keeps its real peak.
+        fed.try_place(&job(4, Some(5), 2))
+            .expect("room on cluster 0");
+        assert!(fed.try_place_gang(&doomed).is_none());
+        let report = fed.federation_report().unwrap();
+        assert_eq!(report.tenants.len(), 1);
+        assert_eq!(report.tenants[0].peak_gpus, 2, "not the span's 14");
+        assert_eq!(fed.tenant_gpus_in_use(5), 2);
+    }
+
+    /// Re-admission order on a share tie between a held gang and a held
+    /// job, submitted in `gang_first` order or the mirror one. Returns the
+    /// clusters the gang and the job start on. Round-robin routes the
+    /// first re-admitted item by rotation 2 (cluster 0) and the second by
+    /// rotation 4 after a gang or 3 after a job, so the clusters tell the
+    /// order.
+    fn tie_break_clusters(gang_first: bool) -> (usize, usize) {
+        let clusters = vec![
+            cluster(1).with_shard_queues(8),
+            cluster(1).with_shard_queues(8),
+        ];
+        let mut fed =
+            Federation::new(clusters, Box::new(FedRoundRobinPolicy)).with_default_quota(4);
+        // Tenants 1 and 2 fill their quotas, one cluster each.
+        fed.admit(PendingJob::new(job(1, Some(1), 4), 0.0));
+        fed.admit(PendingJob::new(job(2, Some(2), 4), 0.0));
+        let gang = JobGroup::new(1, vec![job(3, Some(1), 1), job(4, Some(1), 1)]);
+        let single = PendingJob::new(job(5, Some(2), 2), 0.0);
+        if gang_first {
+            fed.admit_gang(gang, 0.0);
+            fed.admit(single);
+        } else {
+            fed.admit(single);
+            fed.admit_gang(gang, 0.0);
+        }
+        let started = fed.pump(0.0);
+        assert_eq!(started.len(), 2, "the gang and the job are held");
+        for d in started {
+            fed.release(d.placement.server, d.pending.job.id);
+        }
+        // Both tenants now hold nothing: equal dominant shares.
+        let next = fed.pump(0.0);
+        assert_eq!(next.len(), 3, "both held items re-admitted and started");
+        let cluster_of = |id: u64| {
+            let d = next.iter().find(|d| d.pending.job.id == id).unwrap();
+            fed.cluster_of(d.placement.server)
+        };
+        assert_eq!(cluster_of(3), cluster_of(4), "the gang is pinned");
+        (cluster_of(3), cluster_of(5))
+    }
+
+    #[test]
+    fn drf_share_ties_go_to_the_earlier_arrival_across_gangs_and_jobs() {
+        assert_eq!(tie_break_clusters(true), (0, 0), "gang first, then job");
+        assert_eq!(tie_break_clusters(false), (1, 0), "job first, then gang");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::preempt::PreemptionPolicy;
 use crate::scoring::{self, MatchScore, SetScorer};
 use mapa_graph::PatternGraph;
 use mapa_isomorph::Matcher;
-use mapa_model::{corpus, paper_coefficients, EffBwModel};
+use mapa_model::EffBwModel;
 use mapa_topology::{AllocationError, HardwareState, Topology};
 use mapa_workloads::JobSpec;
 use std::collections::{HashMap, HashSet};
@@ -117,12 +117,11 @@ struct ActiveJob {
 
 impl MapaAllocator {
     /// Builds an allocator, fitting the EffBW model on the machine's own
-    /// 2–5-GPU allocation corpus (§3.4.3 protocol).
+    /// 2–5-GPU allocation corpus (§3.4.3 protocol;
+    /// [`EffBwModel::for_machine`]).
     #[must_use]
     pub fn new(topology: Topology, policy: Box<dyn AllocationPolicy>) -> Self {
-        let max_fit = topology.gpu_count().min(5);
-        let model = EffBwModel::fit(&corpus::build_corpus(&topology, 2..=max_fit))
-            .unwrap_or_else(|_| EffBwModel::from_coefficients(paper_coefficients()));
+        let model = EffBwModel::for_machine(&topology);
         Self::with_model(topology, policy, model)
     }
 

@@ -1,10 +1,10 @@
 //! Fitting and evaluating the Predicted-EffBW model.
 
-use crate::corpus::Sample;
+use crate::corpus::{self, Sample};
 use crate::features::{self, NUM_FEATURES};
 use crate::linalg::{self, LinalgError, Matrix};
 use crate::metrics;
-use mapa_topology::LinkMix;
+use mapa_topology::{LinkMix, Topology};
 use std::fmt;
 
 /// Errors from model fitting.
@@ -46,6 +46,16 @@ impl EffBwModel {
     #[must_use]
     pub fn from_coefficients(theta: [f64; NUM_FEATURES]) -> Self {
         Self { theta }
+    }
+
+    /// The model a machine's allocator scores with: fitted on the
+    /// machine's own 2–5-GPU allocation corpus (§3.4.3 protocol), or the
+    /// paper's Table 2 coefficients when that corpus cannot be fitted.
+    #[must_use]
+    pub fn for_machine(machine: &Topology) -> Self {
+        let max_fit = machine.gpu_count().min(5);
+        Self::fit(&corpus::build_corpus(machine, 2..=max_fit))
+            .unwrap_or_else(|_| Self::from_coefficients(crate::paper_coefficients()))
     }
 
     /// Fits θ by least squares over the Eq. 2 features, the paper's

@@ -1186,16 +1186,10 @@ impl<B: SchedulerBackend> Engine<B> {
                             panic!("{rejection}");
                         }
                     };
-                    match sub {
+                    let item = match sub {
                         Submission::Job(job) => {
                             validate(&job);
-                            let pending = PendingJob::new(job, now);
-                            if managed {
-                                self.backend.admit(pending);
-                            } else {
-                                st.waiting += 1;
-                                st.queue.push_back(QueueItem::Job(pending));
-                            }
+                            QueueItem::Job(PendingJob::new(job, now))
                         }
                         Submission::Gang(gang) => {
                             for member in &gang.members {
@@ -1205,17 +1199,13 @@ impl<B: SchedulerBackend> Engine<B> {
                                 // co-scheduling contract.
                                 st.shielded.insert(member.id);
                             }
-                            if managed {
-                                self.backend.admit_gang(gang, now);
-                            } else {
-                                st.waiting += gang.len();
-                                st.queue.push_back(QueueItem::Gang {
-                                    gang,
-                                    submitted_at: now,
-                                });
+                            QueueItem::Gang {
+                                gang,
+                                submitted_at: now,
                             }
                         }
-                    }
+                    };
+                    self.enqueue(item, &mut st);
                     incoming = source.next();
                     if incoming.is_some() {
                         st.events.push(clock.next_time(), EventKind::JobArrival);
@@ -1393,28 +1383,20 @@ impl<B: SchedulerBackend> Engine<B> {
         let mut skipped: VecDeque<QueueItem> = VecDeque::new();
         while let Some(item) = st.queue.pop_front() {
             st.waiting -= item.job_count();
-            match item {
+            let blocked = match item {
                 QueueItem::Job(pending) => {
-                    if let Some(p) = self.backend.try_place(&pending.job) {
+                    // If it does not fit, a high-priority arrival may take
+                    // GPUs back from running lower-priority jobs (once per
+                    // pass).
+                    let placed = self
+                        .backend
+                        .try_place(&pending.job)
+                        .or_else(|| self.preempt_and_place(&pending.job, now, st));
+                    if let Some(p) = placed {
                         self.start_job(pending, p, now, st);
                         continue;
                     }
-                    // Blocked. A high-priority arrival may take GPUs back
-                    // from running lower-priority jobs (once per pass).
-                    if let Some(p) = self.preempt_and_place(&pending.job, now, st) {
-                        self.start_job(pending, p, now, st);
-                        continue;
-                    }
-                    st.blocks += 1;
-                    if self.backend.total_free_gpus() >= pending.job.num_gpus() {
-                        st.frag_blocks += 1;
-                    }
-                    if self.config.strict_fifo {
-                        st.waiting += 1;
-                        st.queue.push_front(QueueItem::Job(pending));
-                        break;
-                    }
-                    skipped.push_back(QueueItem::Job(pending));
+                    QueueItem::Job(pending)
                 }
                 QueueItem::Gang { gang, submitted_at } => {
                     if let Some(placements) = self.backend.try_place_gang(&gang.members) {
@@ -1425,18 +1407,19 @@ impl<B: SchedulerBackend> Engine<B> {
                         }
                         continue;
                     }
-                    st.blocks += 1;
-                    if self.backend.total_free_gpus() >= gang.total_gpus() {
-                        st.frag_blocks += 1;
-                    }
-                    if self.config.strict_fifo {
-                        st.waiting += gang.len();
-                        st.queue.push_front(QueueItem::Gang { gang, submitted_at });
-                        break;
-                    }
-                    skipped.push_back(QueueItem::Gang { gang, submitted_at });
+                    QueueItem::Gang { gang, submitted_at }
                 }
+            };
+            st.blocks += 1;
+            if self.backend.total_free_gpus() >= blocked.gpus() {
+                st.frag_blocks += 1;
             }
+            if self.config.strict_fifo {
+                st.waiting += blocked.job_count();
+                st.queue.push_front(blocked);
+                break;
+            }
+            skipped.push_back(blocked);
         }
         // Backfill mode: blocked items return to the queue head in order.
         while let Some(item) = skipped.pop_back() {
@@ -1477,7 +1460,6 @@ impl<B: SchedulerBackend> Engine<B> {
     /// the back of the queue (or re-admit it into a queue-managing
     /// backend).
     fn handle_evictions(&mut self, evictions: Vec<Eviction>, now: f64, st: &mut RunState) {
-        let managed = self.backend.manages_queues();
         let is_victim = |id: u64| evictions.iter().any(|ev| ev.job_id == id);
         let mut victims: Vec<Box<PendingRecord>> = st
             .events
@@ -1524,12 +1506,21 @@ impl<B: SchedulerBackend> Engine<B> {
             st.preemption.jobs_preempted += 1;
             st.preemption.gpu_seconds_lost +=
                 (elapsed - done as f64 * iter_time).max(0.0) * record.gpus.len() as f64;
-            if managed {
-                self.backend.admit(pending);
-            } else {
-                st.waiting += 1;
-                st.queue.push_back(QueueItem::Job(pending));
-            }
+            self.enqueue(QueueItem::Job(pending), st);
+        }
+    }
+
+    /// Puts a waiting item in line: into a queue-managing backend's own
+    /// queues, or at the back of the engine's FIFO.
+    fn enqueue(&mut self, item: QueueItem, st: &mut RunState) {
+        if !self.backend.manages_queues() {
+            st.waiting += item.job_count();
+            st.queue.push_back(item);
+            return;
+        }
+        match item {
+            QueueItem::Job(pending) => self.backend.admit(pending),
+            QueueItem::Gang { gang, submitted_at } => self.backend.admit_gang(gang, submitted_at),
         }
     }
 
@@ -1586,21 +1577,42 @@ impl<B: SchedulerBackend> Engine<B> {
     }
 }
 
-/// An entry of the engine's global queue: one job or one whole gang
-/// (gangs occupy a single FIFO position and block/skip as a unit).
+/// One waiting entry: a job, or a whole gang that holds a single queue
+/// position and blocks, skips and is admitted as a unit. The engine's
+/// global FIFO holds these, and so does a federation's quota gate.
 #[derive(Debug, Clone)]
-enum QueueItem {
+pub enum QueueItem {
+    /// A single job.
     Job(PendingJob),
-    Gang { gang: JobGroup, submitted_at: f64 },
+    /// A gang and its arrival time.
+    Gang {
+        /// The members, co-scheduled all-or-nothing.
+        gang: JobGroup,
+        /// When the gang arrived (every member's submission time).
+        submitted_at: f64,
+    },
 }
 
 impl QueueItem {
-    /// Waiting jobs this entry represents (gang = its member count).
-    fn job_count(&self) -> usize {
+    /// The jobs this entry stands for, in order: a job is a slice of one.
+    #[must_use]
+    pub fn members(&self) -> &[JobSpec] {
         match self {
-            QueueItem::Job(_) => 1,
-            QueueItem::Gang { gang, .. } => gang.len(),
+            QueueItem::Job(pending) => std::slice::from_ref(&pending.job),
+            QueueItem::Gang { gang, .. } => &gang.members,
         }
+    }
+
+    /// Waiting jobs this entry represents (a gang counts per member).
+    #[must_use]
+    pub fn job_count(&self) -> usize {
+        self.members().len()
+    }
+
+    /// Accelerator units the entry needs at once.
+    #[must_use]
+    pub fn gpus(&self) -> usize {
+        self.members().iter().map(JobSpec::num_gpus).sum()
     }
 }
 
@@ -2402,6 +2414,51 @@ mod tests {
             j4.started_at >= j2.started_at,
             "strict FIFO holds the single job behind the gang"
         );
+    }
+
+    #[test]
+    fn backfill_overtakes_a_blocked_gang_which_keeps_its_place_among_gangs() {
+        use mapa_workloads::JobGroup;
+        // A 6-GPU job runs; a 2 × 2-GPU gang cannot fit the 2 left, and a
+        // long 1-GPU job behind it can. When the 6-GPU job ends, the first
+        // gang fits and a later 2 × 3-GPU gang does not fit beside it.
+        let subs = vec![
+            Submission::Job(pri_job(1, 6, 100, 0)),
+            Submission::Gang(JobGroup::new(
+                1,
+                vec![pri_job(2, 2, 10, 0), pri_job(3, 2, 10, 0)],
+            )),
+            Submission::Job(pri_job(4, 1, 200, 0)),
+            Submission::Gang(JobGroup::new(
+                2,
+                vec![pri_job(5, 3, 10, 0), pri_job(6, 3, 10, 0)],
+            )),
+        ];
+        let report = Simulation::new(machines::dgx1_v100(), Box::new(BaselinePolicy))
+            .with_config(SimConfig {
+                strict_fifo: false,
+                ..SimConfig::default()
+            })
+            .run_submissions(subs);
+        let start = |id: u64| {
+            report
+                .records
+                .iter()
+                .find(|r| r.job.id == id)
+                .expect("every job runs")
+                .started_at
+        };
+        assert_eq!(start(4), 0.0, "the 1-GPU job overtakes the blocked gang");
+        assert!(start(2) > 0.0);
+        assert_eq!(start(2), start(3));
+        assert!(start(2) < start(5), "the earlier gang starts first");
+        assert_eq!(start(5), start(6));
+        // Gang 1 blocks at its own arrival and at job 4's and gang 2's
+        // (3); gang 2 at its arrival, beside gang 1 and at the first of
+        // gang 1's two finishes (3). Each time fewer GPUs are free than
+        // the gang needs in total, so none is fragmentation.
+        assert_eq!(report.queue.dispatch_blocks, 6);
+        assert_eq!(report.queue.fragmentation_blocks, 0);
     }
 
     #[test]

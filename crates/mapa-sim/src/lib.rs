@@ -73,6 +73,7 @@ pub mod stats;
 pub use engine::{
     configure_allocator, ArrivalProcess, DispatchReport, DispatchedJob, Engine, Eviction,
     FedClusterStats, FedTenantStats, FederationReport, GangStats, JobRecord, JobRejection,
-    PendingJob, Placement, PreemptionStats, QueueStats, SchedulerBackend, ShardStats, SimConfig,
-    SimReport, Simulation, SingleServer, SloStats, Submission, DEFAULT_PREEMPTION_PENALTY_SECONDS,
+    PendingJob, Placement, PreemptionStats, QueueItem, QueueStats, SchedulerBackend, ShardStats,
+    SimConfig, SimReport, Simulation, SingleServer, SloStats, Submission,
+    DEFAULT_PREEMPTION_PENALTY_SECONDS,
 };

@@ -560,12 +560,7 @@ impl Cluster {
             .shards
             .iter()
             .enumerate()
-            .map(|(id, shard)| ShardView {
-                id,
-                topology: shard.topology(),
-                state: shard.state(),
-                selection_eff_bw: scores[id],
-            })
+            .map(|(id, shard)| ShardView::server(id, shard.state(), scores[id]))
             .collect();
         self.server_policy.rank(job, &views, seq)
     }

@@ -3,15 +3,17 @@
 //! fairness enforced at admission.
 //!
 //! A cluster is to a federation exactly what a shard is to a cluster: the
-//! [`SchedulerBackend`] pattern reused one level up. A pluggable
-//! [`FederationPolicy`] ranks clusters per decision (first-fit spillover,
-//! round-robin, least-loaded), the chosen cluster then runs its own
-//! server-selection and GPU-selection stages untouched. Because the
-//! federation adds no parallelism of its own — every cross-cluster step
-//! is serial, and each inner cluster's sequential ≡ parallel contract is
-//! already proven — a federated schedule is bit-identical at any worker
-//! thread count, and a 1-cluster federation replays the bare cluster's
-//! schedules bit for bit (`tests/federation.rs` pins both).
+//! [`SchedulerBackend`] pattern reused one level up. The same
+//! [`ServerPolicy`] a cluster ranks its shards with ranks the clusters per
+//! decision, over [`ShardView::pool`] views (first-fit spillover,
+//! round-robin, least-loaded); the chosen cluster then runs its own
+//! server-selection and GPU-selection stages untouched. The federation
+//! adds only the routing and the quota gate. Because it adds no
+//! parallelism of its own — every cross-cluster step is serial, and each
+//! inner cluster's sequential ≡ parallel contract is already proven — a
+//! federated schedule is bit-identical at any worker thread count, and a
+//! 1-cluster federation replays the bare cluster's schedules bit for bit
+//! (`tests/federation.rs` pins both).
 //!
 //! Multi-tenancy follows the admission-control shape of the multi-tenant
 //! inference literature (MoCA-style adaptive admission, DRF fairness):
@@ -31,10 +33,10 @@
 //! * **Spillover** — when the policy's first-choice cluster cannot take a
 //!   job (saturated on the global path, less free capacity than the
 //!   demand on the queued path), the job routes to the next ranked
-//!   cluster and the `spillovers` counter (and the receiving cluster's
-//!   `spill_ins`) records it. Under [`SpilloverPolicy`] this makes the
-//!   invariant testable: no spillover ever happens while cluster 0 has
-//!   room.
+//!   cluster and the `spillovers` counter and the receiving cluster's
+//!   `spill_ins` count it — per job, so a spilled gang counts each member
+//!   in both. Under [`SpilloverPolicy`] this makes the invariant
+//!   testable: no spillover ever happens while cluster 0 has room.
 //! * **Gangs** — on the queued path a gang is *pinned*: routed whole, as a
 //!   job is, to one cluster that can ever host it. On the global path the
 //!   federation first tries to pin (each ranked cluster's atomic
@@ -44,6 +46,9 @@
 //!   routing counters and tenant peaks back).
 
 use crate::cluster::Cluster;
+use crate::policy::{
+    LeastLoadedPolicy, RoundRobinPolicy, ServerPolicy, ShardView, SpilloverPolicy,
+};
 use mapa_core::PreemptionPolicy;
 use mapa_sim::{
     DispatchReport, DispatchedJob, Eviction, FedClusterStats, FedTenantStats, FederationReport,
@@ -53,124 +58,20 @@ use mapa_topology::Topology;
 use mapa_workloads::{JobGroup, JobSpec};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
-/// What a [`FederationPolicy`] may consult about one cluster. All fields
-/// are snapshots — owned values, not references — so a view vector can be
-/// built once per decision and handed to the policy.
-#[derive(Debug, Clone, Copy)]
-pub struct ClusterView {
-    /// Cluster index within the federation.
-    pub id: usize,
-    /// Servers (shards) in this cluster.
-    pub servers: usize,
-    /// Total accelerator units (GPU/slice vertices) in this cluster.
-    pub gpu_count: usize,
-    /// Currently free accelerator units.
-    pub free_gpus: usize,
-    /// Largest job any of its servers could ever host.
-    pub max_job_gpus: usize,
-    /// Jobs waiting inside the cluster's own queues (0 on the global
-    /// path).
-    pub queued_jobs: usize,
-}
-
-impl ClusterView {
-    /// Busy fraction of the cluster's capacity (0 when it has no GPUs).
-    #[must_use]
-    pub fn busy_fraction(&self) -> f64 {
-        if self.gpu_count == 0 {
-            0.0
-        } else {
-            (self.gpu_count - self.free_gpus) as f64 / self.gpu_count as f64
-        }
-    }
-}
-
-/// A cross-cluster routing policy: the federation-level analogue of
-/// [`crate::ServerPolicy`]. `rank` returns cluster ids in preference
-/// order; the federation tries each in turn. Implementations must be
-/// deterministic and labeling-invariant beyond the final lowest-id
-/// tie-break, exactly like server policies.
-pub trait FederationPolicy: Send + Sync {
-    /// Short name used in reports ("spillover", "round-robin", …).
-    fn name(&self) -> &'static str;
-
-    /// Preference order over clusters for `job`. `seq` counts admissions
-    /// so far — the rotation state for stateless round-robin.
-    fn rank(&self, job: &JobSpec, clusters: &[ClusterView], seq: u64) -> Vec<usize>;
-}
-
 /// Names accepted by [`federation_policy_by_name`], in documentation
 /// order.
 pub const FEDERATION_POLICY_NAMES: [&str; 3] = ["spillover", "round-robin", "least-loaded"];
 
-/// Resolves a federation policy from its CLI name (case-insensitive).
+/// Resolves a cluster-selection policy from its CLI name
+/// (case-insensitive): one of the [`ServerPolicy`] structs, ranking
+/// clusters over pool views.
 #[must_use]
-pub fn federation_policy_by_name(name: &str) -> Option<Box<dyn FederationPolicy>> {
+pub fn federation_policy_by_name(name: &str) -> Option<Box<dyn ServerPolicy>> {
     match name.to_ascii_lowercase().as_str() {
         "spillover" | "first-fit" => Some(Box::new(SpilloverPolicy)),
-        "round-robin" | "roundrobin" => Some(Box::new(FedRoundRobinPolicy)),
-        "least-loaded" | "leastloaded" => Some(Box::new(FedLeastLoadedPolicy)),
+        "round-robin" | "roundrobin" => Some(Box::new(RoundRobinPolicy)),
+        "least-loaded" | "leastloaded" => Some(Box::new(LeastLoadedPolicy)),
         _ => None,
-    }
-}
-
-/// First-fit: always prefer the lowest-index cluster; later clusters only
-/// receive what earlier ones cannot take. The baseline that makes
-/// spillover observable — under it, `spillovers == 0` iff cluster 0
-/// absorbed everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpilloverPolicy;
-
-impl FederationPolicy for SpilloverPolicy {
-    fn name(&self) -> &'static str {
-        "spillover"
-    }
-
-    fn rank(&self, _job: &JobSpec, clusters: &[ClusterView], _seq: u64) -> Vec<usize> {
-        (0..clusters.len()).collect()
-    }
-}
-
-/// Rotate through clusters: admission `seq` starts its probe at cluster
-/// `seq mod N` and wraps — the fairness baseline, load ignored.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FedRoundRobinPolicy;
-
-impl FederationPolicy for FedRoundRobinPolicy {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn rank(&self, _job: &JobSpec, clusters: &[ClusterView], seq: u64) -> Vec<usize> {
-        let n = clusters.len();
-        if n == 0 {
-            return vec![];
-        }
-        let start = (seq % n as u64) as usize;
-        (0..n).map(|i| (start + i) % n).collect()
-    }
-}
-
-/// Prefer the cluster with the smallest busy fraction (size-normalized,
-/// so heterogeneous federations balance by relative load). Ties break
-/// toward the lowest cluster id.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FedLeastLoadedPolicy;
-
-impl FederationPolicy for FedLeastLoadedPolicy {
-    fn name(&self) -> &'static str {
-        "least-loaded"
-    }
-
-    fn rank(&self, _job: &JobSpec, clusters: &[ClusterView], _seq: u64) -> Vec<usize> {
-        let mut ids: Vec<usize> = (0..clusters.len()).collect();
-        ids.sort_by(|&a, &b| {
-            clusters[a]
-                .busy_fraction()
-                .total_cmp(&clusters[b].busy_fraction())
-                .then(a.cmp(&b))
-        });
-        ids
     }
 }
 
@@ -191,14 +92,14 @@ impl TenantUsage {
     }
 }
 
-/// N clusters behind one [`FederationPolicy`], with per-tenant quotas and
+/// N clusters behind one [`ServerPolicy`], with per-tenant quotas and
 /// DRF re-admission. Implements [`SchedulerBackend`] by delegation:
 /// servers are numbered federation-wide (cluster 0's shards first), and
 /// every placement, release, and eviction is translated between global
 /// and cluster-local indices.
 pub struct Federation {
     clusters: Vec<Cluster>,
-    policy: Box<dyn FederationPolicy>,
+    policy: Box<dyn ServerPolicy>,
     /// Global index of each cluster's first server.
     offsets: Vec<usize>,
     /// Accelerator units per cluster (static).
@@ -231,14 +132,20 @@ impl Federation {
     /// Builds a federation over `clusters` routed by `policy`.
     ///
     /// # Panics
-    /// Panics when `clusters` is empty or the clusters disagree on queue
+    /// Panics when `clusters` is empty, the clusters disagree on queue
     /// management (all must run shard queues, or none — the engine picks
-    /// one dispatch path for the whole backend).
+    /// one dispatch path for the whole backend), or `policy` needs
+    /// selection scores (the federation never peeks a cluster).
     #[must_use]
-    pub fn new(clusters: Vec<Cluster>, policy: Box<dyn FederationPolicy>) -> Self {
+    pub fn new(clusters: Vec<Cluster>, policy: Box<dyn ServerPolicy>) -> Self {
         assert!(
             !clusters.is_empty(),
             "a federation needs at least one cluster"
+        );
+        assert!(
+            !policy.needs_scores(),
+            "cluster-selection policy '{}' needs scores the federation does not compute",
+            policy.name()
         );
         let queued = clusters[0].manages_queues();
         assert!(
@@ -309,27 +216,17 @@ impl Federation {
         self.tenants.get(&tenant).map_or(0, TenantUsage::in_use)
     }
 
-    fn views(&self) -> Vec<ClusterView> {
-        self.clusters
-            .iter()
-            .enumerate()
-            .map(|(id, c)| ClusterView {
-                id,
-                servers: c.server_count(),
-                gpu_count: self.gpu_counts[id],
-                free_gpus: c.total_free_gpus(),
-                max_job_gpus: c.max_job_gpus(),
-                queued_jobs: c.queued_jobs(),
-            })
-            .collect()
+    fn views(&self) -> Vec<ShardView<'static>> {
+        let pool = |(id, c): (usize, &Cluster)| {
+            ShardView::pool(id, c.total_free_gpus(), self.gpu_counts[id])
+        };
+        self.clusters.iter().enumerate().map(pool).collect()
     }
 
-    /// Which cluster owns global server index `server`.
-    fn cluster_of(&self, server: usize) -> usize {
-        match self.offsets.binary_search(&server) {
-            Ok(c) => c,
-            Err(insert) => insert - 1,
-        }
+    /// Global server index `server` as (owning cluster, index within it).
+    fn local(&self, server: usize) -> (usize, usize) {
+        let c = self.offsets.partition_point(|&first| first <= server) - 1;
+        (c, server - self.offsets[c])
     }
 
     /// The lowest-numbered tenant that admitting `members` (one job, or a
@@ -402,13 +299,14 @@ impl Federation {
     }
 
     /// Books `members` (one job, or a gang together) as routed to
-    /// cluster `c`: a spillover when `c` is not the policy's `first`
-    /// choice, the rotation counter, the quota-hold marker (the lead's
-    /// id) cleared, and every member charged to its tenant.
+    /// cluster `c`: one spillover per member when `c` is not the
+    /// policy's `first` choice, the rotation counter, the quota-hold
+    /// marker (the lead's id) cleared, and every member charged to its
+    /// tenant.
     fn book_routed(&mut self, c: usize, first: usize, members: &[JobSpec]) {
         let n = members.len() as u64;
         if c != first {
-            self.spillovers += 1;
+            self.spillovers += n;
             self.spill_ins[c] += n;
         }
         self.jobs_routed[c] += n;
@@ -539,13 +437,13 @@ impl SchedulerBackend for Federation {
     }
 
     fn server_topology(&self, server: usize) -> &Topology {
-        let c = self.cluster_of(server);
-        self.clusters[c].server_topology(server - self.offsets[c])
+        let (c, local) = self.local(server);
+        self.clusters[c].server_topology(local)
     }
 
     fn server_cache_stats(&self, server: usize) -> Option<mapa_core::CacheStats> {
-        let c = self.cluster_of(server);
-        self.clusters[c].server_cache_stats(server - self.offsets[c])
+        let (c, local) = self.local(server);
+        self.clusters[c].server_cache_stats(local)
     }
 
     fn max_job_gpus(&self) -> usize {
@@ -575,8 +473,8 @@ impl SchedulerBackend for Federation {
     }
 
     fn release(&mut self, server: usize, job: u64) {
-        let c = self.cluster_of(server);
-        self.clusters[c].release(server - self.offsets[c], job);
+        let (c, local) = self.local(server);
+        self.clusters[c].release(local, job);
         self.settle(job);
     }
 
@@ -586,8 +484,8 @@ impl SchedulerBackend for Federation {
         // fast path.
         let mut per: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.clusters.len()];
         for &(server, job) in released {
-            let c = self.cluster_of(server);
-            per[c].push((server - self.offsets[c], job));
+            let (c, local) = self.local(server);
+            per[c].push((local, job));
             self.settle(job);
         }
         for (c, batch) in per.into_iter().enumerate() {
@@ -651,7 +549,7 @@ impl SchedulerBackend for Federation {
                 }
             }
         }
-        let distinct: HashSet<usize> = placed.iter().map(|p| self.cluster_of(p.server)).collect();
+        let distinct: HashSet<usize> = placed.iter().map(|p| self.local(p.server).0).collect();
         if distinct.len() > 1 {
             self.gangs_spanned += 1;
         } else {
@@ -792,7 +690,6 @@ impl SchedulerBackend for Federation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::LeastLoadedPolicy;
     use mapa_core::policy::PreservePolicy;
     use mapa_sim::Engine;
     use mapa_topology::machines;
@@ -807,7 +704,7 @@ mod tests {
         )
     }
 
-    fn federation(n: usize, shards: usize, policy: Box<dyn FederationPolicy>) -> Federation {
+    fn federation(n: usize, shards: usize, policy: Box<dyn ServerPolicy>) -> Federation {
         Federation::new((0..n).map(|_| cluster(shards)).collect(), policy)
     }
 
@@ -816,10 +713,9 @@ mod tests {
         let fed = federation(2, 2, Box::new(SpilloverPolicy));
         let views = fed.views();
         assert_eq!(views.len(), 2);
-        assert_eq!(views[0].servers, 2);
-        assert_eq!(views[0].gpu_count, 16);
-        assert_eq!(views[0].free_gpus, 16);
+        assert_eq!(views[1].id, 1);
         assert_eq!(views[0].busy_fraction(), 0.0);
+        assert_eq!(views[0].selection_eff_bw, None);
         assert_eq!(fed.server_count(), 4);
         assert_eq!(fed.max_job_gpus(), 8);
         assert_eq!(fed.total_free_gpus(), 32);
@@ -839,11 +735,17 @@ mod tests {
     fn round_robin_rotates_and_least_loaded_sorts() {
         let fed = federation(3, 1, Box::new(SpilloverPolicy));
         let views = fed.views();
-        let rr = FedRoundRobinPolicy;
+        let rr = RoundRobinPolicy;
         assert_eq!(rr.rank(&job(1, None, 2), &views, 0), vec![0, 1, 2]);
         assert_eq!(rr.rank(&job(1, None, 2), &views, 2), vec![2, 0, 1]);
-        let ll = FedLeastLoadedPolicy;
+        let ll = LeastLoadedPolicy;
         assert_eq!(ll.rank(&job(1, None, 2), &views, 0), vec![0, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs scores")]
+    fn score_needing_policies_are_refused() {
+        let _ = federation(2, 1, Box::new(crate::BestScorePolicy));
     }
 
     fn job(id: u64, tenant: Option<u64>, gpus: usize) -> JobSpec {
@@ -855,10 +757,10 @@ mod tests {
     #[test]
     fn global_indexing_round_trips_across_clusters() {
         let mut fed = federation(2, 2, Box::new(SpilloverPolicy));
-        assert_eq!(fed.cluster_of(0), 0);
-        assert_eq!(fed.cluster_of(1), 0);
-        assert_eq!(fed.cluster_of(2), 1);
-        assert_eq!(fed.cluster_of(3), 1);
+        assert_eq!(fed.local(0), (0, 0));
+        assert_eq!(fed.local(1), (0, 1));
+        assert_eq!(fed.local(2), (1, 0));
+        assert_eq!(fed.local(3), (1, 1));
         // Fill cluster 0 (2 shards × 8 GPUs), then the next job spills.
         for id in 0..4 {
             let p = fed.try_place(&job(id, None, 4)).expect("room in cluster 0");
@@ -930,7 +832,7 @@ mod tests {
             .expect("6 GPUs pin on cluster 0");
         let spanning = vec![job(3, None, 2), job(4, None, 8)];
         let ps = fed.try_place_gang(&spanning).expect("spans both clusters");
-        let clusters: HashSet<usize> = ps.iter().map(|p| fed.cluster_of(p.server)).collect();
+        let clusters: HashSet<usize> = ps.iter().map(|p| fed.local(p.server).0).collect();
         assert_eq!(clusters.len(), 2, "members landed on both clusters");
         let report = fed.federation_report().unwrap();
         assert_eq!(report.gangs_pinned, 1);
@@ -984,8 +886,7 @@ mod tests {
             cluster(1).with_shard_queues(8),
             cluster(1).with_shard_queues(8),
         ];
-        let mut fed =
-            Federation::new(clusters, Box::new(FedRoundRobinPolicy)).with_default_quota(4);
+        let mut fed = Federation::new(clusters, Box::new(RoundRobinPolicy)).with_default_quota(4);
         // Tenants 1 and 2 fill their quotas, one cluster each.
         fed.admit(PendingJob::new(job(1, Some(1), 4), 0.0));
         fed.admit(PendingJob::new(job(2, Some(2), 4), 0.0));
@@ -1008,7 +909,7 @@ mod tests {
         assert_eq!(next.len(), 3, "both held items re-admitted and started");
         let cluster_of = |id: u64| {
             let d = next.iter().find(|d| d.pending.job.id == id).unwrap();
-            fed.cluster_of(d.placement.server)
+            fed.local(d.placement.server).0
         };
         assert_eq!(cluster_of(3), cluster_of(4), "the gang is pinned");
         (cluster_of(3), cluster_of(5))
@@ -1058,7 +959,7 @@ mod tests {
         let last = fed.pump(0.0);
         assert_eq!(last.len(), 1, "held jobs re-admitted after release");
         assert_eq!(last[0].pending.job.id, 4);
-        assert_eq!(fed.cluster_of(last[0].placement.server), 1, "spilled over");
+        assert_eq!(fed.local(last[0].placement.server).0, 1, "spilled over");
         assert_eq!(fed.queued_jobs(), 0);
         let report = fed.federation_report().unwrap();
         assert_eq!(report.quota_holds, 2);

@@ -16,7 +16,8 @@
 //!   least-loaded, best-pattern-score (peeks every shard's would-be
 //!   placement through the allocation cache), and pack-first. The
 //!   two-stage pipeline answers "which server, then which GPUs" in one
-//!   [`mapa_sim::SchedulerBackend::try_place`] call.
+//!   [`mapa_sim::SchedulerBackend::try_place`] call. It is the one
+//!   ranking seam: the federation ranks clusters with it too.
 //! * **Queued dispatch** ([`Cluster::with_shard_queues`]) — each shard
 //!   gets its own bounded FIFO queue; the server policy routes arrivals
 //!   at admission and each shard drains its own queue, so a slow shard
@@ -35,8 +36,8 @@
 //!   lower-priority victims on the cheapest shard (global-queue path) or
 //!   its own shard (queued path). Semantics: `docs/SCHEDULING.md`.
 //! * [`Federation`] ([`federation`]) — the same pattern one level up: N
-//!   clusters behind a pluggable [`FederationPolicy`] (spillover,
-//!   round-robin, least-loaded), with per-tenant GPU quotas enforced at
+//!   clusters ranked by a [`ServerPolicy`] over [`ShardView::pool`] views
+//!   (spillover, round-robin, least-loaded), with per-tenant GPU quotas enforced at
 //!   admission and dominant-resource-fair re-admission of quota-held
 //!   work. Gangs pin to one cluster when possible and span clusters via
 //!   two-phase commit when not.
@@ -79,14 +80,12 @@ pub mod policy;
 pub use cluster::{
     dispatch_mode_by_name, Cluster, DispatchMode, DEFAULT_SHARD_QUEUE_DEPTH, DISPATCH_MODE_NAMES,
 };
-pub use federation::{
-    federation_policy_by_name, ClusterView, FedLeastLoadedPolicy, FedRoundRobinPolicy, Federation,
-    FederationPolicy, SpilloverPolicy, FEDERATION_POLICY_NAMES,
-};
+pub use federation::{federation_policy_by_name, Federation, FEDERATION_POLICY_NAMES};
 pub use migrate::{
     migration_policy_by_name, MigrationPolicy, MigrationStats, MIGRATION_POLICY_NAMES,
 };
+pub use policy::LeastLoadedPolicy as FedLeastLoadedPolicy;
 pub use policy::{
     server_policy_by_name, BestScorePolicy, LeastLoadedPolicy, PackFirstPolicy, RoundRobinPolicy,
-    ServerPolicy, ShardView, SERVER_POLICY_NAMES,
+    ServerPolicy, ShardView, SpilloverPolicy, SERVER_POLICY_NAMES,
 };

@@ -1,36 +1,81 @@
-//! Server-selection policies: the cluster-level stage that picks a shard
-//! before the shard's own `AllocationPolicy` picks GPUs.
+//! Ranking policies: the stage that picks a server before the server's
+//! own `AllocationPolicy` picks GPUs. A [`Federation`](crate::Federation)
+//! ranks its clusters with the same trait, over [`ShardView::pool`] views.
 //!
 //! Every policy is deterministic and *labeling-invariant*: the ranking
-//! depends only on shard load/score state, never on incidental shard
-//! identity, and ties break toward the lowest shard id — the same
+//! depends only on load/score state, never on incidental candidate
+//! identity, and ties break toward the lowest id — the same
 //! lexicographic convention the per-server policies use for GPU-set ties
 //! (required for reproducible schedules and for the 1-shard ≡
 //! single-server equivalence property).
 
-use mapa_topology::{HardwareState, Topology};
+use mapa_topology::HardwareState;
 use mapa_workloads::JobSpec;
 
-/// What a [`ServerPolicy`] may consult about one shard.
+/// What a [`ServerPolicy`] may consult about one candidate: a server
+/// when a cluster ranks its shards, a whole cluster when a federation
+/// ranks its clusters.
 pub struct ShardView<'a> {
-    /// Shard index within the cluster.
+    /// Candidate index: shard within the cluster, or cluster within the
+    /// federation.
     pub id: usize,
-    /// The shard's machine.
-    pub topology: &'a Topology,
-    /// The shard's current occupancy.
-    pub state: &'a HardwareState,
+    load: Load<'a>,
     /// Predicted EffBW of the shard's would-be placement for the job
     /// being ranked. `Some` only when the policy requested scores via
     /// [`ServerPolicy::needs_scores`] *and* the shard can place the job
-    /// right now.
+    /// right now; always `None` for a pool.
     pub selection_eff_bw: Option<f64>,
 }
 
-/// A cluster server-selection policy.
+/// Where a view's load comes from.
+enum Load<'a> {
+    /// A server's occupancy, borrowed: counted only if a policy asks.
+    Server(&'a HardwareState),
+    /// A pool's idle and total accelerator units.
+    Pool { free: usize, total: usize },
+}
+
+impl<'a> ShardView<'a> {
+    /// The view of one server in its current `state`.
+    #[must_use]
+    pub fn server(id: usize, state: &'a HardwareState, selection_eff_bw: Option<f64>) -> Self {
+        Self {
+            id,
+            load: Load::Server(state),
+            selection_eff_bw,
+        }
+    }
+
+    /// The view of a pool of servers with `free` of its `total`
+    /// accelerator units idle (never scored).
+    #[must_use]
+    pub fn pool(id: usize, free: usize, total: usize) -> Self {
+        Self {
+            id,
+            load: Load::Pool { free, total },
+            selection_eff_bw: None,
+        }
+    }
+
+    /// Busy fraction of the candidate's units, in `[0, 1]` (0 when it has
+    /// none) — size-normalized, so heterogeneous candidates compare by
+    /// relative load. A pool's equals that of a server with the same
+    /// free and total units, bit for bit.
+    #[must_use]
+    pub fn busy_fraction(&self) -> f64 {
+        match self.load {
+            Load::Server(state) => state.busy_fraction(),
+            Load::Pool { free, total } => (total - free) as f64 / total.max(1) as f64,
+        }
+    }
+}
+
+/// A server-selection policy, also the federation's cluster-selection one.
 ///
 /// `rank` returns shard ids in preference order; the cluster tries each
 /// in turn until one accepts the job (a shard may refuse — it is full, or
-/// the job exceeds its machine). Implementations must be deterministic,
+/// the job exceeds its machine). A federation ranks its clusters the
+/// same way, over pool views. Implementations must be deterministic,
 /// must not depend on shard labeling beyond the final lowest-id
 /// tie-break, and must include every shard they are willing to use (an
 /// omitted shard is never tried for this job).
@@ -102,9 +147,8 @@ impl ServerPolicy for LeastLoadedPolicy {
         let mut ids: Vec<usize> = (0..shards.len()).collect();
         ids.sort_by(|&a, &b| {
             shards[a]
-                .state
                 .busy_fraction()
-                .total_cmp(&shards[b].state.busy_fraction())
+                .total_cmp(&shards[b].busy_fraction())
                 .then(a.cmp(&b))
         });
         ids
@@ -142,9 +186,8 @@ impl ServerPolicy for BestScorePolicy {
                     .total_cmp(sa)
                     .then_with(|| {
                         shards[a]
-                            .state
                             .busy_fraction()
-                            .total_cmp(&shards[b].state.busy_fraction())
+                            .total_cmp(&shards[b].busy_fraction())
                     })
                     .then(a.cmp(&b)),
                 (Some(_), None) => std::cmp::Ordering::Less,
@@ -172,19 +215,35 @@ impl ServerPolicy for PackFirstPolicy {
         let mut ids: Vec<usize> = (0..shards.len()).collect();
         ids.sort_by(|&a, &b| {
             shards[b]
-                .state
                 .busy_fraction()
-                .total_cmp(&shards[a].state.busy_fraction())
+                .total_cmp(&shards[a].busy_fraction())
                 .then(a.cmp(&b))
         });
         ids
     }
 }
 
+/// First-fit: always prefer the lowest id; later candidates only
+/// receive what earlier ones cannot take. The federation's baseline that
+/// makes spillover observable — under it, `spillovers == 0` iff cluster
+/// 0 absorbed everything. Not a `--server-policy`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SpilloverPolicy;
+
+impl ServerPolicy for SpilloverPolicy {
+    fn name(&self) -> &'static str {
+        "spillover"
+    }
+
+    fn rank(&self, _job: &JobSpec, shards: &[ShardView<'_>], _seq: u64) -> Vec<usize> {
+        (0..shards.len()).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapa_topology::machines;
+    use mapa_topology::{machines, Topology};
     use mapa_workloads::{GpuDemand, Workload};
 
     fn job(n: usize) -> JobSpec {
@@ -212,12 +271,7 @@ mod tests {
         owned
             .iter()
             .enumerate()
-            .map(|(id, (t, s))| ShardView {
-                id,
-                topology: t,
-                state: s,
-                selection_eff_bw: scores.get(id).copied().flatten(),
-            })
+            .map(|(id, (_, s))| ShardView::server(id, s, scores.get(id).copied().flatten()))
             .collect()
     }
 
@@ -338,6 +392,86 @@ mod tests {
             p.rank(&job(2), &views(&owned, &[None; 3]), 0),
             vec![0, 1, 2]
         );
+    }
+
+    proptest::proptest! {
+        /// One policy ranks a pool exactly as it ranks the server the
+        /// pool summarises — the invariant that lets one trait rank both
+        /// shards and clusters. Random occupancies of four machines, the
+        /// same scores on both sides, all five policies.
+        #[test]
+        fn pools_rank_as_the_servers_they_summarise(
+            masks in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..9),
+            scores in proptest::collection::vec(0u8..4, 9),
+            seq in 0u64..64,
+        ) {
+            let fleet = [
+                machines::dgx1_v100(),
+                machines::dgx2(),
+                machines::summit(),
+                machines::cube_mesh(),
+            ];
+            let states: Vec<HardwareState> = masks
+                .iter()
+                .enumerate()
+                .map(|(i, &mask)| {
+                    let mut s = HardwareState::new(fleet[i % fleet.len()].clone());
+                    let n = s.topology().gpu_count();
+                    let busy: Vec<usize> = (0..n).filter(|g| mask >> g & 1 == 1).collect();
+                    if !busy.is_empty() {
+                        s.allocate(1, &busy).unwrap();
+                    }
+                    s
+                })
+                .collect();
+            let score = |id: usize| (scores[id] > 0).then(|| f64::from(scores[id]) * 10.0);
+            let servers: Vec<ShardView<'_>> = states
+                .iter()
+                .enumerate()
+                .map(|(id, s)| ShardView::server(id, s, score(id)))
+                .collect();
+            let pools: Vec<ShardView<'_>> = states
+                .iter()
+                .enumerate()
+                .map(|(id, s)| {
+                    let mut v = ShardView::pool(id, s.free_count(), s.topology().gpu_count());
+                    v.selection_eff_bw = score(id);
+                    v
+                })
+                .collect();
+            for (server, pool) in servers.iter().zip(&pools) {
+                assert_eq!(server.busy_fraction().to_bits(), pool.busy_fraction().to_bits());
+            }
+            let policies: [&dyn ServerPolicy; 5] = [
+                &RoundRobinPolicy,
+                &LeastLoadedPolicy,
+                &BestScorePolicy,
+                &PackFirstPolicy,
+                &SpilloverPolicy,
+            ];
+            for p in policies {
+                assert_eq!(p.rank(&job(1), &servers, seq), p.rank(&job(1), &pools, seq), "{}", p.name());
+            }
+            // Least-loaded over pools keeps the cluster-ranking rule it
+            // replaced: ascending (total − free) / total, a pool without
+            // units idle, ties toward the lower id.
+            let mut sizes: Vec<(usize, usize)> = states
+                .iter()
+                .map(|s| (s.free_count(), s.topology().gpu_count()))
+                .collect();
+            sizes.push((0, 0));
+            let pools: Vec<ShardView<'_>> = sizes
+                .iter()
+                .enumerate()
+                .map(|(id, &(free, total))| ShardView::pool(id, free, total))
+                .collect();
+            let busy = |(free, total): (usize, usize)| {
+                if total == 0 { 0.0 } else { (total - free) as f64 / total as f64 }
+            };
+            let mut expected: Vec<usize> = (0..sizes.len()).collect();
+            expected.sort_by(|&a, &b| busy(sizes[a]).total_cmp(&busy(sizes[b])).then(a.cmp(&b)));
+            assert_eq!(LeastLoadedPolicy.rank(&job(1), &pools, seq), expected);
+        }
     }
 
     #[test]

@@ -671,8 +671,7 @@ mod tests {
         // GPU 0 in four MIG slices (vertices 0..4), whole GPUs on 4..11.
         let machine = PartitionPlan::new()
             .split(0, 4)
-            .apply(&machines::dgx1_v100())
-            .into_topology();
+            .apply(&machines::dgx1_v100());
         let selects = Arc::new(AtomicU64::new(0));
         let mut a = MapaAllocator::new(machine, Box::new(CountingPolicy(selects.clone())))
             .with_config(AllocatorConfig::cached());

@@ -464,7 +464,7 @@ mod tests {
                 Fixture::of(machines::dgx2()),
                 Fixture::of(machines::torus_2d()),
                 Fixture::of(machines::cube_mesh()),
-                Fixture::of(mig.apply(&machines::dgx1_v100()).into_topology()),
+                Fixture::of(mig.apply(&machines::dgx1_v100())),
             ]
         })
     }
@@ -808,7 +808,7 @@ mod tests {
     /// slices, 4..11 the remaining whole GPUs.
     fn partitioned() -> Fixture {
         let plan = PartitionPlan::new().split(0, 4);
-        Fixture::of(plan.apply(&machines::dgx1_v100()).into_topology())
+        Fixture::of(plan.apply(&machines::dgx1_v100()))
     }
 
     #[test]
@@ -870,7 +870,7 @@ mod tests {
         // on phys 0 makes its sibling slice pay the co-residency penalty,
         // so an SLO-tagged single-slice tenant lands on phys 1 instead.
         let plan = PartitionPlan::new().split(0, 2).split(1, 2);
-        let mut f = Fixture::of(plan.apply(&machines::dgx1_v100()).into_topology());
+        let mut f = Fixture::of(plan.apply(&machines::dgx1_v100()));
         f.state.allocate(9, &[0]).unwrap();
         let spec = JobSpec::new(1, GpuDemand::Slices(1), Workload::BertServing).with_slo(25.0);
         let got = f.select(&GreedyPolicy, &spec).unwrap();

@@ -557,8 +557,7 @@ mod tests {
         // GPU 0 → 4 slices (vertices 0..4), rest whole (4..=10).
         let topo = PartitionPlan::new()
             .split(0, 4)
-            .apply(&machines::dgx1_v100())
-            .into_topology();
+            .apply(&machines::dgx1_v100());
         let mut state = mapa_topology::HardwareState::new(topo);
         state.allocate(1, &[0, 1]).unwrap();
         // Placing on free slices 2 and 3: each sees 2 busy co-residents.

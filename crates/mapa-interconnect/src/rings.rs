@@ -916,7 +916,7 @@ mod tests {
             .split(0, 4)
             .split(5, 2)
             .apply(&machines::dgx1_v100());
-        all.push(mig.into_topology());
+        all.push(mig);
         all
     }
 

@@ -46,11 +46,6 @@ pub enum ArrivalProcess {
     /// All jobs submitted at t = 0 in file order — the paper's batch job
     /// file (Fig. 14). Default.
     Batch,
-    /// One job every `gap` seconds, in file order.
-    Uniform {
-        /// Inter-arrival gap in seconds.
-        gap: f64,
-    },
     /// Poisson arrivals: exponential inter-arrival times with the given
     /// mean, in file order. Deterministic for a fixed seed. This is the
     /// offered-load knob the real multi-tenant cluster traces (Philly)
@@ -64,7 +59,8 @@ pub enum ArrivalProcess {
     /// Skewed load: jobs arrive in bursts of `size` simultaneous
     /// submissions, bursts separated by `gap` seconds — the diurnal-spike
     /// shape cluster front ends see, and the worst case for a
-    /// server-selection stage (every burst must spread well).
+    /// server-selection stage (every burst must spread well). Bursts of
+    /// `size: 1` are uniform arrivals, one job every `gap` seconds.
     Bursts {
         /// Jobs per burst (at least 1).
         size: usize,
@@ -83,16 +79,8 @@ impl ArrivalProcess {
     /// # Errors
     /// The message names the offending parameter.
     pub fn check(&self, n: usize) -> Result<(), &'static str> {
-        let non_negative = |gap: f64| gap >= 0.0 && gap.is_finite();
         let fits = |last: f64| last < f64::MAX / 2.0;
-        let steps = n.saturating_sub(1);
         match *self {
-            Self::Uniform { gap } if !non_negative(gap) => {
-                Err("uniform gap must be non-negative and finite")
-            }
-            Self::Uniform { gap } if !fits(steps as f64 * gap) => {
-                Err("uniform gap too large: the last arrival time would overflow")
-            }
             Self::Poisson { mean_gap, .. } if !(mean_gap > 0.0 && mean_gap.is_finite()) => {
                 Err("poisson mean gap must be positive and finite")
             }
@@ -103,10 +91,10 @@ impl ArrivalProcess {
                 Err("poisson mean gap too large: the last arrival time could overflow")
             }
             Self::Bursts { size: 0, .. } => Err("burst size must be at least 1"),
-            Self::Bursts { gap, .. } if !non_negative(gap) => {
+            Self::Bursts { gap, .. } if !(gap >= 0.0 && gap.is_finite()) => {
                 Err("burst gap must be non-negative and finite")
             }
-            Self::Bursts { size, gap } if !fits((steps / size) as f64 * gap) => {
+            Self::Bursts { size, gap } if !fits((n.saturating_sub(1) / size) as f64 * gap) => {
                 Err("burst gap too large: the last arrival time would overflow")
             }
             _ => Ok(()),
@@ -149,7 +137,6 @@ impl ArrivalClock {
         }
         let t = match self.process {
             ArrivalProcess::Batch => 0.0,
-            ArrivalProcess::Uniform { gap } => self.index as f64 * gap,
             ArrivalProcess::Poisson { mean_gap, .. } => {
                 use rand::Rng;
                 let rng = self.rng.as_mut().expect("poisson clock owns an rng");
@@ -1918,7 +1905,10 @@ mod tests {
         ];
         let report = Simulation::new(machines::dgx1_v100(), Box::new(BaselinePolicy))
             .with_config(SimConfig {
-                arrivals: ArrivalProcess::Uniform { gap: 100.0 },
+                arrivals: ArrivalProcess::Bursts {
+                    size: 1,
+                    gap: 100.0,
+                },
                 ..SimConfig::default()
             })
             .run(&jobs);
@@ -2050,7 +2040,6 @@ mod tests {
                 mean_gap: 1e308,
                 seed: 1,
             },
-            ArrivalProcess::Uniform { gap: 1e308 },
             ArrivalProcess::Bursts {
                 size: 1,
                 gap: 1e308,
@@ -2083,7 +2072,10 @@ mod tests {
             Simulation::new(machines::dgx1_v100(), Box::new(PreservePolicy)).run(&jobs[..150]);
         let light = Simulation::new(machines::dgx1_v100(), Box::new(PreservePolicy))
             .with_config(SimConfig {
-                arrivals: ArrivalProcess::Uniform { gap: 600.0 },
+                arrivals: ArrivalProcess::Bursts {
+                    size: 1,
+                    gap: 600.0,
+                },
                 ..SimConfig::default()
             })
             .run(&jobs[..150]);
@@ -2147,7 +2139,7 @@ mod tests {
 
     fn preemptive_config(policy: mapa_core::PreemptionPolicy, gap: f64) -> SimConfig {
         SimConfig {
-            arrivals: ArrivalProcess::Uniform { gap },
+            arrivals: ArrivalProcess::Bursts { size: 1, gap },
             preemption: policy,
             ..SimConfig::default()
         }
@@ -2201,7 +2193,10 @@ mod tests {
         let run = |jobs: &[JobSpec]| {
             Simulation::new(machines::dgx1_v100(), Box::new(BaselinePolicy))
                 .with_config(SimConfig {
-                    arrivals: ArrivalProcess::Uniform { gap: 100.0 },
+                    arrivals: ArrivalProcess::Bursts {
+                        size: 1,
+                        gap: 100.0,
+                    },
                     ..SimConfig::default()
                 })
                 .run(jobs)
@@ -2528,8 +2523,7 @@ mod tests {
         use mapa_workloads::GpuDemand;
         let topo = PartitionPlan::new()
             .split(0, 4)
-            .apply(&machines::dgx1_v100())
-            .into_topology();
+            .apply(&machines::dgx1_v100());
         let map = topo.slice_map().unwrap().clone();
         let jobs = vec![
             job(1, 2, Workload::Vgg16, 50),

@@ -48,4 +48,4 @@ pub use fnv::Fnv1a;
 pub use link::{LinkMix, LinkType};
 pub use state::{AllocationError, HardwareState, JobId, OccupancySignature};
 pub use topology::Topology;
-pub use virt::{PartitionPlan, SliceBandwidth, SliceMap, VirtualTopology};
+pub use virt::{PartitionPlan, SliceBandwidth, SliceMap};

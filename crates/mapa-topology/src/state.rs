@@ -474,8 +474,7 @@ mod tests {
         // GPU 0 → 3 slices (vertices 0,1,2), the rest whole (3..=9).
         let topo = PartitionPlan::new()
             .split(0, 3)
-            .apply(&machines::dgx1_v100())
-            .into_topology();
+            .apply(&machines::dgx1_v100());
         let mut s = HardwareState::new(topo);
         assert_eq!(s.physical_of(2), 0);
         assert_eq!(s.physical_of(3), 1);

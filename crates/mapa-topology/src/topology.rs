@@ -314,7 +314,7 @@ mod tests {
     fn pair_links_agree_with_link_type_on_every_ordered_pair() {
         let mut topologies = crate::machines::all_machines();
         let plan = crate::virt::PartitionPlan::new().split(0, 4).split(5, 2);
-        topologies.push(plan.apply(&crate::machines::dgx1_v100()).into_topology());
+        topologies.push(plan.apply(&crate::machines::dgx1_v100()));
         topologies.push(tiny());
         for t in &topologies {
             let n = t.gpu_count();

@@ -12,9 +12,10 @@
 //!
 //! The entry point is [`PartitionPlan`]: declare which GPUs split into how
 //! many slices, then [`PartitionPlan::apply`] it to a machine to get a
-//! [`VirtualTopology`] whose [`SliceMap`] names every slice's physical
-//! GPU. The map travels inside the [`Topology`] itself, so allocators and
-//! schedulers downstream see slice structure without extra plumbing.
+//! [`Topology`] whose [`SliceMap`] ([`Topology::slice_map`]) names every
+//! slice's physical GPU. The map travels inside the topology itself, so
+//! allocators and schedulers downstream see slice structure without
+//! extra plumbing.
 //!
 //! Static link interference is still out of scope exactly as the paper
 //! leaves it; *dynamic* co-residency pressure is scored by the allocator
@@ -38,7 +39,7 @@ pub enum SliceBandwidth {
 
 /// Slice↔physical mapping of a partitioned machine.
 ///
-/// Vertices of a [`VirtualTopology`] are slices (or whole GPUs, for
+/// Vertices of a partitioned [`Topology`] are slices (or whole GPUs, for
 /// physical GPUs the plan left alone); this type answers which physical
 /// GPU each vertex lives on and how many slices each physical GPU was cut
 /// into. Slices of one GPU always occupy consecutive vertex ids.
@@ -66,12 +67,6 @@ impl SliceMap {
             slice_count,
             first_vertex,
         }
-    }
-
-    /// An identity map: `n` physical GPUs, none sliced.
-    #[must_use]
-    pub fn identity(n: usize) -> Self {
-        Self::new((0..n).collect(), vec![1; n])
     }
 
     /// Number of vertices (slices + whole GPUs).
@@ -139,8 +134,8 @@ impl SliceMap {
 ///     .split(0, 7)
 ///     .split(3, 2)
 ///     .apply(&machines::dgx1_v100());
-/// assert_eq!(virt.topology().gpu_count(), 8 + 6 + 1);
-/// assert_eq!(virt.slice_map().slices_of(0), 7);
+/// assert_eq!(virt.gpu_count(), 8 + 6 + 1);
+/// assert_eq!(virt.slice_map().unwrap().slices_of(0), 7);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PartitionPlan {
@@ -266,15 +261,16 @@ impl PartitionPlan {
     }
 
     /// Applies the plan to a machine, expanding each split GPU in place
-    /// into consecutive slice vertices. Physical GPUs keep their relative
-    /// order; the virtual machine's name encodes the plan (so model
-    /// caches keyed by machine name never confuse two plans).
+    /// into consecutive slice vertices; the result carries its
+    /// [`SliceMap`]. Physical GPUs keep their relative order; the virtual
+    /// machine's name encodes the plan (so model caches keyed by machine
+    /// name never confuse two plans).
     ///
     /// # Panics
     /// Panics if any split GPU is out of range, or if `topology` is
     /// already partitioned.
     #[must_use]
-    pub fn apply(&self, topology: &Topology) -> VirtualTopology {
+    pub fn apply(&self, topology: &Topology) -> Topology {
         assert!(
             topology.slice_map().is_none(),
             "topology '{}' is already partitioned",
@@ -337,42 +333,13 @@ impl PartitionPlan {
         let sockets = phys_of.iter().map(|&p| topology.socket_of(p)).collect();
         let name = format!("{}+MIG({})", topology.name(), self.label());
         let map = SliceMap::new(phys_of, slice_count);
-        let topology = Topology::new(name, g, sockets).with_slice_map(map.clone());
-        VirtualTopology { topology, map }
+        Topology::new(name, g, sockets).with_slice_map(map)
     }
 }
 
 impl fmt::Display for PartitionPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.label())
-    }
-}
-
-/// A partitioned machine: the expanded [`Topology`] (which also carries
-/// the [`SliceMap`] internally) plus the map as a named handle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VirtualTopology {
-    topology: Topology,
-    map: SliceMap,
-}
-
-impl VirtualTopology {
-    /// The expanded machine topology (slice map embedded).
-    #[must_use]
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// Consumes the virtual machine, yielding the topology.
-    #[must_use]
-    pub fn into_topology(self) -> Topology {
-        self.topology
-    }
-
-    /// The slice↔physical mapping.
-    #[must_use]
-    pub fn slice_map(&self) -> &SliceMap {
-        &self.map
     }
 }
 
@@ -394,10 +361,11 @@ mod tests {
             .with_bandwidth(bandwidth)
             .split(gpu, slices)
             .apply(topology);
-        let phys = (0..virt.slice_map().vertex_count())
-            .map(|v| virt.slice_map().physical_of(v))
+        let map = virt.slice_map().unwrap();
+        let phys = (0..map.vertex_count())
+            .map(|v| map.physical_of(v))
             .collect();
-        (virt.into_topology(), phys)
+        (virt, phys)
     }
 
     #[test]
@@ -501,8 +469,8 @@ mod tests {
     fn multi_gpu_plan_expands_every_split() {
         let dgx = machines::dgx1_v100();
         let virt = PartitionPlan::new().split(0, 7).split(3, 2).apply(&dgx);
-        let map = virt.slice_map();
-        assert_eq!(virt.topology().gpu_count(), 7 + 2 + 6);
+        let map = virt.slice_map().unwrap();
+        assert_eq!(virt.gpu_count(), 7 + 2 + 6);
         assert_eq!(map.vertex_count(), 15);
         assert_eq!(map.physical_count(), 8);
         assert_eq!(map.slices_of(0), 7);
@@ -514,21 +482,19 @@ mod tests {
         assert_eq!(map.vertices_of(3), 9..11);
         assert!(map.is_slice(0) && map.is_slice(9));
         assert!(!map.is_slice(7), "unsplit GPUs are whole vertices");
-        // The map also rides inside the topology.
-        assert_eq!(virt.topology().slice_map(), Some(map));
-        assert!(virt.topology().is_partitioned());
+        assert!(virt.is_partitioned());
     }
 
     #[test]
     fn plan_name_encodes_the_plan() {
         let dgx = machines::dgx1_v100();
         let shared = PartitionPlan::new().split(0, 7).split(3, 2).apply(&dgx);
-        assert_eq!(shared.topology().name(), "DGX-1 V100+MIG(0:7,3:2)");
+        assert_eq!(shared.name(), "DGX-1 V100+MIG(0:7,3:2)");
         let degraded = PartitionPlan::new()
             .with_bandwidth(SliceBandwidth::Degraded)
             .split(0, 2)
             .apply(&dgx);
-        assert_eq!(degraded.topology().name(), "DGX-1 V100+MIG(0:2;degraded)");
+        assert_eq!(degraded.name(), "DGX-1 V100+MIG(0:2;degraded)");
     }
 
     #[test]
@@ -564,8 +530,7 @@ mod tests {
     fn double_partition_rejected() {
         let once = PartitionPlan::new()
             .split(0, 2)
-            .apply(&machines::dgx1_v100())
-            .into_topology();
+            .apply(&machines::dgx1_v100());
         let _ = PartitionPlan::new().split(1, 2).apply(&once);
     }
 }

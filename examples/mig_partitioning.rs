@@ -12,12 +12,12 @@ fn main() {
     let dgx = machines::dgx1_v100();
     // Split GPUs 6 and 7 into MIG slices for small inference tenants.
     let plan = PartitionPlan::new().split(6, 2).split(7, 4);
-    let virt = plan.apply(&dgx);
-    let map = virt.slice_map();
+    let mig = plan.apply(&dgx);
+    let map = mig.slice_map().expect("the plan splits GPUs");
     println!(
         "{}: {} virtual GPUs (GPU 6 -> slices {:?}, GPU 7 -> slices {:?})\n",
-        virt.topology().name(),
-        virt.topology().gpu_count(),
+        mig.name(),
+        mig.gpu_count(),
         map.vertices_of(6).collect::<Vec<_>>(),
         map.vertices_of(7).collect::<Vec<_>>(),
     );
@@ -36,7 +36,6 @@ fn main() {
         );
     }
 
-    let mig = virt.into_topology();
     for (name, machine) in [("plain DGX-1V", dgx), ("DGX-1V + MIG(6:2,7:4)", mig)] {
         let report = Simulation::new(machine, Box::new(PreservePolicy)).run(&jobs);
         let train = report.records.iter().find(|r| r.job.id == 1).unwrap();

@@ -59,9 +59,9 @@ pub mod prelude {
     };
     pub use mapa_cluster::{
         dispatch_mode_by_name, federation_policy_by_name, migration_policy_by_name,
-        server_policy_by_name, BestScorePolicy, Cluster, ClusterView, DispatchMode, Federation,
-        FederationPolicy, LeastLoadedPolicy, MigrationPolicy, MigrationStats, PackFirstPolicy,
-        RoundRobinPolicy, ServerPolicy, ShardView, SpilloverPolicy, DEFAULT_SHARD_QUEUE_DEPTH,
+        server_policy_by_name, BestScorePolicy, Cluster, DispatchMode, Federation,
+        LeastLoadedPolicy, MigrationPolicy, MigrationStats, PackFirstPolicy, RoundRobinPolicy,
+        ServerPolicy, ShardView, SpilloverPolicy, DEFAULT_SHARD_QUEUE_DEPTH,
         FEDERATION_POLICY_NAMES,
     };
     pub use mapa_core::policy::{
@@ -85,7 +85,7 @@ pub mod prelude {
     pub use crate::runspec::{RunSpec, Shared};
     pub use mapa_topology::{
         machines, HardwareState, LinkMix, LinkType, OccupancySignature, PartitionPlan,
-        SliceBandwidth, SliceMap, Topology, VirtualTopology,
+        SliceBandwidth, SliceMap, Topology,
     };
     pub use mapa_workloads::{
         generator, perf, AppTopology, GpuDemand, JobGroup, JobSpec, Workload,

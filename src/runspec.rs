@@ -10,9 +10,8 @@
 use crate::cli::choose;
 use mapa_cluster::{
     dispatch_mode_by_name, federation_policy_by_name, migration_policy_by_name,
-    server_policy_by_name, Cluster, DispatchMode, Federation, FederationPolicy, MigrationPolicy,
-    ServerPolicy, DISPATCH_MODE_NAMES, FEDERATION_POLICY_NAMES, MIGRATION_POLICY_NAMES,
-    SERVER_POLICY_NAMES,
+    server_policy_by_name, Cluster, DispatchMode, Federation, MigrationPolicy, ServerPolicy,
+    DISPATCH_MODE_NAMES, FEDERATION_POLICY_NAMES, MIGRATION_POLICY_NAMES, SERVER_POLICY_NAMES,
 };
 use mapa_core::policy::{allocation_policy_by_name, AllocationPolicy};
 use mapa_core::ALLOCATION_POLICY_NAMES;
@@ -120,7 +119,7 @@ impl RunSpec {
         )
     }
 
-    fn federation(&self) -> Result<Box<dyn FederationPolicy>, String> {
+    fn federation(&self) -> Result<Box<dyn ServerPolicy>, String> {
         let name = self.federation_policy.as_deref().unwrap_or("spillover");
         let names = &FEDERATION_POLICY_NAMES;
         choose("federation policy", name, federation_policy_by_name, names)
@@ -191,10 +190,10 @@ impl RunSpec {
     /// On a plan [`RunSpec::validate`] refuses.
     #[must_use]
     pub fn topology(&self) -> Topology {
-        match &self.partition {
-            Some(plan) => plan.apply(&self.machine).into_topology(),
-            None => self.machine.clone(),
-        }
+        let whole = || self.machine.clone();
+        self.partition
+            .as_ref()
+            .map_or_else(whole, |p| p.apply(&self.machine))
     }
 
     /// Whole-GPU jobs never land on slice vertices, so the largest one a

@@ -38,7 +38,7 @@ fn machine_by_index(i: usize) -> (Topology, usize) {
         0 => (machines::dgx1_v100(), 5),
         1 => {
             let mig = PartitionPlan::new().split(0, 4).split(1, 2);
-            (mig.apply(&machines::dgx1_v100()).into_topology(), 5)
+            (mig.apply(&machines::dgx1_v100()), 5)
         }
         _ => (machines::dgx2(), 12),
     }

@@ -15,8 +15,9 @@
 //!   single job), across randomized mixes; and every job still runs —
 //!   quotas defer work, they never lose it.
 //! * **Spillover discipline** — under `SpilloverPolicy`, cluster 0 is
-//!   always the first choice: it never records a spill-in, and a load
-//!   that fits cluster 0 alone produces zero spillovers.
+//!   always the first choice: it never records a spill-in, a load that
+//!   fits cluster 0 alone produces zero spillovers, and every spilled job
+//!   (gang members included) is one spillover and one spill-in.
 
 use mapa::core::policy::{
     AllocationPolicy, BaselinePolicy, EffBwGreedyPolicy, GreedyPolicy, PreservePolicy,
@@ -227,6 +228,44 @@ proptest! {
         let routed: u64 = fed.clusters.iter().map(|c| c.jobs_routed).sum();
         prop_assert_eq!(routed, take as u64);
     }
+}
+
+/// The gang variant of the spillover discipline: a spilled gang counts
+/// each member as a spillover, as the receiving cluster counts each as a
+/// spill-in, on both dispatch paths — so `spillovers == Σ spill_ins`
+/// holds with gangs too.
+#[test]
+fn spilled_gangs_count_every_member_as_a_spillover() {
+    let mut spilled = 0;
+    for queued in [false, true] {
+        for seed in [3, 11, 29] {
+            let member = || {
+                let c = fleet(2, 3, 1);
+                if queued {
+                    c.with_shard_queues(4)
+                } else {
+                    c
+                }
+            };
+            let federation = Federation::new(
+                vec![member(), member(), member()],
+                Box::new(SpilloverPolicy),
+            );
+            let jobs = generator::paper_job_mix(seed);
+            let gangs = jobs[..40]
+                .chunks(2)
+                .zip(1..)
+                .map(|(pair, id)| Submission::Gang(JobGroup::new(id, pair.to_vec())));
+            let report = Engine::over(federation).run_submissions(gangs);
+            let fed = report.federation.as_ref().expect("federated run");
+            let context = format!("queued={queued}, seed={seed}");
+            assert_eq!(fed.clusters[0].spill_ins, 0, "{context}");
+            let spill_ins: u64 = fed.clusters.iter().map(|c| c.spill_ins).sum();
+            assert_eq!(fed.spillovers, spill_ins, "{context}");
+            spilled += spill_ins;
+        }
+    }
+    assert!(spilled > 0, "no gang spilled: the count went untested");
 }
 
 /// A load that always fits the first cluster never spills: jobs small

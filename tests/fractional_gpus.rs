@@ -63,10 +63,10 @@ proptest! {
             plan = plan.split(gpu, slices);
         }
         let virt = plan.apply(&machines::dgx1_v100());
-        let map = virt.slice_map();
+        let map = virt.slice_map().expect("an applied plan carries its map");
         let expected: usize = (0..8).map(|g| splits.get(&g).copied().unwrap_or(1)).sum();
         prop_assert_eq!(map.vertex_count(), expected);
-        prop_assert_eq!(virt.topology().gpu_count(), expected);
+        prop_assert_eq!(virt.gpu_count(), expected);
         prop_assert_eq!(map.physical_count(), 8);
         let mut seen = vec![false; expected];
         for phys in 0..8 {
@@ -100,7 +100,7 @@ proptest! {
     ) {
         let jobs = mixed_jobs(seed, 30);
         let plan = PartitionPlan::new().split(0, 4).split(5, 2);
-        let machine = plan.apply(&machines::dgx1_v100()).into_topology();
+        let machine = plan.apply(&machines::dgx1_v100());
         for policy_idx in 0..5 {
             for server_policy_idx in 0..4 {
                 let fleet = |dispatch: DispatchMode| {
@@ -138,9 +138,8 @@ fn whole_jobs_stay_off_slices_in_a_full_simulation() {
     let virt = PartitionPlan::new()
         .split(0, 4)
         .apply(&machines::dgx1_v100());
-    let map = virt.slice_map().clone();
-    let report =
-        Simulation::new(virt.into_topology(), Box::new(GreedyPolicy)).run(&mixed_jobs(7, 60));
+    let map = virt.slice_map().unwrap().clone();
+    let report = Simulation::new(virt, Box::new(GreedyPolicy)).run(&mixed_jobs(7, 60));
     assert_eq!(report.records.len(), 60);
     let mut fractional_seen = 0;
     for r in &report.records {
@@ -167,8 +166,7 @@ fn slo_counters_match_an_independent_recount() {
     let virt = PartitionPlan::new()
         .split(0, 7)
         .apply(&machines::dgx1_v100());
-    let report =
-        Simulation::new(virt.into_topology(), Box::new(PreservePolicy)).run(&mixed_jobs(9, 50));
+    let report = Simulation::new(virt, Box::new(PreservePolicy)).run(&mixed_jobs(9, 50));
     let (mut met, mut missed) = (0usize, 0usize);
     let mut latencies = Vec::new();
     let mut targets = Vec::new();

@@ -246,7 +246,7 @@ proptest! {
         let report = Engine::over(cluster)
             .with_config(SimConfig {
                 preemption: PreemptionPolicy::PriorityEvict,
-                arrivals: ArrivalProcess::Uniform { gap: 40.0 },
+                arrivals: ArrivalProcess::Bursts { size: 1, gap: 40.0 },
                 ..SimConfig::default()
             })
             .run_submissions(subs.clone());

@@ -71,7 +71,7 @@ fn preemptive_config(policy: PreemptionPolicy) -> SimConfig {
         preemption: policy,
         // Stagger arrivals so the machine genuinely runs low-priority
         // jobs when high-priority ones arrive.
-        arrivals: ArrivalProcess::Uniform { gap: 40.0 },
+        arrivals: ArrivalProcess::Bursts { size: 1, gap: 40.0 },
         ..SimConfig::default()
     }
 }
@@ -333,7 +333,7 @@ fn preemption_at_the_victims_finish_tick_keeps_the_preemptors_run_on_the_cluster
         Engine::over(fleet(1, 0, 0).with_shard_queues(5))
             .with_config(SimConfig {
                 preemption: PreemptionPolicy::PriorityEvict,
-                arrivals: ArrivalProcess::Uniform { gap },
+                arrivals: ArrivalProcess::Bursts { size: 1, gap },
                 ..SimConfig::default()
             })
             .run(jobs)

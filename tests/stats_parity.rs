@@ -110,7 +110,7 @@ proptest! {
         )
         .with_shard_queues(depth);
         let config = SimConfig {
-            arrivals: ArrivalProcess::Uniform { gap: 40.0 },
+            arrivals: ArrivalProcess::Bursts { size: 1, gap: 40.0 },
             preemption: PreemptionPolicy::PriorityEvict,
             ..SimConfig::default()
         };

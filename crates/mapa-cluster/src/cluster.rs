@@ -12,12 +12,12 @@ use mapa_model::EffBwModel;
 use mapa_sim::{
     DispatchReport, DispatchedJob, Eviction, PendingJob, Placement, SchedulerBackend, SimConfig,
 };
-use mapa_topology::Topology;
+use mapa_topology::{BitSet, Topology};
 use mapa_workloads::{JobGroup, JobSpec};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Default bound of each per-shard queue when queued dispatch is enabled
 /// without an explicit depth: deep enough to keep every shard busy under
@@ -40,8 +40,10 @@ pub enum DispatchMode {
     /// Evaluate shards one after another on the calling thread. Default.
     #[default]
     Sequential,
-    /// Evaluate all shards concurrently on the cluster's shared
-    /// [`WorkerPool`], then merge outcomes in shard order.
+    /// Evaluate the shards in chunks, one per worker of the cluster's
+    /// shared [`WorkerPool`], then merge outcomes in shard order. Measured
+    /// slower than `Sequential` (a shard decision costs less than a task
+    /// hand-off); kept as the other side of the equivalence proof.
     Parallel,
 }
 
@@ -69,59 +71,24 @@ pub fn dispatch_mode_by_name(name: &str) -> Option<DispatchMode> {
     }
 }
 
-/// Sets bit `i` of a `u64`-word bitmask.
-fn mask_set(words: &mut [u64], i: usize) {
-    words[i / 64] |= 1u64 << (i % 64);
-}
-
-/// Clears bit `i` of a `u64`-word bitmask.
-fn mask_clear(words: &mut [u64], i: usize) {
-    words[i / 64] &= !(1u64 << (i % 64));
-}
-
-/// Sets bit `i` of a `u64`-word bitmask to `on`.
-fn mask_assign(words: &mut [u64], i: usize, on: bool) {
-    if on {
-        mask_set(words, i);
-    } else {
-        mask_clear(words, i);
-    }
-}
-
-/// Reads bit `i` of a `u64`-word bitmask.
-fn mask_get(words: &[u64], i: usize) -> bool {
-    words[i / 64] & (1u64 << (i % 64)) != 0
-}
-
-/// Indices of set bits, ascending — word-at-a-time scan, so iterating a
-/// sparse mask over many shards touches O(words + set bits), not
-/// O(shards).
-fn mask_indices(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    words.iter().enumerate().flat_map(|(w, &word)| {
-        let mut bits = word;
-        std::iter::from_fn(move || {
-            (bits != 0).then(|| {
-                let i = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                i
-            })
-        })
-    })
+/// Sets bit `i` of `set` to `on`.
+fn assign(set: &mut BitSet, i: usize, on: bool) {
+    let _ = if on { set.insert(i) } else { set.remove(i) };
 }
 
 /// The per-shard-queue state of queued dispatch: one bounded FIFO per
 /// shard, a backlog for arrivals no eligible queue could hold, and the
 /// per-queue high-water marks the report surfaces.
 ///
-/// Three bitmasks and a head-size table mirror the queues, so that no
-/// pump or routing step dereferences a queue it has no business with (a
-/// 64-shard fleet draining small jobs was ~14× *slower* than 1 shard
+/// Three [`BitSet`] masks and a head-size table mirror the queues, so that
+/// no pump or routing step dereferences a queue it has no business with
+/// (a 64-shard fleet draining small jobs was ~14× *slower* than 1 shard
 /// without the first two):
 ///
 /// * `occupied` — bit `s` set ⇔ shard `s`'s queue is non-empty; pump-side
 ///   scans (blocked-head accounting, steal passes) walk only set bits.
 /// * `room` — bit `s` set ⇔ shard `s`'s queue has a free slot. Routing's
-///   "could any queue take this job?" pre-check reads it in O(words): on a
+///   "could any queue take this job?" pre-check walks its set bits: on a
 ///   backlogged fleet every queue is full, the mask is zero, and the
 ///   backlog head is refused without ranking or touching a shard.
 /// * `head_gpus[s]` — GPUs the head of queue `s` asks for (0 when empty):
@@ -151,29 +118,26 @@ struct ShardQueues {
     /// event, so it must not re-walk `shards` queues each time.
     waiting: usize,
     /// Non-empty-queue occupancy mask (see type docs).
-    occupied: Vec<u64>,
+    occupied: BitSet,
     /// Heads worth a placement retry (see type docs).
-    ready: Vec<u64>,
+    ready: BitSet,
     /// Queues with a free slot (see type docs).
-    room: Vec<u64>,
+    room: BitSet,
     /// GPUs each queue's head asks for (see type docs).
     head_gpus: Vec<usize>,
 }
 
 impl ShardQueues {
     fn new(shards: usize, depth: usize) -> Self {
-        let words = shards.div_ceil(64);
-        let mut room = vec![0; words];
-        (0..shards).for_each(|s| mask_set(&mut room, s));
         Self {
             depth: depth.max(1),
             queues: vec![VecDeque::new(); shards],
             backlog: VecDeque::new(),
             max_depths: vec![0; shards],
             waiting: 0,
-            occupied: vec![0; words],
-            ready: vec![0; words],
-            room,
+            occupied: BitSet::new(shards),
+            ready: BitSet::new(shards),
+            room: BitSet::full(shards),
             head_gpus: vec![0; shards],
         }
     }
@@ -183,15 +147,15 @@ impl ShardQueues {
     fn resync(&mut self, shard: usize) {
         let queue = &self.queues[shard];
         let head = queue.front().map_or(0, |item| item.job.num_gpus());
-        mask_assign(&mut self.occupied, shard, !queue.is_empty());
-        mask_assign(&mut self.room, shard, queue.len() < self.depth);
+        assign(&mut self.occupied, shard, !queue.is_empty());
+        assign(&mut self.room, shard, queue.len() < self.depth);
         self.head_gpus[shard] = head;
     }
 
     fn push(&mut self, shard: usize, item: PendingJob) {
         if self.queues[shard].is_empty() {
             // A new head is exposed: this shard must be (re)tried.
-            mask_set(&mut self.ready, shard);
+            self.ready.insert(shard);
         }
         self.queues[shard].push_back(item);
         self.max_depths[shard] = self.max_depths[shard].max(self.queues[shard].len());
@@ -208,7 +172,7 @@ impl ShardQueues {
             if idx == 0 {
                 // The next head, if any, is exposed and has never been
                 // tried against the shard's current state.
-                mask_assign(&mut self.ready, victim, !self.queues[victim].is_empty());
+                assign(&mut self.ready, victim, !self.queues[victim].is_empty());
             }
             self.resync(victim);
         }
@@ -218,20 +182,9 @@ impl ShardQueues {
     /// Capacity on `shard` grew (release or eviction): its blocked head,
     /// if any, may fit now.
     fn note_capacity_freed(&mut self, shard: usize) {
-        if mask_get(&self.occupied, shard) {
-            mask_set(&mut self.ready, shard);
+        if self.occupied.contains(shard) {
+            self.ready.insert(shard);
         }
-    }
-
-    /// Shard `shard`'s head failed to place: until its head changes or
-    /// its capacity grows, retrying is pointless.
-    fn note_head_blocked(&mut self, shard: usize) {
-        mask_clear(&mut self.ready, shard);
-    }
-
-    /// Number of shards with a non-empty queue.
-    fn occupied_count(&self) -> usize {
-        self.occupied.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     fn push_backlog(&mut self, item: PendingJob) {
@@ -255,8 +208,8 @@ impl ShardQueues {
         );
         debug_assert!(
             self.queues.iter().enumerate().all(|(s, q)| {
-                mask_get(&self.occupied, s) != q.is_empty()
-                    && mask_get(&self.room, s) == (q.len() < self.depth)
+                self.occupied.contains(s) != q.is_empty()
+                    && self.room.contains(s) == (q.len() < self.depth)
                     && self.head_gpus[s] == q.front().map_or(0, |item| item.job.num_gpus())
             }),
             "occupied / room masks and head sizes must mirror the shard queues"
@@ -493,56 +446,61 @@ impl Cluster {
         &self.shards[id]
     }
 
-    /// Per-shard Predicted-EffBW peeks for `job` — the score inputs of a
-    /// [`ServerPolicy::needs_scores`] ranking, evaluated per the dispatch
-    /// mode. An impossible request on a shard (heterogeneous fleet, job
-    /// larger than the machine) is simply not a candidate — no score.
+    /// Runs `work` on each `(shard, job)` pair per the dispatch mode and
+    /// returns the results in pair order; the pairs name distinct shards.
+    /// Selection peeks (every shard × one job) and decision rounds (ready
+    /// shards × their heads) both evaluate shards through here.
     ///
-    /// In [`DispatchMode::Parallel`] the shards are *moved* into pool
-    /// tasks (peeks share no state, so tasks cannot interfere) in
-    /// contiguous chunks of roughly `shards / pool threads` — one task
-    /// per worker instead of one per shard, so a 64-shard ranking costs
-    /// ~8 scatter round-trips of task overhead, not 64 — and moved back
-    /// in submission order, which *is* shard order.
-    fn peek_scores(&mut self, job: &JobSpec) -> Vec<Option<f64>> {
-        fn peek_one(shard: &mut MapaAllocator, job: &JobSpec) -> Option<f64> {
-            shard
-                .peek(job)
-                .ok()
-                .flatten()
-                .map(|(_, score)| score.predicted_eff_bw)
+    /// In [`DispatchMode::Parallel`] the named shards are *moved* into
+    /// pool tasks — shard work reads and writes only its own allocator, so
+    /// tasks cannot interfere — in contiguous chunks of ⌈pairs / pool
+    /// threads⌉, one task per worker, and moved back in submission order;
+    /// shards not named never leave the cluster. Results and allocator end
+    /// states are the sequential path's by construction.
+    fn on_shards<'j, T: Send + 'static>(
+        &mut self,
+        pairs: impl Iterator<Item = (usize, &'j JobSpec)>,
+        work: fn(&mut MapaAllocator, &JobSpec) -> T,
+    ) -> Vec<T> {
+        if self.dispatch == DispatchMode::Sequential {
+            let shards = &mut self.shards;
+            return pairs.map(|(s, job)| work(&mut shards[s], job)).collect();
         }
-        match self.dispatch {
-            DispatchMode::Sequential => {
-                let shards = &mut self.shards;
-                shards.iter_mut().map(|s| peek_one(s, job)).collect()
-            }
-            DispatchMode::Parallel => {
-                let n = self.shards.len();
-                let chunk_size = n.div_ceil(self.pool.threads().clamp(1, n.max(1)));
-                let mut drained = std::mem::take(&mut self.shards).into_iter();
-                let mut tasks = Vec::new();
-                loop {
-                    let chunk: Vec<MapaAllocator> = drained.by_ref().take(chunk_size).collect();
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    let job = job.clone();
-                    tasks.push(move || {
-                        let mut chunk = chunk;
-                        let scores: Vec<Option<f64>> =
-                            chunk.iter_mut().map(|s| peek_one(s, &job)).collect();
-                        (chunk, scores)
-                    });
+        let pairs: Vec<(usize, &JobSpec)> = pairs.collect();
+        let mut slots: Vec<Option<MapaAllocator>> = std::mem::take(&mut self.shards)
+            .into_iter()
+            .map(Some)
+            .collect();
+        let chunk_size = pairs.len().div_ceil(self.pool.threads().max(1)).max(1);
+        let tasks: Vec<_> = pairs
+            .chunks(chunk_size)
+            .map(|chunk| {
+                let mut chunk: Vec<(usize, MapaAllocator, JobSpec)> = chunk
+                    .iter()
+                    .map(|&(s, job)| {
+                        let shard = slots[s].take().expect("pairs name distinct shards");
+                        (s, shard, job.clone())
+                    })
+                    .collect();
+                move || {
+                    let results: Vec<T> =
+                        chunk.iter_mut().map(|(_, a, job)| work(a, job)).collect();
+                    (chunk, results)
                 }
-                let mut results = Vec::with_capacity(n);
-                for (chunk, scores) in self.pool.scatter(tasks) {
-                    self.shards.extend(chunk);
-                    results.extend(scores);
-                }
-                results
+            })
+            .collect();
+        let mut results = Vec::with_capacity(pairs.len());
+        for (chunk, chunk_results) in self.pool.scatter(tasks) {
+            for (s, shard, _) in chunk {
+                slots[s] = Some(shard);
             }
+            results.extend(chunk_results);
         }
+        self.shards = slots
+            .into_iter()
+            .map(|slot| slot.expect("every moved shard returned"))
+            .collect();
+        results
     }
 
     /// Ranks the shards for `job` per the server policy (scores peeked
@@ -552,7 +510,13 @@ impl Cluster {
     /// routing into shard queues.
     fn rank_shards(&mut self, job: &JobSpec, seq: u64) -> Vec<usize> {
         let scores: Vec<Option<f64>> = if self.server_policy.needs_scores() {
-            self.peek_scores(job)
+            // An impossible request on a shard (heterogeneous fleet, job
+            // larger than the machine) is simply not a candidate: no score.
+            let pairs = (0..self.shards.len()).map(|s| (s, job));
+            self.on_shards(pairs, |shard, job| {
+                let peeked = shard.peek(job).ok().flatten();
+                peeked.map(|(_, score)| score.predicted_eff_bw)
+            })
         } else {
             vec![None; self.shards.len()]
         };
@@ -571,21 +535,22 @@ impl Cluster {
     /// queue is full (the job then waits in the backlog).
     fn route_target(&mut self, job: &JobSpec) -> Option<usize> {
         let eligible = |shards: &[MapaAllocator], queues: &ShardQueues, s: usize| {
-            mask_get(&queues.room, s) && job.num_gpus() <= shards[s].topology().gpu_count()
+            queues.room.contains(s) && job.num_gpus() <= shards[s].topology().gpu_count()
         };
         // Ranking can be expensive (best-score peeks every shard), and
         // the backlog retries routing after every event — bail out before
         // ranking when no eligible queue has room, since no preference
         // order could change the answer. On a backlogged fleet `room` is
-        // all zeros and this touches no shard.
+        // empty and this touches no shard.
+        let queues = self.queues.as_ref().expect("routing requires queues");
+        if !queues
+            .room
+            .iter()
+            .any(|s| eligible(&self.shards, queues, s))
         {
-            let queues = self.queues.as_ref().expect("routing requires queues");
-            if !mask_indices(&queues.room).any(|s| eligible(&self.shards, queues, s)) {
-                return None;
-            }
+            return None;
         }
-        let seq = self.admitted;
-        let order = self.rank_shards(job, seq);
+        let order = self.rank_shards(job, self.admitted);
         let queues = self.queues.as_ref().expect("routing requires queues");
         order
             .into_iter()
@@ -629,29 +594,37 @@ impl Cluster {
             .queues
             .as_ref()
             .expect("decision rounds require queues");
-        let candidates: Vec<usize> = mask_indices(&queues.ready).collect();
-        if candidates.is_empty() {
+        let heads: Vec<(usize, JobSpec)> = queues
+            .ready
+            .iter()
+            .map(|s| {
+                let head = queues.queues[s]
+                    .front()
+                    .expect("ready shards have a queue head");
+                (s, head.job.clone())
+            })
+            .collect();
+        if heads.is_empty() {
             return Vec::new();
         }
-        let heads: Vec<JobSpec> = {
-            let queues = self.queues.as_ref().expect("queues live for the round");
-            candidates
-                .iter()
-                .map(|&s| {
-                    queues.queues[s]
-                        .front()
-                        .expect("ready shards have a queue head")
-                        .job
-                        .clone()
-                })
-                .collect()
-        };
-        let outcomes = self.decide_on_shards(&candidates, heads);
+        let pairs = heads.iter().map(|(s, job)| (*s, job));
+        let outcomes = self.on_shards(pairs, |shard, job| match shard.try_allocate(job) {
+            Ok(outcome) => outcome,
+            // Routing only queues jobs the machine could ever host, so any
+            // error here (duplicate active id) is a caller bug — surface
+            // it like the global-queue path does.
+            Err(e) => panic!("shard placement of job {}: {e}", job.id),
+        });
+        let queues = self
+            .queues
+            .as_mut()
+            .expect("decision rounds require queues");
         let mut placed = Vec::new();
-        for (&server, outcome) in candidates.iter().zip(outcomes) {
-            let queues = self.queues.as_mut().expect("queues live for the round");
+        for ((server, _), outcome) in heads.into_iter().zip(outcomes) {
             let Some(outcome) = outcome else {
-                queues.note_head_blocked(server);
+                // Until the head changes or the shard's capacity grows,
+                // retrying it is pointless.
+                queues.ready.remove(server);
                 continue;
             };
             let item = queues
@@ -659,66 +632,13 @@ impl Cluster {
                 .expect("outcome for a queued head");
             debug_assert_eq!(item.job.id, outcome.job_id);
             self.placements += 1;
+            let overhead = outcome.scheduling_overhead;
             placed.push(DispatchedJob {
                 pending: item,
-                placement: Placement {
-                    server,
-                    gpus: outcome.gpus,
-                    score: outcome.score,
-                    scheduling_overhead: outcome.scheduling_overhead,
-                },
+                placement: placement(server, outcome, overhead),
             });
         }
         placed
-    }
-
-    /// Runs [`decide_head`] on each `(candidate shard, head)` pair per
-    /// the dispatch mode, returning outcomes in candidate order. In
-    /// [`DispatchMode::Parallel`] only the candidate allocators are moved
-    /// into pool tasks (decisions share no state, so tasks cannot
-    /// interfere); non-candidate shards never leave the cluster, and
-    /// results come back in submission order, so outcomes and allocator
-    /// end states are identical to the sequential path by construction.
-    fn decide_on_shards(
-        &mut self,
-        candidates: &[usize],
-        heads: Vec<JobSpec>,
-    ) -> Vec<Option<AllocationOutcome>> {
-        debug_assert_eq!(candidates.len(), heads.len());
-        match self.dispatch {
-            DispatchMode::Sequential => candidates
-                .iter()
-                .zip(heads)
-                .map(|(&s, head)| decide_head(&mut self.shards[s], head))
-                .collect(),
-            DispatchMode::Parallel => {
-                let mut slots: Vec<Option<MapaAllocator>> = std::mem::take(&mut self.shards)
-                    .into_iter()
-                    .map(Some)
-                    .collect();
-                let tasks: Vec<_> = candidates
-                    .iter()
-                    .zip(heads)
-                    .map(|(&s, head)| {
-                        let mut shard = slots[s].take().expect("candidate shards are distinct");
-                        move || {
-                            let outcome = decide_head(&mut shard, head);
-                            (shard, outcome)
-                        }
-                    })
-                    .collect();
-                let mut outcomes = Vec::with_capacity(tasks.len());
-                for (&s, (shard, outcome)) in candidates.iter().zip(self.pool.scatter(tasks)) {
-                    slots[s] = Some(shard);
-                    outcomes.push(outcome);
-                }
-                self.shards = slots
-                    .into_iter()
-                    .map(|slot| slot.expect("every moved shard returned"))
-                    .collect();
-                outcomes
-            }
-        }
     }
 
     /// Panics when job id `job` is already active anywhere in the fleet —
@@ -792,29 +712,26 @@ impl Cluster {
     /// guaranteed cache hit — from the deepest non-empty queue among
     /// `victims` (a mask; `None` = every queue; depth ties break toward
     /// the lowest victim id). Returns whether a job moved.
-    fn pull_waiting_job(&mut self, thief: usize, victims: Option<&[u64]>) -> bool {
-        let Some(queues) = self.queues.as_ref() else {
+    fn pull_waiting_job(&mut self, thief: usize, victims: Option<&BitSet>) -> bool {
+        let Some(queues) = self.queues.as_mut() else {
             return false;
         };
-        if mask_get(&queues.occupied, thief) {
+        if queues.occupied.contains(thief) {
             return false;
         }
-        let victim = mask_indices(victims.unwrap_or(&queues.occupied))
-            .filter(|&v| v != thief && mask_get(&queues.occupied, v))
+        let victim = victims
+            .unwrap_or(&queues.occupied)
+            .iter()
+            .filter(|&v| v != thief && queues.occupied.contains(v))
             .max_by_key(|&v| (queues.queues[v].len(), std::cmp::Reverse(v)));
         let Some(victim) = victim else { return false };
         let thief_capacity = self.shards[thief].topology().gpu_count();
-        let mut take = None;
-        for (idx, item) in queues.queues[victim].iter().enumerate() {
-            if item.job.num_gpus() <= thief_capacity
+        let Some(idx) = queues.queues[victim].iter().position(|item| {
+            item.job.num_gpus() <= thief_capacity
                 && matches!(self.shards[thief].peek(&item.job), Ok(Some(_)))
-            {
-                take = Some(idx);
-                break;
-            }
-        }
-        let Some(idx) = take else { return false };
-        let queues = self.queues.as_mut().expect("queues checked above");
+        }) else {
+            return false;
+        };
         let item = queues.take_at(victim, idx).expect("index found above");
         queues.push(thief, item);
         true
@@ -832,14 +749,14 @@ impl Cluster {
         };
         // No victim (every queue empty) or no thief (every queue busy):
         // the occupancy mask answers in O(words) without a shard walk.
-        let occupied = queues.occupied_count();
+        let occupied = queues.occupied.count();
         if occupied == 0 || occupied == self.shards.len() {
             return false;
         }
         let victims = queues.occupied.clone();
         let mut moved = false;
         for thief in 0..self.shards.len() {
-            if !mask_get(&victims, thief) && self.pull_waiting_job(thief, Some(&victims)) {
+            if !victims.contains(thief) && self.pull_waiting_job(thief, Some(&victims)) {
                 self.migration_stats.jobs_stolen += 1;
                 moved = true;
             }
@@ -876,13 +793,15 @@ impl Cluster {
     /// pooled free GPUs would have fit.
     fn blocked_heads(&self) -> (u64, u64) {
         let queues = self.queues.as_ref().expect("accounting requires queues");
-        let mut blocked = queues.occupied_count() as u64;
+        let mut blocked = queues.occupied.count() as u64;
         let mut frag = 0u64;
         // The free-GPU sum is only needed for fragmentation accounting;
         // skip it (and the occupied walk) when nothing is blocked.
         if blocked > 0 || !self.gang_backlog.is_empty() {
             let total_free = self.total_free_gpus();
-            frag = mask_indices(&queues.occupied)
+            frag = queues
+                .occupied
+                .iter()
                 .filter(|&s| total_free >= queues.head_gpus[s])
                 .count() as u64;
             if let Some((gang, _)) = self.gang_backlog.front() {
@@ -894,19 +813,35 @@ impl Cluster {
         }
         (blocked, frag)
     }
+
+    /// Evicts `plan` on shard `server` — the one eviction commit of both
+    /// preemption paths. The eviction freed capacity there: without
+    /// marking the shard's blocked head ready, the next pump would never
+    /// retry it and a queued-path preemption would be wasted.
+    fn evict_on(&mut self, server: usize, plan: Vec<u64>) -> Vec<Eviction> {
+        self.shards[server].evict(&plan);
+        self.quiescent = None;
+        if let Some(queues) = self.queues.as_mut() {
+            queues.note_capacity_freed(server);
+        }
+        plan.into_iter()
+            .map(|job_id| Eviction { server, job_id })
+            .collect()
+    }
 }
 
-/// The per-shard half of a decision round: place the shard's queue head
-/// on the shard, or report that it must keep waiting. Runs on a pool
-/// worker in [`DispatchMode::Parallel`] — it touches nothing but this
-/// shard's allocator.
-fn decide_head(shard: &mut MapaAllocator, job: JobSpec) -> Option<AllocationOutcome> {
-    match shard.try_allocate(&job) {
-        Ok(outcome) => outcome,
-        // Routing only queues jobs the machine could ever host, so any
-        // error here (duplicate active id) is a caller bug — surface it
-        // like the global-queue path does.
-        Err(e) => panic!("shard placement of job {}: {e}", job.id),
+/// The engine's view of `outcome` committed on shard `server`, charged
+/// `scheduling_overhead`.
+fn placement(
+    server: usize,
+    outcome: AllocationOutcome,
+    scheduling_overhead: Duration,
+) -> Placement {
+    Placement {
+        server,
+        gpus: outcome.gpus,
+        score: outcome.score,
+        scheduling_overhead,
     }
 }
 
@@ -979,14 +914,9 @@ impl SchedulerBackend for Cluster {
         let started = Instant::now();
         self.quiescent = None;
         let (server, outcome) = self.place_fleetwide(job)?;
-        Some(Placement {
-            server,
-            gpus: outcome.gpus,
-            score: outcome.score,
-            // The cluster's decision includes the server-selection stage
-            // (and any shards probed and refused).
-            scheduling_overhead: started.elapsed(),
-        })
+        // The cluster's decision includes the server-selection stage (and
+        // any shards probed and refused).
+        Some(placement(server, outcome, started.elapsed()))
     }
 
     fn release(&mut self, server: usize, job: u64) {
@@ -1062,20 +992,11 @@ impl SchedulerBackend for Cluster {
                 }
             }
         }
-        let scheduling_overhead = started.elapsed();
-        Some(
-            placed
-                .into_iter()
-                .map(|(server, outcome)| Placement {
-                    server,
-                    gpus: outcome.gpus,
-                    score: outcome.score,
-                    // The gang decision is atomic; every member carries
-                    // the whole reservation's overhead.
-                    scheduling_overhead,
-                })
-                .collect(),
-        )
+        // The gang decision is atomic; every member carries the whole
+        // reservation's overhead.
+        let overhead = started.elapsed();
+        let placements = placed.into_iter().map(|(s, o)| placement(s, o, overhead));
+        Some(placements.collect())
     }
 
     fn preempt_for(
@@ -1096,17 +1017,7 @@ impl SchedulerBackend for Cluster {
                 }
             }
         }
-        let Some((server, plan)) = best else {
-            return Vec::new();
-        };
-        self.shards[server].evict(&plan);
-        self.quiescent = None;
-        if let Some(queues) = self.queues.as_mut() {
-            queues.note_capacity_freed(server);
-        }
-        plan.into_iter()
-            .map(|job_id| Eviction { server, job_id })
-            .collect()
+        best.map_or_else(Vec::new, |(server, plan)| self.evict_on(server, plan))
     }
 
     fn preempt_blocked(
@@ -1121,31 +1032,24 @@ impl SchedulerBackend for Cluster {
         let Some(queues) = self.queues.as_ref() else {
             return Vec::new();
         };
-        let occupied: Vec<usize> = mask_indices(&queues.occupied).collect();
+        let heads: Vec<(usize, JobSpec)> = queues
+            .occupied
+            .iter()
+            .map(|s| {
+                let head = queues.queues[s]
+                    .front()
+                    .expect("occupied queues have a head");
+                (s, head.job.clone())
+            })
+            .collect();
         let mut evictions = Vec::new();
-        for s in occupied {
-            let head = self.queues.as_ref().expect("checked above").queues[s]
-                .front()
-                .map(|item| item.job.clone());
-            let Some(head) = head else { continue };
+        for (s, head) in heads {
             if matches!(self.shards[s].peek(&head), Ok(Some(_))) {
                 continue; // placeable already; the next pump starts it
             }
             if let Some(plan) = self.shards[s].preemption_plan(&head, policy, shielded) {
                 if !plan.is_empty() {
-                    self.shards[s].evict(&plan);
-                    self.quiescent = None;
-                    // The eviction freed capacity for this head — without
-                    // this the ready mask would never retry it and the
-                    // preemption would be wasted.
-                    self.queues
-                        .as_mut()
-                        .expect("checked above")
-                        .note_capacity_freed(s);
-                    evictions.extend(
-                        plan.into_iter()
-                            .map(|job_id| Eviction { server: s, job_id }),
-                    );
+                    evictions.extend(self.evict_on(s, plan));
                 }
             }
         }
@@ -1153,34 +1057,19 @@ impl SchedulerBackend for Cluster {
     }
 
     fn admit(&mut self, item: PendingJob) {
-        assert!(
-            self.queues.is_some(),
-            "admit called on a cluster without shard queues"
-        );
-        // Arrival-order fairness: while older jobs wait in the backlog, a
-        // new arrival must queue behind them, not overtake into a shard
-        // queue.
-        let backlogged = !self
+        let queues = self
             .queues
-            .as_ref()
-            .expect("checked above")
-            .backlog
-            .is_empty();
-        // Behind a non-empty backlog the arrival changes nothing a pump
-        // looks at; anywhere else it may (see `quiescent`).
-        let target = if backlogged {
-            None
-        } else {
+            .as_mut()
+            .expect("admit called on a cluster without shard queues");
+        // Arrival-order fairness: while older jobs wait in the backlog, a
+        // new arrival queues behind them instead of overtaking into a shard
+        // queue, and changes nothing a pump looks at (see `quiescent`).
+        // Behind an empty backlog, routing it is refilling the backlog.
+        let backlogged = !queues.backlog.is_empty();
+        queues.push_backlog(item);
+        if !backlogged {
             self.quiescent = None;
-            self.route_target(&item.job)
-        };
-        let queues = self.queues.as_mut().expect("checked above");
-        match target {
-            Some(shard) => {
-                queues.push(shard, item);
-                self.admitted += 1;
-            }
-            None => queues.push_backlog(item),
+            self.refill_from_backlog();
         }
     }
 

@@ -370,9 +370,17 @@ impl Federation {
         let largest = members.iter().map(JobSpec::num_gpus).max().unwrap_or(0);
         let mut feasible = self.ranked(&members[0], largest);
         feasible.retain(|&c| self.gpu_counts[c] >= total);
-        let first = *feasible
-            .first()
-            .expect("the engine pre-validates jobs and gangs against the clusters");
+        let Some(&first) = feasible.first() else {
+            let QueueItem::Gang { gang, .. } = &item else {
+                unreachable!("the engine checks each job against the largest server");
+            };
+            let most = self.gpu_counts.iter().max().copied().unwrap_or(0);
+            panic!(
+                "gang {} needs {total} units, but the largest cluster has {most}: \
+                 a gang on the queued path is pinned to one cluster",
+                gang.id
+            );
+        };
         let pick = feasible
             .iter()
             .copied()

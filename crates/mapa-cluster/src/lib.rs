@@ -25,10 +25,10 @@
 //!   fleet. [`DispatchMode::Parallel`] evaluates shard decisions
 //!   concurrently on the shared worker pool with a deterministic
 //!   shard-order merge — schedules are bit-identical to sequential
-//!   dispatch. A [`MigrationPolicy`] ([`migrate`]) can requeue waiting
-//!   jobs from hot queues to idle shards (work stealing or release-time
-//!   rebalancing), with counters surfaced in `SimReport`, the log file,
-//!   and the CLI's `--json` report.
+//!   dispatch, though measured slower. A [`MigrationPolicy`]
+//!   ([`migrate`]) can requeue waiting jobs from hot queues to idle shards
+//!   (work stealing or release-time rebalancing), with counters surfaced
+//!   in `SimReport`, the log file, and the CLI's `--json` report.
 //! * **Gangs + preemption at fleet scale** — the cluster reserves
 //!   capacity for a `JobGroup` atomically across shards (any member
 //!   failing rolls the whole reservation back), and under a

@@ -1,11 +1,12 @@
 //! A persistent worker pool.
 //!
-//! Its users are `mapa-cluster`'s `DispatchMode::Parallel` (one shard
-//! decision per task) and the campaign runner (one cell per task);
-//! at decision frequency spawning threads per call would dominate the
-//! work, so [`WorkerPool`] keeps long-lived workers fed by a channel work
-//! queue and a whole run — or several sharing one pool through an
-//! [`std::sync::Arc`] — pays thread start-up once per process. No matcher
+//! Its users are `mapa-cluster`'s `DispatchMode::Parallel` (one task per
+//! worker, each evaluating a chunk of ⌈shards / threads⌉ shards) and the
+//! campaign runner (one cell per task); at decision frequency spawning
+//! threads per call would dominate the work, so [`WorkerPool`] keeps
+//! long-lived workers fed by a channel work queue and a whole run — or
+//! several sharing one pool through an [`std::sync::Arc`] — pays thread
+//! start-up once per process. No matcher
 //! runs on it: enumeration is sequential. The pool stays in this crate
 //! because `mapa::isomorph::{WorkerPool, default_threads}` is the path the
 //! benchmark harness imports it by.

@@ -17,8 +17,8 @@
 //!   comparison with our re-fit model;
 //! * [`corpus`] — the training-set protocol of §3.4.3: enumerate 2–5-GPU
 //!   allocations on a machine, deduplicate by unique `(x, y, z)`, and
-//!   measure EffBW with the simulated microbenchmark (31 samples on
-//!   DGX-1V, same as the paper);
+//!   measure EffBW with the simulated microbenchmark (26 samples on
+//!   DGX-1V, against the paper's 31);
 //! * [`metrics`] — RMSE, MAE, mean relative error, Pearson correlation.
 //!
 //! # Example

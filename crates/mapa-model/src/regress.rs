@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn model_generalizes_to_all_allocations() {
-        // Fit on the 31 unique mixes, evaluate on every 2–5-GPU allocation
+        // Fit on the 26 unique mixes, evaluate on every 2–5-GPU allocation
         // (Fig. 12's "generalizes well even when the number of GPUs in a
         // job varies").
         let dgx = machines::dgx1_v100();

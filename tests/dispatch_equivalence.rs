@@ -26,9 +26,12 @@ use mapa::core::policy::{
     AllocationPolicy, BaselinePolicy, EffBwGreedyPolicy, GreedyPolicy, PreservePolicy,
     TopoAwarePolicy,
 };
+use mapa::isomorph::WorkerPool;
 use mapa::prelude::*;
 use mapa::sim::digest::schedule_digest;
 use proptest::prelude::*;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 #[path = "util/golden.rs"]
 mod golden;
@@ -59,6 +62,25 @@ fn fleet(servers: usize, policy_idx: usize, server_policy_idx: usize) -> Cluster
         || policy_by_index(policy_idx),
         server_policy_by_index(server_policy_idx),
     )
+}
+
+/// `fleet` dispatching in parallel on a pool of its own `threads`
+/// workers, whatever the host's core count: one worker runs every chunk in
+/// turn, and 3 shards on 2 or 4 workers split into uneven chunks.
+fn parallel_fleet(
+    servers: usize,
+    policy_idx: usize,
+    server_policy_idx: usize,
+    threads: usize,
+) -> Cluster {
+    Cluster::with_shared_resources(
+        vec![machines::dgx1_v100(); servers],
+        || policy_by_index(policy_idx),
+        server_policy_by_index(server_policy_idx),
+        Arc::new(WorkerPool::new(threads)),
+        &mut HashMap::new(),
+    )
+    .with_dispatch(DispatchMode::Parallel)
 }
 
 /// Bit-identical schedules: every semantic field of every record must
@@ -110,6 +132,7 @@ proptest! {
         servers in 2usize..4,
         depth in 2usize..10,
         server_policy_idx in 0usize..4,
+        threads in 1usize..5,
     ) {
         let jobs = generator::paper_job_mix(seed);
         let jobs = &jobs[..take];
@@ -119,14 +142,13 @@ proptest! {
             )
             .run(jobs);
             let par = Engine::over(
-                fleet(servers, policy_idx, server_policy_idx)
-                    .with_shard_queues(depth)
-                    .with_dispatch(DispatchMode::Parallel),
+                parallel_fleet(servers, policy_idx, server_policy_idx, threads)
+                    .with_shard_queues(depth),
             )
             .run(jobs);
             let context = format!(
                 "queued: alloc #{policy_idx}, server #{server_policy_idx}, \
-                 seed {seed}, {servers} shards, depth {depth}"
+                 seed {seed}, {servers} shards, depth {depth}, {threads} threads"
             );
             assert_identical_schedules(&seq, &par, &context);
         }
@@ -143,20 +165,21 @@ proptest! {
         take in 20usize..45,
         servers in 2usize..4,
         server_policy_idx in 0usize..4,
+        threads in 1usize..5,
     ) {
         let jobs = generator::paper_job_mix(seed);
         let jobs = &jobs[..take];
         for policy_idx in 0..5 {
             let pr3 = Engine::over(fleet(servers, policy_idx, server_policy_idx)).run(jobs);
             let par = Engine::over(
-                fleet(servers, policy_idx, server_policy_idx)
-                    .with_dispatch(DispatchMode::Parallel)
+                parallel_fleet(servers, policy_idx, server_policy_idx, threads)
                     .with_migration(MigrationPolicy::None),
             )
             .run(jobs);
             assert_eq!(par.dispatch.as_ref().unwrap().shard_queue_depth, 0);
             let context = format!(
-                "global queue: alloc #{policy_idx}, server #{server_policy_idx}, seed {seed}"
+                "global queue: alloc #{policy_idx}, server #{server_policy_idx}, \
+                 seed {seed}, {threads} threads"
             );
             assert_identical_schedules(&pr3, &par, &context);
         }
@@ -171,6 +194,7 @@ proptest! {
         take in 20usize..45,
         migration_idx in 0usize..3,
         server_policy_idx in 0usize..4,
+        threads in 1usize..5,
     ) {
         let migration = match migration_idx {
             0 => MigrationPolicy::None,
@@ -186,14 +210,13 @@ proptest! {
         )
         .run(jobs);
         let par = Engine::over(
-            fleet(3, 3, server_policy_idx)
+            parallel_fleet(3, 3, server_policy_idx, threads)
                 .with_shard_queues(4)
-                .with_migration(migration)
-                .with_dispatch(DispatchMode::Parallel),
+                .with_migration(migration),
         )
         .run(jobs);
         let context = format!(
-            "migration {:?}, server #{server_policy_idx}, seed {seed}",
+            "migration {:?}, server #{server_policy_idx}, seed {seed}, {threads} threads",
             migration
         );
         assert_identical_schedules(&seq, &par, &context);

@@ -104,4 +104,41 @@ mod tests {
             }
         }
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The bounded search returns the exhaustive maximum, bit for bit,
+        /// on random machines whose GPU pairs draw any of the four links.
+        #[test]
+        fn ideal_bandwidth_equals_the_exhaustive_maximum_on_random_machines(
+            n in 2usize..12,
+            draws in proptest::collection::vec(0usize..4, 55..56),
+        ) {
+            let mut links = mapa_graph::Graph::new(n);
+            let pairs = (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b)));
+            for ((a, b), &draw) in pairs.zip(&draws) {
+                let link = mapa_topology::LinkType::all()[draw];
+                if link != mapa_topology::LinkType::Pcie {
+                    links.add_edge(a, b, link).unwrap();
+                }
+            }
+            let machine = Topology::new("random", links, vec![0; n]);
+            for k in 0..=n + 1 {
+                let exhaustive = mapa_model::corpus::combinations(n, k)
+                    .into_iter()
+                    .map(|combo| machine.bandwidth_among(&combo))
+                    .fold(0.0, f64::max);
+                let expected = if k < 2 { 0.0 } else { exhaustive };
+                proptest::prop_assert_eq!(
+                    machine.ideal_aggregate_bandwidth(k).to_bits(),
+                    expected.to_bits(),
+                    "n={} k={} links={:?}",
+                    n,
+                    k,
+                    &draws
+                );
+            }
+        }
+    }
 }

@@ -111,6 +111,19 @@ impl LinkMix {
     }
 }
 
+/// Counts both mixes' links: the mix of two disjoint sets of GPU pairs.
+impl std::ops::Add for LinkMix {
+    type Output = Self;
+
+    fn add(self, other: Self) -> Self {
+        Self {
+            double_nvlink: self.double_nvlink + other.double_nvlink,
+            single_nvlink: self.single_nvlink + other.single_nvlink,
+            pcie: self.pcie + other.pcie,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -124,7 +124,8 @@ impl Ledger {
 
     /// Parses [`Ledger::render`]'s format, refusing anything it cannot
     /// prove intact (bad magic, missing or mismatched checksum trailer,
-    /// malformed lease lines, overlapping GPU sets).
+    /// malformed lease lines, lease ids that do not ascend, overlapping
+    /// GPU sets).
     ///
     /// # Errors
     /// [`AgentError::LedgerCorrupt`] naming the first problem found.
@@ -175,6 +176,12 @@ impl Ledger {
                 return Err(corrupt(format!(
                     "lease {} exceeds generation {generation}",
                     lease.id
+                )));
+            }
+            if let Some(prev) = ledger.leases.last().filter(|prev| lease.id <= prev.id) {
+                return Err(corrupt(format!(
+                    "lease {} after lease {}: ids must ascend",
+                    lease.id, prev.id
                 )));
             }
             for &g in &lease.gpus {
@@ -575,6 +582,13 @@ mod tests {
             leases: vec![lease(1, 1, &[0, 1]), lease(2, 2, &[1, 2])],
         };
         assert!(Ledger::parse(&overlapping.render(), Path::new("x")).is_err());
+        // So is a repeated lease id: `release` would drop only one of them.
+        let repeated = Ledger {
+            generation: 2,
+            leases: vec![lease(1, 1, &[0, 1]), lease(1, 1, &[2, 3])],
+        };
+        let err = Ledger::parse(&repeated.render(), Path::new("x")).unwrap_err();
+        assert!(matches!(err, AgentError::LedgerCorrupt { .. }), "{err}");
     }
 
     #[test]

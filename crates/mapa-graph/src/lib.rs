@@ -11,7 +11,6 @@
 //! * [`Graph`] — an undirected graph with per-edge weights of any `Copy`
 //!   type. Hardware graphs use `f64` bandwidths, pattern graphs use `()`.
 //! * [`BitSet`] — a dynamic bitset used for adjacency rows and vertex sets.
-//! * [`dot`] — Graphviz DOT export for debugging and documentation.
 //!
 //! # Example
 //!
@@ -33,7 +32,6 @@
 #![warn(missing_docs)]
 
 mod bitset;
-pub mod dot;
 mod error;
 mod graph;
 

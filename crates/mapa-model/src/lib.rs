@@ -9,10 +9,9 @@
 //! This crate provides:
 //!
 //! * [`features`] — the exact Eq. 2 feature expansion;
-//! * [`linalg`] — a small dense-matrix toolkit with a partial-pivot
-//!   Gaussian solver, enough to do ordinary least squares in-repo;
 //! * [`EffBwModel`] — fit (via OLS over the features, exactly the paper's
-//!   "non-linear polynomial regression") and predict;
+//!   "non-linear polynomial regression", one 14×14 normal-equation solve)
+//!   and predict;
 //! * [`paper_coefficients`] — the published Table 2 θ values, kept for
 //!   comparison with our re-fit model;
 //! * [`corpus`] — the training-set protocol of §3.4.3: enumerate 2–5-GPU
@@ -41,7 +40,6 @@
 
 pub mod corpus;
 pub mod features;
-pub mod linalg;
 pub mod metrics;
 mod paper;
 mod regress;

@@ -2,7 +2,6 @@
 
 use crate::corpus::{self, Sample};
 use crate::features::{self, NUM_FEATURES};
-use crate::linalg::{self, LinalgError, Matrix};
 use crate::metrics;
 use mapa_topology::{LinkMix, Topology};
 use std::fmt;
@@ -17,8 +16,10 @@ pub enum FitError {
         /// Minimum required (the feature count).
         need: usize,
     },
-    /// The normal equations could not be solved.
-    Linalg(LinalgError),
+    /// The normal equations `AᵀA + λI` are singular to working precision
+    /// (no pivot above 1e-12). The ridge `λ` keeps a merely rank-deficient
+    /// corpus clear of this.
+    Singular,
 }
 
 impl fmt::Display for FitError {
@@ -27,7 +28,7 @@ impl fmt::Display for FitError {
             FitError::TooFewSamples { got, need } => {
                 write!(f, "need at least {need} samples to fit, got {got}")
             }
-            FitError::Linalg(e) => write!(f, "normal equations failed: {e}"),
+            FitError::Singular => write!(f, "normal equations are singular to working precision"),
         }
     }
 }
@@ -62,9 +63,11 @@ impl EffBwModel {
     }
 
     /// Fits θ by least squares over the Eq. 2 features, the paper's
-    /// "non-linear polynomial regression" (the model is linear in θ).
+    /// "non-linear polynomial regression" (the model is linear in θ): one
+    /// 14×14 normal-equation solve `(AᵀA + λI)·θ = Aᵀb`, where row `k` of
+    /// `A` is sample `k`'s feature expansion and `b` its bandwidth.
     ///
-    /// A tiny ridge term (1e-6) guards against collinear corpora; its
+    /// A tiny ridge term `λ = 1e-6` guards against collinear corpora; its
     /// effect on predictions is far below measurement noise.
     ///
     /// # Errors
@@ -76,16 +79,28 @@ impl EffBwModel {
                 need: NUM_FEATURES,
             });
         }
-        let rows: Vec<Vec<f64>> = samples
-            .iter()
-            .map(|s| features::expand(&s.mix).to_vec())
-            .collect();
-        let a = Matrix::from_rows(&rows);
-        let b: Vec<f64> = samples.iter().map(|s| s.eff_bw_gbps).collect();
-        let theta_vec = linalg::least_squares(&a, &b, 1e-6).map_err(FitError::Linalg)?;
-        let mut theta = [0.0; NUM_FEATURES];
-        theta.copy_from_slice(&theta_vec);
-        Ok(Self { theta })
+        let rows: Vec<[f64; NUM_FEATURES]> =
+            samples.iter().map(|s| features::expand(&s.mix)).collect();
+        let mut ata = [[0.0; NUM_FEATURES]; NUM_FEATURES];
+        for row in &rows {
+            for (ata_i, &a_i) in ata.iter_mut().zip(row) {
+                for (cell, &a_j) in ata_i.iter_mut().zip(row) {
+                    *cell += a_i * a_j;
+                }
+            }
+        }
+        for (i, ata_i) in ata.iter_mut().enumerate() {
+            ata_i[i] += 1e-6;
+        }
+        let atb = std::array::from_fn(|i| {
+            rows.iter()
+                .zip(samples)
+                .map(|(row, s)| row[i] * s.eff_bw_gbps)
+                .sum()
+        });
+        Ok(Self {
+            theta: solve(ata, atb)?,
+        })
     }
 
     /// The fitted coefficients θ₁…θ₁₄.
@@ -117,6 +132,46 @@ impl EffBwModel {
     }
 }
 
+/// Solves `a·x = b` by Gaussian elimination with partial pivoting: the
+/// pivot is the largest `|a|` at or below the diagonal (the last such row
+/// on a tie), and back-substitution runs from the last column down.
+fn solve(
+    mut a: [[f64; NUM_FEATURES]; NUM_FEATURES],
+    mut x: [f64; NUM_FEATURES],
+) -> Result<[f64; NUM_FEATURES], FitError> {
+    for col in 0..NUM_FEATURES {
+        let pivot_row = (col..NUM_FEATURES)
+            .max_by(|&r1, &r2| a[r1][col].abs().total_cmp(&a[r2][col].abs()))
+            .expect("non-empty range");
+        if a[pivot_row][col].abs() < 1e-12 {
+            return Err(FitError::Singular);
+        }
+        a.swap(col, pivot_row);
+        x.swap(col, pivot_row);
+        let (above, below) = a.split_at_mut(col + 1);
+        let (x_above, x_below) = x.split_at_mut(col + 1);
+        let pivot_eq = &above[col];
+        for (eq, x_row) in below.iter_mut().zip(x_below) {
+            let factor = eq[col] / pivot_eq[col];
+            if factor == 0.0 {
+                continue;
+            }
+            for (cell, &p) in eq[col..].iter_mut().zip(&pivot_eq[col..]) {
+                *cell -= factor * p;
+            }
+            *x_row -= factor * x_above[col];
+        }
+    }
+    for col in (0..NUM_FEATURES).rev() {
+        x[col] /= a[col][col];
+        let (x_above, x_col) = x.split_at_mut(col);
+        for (x_row, eq) in x_above.iter_mut().zip(&a) {
+            *x_row -= eq[col] * x_col[0];
+        }
+    }
+    Ok(x)
+}
+
 /// Prediction-quality summary (paper Fig. 12 reports the first three).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelQuality {
@@ -134,7 +189,180 @@ pub struct ModelQuality {
 mod tests {
     use super::*;
     use crate::corpus::{build_corpus, build_full_corpus};
-    use mapa_topology::machines;
+    use mapa_topology::{machines, PartitionPlan};
+    use proptest::prelude::*;
+
+    /// `a` with `a[i][j] = 1` wherever `(i, j)` is listed, 0 elsewhere.
+    fn sparse(
+        ones: impl IntoIterator<Item = (usize, usize)>,
+    ) -> [[f64; NUM_FEATURES]; NUM_FEATURES] {
+        let mut a = [[0.0; NUM_FEATURES]; NUM_FEATURES];
+        for (i, j) in ones {
+            a[i][j] = 1.0;
+        }
+        a
+    }
+
+    /// A diagonally dominant (hence nonsingular) system drawn from `seed`.
+    fn diagonally_dominant(
+        seed: &[f64],
+    ) -> ([[f64; NUM_FEATURES]; NUM_FEATURES], [f64; NUM_FEATURES]) {
+        let n = NUM_FEATURES;
+        let mut a = [[0.0; NUM_FEATURES]; NUM_FEATURES];
+        for (i, row) in a.iter_mut().enumerate() {
+            row.copy_from_slice(&seed[i * n..(i + 1) * n]);
+            row[i] = 0.0;
+            row[i] = row.iter().map(|v| v.abs()).sum::<f64>() + 1.0;
+        }
+        (a, std::array::from_fn(|i| seed[n * n + i]))
+    }
+
+    proptest! {
+        #[test]
+        fn solve_then_multiply_roundtrips(
+            seed in proptest::collection::vec(-5.0f64..5.0, NUM_FEATURES * (NUM_FEATURES + 1)),
+        ) {
+            let (a, b) = diagonally_dominant(&seed);
+            let x = solve(a, b).unwrap();
+            for (row, want) in a.iter().zip(b) {
+                let got: f64 = row.iter().zip(&x).map(|(r, x)| r * x).sum();
+                prop_assert!((got - want).abs() < 1e-8, "{got} vs {want}");
+            }
+        }
+    }
+
+    #[test]
+    fn solve_swaps_rows_past_a_zero_leading_entry() {
+        // Rows 0 and 1 of the identity swapped: column 0 pivots on row 1.
+        let a = sparse((2..NUM_FEATURES).map(|i| (i, i)).chain([(0, 1), (1, 0)]));
+        let b = std::array::from_fn(|i| i as f64 + 1.0);
+        let mut want = b;
+        want.swap(0, 1);
+        assert_eq!(solve(a, b), Ok(want));
+    }
+
+    #[test]
+    fn solve_refuses_a_zero_column() {
+        let a = sparse((1..NUM_FEATURES).map(|i| (i, i)));
+        assert_eq!(solve(a, [1.0; NUM_FEATURES]), Err(FitError::Singular));
+    }
+
+    #[test]
+    fn fit_recovers_the_coefficients_behind_a_noise_free_corpus() {
+        let want = crate::paper_coefficients();
+        let mut samples = build_corpus(&machines::dgx1_v100(), 2..=5);
+        assert_eq!(samples.len(), 26);
+        for s in &mut samples {
+            s.eff_bw_gbps = features::predict_with(&want, &s.mix);
+        }
+        let got = EffBwModel::fit(&samples).unwrap();
+        // The 26 mixes pin θ only loosely along some directions, so the
+        // ridge pulls those coefficients by up to ~0.3 %; the bandwidths
+        // themselves come back within 0.01 GB/s.
+        for (g, w) in got.coefficients().iter().zip(&want) {
+            assert!((g - w).abs() < 0.01 * w.abs(), "{g} vs {w}");
+        }
+        for s in &samples {
+            let err = features::predict_with(got.coefficients(), &s.mix) - s.eff_bw_gbps;
+            assert!(err.abs() < 0.01, "{:?}: off by {err} GB/s", s.mix);
+        }
+    }
+
+    #[test]
+    fn ridge_solves_a_rank_deficient_corpus() {
+        let one = build_corpus(&machines::dgx1_v100(), 3..=3).remove(0);
+        let copies = vec![one; NUM_FEATURES];
+        assert!(EffBwModel::fit(&copies).is_ok());
+    }
+
+    #[test]
+    fn per_machine_coefficients_are_pinned() {
+        let mig = PartitionPlan::new().split(0, 7).split(1, 3);
+        let pins: [(Topology, [u64; NUM_FEATURES]); 4] = [
+            (
+                machines::dgx1_v100(),
+                [
+                    0xc029da16f81223bd,
+                    0xc014f39b3406cd9a,
+                    0xc0122abcc64ba8a8,
+                    0xc0401c56dcf7b656,
+                    0x403dda74576ee7d1,
+                    0x404a94b9d2764cc3,
+                    0x401b8bc9d8abff1b,
+                    0x4010c722d25facfd,
+                    0x40156ed14b85322a,
+                    0x4023129511d6e750,
+                    0xc03e0d81beb6ebd1,
+                    0x4023ce5784a1cf61,
+                    0xc0061bfcdd724366,
+                    0x401369e439d99b90,
+                ],
+            ),
+            (
+                machines::torus_2d(),
+                [
+                    0x401edb394a748f6f,
+                    0x40147ff9c71abd2a,
+                    0x3ffc65f8d7a5c74e,
+                    0xc0413853793f7e9d,
+                    0xc00d14c6ffecbb7d,
+                    0x4033a505161391c2,
+                    0xc0038a8f36ebdf3a,
+                    0xbfe313ef9bcf4773,
+                    0xbff56dd7515e6139,
+                    0x403e8ad1dc06f12a,
+                    0x401791558306e9df,
+                    0x4037415c39b0e75b,
+                    0x3fda9ee9831c98ec,
+                    0xc037b5f0929e5790,
+                ],
+            ),
+            (
+                machines::cube_mesh(),
+                [
+                    0xc0100a4f283a8394,
+                    0x4014f5752782d525,
+                    0x3ffaedf5909b9674,
+                    0xc04703d2575d513a,
+                    0x402dc55f84d9275a,
+                    0x4039070b9e342430,
+                    0x3ff1a66c946f0791,
+                    0xbfdda372735780dc,
+                    0x3fd0d25d6c9d5cdc,
+                    0x40386f505a35ec29,
+                    0xc0019a209d439ee7,
+                    0x403e583c003ba2b9,
+                    0xbfba6ed5dfd26b40,
+                    0xc035a95de1575808,
+                ],
+            ),
+            (
+                mig.apply(&machines::dgx1_v100()),
+                [
+                    0x40130c07ee01768f,
+                    0x400978ff60dcc308,
+                    0x400f1b4563aeb8b6,
+                    0xc03b36094e64641d,
+                    0xc02d1c3ebed31231,
+                    0x4035a6da9151defc,
+                    0xbfdcb53073bcbe13,
+                    0xbff644306945a3d6,
+                    0xbff8bd464666948a,
+                    0x403f51262aa2953e,
+                    0x401ed27e2a2246dc,
+                    0x4031a4567887aab0,
+                    0x3fde28d58aeeee22,
+                    0xc035a0254e011abe,
+                ],
+            ),
+        ];
+        for (machine, want) in pins {
+            let got = EffBwModel::for_machine(&machine)
+                .coefficients()
+                .map(f64::to_bits);
+            assert_eq!(got, want, "{}", machine.name());
+        }
+    }
 
     #[test]
     fn fit_on_dgx_corpus_is_accurate() {

@@ -3,7 +3,8 @@
 
 use crate::virt::SliceMap;
 use crate::{LinkMix, LinkType};
-use mapa_graph::{dot, Graph, WeightedGraph};
+use mapa_graph::{Graph, WeightedGraph};
+use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 
 /// A multi-GPU server topology.
@@ -233,17 +234,28 @@ impl Topology {
         *self.ideal_bandwidth[k].get_or_init(|| IdealSearch::new(self, k).best())
     }
 
-    /// Graphviz DOT rendering of the direct-link topology with bandwidth
-    /// labels (PCIe pairs omitted for readability).
+    /// Graphviz DOT rendering of the direct links, each labelled with its
+    /// bandwidth in GB/s (PCIe pairs omitted for readability). The graph
+    /// id is the machine name with every character other than an
+    /// alphanumeric or `_` turned into `_` (`G` for an empty name), so a
+    /// machine read from a file, which is named after its path, still
+    /// yields a valid id.
     #[must_use]
     pub fn to_dot(&self) -> String {
-        let labeled = self.links.map_weights(|_, _, l| l.bandwidth_gbps());
-        let opts = dot::DotOptions {
-            name: self.name.clone(),
-            vertex_labels: (0..self.gpu_count()).map(|g| format!("GPU{g}")).collect(),
-            show_weights: true,
-        };
-        dot::to_dot(&labeled, &opts)
+        let id: String = self
+            .name
+            .chars()
+            .map(|c| if c.is_alphanumeric() { c } else { '_' })
+            .collect();
+        let mut out = format!("graph {} {{\n", if id.is_empty() { "G" } else { &id });
+        for g in 0..self.gpu_count() {
+            let _ = writeln!(out, "  n{g} [label=\"GPU{g}\"];");
+        }
+        for (a, b, link) in self.links.edges() {
+            let _ = writeln!(out, "  n{a} -- n{b} [label=\"{}\"];", link.bandwidth_gbps());
+        }
+        out.push_str("}\n");
+        out
     }
 }
 
@@ -506,10 +518,23 @@ mod tests {
 
     #[test]
     fn dot_output_mentions_gpus() {
-        let dotsrc = tiny().to_dot();
-        assert!(dotsrc.contains("GPU0"));
-        assert!(dotsrc.contains("50"));
         // PCIe pairs are not rendered.
-        assert!(!dotsrc.contains("12"));
+        assert_eq!(
+            tiny().to_dot(),
+            "graph tiny {\n  n0 [label=\"GPU0\"];\n  n1 [label=\"GPU1\"];\n  \
+             n2 [label=\"GPU2\"];\n  n3 [label=\"GPU3\"];\n  \
+             n0 -- n1 [label=\"50\"];\n  n2 -- n3 [label=\"25\"];\n}\n"
+        );
+    }
+
+    #[test]
+    fn dot_id_is_the_sanitised_name() {
+        let named = |name: &str| Topology::new(name, Graph::new(0), vec![]).to_dot();
+        assert_eq!(named("dgx 1"), "graph dgx_1 {\n}\n");
+        assert_eq!(
+            named("/tmp/my\"box\\x.txt"),
+            "graph _tmp_my_box_x_txt {\n}\n"
+        );
+        assert_eq!(named(""), "graph G {\n}\n");
     }
 }

@@ -45,4 +45,4 @@ mod paper;
 mod regress;
 
 pub use paper::paper_coefficients;
-pub use regress::{EffBwModel, FitError};
+pub use regress::{EffBwModel, FitError, MixCeiling};

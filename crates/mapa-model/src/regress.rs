@@ -5,6 +5,7 @@ use crate::features::{self, NUM_FEATURES};
 use crate::metrics;
 use mapa_topology::{LinkMix, Topology};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Errors from model fitting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,10 +36,34 @@ impl fmt::Display for FitError {
 
 impl std::error::Error for FitError {}
 
+/// The largest allocation size [`EffBwModel::ceiling`] tabulates: a
+/// ceiling over `k` GPUs holds about `(k²/2)³/6` cells, 302 621 (2.4 MB)
+/// at `k = 16`.
+const CEILING_MAX_GPUS: usize = 16;
+
 /// The Eq. 2 effective-bandwidth predictor.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct EffBwModel {
     theta: [f64; NUM_FEATURES],
+    /// [`EffBwModel::ceiling`] per allocation size, each built the first
+    /// time it is asked for. Clones share the tables.
+    ceilings: Arc<[OnceLock<MixCeiling>]>,
+}
+
+/// Two models are equal when their coefficients are, whatever either has
+/// tabulated.
+impl PartialEq for EffBwModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.theta == other.theta
+    }
+}
+
+impl fmt::Debug for EffBwModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EffBwModel")
+            .field("theta", &self.theta)
+            .finish()
+    }
 }
 
 impl EffBwModel {
@@ -46,7 +71,10 @@ impl EffBwModel {
     /// [`crate::paper_coefficients`]).
     #[must_use]
     pub fn from_coefficients(theta: [f64; NUM_FEATURES]) -> Self {
-        Self { theta }
+        Self {
+            theta,
+            ceilings: (0..=CEILING_MAX_GPUS).map(|_| OnceLock::new()).collect(),
+        }
     }
 
     /// The model a machine's allocator scores with: fitted on the
@@ -98,9 +126,7 @@ impl EffBwModel {
                 .map(|(row, s)| row[i] * s.eff_bw_gbps)
                 .sum()
         });
-        Ok(Self {
-            theta: solve(ata, atb)?,
-        })
+        Ok(Self::from_coefficients(solve(ata, atb)?))
     }
 
     /// The fitted coefficients θ₁…θ₁₄.
@@ -116,6 +142,15 @@ impl EffBwModel {
         features::predict_with(&self.theta, mix).max(0.0)
     }
 
+    /// The [`MixCeiling`] of `k`-GPU allocations, built the first time it
+    /// is asked for; `None` for `k < 2` (no links) and for `k` above 16,
+    /// whose tables would outgrow what they save.
+    #[must_use]
+    pub fn ceiling(&self, k: usize) -> Option<&MixCeiling> {
+        let slot = self.ceilings.get(k).filter(|_| k >= 2)?;
+        Some(slot.get_or_init(|| MixCeiling::new(self, k * (k - 1) / 2)))
+    }
+
     /// Evaluates the model on a sample set, returning
     /// `(mean relative error, RMSE, MAE, Pearson r)` — the quartet the
     /// paper reports for Fig. 12.
@@ -129,6 +164,85 @@ impl EffBwModel {
             mae: metrics::mae(&predicted, &actual),
             pearson_r: metrics::pearson(&predicted, &actual),
         }
+    }
+}
+
+/// The largest [`EffBwModel::predict`] over the mixes of one allocation
+/// size that hold at least given numbers of links of each class: what a
+/// walk over GPU sets that has fixed only some of a set's links needs to
+/// bound the rest.
+///
+/// A `k`-GPU allocation has `s = k(k−1)/2` links. The table holds one cell
+/// per `(x, y, z)` with `x + y + z ≤ s`; a full mix's cell is its
+/// prediction, bit for bit, and any other cell is the largest of the three
+/// it reaches by adding one link.
+pub struct MixCeiling {
+    links: usize,
+    /// `start[x]`: the first cell with `x` double NVLinks. After it come
+    /// the `(y, z)` with `y + z ≤ s − x`, `y` major.
+    start: Box<[usize]>,
+    cells: Box<[f64]>,
+}
+
+impl MixCeiling {
+    fn new(model: &EffBwModel, links: usize) -> Self {
+        let mut start = Vec::with_capacity(links + 1);
+        let mut len = 0;
+        for x in 0..=links {
+            start.push(len);
+            let rest = links - x;
+            len += (rest + 1) * (rest + 2) / 2;
+        }
+        let mut table = Self {
+            links,
+            start: start.into(),
+            cells: vec![0.0; len].into(),
+        };
+        for x in (0..=links).rev() {
+            for y in (0..=links - x).rev() {
+                for z in (0..=links - x - y).rev() {
+                    let value = if x + y + z == links {
+                        model.predict(&LinkMix {
+                            double_nvlink: x,
+                            single_nvlink: y,
+                            pcie: z,
+                        })
+                    } else {
+                        table
+                            .cell(x + 1, y, z)
+                            .max(table.cell(x, y + 1, z))
+                            .max(table.cell(x, y, z + 1))
+                    };
+                    let at = table.index(x, y, z);
+                    table.cells[at] = value;
+                }
+            }
+        }
+        table
+    }
+
+    fn index(&self, x: usize, y: usize, z: usize) -> usize {
+        let rest = self.links - x;
+        self.start[x] + y * (2 * rest + 3 - y) / 2 + z
+    }
+
+    fn cell(&self, x: usize, y: usize, z: usize) -> f64 {
+        self.cells[self.index(x, y, z)]
+    }
+
+    /// The largest prediction over the full mixes with at least `mix`'s
+    /// links of each class.
+    ///
+    /// # Panics
+    /// Panics if `mix` holds more links than an allocation of this size.
+    #[must_use]
+    pub fn at_least(&self, mix: &LinkMix) -> f64 {
+        assert!(
+            mix.total() <= self.links,
+            "mix {mix:?} exceeds {} links",
+            self.links
+        );
+        self.cell(mix.double_nvlink, mix.single_nvlink, mix.pcie)
     }
 }
 
@@ -445,5 +559,43 @@ mod tests {
         let theta = crate::paper_coefficients();
         let model = EffBwModel::from_coefficients(theta);
         assert_eq!(model.coefficients(), &theta);
+    }
+
+    #[test]
+    fn ceiling_is_the_best_prediction_over_every_dominating_mix() {
+        let model = EffBwModel::for_machine(&machines::dgx1_v100());
+        assert!(model.ceiling(1).is_none() && model.ceiling(17).is_none());
+        let mix = |x, y, z| LinkMix {
+            double_nvlink: x,
+            single_nvlink: y,
+            pcie: z,
+        };
+        for k in 2..=6 {
+            let links = k * (k - 1) / 2;
+            let ceiling = model.ceiling(k).unwrap();
+            for x in 0..=links {
+                for y in 0..=links - x {
+                    for z in 0..=links - x - y {
+                        let mut best = f64::NEG_INFINITY;
+                        for a in x..=links {
+                            for b in y..=links - a {
+                                if links - a - b >= z {
+                                    best = best.max(model.predict(&mix(a, b, links - a - b)));
+                                }
+                            }
+                        }
+                        let got = ceiling.at_least(&mix(x, y, z));
+                        assert_eq!(got.to_bits(), best.to_bits(), "k={k} ({x},{y},{z})");
+                    }
+                }
+            }
+        }
+        // Clones read the table the original built; equality ignores it.
+        let clone = model.clone();
+        assert!(std::ptr::eq(
+            model.ceiling(4).unwrap(),
+            clone.ceiling(4).unwrap()
+        ));
+        assert_eq!(clone, EffBwModel::from_coefficients(*model.coefficients()));
     }
 }

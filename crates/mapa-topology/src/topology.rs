@@ -29,6 +29,9 @@ pub struct Topology {
     /// first time it is asked for. Clones share the table: every server of
     /// a homogeneous fleet reads one.
     ideal_bandwidth: Arc<[OnceLock<f64>]>,
+    /// [`Topology::previous_twins`], worked out the first time it is asked
+    /// for and shared by clones like `ideal_bandwidth`.
+    previous_twins: Arc<OnceLock<Box<[Option<usize>]>>>,
 }
 
 /// Two machines are equal when they describe the same hardware, whatever
@@ -73,6 +76,7 @@ impl Topology {
             sockets,
             slices: None,
             ideal_bandwidth: (0..=n).map(|_| OnceLock::new()).collect(),
+            previous_twins: Arc::default(),
         }
     }
 
@@ -232,6 +236,37 @@ impl Topology {
             return 0.0;
         }
         *self.ideal_bandwidth[k].get_or_init(|| IdealSearch::new(self, k).best())
+    }
+
+    /// Each vertex's nearest twin below it: entry `v` is the largest
+    /// `u < v` whose link to every vertex other than `u` and `v` is `v`'s
+    /// link to it, or `None`. Twins are interchangeable in any score that
+    /// reads only links: the slices of one MIG GPU are twins, and so is
+    /// every GPU of a DGX-2. The relation is transitive, so following the
+    /// entries from `v` visits its whole class below `v`, nearest first.
+    /// Worked out once per machine, by comparing each vertex's row of
+    /// [`Topology::pair_links`] with the last member of each class so far.
+    #[must_use]
+    pub fn previous_twins(&self) -> &[Option<usize>] {
+        self.previous_twins.get_or_init(|| {
+            let n = self.gpu_count();
+            let row = |v: usize| &self.pair_links[v * n..(v + 1) * n];
+            let twins = |u: usize, v: usize| {
+                let (a, b) = (row(u), row(v));
+                (0..n).all(|w| w == u || w == v || a[w] == b[w])
+            };
+            // The last vertex of each class seen so far.
+            let mut last: Vec<usize> = Vec::new();
+            (0..n)
+                .map(|v| match last.iter_mut().find(|u| twins(**u, v)) {
+                    Some(u) => Some(std::mem::replace(u, v)),
+                    None => {
+                        last.push(v);
+                        None
+                    }
+                })
+                .collect()
+        })
     }
 
     /// Graphviz DOT rendering of the direct links, each labelled with its
@@ -468,6 +503,36 @@ mod tests {
             "a filled memo does not make a machine differ"
         );
         assert_ne!(fresh, tiny());
+    }
+
+    #[test]
+    fn twins_are_the_slices_of_one_gpu_and_every_dgx2_gpu() {
+        // DGX-2: every GPU pair is one double NVLink through the switch.
+        let dgx2 = crate::machines::dgx2();
+        let chain: Vec<Option<usize>> = (0..16usize).map(|v| v.checked_sub(1)).collect();
+        assert_eq!(dgx2.previous_twins(), chain.as_slice());
+        // DGX-1 V100: no two GPUs see the same links.
+        assert!(crate::machines::dgx1_v100()
+            .previous_twins()
+            .iter()
+            .all(Option::is_none));
+        // GPU 0 in 4 slices (vertices 0..4) and GPU 1 in 2 (4..6): each
+        // slice's twins are its GPU's other slices; whole GPUs have none.
+        let split = crate::virt::PartitionPlan::new()
+            .split(0, 4)
+            .split(1, 2)
+            .apply(&crate::machines::dgx1_v100());
+        let mut want = vec![None, Some(0), Some(1), Some(2), None, Some(4)];
+        want.resize(split.gpu_count(), None);
+        assert_eq!(split.previous_twins(), want.as_slice());
+        // Clones share the memo, which equality ignores.
+        let clone = split.clone();
+        assert!(Arc::ptr_eq(&split.previous_twins, &clone.previous_twins));
+        assert_eq!(
+            tiny().previous_twins(),
+            [None, Some(0), None, Some(2)].as_slice(),
+            "a pair joined only to each other is a pair of twins"
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! migration) replacing the engine's global FIFO queue.
 
 use crate::migrate::{MigrationPolicy, MigrationStats};
-use crate::policy::{ServerPolicy, ShardView};
+use crate::policy::{Candidates, ServerPolicy};
 use mapa_core::policy::AllocationPolicy;
 use mapa_core::{AllocationOutcome, AllocatorError, CacheStats, MapaAllocator, PreemptionPolicy};
 use mapa_isomorph::WorkerPool;
@@ -102,6 +102,11 @@ fn assign(set: &mut BitSet, i: usize, on: bool) {
 ///   exact memoization, never an approximation (schedules stay
 ///   bit-identical; `tests/dispatch_equivalence.rs` pins this against
 ///   the pre-mask golden digests).
+///
+/// Two fleet mirrors sit beside these masks on the [`Cluster`], since they
+/// follow the shards' occupancy rather than the queues: the free-GPU total
+/// that blocked-head accounting compares `head_gpus` against, and the job
+/// map that holds the shard of every live job.
 #[derive(Debug)]
 struct ShardQueues {
     depth: usize,
@@ -231,7 +236,14 @@ impl ShardQueues {
 ///   per job; the cluster tries each ranked shard in turn, so a full (or
 ///   too-small) shard falls through to the next;
 /// * one **Predicted-EffBW model per machine type**, fitted once and
-///   cloned across same-named shards instead of refit per shard.
+///   cloned across same-named shards instead of refit per shard;
+/// * two **fleet mirrors** of the shards' occupancy, next to the queue
+///   masks of queued dispatch: `free_gpus`, the free units summed over
+///   every shard, and `live`, the shard each live job holds GPUs on. Every
+///   placement commits through one helper and every release, eviction and
+///   rollback goes through another, so both stay exact, and no per-event
+///   path walks the shards: the free total, a duplicate-id check and a
+///   load-blind ranking cost the same on 64 shards as on one.
 ///
 /// `Cluster` implements [`SchedulerBackend`], so
 /// [`mapa_sim::Engine::over`] drives it with the same dispatcher, FIFO
@@ -268,6 +280,14 @@ pub struct Cluster {
     /// Largest machine of the fleet; shards never change after
     /// construction.
     max_job_gpus: usize,
+    /// Free units summed over every shard — kept in step by
+    /// [`Self::commit`] and [`Self::release_on`], so
+    /// [`SchedulerBackend::total_free_gpus`] is O(1).
+    free_gpus: usize,
+    /// The shard each live job holds GPUs on, kept in step by the same two
+    /// helpers: a duplicate-id check is one lookup, not a walk over the
+    /// shards.
+    live: HashMap<u64, usize>,
     /// The quiescence memo: the `(blocked, fragmentation-blocked)` head
     /// counts the last [`SchedulerBackend::pump`] ended on, while nothing
     /// that could change a pump's outcome has happened since. A pump
@@ -351,6 +371,7 @@ impl Cluster {
             .map(|s| s.topology().gpu_count())
             .max()
             .expect("cluster is non-empty");
+        let free_gpus = shards.iter().map(|s| s.state().free_count()).sum();
         Self {
             shards,
             server_policy,
@@ -366,6 +387,8 @@ impl Cluster {
             gang_backlog: VecDeque::new(),
             gang_members_queued: 0,
             max_job_gpus,
+            free_gpus,
+            live: HashMap::new(),
             quiescent: None,
         }
     }
@@ -503,11 +526,12 @@ impl Cluster {
         results
     }
 
-    /// Ranks the shards for `job` per the server policy (scores peeked
-    /// only when the policy asks), then returns shard ids in preference
-    /// order. `seq` is the rotation state for stateless policies —
-    /// placements so far on the global-queue path, admissions so far when
-    /// routing into shard queues.
+    /// Ranks the shards for `job` per the server policy, then returns
+    /// shard ids in preference order. Scores are peeked only when the
+    /// policy asks for them, and a shard's load is read only when the
+    /// policy looks at it. `seq` is the rotation state for stateless
+    /// policies — placements so far on the global-queue path, admissions
+    /// so far when routing into shard queues.
     fn rank_shards(&mut self, job: &JobSpec, seq: u64) -> Vec<usize> {
         let scores: Vec<Option<f64>> = if self.server_policy.needs_scores() {
             // An impossible request on a shard (heterogeneous fleet, job
@@ -518,15 +542,12 @@ impl Cluster {
                 peeked.map(|(_, score)| score.predicted_eff_bw)
             })
         } else {
-            vec![None; self.shards.len()]
+            Vec::new()
         };
-        let views: Vec<ShardView<'_>> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(id, shard)| ShardView::server(id, shard.state(), scores[id]))
-            .collect();
-        self.server_policy.rank(job, &views, seq)
+        let shards = &self.shards;
+        let busy = |s: usize| shards[s].state().busy_fraction();
+        let candidates = Candidates::new(shards.len(), &busy, &scores);
+        self.server_policy.rank(job, &candidates, seq)
     }
 
     /// Picks the shard queue an arriving job should wait in: the first
@@ -608,29 +629,34 @@ impl Cluster {
             return Vec::new();
         }
         let pairs = heads.iter().map(|(s, job)| (*s, job));
-        let outcomes = self.on_shards(pairs, |shard, job| match shard.try_allocate(job) {
-            Ok(outcome) => outcome,
-            // Routing only queues jobs the machine could ever host, so any
-            // error here (duplicate active id) is a caller bug — surface
-            // it like the global-queue path does.
-            Err(e) => panic!("shard placement of job {}: {e}", job.id),
-        });
-        let queues = self
-            .queues
-            .as_mut()
-            .expect("decision rounds require queues");
+        let outcomes = self.on_shards(pairs, |shard, job| shard.try_allocate(job));
         let mut placed = Vec::new();
-        for ((server, _), outcome) in heads.into_iter().zip(outcomes) {
-            let Some(outcome) = outcome else {
-                // Until the head changes or the shard's capacity grows,
-                // retrying it is pointless.
-                queues.ready.remove(server);
-                continue;
+        for ((server, job), outcome) in heads.into_iter().zip(outcomes) {
+            let queues = self
+                .queues
+                .as_mut()
+                .expect("decision rounds require queues");
+            let outcome = match outcome {
+                Ok(Some(outcome)) => outcome,
+                Ok(None) => {
+                    // Until the head changes or the shard's capacity grows,
+                    // retrying it is pointless.
+                    queues.ready.remove(server);
+                    continue;
+                }
+                // Routing only queues jobs the machine could ever host, so
+                // an error here is a duplicate active id: a caller bug,
+                // surfaced as the global-queue path does.
+                Err(e) => {
+                    self.assert_not_active(job.id);
+                    panic!("shard placement of job {}: {e}", job.id)
+                }
             };
             let item = queues
                 .take_at(server, 0)
                 .expect("outcome for a queued head");
             debug_assert_eq!(item.job.id, outcome.job_id);
+            self.commit(server, &outcome);
             self.placements += 1;
             let overhead = outcome.scheduling_overhead;
             placed.push(DispatchedJob {
@@ -647,16 +673,54 @@ impl Cluster {
     /// whichever other shard the ranking probes first (the single-server
     /// backend surfaces the same input as an error).
     fn assert_not_active(&self, job: u64) {
-        if let Some(holder) =
-            (0..self.shards.len()).find(|&s| self.shards[s].state().gpus_of(job).is_some())
-        {
-            panic!("job {job} is already allocated on shard {holder}");
+        if let Some(&holder) = self.live.get(&job) {
+            already_active(job, holder);
         }
     }
 
+    /// Books `outcome`, just allocated on shard `server`, into the fleet
+    /// mirrors — the one commit of every placement path (decision rounds,
+    /// fleet-wide placement, gang members).
+    ///
+    /// # Panics
+    /// Panics when the job is already live on another shard: two queued
+    /// heads with one id must not both run.
+    fn commit(&mut self, server: usize, outcome: &AllocationOutcome) {
+        if let Some(holder) = self.live.insert(outcome.job_id, server) {
+            already_active(outcome.job_id, holder);
+        }
+        self.free_gpus -= outcome.gpus.len();
+    }
+
+    /// Releases `job` from shard `server` and books it out of the fleet
+    /// mirrors — the one release of every path (completion, batched
+    /// completion, eviction, gang rollback).
+    fn release_on(&mut self, server: usize, job: u64) {
+        let freed = self.shards[server]
+            .release(job)
+            .expect("running job is allocated on its shard");
+        let holder = self.live.remove(&job);
+        debug_assert_eq!(holder, Some(server), "job map must mirror the shards");
+        self.free_gpus += freed.len();
+        self.quiescent = None;
+    }
+
+    /// Tries `job` on shard `server` alone and commits it on success (a
+    /// full shard answers `Ok(None)` without touching its state).
+    fn allocate_on(
+        &mut self,
+        server: usize,
+        job: &JobSpec,
+    ) -> Result<Option<AllocationOutcome>, AllocatorError> {
+        let outcome = self.shards[server].try_allocate(job)?;
+        if let Some(outcome) = &outcome {
+            self.commit(server, outcome);
+        }
+        Ok(outcome)
+    }
+
     /// Places one job fleet-wide: rank the shards, then commit on the
-    /// first one whose allocator accepts the job (a full shard answers
-    /// `Ok(None)` without touching its state). Shared by
+    /// first one whose allocator accepts the job. Shared by
     /// [`SchedulerBackend::try_place`] and gang placement; it carries no
     /// global-queue-path assertions, so the queued path may use it too.
     fn place_fleetwide(&mut self, job: &JobSpec) -> Option<(usize, AllocationOutcome)> {
@@ -664,7 +728,7 @@ impl Cluster {
         let order = self.rank_shards(job, seq);
         for server in order {
             debug_assert!(server < self.shards.len(), "policy ranked unknown shard");
-            match self.shards[server].try_allocate(job) {
+            match self.allocate_on(server, job) {
                 Ok(Some(outcome)) => {
                     self.placements += 1;
                     return Some((server, outcome));
@@ -795,15 +859,23 @@ impl Cluster {
         let queues = self.queues.as_ref().expect("accounting requires queues");
         let mut blocked = queues.occupied.count() as u64;
         let mut frag = 0u64;
-        // The free-GPU sum is only needed for fragmentation accounting;
-        // skip it (and the occupied walk) when nothing is blocked.
+        // Fragmentation accounting only matters when something is blocked.
         if blocked > 0 || !self.gang_backlog.is_empty() {
             let total_free = self.total_free_gpus();
-            frag = queues
-                .occupied
-                .iter()
-                .filter(|&s| total_free >= queues.head_gpus[s])
-                .count() as u64;
+            // A queued head asks for at least one GPU and at most the
+            // largest machine (routing and stealing check it), so the
+            // pooled free GPUs fit no head or every head at either end.
+            frag = if total_free == 0 {
+                0
+            } else if total_free >= self.max_job_gpus {
+                blocked
+            } else {
+                queues
+                    .occupied
+                    .iter()
+                    .filter(|&s| total_free >= queues.head_gpus[s])
+                    .count() as u64
+            };
             if let Some((gang, _)) = self.gang_backlog.front() {
                 blocked += 1;
                 if total_free >= gang.total_gpus() {
@@ -819,8 +891,9 @@ impl Cluster {
     /// marking the shard's blocked head ready, the next pump would never
     /// retry it and a queued-path preemption would be wasted.
     fn evict_on(&mut self, server: usize, plan: Vec<u64>) -> Vec<Eviction> {
-        self.shards[server].evict(&plan);
-        self.quiescent = None;
+        for &job in &plan {
+            self.release_on(server, job);
+        }
         if let Some(queues) = self.queues.as_mut() {
             queues.note_capacity_freed(server);
         }
@@ -828,6 +901,12 @@ impl Cluster {
             .map(|job_id| Eviction { server, job_id })
             .collect()
     }
+}
+
+/// The panic of a placement that reuses the id of job `job`, still live on
+/// shard `holder`.
+fn already_active(job: u64, holder: usize) -> ! {
+    panic!("job {job} is already allocated on shard {holder}")
 }
 
 /// The engine's view of `outcome` committed on shard `server`, charged
@@ -896,7 +975,15 @@ impl SchedulerBackend for Cluster {
     }
 
     fn total_free_gpus(&self) -> usize {
-        self.shards.iter().map(|s| s.state().free_count()).sum()
+        debug_assert_eq!(
+            self.free_gpus,
+            self.shards
+                .iter()
+                .map(|s| s.state().free_count())
+                .sum::<usize>(),
+            "fleet free count must mirror the shards"
+        );
+        self.free_gpus
     }
 
     fn configure(&mut self, config: &SimConfig) {
@@ -920,10 +1007,7 @@ impl SchedulerBackend for Cluster {
     }
 
     fn release(&mut self, server: usize, job: u64) {
-        self.shards[server]
-            .release(job)
-            .expect("running job is allocated on its shard");
-        self.quiescent = None;
+        self.release_on(server, job);
         // The shard's free set grew: its blocked queue head (if any) is
         // worth retrying on the next pump.
         if let Some(queues) = self.queues.as_mut() {
@@ -950,11 +1034,8 @@ impl SchedulerBackend for Cluster {
             0,
             "batched release requires empty queues"
         );
-        self.quiescent = None;
         for &(server, job) in released {
-            self.shards[server]
-                .release(job)
-                .expect("running job is allocated on its shard");
+            self.release_on(server, job);
         }
     }
 
@@ -983,10 +1064,8 @@ impl SchedulerBackend for Cluster {
                 Some(p) => placed.push(p),
                 None => {
                     self.placements -= placed.len() as u64;
-                    for (member, (server, _)) in members.iter().zip(&placed) {
-                        self.shards[*server]
-                            .release(member.id)
-                            .expect("rollback releases a just-made reservation");
+                    for (member, &(server, _)) in members.iter().zip(&placed) {
+                        self.release_on(server, member.id);
                     }
                     return None;
                 }
@@ -1150,7 +1229,7 @@ mod tests {
     use mapa_core::scoring::MatchScore;
     use mapa_sim::{ArrivalProcess, Engine, SimConfig};
     use mapa_topology::machines;
-    use mapa_workloads::{generator, Workload};
+    use mapa_workloads::{generator, GpuDemand, Workload};
     use proptest::prelude::*;
 
     fn job(id: u64, n: usize) -> JobSpec {
@@ -1220,6 +1299,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "job 1 is already allocated on shard 0")]
+    fn queued_path_refuses_a_duplicate_active_job_id() {
+        use mapa_sim::Submission;
+        // Both copies of job 1 head their own shard queue in the same
+        // decision round; the second must not start beside the first.
+        let c = Cluster::homogeneous(
+            machines::dgx1_v100(),
+            2,
+            || Box::new(BaselinePolicy),
+            Box::new(RoundRobinPolicy),
+        )
+        .with_shard_queues(4);
+        let twin = || Submission::Job(JobSpec::new(1, GpuDemand::Whole(2), Workload::Vgg16));
+        let _ = Engine::over(c).run_submissions(vec![twin(), twin()]);
+    }
+
+    #[test]
     fn heterogeneous_fleet_routes_big_jobs_to_big_machines() {
         let mut c = Cluster::new(
             vec![machines::dgx1_v100(), machines::dgx2()],
@@ -1243,7 +1339,7 @@ mod tests {
         // placement scores at or below shard 1's idle-machine best.
         for i in 0..3 {
             // Pin 2-GPU jobs onto shard 0 by filling it directly.
-            let out = c.shards[0].try_allocate(&job(100 + i, 2)).unwrap();
+            let out = c.allocate_on(0, &job(100 + i, 2)).unwrap();
             assert!(out.is_some());
         }
         let p = c.try_place(&job(1, 2)).expect("room exists");
@@ -1582,7 +1678,7 @@ mod tests {
         c.configure(&SimConfig::default());
         // Shard 1 full: a 2×8-GPU gang cannot be satisfied. The first
         // member would fit shard 0 — the rollback must return it.
-        c.shards[1].try_allocate(&job(99, 8)).unwrap().unwrap();
+        c.allocate_on(1, &job(99, 8)).unwrap().unwrap();
         let members = [pri_job(1, 8, 10, 0), pri_job(2, 8, 10, 0)];
         assert!(c.try_place_gang(&members).is_none());
         assert_eq!(c.shards[0].state().free_count(), 8, "rollback freed it");
@@ -1603,18 +1699,9 @@ mod tests {
         // Shard 0 holds two 4-GPU priority-0 jobs; shard 1 one 8-GPU
         // priority-0 job. An urgent 8-GPU arrival can be satisfied by one
         // eviction on shard 1 or two on shard 0 — it must take shard 1.
-        c.shards[0]
-            .try_allocate(&pri_job(1, 4, 10, 0))
-            .unwrap()
-            .unwrap();
-        c.shards[0]
-            .try_allocate(&pri_job(2, 4, 10, 0))
-            .unwrap()
-            .unwrap();
-        c.shards[1]
-            .try_allocate(&pri_job(3, 8, 10, 0))
-            .unwrap()
-            .unwrap();
+        c.allocate_on(0, &pri_job(1, 4, 10, 0)).unwrap().unwrap();
+        c.allocate_on(0, &pri_job(2, 4, 10, 0)).unwrap().unwrap();
+        c.allocate_on(1, &pri_job(3, 8, 10, 0)).unwrap().unwrap();
         let urgent = pri_job(9, 8, 10, 2);
         assert!(c.try_place(&urgent).is_none(), "fleet is full");
         let evictions = c.preempt_for(&urgent, PreemptionPolicy::PriorityEvict, &HashSet::new());
@@ -1781,6 +1868,147 @@ mod tests {
                 prop_assert_eq!(memo.queued_jobs(), full.queued_jobs());
                 prop_assert_eq!(memo.total_free_gpus(), full.total_free_gpus());
                 prop_assert_eq!(memo.dispatch_report(), full.dispatch_report());
+            }
+        }
+    }
+
+    /// Asserts the fleet mirrors against the shards, in any build: the
+    /// free total against the shards' sum, and the job map against the
+    /// shard that holds each job id in `ids` (every id a run has used).
+    fn assert_mirrors(c: &Cluster, ids: std::ops::RangeInclusive<u64>) {
+        let free: usize = c.shards.iter().map(|s| s.state().free_count()).sum();
+        assert_eq!(c.total_free_gpus(), free, "fleet free count");
+        let mut held = HashMap::new();
+        for id in ids {
+            for (s, shard) in c.shards.iter().enumerate() {
+                if shard.state().gpus_of(id).is_some() {
+                    assert_eq!(held.insert(id, s), None, "job {id} on two shards");
+                }
+            }
+        }
+        assert_eq!(c.live, held, "job map");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random backend calls on either dispatch path — every server
+        /// policy, every migration policy on the queued path, preemption
+        /// off or priority-evict, gangs that place and gangs that roll
+        /// back, single and batched releases — with the fleet mirrors
+        /// checked against the shards after every call. DGX-1 + DGX-2 +
+        /// DGX-1, so some jobs fit one machine only.
+        #[test]
+        fn fleet_mirrors_follow_the_shards(
+            queued in any::<bool>(),
+            server_policy_idx in 0usize..4,
+            migration_idx in 0usize..3,
+            preempt in any::<bool>(),
+            ops in proptest::collection::vec((0usize..8, 0usize..16, 0usize..16), 1..60),
+        ) {
+            let server_policy = crate::policy::server_policy_by_name(
+                crate::policy::SERVER_POLICY_NAMES[server_policy_idx],
+            )
+            .expect("listed name");
+            let mut c = Cluster::new(
+                vec![machines::dgx1_v100(), machines::dgx2(), machines::dgx1_v100()],
+                || Box::new(BaselinePolicy),
+                server_policy,
+            );
+            if queued {
+                let migration = [
+                    MigrationPolicy::None,
+                    MigrationPolicy::StealOnIdle,
+                    MigrationPolicy::RebalanceOnRelease,
+                ][migration_idx];
+                c = c.with_shard_queues(2).with_migration(migration);
+            }
+            c.configure(&SimConfig::default());
+            let policy = if preempt {
+                PreemptionPolicy::PriorityEvict
+            } else {
+                PreemptionPolicy::None
+            };
+            let shielded = HashSet::new();
+            let mut running: Vec<(usize, JobSpec)> = Vec::new();
+            let next_id = std::cell::Cell::new(0u64);
+            let fresh = |gpus: usize, priority: usize| {
+                next_id.set(next_id.get() + 1);
+                pri_job(next_id.get(), gpus, 10, priority as u8)
+            };
+            let ids = || 1..=next_id.get();
+            for (kind, a, b) in ops {
+                match kind {
+                    // Up to 12 GPUs: only the DGX-2 can ever host those.
+                    0..=2 => {
+                        let job = fresh(1 + a % 12, b % 3);
+                        if queued {
+                            c.admit(PendingJob::new(job, 0.0));
+                        } else if let Some(p) = c.try_place(&job) {
+                            running.push((p.server, job));
+                        }
+                    }
+                    3 => {
+                        let members = vec![fresh(1 + a % 8, 0), fresh(1 + b % 8, 0)];
+                        if queued {
+                            c.admit_gang(JobGroup::new(1000 + a as u64, members), 0.0);
+                        } else if let Some(placements) = c.try_place_gang(&members) {
+                            let servers = placements.into_iter().map(|p| p.server);
+                            running.extend(servers.zip(members));
+                        }
+                    }
+                    4 | 5 if !running.is_empty() => {
+                        let (server, job) = running.remove(a % running.len());
+                        c.release(server, job.id);
+                    }
+                    6 => {
+                        let evicted = if queued {
+                            c.preempt_blocked(policy, &shielded)
+                        } else {
+                            let urgent = fresh(1 + a % 12, 2);
+                            let evicted = match c.try_place(&urgent) {
+                                Some(p) => {
+                                    running.push((p.server, urgent.clone()));
+                                    Vec::new()
+                                }
+                                None => c.preempt_for(&urgent, policy, &shielded),
+                            };
+                            assert_mirrors(&c, ids());
+                            if !evicted.is_empty() {
+                                if let Some(p) = c.try_place(&urgent) {
+                                    running.push((p.server, urgent));
+                                }
+                            }
+                            evicted
+                        };
+                        // Victims go back to the queues, as the engine does.
+                        for e in evicted {
+                            let at = running
+                                .iter()
+                                .position(|(_, job)| job.id == e.job_id)
+                                .expect("victims were running");
+                            let (_, victim) = running.remove(at);
+                            if queued {
+                                c.admit(PendingJob::new(victim, 0.0));
+                            }
+                        }
+                    }
+                    // The engine batches releases only while nothing waits.
+                    7 if !running.is_empty() && c.queued_jobs() == 0 => {
+                        let batch: Vec<(usize, u64)> = running
+                            .drain(..(1 + a % 3).min(running.len()))
+                            .map(|(server, job)| (server, job.id))
+                            .collect();
+                        c.release_batch(&batch);
+                    }
+                    _ => {}
+                }
+                assert_mirrors(&c, ids());
+                if queued {
+                    let placed = c.pump(0.0);
+                    running.extend(placed.into_iter().map(|d| (d.placement.server, d.pending.job)));
+                    assert_mirrors(&c, ids());
+                }
             }
         }
     }

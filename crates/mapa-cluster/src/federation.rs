@@ -5,9 +5,10 @@
 //! A cluster is to a federation exactly what a shard is to a cluster: the
 //! [`SchedulerBackend`] pattern reused one level up. The same
 //! [`ServerPolicy`] a cluster ranks its shards with ranks the clusters per
-//! decision, over [`ShardView::pool`] views (first-fit spillover,
-//! round-robin, least-loaded); the chosen cluster then runs its own
-//! server-selection and GPU-selection stages untouched. The federation
+//! decision, each cluster a pool of units whose busy fraction is read from
+//! its O(1) free count (first-fit spillover, round-robin, least-loaded);
+//! the chosen cluster then runs its own server-selection and GPU-selection
+//! stages untouched. The federation
 //! adds only the routing and the quota gate. Because it adds no
 //! parallelism of its own — every cross-cluster step is serial, and each
 //! inner cluster's sequential ≡ parallel contract is already proven — a
@@ -47,7 +48,8 @@
 
 use crate::cluster::Cluster;
 use crate::policy::{
-    LeastLoadedPolicy, RoundRobinPolicy, ServerPolicy, ShardView, SpilloverPolicy,
+    pool_busy_fraction, Candidates, LeastLoadedPolicy, RoundRobinPolicy, ServerPolicy,
+    SpilloverPolicy,
 };
 use mapa_core::PreemptionPolicy;
 use mapa_sim::{
@@ -216,11 +218,9 @@ impl Federation {
         self.tenants.get(&tenant).map_or(0, TenantUsage::in_use)
     }
 
-    fn views(&self) -> Vec<ShardView<'static>> {
-        let pool = |(id, c): (usize, &Cluster)| {
-            ShardView::pool(id, c.total_free_gpus(), self.gpu_counts[id])
-        };
-        self.clusters.iter().enumerate().map(pool).collect()
+    /// Busy fraction of cluster `c`, seen as a pool of its units.
+    fn busy_fraction(&self, c: usize) -> f64 {
+        pool_busy_fraction(self.clusters[c].total_free_gpus(), self.gpu_counts[c])
     }
 
     /// Global server index `server` as (owning cluster, index within it).
@@ -339,9 +339,10 @@ impl Federation {
     /// The policy's ranking for `lead`, keeping the clusters whose
     /// largest server fits a `largest`-unit job.
     fn ranked(&self, lead: &JobSpec, largest: usize) -> Vec<usize> {
-        let views = self.views();
+        let busy = |c: usize| self.busy_fraction(c);
+        let candidates = Candidates::new(self.clusters.len(), &busy, &[]);
         self.policy
-            .rank(lead, &views, self.routed)
+            .rank(lead, &candidates, self.routed)
             .into_iter()
             .filter(|&c| self.clusters[c].max_job_gpus() >= largest)
             .collect()
@@ -718,12 +719,18 @@ mod tests {
 
     #[test]
     fn views_expose_capacity_and_load() {
-        let fed = federation(2, 2, Box::new(SpilloverPolicy));
-        let views = fed.views();
+        let mut fed = federation(2, 2, Box::new(SpilloverPolicy));
+        let busy = |c: usize| fed.busy_fraction(c);
+        let views = Candidates::new(fed.clusters.len(), &busy, &[]);
         assert_eq!(views.len(), 2);
-        assert_eq!(views[1].id, 1);
-        assert_eq!(views[0].busy_fraction(), 0.0);
-        assert_eq!(views[0].selection_eff_bw, None);
+        assert_eq!(views.busy_fraction(1), 0.0);
+        assert_eq!(views.busy_fraction(0), 0.0);
+        assert_eq!(views.selection_eff_bw(0), None);
+        // A pool's load is its cluster's free count over its units.
+        let p = fed.try_place(&job(1, None, 4)).expect("room on cluster 0");
+        assert_eq!(fed.busy_fraction(0), 4.0 / 16.0);
+        assert_eq!(fed.busy_fraction(1), 0.0);
+        fed.release(p.server, 1);
         assert_eq!(fed.server_count(), 4);
         assert_eq!(fed.max_job_gpus(), 8);
         assert_eq!(fed.total_free_gpus(), 32);
@@ -742,7 +749,8 @@ mod tests {
     #[test]
     fn round_robin_rotates_and_least_loaded_sorts() {
         let fed = federation(3, 1, Box::new(SpilloverPolicy));
-        let views = fed.views();
+        let busy = |c: usize| fed.busy_fraction(c);
+        let views = Candidates::new(fed.clusters.len(), &busy, &[]);
         let rr = RoundRobinPolicy;
         assert_eq!(rr.rank(&job(1, None, 2), &views, 0), vec![0, 1, 2]);
         assert_eq!(rr.rank(&job(1, None, 2), &views, 2), vec![2, 0, 1]);

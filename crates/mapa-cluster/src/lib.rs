@@ -36,8 +36,9 @@
 //!   lower-priority victims on the cheapest shard (global-queue path) or
 //!   its own shard (queued path). Semantics: `docs/SCHEDULING.md`.
 //! * [`Federation`] ([`federation`]) — the same pattern one level up: N
-//!   clusters ranked by a [`ServerPolicy`] over [`ShardView::pool`] views
-//!   (spillover, round-robin, least-loaded), with per-tenant GPU quotas enforced at
+//!   clusters ranked by a [`ServerPolicy`], each cluster a pool of units
+//!   whose load the [`Candidates`] accessor reads on demand (spillover,
+//!   round-robin, least-loaded), with per-tenant GPU quotas enforced at
 //!   admission and dominant-resource-fair re-admission of quota-held
 //!   work. Gangs pin to one cluster when possible and span clusters via
 //!   two-phase commit when not.
@@ -86,6 +87,6 @@ pub use migrate::{
 };
 pub use policy::LeastLoadedPolicy as FedLeastLoadedPolicy;
 pub use policy::{
-    server_policy_by_name, BestScorePolicy, LeastLoadedPolicy, PackFirstPolicy, RoundRobinPolicy,
-    ServerPolicy, ShardView, SpilloverPolicy, SERVER_POLICY_NAMES,
+    server_policy_by_name, BestScorePolicy, Candidates, LeastLoadedPolicy, PackFirstPolicy,
+    RoundRobinPolicy, ServerPolicy, SpilloverPolicy, SERVER_POLICY_NAMES,
 };

@@ -1,6 +1,7 @@
 //! Ranking policies: the stage that picks a server before the server's
 //! own `AllocationPolicy` picks GPUs. A [`Federation`](crate::Federation)
-//! ranks its clusters with the same trait, over [`ShardView::pool`] views.
+//! ranks its clusters with the same trait, each cluster seen as a pool of
+//! units.
 //!
 //! Every policy is deterministic and *labeling-invariant*: the ranking
 //! depends only on load/score state, never on incidental candidate
@@ -9,91 +10,101 @@
 //! (required for reproducible schedules and for the 1-shard ≡
 //! single-server equivalence property).
 
-use mapa_topology::HardwareState;
 use mapa_workloads::JobSpec;
 
-/// What a [`ServerPolicy`] may consult about one candidate: a server
-/// when a cluster ranks its shards, a whole cluster when a federation
-/// ranks its clusters.
-pub struct ShardView<'a> {
-    /// Candidate index: shard within the cluster, or cluster within the
-    /// federation.
-    pub id: usize,
-    load: Load<'a>,
-    /// Predicted EffBW of the shard's would-be placement for the job
-    /// being ranked. `Some` only when the policy requested scores via
-    /// [`ServerPolicy::needs_scores`] *and* the shard can place the job
-    /// right now; always `None` for a pool.
-    pub selection_eff_bw: Option<f64>,
+/// What a [`ServerPolicy`] may consult about the candidates it ranks —
+/// servers when a cluster ranks its shards, whole clusters when a
+/// federation ranks its clusters — numbered `0..len()`.
+///
+/// Building one costs O(1) whatever the candidate count: it holds a
+/// closure that reads a candidate's load only when a policy asks, so a
+/// policy that never looks at load (round-robin, spillover) never touches
+/// a candidate.
+pub struct Candidates<'a> {
+    len: usize,
+    busy: &'a dyn Fn(usize) -> f64,
+    scores: &'a [Option<f64>],
 }
 
-/// Where a view's load comes from.
-enum Load<'a> {
-    /// A server's occupancy, borrowed: counted only if a policy asks.
-    Server(&'a HardwareState),
-    /// A pool's idle and total accelerator units.
-    Pool { free: usize, total: usize },
-}
-
-impl<'a> ShardView<'a> {
-    /// The view of one server in its current `state`.
+impl<'a> Candidates<'a> {
+    /// `len` candidates whose busy fractions `busy` reads on demand (see
+    /// [`Self::busy_fraction`]), with `scores[i]` as candidate `i`'s
+    /// [`Self::selection_eff_bw`]. Pass no scores (`&[]`) when the policy
+    /// does not [`ServerPolicy::needs_scores`].
     #[must_use]
-    pub fn server(id: usize, state: &'a HardwareState, selection_eff_bw: Option<f64>) -> Self {
-        Self {
-            id,
-            load: Load::Server(state),
-            selection_eff_bw,
-        }
+    pub(crate) fn new(
+        len: usize,
+        busy: &'a dyn Fn(usize) -> f64,
+        scores: &'a [Option<f64>],
+    ) -> Self {
+        Self { len, busy, scores }
     }
 
-    /// The view of a pool of servers with `free` of its `total`
-    /// accelerator units idle (never scored).
+    /// Number of candidates.
     #[must_use]
-    pub fn pool(id: usize, free: usize, total: usize) -> Self {
-        Self {
-            id,
-            load: Load::Pool { free, total },
-            selection_eff_bw: None,
-        }
+    pub fn len(&self) -> usize {
+        self.len
     }
 
-    /// Busy fraction of the candidate's units, in `[0, 1]` (0 when it has
+    /// Whether there is no candidate.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Busy fraction of candidate `i`'s units, in `[0, 1]` (0 when it has
     /// none) — size-normalized, so heterogeneous candidates compare by
-    /// relative load. A pool's equals that of a server with the same
-    /// free and total units, bit for bit.
+    /// relative load. A server's is its `HardwareState::busy_fraction`, a
+    /// pool's is `(total − free) / total.max(1)`: the two agree bit for bit
+    /// on the same free and total units.
     #[must_use]
-    pub fn busy_fraction(&self) -> f64 {
-        match self.load {
-            Load::Server(state) => state.busy_fraction(),
-            Load::Pool { free, total } => (total - free) as f64 / total.max(1) as f64,
-        }
+    pub fn busy_fraction(&self, i: usize) -> f64 {
+        (self.busy)(i)
     }
+
+    /// Predicted EffBW of candidate `i`'s would-be placement for the job
+    /// being ranked. `Some` only when the policy requested scores via
+    /// [`ServerPolicy::needs_scores`] *and* the candidate can place the
+    /// job right now; always `None` for a pool.
+    #[must_use]
+    pub fn selection_eff_bw(&self, i: usize) -> Option<f64> {
+        self.scores.get(i).copied().flatten()
+    }
+}
+
+/// Busy fraction of a pool with `free` of its `total` units idle:
+/// `(total − free) / total.max(1)`, the same `f64` bits a server with
+/// those counts reports.
+#[must_use]
+pub(crate) fn pool_busy_fraction(free: usize, total: usize) -> f64 {
+    (total - free) as f64 / total.max(1) as f64
 }
 
 /// A server-selection policy, also the federation's cluster-selection one.
 ///
-/// `rank` returns shard ids in preference order; the cluster tries each
-/// in turn until one accepts the job (a shard may refuse — it is full, or
-/// the job exceeds its machine). A federation ranks its clusters the
-/// same way, over pool views. Implementations must be deterministic,
-/// must not depend on shard labeling beyond the final lowest-id
-/// tie-break, and must include every shard they are willing to use (an
-/// omitted shard is never tried for this job).
+/// `rank` returns candidate ids in preference order; the cluster tries
+/// each in turn until one accepts the job (a shard may refuse — it is
+/// full, or the job exceeds its machine). A federation ranks its clusters
+/// the same way, as pools. Implementations must be deterministic, must
+/// not depend on candidate labeling beyond the final lowest-id
+/// tie-break, and must include every candidate they are willing to use
+/// (an omitted one is never tried for this job).
 pub trait ServerPolicy: Send + Sync {
     /// Short name used in reports ("round-robin", "least-loaded", …).
     fn name(&self) -> &'static str;
 
     /// Whether `rank` consumes per-shard selection scores
-    /// ([`ShardView::selection_eff_bw`]). Scores cost one policy peek per
+    /// ([`Candidates::selection_eff_bw`]). Scores cost one policy peek per
     /// shard per decision (served by each shard's allocation cache), so
     /// they are computed only on request.
     fn needs_scores(&self) -> bool {
         false
     }
 
-    /// Preference order over shards for `job`. `seq` counts successful
-    /// placements so far — the rotation state for stateless round-robin.
-    fn rank(&self, job: &JobSpec, shards: &[ShardView<'_>], seq: u64) -> Vec<usize>;
+    /// Preference order over `candidates` for `job`. `seq` counts
+    /// successful placements so far — the rotation state for stateless
+    /// round-robin.
+    fn rank(&self, job: &JobSpec, candidates: &Candidates<'_>, seq: u64) -> Vec<usize>;
 }
 
 /// Names accepted by [`server_policy_by_name`], in documentation order.
@@ -122,13 +133,13 @@ impl ServerPolicy for RoundRobinPolicy {
         "round-robin"
     }
 
-    fn rank(&self, _job: &JobSpec, shards: &[ShardView<'_>], seq: u64) -> Vec<usize> {
-        let n = shards.len();
+    fn rank(&self, _job: &JobSpec, candidates: &Candidates<'_>, seq: u64) -> Vec<usize> {
+        let n = candidates.len();
         if n == 0 {
             return vec![];
         }
         let start = (seq % n as u64) as usize;
-        (0..n).map(|i| (start + i) % n).collect()
+        (start..n).chain(0..start).collect()
     }
 }
 
@@ -143,12 +154,12 @@ impl ServerPolicy for LeastLoadedPolicy {
         "least-loaded"
     }
 
-    fn rank(&self, _job: &JobSpec, shards: &[ShardView<'_>], _seq: u64) -> Vec<usize> {
-        let mut ids: Vec<usize> = (0..shards.len()).collect();
+    fn rank(&self, _job: &JobSpec, candidates: &Candidates<'_>, _seq: u64) -> Vec<usize> {
+        let mut ids: Vec<usize> = (0..candidates.len()).collect();
         ids.sort_by(|&a, &b| {
-            shards[a]
-                .busy_fraction()
-                .total_cmp(&shards[b].busy_fraction())
+            candidates
+                .busy_fraction(a)
+                .total_cmp(&candidates.busy_fraction(b))
                 .then(a.cmp(&b))
         });
         ids
@@ -178,17 +189,14 @@ impl ServerPolicy for BestScorePolicy {
         true
     }
 
-    fn rank(&self, _job: &JobSpec, shards: &[ShardView<'_>], _seq: u64) -> Vec<usize> {
-        let mut ids: Vec<usize> = (0..shards.len()).collect();
+    fn rank(&self, _job: &JobSpec, candidates: &Candidates<'_>, _seq: u64) -> Vec<usize> {
+        let c = candidates;
+        let mut ids: Vec<usize> = (0..c.len()).collect();
         ids.sort_by(
-            |&a, &b| match (&shards[a].selection_eff_bw, &shards[b].selection_eff_bw) {
+            |&a, &b| match (c.selection_eff_bw(a), c.selection_eff_bw(b)) {
                 (Some(sa), Some(sb)) => sb
-                    .total_cmp(sa)
-                    .then_with(|| {
-                        shards[a]
-                            .busy_fraction()
-                            .total_cmp(&shards[b].busy_fraction())
-                    })
+                    .total_cmp(&sa)
+                    .then_with(|| c.busy_fraction(a).total_cmp(&c.busy_fraction(b)))
                     .then(a.cmp(&b)),
                 (Some(_), None) => std::cmp::Ordering::Less,
                 (None, Some(_)) => std::cmp::Ordering::Greater,
@@ -211,12 +219,12 @@ impl ServerPolicy for PackFirstPolicy {
         "pack-first"
     }
 
-    fn rank(&self, _job: &JobSpec, shards: &[ShardView<'_>], _seq: u64) -> Vec<usize> {
-        let mut ids: Vec<usize> = (0..shards.len()).collect();
+    fn rank(&self, _job: &JobSpec, candidates: &Candidates<'_>, _seq: u64) -> Vec<usize> {
+        let mut ids: Vec<usize> = (0..candidates.len()).collect();
         ids.sort_by(|&a, &b| {
-            shards[b]
-                .busy_fraction()
-                .total_cmp(&shards[a].busy_fraction())
+            candidates
+                .busy_fraction(b)
+                .total_cmp(&candidates.busy_fraction(a))
                 .then(a.cmp(&b))
         });
         ids
@@ -235,15 +243,15 @@ impl ServerPolicy for SpilloverPolicy {
         "spillover"
     }
 
-    fn rank(&self, _job: &JobSpec, shards: &[ShardView<'_>], _seq: u64) -> Vec<usize> {
-        (0..shards.len()).collect()
+    fn rank(&self, _job: &JobSpec, candidates: &Candidates<'_>, _seq: u64) -> Vec<usize> {
+        (0..candidates.len()).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapa_topology::{machines, Topology};
+    use mapa_topology::{machines, HardwareState, PartitionPlan, Topology};
     use mapa_workloads::{GpuDemand, Workload};
 
     fn job(n: usize) -> JobSpec {
@@ -264,28 +272,28 @@ mod tests {
             .collect()
     }
 
-    fn views<'a>(
-        owned: &'a [(Topology, HardwareState)],
+    /// `p`'s ranking of the servers in `owned` with `scores` (missing
+    /// entries are `None`), as a cluster builds its candidates.
+    fn rank(
+        p: &dyn ServerPolicy,
+        owned: &[(Topology, HardwareState)],
         scores: &[Option<f64>],
-    ) -> Vec<ShardView<'a>> {
-        owned
-            .iter()
-            .enumerate()
-            .map(|(id, (_, s))| ShardView::server(id, s, scores.get(id).copied().flatten()))
-            .collect()
+        seq: u64,
+    ) -> Vec<usize> {
+        let busy = |i: usize| owned[i].1.busy_fraction();
+        p.rank(&job(2), &Candidates::new(owned.len(), &busy, scores), seq)
     }
 
     #[test]
     fn round_robin_rotates_with_seq_and_is_deterministic() {
         let owned = states(&[0, 0, 0]);
-        let v = views(&owned, &[None; 3]);
         let p = RoundRobinPolicy;
-        assert_eq!(p.rank(&job(2), &v, 0), vec![0, 1, 2]);
-        assert_eq!(p.rank(&job(2), &v, 1), vec![1, 2, 0]);
-        assert_eq!(p.rank(&job(2), &v, 2), vec![2, 0, 1]);
-        assert_eq!(p.rank(&job(2), &v, 3), vec![0, 1, 2], "wraps");
+        assert_eq!(rank(&p, &owned, &[], 0), vec![0, 1, 2]);
+        assert_eq!(rank(&p, &owned, &[], 1), vec![1, 2, 0]);
+        assert_eq!(rank(&p, &owned, &[], 2), vec![2, 0, 1]);
+        assert_eq!(rank(&p, &owned, &[], 3), vec![0, 1, 2], "wraps");
         // Repeated calls with the same seq agree (stateless).
-        assert_eq!(p.rank(&job(2), &v, 7), p.rank(&job(2), &v, 7));
+        assert_eq!(rank(&p, &owned, &[], 7), rank(&p, &owned, &[], 7));
     }
 
     #[test]
@@ -293,16 +301,10 @@ mod tests {
         // All idle → identity order (lexicographic convention).
         let owned = states(&[0, 0, 0]);
         let p = LeastLoadedPolicy;
-        assert_eq!(
-            p.rank(&job(2), &views(&owned, &[None; 3]), 0),
-            vec![0, 1, 2]
-        );
+        assert_eq!(rank(&p, &owned, &[None; 3], 0), vec![0, 1, 2]);
         // Shard 0 busiest → 1 and 2 tie, lowest id first.
         let owned = states(&[4, 2, 2]);
-        assert_eq!(
-            p.rank(&job(2), &views(&owned, &[None; 3]), 0),
-            vec![1, 2, 0]
-        );
+        assert_eq!(rank(&p, &owned, &[None; 3], 0), vec![1, 2, 0]);
     }
 
     #[test]
@@ -314,8 +316,8 @@ mod tests {
         let p = LeastLoadedPolicy;
         let fwd = states(&[6, 0, 3]);
         let rev = states(&[3, 0, 6]);
-        let rank_fwd = p.rank(&job(1), &views(&fwd, &[None; 3]), 0);
-        let rank_rev = p.rank(&job(1), &views(&rev, &[None; 3]), 0);
+        let rank_fwd = rank(&p, &fwd, &[None; 3], 0);
+        let rank_rev = rank(&p, &rev, &[None; 3], 0);
         // fwd loads (6,0,3) → order 1,2,0 ; rev loads (3,0,6) → 1,0,2.
         assert_eq!(rank_fwd, vec![1, 2, 0]);
         assert_eq!(rank_rev, vec![1, 0, 2]);
@@ -335,8 +337,10 @@ mod tests {
         let mut s1 = HardwareState::new(dgx1.clone());
         s1.allocate(1, &[0, 1, 2, 3]).unwrap();
         let owned = vec![(dgx1, s1), (dgx2, s2)];
-        let v = views(&owned, &[None, None]);
-        assert_eq!(LeastLoadedPolicy.rank(&job(2), &v, 0), vec![1, 0]);
+        assert_eq!(
+            rank(&LeastLoadedPolicy, &owned, &[None, None], 0),
+            vec![1, 0]
+        );
     }
 
     #[test]
@@ -346,11 +350,10 @@ mod tests {
         assert!(p.needs_scores());
         // Scores: shard1 best, shards 0 and 3 tie (equal idle load →
         // lowest id), shard2 cannot place.
-        let v = views(&owned, &[Some(40.0), Some(48.0), None, Some(40.0)]);
-        assert_eq!(p.rank(&job(2), &v, 0), vec![1, 0, 3, 2]);
+        let scores = [Some(40.0), Some(48.0), None, Some(40.0)];
+        assert_eq!(rank(&p, &owned, &scores, 0), vec![1, 0, 3, 2]);
         // All equal (score and load) → identity order.
-        let v = views(&owned, &[Some(40.0); 4]);
-        assert_eq!(p.rank(&job(2), &v, 0), vec![0, 1, 2, 3]);
+        assert_eq!(rank(&p, &owned, &[Some(40.0); 4], 0), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -367,31 +370,42 @@ mod tests {
         let mut s2 = HardwareState::new(dgx2.clone());
         s2.allocate(1, &[0, 1, 2, 3]).unwrap();
         let owned = vec![(dgx1, s1), (dgx2, s2)];
-        let v = views(&owned, &[Some(48.0), Some(48.0)]);
-        assert_eq!(BestScorePolicy.rank(&job(2), &v, 0), vec![1, 0]);
+        let p = BestScorePolicy;
+        assert_eq!(rank(&p, &owned, &[Some(48.0), Some(48.0)], 0), vec![1, 0]);
         // A genuinely better score still dominates any load difference.
-        let v = views(&owned, &[Some(48.1), Some(48.0)]);
-        assert_eq!(BestScorePolicy.rank(&job(2), &v, 0), vec![0, 1]);
+        assert_eq!(rank(&p, &owned, &[Some(48.1), Some(48.0)], 0), vec![0, 1]);
         // Same machine size, same score → ascending busy fraction.
         let owned = states(&[6, 2, 4]);
-        let v = views(&owned, &[Some(40.0); 3]);
-        assert_eq!(BestScorePolicy.rank(&job(2), &v, 0), vec![1, 2, 0]);
+        assert_eq!(rank(&p, &owned, &[Some(40.0); 3], 0), vec![1, 2, 0]);
     }
 
     #[test]
     fn pack_first_prefers_fullest_and_breaks_ties_low_id() {
         let p = PackFirstPolicy;
         let owned = states(&[2, 6, 2]);
-        assert_eq!(
-            p.rank(&job(2), &views(&owned, &[None; 3]), 0),
-            vec![1, 0, 2]
-        );
+        assert_eq!(rank(&p, &owned, &[None; 3], 0), vec![1, 0, 2]);
         // All idle → identity order.
         let owned = states(&[0, 0, 0]);
-        assert_eq!(
-            p.rank(&job(2), &views(&owned, &[None; 3]), 0),
-            vec![0, 1, 2]
-        );
+        assert_eq!(rank(&p, &owned, &[None; 3], 0), vec![0, 1, 2]);
+    }
+
+    const POLICIES: [&dyn ServerPolicy; 5] = [
+        &RoundRobinPolicy,
+        &LeastLoadedPolicy,
+        &BestScorePolicy,
+        &PackFirstPolicy,
+        &SpilloverPolicy,
+    ];
+
+    /// Occupancy of `fleet[i % fleet.len()]` with the GPUs of `mask` busy.
+    fn occupied(fleet: &[Topology], i: usize, mask: u64) -> HardwareState {
+        let mut s = HardwareState::new(fleet[i % fleet.len()].clone());
+        let n = s.topology().gpu_count();
+        let busy: Vec<usize> = (0..n).filter(|g| mask >> g & 1 == 1).collect();
+        if !busy.is_empty() {
+            s.allocate(1, &busy).unwrap();
+        }
+        s
     }
 
     proptest::proptest! {
@@ -414,42 +428,22 @@ mod tests {
             let states: Vec<HardwareState> = masks
                 .iter()
                 .enumerate()
-                .map(|(i, &mask)| {
-                    let mut s = HardwareState::new(fleet[i % fleet.len()].clone());
-                    let n = s.topology().gpu_count();
-                    let busy: Vec<usize> = (0..n).filter(|g| mask >> g & 1 == 1).collect();
-                    if !busy.is_empty() {
-                        s.allocate(1, &busy).unwrap();
-                    }
-                    s
-                })
+                .map(|(i, &mask)| occupied(&fleet, i, mask))
                 .collect();
-            let score = |id: usize| (scores[id] > 0).then(|| f64::from(scores[id]) * 10.0);
-            let servers: Vec<ShardView<'_>> = states
+            let scores: Vec<Option<f64>> = scores
                 .iter()
-                .enumerate()
-                .map(|(id, s)| ShardView::server(id, s, score(id)))
+                .map(|&s| (s > 0).then(|| f64::from(s) * 10.0))
                 .collect();
-            let pools: Vec<ShardView<'_>> = states
-                .iter()
-                .enumerate()
-                .map(|(id, s)| {
-                    let mut v = ShardView::pool(id, s.free_count(), s.topology().gpu_count());
-                    v.selection_eff_bw = score(id);
-                    v
-                })
-                .collect();
-            for (server, pool) in servers.iter().zip(&pools) {
-                assert_eq!(server.busy_fraction().to_bits(), pool.busy_fraction().to_bits());
+            let server = |i: usize| states[i].busy_fraction();
+            let pool = |i: usize| {
+                pool_busy_fraction(states[i].free_count(), states[i].topology().gpu_count())
+            };
+            for i in 0..states.len() {
+                assert_eq!(server(i).to_bits(), pool(i).to_bits());
             }
-            let policies: [&dyn ServerPolicy; 5] = [
-                &RoundRobinPolicy,
-                &LeastLoadedPolicy,
-                &BestScorePolicy,
-                &PackFirstPolicy,
-                &SpilloverPolicy,
-            ];
-            for p in policies {
+            let servers = Candidates::new(states.len(), &server, &scores);
+            let pools = Candidates::new(states.len(), &pool, &scores);
+            for p in POLICIES {
                 assert_eq!(p.rank(&job(1), &servers, seq), p.rank(&job(1), &pools, seq), "{}", p.name());
             }
             // Least-loaded over pools keeps the cluster-ranking rule it
@@ -460,17 +454,180 @@ mod tests {
                 .map(|s| (s.free_count(), s.topology().gpu_count()))
                 .collect();
             sizes.push((0, 0));
-            let pools: Vec<ShardView<'_>> = sizes
-                .iter()
-                .enumerate()
-                .map(|(id, &(free, total))| ShardView::pool(id, free, total))
-                .collect();
+            let pool = |i: usize| pool_busy_fraction(sizes[i].0, sizes[i].1);
+            let pools = Candidates::new(sizes.len(), &pool, &[]);
             let busy = |(free, total): (usize, usize)| {
                 if total == 0 { 0.0 } else { (total - free) as f64 / total as f64 }
             };
             let mut expected: Vec<usize> = (0..sizes.len()).collect();
             expected.sort_by(|&a, &b| busy(sizes[a]).total_cmp(&busy(sizes[b])).then(a.cmp(&b)));
             assert_eq!(LeastLoadedPolicy.rank(&job(1), &pools, seq), expected);
+        }
+    }
+
+    /// The ranking as it was before candidates were read on demand: every
+    /// candidate materialised as a view, each policy's order computed over
+    /// the view slice. Kept only as the oracle the accessor rankings are
+    /// checked against.
+    mod oracle {
+        use mapa_topology::HardwareState;
+
+        /// One candidate, materialised.
+        pub struct ShardView<'a> {
+            pub load: Load<'a>,
+            pub selection_eff_bw: Option<f64>,
+        }
+
+        /// Where a view's load comes from.
+        pub enum Load<'a> {
+            Server(&'a HardwareState),
+            Pool { free: usize, total: usize },
+        }
+
+        impl ShardView<'_> {
+            fn busy_fraction(&self) -> f64 {
+                match self.load {
+                    Load::Server(state) => state.busy_fraction(),
+                    Load::Pool { free, total } => (total - free) as f64 / total.max(1) as f64,
+                }
+            }
+        }
+
+        /// The named policy's order over `shards`.
+        pub fn rank(policy: &str, shards: &[ShardView<'_>], seq: u64) -> Vec<usize> {
+            let mut ids: Vec<usize> = (0..shards.len()).collect();
+            match policy {
+                "round-robin" => {
+                    let n = shards.len();
+                    if n == 0 {
+                        return vec![];
+                    }
+                    let start = (seq % n as u64) as usize;
+                    return (0..n).map(|i| (start + i) % n).collect();
+                }
+                "least-loaded" => ids.sort_by(|&a, &b| {
+                    shards[a]
+                        .busy_fraction()
+                        .total_cmp(&shards[b].busy_fraction())
+                        .then(a.cmp(&b))
+                }),
+                "best-score" => ids.sort_by(|&a, &b| {
+                    match (&shards[a].selection_eff_bw, &shards[b].selection_eff_bw) {
+                        (Some(sa), Some(sb)) => sb
+                            .total_cmp(sa)
+                            .then_with(|| {
+                                shards[a]
+                                    .busy_fraction()
+                                    .total_cmp(&shards[b].busy_fraction())
+                            })
+                            .then(a.cmp(&b)),
+                        (Some(_), None) => std::cmp::Ordering::Less,
+                        (None, Some(_)) => std::cmp::Ordering::Greater,
+                        (None, None) => a.cmp(&b),
+                    }
+                }),
+                "pack-first" => ids.sort_by(|&a, &b| {
+                    shards[b]
+                        .busy_fraction()
+                        .total_cmp(&shards[a].busy_fraction())
+                        .then(a.cmp(&b))
+                }),
+                "spillover" => {}
+                other => panic!("no oracle for policy '{other}'"),
+            }
+            ids
+        }
+    }
+
+    proptest::proptest! {
+        /// Every policy ranks on-demand candidates exactly as the
+        /// materialised oracle ranks the same candidates as views, each
+        /// side handed scores only when the policy asks for them: servers
+        /// of a heterogeneous fleet with MIG-split machines among them
+        /// (idle, sparse, half and dense busy sets), and pools; scores
+        /// `Some`, `None` and tied; every size from one candidate to past
+        /// two 64-bit words; rotations at both ends of a wrap and at
+        /// `u64::MAX`.
+        #[test]
+        fn accessor_rankings_match_the_materialised_oracle(
+            n_idx in 0usize..6,
+            masks in proptest::collection::vec(
+                (proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>(), 0u8..4),
+                130,
+            ),
+            scores in proptest::collection::vec(0u8..6, 130),
+            pools in proptest::collection::vec((0usize..40, 0usize..40), 130),
+        ) {
+            let n = [1, 2, 7, 64, 65, 130][n_idx];
+            let fleet = [
+                machines::dgx1_v100(),
+                PartitionPlan::new().split(0, 7).split(3, 3).apply(&machines::dgx1_v100()),
+                machines::dgx2(),
+                machines::summit(),
+                PartitionPlan::new().split(5, 2).apply(&machines::dgx2()),
+                machines::cube_mesh(),
+            ];
+            let states: Vec<HardwareState> = masks[..n]
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, b, density))| {
+                    let mask = match density {
+                        0 => 0,
+                        1 => a & b,
+                        2 => a,
+                        _ => a | b,
+                    };
+                    occupied(&fleet, i, mask)
+                })
+                .collect();
+            // 0 → None; 1 and 2 tie at one value; 3.. distinct.
+            let scores: Vec<Option<f64>> = scores[..n]
+                .iter()
+                .map(|&s| match s {
+                    0 => None,
+                    1 | 2 => Some(40.0),
+                    s => Some(f64::from(s) * 7.5),
+                })
+                .collect();
+            // Pools with free ≤ total, some of them without units.
+            let sizes: Vec<(usize, usize)> = pools[..n]
+                .iter()
+                .map(|&(a, b)| (a.min(b), a.max(b)))
+                .collect();
+            let server = |i: usize| states[i].busy_fraction();
+            let pool = |i: usize| pool_busy_fraction(sizes[i].0, sizes[i].1);
+            let pool_views: Vec<oracle::ShardView<'_>> = sizes
+                .iter()
+                .map(|&(free, total)| oracle::ShardView {
+                    load: oracle::Load::Pool { free, total },
+                    selection_eff_bw: None,
+                })
+                .collect();
+            for p in POLICIES {
+                let scored: &[Option<f64>] = if p.needs_scores() { &scores } else { &[] };
+                let server_views: Vec<oracle::ShardView<'_>> = states
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| oracle::ShardView {
+                        load: oracle::Load::Server(s),
+                        selection_eff_bw: scored.get(i).copied().flatten(),
+                    })
+                    .collect();
+                let servers = Candidates::new(n, &server, scored);
+                let pooled = Candidates::new(n, &pool, &[]);
+                for seq in [0, n as u64 - 1, n as u64, u64::MAX] {
+                    proptest::prop_assert_eq!(
+                        p.rank(&job(1), &servers, seq),
+                        oracle::rank(p.name(), &server_views, seq),
+                        "{} over servers, seq {}", p.name(), seq
+                    );
+                    proptest::prop_assert_eq!(
+                        p.rank(&job(1), &pooled, seq),
+                        oracle::rank(p.name(), &pool_views, seq),
+                        "{} over pools, seq {}", p.name(), seq
+                    );
+                }
+            }
         }
     }
 

@@ -59,10 +59,9 @@ pub mod prelude {
     };
     pub use mapa_cluster::{
         dispatch_mode_by_name, federation_policy_by_name, migration_policy_by_name,
-        server_policy_by_name, BestScorePolicy, Cluster, DispatchMode, Federation,
+        server_policy_by_name, BestScorePolicy, Candidates, Cluster, DispatchMode, Federation,
         LeastLoadedPolicy, MigrationPolicy, MigrationStats, PackFirstPolicy, RoundRobinPolicy,
-        ServerPolicy, ShardView, SpilloverPolicy, DEFAULT_SHARD_QUEUE_DEPTH,
-        FEDERATION_POLICY_NAMES,
+        ServerPolicy, SpilloverPolicy, DEFAULT_SHARD_QUEUE_DEPTH, FEDERATION_POLICY_NAMES,
     };
     pub use mapa_core::policy::{
         AllocationPolicy, BaselinePolicy, EffBwGreedyPolicy, GreedyPolicy, PreservePolicy,

@@ -226,8 +226,9 @@ impl ShardQueues {
 /// A fleet of multi-GPU servers scheduled as one system.
 ///
 /// Each shard is a complete [`MapaAllocator`] — its own machine, its own
-/// occupancy state, its own allocation cache — so per-server decisions
-/// are exactly the single-server engine's. What the cluster adds:
+/// occupancy state, its own allocation-cache counters — so per-server
+/// decisions are exactly the single-server engine's. What the cluster
+/// adds:
 ///
 /// * one **shared worker pool**: [`DispatchMode::Parallel`] evaluates the
 ///   shards' decisions on one [`Arc`]`<`[`WorkerPool`]`>`, paying thread
@@ -237,6 +238,11 @@ impl ShardQueues {
 ///   too-small) shard falls through to the next;
 /// * one **Predicted-EffBW model per machine type**, fitted once and
 ///   cloned across same-named shards instead of refit per shard;
+/// * one **decision table per (machine, policy, model)**: when caching is on
+///   ([`SchedulerBackend::configure`]), the shards with an equal machine,
+///   the same policy name and an equal model read and write one
+///   allocation cache, so a decision one shard made is a hit on the next
+///   (a federation joins its clusters' shards the same way);
 /// * two **fleet mirrors** of the shards' occupancy, next to the queue
 ///   masks of queued dispatch: `free_gpus`, the free units summed over
 ///   every shard, and `live`, the shard each live job holds GPUs on. Every
@@ -469,6 +475,11 @@ impl Cluster {
         &self.shards[id]
     }
 
+    /// Every shard, in shard order, for the federation's table sharing.
+    pub(crate) fn shards_mut(&mut self) -> &mut [MapaAllocator] {
+        &mut self.shards
+    }
+
     /// Runs `work` on each `(shard, job)` pair per the dispatch mode and
     /// returns the results in pair order; the pairs name distinct shards.
     /// Selection peeks (every shard × one job) and decision rounds (ready
@@ -674,7 +685,7 @@ impl Cluster {
     /// backend surfaces the same input as an error).
     fn assert_not_active(&self, job: u64) {
         if let Some(&holder) = self.live.get(&job) {
-            already_active(job, holder);
+            already_active(job, "shard", holder);
         }
     }
 
@@ -687,7 +698,7 @@ impl Cluster {
     /// heads with one id must not both run.
     fn commit(&mut self, server: usize, outcome: &AllocationOutcome) {
         if let Some(holder) = self.live.insert(outcome.job_id, server) {
-            already_active(outcome.job_id, holder);
+            already_active(outcome.job_id, "shard", holder);
         }
         self.free_gpus -= outcome.gpus.len();
     }
@@ -904,9 +915,24 @@ impl Cluster {
 }
 
 /// The panic of a placement that reuses the id of job `job`, still live on
-/// shard `holder`.
-fn already_active(job: u64, holder: usize) -> ! {
-    panic!("job {job} is already allocated on shard {holder}")
+/// the `tier` (shard or cluster) `holder`.
+pub(crate) fn already_active(job: u64, tier: &str, holder: usize) -> ! {
+    panic!("job {job} is already allocated on {tier} {holder}")
+}
+
+/// Joins every cached allocator of `shards` to the decision table of the
+/// first earlier one that decides alike
+/// ([`MapaAllocator::share_cache_with`]): one table per (machine, policy,
+/// model) across a backend. [`SchedulerBackend::configure`] calls it after
+/// switching caches on — a cluster over its shards, a federation over
+/// every cluster's shards in global server order.
+pub(crate) fn share_decision_tables<'a>(shards: impl IntoIterator<Item = &'a mut MapaAllocator>) {
+    let mut firsts: Vec<&MapaAllocator> = Vec::new();
+    for shard in shards {
+        if !firsts.iter().any(|first| shard.share_cache_with(first)) {
+            firsts.push(shard);
+        }
+    }
 }
 
 /// The engine's view of `outcome` committed on shard `server`, charged
@@ -990,6 +1016,7 @@ impl SchedulerBackend for Cluster {
         for shard in &mut self.shards {
             mapa_sim::configure_allocator(shard, config);
         }
+        share_decision_tables(&mut self.shards);
     }
 
     fn try_place(&mut self, job: &JobSpec) -> Option<Placement> {
@@ -1313,6 +1340,63 @@ mod tests {
         .with_shard_queues(4);
         let twin = || Submission::Job(JobSpec::new(1, GpuDemand::Whole(2), Workload::Vgg16));
         let _ = Engine::over(c).run_submissions(vec![twin(), twin()]);
+    }
+
+    /// Per-shard `(hits, misses)` of a cached cluster.
+    fn lookups(c: &Cluster) -> Vec<(u64, u64)> {
+        (0..c.server_count())
+            .map(|s| {
+                let stats = c.server_cache_stats(s).expect("cached");
+                (stats.hits, stats.misses)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_table_spans_equal_shards_only() {
+        // Both machine names map to one model, so the DGX-1 P100 shard
+        // differs from the V100 shards by its machine alone, and shard 3
+        // by its policy name alone.
+        let paper = EffBwModel::from_coefficients(mapa_model::paper_coefficients());
+        let (v100, p100) = (machines::dgx1_v100(), machines::dgx1_p100());
+        let mut models: HashMap<String, EffBwModel> = [&v100, &p100]
+            .map(|m| (m.name().to_string(), paper.clone()))
+            .into();
+        let mut made = 0;
+        let mut c = Cluster::with_shared_resources(
+            vec![v100.clone(), v100.clone(), p100, v100],
+            || {
+                made += 1;
+                if made == 4 {
+                    Box::new(BaselinePolicy) as Box<dyn AllocationPolicy>
+                } else {
+                    Box::new(PreservePolicy)
+                }
+            },
+            Box::new(RoundRobinPolicy),
+            Arc::new(WorkerPool::new(1)),
+            &mut models,
+        );
+        c.configure(&SimConfig::default());
+        // One shape on four idle shards, in rotation: shard 1 hits on
+        // shard 0's decision; shards 2 and 3 must decide for themselves.
+        for id in 1..=4 {
+            assert_eq!(c.try_place(&job(id, 2)).unwrap().server, id as usize - 1);
+        }
+        assert_eq!(lookups(&c), vec![(0, 1), (1, 0), (0, 1), (0, 1)]);
+        // Configuring again keeps the tables and the counters.
+        c.configure(&SimConfig::default());
+        for id in 1..=4 {
+            c.release(id as usize - 1, id);
+        }
+        assert_eq!(c.try_place(&job(5, 2)).unwrap().server, 0);
+        assert_eq!(lookups(&c), vec![(1, 1), (1, 0), (0, 1), (0, 1)]);
+        // Uncached, no shard counts anything.
+        c.configure(&SimConfig {
+            cached: false,
+            ..SimConfig::default()
+        });
+        assert!((0..4).all(|s| c.server_cache_stats(s).is_none()));
     }
 
     #[test]

@@ -46,7 +46,7 @@
 //!   (place members one at a time; on the first refusal roll occupancy,
 //!   routing counters and tenant peaks back).
 
-use crate::cluster::Cluster;
+use crate::cluster::{already_active, share_decision_tables, Cluster};
 use crate::policy::{
     pool_busy_fraction, Candidates, LeastLoadedPolicy, RoundRobinPolicy, ServerPolicy,
     SpilloverPolicy,
@@ -94,6 +94,16 @@ impl TenantUsage {
     }
 }
 
+/// What a routed, unsettled job holds: the cluster it went to and the
+/// charge its tenant carries for it.
+#[derive(Debug, Clone, Copy)]
+struct Charge {
+    cluster: usize,
+    tenant: Option<u64>,
+    units: usize,
+    fractional: bool,
+}
+
 /// N clusters behind one [`ServerPolicy`], with per-tenant quotas and
 /// DRF re-admission. Implements [`SchedulerBackend`] by delegation:
 /// servers are numbered federation-wide (cluster 0's shards first), and
@@ -109,8 +119,9 @@ pub struct Federation {
     total_gpus: usize,
     default_quota: Option<usize>,
     tenants: BTreeMap<u64, TenantUsage>,
-    /// Active charge per job id: (tenant, units, fractional).
-    ledger: HashMap<u64, (Option<u64>, usize, bool)>,
+    /// Every routed, unsettled job by id: a duplicate id is refused
+    /// against it before anything is placed or queued.
+    ledger: HashMap<u64, Charge>,
     /// Job (or gang-lead) ids whose quota hold has been counted, so a
     /// retried `try_place` does not re-count the same deferral.
     quota_blocked: HashSet<u64>,
@@ -261,32 +272,42 @@ impl Federation {
         (u.whole_in_use as f64 / capacity).max(u.slices_in_use as f64 / capacity)
     }
 
-    fn charge(&mut self, tenant: Option<u64>, units: usize, fractional: bool) {
-        let Some(t) = tenant else { return };
+    fn charge(&mut self, c: Charge) {
+        let Some(t) = c.tenant else { return };
         let u = self.tenants.entry(t).or_default();
-        if fractional {
-            u.slices_in_use += units;
+        if c.fractional {
+            u.slices_in_use += c.units;
         } else {
-            u.whole_in_use += units;
+            u.whole_in_use += c.units;
         }
         u.peak = u.peak.max(u.in_use());
     }
 
-    fn uncharge(&mut self, tenant: Option<u64>, units: usize, fractional: bool) {
-        let Some(t) = tenant else { return };
+    fn uncharge(&mut self, c: Charge) {
+        let Some(t) = c.tenant else { return };
         let u = self.tenants.entry(t).or_default();
-        if fractional {
-            u.slices_in_use -= units;
+        if c.fractional {
+            u.slices_in_use -= c.units;
         } else {
-            u.whole_in_use -= units;
+            u.whole_in_use -= c.units;
         }
     }
 
     /// Settles a job that left the clusters (finished or evicted):
     /// removes its ledger entry and returns its charge.
     fn settle(&mut self, job: u64) {
-        if let Some((tenant, units, fractional)) = self.ledger.remove(&job) {
-            self.uncharge(tenant, units, fractional);
+        if let Some(c) = self.ledger.remove(&job) {
+            self.uncharge(c);
+        }
+    }
+
+    /// Panics when a member of `members` reuses the id of a job still
+    /// routed to a cluster — two copies must not both run.
+    fn assert_not_routed(&self, members: &[JobSpec]) {
+        for m in members {
+            if let Some(c) = self.ledger.get(&m.id) {
+                already_active(m.id, "cluster", c.cluster);
+            }
         }
     }
 
@@ -313,9 +334,14 @@ impl Federation {
         self.routed += n;
         self.quota_blocked.remove(&members[0].id);
         for m in members {
-            self.charge(m.tenant, m.num_gpus(), m.is_fractional());
-            self.ledger
-                .insert(m.id, (m.tenant, m.num_gpus(), m.is_fractional()));
+            let charge = Charge {
+                cluster: c,
+                tenant: m.tenant,
+                units: m.num_gpus(),
+                fractional: m.is_fractional(),
+            };
+            self.charge(charge);
+            self.ledger.insert(m.id, charge);
         }
     }
 
@@ -365,21 +391,29 @@ impl Federation {
     /// with free room for it, else to the first that can ever host it, and
     /// charges its tenants. A spillover here is a routing heuristic, since
     /// placement happens later inside the cluster.
+    ///
+    /// # Panics
+    /// Panics when a member's id is still routed (a duplicate active job),
+    /// and when no cluster can ever host `item` — the engine checks a job
+    /// against the largest server, but a library caller may admit directly.
     fn route(&mut self, item: QueueItem) {
         let members = item.members();
+        self.assert_not_routed(members);
         let total = item.gpus();
         let largest = members.iter().map(JobSpec::num_gpus).max().unwrap_or(0);
         let mut feasible = self.ranked(&members[0], largest);
         feasible.retain(|&c| self.gpu_counts[c] >= total);
         let Some(&first) = feasible.first() else {
-            let QueueItem::Gang { gang, .. } = &item else {
-                unreachable!("the engine checks each job against the largest server");
+            let what = match &item {
+                QueueItem::Job(pending) => format!("job {}", pending.job.id),
+                QueueItem::Gang { gang, .. } => format!("gang {}", gang.id),
             };
             let most = self.gpu_counts.iter().max().copied().unwrap_or(0);
             panic!(
-                "gang {} needs {total} units, but the largest cluster has {most}: \
-                 a gang on the queued path is pinned to one cluster",
-                gang.id
+                "{what} needs {total} units, but the largest cluster has {most} and the \
+                 largest server {}: queued work is pinned to one cluster, and a job to one \
+                 server",
+                self.max_job_gpus()
             );
         };
         let pick = feasible
@@ -471,9 +505,11 @@ impl SchedulerBackend for Federation {
         for c in &mut self.clusters {
             c.configure(config);
         }
+        share_decision_tables(self.clusters.iter_mut().flat_map(Cluster::shards_mut));
     }
 
     fn try_place(&mut self, job: &JobSpec) -> Option<Placement> {
+        self.assert_not_routed(std::slice::from_ref(job));
         if let Some(t) = self.quota_violation(std::slice::from_ref(job)) {
             self.note_quota_hold(t, job.id);
             return None;
@@ -505,6 +541,7 @@ impl SchedulerBackend for Federation {
     }
 
     fn try_place_gang(&mut self, members: &[JobSpec]) -> Option<Vec<Placement>> {
+        self.assert_not_routed(members);
         let marker = members.first().map_or(u64::MAX, |m| m.id);
         if let Some(t) = self.quota_violation(members) {
             self.note_quota_hold(t, marker);
@@ -1015,5 +1052,53 @@ mod tests {
             assert!(t.peak_gpus <= 12, "quota conserved: {}", t.peak_gpus);
         }
         assert!(fed.clusters.iter().all(|c| c.gpu_count == 16));
+    }
+
+    #[test]
+    fn shared_table_spans_the_clusters_of_a_federation() {
+        let mut fed = federation(2, 2, Box::new(RoundRobinPolicy));
+        fed.configure(&SimConfig::default());
+        // Cluster 0 decides a shape on an idle DGX-1; cluster 1's idle
+        // DGX-1 answers the same shape from that entry.
+        assert_eq!(fed.try_place(&job(1, None, 3)).unwrap().server, 0);
+        assert_eq!(fed.try_place(&job(2, None, 3)).unwrap().server, 2);
+        let counts = |fed: &Federation, s: usize| {
+            let stats = fed.server_cache_stats(s).expect("cached");
+            (stats.hits, stats.misses)
+        };
+        assert_eq!((counts(&fed, 0), counts(&fed, 2)), ((0, 1), (1, 0)));
+        let total = fed.cache_stats().unwrap();
+        assert_eq!((total.hits, total.misses, total.insertions), (1, 1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "job 1 is already allocated on cluster 0")]
+    fn federation_refuses_a_duplicate_active_job_id_on_the_global_path() {
+        let mut fed = federation(2, 1, Box::new(LeastLoadedPolicy));
+        fed.configure(&SimConfig::default());
+        fed.try_place(&job(1, None, 4)).expect("room on cluster 0");
+        // Cluster 1 is idle, and would take the copy.
+        let _ = fed.try_place(&job(1, None, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "job 1 is already allocated on cluster 0")]
+    fn federation_refuses_a_duplicate_active_job_id_on_the_queued_path() {
+        let member = || cluster(1).with_shard_queues(4);
+        let fed = Federation::new(vec![member(), member()], Box::new(SpilloverPolicy));
+        let _ = Engine::over(fed).run(&[job(1, None, 8), job(1, None, 8)]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "job 1 needs 9 units, but the largest cluster has 16 and the \
+                               largest server 8"
+    )]
+    fn federation_refuses_a_job_no_cluster_can_host_by_name() {
+        let member = || cluster(2).with_shard_queues(4);
+        let mut fed = Federation::new(vec![member(), member()], Box::new(SpilloverPolicy));
+        // The engine would refuse this job up front; a library caller
+        // admitting directly reaches the federation's own check.
+        fed.admit(PendingJob::new(job(1, None, 9), 0.0));
     }
 }

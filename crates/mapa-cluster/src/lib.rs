@@ -7,10 +7,12 @@
 //! the single-server engine without touching the per-server science:
 //!
 //! * [`Cluster`] — N shards, each a full [`mapa_core::MapaAllocator`]
-//!   (its own [`mapa_topology::HardwareState`] and allocation cache) over
-//!   its own machine. Parallel dispatch evaluates the shards on *one
-//!   shared worker pool* (an [`std::sync::Arc`]), so thread start-up is
-//!   paid once per cluster, not once per dispatch round.
+//!   (its own [`mapa_topology::HardwareState`]) over its own machine;
+//!   shards on an equal machine under the same policy and model share one
+//!   allocation cache, across a federation's clusters too. Parallel
+//!   dispatch evaluates the shards on *one shared worker pool* (an
+//!   [`std::sync::Arc`]), so thread start-up is paid once per cluster, not
+//!   once per dispatch round.
 //! * [`ServerPolicy`] — the pluggable server-selection stage that runs
 //!   *before* the per-server `AllocationPolicy`: round-robin,
 //!   least-loaded, best-pattern-score (peeks every shard's would-be

@@ -95,8 +95,8 @@ pub trait ServerPolicy: Send + Sync {
 
     /// Whether `rank` consumes per-shard selection scores
     /// ([`Candidates::selection_eff_bw`]). Scores cost one policy peek per
-    /// shard per decision (served by each shard's allocation cache), so
-    /// they are computed only on request.
+    /// shard per decision (served by the allocation cache the shards of a
+    /// machine type share), so they are computed only on request.
     fn needs_scores(&self) -> bool {
         false
     }

@@ -1,6 +1,6 @@
 //! The MAPA allocator engine: matching + scoring + policy + state (§3.6).
 
-use crate::cache::{AllocationCache, CacheKey, CacheStats, Decision};
+use crate::cache::{AllocationCache, CacheStats, Decision};
 use crate::policy::{AllocationPolicy, PolicyContext};
 use crate::preempt::PreemptionPolicy;
 use crate::scoring::{self, MatchScore, SetScorer};
@@ -164,10 +164,31 @@ impl MapaAllocator {
         }
     }
 
-    /// Counters of the allocation cache, if enabled.
+    /// Counters of the allocation cache, if enabled: this allocator's own
+    /// lookups, insertions and evictions, also when its table is shared.
     #[must_use]
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(AllocationCache::stats)
+    }
+
+    /// Makes this allocator read and write `other`'s decision table when
+    /// both cache and decide alike: an equal machine (`Topology`'s `==`:
+    /// name, links, sockets and slices), the same policy name (see the
+    /// [`AllocationPolicy`] purity contract) and an equal model. Every
+    /// decision either made is then a hit for the other. This allocator's
+    /// counters are kept; its own entries go with its old table. Returns
+    /// whether the tables are now one.
+    pub fn share_cache_with(&mut self, other: &MapaAllocator) -> bool {
+        let (Some(mine), Some(theirs)) = (self.cache.as_mut(), other.cache.as_ref()) else {
+            return false;
+        };
+        let alike = self.policy.name() == other.policy.name()
+            && self.model == other.model
+            && self.topology == other.topology;
+        if alike {
+            mine.join(theirs);
+        }
+        alike
     }
 
     /// The machine this allocator manages.
@@ -234,14 +255,8 @@ impl MapaAllocator {
         };
         // Fast path: answer from the allocation cache when the exact
         // (pattern, sensitivity, demand kind, SLO tag, occupancy) decision
-        // was already made.
-        let key = CacheKey::new(job, self.state.occupancy_signature());
-        if let Some(hit) = cache.get(&key) {
-            return Ok(hit.clone());
-        }
-        let decision = decide();
-        cache.insert(key, decision.clone());
-        Ok(decision)
+        // was already made — here or on any allocator sharing the table.
+        Ok(cache.get_or_insert_with(job, self.state.occupancy_signature(), decide))
     }
 
     /// Previews the placement `try_allocate` would make for `job` right
@@ -615,6 +630,83 @@ mod tests {
             (stats.hits, stats.misses, stats.insertions, stats.evictions),
             (2, 3, 3, 0)
         );
+    }
+
+    fn counting(machine: Topology, model: EffBwModel, selects: &Arc<AtomicU64>) -> MapaAllocator {
+        MapaAllocator::with_model(machine, Box::new(CountingPolicy(selects.clone())), model)
+            .with_config(AllocatorConfig::cached())
+    }
+
+    #[test]
+    fn shared_table_answers_one_allocators_decision_on_another() {
+        let selects = Arc::new(AtomicU64::new(0));
+        let model = EffBwModel::for_machine(&machines::dgx1_v100());
+        let mut first = counting(machines::dgx1_v100(), model.clone(), &selects);
+        let mut second = counting(machines::dgx1_v100(), model, &selects);
+        assert!(second.share_cache_with(&first));
+        assert!(
+            second.share_cache_with(&first),
+            "joining again changes nothing"
+        );
+        let three = job(1, 3, true);
+        let decided = first.peek(&three).unwrap();
+        assert_eq!(second.peek(&three).unwrap(), decided);
+        assert_eq!(selects.load(Ordering::Relaxed), 1, "decided once");
+        // Per-allocator counters: hits + misses are each one's own lookups.
+        second.try_allocate(&three).unwrap().unwrap();
+        second.peek(&job(2, 2, false)).unwrap().unwrap();
+        first.peek(&job(3, 2, false)).unwrap().unwrap();
+        first.peek(&job(4, 9, false)).unwrap_err();
+        let lookups = |a: &MapaAllocator| {
+            let s = a.cache_stats().unwrap();
+            (s.hits, s.misses, s.lookups())
+        };
+        assert_eq!(lookups(&first), (0, 2, 2));
+        assert_eq!(lookups(&second), (2, 1, 3));
+        assert_eq!(selects.load(Ordering::Relaxed), 3);
+        assert_eq!(first.cache.as_ref().unwrap().len(), 3, "one table");
+    }
+
+    #[test]
+    fn shared_table_needs_an_equal_machine_policy_name_and_model() {
+        let selects = Arc::new(AtomicU64::new(0));
+        let paper = EffBwModel::from_coefficients(mapa_model::paper_coefficients());
+        let fitted = EffBwModel::for_machine(&machines::dgx1_v100());
+        assert_ne!(paper, fitted);
+        let mut base = counting(machines::dgx1_v100(), paper.clone(), &selects);
+        // Another machine with the same GPU count, policy and model.
+        let mut other_machine = counting(machines::dgx1_p100(), paper.clone(), &selects);
+        // Another policy (same choice, another name).
+        let mut other_policy = MapaAllocator::with_model(
+            machines::dgx1_v100(),
+            Box::new(BaselinePolicy),
+            paper.clone(),
+        )
+        .with_config(AllocatorConfig::cached());
+        let mut other_model = counting(machines::dgx1_v100(), fitted, &selects);
+        // An uncached allocator joins nothing, and is joined by nothing.
+        let mut uncached = MapaAllocator::with_model(
+            machines::dgx1_v100(),
+            Box::new(CountingPolicy(selects.clone())),
+            paper.clone(),
+        );
+        let mut twin = counting(machines::dgx1_v100(), paper, &selects);
+        assert!(!other_machine.share_cache_with(&base));
+        assert!(!other_policy.share_cache_with(&base));
+        assert!(!other_model.share_cache_with(&base));
+        assert!(!uncached.share_cache_with(&base));
+        assert!(!base.share_cache_with(&uncached));
+        assert!(twin.share_cache_with(&base));
+        // Each refused allocator decides for itself: a miss, never a hit
+        // on `base`'s entry.
+        let two = job(1, 2, true);
+        base.peek(&two).unwrap().unwrap();
+        for a in [&mut other_machine, &mut other_policy, &mut other_model] {
+            a.peek(&two).unwrap().unwrap();
+            assert_eq!(a.cache_stats().unwrap().misses, 1, "{a:?}");
+        }
+        twin.peek(&two).unwrap().unwrap();
+        assert_eq!(twin.cache_stats().unwrap().hits, 1);
     }
 
     #[test]

@@ -96,10 +96,13 @@ impl PolicyContext<'_> {
 /// must be a deterministic function of exactly those inputs and the
 /// allocator's own machine and model — it must not consult other
 /// [`JobSpec`] fields (`id`, `workload`, `iterations`, the SLO *value*),
-/// wall-clock time, or external state. A policy that needs more inputs is
-/// still valid — run it with the cache disabled
-/// (`AllocatorConfig::default()`, or `SimConfig { cached: false, .. }` in
-/// the simulator, which otherwise caches by default).
+/// wall-clock time, or external state. Two policies with the same
+/// [`AllocationPolicy::name`] must select alike, because the allocators of
+/// a fleet that share a name, an equal machine and an equal model share
+/// one decision table ([`crate::MapaAllocator::share_cache_with`]). A
+/// policy that needs more inputs is still valid — run it with the cache
+/// disabled (`AllocatorConfig::default()`, or `SimConfig { cached: false,
+/// .. }` in the simulator, which otherwise caches by default).
 pub trait AllocationPolicy: Send + Sync {
     /// Short name used in result tables ("baseline", "Preserve", …).
     fn name(&self) -> &'static str;

@@ -545,7 +545,9 @@ pub trait SchedulerBackend {
     /// is full" from "capacity exists but is fragmented across servers".
     fn total_free_gpus(&self) -> usize;
 
-    /// Applies the engine configuration (cache toggle) before a run.
+    /// Applies the engine configuration (cache toggle) before a run. A
+    /// multi-server backend then gives the cached servers that decide
+    /// alike (equal machine, policy name and model) one decision table.
     fn configure(&mut self, config: &SimConfig);
 
     /// Attempts to place `job` now; `None` means "retry after a release"

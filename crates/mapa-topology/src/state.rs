@@ -145,11 +145,11 @@ impl HardwareState {
         self.topology.gpu_count() - self.busy.count()
     }
 
-    /// The incremental identity key of the current free/busy set. O(words)
-    /// to clone, never rescans occupancy — see [`OccupancySignature`].
+    /// The incremental identity key of the current free/busy set, read
+    /// in place: never rescans occupancy — see [`OccupancySignature`].
     #[must_use]
-    pub fn occupancy_signature(&self) -> OccupancySignature {
-        self.signature.clone()
+    pub fn occupancy_signature(&self) -> &OccupancySignature {
+        &self.signature
     }
 
     /// Number of currently busy GPUs.
@@ -414,18 +414,18 @@ mod tests {
     fn failed_transitions_leave_the_signature_untouched() {
         let mut s = state();
         s.allocate(1, &[0, 1]).unwrap();
-        let sig = s.occupancy_signature();
+        let sig = s.occupancy_signature().clone();
         assert!(s.allocate(2, &[1]).is_err());
         assert!(s.deallocate(9).is_err());
-        assert_eq!(s.occupancy_signature(), sig);
+        assert_eq!(s.occupancy_signature(), &sig);
     }
 
     #[test]
     fn signature_identifies_the_free_set_exactly() {
         let mut a = state();
         let mut b = state();
-        let idle = a.occupancy_signature();
-        assert_eq!(idle, b.occupancy_signature(), "idle states agree");
+        let idle = a.occupancy_signature().clone();
+        assert_eq!(&idle, b.occupancy_signature(), "idle states agree");
 
         // Same free *count*, different free *sets* → different signatures
         // (exact words, not just a hash — no collisions possible).
@@ -442,13 +442,13 @@ mod tests {
         // Releasing returns the state to a previously-seen signature —
         // the recurrence an allocation cache keys on.
         a.deallocate(1).unwrap();
-        assert_eq!(a.occupancy_signature(), idle);
+        assert_eq!(a.occupancy_signature(), &idle);
     }
 
     #[test]
     fn signature_display_and_fingerprint() {
         let mut s = state();
-        let idle = s.occupancy_signature();
+        let idle = s.occupancy_signature().clone();
         assert!(format!("{idle}").starts_with("occ:"));
         s.allocate(1, &[3]).unwrap();
         let busy = s.occupancy_signature();

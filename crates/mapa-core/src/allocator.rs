@@ -246,7 +246,7 @@ impl MapaAllocator {
                 scorer: &scorer,
             };
             self.policy.select(job, &ctx).map(|gpus| {
-                let score = scorer.score(&crate::appgraph::job_pattern(job), &gpus);
+                let score = scorer.score(job, &gpus);
                 (gpus, score)
             })
         };
@@ -348,8 +348,7 @@ impl MapaAllocator {
     /// or out of range, and if one is listed twice.
     #[must_use]
     pub fn score_allocation(&self, job: &JobSpec, gpus: &[usize]) -> MatchScore {
-        SetScorer::new(&self.state, &self.model, job)
-            .score(&crate::appgraph::job_pattern(job), gpus)
+        SetScorer::new(&self.state, &self.model, job).score(job, gpus)
     }
 
     /// Releases a finished job's GPUs (§3.6 deallocation).

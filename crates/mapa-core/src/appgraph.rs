@@ -27,6 +27,32 @@ pub fn job_pattern(job: &JobSpec) -> PatternGraph {
     build_pattern(job.topology, job.num_gpus())
 }
 
+/// The edges of [`build_pattern`]`(topology, n)`, each once, without
+/// building the graph: the ring `i — i+1 (mod n)`, the tree `i — (i-1)/2`,
+/// their union less the tree edges the ring has — `(1, 0)`, and at three
+/// vertices `(2, 0)` — or every pair. Edge direction and order differ from
+/// [`PatternGraph::edges`].
+pub fn pattern_edges(topology: AppTopology, n: usize) -> impl Iterator<Item = (usize, usize)> {
+    use AppTopology::{AllToAll, Ring, RingTree, Tree};
+    let ring = matches!(topology, Ring | RingTree);
+    // Below three vertices a ring is one edge, or none.
+    let ring_edges = match n {
+        _ if !ring => 0,
+        0..=2 => n / 2,
+        _ => n,
+    };
+    let tree_from = match topology {
+        Tree => 1,
+        RingTree if n != 3 => 2,
+        _ => n,
+    };
+    let all = if topology == AllToAll { n } else { 0 };
+    (0..ring_edges)
+        .map(move |i| (i, (i + 1) % n))
+        .chain((tree_from..n).map(|i| (i, (i - 1) / 2)))
+        .chain((0..all).flat_map(move |i| (i + 1..n).map(move |j| (i, j))))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,6 +80,33 @@ mod tests {
             assert_eq!(build_pattern(t, 0).vertex_count(), 0);
             // 2-GPU jobs always communicate over one edge.
             assert_eq!(build_pattern(t, 2).edge_count(), 1);
+        }
+    }
+
+    /// The edge walk lists the pattern graph's edges, each once.
+    #[test]
+    fn pattern_edges_equal_the_graph_edges() {
+        for t in [
+            AppTopology::Ring,
+            AppTopology::Tree,
+            AppTopology::RingTree,
+            AppTopology::AllToAll,
+        ] {
+            for n in 0..=16 {
+                let mut walked: Vec<(usize, usize)> = pattern_edges(t, n)
+                    .map(|(p, q)| (p.min(q), p.max(q)))
+                    .collect();
+                walked.sort_unstable();
+                let mut built: Vec<(usize, usize)> = build_pattern(t, n)
+                    .edges()
+                    .map(|(p, q, ())| (p.min(q), p.max(q)))
+                    .collect();
+                built.sort_unstable();
+                let listed = walked.len();
+                walked.dedup();
+                assert_eq!(listed, walked.len(), "{t} n={n} lists an edge twice");
+                assert_eq!(walked, built, "{t} n={n}");
+            }
         }
     }
 

@@ -1018,5 +1018,61 @@ mod tests {
             let busy = busy_vertices(machine.topology.gpu_count(), mask, 10);
             assert_walk_matches_oracle(machine, &busy, &grid_job(k, kind));
         }
+
+        /// `score_allocation` walks each pattern's edges instead of
+        /// building its graph, and prices every set — in any order, 1-GPU
+        /// jobs (`-0.0`) included — to the bits of the graph-built score.
+        #[test]
+        fn score_allocation_equals_oracle_for_every_pattern(
+            machine in 0usize..7,
+            mask in proptest::prelude::any::<u64>(),
+            k in 1usize..11,
+            shape in 0usize..4,
+            picks in proptest::collection::vec(0usize..64, 10),
+        ) {
+            let machine = &grid_machines()[machine];
+            let busy = busy_vertices(machine.topology.gpu_count(), mask, 16);
+            let mut allocator = MapaAllocator::with_model(
+                machine.topology.clone(),
+                Box::new(PreservePolicy),
+                machine.model.clone(),
+            );
+            for (i, &v) in busy.iter().enumerate() {
+                allocator.adopt(100 + i as u64, &[v]).unwrap();
+            }
+            // Partial Fisher–Yates over the free vertices: a random set in
+            // random order.
+            let mut free = allocator.state().free_gpus();
+            let m = free.len();
+            let k = k.min(m);
+            for (i, pick) in picks.iter().take(k).enumerate() {
+                free.swap(i, i + pick % (m - i));
+            }
+            let topology = [
+                AppTopology::Ring,
+                AppTopology::Tree,
+                AppTopology::RingTree,
+                AppTopology::AllToAll,
+            ][shape];
+            let spec = JobSpec::new(1, GpuDemand::Slices(k), Workload::ResNet50)
+                .with_topology(topology);
+            let gpus = &free[..k];
+            let (score, oracle) = (
+                allocator.score_allocation(&spec, gpus),
+                oracle_score(&allocator, &spec, gpus),
+            );
+            // Preserved BW by value: where nothing stays free the scorer's
+            // running sums give +0.0 and the emptied graph's sum -0.0.
+            proptest::prop_assert_eq!(&score, &oracle);
+            let bits = |s: &MatchScore| [s.aggregated_bw, s.predicted_eff_bw].map(f64::to_bits);
+            proptest::prop_assert_eq!(
+                bits(&score),
+                bits(&oracle),
+                "{} {} on {:?}",
+                topology,
+                machine.topology.name(),
+                gpus
+            );
+        }
     }
 }

@@ -25,9 +25,12 @@
 //! them: one `SetScorer` per decision tabulates the free part of the
 //! machine. It scores one given set from its prefix in O(k), and ranks
 //! every candidate set of a size by a walk that scores a set in O(1),
-//! bounds each prefix in O(1) and drops the prefixes that cannot win. The
-//! free functions below compute the same numbers from scratch; they stay
-//! for custom policies and as the oracle the scorer is tested against.
+//! bounds each prefix in O(1) and drops the prefixes that cannot win.
+//! Eq. 1 of the chosen set is summed over the pattern's edge walk
+//! ([`crate::appgraph::pattern_edges`]), so no pattern graph is built
+//! either. The free functions below compute the same numbers from scratch;
+//! they stay for custom policies and as the oracle the scorer is tested
+//! against.
 
 use mapa_graph::{BitSet, Graph, PatternGraph, WeightedGraph};
 use mapa_isomorph::Embedding;
@@ -296,12 +299,13 @@ impl<'a> SetScorer<'a> {
         self.pressure_weight * gpus.iter().map(|&v| self.crowd[v]).sum::<usize>() as f64
     }
 
-    /// All four scores of allocating `gpus` to a job with this `pattern`,
-    /// Aggregated Bandwidth under the identity embedding onto `gpus`.
+    /// All four scores of allocating `gpus` to `job`, Aggregated Bandwidth
+    /// under the identity embedding of its pattern onto `gpus`, walked
+    /// without building the pattern graph.
     ///
     /// # Panics
     /// Panics if some `gpus` entry is busy, out of range or listed twice.
-    pub(crate) fn score(&self, pattern: &PatternGraph, gpus: &[usize]) -> MatchScore {
+    pub(crate) fn score(&self, job: &JobSpec, gpus: &[usize]) -> MatchScore {
         let mut set = Prefix::default();
         for (i, &v) in gpus.iter().enumerate() {
             assert!(
@@ -313,8 +317,10 @@ impl<'a> SetScorer<'a> {
         }
         let (preserved_bw, link_mix, _) = self.finish(set);
         MatchScore {
-            aggregated_bw: self
-                .aggregated_bandwidth(pattern.edges().map(|(p, q, ())| (p, q)), gpus),
+            aggregated_bw: self.aggregated_bandwidth(
+                crate::appgraph::pattern_edges(job.topology, job.num_gpus()),
+                gpus,
+            ),
             predicted_eff_bw: if gpus.len() < 2 {
                 0.0
             } else {
@@ -1018,7 +1024,7 @@ mod tests {
         let job = demand(MAX_WALK_SET, 1);
         let scorer = SetScorer::new(&state, &model, &job);
         let all: Vec<usize> = (0..MAX_WALK_SET).collect();
-        let want = scorer.score(&PatternGraph::all_to_all(2), &all);
+        let want = scorer.score(&job, &all);
         assert_eq!(want.link_mix.pcie, 65_341);
         for ranking in RANKINGS {
             let (set, (primary, secondary)) =

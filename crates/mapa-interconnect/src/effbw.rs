@@ -8,7 +8,7 @@
 //! at a sweep of sizes gives the Fig. 2a bandwidth-vs-size curves.
 
 use crate::allreduce;
-use crate::rings::{pack_rings, RingSet};
+use crate::rings::{pack_rings, RingRate};
 use mapa_topology::Topology;
 
 /// Transfer size (bytes) at which the paper's microbenchmark operates —
@@ -33,16 +33,16 @@ pub fn measure(topology: &Topology, gpus: &[usize]) -> f64 {
 /// Like [`measure`] but at an explicit transfer size.
 #[must_use]
 pub fn measure_at_size(topology: &Topology, gpus: &[usize], bytes: f64) -> f64 {
-    let rings = pack_rings(topology, gpus);
-    allreduce::allreduce_bus_bandwidth_gbps(&rings, gpus.len(), bytes)
+    let rates = pack_rings(topology, gpus).rates();
+    allreduce::allreduce_bus_bandwidth_gbps(&rates, gpus.len(), bytes)
 }
 
-/// Reuses a pre-packed [`RingSet`] — for callers that need several sizes
-/// of one allocation (the simulator prices a placement at the workload's
+/// Prices pre-packed ring rates — for callers that need several sizes of
+/// one allocation (the simulator prices a placement at the workload's
 /// message size and at [`SATURATING_BYTES`] from a single packing).
 #[must_use]
-pub fn measure_rings_at_size(rings: &RingSet, n_gpus: usize, bytes: f64) -> f64 {
-    allreduce::allreduce_bus_bandwidth_gbps(rings, n_gpus, bytes)
+pub fn measure_rings_at_size(rates: &[RingRate], n_gpus: usize, bytes: f64) -> f64 {
+    allreduce::allreduce_bus_bandwidth_gbps(rates, n_gpus, bytes)
 }
 
 #[cfg(test)]

@@ -33,14 +33,33 @@
 //! not have replaced the incumbent, so the result equals the
 //! enumerate-everything packer kept as the test oracle in this module.
 //!
+//! # What pricing reads
+//!
+//! The all-reduce models ([`crate::allreduce`]) and everything priced
+//! through them read each ring's [`RingRate`] — its bottleneck and whether
+//! it is all-NVLink — and never its order or its cycle total. That lets
+//! [`ring_rates`] skip a search whose answer it would not read:
+//!
+//! * When the NVLink lanes hold a Hamiltonian cycle, every optimal first
+//!   ring is all-NVLink (bottleneck ≥ 20 GB/s > 12), so a search that
+//!   allows only NVLink hops, in the same visiting order, returns the same
+//!   first optimal cycle. Later rings are NVLink-only anyway.
+//! * When they hold none, the first ring has a host hop and runs at
+//!   12 GB/s, and no ring follows it: later rings use NVLink lanes only,
+//!   over a subset of the same lanes.
+//!
+//! So both [`pack_rings`] and [`ring_rates`] search the NVLink lanes first.
+//! Only [`pack_rings`], which reports [`Ring::order`], goes on to the
+//! max-total host search for the order of that one 12 GB/s ring; its
+//! rates stay the definition [`ring_rates`] must equal.
+//!
 //! # Packing once per link pattern
 //!
 //! The packing is a function of the allocation's ordered link-type matrix
 //! alone, and a run sees few of them: `paper_server`'s 30 000 starts of 3
 //! GPUs or more per repetition span 129 matrices, `cube16_server`'s 756
-//! span 365. [`RingMemo`] keys packings by that matrix, so the simulator
-//! searches once per pattern; [`pack_rings`] stays the definition the memo
-//! must equal.
+//! span 365. [`RingMemo`] keys rates by that matrix, so the simulator
+//! searches once per pattern.
 
 use mapa_topology::{LinkType, Topology};
 use std::collections::HashMap;
@@ -52,6 +71,22 @@ pub const MAX_RING_GPUS: usize = 10;
 
 /// Bandwidth of the host (PCIe) path every GPU pair owns.
 const PCIE_GBPS: f64 = 12.0;
+
+/// What pricing reads of a ring: its rate and its link class.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RingRate {
+    /// Bandwidth of the slowest hop in GB/s — the ring's sustained rate.
+    pub bottleneck_gbps: f64,
+    /// True when every hop rides NVLink.
+    pub all_nvlink: bool,
+}
+
+/// The one ring a host-bound allocation gets: some hop rides PCIe, so the
+/// ring runs at the host path's rate whatever its order.
+const HOST_RING: RingRate = RingRate {
+    bottleneck_gbps: PCIE_GBPS,
+    all_nvlink: false,
+};
 
 /// A selected communication ring.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,10 +108,16 @@ pub struct RingSet {
 }
 
 impl RingSet {
-    /// Aggregate sustained (bus) bandwidth: the sum of ring bottlenecks.
+    /// The rings' rates, best first — all that pricing reads.
     #[must_use]
-    pub fn total_bus_bandwidth_gbps(&self) -> f64 {
-        self.rings.iter().map(|r| r.bottleneck_gbps).sum()
+    pub fn rates(&self) -> Vec<RingRate> {
+        self.rings
+            .iter()
+            .map(|r| RingRate {
+                bottleneck_gbps: r.bottleneck_gbps,
+                all_nvlink: r.all_nvlink,
+            })
+            .collect()
     }
 }
 
@@ -93,7 +134,8 @@ fn nvlink_lanes(link: LinkType) -> (u8, f64) {
 
 /// Unclaimed NVLink lanes between allocation-local GPU pairs. A pair has
 /// one link type, so "its best remaining lane" is a counter, not a scan.
-/// The PCIe path needs no bookkeeping: only the first ring may use it.
+/// The PCIe path needs no bookkeeping: only a host ring uses it, and no
+/// ring follows one.
 struct Lanes {
     n: usize,
     /// Unclaimed NVLink lanes per pair (symmetric).
@@ -281,7 +323,8 @@ impl<'a> Search<'a> {
 ///   first ring may include PCIe hops (there must always be at least one
 ///   channel); later rings are searched over NVLink lanes only — a cycle
 ///   with a PCIe hop is bottlenecked at 12 GB/s, below any all-NVLink
-///   cycle, and would end the packing if it won.
+///   cycle, and would end the packing if it won. So the NVLink lanes are
+///   searched first, and the host path only when they hold no cycle.
 ///
 /// # Panics
 /// Panics if `gpus` has out-of-range or duplicate entries, or more than
@@ -289,38 +332,18 @@ impl<'a> Search<'a> {
 /// (the simulator does, with a typed error), so this is an invariant.
 #[must_use]
 pub fn pack_rings(topology: &Topology, gpus: &[usize]) -> RingSet {
-    let n = gpus.len();
-    assert_ring_limit(n);
-    if n < 2 {
-        return RingSet { rings: vec![] };
-    }
-
-    if n == 2 {
-        let rings = match nvlink_lanes(topology.link_type(gpus[0], gpus[1])) {
-            (0, _) => vec![Ring {
-                order: vec![0, 1],
-                bottleneck_gbps: PCIE_GBPS,
-                all_nvlink: false,
-            }],
-            (channels, gbps) => (0..channels)
-                .map(|_| Ring {
-                    order: vec![0, 1],
-                    bottleneck_gbps: gbps,
-                    all_nvlink: true,
-                })
-                .collect(),
-        };
-        return RingSet { rings };
-    }
-
-    let mut lanes = Lanes::build(topology, gpus);
-    let mut rings: Vec<Ring> = Vec::new();
-    // Only the first ring may fall back to the host path.
-    while let Some(best) = Search::best_cycle(&lanes, rings.is_empty()) {
-        let mut order = Vec::with_capacity(n);
-        order.push(0);
-        order.extend_from_slice(&best.tail[..n - 1]);
-        lanes.claim(&order);
+    let mut rings = Vec::new();
+    let host = pack(topology, gpus, |order, rate| {
+        rings.push(Ring {
+            order: order.to_vec(),
+            bottleneck_gbps: rate.bottleneck_gbps,
+            all_nvlink: rate.all_nvlink,
+        });
+    });
+    if let Some(lanes) = host {
+        let best = Search::best_cycle(&lanes, true).expect("the host path completes any cycle");
+        let mut order = vec![0];
+        order.extend_from_slice(&best.tail[..gpus.len() - 1]);
         rings.push(Ring {
             order,
             bottleneck_gbps: best.cycle.bottleneck,
@@ -330,6 +353,65 @@ pub fn pack_rings(topology: &Topology, gpus: &[usize]) -> RingSet {
     RingSet { rings }
 }
 
+/// The rates of [`pack_rings`]`(topology, gpus)`, in order, without
+/// ordering a host ring: an allocation whose NVLink lanes hold no cycle
+/// gets one ring at the host path's rate (see the module docs).
+///
+/// # Panics
+/// Where [`pack_rings`] does.
+#[must_use]
+pub fn ring_rates(topology: &Topology, gpus: &[usize]) -> Vec<RingRate> {
+    let mut rates = Vec::new();
+    if pack(topology, gpus, |_, rate| rates.push(rate)).is_some() {
+        rates.push(HOST_RING);
+    }
+    rates
+}
+
+/// Hands every NVLink channel of the allocation to `channel`, best first,
+/// with its allocation-local order, and returns the lanes when a host ring
+/// must follow — when there are 3 GPUs or more and their NVLink lanes hold
+/// no cycle.
+fn pack(
+    topology: &Topology,
+    gpus: &[usize],
+    mut channel: impl FnMut(&[usize], RingRate),
+) -> Option<Lanes> {
+    let n = gpus.len();
+    assert_ring_limit(n);
+    if n < 2 {
+        return None;
+    }
+    if n == 2 {
+        let (channels, gbps) = nvlink_lanes(topology.link_type(gpus[0], gpus[1]));
+        if channels == 0 {
+            channel(&[0, 1], HOST_RING);
+        }
+        let rate = RingRate {
+            bottleneck_gbps: gbps,
+            all_nvlink: true,
+        };
+        for _ in 0..channels {
+            channel(&[0, 1], rate);
+        }
+        return None;
+    }
+    let mut lanes = Lanes::build(topology, gpus);
+    let mut order = [0; MAX_RING_GPUS];
+    let mut found = false;
+    while let Some(best) = Search::best_cycle(&lanes, false) {
+        order[1..n].copy_from_slice(&best.tail[..n - 1]);
+        lanes.claim(&order[..n]);
+        found = true;
+        let rate = RingRate {
+            bottleneck_gbps: best.cycle.bottleneck,
+            all_nvlink: true,
+        };
+        channel(&order[..n], rate);
+    }
+    (!found).then_some(lanes)
+}
+
 fn assert_ring_limit(n: usize) {
     assert!(
         n <= MAX_RING_GPUS,
@@ -337,26 +419,25 @@ fn assert_ring_limit(n: usize) {
     );
 }
 
-/// [`pack_rings`] results, memoised by the allocation's **ordered
+/// [`ring_rates`] results, memoised by the allocation's **ordered
 /// link-type matrix** — one search per link pattern, not per job start.
 ///
 /// The key is exact because the packing reads nothing else: `Lanes::build`
 /// (and the `n == 2` branch) read only `link_type(gpus[i], gpus[j])` for
-/// `i < j`, and the search and [`Ring::order`] speak allocation-local
-/// indices. So two allocations whose link types agree pair by pair, in
-/// order, pack to equal [`RingSet`]s. The key is that matrix: 2 bits per
-/// pair, row-major over `i < j`, behind a leading 1 bit that fixes the pair
-/// count — at most 91 bits at [`MAX_RING_GPUS`]. It names no GPU and no
-/// machine, so one entry serves every set and every server with the same
-/// wiring, and it keeps the link generation (an NVLink-v1 and an NVLink-v2
-/// brick are different codes).
+/// `i < j`, and the search speaks allocation-local indices. So two
+/// allocations whose link types agree pair by pair, in order, pack to equal
+/// rates. The key is that matrix: 2 bits per pair, row-major over `i < j`,
+/// behind a leading 1 bit that fixes the pair count — at most 91 bits at
+/// [`MAX_RING_GPUS`]. It names no GPU and no machine, so one entry serves
+/// every set and every server with the same wiring, and it keeps the link
+/// generation (an NVLink-v1 and an NVLink-v2 brick are different codes).
 #[derive(Debug, Default)]
 pub struct RingMemo {
-    packings: HashMap<u128, RingSet>,
+    rates: HashMap<u128, Vec<RingRate>>,
 }
 
 impl RingMemo {
-    /// `pack_rings(topology, gpus)`, searched only the first time its link
+    /// `ring_rates(topology, gpus)`, searched only the first time its link
     /// pattern is seen.
     ///
     /// # Panics
@@ -364,7 +445,7 @@ impl RingMemo {
     /// GPUs is refused before the key is built (from 12 GPUs on, the
     /// shifted key would silently collide), and `link_type` refuses an
     /// out-of-range or repeated GPU as its pair enters the key.
-    pub fn pack(&mut self, topology: &Topology, gpus: &[usize]) -> &RingSet {
+    pub fn rates(&mut self, topology: &Topology, gpus: &[usize]) -> &[RingRate] {
         assert_ring_limit(gpus.len());
         let mut key = 1u128;
         for (i, &a) in gpus.iter().enumerate() {
@@ -372,9 +453,9 @@ impl RingMemo {
                 key = key << 2 | topology.link_type(a, b) as u128;
             }
         }
-        self.packings
+        self.rates
             .entry(key)
-            .or_insert_with(|| pack_rings(topology, gpus))
+            .or_insert_with(|| ring_rates(topology, gpus))
     }
 }
 
@@ -614,6 +695,11 @@ mod tests {
     use mapa_graph::Graph;
     use mapa_topology::machines;
 
+    /// Aggregate sustained (bus) bandwidth: the sum of ring bottlenecks.
+    fn total(rings: &RingSet) -> f64 {
+        rings.rings.iter().map(|r| r.bottleneck_gbps).sum()
+    }
+
     #[test]
     fn cycle_counts() {
         assert_eq!(hamiltonian_cycles(3).len(), 1);
@@ -628,13 +714,13 @@ mod tests {
         // Double NVLink pair (0,3): two 25 GB/s channels = 50.
         let d = pack_rings(&dgx, &[0, 3]);
         assert_eq!(d.rings.len(), 2);
-        assert_eq!(d.total_bus_bandwidth_gbps(), 50.0);
+        assert_eq!(total(&d), 50.0);
         // Single NVLink pair (0,1): one 25 GB/s channel.
         let s = pack_rings(&dgx, &[0, 1]);
-        assert_eq!(s.total_bus_bandwidth_gbps(), 25.0);
+        assert_eq!(total(&s), 25.0);
         // PCIe pair (0,5): the 12 GB/s fallback only.
         let p = pack_rings(&dgx, &[0, 5]);
-        assert_eq!(p.total_bus_bandwidth_gbps(), 12.0);
+        assert_eq!(total(&p), 12.0);
         assert!(!p.rings[0].all_nvlink);
     }
 
@@ -655,7 +741,7 @@ mod tests {
         let rs = pack_rings(&dgx, &[0, 2, 3]);
         assert!(rs.rings[0].all_nvlink);
         assert_eq!(rs.rings[0].bottleneck_gbps, 25.0);
-        assert_eq!(rs.total_bus_bandwidth_gbps(), 25.0);
+        assert_eq!(total(&rs), 25.0);
     }
 
     #[test]
@@ -666,7 +752,7 @@ mod tests {
         let rs = pack_rings(&dgx, &[0, 1, 2, 3]);
         assert!(rs.rings.len() >= 2, "{rs:?}");
         assert!(rs.rings.iter().take(2).all(|r| r.all_nvlink));
-        assert_eq!(rs.total_bus_bandwidth_gbps(), 50.0);
+        assert_eq!(total(&rs), 50.0);
     }
 
     #[test]
@@ -675,7 +761,7 @@ mod tests {
         let s = machines::summit();
         let rs = pack_rings(&s, &[0, 1, 2]);
         assert_eq!(rs.rings.len(), 2);
-        assert_eq!(rs.total_bus_bandwidth_gbps(), 50.0);
+        assert_eq!(total(&rs), 50.0);
     }
 
     #[test]
@@ -703,8 +789,8 @@ mod tests {
     fn more_nvlink_never_hurts() {
         // Monotonicity: the ideal quad beats any fragmented 4-set.
         let dgx = machines::dgx1_v100();
-        let ideal = pack_rings(&dgx, &[0, 1, 2, 3]).total_bus_bandwidth_gbps();
-        let frag = pack_rings(&dgx, &[0, 1, 4, 6]).total_bus_bandwidth_gbps();
+        let ideal = total(&pack_rings(&dgx, &[0, 1, 2, 3]));
+        let frag = total(&pack_rings(&dgx, &[0, 1, 4, 6]));
         assert!(ideal >= frag, "{ideal} < {frag}");
     }
 
@@ -754,7 +840,7 @@ mod tests {
                 .iter()
                 .map(|b| b.bandwidth_gbps)
                 .sum();
-            proptest::prop_assert!(rs.total_bus_bandwidth_gbps() <= capacity + 1e-9);
+            proptest::prop_assert!(total(&rs) <= capacity + 1e-9);
         }
     }
 
@@ -920,6 +1006,19 @@ mod tests {
         all
     }
 
+    /// What pricing reads of [`pack_rings`]: each ring's bottleneck bits
+    /// and link class, best first.
+    fn priced(rates: &[RingRate]) -> Vec<(u64, bool)> {
+        rates
+            .iter()
+            .map(|r| (r.bottleneck_gbps.to_bits(), r.all_nvlink))
+            .collect()
+    }
+
+    fn packed_price(machine: &Topology, gpus: &[usize]) -> Vec<(u64, bool)> {
+        priced(&pack_rings(machine, gpus).rates())
+    }
+
     thread_local! {
         /// One memo for every case of the property below, across machines.
         static SHARED_MEMO: std::cell::RefCell<RingMemo> = std::cell::RefCell::default();
@@ -928,11 +1027,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        /// A memoised packing equals `pack_rings`, `Ring::order` included,
-        /// whether the memo is cold (first sight of the pattern, or a hit
-        /// left by another machine) or warm (asked again).
+        /// The memoised rates equal `pack_rings`' rates, ring by ring and
+        /// bit for bit, whether the memo is cold (first sight of the
+        /// pattern, or a hit left by another machine) or warm (asked
+        /// again).
         #[test]
-        fn ring_memo_equals_pack_rings_on_every_machine(
+        fn ring_price_equals_pack_rings_on_every_machine(
             draws in proptest::collection::vec(
                 (0usize..7, proptest::collection::vec(0usize..64, 0..11)),
                 1..8,
@@ -949,12 +1049,12 @@ mod tests {
                     pool.swap(i, i + pick % (n - i));
                 }
                 let gpus = &pool[..k];
-                let expected = pack_rings(machine, gpus);
+                let expected = packed_price(machine, gpus);
                 for pass in ["cold", "warm"] {
-                    let packed =
-                        SHARED_MEMO.with_borrow_mut(|memo| memo.pack(machine, gpus).clone());
+                    let rates =
+                        SHARED_MEMO.with_borrow_mut(|memo| priced(memo.rates(machine, gpus)));
                     proptest::prop_assert_eq!(
-                        &packed,
+                        &rates,
                         &expected,
                         "{} pass on {} {:?}",
                         pass,
@@ -964,6 +1064,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every 3- to 8-subset of the cube-mesh, the machine whose sets most
+    /// often lack an NVLink ring: the unmemoised rates and a memo's, cold
+    /// or warm, equal `pack_rings`' rates.
+    #[test]
+    fn ring_price_equals_pack_rings_on_every_cube_mesh_subset() {
+        let cube_mesh = machines::cube_mesh();
+        let mut memo = RingMemo::default();
+        let (mut host_bound, mut multi_ring) = (0, 0);
+        for gpus in subsets(cube_mesh.gpu_count(), 3..=8) {
+            let expected = packed_price(&cube_mesh, &gpus);
+            assert_eq!(priced(&ring_rates(&cube_mesh, &gpus)), expected, "{gpus:?}");
+            assert_eq!(priced(memo.rates(&cube_mesh, &gpus)), expected, "{gpus:?}");
+            host_bound += usize::from(!expected[0].1);
+            multi_ring += usize::from(expected.len() > 1);
+        }
+        // Both branches of the shortcut are exercised.
+        assert!(
+            host_bound > 0 && multi_ring > 0,
+            "{host_bound} {multi_ring}"
+        );
     }
 
     #[test]
@@ -986,8 +1108,8 @@ mod tests {
             })
             .expect("the DGX-1 has such a triple");
         let mut memo = RingMemo::default();
-        let _ = memo.pack(&dgx, &twin);
-        let _ = memo.pack(&dgx, &[0, 1, 1]);
+        let _ = memo.rates(&dgx, &twin);
+        let _ = memo.rates(&dgx, &[0, 1, 1]);
     }
 
     /// Past [`MAX_RING_GPUS`] a key would shift its leading pairs out. Here
@@ -1004,7 +1126,7 @@ mod tests {
         let machine = Topology::new("shifted", graph, vec![0; 12]);
         let gpus: Vec<usize> = (0..12).collect();
         let mut memo = RingMemo::default();
-        let _ = memo.pack(&machine, &gpus[2..]);
-        let _ = memo.pack(&machine, &gpus);
+        let _ = memo.rates(&machine, &gpus[2..]);
+        let _ = memo.rates(&machine, &gpus);
     }
 }

@@ -533,4 +533,46 @@ mod tests {
             .apply(&machines::dgx1_v100());
         let _ = PartitionPlan::new().split(1, 2).apply(&once);
     }
+
+    /// The `--partition` vocabulary, valid and not.
+    const PLAN_TOKENS: &[&str] = &[
+        "0",
+        "1",
+        "3",
+        "7",
+        "8",
+        "-1",
+        "18446744073709551616",
+        ":",
+        ",",
+        ";",
+        " ",
+        "degraded",
+        "Degraded",
+        "shared",
+        "x",
+        "",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// Soup of plan tokens never panics the parser: it returns a plan,
+        /// which reads back from its own label, or an error message.
+        #[test]
+        fn parse_never_panics_on_token_soup(
+            tokens in proptest::collection::vec(0usize..PLAN_TOKENS.len(), 0..24),
+        ) {
+            let input: String = tokens.iter().map(|&t| PLAN_TOKENS[t]).collect();
+            match PartitionPlan::parse(&input) {
+                Ok(plan) => proptest::prop_assert_eq!(
+                    PartitionPlan::parse(&plan.label()),
+                    Ok(plan),
+                    "{:?}",
+                    input
+                ),
+                Err(message) => proptest::prop_assert!(!message.is_empty(), "{:?}", input),
+            }
+        }
+    }
 }

@@ -738,6 +738,68 @@ mod tests {
         assert_eq!(parse_job_file("\n\n# only comments\n").unwrap(), vec![]);
     }
 
+    /// Spellings per job-file column, accepted and refused: numbers at and
+    /// past each field's width, every name form, the `-` placeholders.
+    const COLUMNS: [&[&str]; 9] = [
+        &[
+            "1",
+            "2",
+            "18446744073709551615",
+            "18446744073709551616",
+            "-1",
+            "ID",
+            "#1",
+            "",
+        ],
+        &["1", "3", "8s", "0s", "7S", "0", "s", "1.5"],
+        &["Ring", "tree", "ring+tree", "all-to-all", "mesh"],
+        &["True", "false", "yes", "0", "maybe"],
+        &["vgg-16", "ResNet-50", "bert-serving", "gmm", "nope"],
+        &["100", "0", "18446744073709551616", "1e3"],
+        &["0", "255", "256", "-"],
+        &["25", "-", "0.0", "-3", "nan", "inf", "1e308"],
+        &["3", "-", "-1", "x"],
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// Lines of 0–10 fields drawn per column, accepted spellings and
+        /// refused ones mixed, never panic the parser: it returns a typed
+        /// error that names what it refused, or jobs that round-trip
+        /// through the file format.
+        #[test]
+        fn parser_never_panics_on_token_soup(
+            lines in proptest::collection::vec(
+                (0usize..11, proptest::collection::vec(0usize..64, 10)),
+                0..6,
+            ),
+        ) {
+            let input: String = lines
+                .iter()
+                .map(|(fields, picks)| {
+                    let field = |(i, &pick): (usize, &usize)| {
+                        let column = COLUMNS.get(i).copied().unwrap_or(&[",", " ", "é"]);
+                        column[pick % column.len()]
+                    };
+                    let line: Vec<&str> = picks.iter().enumerate().take(*fields).map(field).collect();
+                    line.join(", ") + "\n"
+                })
+                .collect();
+            match parse_job_file(&input) {
+                Ok(jobs) => proptest::prop_assert_eq!(
+                    parse_job_file(&write_job_file(&jobs)),
+                    Ok(jobs),
+                    "{:?}",
+                    input
+                ),
+                Err(error) => {
+                    proptest::prop_assert!(!error.to_string().is_empty(), "{:?}", input);
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
         /// Arbitrary text never panics the parser — it either parses or
         /// reports a structured error.

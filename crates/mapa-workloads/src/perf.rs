@@ -61,16 +61,16 @@ pub fn workload_effbw(workload: Workload, topology: &Topology, gpus: &[usize]) -
     effbw::measure_at_size(topology, gpus, workload.model().avg_message_bytes)
 }
 
-/// Like [`workload_effbw`] but reusing pre-packed rings — the simulator's
-/// path: it packs rings once per link pattern ([`rings::RingMemo`]) and
-/// reads this and the saturating microbenchmark figure off the same
-/// [`rings::RingSet`].
+/// Like [`workload_effbw`] but pricing pre-packed ring rates — the
+/// simulator's path: it packs rings once per link pattern
+/// ([`rings::RingMemo`]) and reads this and the saturating microbenchmark
+/// figure off the same [`rings::RingRate`]s.
 #[must_use]
-pub fn workload_effbw_rings(workload: Workload, ringset: &rings::RingSet, n_gpus: usize) -> f64 {
+pub fn workload_effbw_rings(workload: Workload, rates: &[rings::RingRate], n_gpus: usize) -> f64 {
     if n_gpus < 2 {
         return 0.0;
     }
-    effbw::measure_rings_at_size(ringset, n_gpus, workload.model().avg_message_bytes)
+    effbw::measure_rings_at_size(rates, n_gpus, workload.model().avg_message_bytes)
 }
 
 fn comm_time(bytes: f64, eff_bw_gbps: f64) -> f64 {

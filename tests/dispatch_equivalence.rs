@@ -26,9 +26,12 @@ use mapa::core::policy::{
     AllocationPolicy, BaselinePolicy, EffBwGreedyPolicy, GreedyPolicy, PreservePolicy,
     TopoAwarePolicy,
 };
+use mapa::core::PreemptionPolicy;
 use mapa::isomorph::WorkerPool;
 use mapa::prelude::*;
 use mapa::sim::digest::schedule_digest;
+use mapa::sim::Submission;
+use mapa::workloads::{assign_priority_classes, assign_tenants, JobGroup};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -301,4 +304,81 @@ fn dispatch_modes_agree_through_the_streamed_ingest_path() {
         seq.dispatch.as_ref().unwrap().jobs_stolen,
         par.dispatch.as_ref().unwrap().jobs_stolen
     );
+}
+
+/// The engine's own FIFO — strict and backfilling, with and without
+/// priority eviction, gangs in the stream — replays `tests/golden/fifo.txt`
+/// on every backend that leaves queueing to it: a single server, a
+/// global-queue cluster and a global-queue federation. The digests hash
+/// each start's measured and workload EffBW, so the ring packer is pinned
+/// here too.
+#[test]
+fn fifo_golden_pins_the_engine_queue() {
+    let mut jobs = generator::paper_job_mix(91)[..80].to_vec();
+    assign_priority_classes(&mut jobs, 3);
+    assign_tenants(&mut jobs, 3);
+    let mut subs = Vec::new();
+    for (i, pair) in jobs.chunks(2).enumerate() {
+        if i % 5 == 0 && pair.len() == 2 && pair.iter().map(JobSpec::num_gpus).sum::<usize>() <= 8 {
+            subs.push(Submission::Gang(JobGroup::new(i as u64 + 1, pair.to_vec())));
+        } else {
+            subs.extend(pair.iter().cloned().map(Submission::Job));
+        }
+    }
+    let mut entries = Vec::new();
+    for (policy_label, policy_idx) in [("baseline", 0), ("topo", 1), ("preserve", 3)] {
+        for strict_fifo in [true, false] {
+            for preemption in [PreemptionPolicy::None, PreemptionPolicy::PriorityEvict] {
+                let config = SimConfig {
+                    strict_fifo,
+                    preemption,
+                    arrivals: ArrivalProcess::Bursts { size: 2, gap: 30.0 },
+                    ..SimConfig::default()
+                };
+                let cluster = |servers| {
+                    Cluster::homogeneous(
+                        machines::dgx1_v100(),
+                        servers,
+                        || policy_by_index(policy_idx),
+                        Box::new(LeastLoadedPolicy),
+                    )
+                };
+                let single = Simulation::new(machines::dgx1_v100(), policy_by_index(policy_idx))
+                    .with_config(config.clone())
+                    .run_submissions(subs.clone());
+                let fleet = Engine::over(cluster(3))
+                    .with_config(config.clone())
+                    .run_submissions(subs.clone());
+                let federation = Engine::over(
+                    Federation::new(vec![cluster(2), cluster(2)], Box::new(SpilloverPolicy))
+                        .with_default_quota(12),
+                )
+                .with_config(config)
+                .run_submissions(subs.clone());
+                let cell = format!(
+                    "{policy_label}-{}-{}",
+                    if strict_fifo { "strict" } else { "backfill" },
+                    if preemption == PreemptionPolicy::None {
+                        "keep"
+                    } else {
+                        "evict"
+                    },
+                );
+                for (backend, report) in [
+                    ("single", single),
+                    ("cluster", fleet),
+                    ("federation", federation),
+                ] {
+                    if preemption != PreemptionPolicy::None {
+                        assert!(
+                            report.preemption.jobs_preempted > 0,
+                            "{backend}-{cell} evicts"
+                        );
+                    }
+                    entries.push((format!("{backend}-{cell}"), schedule_digest(&report)));
+                }
+            }
+        }
+    }
+    golden::check_goldens("fifo.txt", &entries);
 }

@@ -1061,10 +1061,10 @@ mod tests {
                 allocator.score_allocation(&spec, gpus),
                 oracle_score(&allocator, &spec, gpus),
             );
-            // Preserved BW by value: where nothing stays free the scorer's
-            // running sums give +0.0 and the emptied graph's sum -0.0.
             proptest::prop_assert_eq!(&score, &oracle);
-            let bits = |s: &MatchScore| [s.aggregated_bw, s.predicted_eff_bw].map(f64::to_bits);
+            let bits = |s: &MatchScore| {
+                [s.aggregated_bw, s.predicted_eff_bw, s.preserved_bw].map(f64::to_bits)
+            };
             proptest::prop_assert_eq!(
                 bits(&score),
                 bits(&oracle),

@@ -96,6 +96,10 @@ pub fn predicted_effective_bandwidth(
 /// `SetScorer` gets the same number from three running sums — and it
 /// stays as the definition they are tested against.
 ///
+/// An allocation that leaves nothing free preserves `+0.0`, as the
+/// scorer's running sums give it, not an empty `f64` sum's `-0.0`: adding
+/// `+0.0` turns the one into the other and keeps any other value's bits.
+///
 /// # Panics
 /// Panics if some `gpus` entry is not in `free_map` (allocating a busy
 /// GPU is a state error upstream).
@@ -110,7 +114,7 @@ pub fn preserved_bandwidth(free_graph: &WeightedGraph, free_map: &[usize], gpus:
         removed.insert(local);
     }
     let (remaining, _) = free_graph.without_vertices(&removed);
-    remaining.total_weight()
+    remaining.total_weight() + 0.0
 }
 
 /// The complete graph over all GPUs as an unweighted pattern — the data

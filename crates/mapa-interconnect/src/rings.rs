@@ -13,7 +13,7 @@
 //! # The search
 //!
 //! Each ring is the Hamiltonian cycle maximizing (bottleneck, then total)
-//! bandwidth over the lanes still unclaimed. [`pack_rings`] finds it with a
+//! bandwidth over the lanes still unclaimed. [`ring_rates`] finds it with a
 //! depth-first branch-and-bound over vertex orders instead of listing all
 //! `(n-1)!/2` cycles: a prefix `0, v₁, …, vₖ` carries its bottleneck and
 //! total so far, and is abandoned as soon as no completion can *strictly*
@@ -27,31 +27,25 @@
 //! vertex 0 first, the rest permuted by recursive swapping
 //! (`for i in k..len { swap(k, i); recurse; swap(k, i) }`), mirror images
 //! dropped by keeping the order whose second vertex is smaller than its
-//! last. Which cycle wins decides which lanes the next ring finds, so
-//! [`Ring::order`], the number of rings and therefore every simulated
-//! execution time depend on it. Pruning only ever skips cycles that could
-//! not have replaced the incumbent, so the result equals the
-//! enumerate-everything packer kept as the test oracle in this module.
+//! last. Which cycle wins decides which lanes the next ring finds, so the
+//! number of rings and therefore every simulated execution time depend on
+//! it. Pruning only ever skips cycles that could not have replaced the
+//! incumbent, so the rates equal those of the enumerate-everything packer
+//! kept as the test oracle in this module.
 //!
-//! # What pricing reads
+//! # Only NVLink lanes are searched
 //!
-//! The all-reduce models ([`crate::allreduce`]) and everything priced
-//! through them read each ring's [`RingRate`] — its bottleneck and whether
-//! it is all-NVLink — and never its order or its cycle total. That lets
-//! [`ring_rates`] skip a search whose answer it would not read:
+//! Pricing ([`crate::allreduce`]) reads each ring's [`RingRate`] — its
+//! bottleneck and whether it is all-NVLink — and never its order, so the
+//! host path needs no search:
 //!
 //! * When the NVLink lanes hold a Hamiltonian cycle, every optimal first
 //!   ring is all-NVLink (bottleneck ≥ 20 GB/s > 12), so a search that
 //!   allows only NVLink hops, in the same visiting order, returns the same
 //!   first optimal cycle. Later rings are NVLink-only anyway.
 //! * When they hold none, the first ring has a host hop and runs at
-//!   12 GB/s, and no ring follows it: later rings use NVLink lanes only,
-//!   over a subset of the same lanes.
-//!
-//! So both [`pack_rings`] and [`ring_rates`] search the NVLink lanes first.
-//! Only [`pack_rings`], which reports [`Ring::order`], goes on to the
-//! max-total host search for the order of that one 12 GB/s ring; its
-//! rates stay the definition [`ring_rates`] must equal.
+//!   12 GB/s, whatever its order, and no ring follows it: later rings use
+//!   NVLink lanes only, over a subset of the same lanes.
 //!
 //! # Packing once per link pattern
 //!
@@ -64,13 +58,10 @@
 use mapa_topology::{LinkType, Topology};
 use std::collections::HashMap;
 
-/// Largest allocation [`pack_rings`] accepts. The search is exact and its
-/// worst case (a PCIe-bound allocation, where little can be pruned) is
+/// Largest allocation [`ring_rates`] accepts. The search is exact and its
+/// worst case (NVLink lanes with no cycle, so no incumbent prunes) is
 /// factorial in the allocation size; the paper's jobs are ≤ 9 GPUs.
 pub const MAX_RING_GPUS: usize = 10;
-
-/// Bandwidth of the host (PCIe) path every GPU pair owns.
-const PCIE_GBPS: f64 = 12.0;
 
 /// What pricing reads of a ring: its rate and its link class.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,44 +73,12 @@ pub struct RingRate {
 }
 
 /// The one ring a host-bound allocation gets: some hop rides PCIe, so the
-/// ring runs at the host path's rate whatever its order.
+/// ring runs at the rate of the host path every GPU pair owns (12 GB/s),
+/// whatever its order.
 const HOST_RING: RingRate = RingRate {
-    bottleneck_gbps: PCIE_GBPS,
+    bottleneck_gbps: 12.0,
     all_nvlink: false,
 };
-
-/// A selected communication ring.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Ring {
-    /// Allocation-local vertex order; the ring closes back to the first.
-    pub order: Vec<usize>,
-    /// Bandwidth of the slowest hop in GB/s — the ring's sustained rate.
-    pub bottleneck_gbps: f64,
-    /// True when every hop rides NVLink.
-    pub all_nvlink: bool,
-}
-
-/// The set of rings NCCL-style channel construction would pack onto an
-/// allocation, with their bottleneck bandwidths.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RingSet {
-    /// Rings, best first.
-    pub rings: Vec<Ring>,
-}
-
-impl RingSet {
-    /// The rings' rates, best first — all that pricing reads.
-    #[must_use]
-    pub fn rates(&self) -> Vec<RingRate> {
-        self.rings
-            .iter()
-            .map(|r| RingRate {
-                bottleneck_gbps: r.bottleneck_gbps,
-                all_nvlink: r.all_nvlink,
-            })
-            .collect()
-    }
-}
 
 /// The NVLink lanes a link of type `link` contributes, and the bandwidth of
 /// each in GB/s; PCIe contributes none.
@@ -164,27 +123,19 @@ impl Lanes {
         lanes
     }
 
-    /// Bandwidth of the best lane a ring may still take between `u` and
-    /// `v`, and whether it is NVLink; `None` when NVLink is exhausted and
-    /// the host path is not allowed.
-    fn hop(&self, u: usize, v: usize, allow_pcie: bool) -> Option<(f64, bool)> {
-        if self.nvlink_left[u][v] > 0 {
-            Some((self.nvlink_gbps[u][v], true))
-        } else if allow_pcie {
-            Some((PCIE_GBPS, false))
-        } else {
-            None
-        }
+    /// Bandwidth of an unclaimed NVLink lane between `u` and `v`, if one
+    /// is left.
+    fn hop(&self, u: usize, v: usize) -> Option<f64> {
+        (self.nvlink_left[u][v] > 0).then_some(self.nvlink_gbps[u][v])
     }
 
-    /// Removes the lanes the ring `order` rides on.
+    /// Removes the lanes the ring `order` rides on: one per hop, and a
+    /// Hamiltonian cycle on 3 or more vertices visits each pair once.
     fn claim(&mut self, order: &[usize]) {
         for (k, &u) in order.iter().enumerate() {
             let v = order[(k + 1) % order.len()];
-            if self.nvlink_left[u][v] > 0 {
-                self.nvlink_left[u][v] -= 1;
-                self.nvlink_left[v][u] -= 1;
-            }
+            self.nvlink_left[u][v] -= 1;
+            self.nvlink_left[v][u] -= 1;
         }
     }
 }
@@ -194,7 +145,6 @@ impl Lanes {
 struct Prefix {
     bottleneck: f64,
     total: f64,
-    all_nvlink: bool,
     /// Σ over the vertices still to be entered (vertex 0 included: the
     /// closing hop enters it) of the best lane into each — what the
     /// remaining hops can add to `total` at most. Lane bandwidths are
@@ -210,10 +160,9 @@ struct Incumbent {
     tail: [usize; MAX_RING_GPUS],
 }
 
-/// One branch-and-bound search for the best cycle over `lanes`.
+/// One branch-and-bound search for the best all-NVLink cycle over `lanes`.
 struct Search<'a> {
     lanes: &'a Lanes,
-    allow_pcie: bool,
     /// Vertices `1..n`, permuted in place by the recursive swaps.
     tail: [usize; MAX_RING_GPUS],
     len: usize,
@@ -224,12 +173,11 @@ struct Search<'a> {
 
 impl<'a> Search<'a> {
     /// The first cycle, in visiting order, with the maximal (bottleneck,
-    /// total) over the unclaimed lanes; `None` when no cycle is feasible.
-    fn best_cycle(lanes: &'a Lanes, allow_pcie: bool) -> Option<Incumbent> {
+    /// total) over the unclaimed lanes; `None` when they hold no cycle.
+    fn best_cycle(lanes: &'a Lanes) -> Option<Incumbent> {
         let n = lanes.n;
         let mut search = Search {
             lanes,
-            allow_pcie,
             tail: [0; MAX_RING_GPUS],
             len: n - 1,
             best_into: [0.0; MAX_RING_GPUS],
@@ -241,8 +189,7 @@ impl<'a> Search<'a> {
             }
             search.best_into[v] = (0..n)
                 .filter(|&u| u != v)
-                .filter_map(|u| lanes.hop(u, v, allow_pcie))
-                .map(|(gbps, _)| gbps)
+                .filter_map(|u| lanes.hop(u, v))
                 .fold(0.0, f64::max);
         }
         search.descend(
@@ -250,7 +197,6 @@ impl<'a> Search<'a> {
             Prefix {
                 bottleneck: f64::INFINITY,
                 total: 0.0,
-                all_nvlink: true,
                 headroom: search.best_into[..n].iter().sum(),
             },
         );
@@ -291,11 +237,10 @@ impl<'a> Search<'a> {
     /// or no completion of the longer prefix can strictly beat the
     /// incumbent on (bottleneck, then total).
     fn extend(&self, prefix: Prefix, u: usize, v: usize) -> Option<Prefix> {
-        let (gbps, nvlink) = self.lanes.hop(u, v, self.allow_pcie)?;
+        let gbps = self.lanes.hop(u, v)?;
         let next = Prefix {
             bottleneck: prefix.bottleneck.min(gbps),
             total: prefix.total + gbps,
-            all_nvlink: prefix.all_nvlink && nvlink,
             headroom: prefix.headroom - self.best_into[v],
         };
         if let Some(Incumbent { cycle: best, .. }) = &self.incumbent {
@@ -311,105 +256,56 @@ impl<'a> Search<'a> {
     }
 }
 
-/// Packs rings onto the allocation `gpus` of `topology`.
+/// The rings NCCL-style channel construction packs onto the allocation
+/// `gpus` of `topology`, as the rates pricing reads, best first.
 ///
 /// * `n == 0 | 1`: no rings (no inter-GPU traffic).
 /// * `n == 2`: every NVLink lane of the pair is its own channel; PCIe is
 ///   used only when no NVLink exists.
-/// * `n >= 3`: greedy Hamiltonian-ring packing — repeatedly take the cycle
-///   maximizing (bottleneck, then total) bandwidth over the unclaimed
-///   lanes, first in visiting order among equals (see the module docs),
-///   claim its lanes, and continue while pure-NVLink rings remain. The
-///   first ring may include PCIe hops (there must always be at least one
-///   channel); later rings are searched over NVLink lanes only — a cycle
-///   with a PCIe hop is bottlenecked at 12 GB/s, below any all-NVLink
-///   cycle, and would end the packing if it won. So the NVLink lanes are
-///   searched first, and the host path only when they hold no cycle.
+/// * `n >= 3`: greedy Hamiltonian-ring packing — repeatedly take the
+///   all-NVLink cycle maximizing (bottleneck, then total) bandwidth over
+///   the unclaimed lanes, first in visiting order among equals (see the
+///   module docs), and claim its lanes. When the NVLink lanes hold no
+///   cycle, the allocation gets one ring at the host path's rate (there
+///   must always be at least one channel).
 ///
 /// # Panics
 /// Panics if `gpus` has out-of-range or duplicate entries, or more than
 /// [`MAX_RING_GPUS`] of them — callers reject such jobs where they enter
 /// (the simulator does, with a typed error), so this is an invariant.
 #[must_use]
-pub fn pack_rings(topology: &Topology, gpus: &[usize]) -> RingSet {
-    let mut rings = Vec::new();
-    let host = pack(topology, gpus, |order, rate| {
-        rings.push(Ring {
-            order: order.to_vec(),
-            bottleneck_gbps: rate.bottleneck_gbps,
-            all_nvlink: rate.all_nvlink,
-        });
-    });
-    if let Some(lanes) = host {
-        let best = Search::best_cycle(&lanes, true).expect("the host path completes any cycle");
-        let mut order = vec![0];
-        order.extend_from_slice(&best.tail[..gpus.len() - 1]);
-        rings.push(Ring {
-            order,
-            bottleneck_gbps: best.cycle.bottleneck,
-            all_nvlink: best.cycle.all_nvlink,
-        });
-    }
-    RingSet { rings }
-}
-
-/// The rates of [`pack_rings`]`(topology, gpus)`, in order, without
-/// ordering a host ring: an allocation whose NVLink lanes hold no cycle
-/// gets one ring at the host path's rate (see the module docs).
-///
-/// # Panics
-/// Where [`pack_rings`] does.
-#[must_use]
 pub fn ring_rates(topology: &Topology, gpus: &[usize]) -> Vec<RingRate> {
-    let mut rates = Vec::new();
-    if pack(topology, gpus, |_, rate| rates.push(rate)).is_some() {
-        rates.push(HOST_RING);
-    }
-    rates
-}
-
-/// Hands every NVLink channel of the allocation to `channel`, best first,
-/// with its allocation-local order, and returns the lanes when a host ring
-/// must follow — when there are 3 GPUs or more and their NVLink lanes hold
-/// no cycle.
-fn pack(
-    topology: &Topology,
-    gpus: &[usize],
-    mut channel: impl FnMut(&[usize], RingRate),
-) -> Option<Lanes> {
     let n = gpus.len();
     assert_ring_limit(n);
     if n < 2 {
-        return None;
+        return Vec::new();
     }
     if n == 2 {
         let (channels, gbps) = nvlink_lanes(topology.link_type(gpus[0], gpus[1]));
         if channels == 0 {
-            channel(&[0, 1], HOST_RING);
+            return vec![HOST_RING];
         }
         let rate = RingRate {
             bottleneck_gbps: gbps,
             all_nvlink: true,
         };
-        for _ in 0..channels {
-            channel(&[0, 1], rate);
-        }
-        return None;
+        return vec![rate; usize::from(channels)];
     }
     let mut lanes = Lanes::build(topology, gpus);
     let mut order = [0; MAX_RING_GPUS];
-    let mut found = false;
-    while let Some(best) = Search::best_cycle(&lanes, false) {
+    let mut rates = Vec::new();
+    while let Some(best) = Search::best_cycle(&lanes) {
         order[1..n].copy_from_slice(&best.tail[..n - 1]);
         lanes.claim(&order[..n]);
-        found = true;
-        let rate = RingRate {
+        rates.push(RingRate {
             bottleneck_gbps: best.cycle.bottleneck,
             all_nvlink: true,
-        };
-        channel(&order[..n], rate);
+        });
     }
-    (!found).then_some(lanes)
+    if rates.is_empty() {
+        rates.push(HOST_RING);
+    }
+    rates
 }
 
 fn assert_ring_limit(n: usize) {
@@ -441,7 +337,7 @@ impl RingMemo {
     /// pattern is seen.
     ///
     /// # Panics
-    /// Where [`pack_rings`] does, hit or miss: more than [`MAX_RING_GPUS`]
+    /// Where [`ring_rates`] does, hit or miss: more than [`MAX_RING_GPUS`]
     /// GPUs is refused before the key is built (from 12 GPUs on, the
     /// shifted key would silently collide), and `link_type` refuses an
     /// out-of-range or repeated GPU as its pair enters the key.
@@ -461,11 +357,43 @@ impl RingMemo {
 
 /// The pre-search packer — list every Hamiltonian cycle, score each against
 /// a `Vec` of bricks, keep the first strictly better — kept verbatim as the
-/// oracle [`pack_rings`] must equal, `order` included.
+/// oracle whose rates [`ring_rates`] must equal.
 #[cfg(test)]
 mod reference {
-    use super::{Ring, RingSet};
+    use super::RingRate;
     use mapa_topology::{LinkType, Topology};
+
+    /// A selected communication ring.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Ring {
+        /// Allocation-local vertex order; the ring closes back to the first.
+        pub order: Vec<usize>,
+        /// Bandwidth of the slowest hop in GB/s — the ring's sustained rate.
+        pub bottleneck_gbps: f64,
+        /// True when every hop rides NVLink.
+        pub all_nvlink: bool,
+    }
+
+    /// The set of rings NCCL-style channel construction would pack onto an
+    /// allocation, with their bottleneck bandwidths.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RingSet {
+        /// Rings, best first.
+        pub rings: Vec<Ring>,
+    }
+
+    impl RingSet {
+        /// The rings' rates, best first.
+        pub fn rates(&self) -> Vec<RingRate> {
+            self.rings
+                .iter()
+                .map(|r| RingRate {
+                    bottleneck_gbps: r.bottleneck_gbps,
+                    all_nvlink: r.all_nvlink,
+                })
+                .collect()
+        }
+    }
 
     /// One brick (usable parallel lane) between a pair of allocation-local
     /// GPUs.
@@ -696,8 +624,8 @@ mod tests {
     use mapa_topology::machines;
 
     /// Aggregate sustained (bus) bandwidth: the sum of ring bottlenecks.
-    fn total(rings: &RingSet) -> f64 {
-        rings.rings.iter().map(|r| r.bottleneck_gbps).sum()
+    fn total(rates: &[RingRate]) -> f64 {
+        rates.iter().map(|r| r.bottleneck_gbps).sum()
     }
 
     #[test]
@@ -712,16 +640,16 @@ mod tests {
     fn two_gpu_channel_rules() {
         let dgx = machines::dgx1_v100();
         // Double NVLink pair (0,3): two 25 GB/s channels = 50.
-        let d = pack_rings(&dgx, &[0, 3]);
-        assert_eq!(d.rings.len(), 2);
+        let d = ring_rates(&dgx, &[0, 3]);
+        assert_eq!(d.len(), 2);
         assert_eq!(total(&d), 50.0);
         // Single NVLink pair (0,1): one 25 GB/s channel.
-        let s = pack_rings(&dgx, &[0, 1]);
+        let s = ring_rates(&dgx, &[0, 1]);
         assert_eq!(total(&s), 25.0);
         // PCIe pair (0,5): the 12 GB/s fallback only.
-        let p = pack_rings(&dgx, &[0, 5]);
+        let p = ring_rates(&dgx, &[0, 5]);
         assert_eq!(total(&p), 12.0);
-        assert!(!p.rings[0].all_nvlink);
+        assert!(!p[0].all_nvlink);
     }
 
     #[test]
@@ -729,18 +657,18 @@ mod tests {
         // Paper §2.2: {0,1,4} needs PCIe between 1 and 4 — the single ring
         // through all three GPUs bottlenecks at 12 GB/s.
         let dgx = machines::dgx1_v100();
-        let rs = pack_rings(&dgx, &[0, 1, 4]);
-        assert_eq!(rs.rings.len(), 1);
-        assert_eq!(rs.rings[0].bottleneck_gbps, 12.0);
+        let rs = ring_rates(&dgx, &[0, 1, 4]);
+        assert_eq!(rs.len(), 1);
+        assert_eq!(rs[0].bottleneck_gbps, 12.0);
     }
 
     #[test]
     fn ideal_triple_gets_nvlink_ring() {
         // Paper §2.2 ideal {0,2,3}: single NVLink 0-2 caps the ring at 25.
         let dgx = machines::dgx1_v100();
-        let rs = pack_rings(&dgx, &[0, 2, 3]);
-        assert!(rs.rings[0].all_nvlink);
-        assert_eq!(rs.rings[0].bottleneck_gbps, 25.0);
+        let rs = ring_rates(&dgx, &[0, 2, 3]);
+        assert!(rs[0].all_nvlink);
+        assert_eq!(rs[0].bottleneck_gbps, 25.0);
         assert_eq!(total(&rs), 25.0);
     }
 
@@ -749,9 +677,9 @@ mod tests {
         // Full quad {0,1,2,3} of DGX-1V: bricks allow two disjoint
         // all-NVLink Hamiltonian rings of bottleneck 25 each.
         let dgx = machines::dgx1_v100();
-        let rs = pack_rings(&dgx, &[0, 1, 2, 3]);
-        assert!(rs.rings.len() >= 2, "{rs:?}");
-        assert!(rs.rings.iter().take(2).all(|r| r.all_nvlink));
+        let rs = ring_rates(&dgx, &[0, 1, 2, 3]);
+        assert!(rs.len() >= 2, "{rs:?}");
+        assert!(rs.iter().take(2).all(|r| r.all_nvlink));
         assert_eq!(total(&rs), 50.0);
     }
 
@@ -759,16 +687,16 @@ mod tests {
     fn summit_triple_all_double() {
         // Summit socket {0,1,2}: all pairs double NVLink → two rings of 25.
         let s = machines::summit();
-        let rs = pack_rings(&s, &[0, 1, 2]);
-        assert_eq!(rs.rings.len(), 2);
+        let rs = ring_rates(&s, &[0, 1, 2]);
+        assert_eq!(rs.len(), 2);
         assert_eq!(total(&rs), 50.0);
     }
 
     #[test]
     fn single_gpu_and_empty_have_no_rings() {
         let dgx = machines::dgx1_v100();
-        assert!(pack_rings(&dgx, &[3]).rings.is_empty());
-        assert!(pack_rings(&dgx, &[]).rings.is_empty());
+        assert!(ring_rates(&dgx, &[3]).is_empty());
+        assert!(ring_rates(&dgx, &[]).is_empty());
     }
 
     #[test]
@@ -789,8 +717,8 @@ mod tests {
     fn more_nvlink_never_hurts() {
         // Monotonicity: the ideal quad beats any fragmented 4-set.
         let dgx = machines::dgx1_v100();
-        let ideal = total(&pack_rings(&dgx, &[0, 1, 2, 3]));
-        let frag = total(&pack_rings(&dgx, &[0, 1, 4, 6]));
+        let ideal = total(&ring_rates(&dgx, &[0, 1, 2, 3]));
+        let frag = total(&ring_rates(&dgx, &[0, 1, 4, 6]));
         assert!(ideal >= frag, "{ideal} < {frag}");
     }
 
@@ -798,9 +726,9 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
         /// Ring packing invariants over random allocations on the paper's
-        /// machines: rings are Hamiltonian over the allocation, bottlenecks
-        /// are at least PCIe-class, at most one ring uses PCIe, and total
-        /// bus bandwidth never exceeds the allocation's brick capacity.
+        /// machines: there is a ring, bottlenecks are at least PCIe-class,
+        /// at most one ring uses PCIe, and total bus bandwidth never
+        /// exceeds the allocation's brick capacity.
         #[test]
         fn packing_invariants(
             machine_idx in 0usize..3,
@@ -822,13 +750,10 @@ mod tests {
             if gpus.len() < 2 {
                 return Ok(());
             }
-            let rs = pack_rings(&machine, &gpus);
-            proptest::prop_assert!(!rs.rings.is_empty());
+            let rs = ring_rates(&machine, &gpus);
+            proptest::prop_assert!(!rs.is_empty());
             let mut pcie_rings = 0;
-            for ring in &rs.rings {
-                let mut sorted = ring.order.clone();
-                sorted.sort_unstable();
-                proptest::prop_assert_eq!(sorted, (0..gpus.len()).collect::<Vec<_>>());
+            for ring in &rs {
                 proptest::prop_assert!(ring.bottleneck_gbps >= 12.0);
                 if !ring.all_nvlink {
                     pcie_rings += 1;
@@ -844,20 +769,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rings_are_valid_permutations() {
-        let dgx = machines::dgx1_v100();
-        for gpus in [vec![0, 1, 2], vec![0, 1, 2, 3, 4], vec![2, 3, 5, 7]] {
-            let rs = pack_rings(&dgx, &gpus);
-            for ring in &rs.rings {
-                let mut sorted = ring.order.clone();
-                sorted.sort_unstable();
-                assert_eq!(sorted, (0..gpus.len()).collect::<Vec<_>>());
-                assert!(ring.bottleneck_gbps >= 12.0);
-            }
-        }
-    }
-
     /// Every `k`-subset of `0..n`, ascending, for `k` in `sizes`.
     fn subsets(n: usize, sizes: std::ops::RangeInclusive<usize>) -> Vec<Vec<usize>> {
         (0u32..1 << n)
@@ -866,10 +777,24 @@ mod tests {
             .collect()
     }
 
+    /// What pricing reads of a packing: each ring's bottleneck bits and
+    /// link class, best first.
+    fn priced(rates: &[RingRate]) -> Vec<(u64, bool)> {
+        rates
+            .iter()
+            .map(|r| (r.bottleneck_gbps.to_bits(), r.all_nvlink))
+            .collect()
+    }
+
+    /// The reference packer's rates, priced.
+    fn reference_price(machine: &Topology, gpus: &[usize]) -> Vec<(u64, bool)> {
+        priced(&pack_rings_reference(machine, gpus).rates())
+    }
+
     fn assert_matches_reference(machine: &Topology, gpus: &[usize]) {
         assert_eq!(
-            pack_rings(machine, gpus),
-            pack_rings_reference(machine, gpus),
+            priced(&ring_rates(machine, gpus)),
+            reference_price(machine, gpus),
             "{} {gpus:?}",
             machine.name()
         );
@@ -965,8 +890,8 @@ mod tests {
         ) {
             let (machine, gpus) = random_machine(n, &links);
             proptest::prop_assert_eq!(
-                pack_rings(&machine, &gpus),
-                pack_rings_reference(&machine, &gpus)
+                priced(&ring_rates(&machine, &gpus)),
+                reference_price(&machine, &gpus)
             );
         }
     }
@@ -981,8 +906,8 @@ mod tests {
         ) {
             let (machine, gpus) = random_machine(n, &links);
             proptest::prop_assert_eq!(
-                pack_rings(&machine, &gpus),
-                pack_rings_reference(&machine, &gpus)
+                priced(&ring_rates(&machine, &gpus)),
+                reference_price(&machine, &gpus)
             );
         }
     }
@@ -991,7 +916,7 @@ mod tests {
     #[should_panic(expected = "at most 10 GPUs, got 11")]
     fn more_than_max_ring_gpus_is_an_invariant_violation() {
         let gpus: Vec<usize> = (0..=MAX_RING_GPUS).collect();
-        let _ = pack_rings(&machines::dgx2(), &gpus);
+        let _ = ring_rates(&machines::dgx2(), &gpus);
     }
 
     /// Every built-in machine, and a DGX-1 with two GPUs split into MIG
@@ -1006,19 +931,6 @@ mod tests {
         all
     }
 
-    /// What pricing reads of [`pack_rings`]: each ring's bottleneck bits
-    /// and link class, best first.
-    fn priced(rates: &[RingRate]) -> Vec<(u64, bool)> {
-        rates
-            .iter()
-            .map(|r| (r.bottleneck_gbps.to_bits(), r.all_nvlink))
-            .collect()
-    }
-
-    fn packed_price(machine: &Topology, gpus: &[usize]) -> Vec<(u64, bool)> {
-        priced(&pack_rings(machine, gpus).rates())
-    }
-
     thread_local! {
         /// One memo for every case of the property below, across machines.
         static SHARED_MEMO: std::cell::RefCell<RingMemo> = std::cell::RefCell::default();
@@ -1027,12 +939,11 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        /// The memoised rates equal `pack_rings`' rates, ring by ring and
-        /// bit for bit, whether the memo is cold (first sight of the
-        /// pattern, or a hit left by another machine) or warm (asked
-        /// again).
+        /// The memoised rates equal `ring_rates`, ring by ring and bit for
+        /// bit, whether the memo is cold (first sight of the pattern, or a
+        /// hit left by another machine) or warm (asked again).
         #[test]
-        fn ring_price_equals_pack_rings_on_every_machine(
+        fn ring_price_equals_ring_rates_on_every_machine(
             draws in proptest::collection::vec(
                 (0usize..7, proptest::collection::vec(0usize..64, 0..11)),
                 1..8,
@@ -1049,7 +960,7 @@ mod tests {
                     pool.swap(i, i + pick % (n - i));
                 }
                 let gpus = &pool[..k];
-                let expected = packed_price(machine, gpus);
+                let expected = priced(&ring_rates(machine, gpus));
                 for pass in ["cold", "warm"] {
                     let rates =
                         SHARED_MEMO.with_borrow_mut(|memo| priced(memo.rates(machine, gpus)));
@@ -1067,16 +978,15 @@ mod tests {
     }
 
     /// Every 3- to 8-subset of the cube-mesh, the machine whose sets most
-    /// often lack an NVLink ring: the unmemoised rates and a memo's, cold
-    /// or warm, equal `pack_rings`' rates.
+    /// often lack an NVLink ring: a memo's rates, cold or warm, equal
+    /// `ring_rates`.
     #[test]
-    fn ring_price_equals_pack_rings_on_every_cube_mesh_subset() {
+    fn ring_price_equals_ring_rates_on_every_cube_mesh_subset() {
         let cube_mesh = machines::cube_mesh();
         let mut memo = RingMemo::default();
         let (mut host_bound, mut multi_ring) = (0, 0);
         for gpus in subsets(cube_mesh.gpu_count(), 3..=8) {
-            let expected = packed_price(&cube_mesh, &gpus);
-            assert_eq!(priced(&ring_rates(&cube_mesh, &gpus)), expected, "{gpus:?}");
+            let expected = priced(&ring_rates(&cube_mesh, &gpus));
             assert_eq!(priced(memo.rates(&cube_mesh, &gpus)), expected, "{gpus:?}");
             host_bound += usize::from(!expected[0].1);
             multi_ring += usize::from(expected.len() > 1);

@@ -12,8 +12,8 @@
 //! * [`EffBwModel`] — fit (via OLS over the features, exactly the paper's
 //!   "non-linear polynomial regression", one 14×14 normal-equation solve)
 //!   and predict;
-//! * [`paper_coefficients`] — the published Table 2 θ values, kept for
-//!   comparison with our re-fit model;
+//! * [`paper_coefficients`] — the published Table 2 θ values, the
+//!   fallback of [`EffBwModel::for_machine`] where a corpus cannot be fit;
 //! * [`corpus`] — the training-set protocol of §3.4.3: enumerate 2–5-GPU
 //!   allocations on a machine, deduplicate by unique `(x, y, z)`, and
 //!   measure EffBW with the simulated microbenchmark (26 samples on

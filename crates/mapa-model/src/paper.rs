@@ -5,8 +5,8 @@ use crate::features::NUM_FEATURES;
 /// The θ₁…θ₁₄ values of the paper's Table 2, fitted by the authors on 31
 /// unique-(x, y, z) NCCL all-reduce measurements from their DGX-1 V100.
 ///
-/// Kept verbatim so benches can compare the paper's model against the one
-/// re-fitted on our simulated microbenchmark corpus.
+/// [`crate::EffBwModel::for_machine`] falls back to them when a machine's
+/// corpus has too few link mixes to fit (DGX-2 and Summit do).
 #[must_use]
 pub fn paper_coefficients() -> [f64; NUM_FEATURES] {
     [

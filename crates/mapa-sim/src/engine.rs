@@ -33,7 +33,7 @@ use mapa_core::fragmentation;
 use mapa_core::policy::AllocationPolicy;
 use mapa_core::scoring::MatchScore;
 use mapa_core::{AllocatorConfig, CacheStats, MapaAllocator, PreemptionPolicy};
-use mapa_interconnect::{effbw, rings};
+use mapa_interconnect::{allreduce, effbw, rings};
 use mapa_topology::Topology;
 use mapa_workloads::{perf, JobGroup, JobSpec};
 use std::collections::{HashSet, VecDeque};
@@ -1532,7 +1532,7 @@ impl<B: SchedulerBackend> Engine<B> {
         };
         let workload_bw = perf::workload_effbw_rings(job.workload, rates, p.gpus.len());
         let measured_eff_bw =
-            effbw::measure_rings_at_size(rates, p.gpus.len(), effbw::SATURATING_BYTES);
+            allreduce::allreduce_bus_bandwidth_gbps(rates, p.gpus.len(), effbw::SATURATING_BYTES);
         let allocation_quality = fragmentation::allocation_quality(topology, &p.gpus);
         let iter_time = perf::iteration_time_with_effbw(job.workload, job.num_gpus(), workload_bw);
         let exec =

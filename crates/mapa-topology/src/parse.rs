@@ -471,4 +471,81 @@ GPU3   SYS   NV1   NV2    X
         let t = parse_topology_matrix(m, "x", NvlinkGeneration::V2).unwrap();
         assert_eq!(t.link_type(0, 1), LinkType::Pcie);
     }
+
+    /// Pieces of `nvidia-smi topo -m` output, and of what it is not.
+    const MATRIX_TOKENS: &[&str] = &[
+        "GPU0",
+        "GPU1",
+        "GPU2",
+        "GPU3",
+        "GPU",
+        "GPU01",
+        "GPU99",
+        "X",
+        "x",
+        "NV0",
+        "NV1",
+        "NV2",
+        "nv4",
+        "NV12",
+        "NV300",
+        "NV+4",
+        "NV-1",
+        "NV",
+        "SYS",
+        "PHB",
+        "PXB",
+        "PIX",
+        "NODE",
+        "QPI",
+        "CPU Affinity",
+        "NUMA Affinity",
+        "0-19",
+        "NIC0",
+        "Legend:",
+        " ",
+        " ",
+        "\t",
+        "\n",
+        "\n",
+        "\r\n",
+        "GPU\u{2160}",
+        "\u{0413}\u{041f}\u{0423}0",
+        "\u{2713}",
+        "\u{feff}",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// Soup of matrix tokens, alone or spliced into a valid matrix,
+        /// never panics the parser: it returns a typed error, or a topology
+        /// that reads back from its own rendering.
+        #[test]
+        fn matrix_parse_never_panics_on_token_soup(
+            tokens in proptest::collection::vec(0usize..MATRIX_TOKENS.len(), 0..40),
+            host in 0usize..3,
+            at in 0usize..4096,
+        ) {
+            let mut input = match host {
+                0 => String::new(),
+                1 => SAMPLE.to_string(),
+                _ => to_topology_matrix(&machines::dgx1_v100()),
+            };
+            let soup: String = tokens.iter().map(|&t| MATRIX_TOKENS[t]).collect();
+            input.insert_str(at % (input.len() + 1), &soup);
+            if let Ok(topology) = parse_topology_matrix(&input, "soup", NvlinkGeneration::V2) {
+                proptest::prop_assert_eq!(
+                    parse_topology_matrix(
+                        &to_topology_matrix(&topology),
+                        "soup",
+                        NvlinkGeneration::V2
+                    ),
+                    Ok(topology),
+                    "{:?}",
+                    input
+                );
+            }
+        }
+    }
 }

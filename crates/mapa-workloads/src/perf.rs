@@ -10,7 +10,7 @@
 //! NVLink differential.
 
 use crate::network::Workload;
-use mapa_interconnect::{effbw, rings};
+use mapa_interconnect::{allreduce, effbw, rings};
 use mapa_topology::Topology;
 
 /// Per-iteration time (seconds) for `workload` running on the physical
@@ -70,7 +70,7 @@ pub fn workload_effbw_rings(workload: Workload, rates: &[rings::RingRate], n_gpu
     if n_gpus < 2 {
         return 0.0;
     }
-    effbw::measure_rings_at_size(rates, n_gpus, workload.model().avg_message_bytes)
+    allreduce::allreduce_bus_bandwidth_gbps(rates, n_gpus, workload.model().avg_message_bytes)
 }
 
 fn comm_time(bytes: f64, eff_bw_gbps: f64) -> f64 {

@@ -1,11 +1,9 @@
-//! The MAPA allocator engine: matching + scoring + policy + state (§3.6).
+//! The MAPA allocator engine: scoring + policy + state (§3.6).
 
 use crate::cache::{AllocationCache, CacheStats, Decision};
 use crate::policy::{AllocationPolicy, PolicyContext};
 use crate::preempt::PreemptionPolicy;
-use crate::scoring::{self, MatchScore, SetScorer};
-use mapa_graph::PatternGraph;
-use mapa_isomorph::Matcher;
+use crate::scoring::{MatchScore, SetScorer};
 use mapa_model::EffBwModel;
 use mapa_topology::{AllocationError, HardwareState, Topology};
 use mapa_workloads::JobSpec;
@@ -84,18 +82,16 @@ impl AllocatorConfig {
     }
 }
 
-/// The full MAPA stack for one machine: pattern matcher, Predicted-EffBW
-/// model (fitted on this machine's own microbenchmark corpus, falling back
-/// to the paper's Table 2 coefficients when the machine is too uniform to
-/// produce enough unique link mixes), the selection policy, the
-/// allocation state, and (optionally) the allocation-decision cache.
+/// The full MAPA stack for one machine: the Predicted-EffBW model (fitted
+/// on this machine's own microbenchmark corpus, falling back to the
+/// paper's Table 2 coefficients when the machine is too uniform to produce
+/// enough unique link mixes), the selection policy, the allocation state,
+/// and (optionally) the allocation-decision cache.
 pub struct MapaAllocator {
     topology: Topology,
     state: HardwareState,
-    matcher: Matcher,
     model: EffBwModel,
     policy: Box<dyn AllocationPolicy>,
-    data_graph: PatternGraph,
     cache: Option<AllocationCache>,
     /// Scheduling metadata of every active job — what preemption victim
     /// selection ranks on. Keyed by job id; maintained by
@@ -135,8 +131,6 @@ impl MapaAllocator {
     ) -> Self {
         Self {
             state: HardwareState::new(topology.clone()),
-            matcher: Matcher::default(),
-            data_graph: scoring::matcher_data_graph(&topology),
             model,
             policy,
             topology,
@@ -241,8 +235,6 @@ impl MapaAllocator {
                 topology: &self.topology,
                 state: &self.state,
                 model: &self.model,
-                matcher: &self.matcher,
-                data_graph: &self.data_graph,
                 scorer: &scorer,
             };
             self.policy.select(job, &ctx).map(|gpus| {

@@ -3,7 +3,7 @@
 //!
 //! Within one [`crate::MapaAllocator`] (one machine, one policy, one
 //! model) a policy's selection is a pure function of five inputs: the job's
-//! pattern — [`crate::appgraph::build_pattern`] is deterministic in
+//! pattern — [`crate::appgraph::pattern_edges`] is deterministic in
 //! `(AppTopology, size)`, so that pair *is* the pattern —, its
 //! bandwidth-sensitivity flag, its demand kind (whole GPUs vs MIG slices —
 //! they see different eligible vertices on partitioned machines), whether

@@ -6,8 +6,8 @@
 //!    pattern becomes a small pattern graph (ring/tree/… of Fig. 8).
 //! 2. **Hardware topology** (`mapa-topology`): the server is a complete
 //!    weighted graph (PCIe fallback everywhere).
-//! 3. **Pattern matching** (`mapa-isomorph`): mine the free portion of the
-//!    hardware graph for embeddings of the application pattern.
+//! 3. **Pattern matching**: hardware graphs are complete, so a set's best
+//!    embedding is searched within the set ([`scoring`]).
 //! 4. **Pattern scoring** ([`scoring`]): Aggregated Bandwidth (Eq. 1),
 //!    Predicted Effective Bandwidth (Eq. 2), Preserved Bandwidth (Eq. 3).
 //! 5. **Pattern selection** ([`policy`]): Baseline, Topo-aware, Greedy, and

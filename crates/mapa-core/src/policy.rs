@@ -13,12 +13,9 @@
 //!   job regardless of sensitivity.
 //!
 //! All policies are deterministic: score ties break toward the
-//! lexicographically smallest embedding.
+//! lexicographically smallest GPU set.
 
-use crate::appgraph;
 use crate::scoring::{Ranking, SetScorer};
-use mapa_graph::{BitSet, PatternGraph};
-use mapa_isomorph::{Embedding, Matcher};
 use mapa_model::EffBwModel;
 use mapa_topology::{HardwareState, Topology};
 use mapa_workloads::JobSpec;
@@ -31,13 +28,6 @@ pub struct PolicyContext<'a> {
     pub state: &'a HardwareState,
     /// The Predicted-EffBW regression model.
     pub model: &'a EffBwModel,
-    /// The subgraph matcher.
-    pub matcher: &'a Matcher,
-    /// Unweighted hardware graph (matcher data graph). Invariant: it is
-    /// *complete* — PCIe connects every GPU pair — so every k-subset of
-    /// free GPUs hosts every k-vertex pattern; the set-scored policies
-    /// (Preserve, EffBW-greedy) rely on it and never call the matcher.
-    pub data_graph: &'a PatternGraph,
     /// The decision's one [`SetScorer`], tabulated over `state` for the job
     /// being placed: the built-in MAPA policies rank candidates with it and
     /// the allocator scores the winner from the same tables.
@@ -65,24 +55,6 @@ impl PolicyContext<'_> {
         free.into_iter()
             .filter(|&v| self.demand_eligible(job, v))
             .collect()
-    }
-
-    /// The matcher frozen mask for the job's demand: busy vertices, plus
-    /// slice vertices when the job wants whole GPUs. Equal to
-    /// `state.frozen_mask()` on unpartitioned machines.
-    #[must_use]
-    pub fn eligible_frozen(&self, job: &JobSpec) -> BitSet {
-        let mut frozen = self.state.frozen_mask();
-        if !job.is_fractional() {
-            if let Some(m) = self.topology.slice_map() {
-                for v in 0..m.vertex_count() {
-                    if m.is_slice(v) {
-                        frozen.insert(v);
-                    }
-                }
-            }
-        }
-        frozen
     }
 }
 
@@ -114,36 +86,14 @@ pub trait AllocationPolicy: Send + Sync {
     fn select(&self, job: &JobSpec, ctx: &PolicyContext<'_>) -> Option<Vec<usize>>;
 }
 
-/// Enumerate all candidate embeddings of the job's pattern into the free
-/// portion of the hardware graph, as physical-GPU assignments.
-#[must_use]
-pub fn candidate_matches(job: &JobSpec, ctx: &PolicyContext<'_>) -> Vec<Embedding> {
-    if job.num_gpus() == 0 || job.num_gpus() > ctx.state.free_count() {
-        return vec![];
-    }
-    let pattern = appgraph::job_pattern(job);
-    let frozen = ctx.eligible_frozen(job);
-    ctx.matcher
-        .find_with_frozen(&pattern, ctx.data_graph, Some(&frozen))
-}
-
 /// The free vertex set maximising `ranking` for `job`, ties toward the
 /// lexicographically smallest set.
 ///
-/// Predicted EffBW, Preserved BW and the pressure penalty depend only on
-/// the matched vertex set, not on the embedding, and the data graph is
-/// complete ([`PolicyContext::data_graph`]'s invariant), so every k-subset
-/// of eligible free GPUs hosts every k-vertex pattern: the candidates are
-/// the `C(free, k)` combinations, scored from their prefixes by the
-/// context's [`SetScorer`], instead of up to `C(free, k) · k!` embeddings
+/// The hardware graph is complete (§3.2), so every k-subset of eligible
+/// free GPUs hosts every k-vertex pattern: the candidates are the
+/// `C(free, k)` combinations, ranked by the context's [`SetScorer`]
 /// (`None` when fewer than `k` eligible vertices are free).
 fn best_set(job: &JobSpec, ctx: &PolicyContext<'_>, ranking: Ranking) -> Option<Vec<usize>> {
-    let n = ctx.data_graph.vertex_count();
-    debug_assert_eq!(
-        ctx.data_graph.edge_count(),
-        n * n.saturating_sub(1) / 2,
-        "PolicyContext::data_graph must be complete"
-    );
     ctx.scorer
         .best_set(ranking, job.num_gpus(), |v| ctx.demand_eligible(job, v))
 }
@@ -233,40 +183,7 @@ impl AllocationPolicy for GreedyPolicy {
     }
 
     fn select(&self, job: &JobSpec, ctx: &PolicyContext<'_>) -> Option<Vec<usize>> {
-        if job.num_gpus() == 0 {
-            return None;
-        }
-        let pattern = appgraph::job_pattern(job);
-        let frozen = ctx.eligible_frozen(job);
-        // Aggregated bandwidth depends on the *embedding* (which hardware
-        // links the pattern's edges land on), so Greedy streams embeddings
-        // rather than vertex sets — without materialising them. Score
-        // ties break toward the lexicographically smallest GPU set, which
-        // makes the selection a function of the pattern's isomorphism
-        // class (not its labeling) — required for canonical-code keyed
-        // allocation caching. On partitioned machines the co-residency
-        // pressure penalty (zero elsewhere) is subtracted from AggBW.
-        let edges: Vec<(usize, usize)> = pattern.edges().map(|(p, q, ())| (p, q)).collect();
-        let mut best: Option<(f64, Vec<usize>)> = None;
-        ctx.matcher
-            .for_each_with_frozen(&pattern, ctx.data_graph, Some(&frozen), &mut |m| {
-                // Both terms read the embedding as it comes; its ascending
-                // set is only needed to store a winner or settle a tie.
-                let score = ctx.scorer.aggregated_bandwidth(edges.iter().copied(), m)
-                    - ctx.scorer.pressure_penalty(m);
-                if best.as_ref().is_none_or(|(b, _)| score >= *b) {
-                    let mut set = m.to_vec();
-                    set.sort_unstable();
-                    if best
-                        .as_ref()
-                        .is_none_or(|(b, bset)| score > *b || set < *bset)
-                    {
-                        best = Some((score, set));
-                    }
-                }
-                true
-            });
-        best.map(|(_, set)| set)
+        best_set(job, ctx, Ranking::Aggregated(job.topology))
     }
 }
 
@@ -341,9 +258,11 @@ pub fn allocation_policy_by_name(name: &str) -> Option<Box<dyn AllocationPolicy>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::appgraph;
     use crate::scoring::{self, MatchScore};
     use crate::MapaAllocator;
-    use mapa_isomorph::{Backend, DedupMode, MatchOptions};
+    use mapa_graph::{BitSet, Graph, PatternGraph};
+    use mapa_isomorph::{Backend, DedupMode, Embedding, MatchOptions, Matcher};
     use mapa_model::{corpus, paper_coefficients};
     use mapa_topology::{machines, PartitionPlan};
     use mapa_workloads::{AppTopology, GpuDemand, Workload};
@@ -424,7 +343,57 @@ mod tests {
             Ranking::EffBwThenPreserved => (eff_bw(gpus) - penalty(gpus), preserved(gpus)),
             Ranking::PreservedThenLeastEffBw => (preserved(gpus) - penalty(gpus), -eff_bw(gpus)),
             Ranking::EffBw => (eff_bw(gpus) - penalty(gpus), 0.0),
+            Ranking::Aggregated(_) => unreachable!("Greedy's oracle is `oracle_greedy`"),
         })
+    }
+
+    /// The matcher's frozen mask for `job` on `state`: busy vertices, plus
+    /// slice vertices when the job wants whole GPUs.
+    fn eligible_frozen(job: &JobSpec, state: &HardwareState) -> BitSet {
+        let mut frozen = state.frozen_mask();
+        if let (false, Some(m)) = (job.is_fractional(), state.topology().slice_map()) {
+            for v in (0..m.vertex_count()).filter(|&v| m.is_slice(v)) {
+                frozen.insert(v);
+            }
+        }
+        frozen
+    }
+
+    /// Oracle: Greedy as it was before the set walk — every embedding of
+    /// the job's pattern into the free eligible vertices streamed through
+    /// `matcher`, scored by its Aggregated BW less the pressure penalty,
+    /// score ties toward the lexicographically smallest GPU set.
+    fn oracle_greedy(
+        matcher: &Matcher,
+        data_graph: &PatternGraph,
+        job: &JobSpec,
+        state: &HardwareState,
+    ) -> Option<Vec<usize>> {
+        if job.num_gpus() == 0 {
+            return None;
+        }
+        let pattern = appgraph::job_pattern(job);
+        let frozen = eligible_frozen(job, state);
+        let topology = state.topology();
+        let edges: Vec<(usize, usize)> = pattern.edges().map(|(p, q, ())| (p, q)).collect();
+        let mut best: Option<(f64, Vec<usize>)> = None;
+        matcher.for_each_with_frozen(&pattern, data_graph, Some(&frozen), &mut |m| {
+            let aggregated: f64 = edges
+                .iter()
+                .map(|&(p, q)| topology.bandwidth(m[p], m[q]))
+                .sum();
+            let score = aggregated - scoring::pressure_penalty(job, state, m);
+            let mut set = m.to_vec();
+            set.sort_unstable();
+            if best
+                .as_ref()
+                .is_none_or(|(b, bset)| score > *b || (score == *b && set < *bset))
+            {
+                best = Some((score, set));
+            }
+            true
+        });
+        best.map(|(_, set)| set)
     }
 
     /// Oracle: `MapaAllocator::score_allocation` as it was before
@@ -498,10 +467,18 @@ mod tests {
         }
     }
 
+    const SHAPES: [AppTopology; 4] = [
+        AppTopology::Ring,
+        AppTopology::Tree,
+        AppTopology::RingTree,
+        AppTopology::AllToAll,
+    ];
+
     /// Asserts, on `machine` with `busy` occupied, that every ranking's
     /// walk selects what the oracle selects for `spec`, and that
     /// `score_allocation` prices those selections (and the highest
-    /// eligible set) as its old body did.
+    /// eligible set) as its old body did; up to 6 GPUs, also that Greedy
+    /// selects what the embedding stream does, for every pattern shape.
     fn assert_walk_matches_oracle(machine: &Fixture, busy: &[usize], spec: &JobSpec) {
         let mut allocator = MapaAllocator::with_model(
             machine.topology.clone(),
@@ -533,6 +510,19 @@ mod tests {
             );
             sets.extend(walked);
         }
+        if spec.num_gpus() <= 6 {
+            for shape in SHAPES {
+                let shaped = spec.clone().with_topology(shape);
+                let scorer = SetScorer::new(allocator.state(), &machine.model, &shaped);
+                let ctx = machine.ctx(allocator.state(), &scorer);
+                let oracle = machine.oracle_greedy(&shaped, allocator.state());
+                assert_eq!(
+                    GreedyPolicy.select(&shaped, &ctx),
+                    oracle,
+                    "{shape} on {what}"
+                );
+            }
+        }
         for gpus in &sets {
             let (score, oracle) = (
                 allocator.score_allocation(spec, gpus),
@@ -551,6 +541,8 @@ mod tests {
         topology: Topology,
         state: HardwareState,
         model: EffBwModel,
+        /// Greedy's oracle enumerates embeddings with this matcher into the
+        /// complete graph over every vertex.
         matcher: Matcher,
         data_graph: PatternGraph,
     }
@@ -565,7 +557,7 @@ mod tests {
                 .unwrap_or_else(|_| EffBwModel::from_coefficients(paper_coefficients()));
             Self {
                 state: HardwareState::new(topology.clone()),
-                data_graph: scoring::matcher_data_graph(&topology),
+                data_graph: Graph::complete(topology.gpu_count(), ()),
                 matcher: Matcher::default(),
                 model,
                 topology,
@@ -583,8 +575,6 @@ mod tests {
                 topology: &self.topology,
                 state,
                 model: &self.model,
-                matcher: &self.matcher,
-                data_graph: &self.data_graph,
                 scorer,
             }
         }
@@ -597,6 +587,11 @@ mod tests {
         ) -> Option<Vec<usize>> {
             let scorer = SetScorer::new(&self.state, &self.model, job);
             policy.select(job, &self.ctx(&self.state, &scorer))
+        }
+
+        /// [`oracle_greedy`] with this fixture's matcher, on `state`.
+        fn oracle_greedy(&self, job: &JobSpec, state: &HardwareState) -> Option<Vec<usize>> {
+            oracle_greedy(&self.matcher, &self.data_graph, job, state)
         }
     }
 
@@ -770,7 +765,10 @@ mod tests {
         let ctx = f.ctx(&f.state, &scorer);
         let mut streamed: Vec<Vec<usize>> = vec![];
         for_each_candidate_set(&spec, &ctx, |set| streamed.push(set.to_vec()));
-        let mut via_matcher: Vec<Vec<usize>> = candidate_matches(&spec, &ctx)
+        let frozen = eligible_frozen(&spec, &f.state);
+        let mut via_matcher: Vec<Vec<usize>> = f
+            .matcher
+            .find_with_frozen(&appgraph::job_pattern(&spec), &f.data_graph, Some(&frozen))
             .into_iter()
             .map(|e| e.vertex_set())
             .collect();
@@ -928,28 +926,27 @@ mod tests {
         }
 
         /// Greedy's choice is a function of the job and the occupancy, not
-        /// of how embeddings are enumerated: every backend and dedup mode
-        /// selects the same GPU set. Allocators always run the default
-        /// matcher; this is what makes that safe.
+        /// of how embeddings are enumerated: the set walk selects what the
+        /// embedding stream selects under every backend and dedup mode.
         #[test]
         fn greedy_choice_is_independent_of_enumeration(
             busy in proptest::collection::vec(0usize..8, 0..6),
             n in 1usize..6,
-            shape in 0usize..3,
+            shape in 0usize..4,
         ) {
             let mut f = Fixture::dgx();
             for (i, g) in busy.iter().enumerate() {
                 let _ = f.state.allocate(100 + i as u64, &[*g]);
             }
-            let topology = [AppTopology::Ring, AppTopology::Tree, AppTopology::AllToAll][shape];
+            let topology = SHAPES[shape];
             let spec = job(n, true).with_topology(topology);
-            let expected = f.select(&GreedyPolicy, &spec);
+            let walked = f.select(&GreedyPolicy, &spec);
             for backend in [Backend::Vf2, Backend::Ullmann, Backend::BruteForce] {
                 for dedup in [DedupMode::CanonicalOnly, DedupMode::AllMappings] {
                     f.matcher = Matcher::new(MatchOptions { backend, dedup });
                     proptest::prop_assert_eq!(
-                        f.select(&GreedyPolicy, &spec),
-                        expected.clone(),
+                        f.oracle_greedy(&spec, &f.state),
+                        walked.clone(),
                         "{:?}/{:?} on {}", backend, dedup, topology
                     );
                 }
@@ -1048,12 +1045,7 @@ mod tests {
             for (i, pick) in picks.iter().take(k).enumerate() {
                 free.swap(i, i + pick % (m - i));
             }
-            let topology = [
-                AppTopology::Ring,
-                AppTopology::Tree,
-                AppTopology::RingTree,
-                AppTopology::AllToAll,
-            ][shape];
+            let topology = SHAPES[shape];
             let spec = JobSpec::new(1, GpuDemand::Slices(k), Workload::ResNet50)
                 .with_topology(topology);
             let gpus = &free[..k];

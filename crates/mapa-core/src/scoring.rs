@@ -28,15 +28,18 @@
 //! bounds each prefix in O(1) and drops the prefixes that cannot win.
 //! Eq. 1 of the chosen set is summed over the pattern's edge walk
 //! ([`crate::appgraph::pattern_edges`]), so no pattern graph is built
-//! either. The free functions below compute the same numbers from scratch;
-//! they stay for custom policies and as the oracle the scorer is tested
-//! against.
+//! either. Greedy ranks sets in the same walk, by Eq. 1 of each set's best
+//! embedding, searched within the set: the hardware graph is complete
+//! (§3.2), so no embedding into the machine is enumerated. The free
+//! functions below compute the same numbers from scratch; they stay for
+//! custom policies and as the oracle the scorer is tested against.
 
-use mapa_graph::{BitSet, Graph, PatternGraph, WeightedGraph};
+use crate::appgraph::pattern_edges;
+use mapa_graph::{BitSet, PatternGraph, WeightedGraph};
 use mapa_isomorph::Embedding;
 use mapa_model::{corpus, EffBwModel, MixCeiling};
 use mapa_topology::{HardwareState, LinkMix, LinkType, Topology};
-use mapa_workloads::JobSpec;
+use mapa_workloads::{AppTopology, JobSpec};
 
 /// All scores for one candidate match, as used by the policies and logged
 /// by the simulator.
@@ -117,13 +120,6 @@ pub fn preserved_bandwidth(free_graph: &WeightedGraph, free_map: &[usize], gpus:
     remaining.total_weight() + 0.0
 }
 
-/// The complete graph over all GPUs as an unweighted pattern — the data
-/// graph handed to the matcher (§3.2: hardware graphs are complete).
-#[must_use]
-pub fn matcher_data_graph(topology: &Topology) -> PatternGraph {
-    Graph::complete(topology.gpu_count(), ())
-}
-
 /// Penalty in GB/s per busy co-resident slice for untagged jobs.
 pub const PRESSURE_WEIGHT: f64 = 2.0;
 
@@ -159,8 +155,9 @@ fn pressure_weight(job: &JobSpec) -> f64 {
 }
 
 /// Which two-level score [`SetScorer::best_set`] maximises: the two
-/// branches of the paper's Algorithm 1 and the EffBW-greedy ablation. Every
-/// primary score is taken less the co-residency pressure penalty.
+/// branches of the paper's Algorithm 1, the EffBW-greedy ablation and §4's
+/// Greedy. Every primary score is taken less the co-residency pressure
+/// penalty.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Ranking {
     /// Predicted EffBW, ties toward the most Preserved BW (sensitive jobs).
@@ -170,6 +167,8 @@ pub(crate) enum Ranking {
     PreservedThenLeastEffBw,
     /// Predicted EffBW alone.
     EffBw,
+    /// Aggregated BW (Eq. 1) of the set's best embedding of this pattern.
+    Aggregated(AppTopology),
 }
 
 /// Link types, as a table size: [`SetScorer`] counts links by
@@ -281,31 +280,11 @@ impl<'a> SetScorer<'a> {
         )
     }
 
-    /// Eq. 1 — Aggregated Bandwidth of the pattern `edges` under the
-    /// assignment `gpus` (pattern vertex `p` on free GPU `gpus[p]`).
-    ///
-    /// An edgeless pattern (a 1-GPU job) scores `-0.0`, the empty `f64`
-    /// sum, as [`aggregated_bandwidth`] does: the schedule digests hash
-    /// this value's bits.
-    pub(crate) fn aggregated_bandwidth(
-        &self,
-        edges: impl IntoIterator<Item = (usize, usize)>,
-        gpus: &[usize],
-    ) -> f64 {
-        edges
-            .into_iter()
-            .map(|(p, q)| self.links[gpus[p] * self.n + gpus[q]].bandwidth_gbps())
-            .sum()
-    }
-
-    /// [`pressure_penalty`] of placing on the free vertices `gpus`.
-    pub(crate) fn pressure_penalty(&self, gpus: &[usize]) -> f64 {
-        self.pressure_weight * gpus.iter().map(|&v| self.crowd[v]).sum::<usize>() as f64
-    }
-
     /// All four scores of allocating `gpus` to `job`, Aggregated Bandwidth
-    /// under the identity embedding of its pattern onto `gpus`, walked
-    /// without building the pattern graph.
+    /// under the identity embedding of its pattern onto `gpus` (pattern
+    /// vertex `p` on `gpus[p]`), walked without building the pattern graph.
+    /// An edgeless pattern (a 1-GPU job) aggregates `-0.0`, the empty `f64`
+    /// sum, as [`aggregated_bandwidth`] does: the schedule digests hash it.
     ///
     /// # Panics
     /// Panics if some `gpus` entry is busy, out of range or listed twice.
@@ -321,10 +300,9 @@ impl<'a> SetScorer<'a> {
         }
         let (preserved_bw, link_mix, _) = self.finish(set);
         MatchScore {
-            aggregated_bw: self.aggregated_bandwidth(
-                crate::appgraph::pattern_edges(job.topology, job.num_gpus()),
-                gpus,
-            ),
+            aggregated_bw: pattern_edges(job.topology, job.num_gpus())
+                .map(|(p, q)| self.links[gpus[p] * self.n + gpus[q]].bandwidth_gbps())
+                .sum(),
             predicted_eff_bw: if gpus.len() < 2 {
                 0.0
             } else {
@@ -342,8 +320,9 @@ impl<'a> SetScorer<'a> {
     /// A depth-first walk over the `C(m, k)` subsets of the `m` candidates
     /// in lexicographic order, in which only a strictly better set replaces
     /// the incumbent: that is the tie-break. A set is scored in O(1) from
-    /// per-depth link rows (see [`Walk`]). A walk with more than `4·m·k`
-    /// sets also drops every prefix none of whose completions can beat
+    /// per-depth link rows (see [`Walk`]), and an Aggregated set that may
+    /// beat the incumbent is then searched ([`BestEmbedding`]). A walk with
+    /// more than `4·m·k` sets also drops every prefix none of whose completions can beat
     /// the incumbent, ties included, and every prefix that holds a vertex
     /// but not its earlier interchangeable twin; see [`Walk::hopeless`]
     /// and [`Walk::may_take`]. Both keep the lexicographically first best
@@ -386,7 +365,11 @@ impl<'a> SetScorer<'a> {
         // Every buffer of the walk in one allocation: the chosen and best
         // sets, the EffBW memo, the link rows, and with `prune` the tails,
         // the twin links and the taken flags.
-        let memo = if (pairs + 1) * (pairs + 1) <= MEMO_CELLS {
+        let search = match ranking {
+            Ranking::Aggregated(pattern) => Some(BestEmbedding::new(self, pattern, k)),
+            _ => None,
+        };
+        let memo = if search.is_none() && (pairs + 1) * (pairs + 1) <= MEMO_CELLS {
             (pairs + 1) * (pairs + 1)
         } else {
             0
@@ -408,6 +391,7 @@ impl<'a> SetScorer<'a> {
             ceiling: None,
             tail_weight: 0.0,
             best: (f64::NEG_INFINITY, f64::NEG_INFINITY),
+            search,
             chosen,
             best_set,
             memo,
@@ -549,6 +533,8 @@ struct Walk<'w, 'a> {
     tail_weight: f64,
     /// The incumbent's score; `-∞` until the first set.
     best: (f64, f64),
+    /// The per-set search of an [`Ranking::Aggregated`] walk.
+    search: Option<BestEmbedding<'a>>,
     /// The current prefix's vertices.
     chosen: &'w mut [u64],
     /// The incumbent's vertices.
@@ -576,8 +562,9 @@ impl Walk<'_, '_> {
                 self.ceiling = scorer.model.ceiling(self.k);
             }
             Ranking::PreservedThenLeastEffBw => self.tail_weight = scorer.pressure_weight,
+            Ranking::Aggregated(_) => {}
         }
-        if self.ranking != Ranking::EffBw {
+        if !matches!(self.ranking, Ranking::EffBw | Ranking::Aggregated(_)) {
             self.fill_tails();
         }
         let twins = scorer.state.topology().previous_twins();
@@ -738,7 +725,7 @@ impl Walk<'_, '_> {
         let secondary = match self.ranking {
             Ranking::EffBwThenPreserved => preserved(),
             Ranking::PreservedThenLeastEffBw => f64::INFINITY,
-            Ranking::EffBw => 0.0,
+            Ranking::EffBw | Ranking::Aggregated(_) => 0.0,
         };
         secondary <= self.best.1
     }
@@ -759,6 +746,14 @@ impl Walk<'_, '_> {
                 (primary, -self.eff_bw(&counts))
             }
             Ranking::EffBw => (self.eff_bw(&counts) - penalty, 0.0),
+            Ranking::Aggregated(_) => {
+                let search = self.search.as_mut().expect("an Aggregated walk searches");
+                let set = self.chosen[..self.k - 1].iter().map(|&v| v as usize);
+                match search.best(set.chain([self.pool[i]]), &counts, self.best.0 + penalty) {
+                    Some(aggregated) => (aggregated - penalty, 0.0),
+                    None => return,
+                }
+            }
         };
         if score.0 > self.best.0 || (score.0 == self.best.0 && score.1 > self.best.1) {
             self.best = score;
@@ -784,6 +779,99 @@ impl Walk<'_, '_> {
             *slot = !self.scorer.model.predict(&mix).to_bits();
         }
         f64::from_bits(!*slot)
+    }
+}
+
+/// Greedy's search within one set ([`Ranking::Aggregated`]): the highest
+/// AggBW of an embedding of the pattern, by branch and bound over the set
+/// vertex of each pattern vertex in turn. The `E` edges land on `E`
+/// distinct links, so the unplaced edges add at most the fastest links
+/// left unused, and an embedding at most the set's `E` fastest: its cap,
+/// where the search stops. Turning or mirroring a ring keeps its AggBW, so
+/// a ring puts vertex 0 on the set's first vertex and vertex 1 below `k − 1`.
+struct BestEmbedding<'a> {
+    links: &'a [LinkType],
+    n: usize,
+    /// Per pattern vertex, its neighbours below it.
+    below: Vec<Vec<usize>>,
+    ring: bool,
+    /// The set, ascending, and the set vertex of each pattern vertex placed.
+    set: Vec<usize>,
+    at: Vec<usize>,
+    /// The best AggBW so far, and the set's cap.
+    found: f64,
+    cap: f64,
+}
+
+impl<'a> BestEmbedding<'a> {
+    fn new(scorer: &SetScorer<'a>, pattern: AppTopology, k: usize) -> Self {
+        let mut below = vec![Vec::new(); k];
+        for (p, q) in pattern_edges(pattern, k) {
+            below[p.max(q)].push(p.min(q));
+        }
+        Self {
+            links: scorer.links,
+            n: scorer.n,
+            below,
+            ring: pattern == AppTopology::Ring && k >= 3,
+            set: Vec::with_capacity(k),
+            at: vec![0; k],
+            found: 0.0,
+            cap: 0.0,
+        }
+    }
+
+    /// The highest AggBW of an embedding onto `set`, whose links number
+    /// `counts` by type, if above `floor`.
+    fn best(
+        &mut self,
+        set: impl Iterator<Item = usize>,
+        counts: &[usize; LINK_TYPES],
+        floor: f64,
+    ) -> Option<f64> {
+        let edges = self.below.iter().map(Vec::len).sum();
+        self.cap = fastest(counts, edges);
+        if self.cap <= floor {
+            return None;
+        }
+        self.set.clear();
+        self.set.extend(set);
+        self.found = floor;
+        self.place(0, 0.0, *counts, edges);
+        (self.found > floor).then_some(self.found)
+    }
+
+    /// Places pattern vertex `p` and those above it, given the AggBW `sum`
+    /// of the edges below `p`, the set's links `left` unused by them and
+    /// the `todo` edges not placed; whether the cap was reached.
+    fn place(&mut self, p: usize, sum: f64, left: [usize; LINK_TYPES], todo: usize) -> bool {
+        let Some(below) = self.below.get(p) else {
+            // The bound lets only a better embedding this far.
+            self.found = sum;
+            return sum == self.cap;
+        };
+        let todo = todo - below.len();
+        for i in 0..self.set.len() {
+            let v = self.set[i];
+            let turned =
+                self.ring && ((p == 0 && i > 0) || (p + 1 == self.at.len() && v < self.at[1]));
+            if turned || self.at[..p].contains(&v) {
+                continue;
+            }
+            let (mut sum, mut left) = (sum, left);
+            for &q in &self.below[p] {
+                let link = self.links[v * self.n + self.at[q]];
+                sum += link.bandwidth_gbps();
+                left[link as usize] -= 1;
+            }
+            if sum + fastest(&left, todo) > self.found {
+                self.at[p] = v;
+                if self.place(p + 1, sum, left, todo) {
+                    return true;
+                }
+            }
+        }
+        false
     }
 }
 
@@ -853,6 +941,7 @@ mod tests {
                         Ranking::EffBwThenPreserved => (eff_bw - penalty, preserved),
                         Ranking::PreservedThenLeastEffBw => (preserved - penalty, -eff_bw),
                         Ranking::EffBw => (eff_bw - penalty, 0.0),
+                        Ranking::Aggregated(_) => unreachable!("tested against the matcher"),
                     };
                     let better = self.best.as_ref().is_none_or(|(_, best)| {
                         score.0 > best.0 || (score.0 == best.0 && score.1 > best.1)
@@ -1039,6 +1128,7 @@ mod tests {
                 Ranking::EffBwThenPreserved => (eff_bw, preserved),
                 Ranking::PreservedThenLeastEffBw => (preserved, -eff_bw),
                 Ranking::EffBw => (eff_bw, 0.0),
+                Ranking::Aggregated(_) => unreachable!(),
             };
             assert_eq!(
                 (primary.to_bits(), secondary.to_bits()),
@@ -1160,14 +1250,6 @@ mod tests {
         }
         assert_eq!(PRESSURE_WEIGHT.fract(), 0.0);
         assert_eq!(SLO_PRESSURE_WEIGHT.fract(), 0.0);
-    }
-
-    #[test]
-    fn matcher_data_graph_is_complete() {
-        let dgx = machines::dgx1_v100();
-        let g = matcher_data_graph(&dgx);
-        assert_eq!(g.vertex_count(), 8);
-        assert_eq!(g.edge_count(), 28);
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //! data-graph edge, extra data edges are allowed. That is exactly the
 //! paper's setting — hardware graphs are complete (PCIe fallback), so any
 //! injective placement is a valid match and scoring does the
-//! discrimination.
+//! discrimination. So `mapa-core`'s allocator ranks GPU sets and never calls
+//! the matcher; `mapa::reproduce`'s matcher ablations and the oracle tests
+//! of Greedy's set walk do.
 //!
 //! # Example
 //!

@@ -144,21 +144,20 @@ pub fn parse_link_matrix(input: &str) -> Result<LinkMatrix, ParseError> {
         PciSys,   // SYS: across sockets
     }
 
+    // `str::parse` also takes a leading `+`, which no tool prints.
+    let digits = |n: &str| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit());
     let parse_cell = |token: &str| {
         let t = token.to_ascii_uppercase();
-        let bricks = t.strip_prefix("NV").map(str::parse::<u8>);
+        let bricks = t.strip_prefix("NV").filter(|k| digits(k));
         match (t.as_str(), bricks) {
             ("X", _) => Some(Cell::Diagonal),
-            (_, Some(Ok(k))) => Some(Cell::NvLink(k)),
+            (_, Some(k)) => k.parse().ok().map(Cell::NvLink),
             ("PHB" | "PXB" | "PIX" | "NODE", _) => Some(Cell::PciLocal),
             ("SYS" | "QPI", _) => Some(Cell::PciSys),
             _ => None,
         }
     };
-    let is_label = |t: &str| {
-        t.strip_prefix("GPU")
-            .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
-    };
+    let is_label = |t: &str| t.strip_prefix("GPU").is_some_and(digits);
     let mut header = None;
     let mut rows: Vec<Vec<&str>> = Vec::new();
     for tokens in input
@@ -463,6 +462,22 @@ GPU3   SYS   NV1   NV2    X
             parse_link_matrix(missing_middle),
             Err(ParseError::RowLabel { row: 1, .. })
         ));
+    }
+
+    /// A brick count is digits only: `str::parse` would read `NV+4` as 4.
+    #[test]
+    fn a_signed_brick_count_is_a_bad_cell() {
+        for token in ["NV+4", "nv+1"] {
+            let m = format!("GPU0  X  {token}\nGPU1  {token}  X\n");
+            assert_eq!(
+                parse_link_matrix(&m),
+                Err(ParseError::BadCell {
+                    row: 0,
+                    col: 1,
+                    token: token.to_string()
+                })
+            );
+        }
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! Implementing a custom allocation policy against the public API.
 //!
 //! MAPA is "agnostic to scheduling policies" (§4) — this example writes a
-//! new policy from scratch: *WorstFit*, which deliberately picks the match
-//! with the LOWEST predicted effective bandwidth (an adversarial policy,
+//! new policy from scratch: *WorstFit*, which deliberately picks the GPU
+//! set with the LOWEST predicted effective bandwidth (an adversarial policy,
 //! useful as a lower bound), and compares it with Preserve on the same
 //! job stream.
 //!
 //! Run with: `cargo run --release --example custom_policy`
 
-use mapa::core::policy::{candidate_matches, AllocationPolicy, PolicyContext};
+use mapa::core::policy::{AllocationPolicy, PolicyContext};
 use mapa::core::scoring;
 use mapa::prelude::*;
 use mapa::sim::Simulation;
 
-/// Adversarial policy: always take the worst-scoring match.
+/// Adversarial policy: always take the worst-scoring GPU set.
 struct WorstFitPolicy;
 
 impl AllocationPolicy for WorstFitPolicy {
@@ -22,16 +22,36 @@ impl AllocationPolicy for WorstFitPolicy {
     }
 
     fn select(&self, job: &JobSpec, ctx: &PolicyContext<'_>) -> Option<Vec<usize>> {
-        let candidates = candidate_matches(job, ctx);
-        candidates
-            .iter()
-            .map(|e| {
-                let gpus = e.vertex_set();
-                let score = scoring::predicted_effective_bandwidth(ctx.model, ctx.topology, &gpus);
-                (score, gpus)
-            })
-            .min_by(|(a, _), (b, _)| a.total_cmp(b))
-            .map(|(_, gpus)| gpus)
+        // The hardware graph is complete (§3.2), so every set of free GPUs
+        // the job may use hosts its pattern: the candidates are the subsets.
+        let mut worst: Option<(f64, Vec<usize>)> = None;
+        let pool = ctx.eligible_free(job);
+        for_each_subset(&pool, job.num_gpus(), &mut Vec::new(), &mut |gpus| {
+            let score = scoring::predicted_effective_bandwidth(ctx.model, ctx.topology, gpus);
+            if worst.as_ref().is_none_or(|(w, _)| score < *w) {
+                worst = Some((score, gpus.to_vec()));
+            }
+        });
+        worst.map(|(_, gpus)| gpus)
+    }
+}
+
+/// Calls `visit` on every `k`-vertex extension of `chosen` by vertices of
+/// `pool`, in lexicographic order.
+fn for_each_subset(
+    pool: &[usize],
+    k: usize,
+    chosen: &mut Vec<usize>,
+    visit: &mut impl FnMut(&[usize]),
+) {
+    if chosen.len() == k {
+        visit(chosen);
+        return;
+    }
+    for (i, &v) in pool.iter().enumerate() {
+        chosen.push(v);
+        for_each_subset(&pool[i + 1..], k, chosen, visit);
+        chosen.pop();
     }
 }
 
@@ -59,8 +79,6 @@ fn main() {
         ("baseline", Box::new(BaselinePolicy)),
         ("Preserve", Box::new(PreservePolicy)),
     ] {
-        // WorstFit goes through `candidate_matches`, i.e. the matcher; the
-        // built-in set-streaming policies never call into it.
         let report = Simulation::new(dgx.clone(), policy).run(&jobs);
         let times = report.execution_times(|r| r.job.bandwidth_sensitive && r.job.num_gpus() >= 2);
         let s = stats::summarize(&times);

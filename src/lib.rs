@@ -72,7 +72,7 @@ pub mod prelude {
         CacheStats, MapaAllocator, PreemptionPolicy, ALLOCATION_POLICY_NAMES,
     };
     pub use mapa_graph::{Graph, PatternGraph, WeightedGraph};
-    pub use mapa_isomorph::{default_threads, MatchOptions, Matcher, WorkerPool};
+    pub use mapa_isomorph::{default_threads, WorkerPool};
     pub use mapa_model::{corpus, EffBwModel};
     pub use mapa_sim::campaign::{crn_seed, CampaignSpec, CellSummary};
     pub use mapa_sim::{

@@ -616,8 +616,9 @@ fn fig19(t: &mut Table) {
             let by_name = allocation_policy_by_name(policy).expect("a built-in policy");
             let mut allocator = MapaAllocator::new(machine.clone(), by_name);
             let series = format!("{}/{}", machine.name(), allocator.policy_name());
-            // Greedy streams embeddings, not vertex sets: a 7-ring into 16
-            // vertices is a soak test, not a cell.
+            // Greedy stops at 6 GPUs on 16-GPU machines: an odd ring on the
+            // bipartite Torus-2d never reaches its all-NVLink cap, so its
+            // 9-ring decision takes ~0.1 s, against under 1 ms for an 8-ring.
             let tractable = |k: &usize| policy != "greedy" || machine.gpu_count() <= 8 || *k <= 6;
             for k in (2..=machine.gpu_count().min(9)).filter(tractable) {
                 let mut id = 0;

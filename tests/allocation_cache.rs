@@ -95,13 +95,8 @@ fn run_stream(
     } else {
         AllocatorConfig::default()
     };
-    let (machine, mut max_size) = machine_by_index(machine_idx);
+    let (machine, max_size) = machine_by_index(machine_idx);
     let mut alloc = MapaAllocator::new(machine, policy_by_index(policy_idx)).with_config(config);
-    if alloc.policy_name() == "Greedy" {
-        // Greedy streams embeddings, not vertex sets: it stops at 6 GPUs,
-        // as `reproduce`'s fig19 does on 16-GPU machines.
-        max_size = max_size.min(6);
-    }
     let mut trace = Vec::new();
     let mut held: Vec<u64> = Vec::new();
     for (i, &(shape_idx, size, sensitive, release_first, slices, slo)) in steps.iter().enumerate() {

@@ -11,11 +11,12 @@
 //! fault, corrupt ledger, unplaceable request) rolls back to exactly
 //! the pre-call state by releasing the lock and writing nothing.
 //!
-//! Idle detection is threshold-based ([`IdlePolicy`]) and deliberately
-//! conservative about processes: a *live* pid resident on a GPU keeps
-//! it occupied even at 0% utilization (a ghost — think a wedged trainer
-//! holding its arena), while a *dead* pid in the probe's process list
-//! (a stale accounting entry) is disregarded and its memory discounted.
+//! Idle detection is threshold-based ([`IDLE_MAX_UTILIZATION_PCT`],
+//! [`IDLE_MAX_MEMORY_MIB`]) and deliberately conservative about
+//! processes: a *live* pid resident on a GPU keeps it occupied even at 0%
+//! utilization (a ghost — think a wedged trainer holding its arena), while
+//! a *dead* pid in the probe's process list (a stale accounting entry) is
+//! disregarded and its memory discounted.
 
 use crate::ledger::{Lease, Ledger, StateDir};
 use crate::map::{machine_from_snapshot, MachineDescription};
@@ -119,29 +120,15 @@ impl From<AllocatorError> for AgentError {
     }
 }
 
-/// Thresholds below which a GPU counts as idle (allocatable).
-///
-/// Real drivers hold a little memory and report occasional utilization
-/// blips on completely free devices, so exact zero is the wrong test.
-/// Processes are handled separately and more strictly — see
-/// [`assess_occupancy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IdlePolicy {
-    /// Utilization at or below this percentage is idle noise.
-    pub max_utilization_pct: u32,
-    /// Unattributed used memory at or below this many MiB is idle noise
-    /// (driver reservations, display buffers).
-    pub max_memory_mib: u64,
-}
+/// Utilization at or below this percentage is idle noise: real drivers
+/// report occasional blips on completely free devices, so exact zero is
+/// the wrong test. Processes are handled separately and more strictly —
+/// see [`assess_occupancy`].
+pub const IDLE_MAX_UTILIZATION_PCT: u32 = 5;
 
-impl Default for IdlePolicy {
-    fn default() -> Self {
-        Self {
-            max_utilization_pct: 5,
-            max_memory_mib: 256,
-        }
-    }
-}
+/// Unattributed used memory at or below this many MiB is idle noise
+/// (driver reservations, display buffers).
+pub const IDLE_MAX_MEMORY_MIB: u64 = 256;
 
 /// Why a GPU is (or is not) allocatable, from the probe's evidence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -180,12 +167,8 @@ impl Occupancy {
 /// Classifies one GPU's occupancy from probe evidence (see the
 /// [module docs](self) for the ghost/stale distinction). `alive`
 /// decides pid liveness; dead residents are discounted entirely.
-pub fn assess_occupancy(
-    gpu: &GpuInfo,
-    policy: &IdlePolicy,
-    alive: impl Fn(u32) -> bool,
-) -> Occupancy {
-    if gpu.utilization_pct > policy.max_utilization_pct {
+pub fn assess_occupancy(gpu: &GpuInfo, alive: impl Fn(u32) -> bool) -> Occupancy {
+    if gpu.utilization_pct > IDLE_MAX_UTILIZATION_PCT {
         return Occupancy::Utilized {
             pct: gpu.utilization_pct,
         };
@@ -204,7 +187,7 @@ pub fn assess_occupancy(
         return Occupancy::GhostProcess { pid, memory_mib };
     }
     let unattributed = gpu.memory_used_mib.saturating_sub(dead_mib);
-    if unattributed > policy.max_memory_mib {
+    if unattributed > IDLE_MAX_MEMORY_MIB {
         return Occupancy::MemoryHeld { mib: unattributed };
     }
     Occupancy::Idle
@@ -404,8 +387,7 @@ impl<P: GpuProbe> Agent<P> {
             if gpu.index >= n || leased.contains(&gpu.index) {
                 continue;
             }
-            let occ =
-                assess_occupancy(gpu, &IdlePolicy::default(), |pid| self.state.pid_alive(pid));
+            let occ = assess_occupancy(gpu, |pid| self.state.pid_alive(pid));
             if !occ.is_idle() {
                 allocator.adopt(EXTERNAL_BLOCKER_BASE + gpu.index as u64, &[gpu.index])?;
             }
@@ -484,9 +466,7 @@ impl<P: GpuProbe> Agent<P> {
             .map(|g| GpuStatus {
                 index: g.index,
                 leased_by: ledger.lease_of_gpu(g.index).map(|l| l.id),
-                occupancy: assess_occupancy(g, &IdlePolicy::default(), |pid| {
-                    self.state.pid_alive(pid)
-                }),
+                occupancy: assess_occupancy(g, |pid| self.state.pid_alive(pid)),
             })
             .collect();
         Ok(StatusReport {
@@ -551,16 +531,15 @@ mod tests {
 
     #[test]
     fn occupancy_classification_covers_the_ghost_and_stale_cases() {
-        let policy = IdlePolicy::default();
         let alive = |pid: u32| pid == 42;
 
         // Clean device: idle.
-        assert!(assess_occupancy(&gpu_with(0, 0, vec![]), &policy, alive).is_idle());
+        assert!(assess_occupancy(&gpu_with(0, 0, vec![]), alive).is_idle());
         // Driver noise under thresholds: still idle.
-        assert!(assess_occupancy(&gpu_with(3, 200, vec![]), &policy, alive).is_idle());
+        assert!(assess_occupancy(&gpu_with(3, 200, vec![]), alive).is_idle());
         // Busy compute: utilized.
         assert_eq!(
-            assess_occupancy(&gpu_with(90, 4000, vec![]), &policy, alive),
+            assess_occupancy(&gpu_with(90, 4000, vec![]), alive),
             Occupancy::Utilized { pct: 90 }
         );
         // Ghost: live pid holding memory at 0% utilization — occupied.
@@ -573,7 +552,7 @@ mod tests {
             }],
         );
         assert_eq!(
-            assess_occupancy(&ghost, &policy, alive),
+            assess_occupancy(&ghost, alive),
             Occupancy::GhostProcess {
                 pid: 42,
                 memory_mib: 4000
@@ -588,10 +567,10 @@ mod tests {
                 memory_mib: 4000,
             }],
         );
-        assert!(assess_occupancy(&stale, &policy, alive).is_idle());
+        assert!(assess_occupancy(&stale, alive).is_idle());
         // Unattributed memory above threshold: held.
         assert_eq!(
-            assess_occupancy(&gpu_with(0, 9000, vec![]), &policy, alive),
+            assess_occupancy(&gpu_with(0, 9000, vec![]), alive),
             Occupancy::MemoryHeld { mib: 9000 }
         );
     }

@@ -671,4 +671,83 @@ mod tests {
         assert_eq!(state.lock_reclaims(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
+
+    /// Ledger-format tokens, well-formed and not: keywords with and without
+    /// their spaces, numbers at and past `u64`, GPU lists in and out of
+    /// order, line breaks, a non-ASCII character.
+    const LEDGER_TOKENS: [&str; 28] = [
+        "mapa-agent ledger v1",
+        "generation ",
+        "lease ",
+        " pid ",
+        " created ",
+        " gpus ",
+        " tag ",
+        "checksum ",
+        "lease",
+        "tag",
+        "0",
+        "1",
+        "7",
+        "+3",
+        "-1",
+        "18446744073709551616",
+        "0,1",
+        "1,0",
+        "2,2",
+        ",",
+        "0123456789abcdef",
+        "x",
+        " ",
+        "\n",
+        "\n",
+        "\r\n",
+        "\t",
+        "\u{e9}",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// Soup of ledger tokens, alone or spliced into a valid ledger's
+        /// body, then sealed with a fresh checksum trailer or left as it
+        /// is, never panics the parser: it refuses the text, or returns a
+        /// ledger that re-renders and parses back equal.
+        #[test]
+        fn ledger_parse_never_panics_on_token_soup(
+            tokens in proptest::collection::vec(0usize..LEDGER_TOKENS.len(), 0..40),
+            host in 0usize..3,
+            at in 0usize..4096,
+            sealed in proptest::prelude::any::<bool>(),
+        ) {
+            let body = |ledger: Ledger| {
+                let mut text = ledger.render();
+                text.truncate(text.rfind("checksum ").expect("a rendered trailer"));
+                text
+            };
+            let mut input = match host {
+                0 => String::new(),
+                1 => body(Ledger::empty()),
+                _ => body(Ledger {
+                    generation: 7,
+                    leases: vec![lease(3, 100, &[0, 1, 4]), lease(7, 200, &[5])],
+                }),
+            };
+            let soup: String = tokens.iter().map(|&t| LEDGER_TOKENS[t]).collect();
+            input.insert_str(at % (input.len() + 1), &soup);
+            if sealed {
+                let checksum = fnv1a(input.as_bytes());
+                input.push_str(&format!("checksum {checksum:016x}\n"));
+            }
+            if let Ok(ledger) = Ledger::parse(&input, Path::new("soup")) {
+                let back = Ledger::parse(&ledger.render(), Path::new("soup"));
+                proptest::prop_assert_eq!(
+                    back.map_err(|e| e.to_string()),
+                    Ok(ledger),
+                    "{:?}",
+                    input
+                );
+            }
+        }
+    }
 }

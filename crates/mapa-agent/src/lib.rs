@@ -41,8 +41,8 @@ pub mod probe;
 pub mod smi;
 
 pub use agent::{
-    assess_occupancy, Agent, AgentError, AllocateRequest, GpuStatus, IdlePolicy, Occupancy,
-    Placement, StatusReport,
+    assess_occupancy, Agent, AgentError, AllocateRequest, GpuStatus, Occupancy, Placement,
+    StatusReport, IDLE_MAX_MEMORY_MIB, IDLE_MAX_UTILIZATION_PCT,
 };
 pub use fake::FakeProbe;
 pub use ledger::{proc_liveness, Lease, Ledger, LivenessFn, LockGuard, StateDir};

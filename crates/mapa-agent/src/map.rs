@@ -2,19 +2,19 @@
 //!
 //! The mapper turns the NVLink brick matrix of a [`ProbeSnapshot`] into
 //! a [`Topology`] the allocator can mine. Brick counts map onto the
-//! paper's link classes (1 brick ⇒ single, ≥2 ⇒ double; generation from
-//! the GPU model string: `P100` ⇒ NVLink-v1, anything newer ⇒ v2 — the
-//! two generations the link-bandwidth table distinguishes), sockets come
-//! from the probed NUMA nodes, and the result is matched structurally
-//! against every built-in machine profile. A match adopts the built-in
-//! description wholesale (name, sockets, links), so an agent on a real
-//! DGX-1 V100 places jobs with *exactly* the machine description the
-//! simulator and the paper's evaluation use; anything else gets a
-//! synthesized description named after the host.
+//! paper's link classes through [`topology_from_bricks`] (the NVLink
+//! generation from the GPU model string: `P100` on every GPU ⇒ v1,
+//! anything newer ⇒ v2 — the two generations the link-bandwidth table
+//! distinguishes), sockets come from the probed NUMA nodes, and the
+//! result is matched structurally against every built-in machine profile.
+//! A match adopts the built-in description wholesale (name, sockets,
+//! links), so an agent on a real DGX-1 V100 places jobs with *exactly* the
+//! machine description the simulator and the paper's evaluation use;
+//! anything else gets a synthesized description named after the host.
 
 use crate::probe::{ProbeError, ProbeSnapshot};
-use mapa_graph::Graph;
-use mapa_topology::{machines, LinkType, Topology};
+use mapa_topology::parse::{topology_from_bricks, NvlinkGeneration};
+use mapa_topology::{machines, Topology};
 
 /// A machine description derived from one probe snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,23 +46,11 @@ pub fn machine_from_snapshot(snapshot: &ProbeSnapshot) -> Result<MachineDescript
         .gpus
         .iter()
         .all(|g| g.model.to_ascii_uppercase().contains("P100"));
-    let single = if pascal {
-        LinkType::SingleNvLink1
+    let generation = if pascal {
+        NvlinkGeneration::V1
     } else {
-        LinkType::SingleNvLink2
+        NvlinkGeneration::V2
     };
-
-    let mut links = Graph::new(n);
-    for a in 0..n {
-        for b in (a + 1)..n {
-            let link = match snapshot.nvlink_bricks[a][b] {
-                0 => continue,
-                1 => single,
-                _ => LinkType::DoubleNvLink2,
-            };
-            links.add_edge(a, b, link).expect("validated matrix edges");
-        }
-    }
 
     // Sockets: probed NUMA nodes, renumbered densely in first-seen
     // order; unknown affinity collapses to one socket.
@@ -78,7 +66,12 @@ pub fn machine_from_snapshot(snapshot: &ProbeSnapshot) -> Result<MachineDescript
         vec![0; n]
     };
 
-    let probed = Topology::new(format!("{}-{}gpu", snapshot.hostname, n), links, sockets);
+    let probed = topology_from_bricks(
+        format!("{}-{}gpu", snapshot.hostname, n),
+        &snapshot.nvlink_bricks,
+        sockets,
+        generation,
+    );
     for profile in machines::all_machines() {
         if structurally_equal(&probed, &profile) {
             return Ok(MachineDescription {
@@ -135,6 +128,8 @@ mod tests {
     use super::*;
     use crate::fake::FakeProbe;
     use crate::probe::GpuProbe;
+    use mapa_graph::Graph;
+    use mapa_topology::LinkType;
 
     #[test]
     fn every_builtin_profile_round_trips_through_its_fake() {

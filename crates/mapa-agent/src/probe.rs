@@ -16,9 +16,9 @@ use std::fmt;
 /// The probe reports *residency* (the process holds GPU memory), not
 /// health: the pid may be long dead (a stale accounting entry the agent
 /// must disregard) or alive but idle (a *ghost* — memory held at 0%
-/// utilization — which must keep the GPU non-idle). The
-/// [`crate::IdlePolicy`] draws that line, with pid liveness injected so
-/// tests can model crashes.
+/// utilization — which must keep the GPU non-idle).
+/// [`crate::assess_occupancy`] draws that line, with pid liveness injected
+/// so tests can model crashes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcessInfo {
     /// Process id on the host.

@@ -40,10 +40,11 @@ pub enum DispatchMode {
     /// Evaluate shards one after another on the calling thread. Default.
     #[default]
     Sequential,
-    /// Evaluate the shards in chunks, one per worker of the cluster's
-    /// shared [`WorkerPool`], then merge outcomes in shard order. Measured
-    /// slower than `Sequential` (a shard decision costs less than a task
-    /// hand-off); kept as the other side of the equivalence proof.
+    /// Evaluate the shards in chunks, one per scoped worker of the
+    /// cluster's [`WorkerPool`], each borrowing its chunk's shards, then
+    /// merge outcomes in shard order. Measured slower than `Sequential` (a
+    /// shard decision costs less than starting a thread); kept as the other
+    /// side of the equivalence proof.
     Parallel,
 }
 
@@ -230,9 +231,9 @@ impl ShardQueues {
 /// decisions are exactly the single-server engine's. What the cluster
 /// adds:
 ///
-/// * one **shared worker pool**: [`DispatchMode::Parallel`] evaluates the
-///   shards' decisions on one [`Arc`]`<`[`WorkerPool`]`>`, paying thread
-///   start-up once per cluster;
+/// * one **worker pool**: [`DispatchMode::Parallel`] evaluates the
+///   shards' decisions on the scoped workers of one [`WorkerPool`], which
+///   borrow the shards for one round and are joined before it ends;
 /// * a **server-selection stage** ([`ServerPolicy`]) that ranks shards
 ///   per job; the cluster tries each ranked shard in turn, so a full (or
 ///   too-small) shard falls through to the next;
@@ -308,7 +309,7 @@ pub struct Cluster {
     quiescent: Option<(u64, u64)>,
 }
 
-/// Shard decisions move whole allocators onto pool worker threads in
+/// Shard decisions borrow allocators onto scoped worker threads in
 /// [`DispatchMode::Parallel`]; this pins the `Send` bound so a non-Send
 /// addition to the allocator stack fails here, not in a user's build.
 const _: fn() = || {
@@ -343,10 +344,10 @@ impl Cluster {
     /// extending) a cache of fitted EffBW models keyed by machine name.
     /// This is the campaign runner's per-cell context hoisting: a cell's
     /// replications rebuild fleet state from scratch each time, but the
-    /// expensive immutable setup — the fitted regression model and the
-    /// dispatch thread pool — is paid once per cell, not once per
-    /// replication. [`Cluster::new`] is this with a fresh pool and an
-    /// empty model cache.
+    /// expensive immutable setup — the fitted regression model — is paid
+    /// once per cell, not once per replication. [`Cluster::new`] is this
+    /// with a pool of [`WorkerPool::with_default_threads`]
+    /// workers and an empty model cache.
     ///
     /// # Panics
     /// Panics when `machines` is empty.
@@ -401,7 +402,7 @@ impl Cluster {
 
     /// Sets how per-shard work is evaluated within a dispatch round
     /// (builder style). [`DispatchMode::Parallel`] runs shard decisions
-    /// concurrently on the cluster's shared worker pool; schedules are
+    /// concurrently on the cluster's worker pool; schedules are
     /// bit-identical to [`DispatchMode::Sequential`].
     #[must_use]
     pub fn with_dispatch(mut self, mode: DispatchMode) -> Self {
@@ -481,17 +482,17 @@ impl Cluster {
     }
 
     /// Runs `work` on each `(shard, job)` pair per the dispatch mode and
-    /// returns the results in pair order; the pairs name distinct shards.
-    /// Selection peeks (every shard × one job) and decision rounds (ready
-    /// shards × their heads) both evaluate shards through here.
+    /// returns the results in pair order; the pairs name distinct shards in
+    /// ascending order. Selection peeks (every shard × one job) and
+    /// decision rounds (ready shards × their heads) both evaluate shards
+    /// through here.
     ///
-    /// In [`DispatchMode::Parallel`] the named shards are *moved* into
-    /// pool tasks — shard work reads and writes only its own allocator, so
-    /// tasks cannot interfere — in contiguous chunks of ⌈pairs / pool
-    /// threads⌉, one task per worker, and moved back in submission order;
-    /// shards not named never leave the cluster. Results and allocator end
-    /// states are the sequential path's by construction.
-    fn on_shards<'j, T: Send + 'static>(
+    /// In [`DispatchMode::Parallel`] the pool's scoped workers *borrow* the
+    /// named shards — shard work reads and writes only its own allocator,
+    /// so tasks cannot interfere — in contiguous chunks of ⌈pairs / pool
+    /// threads⌉, one task per worker. Results and allocator end states are
+    /// the sequential path's by construction.
+    fn on_shards<'j, T: Send>(
         &mut self,
         pairs: impl Iterator<Item = (usize, &'j JobSpec)>,
         work: fn(&mut MapaAllocator, &JobSpec) -> T,
@@ -500,41 +501,28 @@ impl Cluster {
             let shards = &mut self.shards;
             return pairs.map(|(s, job)| work(&mut shards[s], job)).collect();
         }
-        let pairs: Vec<(usize, &JobSpec)> = pairs.collect();
-        let mut slots: Vec<Option<MapaAllocator>> = std::mem::take(&mut self.shards)
-            .into_iter()
-            .map(Some)
+        let mut shards = self.shards.iter_mut().enumerate();
+        let mut named: Vec<(&mut MapaAllocator, &JobSpec)> = pairs
+            .map(|(s, job)| {
+                let (_, shard) = shards
+                    .find(|&(i, _)| i == s)
+                    .expect("pairs name distinct shards in ascending order");
+                (shard, job)
+            })
             .collect();
-        let chunk_size = pairs.len().div_ceil(self.pool.threads().max(1)).max(1);
-        let tasks: Vec<_> = pairs
-            .chunks(chunk_size)
+        let chunk_size = named.len().div_ceil(self.pool.threads()).max(1);
+        let tasks: Vec<_> = named
+            .chunks_mut(chunk_size)
             .map(|chunk| {
-                let mut chunk: Vec<(usize, MapaAllocator, JobSpec)> = chunk
-                    .iter()
-                    .map(|&(s, job)| {
-                        let shard = slots[s].take().expect("pairs name distinct shards");
-                        (s, shard, job.clone())
-                    })
-                    .collect();
                 move || {
-                    let results: Vec<T> =
-                        chunk.iter_mut().map(|(_, a, job)| work(a, job)).collect();
-                    (chunk, results)
+                    chunk
+                        .iter_mut()
+                        .map(|(a, job)| work(a, job))
+                        .collect::<Vec<T>>()
                 }
             })
             .collect();
-        let mut results = Vec::with_capacity(pairs.len());
-        for (chunk, chunk_results) in self.pool.scatter(tasks) {
-            for (s, shard, _) in chunk {
-                slots[s] = Some(shard);
-            }
-            results.extend(chunk_results);
-        }
-        self.shards = slots
-            .into_iter()
-            .map(|slot| slot.expect("every moved shard returned"))
-            .collect();
-        results
+        self.pool.scatter(tasks).into_iter().flatten().collect()
     }
 
     /// Ranks the shards for `job` per the server policy, then returns

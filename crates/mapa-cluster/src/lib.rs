@@ -10,9 +10,8 @@
 //!   (its own [`mapa_topology::HardwareState`]) over its own machine;
 //!   shards on an equal machine under the same policy and model share one
 //!   allocation cache, across a federation's clusters too. Parallel
-//!   dispatch evaluates the shards on *one shared worker pool* (an
-//!   [`std::sync::Arc`]), so thread start-up is paid once per cluster, not
-//!   once per dispatch round.
+//!   dispatch evaluates the shards on scoped worker threads that borrow
+//!   them for one dispatch round.
 //! * [`ServerPolicy`] — the pluggable server-selection stage that runs
 //!   *before* the per-server `AllocationPolicy`: round-robin,
 //!   least-loaded, best-pattern-score (peeks every shard's would-be
@@ -25,7 +24,7 @@
 //!   at admission and each shard drains its own queue, so a slow shard
 //!   stalls only its own backlog instead of head-of-line blocking the
 //!   fleet. [`DispatchMode::Parallel`] evaluates shard decisions
-//!   concurrently on the shared worker pool with a deterministic
+//!   concurrently on scoped worker threads with a deterministic
 //!   shard-order merge — schedules are bit-identical to sequential
 //!   dispatch, though measured slower. A [`MigrationPolicy`]
 //!   ([`migrate`]) can requeue waiting jobs from hot queues to idle shards

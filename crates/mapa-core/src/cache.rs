@@ -345,21 +345,6 @@ impl AllocationCache {
         self.table = Arc::clone(&other.table);
     }
 
-    /// Looks up the decision stored for placing `job` in the state
-    /// `signature`, counting a hit or miss. Builds no key.
-    #[must_use]
-    pub fn get(&mut self, job: &JobSpec, signature: &OccupancySignature) -> Option<Decision> {
-        lock(&self.table).get(&KeyRef::new(job, signature), &mut self.stats)
-    }
-
-    /// Stores the decision for placing `job` in the state `signature`,
-    /// evicting the oldest entries beyond the table's bound.
-    pub fn insert(&mut self, job: &JobSpec, signature: &OccupancySignature, decision: Decision) {
-        let key = CacheKey::new(job, signature.clone());
-        let handles = Arc::strong_count(&self.table);
-        lock(&self.table).insert(key, decision, handles, &mut self.stats);
-    }
-
     /// The decision for placing `job` in the state `signature`: the stored
     /// one on a hit (one lock, one probe, one clone); on a miss `decide`'s,
     /// stored under a key built then. The table stays locked while `decide`
@@ -432,6 +417,28 @@ mod tests {
         Some((gpus, score))
     }
 
+    /// A lookup that must miss: `decide` is called, and its `decision` is
+    /// stored.
+    fn miss(
+        cache: &mut AllocationCache,
+        job: &JobSpec,
+        signature: &OccupancySignature,
+        decision: Decision,
+    ) {
+        let mut called = false;
+        cache.get_or_insert_with(job, signature, || {
+            called = true;
+            decision
+        });
+        assert!(called, "a miss calls decide");
+    }
+
+    /// A lookup that must hit: `decide` is never called; returns the stored
+    /// decision.
+    fn hit(cache: &mut AllocationCache, job: &JobSpec, signature: &OccupancySignature) -> Decision {
+        cache.get_or_insert_with(job, signature, || panic!("a hit never calls decide"))
+    }
+
     #[test]
     fn hit_after_insert_and_signature_recurrence() {
         let mut cache = AllocationCache::default();
@@ -439,8 +446,12 @@ mod tests {
         let spec = job(3, AppTopology::Ring, true);
 
         let k1 = CacheKey::new(&spec, state.occupancy_signature().clone());
-        assert!(cache.get(&spec, state.occupancy_signature()).is_none());
-        cache.insert(&spec, state.occupancy_signature(), placed(vec![0, 1, 2]));
+        miss(
+            &mut cache,
+            &spec,
+            state.occupancy_signature(),
+            placed(vec![0, 1, 2]),
+        );
 
         // The same machine state recurs after an allocate/release cycle.
         state.allocate(9, &[4, 5]).unwrap();
@@ -448,8 +459,8 @@ mod tests {
         let k2 = CacheKey::new(&spec, state.occupancy_signature().clone());
         assert_eq!(k1, k2, "recurring state rebuilds the same key");
         assert_eq!(
-            cache.get(&spec, state.occupancy_signature()),
-            Some(placed(vec![0, 1, 2]))
+            hit(&mut cache, &spec, state.occupancy_signature()),
+            placed(vec![0, 1, 2])
         );
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
@@ -461,11 +472,16 @@ mod tests {
         let mut state = HardwareState::new(machines::dgx1_v100());
         let spec = job(2, AppTopology::Ring, true);
         let idle = CacheKey::new(&spec, state.occupancy_signature().clone());
-        cache.insert(&spec, state.occupancy_signature(), placed(vec![0, 3]));
+        miss(
+            &mut cache,
+            &spec,
+            state.occupancy_signature(),
+            placed(vec![0, 3]),
+        );
         state.allocate(1, &[0, 3]).unwrap();
         let busy = CacheKey::new(&spec, state.occupancy_signature().clone());
         assert_ne!(idle, busy, "allocation must invalidate (rotate) the key");
-        assert!(cache.get(&spec, state.occupancy_signature()).is_none());
+        miss(&mut cache, &spec, state.occupancy_signature(), None);
     }
 
     #[test]
@@ -601,16 +617,19 @@ mod tests {
         let mut signatures = Vec::new();
         for g in 0..3usize {
             state.allocate(100 + g as u64, &[g]).unwrap();
-            cache.insert(&spec, state.occupancy_signature(), placed(vec![g + 1]));
+            miss(
+                &mut cache,
+                &spec,
+                state.occupancy_signature(),
+                placed(vec![g + 1]),
+            );
             signatures.push(state.occupancy_signature().clone());
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
-        assert!(
-            cache.get(&spec, &signatures[0]).is_none(),
-            "oldest entry evicted"
-        );
-        assert!(cache.get(&spec, &signatures[2]).is_some());
+        assert_eq!(hit(&mut cache, &spec, &signatures[2]), placed(vec![3]));
+        // The oldest entry was evicted.
+        miss(&mut cache, &spec, &signatures[0], None);
     }
 
     #[test]
@@ -621,13 +640,14 @@ mod tests {
         let idle = idle.occupancy_signature();
         let size = |i: usize| job(1 + i, AppTopology::Ring, true);
         for i in 0..=DEFAULT_CACHE_CAPACITY {
-            cache.insert(&size(i), idle, None);
+            miss(&mut cache, &size(i), idle, None);
         }
         assert_eq!(cache.len(), DEFAULT_CACHE_CAPACITY);
         assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.get(&size(0), idle).is_none(), "oldest entry evicted");
-        assert!(cache.get(&size(1), idle).is_some());
-        assert!(cache.get(&size(DEFAULT_CACHE_CAPACITY), idle).is_some());
+        hit(&mut cache, &size(1), idle);
+        hit(&mut cache, &size(DEFAULT_CACHE_CAPACITY), idle);
+        // The oldest entry was evicted.
+        miss(&mut cache, &size(0), idle, None);
     }
 
     #[test]
@@ -641,7 +661,7 @@ mod tests {
         let decided = first.get_or_insert_with(&spec, idle, || placed(vec![0, 1, 2]));
         let answered = second.get_or_insert_with(&spec, idle, || unreachable!("a hit"));
         assert_eq!(answered, decided);
-        assert_eq!(second.get(&spec, idle), Some(placed(vec![0, 1, 2])));
+        assert_eq!(hit(&mut second, &spec, idle), placed(vec![0, 1, 2]));
         // Each handle counts its own lookups and the insertions it made.
         let counts = |c: &AllocationCache| {
             let s = c.stats();
@@ -652,8 +672,8 @@ mod tests {
         assert_eq!((first.len(), second.len()), (1, 1), "one table");
         // An unjoined handle keeps a table of its own.
         let mut alone = AllocationCache::default();
-        assert!(alone.get(&spec, idle).is_none());
         assert!(alone.is_empty());
+        miss(&mut alone, &spec, idle, None);
     }
 
     #[test]
@@ -669,7 +689,12 @@ mod tests {
         // Three handles read the table: it holds 3 × 2 entries before the
         // first eviction, whichever handle inserts.
         for i in 0..6 {
-            [&mut first, &mut second, &mut third][i % 3].insert(&size(i), idle, None);
+            miss(
+                [&mut first, &mut second, &mut third][i % 3],
+                &size(i),
+                idle,
+                None,
+            );
         }
         assert_eq!(first.len(), 6);
         let evictions = |c: &AllocationCache| c.stats().evictions;
@@ -677,17 +702,19 @@ mod tests {
             evictions(&first) + evictions(&second) + evictions(&third),
             0
         );
-        second.insert(&size(6), idle, None);
+        miss(&mut second, &size(6), idle, None);
         assert_eq!((first.len(), evictions(&second)), (6, 1));
-        assert!(first.get(&size(0), idle).is_none(), "oldest entry evicted");
-        assert!(first.get(&size(1), idle).is_some());
+        // The six entries are sizes 1..=6: the oldest was evicted.
+        for i in 1..=6 {
+            hit(&mut first, &size(i), idle);
+        }
         // A handle that leaves shrinks the bound; the next insert evicts
         // down to it.
         drop(third);
-        first.insert(&size(7), idle, None);
+        miss(&mut first, &size(7), idle, None);
         assert_eq!((first.len(), evictions(&first)), (4, 3));
-        assert!(second.get(&size(3), idle).is_none());
-        assert!(second.get(&size(4), idle).is_some());
+        hit(&mut second, &size(4), idle);
+        miss(&mut second, &size(3), idle, None);
     }
 
     fn cached_preserve(machine: mapa_topology::Topology) -> crate::MapaAllocator {
@@ -728,8 +755,8 @@ mod tests {
         let mut cache = AllocationCache::default();
         let state = HardwareState::new(machines::summit());
         let spec = job(4, AppTopology::Ring, true);
-        cache.insert(&spec, state.occupancy_signature(), None);
-        assert_eq!(cache.get(&spec, state.occupancy_signature()), Some(None));
+        miss(&mut cache, &spec, state.occupancy_signature(), None);
+        assert_eq!(hit(&mut cache, &spec, state.occupancy_signature()), None);
     }
 
     #[test]

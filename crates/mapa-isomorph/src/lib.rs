@@ -14,8 +14,9 @@
 //!   each match exactly once per automorphism class;
 //! * [`Matcher`] — the high-level façade selecting backend and dedup mode
 //!   over one sequential enumeration;
-//! * [`pool`] — the persistent [`WorkerPool`] that cluster parallel
-//!   dispatch and campaigns run on (no matcher uses it).
+//! * [`pool`] — the scoped [`WorkerPool`] that cluster parallel dispatch
+//!   and campaigns run on: tasks borrow, and a nested scatter runs inline
+//!   (no matcher uses it).
 //!
 //! Matching semantics are *monomorphism*: every pattern edge must map to a
 //! data-graph edge, extra data edges are allowed. That is exactly the

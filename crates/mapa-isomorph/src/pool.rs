@@ -1,42 +1,26 @@
-//! A persistent worker pool.
+//! A scoped worker pool.
 //!
 //! Its users are `mapa-cluster`'s `DispatchMode::Parallel` (one task per
 //! worker, each evaluating a chunk of ⌈shards / threads⌉ shards) and the
-//! campaign runner (one cell per task); at decision frequency spawning
-//! threads per call would dominate the work, so [`WorkerPool`] keeps
-//! long-lived workers fed by a channel work queue and a whole run — or
-//! several sharing one pool through an [`std::sync::Arc`] — pays thread
-//! start-up once per process. No matcher
-//! runs on it: enumeration is sequential. The pool stays in this crate
-//! because `mapa::isomorph::{WorkerPool, default_threads}` is the path the
+//! campaign runner (one cell per task). A [`WorkerPool`] is only a thread
+//! count: [`WorkerPool::scatter`] starts its workers under
+//! [`std::thread::scope`] and joins them before it returns, so no thread
+//! outlives a batch and tasks may borrow from the caller's stack. A
+//! scatter called from a task on another scatter's worker runs inline, so
+//! nesting never multiplies threads. No matcher runs on it: enumeration
+//! is sequential. The pool stays in this crate because
+//! `mapa::isomorph::{WorkerPool, default_threads}` is the path the
 //! benchmark harness imports it by.
-//!
-//! Tasks are `'static` closures (the pool owns no caller stack frames);
-//! [`WorkerPool::scatter`] provides the fork/join idiom with
-//! *deterministic result ordering*: results come back indexed and are
-//! reassembled in submission order regardless of which worker finished
-//! first.
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-
-/// A unit of pool work.
-type Task = Box<dyn FnOnce() + Send + 'static>;
-
-/// Process-unique pool ids, so a worker thread can recognize its own pool.
-static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 thread_local! {
-    /// The id of the pool whose worker loop is running on this thread
-    /// (`0` outside any pool). Lets [`WorkerPool::scatter`] detect
-    /// re-entrant use — a pool task scattering on its own pool — and fall
-    /// back to inline execution instead of deadlocking on workers that
-    /// are all busy waiting for each other.
-    static CURRENT_POOL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Whether this thread is a scatter worker: a scatter called from one
+    /// of its tasks runs inline.
+    static IN_SCATTER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// The default worker count: the machine's available parallelism, falling
@@ -49,153 +33,84 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// A fixed-size pool of long-lived worker threads fed by a shared queue.
-///
-/// Dropping the pool closes the queue and joins every worker. A panicking
-/// task is contained to its own execution (the worker survives and keeps
-/// serving the queue); the panic surfaces at the join point of the batch
-/// that submitted it.
-///
-/// Calling [`WorkerPool::scatter`] from *inside* a task of the same pool
-/// is safe: the nested batch runs inline on the calling worker (the
-/// blocked-caller deadlock cannot happen), in task order, so results are
-/// identical to a top-level scatter.
+/// How many workers a [`WorkerPool::scatter`] may start. Building one
+/// starts no thread.
+#[derive(Debug)]
 pub struct WorkerPool {
-    id: u64,
-    sender: Option<Sender<Task>>,
-    workers: Vec<JoinHandle<()>>,
+    threads: usize,
 }
 
 impl WorkerPool {
-    /// Spawns a pool with `threads` workers (clamped to at least 1).
+    /// A pool of `threads` workers (clamped to at least 1).
     #[must_use]
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
-        let (sender, receiver) = channel::<Task>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let workers = (0..threads)
-            .map(|i| {
-                let rx = Arc::clone(&receiver);
-                std::thread::Builder::new()
-                    .name(format!("mapa-worker-{i}"))
-                    .spawn(move || {
-                        CURRENT_POOL.with(|p| p.set(id));
-                        worker_loop(&rx);
-                    })
-                    .expect("spawn pool worker")
-            })
-            .collect();
         Self {
-            id,
-            sender: Some(sender),
-            workers,
+            threads: threads.max(1),
         }
     }
 
-    /// Spawns a pool sized by [`default_threads`].
+    /// A pool sized by [`default_threads`].
     #[must_use]
     pub fn with_default_threads() -> Self {
         Self::new(default_threads())
     }
 
-    /// Number of worker threads.
+    /// Number of workers a scatter may start.
     #[must_use]
     pub fn threads(&self) -> usize {
-        self.workers.len()
+        self.threads
     }
 
-    /// Enqueues a fire-and-forget task.
-    pub fn submit(&self, task: Task) {
-        self.sender
-            .as_ref()
-            .expect("sender lives until drop")
-            .send(task)
-            .expect("pool workers outlive the pool handle");
-    }
-
-    /// Runs every task on the pool and returns their results *in task
-    /// order* — the deterministic fork/join primitive. The calling thread
-    /// blocks until all tasks finish.
-    ///
-    /// Re-entrant: when called from a task already running on this pool
-    /// (e.g. a campaign cell whose cluster dispatches in parallel
-    /// on the same shared pool), the batch runs inline on the calling
-    /// worker in task order — same results, no deadlock.
+    /// Runs every task and returns their results *in task order* — the
+    /// deterministic fork/join primitive. Starts `min(threads, tasks)`
+    /// scoped workers that take tasks in order from a shared cursor, and
+    /// returns once all have finished. Runs the tasks inline on the
+    /// calling thread, in order, when that is one worker or when called
+    /// from a task on another scatter's worker.
     ///
     /// # Panics
-    /// Panics if any task panicked (the batch cannot be completed).
+    /// Panics if any task panicked.
     pub fn scatter<T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
+        T: Send,
+        F: FnOnce() -> T + Send,
     {
-        if CURRENT_POOL.with(std::cell::Cell::get) == self.id {
+        let workers = self.threads.min(tasks.len());
+        if workers <= 1 || IN_SCATTER.with(Cell::get) {
             return tasks.into_iter().map(|task| task()).collect();
         }
-        let n = tasks.len();
-        let (tx, rx) = channel::<(usize, T)>();
-        for (i, task) in tasks.into_iter().enumerate() {
-            let tx = tx.clone();
-            self.submit(Box::new(move || {
-                // Errors mean the batch caller gave up; nothing to do.
-                let _ = tx.send((i, task()));
-            }));
-        }
-        drop(tx);
-        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let (i, value) = rx
-                .recv()
-                .expect("a pool task panicked before delivering its result");
-            slots[i] = Some(value);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every index delivered exactly once"))
-            .collect()
-    }
-}
-
-fn worker_loop(rx: &Mutex<Receiver<Task>>) {
-    loop {
-        // Hold the lock only for the dequeue, not while running the task.
-        let task = match rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(_) => return, // a worker panicked while holding the lock
-        };
-        match task {
-            // Contain panics so one bad task cannot kill the pool; the
-            // batch that submitted it notices via its result channel.
-            Ok(task) => {
-                let _ = catch_unwind(AssertUnwindSafe(task));
+        const UNPOISONED: &str = "no task runs while a slot is locked";
+        let tasks: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        let results: Vec<Mutex<Option<T>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
+        // Hands out each index once; the slots' locks and the scope's
+        // join order every access to tasks and results, so the cursor
+        // publishes nothing and can be `Relaxed`.
+        let cursor = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    IN_SCATTER.with(|inside| inside.set(true));
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(task) = tasks.get(i) else { break };
+                        let task = task.lock().expect(UNPOISONED).take();
+                        let value = task.expect("the cursor hands out each index once")();
+                        *results[i].lock().expect(UNPOISONED) = Some(value);
+                    }
+                });
             }
-            Err(_) => return, // queue closed: pool is being dropped
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.sender.take(); // close the queue; workers drain and exit
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("threads", &self.workers.len())
-            .finish()
+        });
+        results
+            .into_iter()
+            .map(|r| r.into_inner().expect(UNPOISONED).expect("every task ran"))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::thread;
 
     #[test]
     fn scatter_preserves_task_order() {
@@ -204,9 +119,7 @@ mod tests {
             .map(|i| {
                 move || {
                     // Stagger so completion order differs from submission.
-                    std::thread::sleep(std::time::Duration::from_micros(
-                        ((32 - i) % 5) as u64 * 50,
-                    ));
+                    thread::sleep(std::time::Duration::from_micros(((32 - i) % 5) as u64 * 50));
                     i * i
                 }
             })
@@ -227,47 +140,24 @@ mod tests {
     }
 
     #[test]
-    fn submit_runs_detached_work() {
-        let pool = WorkerPool::new(2);
-        let counter = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = channel();
-        for _ in 0..6 {
-            let counter = Arc::clone(&counter);
-            let tx = tx.clone();
-            pool.submit(Box::new(move || {
-                counter.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send(());
-            }));
-        }
-        for _ in 0..6 {
-            rx.recv().unwrap();
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 6);
-    }
-
-    #[test]
-    fn pool_survives_a_panicking_task() {
-        let pool = WorkerPool::new(1);
-        let (tx, rx) = channel();
-        pool.submit(Box::new(|| panic!("task failure is contained")));
-        pool.submit(Box::new(move || {
-            let _ = tx.send(7usize);
-        }));
-        assert_eq!(rx.recv().unwrap(), 7);
-    }
-
-    #[test]
     fn nested_scatter_on_the_same_pool_runs_inline() {
-        // Every worker scatters on its own pool: without the re-entrancy
-        // fallback this deadlocks (all workers blocked waiting for tasks
-        // only they could run). Results must still come back in order.
-        let pool = Arc::new(WorkerPool::new(2));
+        // Every task scatters again on its own pool: the inner batch runs
+        // on the outer worker's thread, in order.
+        let pool = WorkerPool::new(2);
         let outer: Vec<_> = (0..4usize)
             .map(|i| {
-                let pool = Arc::clone(&pool);
+                let pool = &pool;
                 move || {
-                    let inner = pool.scatter((0..3usize).map(|j| move || i * 10 + j).collect());
-                    assert_eq!(inner, vec![i * 10, i * 10 + 1, i * 10 + 2]);
+                    let here = thread::current().id();
+                    let inner = pool.scatter(
+                        (0..3usize)
+                            .map(|j| move || (i * 10 + j, thread::current().id()))
+                            .collect(),
+                    );
+                    assert_eq!(
+                        inner,
+                        (0..3).map(|j| (i * 10 + j, here)).collect::<Vec<_>>()
+                    );
                     i
                 }
             })
@@ -276,18 +166,65 @@ mod tests {
     }
 
     #[test]
-    fn nested_scatter_on_a_different_pool_still_parallelizes() {
-        // Re-entrancy detection is per pool id: scattering on *another*
-        // pool from inside a task must keep using that pool's workers.
+    fn nested_scatter_on_another_pool_runs_on_the_outer_worker() {
         let outer_pool = WorkerPool::new(2);
-        let inner_pool = Arc::new(WorkerPool::new(2));
+        let inner_pool = WorkerPool::new(2);
+        let caller = thread::current().id();
         let tasks: Vec<_> = (0..4usize)
             .map(|i| {
-                let inner_pool = Arc::clone(&inner_pool);
-                move || inner_pool.scatter(vec![move || i * 2]).pop().unwrap()
+                let inner_pool = &inner_pool;
+                move || {
+                    let here = thread::current().id();
+                    assert_ne!(here, caller, "the outer batch runs on workers");
+                    let inner = inner_pool.scatter(
+                        (0..2usize)
+                            .map(|j| move || (i * 2 + j, thread::current().id()))
+                            .collect(),
+                    );
+                    assert_eq!(inner, vec![(i * 2, here), (i * 2 + 1, here)]);
+                    i
+                }
             })
             .collect();
-        assert_eq!(outer_pool.scatter(tasks), vec![0, 2, 4, 6]);
+        assert_eq!(outer_pool.scatter(tasks), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn one_thread_pool_runs_inline_on_the_caller() {
+        let caller = thread::current().id();
+        let ids = WorkerPool::new(1).scatter(vec![|| thread::current().id(); 3]);
+        assert_eq!(ids, vec![caller; 3]);
+    }
+
+    #[test]
+    fn tasks_borrow_from_the_callers_stack() {
+        let mut slots = vec![0usize; 6];
+        let words = ["a", "bb", "ccc"];
+        let tasks: Vec<_> = slots
+            .chunks_mut(2)
+            .zip(&words)
+            .map(|(chunk, word)| {
+                move || {
+                    for slot in chunk.iter_mut() {
+                        *slot = word.len();
+                    }
+                    chunk.len()
+                }
+            })
+            .collect();
+        assert_eq!(WorkerPool::new(2).scatter(tasks), vec![2, 2, 2]);
+        assert_eq!(slots, vec![1, 1, 2, 2, 3, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn a_panicking_task_fails_its_scatter() {
+        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![
+            Box::new(|| 1),
+            Box::new(|| panic!("task failure")),
+            Box::new(|| 3),
+        ];
+        WorkerPool::new(2).scatter(tasks);
     }
 
     #[test]
@@ -301,13 +238,5 @@ mod tests {
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
         assert!(WorkerPool::with_default_threads().threads() >= 1);
-    }
-
-    #[test]
-    fn drop_joins_cleanly_with_pending_results_consumed() {
-        let pool = WorkerPool::new(3);
-        let got = pool.scatter((0..100usize).map(|i| move || i).collect::<Vec<_>>());
-        assert_eq!(got.len(), 100);
-        drop(pool); // must not hang
     }
 }

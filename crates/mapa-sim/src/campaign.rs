@@ -30,7 +30,6 @@ use crate::digest::{schedule_digest, Fnv1a};
 use crate::engine::SimReport;
 use crate::stats;
 use mapa_isomorph::WorkerPool;
-use std::sync::Arc;
 
 /// Derives replication `replication`'s RNG seed from the campaign base
 /// seed — and from **nothing else**. This is the CRN contract: the seed
@@ -255,33 +254,30 @@ pub struct CampaignSpec<C> {
 /// Results return in `spec.cells` order regardless of pool size or
 /// scheduling, and every cell's replication `r` receives the CRN seed
 /// [`crn_seed`]`(spec.base_seed, r)` — together these make the output
-/// table bit-identical at any worker-thread count. Cells may themselves
-/// use `pool` internally (e.g. parallel cluster dispatch): [`WorkerPool`]
-/// scatter calls are re-entrant, so nested use runs inline on the worker
-/// instead of deadlocking.
+/// table bit-identical at any worker-thread count. Cells run on scoped
+/// workers that borrow `label`, `setup` and `run`; a cell that scatters
+/// again (e.g. parallel cluster dispatch) runs that batch inline on its
+/// own worker.
 pub fn run_campaign<C, Ctx, L, S, R>(
     spec: CampaignSpec<C>,
-    pool: &Arc<WorkerPool>,
+    pool: &WorkerPool,
     label: L,
     setup: S,
     run: R,
 ) -> Vec<CellSummary>
 where
-    C: Send + 'static,
-    L: Fn(&C) -> String + Send + Sync + 'static,
-    S: Fn(&C) -> Ctx + Send + Sync + 'static,
-    R: Fn(&mut Ctx, u64) -> SimReport + Send + Sync + 'static,
+    C: Send,
+    L: Fn(&C) -> String + Sync,
+    S: Fn(&C) -> Ctx + Sync,
+    R: Fn(&mut Ctx, u64) -> SimReport + Sync,
 {
     let replications = spec.replications.max(1);
     let base_seed = spec.base_seed;
-    let label = Arc::new(label);
-    let setup = Arc::new(setup);
-    let run = Arc::new(run);
+    let (label, setup, run) = (&label, &setup, &run);
     let tasks: Vec<_> = spec
         .cells
         .into_iter()
         .map(|cell| {
-            let (label, setup, run) = (Arc::clone(&label), Arc::clone(&setup), Arc::clone(&run));
             move || {
                 let name = label(&cell);
                 let mut ctx = setup(&cell);
@@ -370,7 +366,7 @@ mod tests {
 
     #[test]
     fn campaign_results_arrive_in_cell_order_with_context_reuse() {
-        let pool = Arc::new(WorkerPool::new(3));
+        let pool = WorkerPool::new(3);
         let spec = CampaignSpec {
             cells: vec![40usize, 10, 25],
             replications: 2,

@@ -262,6 +262,25 @@ pub fn parse_topology_matrix(
     generation: NvlinkGeneration,
 ) -> Result<Topology, ParseError> {
     let LinkMatrix { bricks, sockets } = parse_link_matrix(input)?;
+    Ok(topology_from_bricks(name, &bricks, sockets, generation))
+}
+
+/// Builds a topology from a symmetric NVLink brick matrix (`bricks[i][j]`
+/// bonded bricks between GPUs `i` and `j`, `0` = a PCIe-class path): one
+/// brick is a single NVLink of `generation`, two or more a double
+/// NVLink-v2. The one brick → link-class mapping, shared by
+/// [`parse_topology_matrix`] and `mapa-agent`'s probe mapper.
+///
+/// # Panics
+/// Panics when a row of `bricks` is longer than the matrix has rows, or
+/// `sockets` does not name one socket per GPU.
+#[must_use]
+pub fn topology_from_bricks(
+    name: impl Into<String>,
+    bricks: &[Vec<u8>],
+    sockets: Vec<usize>,
+    generation: NvlinkGeneration,
+) -> Topology {
     let mut links = Graph::new(bricks.len());
     for (i, row) in bricks.iter().enumerate() {
         for (j, &k) in row.iter().enumerate().skip(i + 1) {
@@ -274,7 +293,7 @@ pub fn parse_topology_matrix(
             links.add_edge(i, j, link).expect("matrix edges valid");
         }
     }
-    Ok(Topology::new(name, links, sockets))
+    Topology::new(name, links, sockets)
 }
 
 /// Renders a topology back into the matrix format (round-trips with

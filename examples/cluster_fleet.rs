@@ -104,7 +104,7 @@ fn main() {
     }
     println!(
         "\nparallel dispatch evaluates every shard's head-of-queue decision\n\
-         concurrently on the shared worker pool; tests/dispatch_equivalence.rs\n\
+         concurrently on scoped worker threads; tests/dispatch_equivalence.rs\n\
          proves the schedules above are bit-identical to sequential dispatch."
     );
 }

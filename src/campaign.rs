@@ -198,9 +198,8 @@ impl CampaignGrid {
     /// sequential within a cell, results in [`CampaignGrid::cells`]
     /// order. The fitted effective-bandwidth model is computed once here
     /// and shared by every cell (context hoisting) — replications pay
-    /// only job generation and simulation, never a model refit or a
-    /// thread-pool spawn. Output tables are bit-identical for any pool
-    /// size.
+    /// only job generation and simulation, never a model refit. Output
+    /// tables are bit-identical for any pool size.
     ///
     /// # Errors
     /// Returns [`CampaignGrid::validate`]'s error without running

@@ -54,8 +54,8 @@ pub use mapa_workloads as workloads;
 /// The most common imports in one place.
 pub mod prelude {
     pub use mapa_agent::{
-        Agent, AgentError, AllocateRequest, FakeProbe, GpuProbe, IdlePolicy, MachineDescription,
-        Occupancy, Placement, ProbeSnapshot, SmiProbe, StateDir, StatusReport,
+        Agent, AgentError, AllocateRequest, FakeProbe, GpuProbe, MachineDescription, Occupancy,
+        Placement, ProbeSnapshot, SmiProbe, StateDir, StatusReport,
     };
     pub use mapa_cluster::{
         dispatch_mode_by_name, federation_policy_by_name, migration_policy_by_name,

@@ -700,6 +700,43 @@ mod tests {
             .unzip()
     }
 
+    /// JSON tokens, well-formed and not: structure, string pieces and
+    /// escapes (truncated ones too), numbers, literals and their prefixes,
+    /// whitespace, a control character, non-ASCII characters.
+    const JSON_TOKENS: [&str; 32] = [
+        "{", "}", "[", "]", ":", ",", "\"", "\\", "\\u", "\\ud83e", "00e9", "\"a\"", "0", "1", "-",
+        ".", "5", "e", "E+", "1e999", "true", "tru", "null", "nul", "false", " ", "\n", "\t",
+        "\u{1}", "é", "🦀", "\"\\",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// Soup of JSON tokens, alone or spliced into a valid document, and
+        /// every prefix of it, never panics the parser, and an error's
+        /// offset lies inside the text parsed (or at its end).
+        #[test]
+        fn json_parse_never_panics_on_token_soup(
+            tokens in proptest::collection::vec(0usize..JSON_TOKENS.len(), 0..40),
+            host in 0usize..3,
+            at in 0usize..4096,
+        ) {
+            let mut input = match host {
+                0 => String::new(),
+                1 => r#"{"a": 1.5, "b": [true, null, "x\n\"y\""], "c": {"d": -2e3}}"#.to_string(),
+                _ => document(fields!["id" => 7u64, "name" => "x", "rows" => &vec![1usize, 2]]),
+            };
+            let soup: String = tokens.iter().map(|&t| JSON_TOKENS[t]).collect();
+            input.insert_str(at % (input.len() + 1), &soup);
+            for cut in (0..=input.len()).filter(|&cut| input.is_char_boundary(cut)) {
+                let text = &input[..cut];
+                if let Err(error) = parse_json(text) {
+                    proptest::prop_assert!(error.offset <= cut, "{:?}: {:?}", text, error);
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
         #[test]
         fn written_documents_parse_back_to_what_was_written(

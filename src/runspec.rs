@@ -27,7 +27,7 @@ use std::sync::Arc;
 /// What every fleet built in one process can share: the worker pool, and
 /// the Predicted-EffBW models fitted so far (keyed by machine
 /// name — a partitioned machine's name encodes its plan). A campaign
-/// cell builds a fresh fleet per replication but pays for neither twice.
+/// cell builds a fresh fleet per replication but fits no model twice.
 #[derive(Clone)]
 pub struct Shared {
     /// The pool clusters dispatch in parallel on and campaigns run their

@@ -12,7 +12,7 @@
 //!   no shard queues replays PR 3 byte for byte;
 //! * the **queued path** (per-shard bounded queues), where parallel
 //!   dispatch runs every shard's head-of-queue decision concurrently on
-//!   the shared worker pool.
+//!   the pool's scoped workers.
 //!
 //! The argument (see ARCHITECTURE.md): each shard's decision reads and
 //! writes only that shard's allocator, pool results return in submission

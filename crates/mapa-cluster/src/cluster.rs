@@ -1330,6 +1330,106 @@ mod tests {
         let _ = Engine::over(c).run_submissions(vec![twin(), twin()]);
     }
 
+    /// Every stream that can never finish comes back as an `Err`, not a
+    /// panic, on the engine's global FIFO and on per-shard queues alike.
+    #[test]
+    fn engine_returns_every_refusal_on_both_queue_protocols() {
+        use mapa_sim::{JobRejection, Submission};
+        use mapa_workloads::JobGroup;
+        let fleet = |machine: &Topology, queued: bool| {
+            let c = Cluster::homogeneous(
+                machine.clone(),
+                2,
+                || Box::new(BaselinePolicy),
+                Box::new(RoundRobinPolicy),
+            );
+            if queued {
+                c.with_shard_queues(4)
+            } else {
+                c
+            }
+        };
+        let jobs = |sizes: &[usize]| {
+            let ids = (1..).zip(sizes);
+            ids.map(|(id, &n)| Submission::Job(job(id, n))).collect()
+        };
+        let gang = JobGroup::new(4, (1..=3).map(|id| job(id, 5)).collect());
+        let gang_stuck = JobRejection::Gang {
+            gang: 4,
+            jobs: vec![1, 2, 3],
+            gpus: 15,
+        };
+        let poisson = SimConfig {
+            arrivals: ArrivalProcess::Poisson {
+                mean_gap: 1e308,
+                seed: 1,
+            },
+            ..SimConfig::default()
+        };
+        let zero_gap = SimConfig {
+            arrivals: ArrivalProcess::Poisson {
+                mean_gap: 0.0,
+                seed: 1,
+            },
+            ..SimConfig::default()
+        };
+        // GPU 0 split in two: 9 vertices, of which 7 are whole GPUs, so a
+        // whole 9-GPU job passes the size check and is never placed.
+        let split = mapa_topology::PartitionPlan::new()
+            .split(0, 2)
+            .apply(&machines::dgx1_v100());
+        let (dgx1, dgx2) = (machines::dgx1_v100(), machines::dgx2());
+        for queued in [false, true] {
+            let run = |machine: &Topology, config: SimConfig, subs: Vec<Submission>| {
+                let engine = Engine::over(fleet(machine, queued)).with_config(config);
+                engine.try_run_submissions(subs).unwrap_err()
+            };
+            let default = SimConfig::default;
+            let cases = [
+                (
+                    run(&dgx1, default(), jobs(&[2, 9])),
+                    JobRejection::ServerSize {
+                        job: 2,
+                        requested: 9,
+                        max_gpus: 8,
+                    },
+                ),
+                (
+                    run(&dgx2, default(), jobs(&[12])),
+                    JobRejection::RingLimit {
+                        job: 1,
+                        requested: 12,
+                    },
+                ),
+                (
+                    run(&dgx1, poisson.clone(), jobs(&[2])),
+                    JobRejection::Arrivals(
+                        "poisson mean gap too large: the last arrival time could overflow",
+                    ),
+                ),
+                // A bad parameter is refused before any arrival.
+                (
+                    run(&dgx1, zero_gap.clone(), Vec::new()),
+                    JobRejection::Arrivals("poisson mean gap must be positive and finite"),
+                ),
+                (
+                    run(&dgx1, default(), vec![Submission::Gang(gang.clone())]),
+                    gang_stuck.clone(),
+                ),
+                (
+                    run(&split, default(), jobs(&[9])),
+                    JobRejection::Unstarted {
+                        job: (!queued).then_some(1),
+                        waiting: 1,
+                    },
+                ),
+            ];
+            for (got, want) in cases {
+                assert_eq!(got, want, "queued={queued}");
+            }
+        }
+    }
+
     /// Per-shard `(hits, misses)` of a cached cluster.
     fn lookups(c: &Cluster) -> Vec<(u64, u64)> {
         (0..c.server_count())

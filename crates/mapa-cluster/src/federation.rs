@@ -39,7 +39,9 @@
 //!   in both. Under [`SpilloverPolicy`] this makes the invariant
 //!   testable: no spillover ever happens while cluster 0 has room.
 //! * **Gangs** — on the queued path a gang is *pinned*: routed whole, as a
-//!   job is, to one cluster that can ever host it. On the global path the
+//!   job is, to one cluster that can ever host it (one that no cluster
+//!   can host stays queued at the federation, and the engine names it
+//!   when the run drains). On the global path the
 //!   federation first tries to pin (each ranked cluster's atomic
 //!   peek-then-commit [`Cluster::try_place_gang`]), then falls back to
 //!   *spanning* members across clusters via the generic two-phase commit
@@ -131,6 +133,9 @@ pub struct Federation {
     /// Jobs in `held` (a gang counts per member): the engine reads
     /// `queued_jobs` on every event, and a backlog can hold thousands.
     held_jobs: usize,
+    /// Jobs of queued-path items no cluster can ever host: they wait
+    /// forever.
+    stranded_jobs: usize,
     /// Jobs placed (global path) or routed into clusters (queued path;
     /// the engine drives exactly one of the two) — rotation seq.
     routed: u64,
@@ -191,6 +196,7 @@ impl Federation {
             quota_blocked: HashSet::new(),
             held: VecDeque::new(),
             held_jobs: 0,
+            stranded_jobs: 0,
             routed: 0,
             spillovers: 0,
             gangs_pinned: 0,
@@ -390,12 +396,12 @@ impl Federation {
     /// Queued-path routing: hands `item` whole to the first ranked cluster
     /// with free room for it, else to the first that can ever host it, and
     /// charges its tenants. A spillover here is a routing heuristic, since
-    /// placement happens later inside the cluster.
+    /// placement happens later inside the cluster. An item no cluster can
+    /// ever host stays in `queued_jobs` for good, so the engine names it
+    /// when the run drains.
     ///
     /// # Panics
-    /// Panics when a member's id is still routed (a duplicate active job),
-    /// and when no cluster can ever host `item` — the engine checks a job
-    /// against the largest server, but a library caller may admit directly.
+    /// Panics when a member's id is still routed (a duplicate active job).
     fn route(&mut self, item: QueueItem) {
         let members = item.members();
         self.assert_not_routed(members);
@@ -404,17 +410,8 @@ impl Federation {
         let mut feasible = self.ranked(&members[0], largest);
         feasible.retain(|&c| self.gpu_counts[c] >= total);
         let Some(&first) = feasible.first() else {
-            let what = match &item {
-                QueueItem::Job(pending) => format!("job {}", pending.job.id),
-                QueueItem::Gang { gang, .. } => format!("gang {}", gang.id),
-            };
-            let most = self.gpu_counts.iter().max().copied().unwrap_or(0);
-            panic!(
-                "{what} needs {total} units, but the largest cluster has {most} and the \
-                 largest server {}: queued work is pinned to one cluster, and a job to one \
-                 server",
-                self.max_job_gpus()
-            );
+            self.stranded_jobs += item.job_count();
+            return;
         };
         let pick = feasible
             .iter()
@@ -678,7 +675,7 @@ impl SchedulerBackend for Federation {
 
     fn queued_jobs(&self) -> usize {
         let inner: usize = self.clusters.iter().map(Cluster::queued_jobs).sum();
-        inner + self.held_jobs
+        inner + self.held_jobs + self.stranded_jobs
     }
 
     fn dispatch_report(&self) -> Option<DispatchReport> {
@@ -737,7 +734,7 @@ impl SchedulerBackend for Federation {
 mod tests {
     use super::*;
     use mapa_core::policy::PreservePolicy;
-    use mapa_sim::Engine;
+    use mapa_sim::{Engine, Submission};
     use mapa_topology::machines;
     use mapa_workloads::{generator, GpuDemand, Workload};
 
@@ -1090,15 +1087,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(
-        expected = "job 1 needs 9 units, but the largest cluster has 16 and the \
-                               largest server 8"
-    )]
     fn federation_refuses_a_job_no_cluster_can_host_by_name() {
         let member = || cluster(2).with_shard_queues(4);
-        let mut fed = Federation::new(vec![member(), member()], Box::new(SpilloverPolicy));
-        // The engine would refuse this job up front; a library caller
-        // admitting directly reaches the federation's own check.
+        let fed = || Federation::new(vec![member(), member()], Box::new(SpilloverPolicy));
+        // The engine refuses this job as it arrives.
+        let rejection = Engine::over(fed())
+            .try_run_submissions([Submission::Job(job(1, None, 9))])
+            .unwrap_err();
+        assert!(
+            rejection
+                .to_string()
+                .starts_with("job 1 requests 9 GPUs on a 8-GPU machine"),
+            "{rejection}"
+        );
+        // A library caller admitting directly finds it queued for good:
+        // no cluster takes it, and nothing is charged for it.
+        let mut fed = fed();
         fed.admit(PendingJob::new(job(1, None, 9), 0.0));
+        assert_eq!(fed.queued_jobs(), 1);
+        assert!(fed.pump(0.0).is_empty());
+        assert_eq!(fed.queued_jobs(), 1);
+        assert_eq!(fed.federation_report().unwrap().clusters[0].jobs_routed, 0);
     }
 }

@@ -7,7 +7,7 @@
 //! style workloads.
 
 use mapa_graph::PatternGraph;
-use mapa_workloads::{AppTopology, JobSpec};
+use mapa_workloads::AppTopology;
 
 /// Builds the application pattern graph for `n_gpus` communicating with
 /// `topology` semantics.
@@ -19,12 +19,6 @@ pub fn build_pattern(topology: AppTopology, n_gpus: usize) -> PatternGraph {
         AppTopology::RingTree => PatternGraph::ring_tree(n_gpus),
         AppTopology::AllToAll => PatternGraph::all_to_all(n_gpus),
     }
-}
-
-/// The pattern graph for a job spec.
-#[must_use]
-pub fn job_pattern(job: &JobSpec) -> PatternGraph {
-    build_pattern(job.topology, job.num_gpus())
 }
 
 /// The edges of [`build_pattern`]`(topology, n)`, each once, without
@@ -51,6 +45,12 @@ pub fn pattern_edges(topology: AppTopology, n: usize) -> impl Iterator<Item = (u
         .map(move |i| (i, (i + 1) % n))
         .chain((tree_from..n).map(|i| (i, (i - 1) / 2)))
         .chain((0..all).flat_map(move |i| (i + 1..n).map(move |j| (i, j))))
+}
+
+/// The pattern graph for a job spec: the matcher-side oracles' input.
+#[cfg(test)]
+pub(crate) fn job_pattern(job: &mapa_workloads::JobSpec) -> PatternGraph {
+    build_pattern(job.topology, job.num_gpus())
 }
 
 #[cfg(test)]
@@ -112,9 +112,10 @@ mod tests {
 
     #[test]
     fn job_pattern_uses_spec_fields() {
-        let job = JobSpec::new(1, mapa_workloads::GpuDemand::Whole(4), Workload::Vgg16)
-            .with_topology(AppTopology::AllToAll)
-            .with_iterations(10);
+        let job =
+            mapa_workloads::JobSpec::new(1, mapa_workloads::GpuDemand::Whole(4), Workload::Vgg16)
+                .with_topology(AppTopology::AllToAll)
+                .with_iterations(10);
         let p = job_pattern(&job);
         assert_eq!(p.vertex_count(), 4);
         assert_eq!(p.edge_count(), 6);

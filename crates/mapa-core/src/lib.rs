@@ -38,10 +38,8 @@
 //! assert_eq!(result.gpus.len(), jobs[0].num_gpus());
 //!
 //! // A full machine + a priority-1 arrival: plan who would be evicted.
-//! let urgent = jobs[1]
-//!     .clone()
-//!     .with_priority(1)
-//!     .with_demand(mapa_workloads::GpuDemand::Whole(8)); // needs the whole server
+//! let mut urgent = jobs[1].clone().with_priority(1);
+//! urgent.demand = mapa_workloads::GpuDemand::Whole(8); // needs the whole server
 //! let plan = alloc
 //!     .preemption_plan(&urgent, PreemptionPolicy::PriorityEvict, &HashSet::new())
 //!     .expect("a lower-priority victim exists");

@@ -194,12 +194,6 @@ impl<W: Copy> Graph<W> {
         g
     }
 
-    /// Drops all weights, producing the underlying pattern graph.
-    #[must_use]
-    pub fn to_pattern(&self) -> PatternGraph {
-        self.map_weights(|_, _, _| ())
-    }
-
     fn check_vertex(&self, v: usize) -> Result<(), GraphError> {
         if v < self.n {
             Ok(())
@@ -455,7 +449,7 @@ mod tests {
         let g = triangle();
         let doubled = g.map_weights(|_, _, w| w * 2.0);
         assert_eq!(doubled.weight(0, 1), Some(100.0));
-        let p = g.to_pattern();
+        let p = g.map_weights(|_, _, _| ());
         assert_eq!(p.edge_count(), 3);
         assert_eq!(p.weight(0, 1), Some(()));
     }

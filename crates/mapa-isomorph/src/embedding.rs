@@ -77,11 +77,13 @@ impl Embedding {
             .filter_map(|(u, v, _)| data.weight(self.image(u), self.image(v)))
             .sum()
     }
+}
 
+#[cfg(test)]
+impl Embedding {
     /// Verifies that this embedding is a valid monomorphism of `pattern`
     /// into `data`: injective, in-range, and edge-preserving.
-    #[must_use]
-    pub fn is_valid_monomorphism<P: Copy, D: Copy>(
+    pub(crate) fn is_valid_monomorphism<P: Copy, D: Copy>(
         &self,
         pattern: &Graph<P>,
         data: &Graph<D>,

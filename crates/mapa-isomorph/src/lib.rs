@@ -40,7 +40,7 @@
 //! hw.add_edge(0, 2, 12.0).unwrap();
 //! hw.add_edge(2, 3, 12.0).unwrap();
 //!
-//! let matches = Matcher::new(MatchOptions::default()).find(&pattern, &hw.to_pattern());
+//! let matches = Matcher::new(MatchOptions::default()).find(&pattern, &hw.map_weights(|_, _, _| ()));
 //! // Only {0,1,2} forms a triangle; one canonical embedding survives
 //! // symmetry breaking (C3 has 6 automorphisms).
 //! assert_eq!(matches.len(), 1);

@@ -5,8 +5,9 @@
 //! event loop drive one multi-GPU server ([`SingleServer`], the paper's
 //! Fig. 14 setting) or a whole fleet of them (`mapa-cluster`'s sharded
 //! `Cluster`, which prepends a server-selection stage). Submissions are
-//! pulled from an iterator ([`Engine::run_submissions`]), each arrival
-//! scheduled one ahead of the event loop.
+//! pulled from an iterator ([`Engine::try_run_submissions`]), each
+//! arrival scheduled one ahead of the event loop; a stream that can
+//! never finish comes back as a [`JobRejection`].
 //!
 //! Two multi-tenant mechanisms sit on top (both off by default, and with
 //! both off the engine replays the preemption-free schedules
@@ -129,12 +130,12 @@ impl ArrivalClock {
         }
     }
 
-    /// # Panics
-    /// Panics with [`ArrivalProcess::check`]'s refusal of this arrival.
-    fn next_time(&mut self) -> f64 {
-        if let Err(message) = self.process.check(self.index + 1) {
-            panic!("{message}");
-        }
+    /// # Errors
+    /// [`ArrivalProcess::check`]'s refusal of this arrival.
+    fn next_time(&mut self) -> Result<f64, JobRejection> {
+        self.process
+            .check(self.index + 1)
+            .map_err(JobRejection::Arrivals)?;
         let t = match self.process {
             ArrivalProcess::Batch => 0.0,
             ArrivalProcess::Poisson { mean_gap, .. } => {
@@ -148,13 +149,14 @@ impl ArrivalClock {
         };
         self.index += 1;
         self.last = t;
-        t
+        Ok(t)
     }
 }
 
-/// Why a submitted job can never run, however long it waits. The engine
-/// checks every job (and gang member) as it arrives, before it is queued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Why a submission stream can never finish. The engine checks every job
+/// (and gang member) as it arrives, before it is queued, and refuses the
+/// stream at drain if anything still waits when the events run out.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobRejection {
     /// Zero GPUs, or more than the largest server has.
     ServerSize {
@@ -173,6 +175,28 @@ pub enum JobRejection {
         job: u64,
         /// GPUs (or slices) it asks for.
         requested: usize,
+    },
+    /// The arrival process cannot time the next submission: its
+    /// [`ArrivalProcess::check`] refusal.
+    Arrivals(&'static str),
+    /// A gang still waiting when the events ran out: the fleet, idle by
+    /// then, never held all its members at once.
+    Gang {
+        /// The gang's id.
+        gang: u64,
+        /// Its members' job ids, in order.
+        jobs: Vec<u64>,
+        /// GPUs (or slices) the members ask for together.
+        gpus: usize,
+    },
+    /// Jobs, none of them in a gang, still waiting when the events ran
+    /// out.
+    Unstarted {
+        /// The engine FIFO's head; `None` when the jobs wait in a
+        /// queue-managing backend, out of the engine's sight.
+        job: Option<u64>,
+        /// Jobs still waiting.
+        waiting: usize,
     },
 }
 
@@ -199,6 +223,15 @@ impl JobRejection {
         }
         Ok(())
     }
+
+    /// Names `gang`, should it still wait when the events run out.
+    fn gang(gang: &JobGroup) -> Self {
+        JobRejection::Gang {
+            gang: gang.id,
+            jobs: gang.members.iter().map(|m| m.id).collect(),
+            gpus: gang.total_gpus(),
+        }
+    }
 }
 
 impl fmt::Display for JobRejection {
@@ -218,6 +251,27 @@ impl fmt::Display for JobRejection {
                  onto at most {} GPUs per job",
                 rings::MAX_RING_GPUS
             ),
+            JobRejection::Arrivals(message) => f.write_str(message),
+            JobRejection::Gang {
+                gang,
+                ref jobs,
+                gpus,
+            } => write!(
+                f,
+                "gang {gang} (jobs {jobs:?}, {gpus} GPUs total) cannot be co-scheduled: it was \
+                 still waiting when the fleet fell idle, and all jobs must eventually run — \
+                 make the gangs smaller or add servers"
+            ),
+            JobRejection::Unstarted { job, waiting } => {
+                if let Some(job) = job {
+                    write!(f, "job {job} never started: ")?;
+                }
+                write!(
+                    f,
+                    "{waiting} jobs still waiting when the fleet fell idle, and all jobs must \
+                     eventually run"
+                )
+            }
         }
     }
 }
@@ -1120,44 +1174,56 @@ impl<B: SchedulerBackend> Engine<B> {
     /// order) to completion and returns the report.
     ///
     /// # Panics
-    /// Panics if a job can *never* be started (see [`JobRejection`]) —
-    /// validate job files with [`JobRejection::check`] first.
+    /// As [`Engine::run_submissions`].
     #[must_use]
     pub fn run(self, jobs: &[JobSpec]) -> SimReport {
         self.run_submissions(jobs.iter().cloned().map(Submission::Job))
+    }
+
+    /// [`Engine::try_run_submissions`] for a stream known to finish.
+    ///
+    /// # Panics
+    /// Panics with the [`JobRejection`] of a stream that can never finish.
+    #[must_use]
+    pub fn run_submissions(self, submissions: impl IntoIterator<Item = Submission>) -> SimReport {
+        self.try_run_submissions(submissions)
+            .unwrap_or_else(|rejection| panic!("{rejection}"))
     }
 
     /// Runs [`Submission`]s — independent jobs and/or gangs — to
     /// completion. Each submission (a gang counts as one) takes one slot
     /// of the configured arrival process and is pulled from the iterator
     /// exactly when the next arrival must be scheduled. This is the
-    /// general entry point; [`Engine::run`] wraps it.
+    /// general entry point; [`Engine::run_submissions`] and [`Engine::run`]
+    /// wrap it.
     ///
-    /// # Panics
-    /// Panics with the [`JobRejection`] of any job (or gang member) that
-    /// fails [`JobRejection::check`] as it arrives — more GPUs than the
-    /// largest server has, or than the interconnect model can price — and
-    /// at end of run if any submission could never be scheduled (e.g. a
-    /// gang whose members cannot co-fit the fleet even when idle) — "all
-    /// jobs must eventually run".
-    #[must_use]
-    pub fn run_submissions(
+    /// # Errors
+    /// The [`JobRejection`] of a stream that can never finish: a job (or
+    /// gang member) that fails [`JobRejection::check`] as it arrives, an
+    /// arrival the process cannot time ([`ArrivalProcess::check`]), or,
+    /// once the events run out, the engine FIFO's head or else the first
+    /// gang that arrived and never started — e.g. a gang whose members
+    /// cannot co-fit the fleet even when idle.
+    pub fn try_run_submissions(
         mut self,
         submissions: impl IntoIterator<Item = Submission>,
-    ) -> SimReport {
+    ) -> Result<SimReport, JobRejection> {
+        // Bad parameters are refused even when no arrival is ever timed.
+        let arrivals = self.config.arrivals;
+        arrivals.check(0).map_err(JobRejection::Arrivals)?;
         self.backend.configure(&self.config);
         let max_gpus = self.backend.max_job_gpus();
         let managed = self.backend.manages_queues();
 
         let mut source = submissions.into_iter();
-        let mut clock = ArrivalClock::new(self.config.arrivals);
+        let mut clock = ArrivalClock::new(arrivals);
         let mut st = RunState::default();
         // One arrival is pending at a time: its submission waits in
         // `incoming`, and the next one is pulled from `source` and
         // scheduled when it fires.
         let mut incoming = source.next();
         if incoming.is_some() {
-            st.events.push(clock.next_time(), EventKind::JobArrival);
+            st.events.push(clock.next_time()?, EventKind::JobArrival);
         }
 
         // Events are processed one at a time, in `(time, push order)`: a
@@ -1170,24 +1236,20 @@ impl<B: SchedulerBackend> Engine<B> {
             match payload {
                 EventKind::JobArrival => {
                     let sub = incoming.take().expect("arrival scheduled with a job");
-                    let validate = |job: &JobSpec| {
-                        if let Err(rejection) = JobRejection::check(job, max_gpus) {
-                            panic!("{rejection}");
-                        }
-                    };
                     let item = match sub {
                         Submission::Job(job) => {
-                            validate(&job);
+                            JobRejection::check(&job, max_gpus)?;
                             QueueItem::Job(PendingJob::new(job, now))
                         }
                         Submission::Gang(gang) => {
                             for member in &gang.members {
-                                validate(member);
+                                JobRejection::check(member, max_gpus)?;
                                 // Gang members are never preemption
                                 // victims: evicting one would break the
                                 // co-scheduling contract.
                                 st.shielded.insert(member.id);
                             }
+                            st.gangs_arrived.push(JobRejection::gang(&gang));
                             QueueItem::Gang {
                                 gang,
                                 submitted_at: now,
@@ -1197,7 +1259,7 @@ impl<B: SchedulerBackend> Engine<B> {
                     self.enqueue(item, &mut st);
                     incoming = source.next();
                     if incoming.is_some() {
-                        st.events.push(clock.next_time(), EventKind::JobArrival);
+                        st.events.push(clock.next_time()?, EventKind::JobArrival);
                     }
                 }
                 // Fast path: while every queue is empty, a finish event
@@ -1262,12 +1324,9 @@ impl<B: SchedulerBackend> Engine<B> {
             st.depth_samples += 1;
         }
 
-        assert!(st.queue.is_empty(), "all jobs must eventually run");
-        assert_eq!(
-            self.backend.queued_jobs(),
-            0,
-            "backend queues must drain completely"
-        );
+        if let Some(rejection) = st.unfinished(self.backend.queued_jobs()) {
+            return Err(rejection);
+        }
 
         let RunState {
             records,
@@ -1351,7 +1410,7 @@ impl<B: SchedulerBackend> Engine<B> {
             }
             fed
         });
-        SimReport {
+        Ok(SimReport {
             topology_name: self.backend.label(),
             policy_name: self.backend.policy_label(),
             slo: SloStats::from_records(&records),
@@ -1365,7 +1424,7 @@ impl<B: SchedulerBackend> Engine<B> {
             preemption,
             gangs,
             federation,
-        }
+        })
     }
 
     fn dispatch(&mut self, now: f64, st: &mut RunState) {
@@ -1634,6 +1693,10 @@ struct RunState {
     shielded: HashSet<u64>,
     /// Gang ids whose first member already started (for wait accounting).
     gangs_started: HashSet<u64>,
+    /// Every gang that arrived, as the rejection naming it should it
+    /// never start: at drain, a gang waiting in a queue-managing backend
+    /// is out of the engine's sight. Gangs are rare, so this stays small.
+    gangs_arrived: Vec<JobRejection>,
     preemption: PreemptionStats,
     gangs: GangStats,
     /// Ring rates of the run's placements of 3 GPUs or more, shared by
@@ -1648,6 +1711,26 @@ struct RunState {
 }
 
 impl RunState {
+    /// What still waits once the events run out, given the jobs a
+    /// queue-managing backend holds: the FIFO's head, else the first gang
+    /// that arrived and never started, else the backend's count.
+    fn unfinished(&self, queued: usize) -> Option<JobRejection> {
+        let waiting = self.waiting + queued;
+        let unstarted = |job| JobRejection::Unstarted { job, waiting };
+        match self.queue.front() {
+            Some(QueueItem::Job(pending)) => Some(unstarted(Some(pending.job.id))),
+            Some(QueueItem::Gang { gang, .. }) => Some(JobRejection::gang(gang)),
+            None if queued == 0 => None,
+            None => {
+                let gang = self.gangs_arrived.iter().find(|r| match r {
+                    JobRejection::Gang { gang, .. } => !self.gangs_started.contains(gang),
+                    _ => false,
+                });
+                Some(gang.cloned().unwrap_or_else(|| unstarted(None)))
+            }
+        }
+    }
+
     /// Jobs waiting in the engine's own queue (gangs count per member).
     fn waiting_jobs(&self) -> usize {
         debug_assert_eq!(
@@ -1721,7 +1804,8 @@ mod tests {
         /// Submission times for `n` jobs, non-decreasing.
         fn submission_times(self, n: usize) -> Vec<f64> {
             let mut clock = ArrivalClock::new(self);
-            (0..n).map(|_| clock.next_time()).collect()
+            let time = |_| clock.next_time().expect("the process times every arrival");
+            (0..n).map(time).collect()
         }
     }
 
@@ -2049,12 +2133,9 @@ mod tests {
         ] {
             let refusal = arrivals.check(3).expect_err("the last arrival overflows");
             assert!(refusal.contains("overflow"), "{arrivals:?}: {refusal}");
-            let clock = std::panic::catch_unwind(|| arrivals.submission_times(3));
-            let message = *clock
-                .expect_err("the clock refuses too")
-                .downcast::<String>()
-                .unwrap();
-            assert_eq!(message, refusal, "{arrivals:?}");
+            let mut clock = ArrivalClock::new(arrivals);
+            let times: Result<Vec<f64>, _> = (0..3).map(|_| clock.next_time()).collect();
+            assert_eq!(times, Err(JobRejection::Arrivals(refusal)), "{arrivals:?}");
         }
         // The first arrival is at 0 s however large the gap.
         let one_burst = ArrivalProcess::Bursts {
@@ -2474,20 +2555,31 @@ mod tests {
         }
     }
 
+    /// Runs three small jobs under `arrivals` through the panicking
+    /// wrapper.
+    fn run_with_arrivals(arrivals: ArrivalProcess) -> SimReport {
+        let jobs: Vec<JobSpec> = (1..=3).map(|i| job(i, 2, Workload::Gmm, 10)).collect();
+        let config = SimConfig {
+            arrivals,
+            ..SimConfig::default()
+        };
+        let sim = Simulation::new(machines::dgx1_v100(), Box::new(BaselinePolicy));
+        sim.with_config(config).run(&jobs)
+    }
+
     #[test]
     #[should_panic(expected = "mean gap must be positive")]
     fn bad_poisson_config_panics() {
-        let _ = ArrivalProcess::Poisson {
+        let _ = run_with_arrivals(ArrivalProcess::Poisson {
             mean_gap: 0.0,
             seed: 0,
-        }
-        .submission_times(3);
+        });
     }
 
     #[test]
     #[should_panic(expected = "burst size must be at least 1")]
     fn bad_burst_config_panics() {
-        let _ = ArrivalProcess::Bursts { size: 0, gap: 1.0 }.submission_times(3);
+        let _ = run_with_arrivals(ArrivalProcess::Bursts { size: 0, gap: 1.0 });
     }
 
     #[test]

@@ -546,4 +546,71 @@ mod tests {
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].topology, "Tree");
     }
+
+    /// Log-format tokens, well-formed and not: the header and comment
+    /// markers, brackets out of order, numbers at and past `u64`, float
+    /// spellings, line breaks, a non-ASCII character.
+    const LOG_TOKENS: [&str; 24] = [
+        "ID, Allocation, Topology, Effective BW (GBps)",
+        "# ",
+        "(",
+        ")",
+        ",",
+        ", ",
+        "(1,2,3)",
+        "()",
+        "0",
+        "7",
+        "-1",
+        "18446744073709551616",
+        "Ring",
+        "45",
+        "4.5e1",
+        "nan",
+        "-inf",
+        "x",
+        " ",
+        "\n",
+        "\n",
+        "\r\n",
+        "\t",
+        "\u{e9}",
+    ];
+
+    /// A real log to splice the soup into.
+    fn host_log() -> &'static str {
+        static LOG: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+        LOG.get_or_init(|| {
+            let jobs = generator::paper_job_mix(6);
+            let sim = Simulation::new(machines::dgx1_v100(), Box::new(PreservePolicy));
+            write_log(&sim.run(&jobs[..8]))
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// Soup of log tokens, alone or spliced into a `write_log` output,
+        /// never panics the parser, and a refusal names a line of the input.
+        #[test]
+        fn parse_log_never_panics_on_token_soup(
+            tokens in proptest::collection::vec(0usize..LOG_TOKENS.len(), 0..40),
+            hosted in proptest::prelude::any::<bool>(),
+            at in 0usize..8192,
+        ) {
+            let mut input = if hosted { host_log().to_string() } else { String::new() };
+            let mut at = at % (input.len() + 1);
+            while !input.is_char_boundary(at) {
+                at -= 1;
+            }
+            let soup: String = tokens.iter().map(|&t| LOG_TOKENS[t]).collect();
+            input.insert_str(at, &soup);
+            if let Err(error) = parse_log(&input) {
+                let (LogParseError::FieldCount { line } | LogParseError::BadField { line, .. }) =
+                    error;
+                let lines = input.lines().count();
+                proptest::prop_assert!((1..=lines).contains(&line), "{error} of {lines}: {input:?}");
+            }
+        }
+    }
 }

@@ -210,13 +210,6 @@ impl JobSpec {
         self.tenant.is_some()
     }
 
-    /// Returns the job with its demand replaced (builder style).
-    #[must_use]
-    pub fn with_demand(mut self, demand: GpuDemand) -> Self {
-        self.demand = demand;
-        self
-    }
-
     /// Returns the job with its application topology replaced.
     #[must_use]
     pub fn with_topology(mut self, topology: AppTopology) -> Self {

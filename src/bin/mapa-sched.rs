@@ -244,7 +244,6 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
                 .to_string())
         }
     };
-    arrivals.check(submissions.len())?;
     let mut config = SimConfig {
         strict_fifo: !args.has("--backfill"),
         arrivals,
@@ -276,8 +275,8 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         );
     }
 
+    spec.admit(&submissions)?;
     let mut shared = Shared::new(Arc::new(WorkerPool::with_default_threads()));
-    spec.admit(&submissions, &mut shared)?;
     let report = spec.run(&mut shared, config, submissions)?;
     print!("{}", logfile::write_log(&report));
     if let Some(path) = args.str("--json") {

@@ -19,6 +19,7 @@ use mapa_cluster::{DispatchMode, DEFAULT_SHARD_QUEUE_DEPTH};
 pub use mapa_core::policy::allocation_policy_by_name;
 use mapa_interconnect::rings;
 use mapa_isomorph::WorkerPool;
+use mapa_model::EffBwModel;
 use mapa_sim::campaign::{run_campaign, CampaignSpec, CellSummary, MetricSummary};
 use mapa_sim::{ArrivalProcess, SimConfig, SimReport, Submission};
 use mapa_topology::{PartitionPlan, Topology};
@@ -212,7 +213,10 @@ impl CampaignGrid {
         for partition in &self.partitions {
             let mut spec = cells[0].spec.clone();
             spec.partition.clone_from(partition);
-            spec.build(&mut shared)?;
+            let machine = spec.topology();
+            let name = machine.name().to_string();
+            let fit = || EffBwModel::for_machine(&machine);
+            shared.models.entry(name).or_insert_with(fit);
         }
         let mix = self.mix.clone();
         let spec = CampaignSpec {

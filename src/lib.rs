@@ -76,8 +76,9 @@ pub mod prelude {
     pub use mapa_model::{corpus, EffBwModel};
     pub use mapa_sim::campaign::{crn_seed, CampaignSpec, CellSummary};
     pub use mapa_sim::{
-        stats, ArrivalProcess, DispatchReport, Engine, FederationReport, GangStats, PendingJob,
-        PreemptionStats, SchedulerBackend, SimConfig, SimReport, Simulation, SloStats, Submission,
+        stats, ArrivalProcess, DispatchReport, Engine, FederationReport, GangStats, JobRejection,
+        PendingJob, PreemptionStats, SchedulerBackend, SimConfig, SimReport, Simulation, SloStats,
+        Submission,
     };
 
     pub use crate::campaign::{allocation_policy_by_name, CampaignGrid, GridCell};

@@ -3,9 +3,12 @@
 //!
 //! `mapa-sched simulate` fills a [`RunSpec`] from its flags; a campaign
 //! [`GridCell`](crate::campaign::GridCell) produces one per cell. The
-//! spec resolves its names, validates itself, refuses a job stream the
-//! fleet could never drain, builds the [`SingleServer`], [`Cluster`] or
-//! [`Federation`] its fields call for, and runs the engine over it.
+//! spec resolves its names, validates itself, builds the
+//! [`SingleServer`], [`Cluster`] or [`Federation`] its fields call for,
+//! and runs the engine over it. A stream that can never finish comes back
+//! as the engine's error ([`Engine::try_run_submissions`]); the one rule
+//! the engine cannot see, whole GPUs on a partitioned machine, is
+//! [`RunSpec::admit`]'s.
 
 use crate::cli::choose;
 use mapa_cluster::{
@@ -17,9 +20,7 @@ use mapa_core::policy::{allocation_policy_by_name, AllocationPolicy};
 use mapa_core::ALLOCATION_POLICY_NAMES;
 use mapa_isomorph::WorkerPool;
 use mapa_model::EffBwModel;
-use mapa_sim::{
-    Engine, JobRejection, SchedulerBackend, SimConfig, SimReport, SingleServer, Submission,
-};
+use mapa_sim::{Engine, SchedulerBackend, SimConfig, SimReport, SingleServer, Submission};
 use mapa_topology::{PartitionPlan, Topology};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -77,12 +78,6 @@ pub struct RunSpec {
     pub shard_queue_depth: Option<usize>,
     /// Concurrent accelerator units every tenant is capped at.
     pub quota_gpus: Option<usize>,
-}
-
-pub(crate) enum Fleet {
-    Single(Box<SingleServer>),
-    Cluster(Cluster),
-    Federation(Federation),
 }
 
 impl RunSpec {
@@ -213,74 +208,24 @@ impl RunSpec {
         Err(format!("machine '{name}' offers {whole} whole GPUs"))
     }
 
-    /// Refuses a submission stream the fleet could never drain — the
-    /// engine's entry points return a report, not a `Result`, so they can
-    /// only panic on one. Every job must fit a server and the
-    /// interconnect model ([`JobRejection::check`]), and every gang must
-    /// be co-schedulable on the *idle* fleet. Pooled capacity is not
-    /// enough for that (three 5-GPU members total 15 ≤ 2×8, yet no two
-    /// fit one 8-GPU server together), so each gang is reserved on an
-    /// idle copy of this fleet through the placement path the scheduler
-    /// will use. With per-shard queues a federation pins every gang to
-    /// one cluster (only the global path may span clusters), so there the
-    /// idle copy is a single cluster.
+    /// Refuses a whole-GPU job larger than a server's unsplit GPUs. The
+    /// engine counts a partitioned machine's slices as vertices, so such
+    /// a job passes its size check and would wait forever; every other
+    /// stream that can never finish is the engine's to refuse
+    /// ([`Engine::try_run_submissions`]).
     ///
     /// # Errors
-    /// [`RunSpec::validate`]'s, or the first job or gang that cannot run.
-    pub fn admit(&self, submissions: &[Submission], shared: &mut Shared) -> Result<(), String> {
-        self.validate()?;
-        let vertices = self.topology().gpu_count();
-        let mut gangs = Vec::new();
+    /// `machine '…' offers N whole GPUs, but job J requests G`.
+    pub fn admit(&self, submissions: &[Submission]) -> Result<(), String> {
         for submission in submissions {
             let members = match submission {
                 Submission::Job(job) => std::slice::from_ref(job),
-                Submission::Gang(gang) => {
-                    gangs.push(gang);
-                    &gang.members[..]
-                }
+                Submission::Gang(gang) => &gang.members[..],
             };
-            for job in members {
+            for job in members.iter().filter(|job| !job.is_fractional()) {
                 let (id, gpus) = (job.id, job.num_gpus());
-                if !job.is_fractional() {
-                    let asker = |e| format!("{e}, but job {id} requests {gpus}");
-                    self.fits_whole(gpus).map_err(asker)?;
-                }
-                JobRejection::check(job, vertices).map_err(|e| e.to_string())?;
-            }
-        }
-        if gangs.is_empty() {
-            return Ok(());
-        }
-        // Idle, on the global queue, and without quotas: an over-quota
-        // gang is held, not impossible.
-        let idle = Self {
-            clusters: if self.queued() { 1 } else { self.clusters },
-            quota_gpus: None,
-            shard_queue_depth: None,
-            migration: None,
-            ..self.clone()
-        };
-        let mut fleet = idle.build(shared)?;
-        let backend: &mut dyn SchedulerBackend = match &mut fleet {
-            Fleet::Single(b) => b.as_mut(),
-            Fleet::Cluster(b) => b,
-            Fleet::Federation(b) => b,
-        };
-        for gang in gangs {
-            let ids: Vec<u64> = gang.members.iter().map(|m| m.id).collect();
-            let placements = backend.try_place_gang(&gang.members).ok_or_else(|| {
-                format!(
-                    "gang {} (jobs {ids:?}, {} GPUs total) cannot be co-scheduled even on an \
-                     idle fleet of {}× {}× {} — make the gangs smaller or add servers",
-                    gang.id,
-                    gang.total_gpus(),
-                    self.clusters,
-                    self.servers,
-                    self.machine.name(),
-                )
-            })?;
-            for (id, p) in ids.into_iter().zip(&placements) {
-                backend.release(p.server, id);
+                let asker = |e| format!("{e}, but job {id} requests {gpus}");
+                self.fits_whole(gpus).map_err(asker)?;
             }
         }
         Ok(())
@@ -301,8 +246,29 @@ impl RunSpec {
         Ok(cluster.with_migration(self.migration()?))
     }
 
-    /// The one place a backend is constructed.
-    pub(crate) fn build(&self, shared: &mut Shared) -> Result<Fleet, String> {
+    /// Builds the fleet — the one place a backend is constructed — and
+    /// runs `submissions` on it to completion. Whatever models the fleet's
+    /// machines needed are in `shared` afterwards.
+    ///
+    /// # Errors
+    /// [`RunSpec::validate`]'s, or the engine's
+    /// [`JobRejection`](mapa_sim::JobRejection) of a stream that can never
+    /// finish.
+    pub fn run(
+        &self,
+        shared: &mut Shared,
+        config: SimConfig,
+        submissions: impl IntoIterator<Item = Submission>,
+    ) -> Result<SimReport, String> {
+        fn drive<B: SchedulerBackend>(
+            backend: B,
+            config: SimConfig,
+            submissions: impl IntoIterator<Item = Submission>,
+        ) -> Result<SimReport, String> {
+            let engine = Engine::over(backend).with_config(config);
+            let report = engine.try_run_submissions(submissions);
+            report.map_err(|rejection| rejection.to_string())
+        }
         self.validate()?;
         let machine = self.topology();
         let federated =
@@ -316,49 +282,17 @@ impl RunSpec {
             let members = (0..self.clusters).map(|_| self.cluster(&machine, shared));
             let members = members.collect::<Result<Vec<_>, _>>()?;
             let federation = Federation::new(members, self.federation()?);
-            Ok(Fleet::Federation(match self.quota_gpus {
+            let federation = match self.quota_gpus {
                 Some(quota) => federation.with_default_quota(quota),
                 None => federation,
-            }))
+            };
+            drive(federation, config, submissions)
         } else if clustered {
-            Ok(Fleet::Cluster(self.cluster(&machine, shared)?))
+            drive(self.cluster(&machine, shared)?, config, submissions)
         } else {
-            Ok(Fleet::Single(Box::new(SingleServer::new(
-                machine,
-                self.alloc()?,
-            ))))
+            let server = SingleServer::new(machine, self.alloc()?);
+            drive(server, config, submissions)
         }
-    }
-
-    /// Builds the fleet and runs `submissions` on it to completion — the
-    /// one place the engine is driven. Whatever models the fleet's
-    /// machines needed are in `shared` afterwards.
-    ///
-    /// # Errors
-    /// [`RunSpec::validate`]'s.
-    ///
-    /// # Panics
-    /// As [`Engine::run_submissions`], on a stream [`RunSpec::admit`]
-    /// refuses.
-    pub fn run(
-        &self,
-        shared: &mut Shared,
-        config: SimConfig,
-        submissions: impl IntoIterator<Item = Submission>,
-    ) -> Result<SimReport, String> {
-        fn drive<B: SchedulerBackend>(
-            backend: B,
-            config: SimConfig,
-            submissions: impl IntoIterator<Item = Submission>,
-        ) -> SimReport {
-            let engine = Engine::over(backend).with_config(config);
-            engine.run_submissions(submissions)
-        }
-        Ok(match self.build(shared)? {
-            Fleet::Single(backend) => drive(*backend, config, submissions),
-            Fleet::Cluster(backend) => drive(backend, config, submissions),
-            Fleet::Federation(backend) => drive(backend, config, submissions),
-        })
     }
 }
 
@@ -412,10 +346,8 @@ mod tests {
             ..RunSpec::new(machines::dgx1_v100(), "baseline")
         };
         let subs = |jobs: Vec<JobSpec>| jobs.into_iter().map(Submission::Job).collect::<Vec<_>>();
-        spec.admit(&subs(vec![job(1, 8)]), &mut shared()).unwrap();
-        let too_big = spec
-            .admit(&subs(vec![job(1, 9)]), &mut shared())
-            .unwrap_err();
+        spec.admit(&subs(vec![job(1, 8)])).unwrap();
+        let too_big = spec.admit(&subs(vec![job(1, 9)])).unwrap_err();
         assert!(
             too_big.contains("offers 8 whole GPUs, but job 1 requests 9"),
             "{too_big}"
@@ -425,23 +357,27 @@ mod tests {
             partition: Some(PartitionPlan::new().split(0, 2)),
             ..spec.clone()
         };
-        let sliced = split
-            .admit(&subs(vec![job(1, 8)]), &mut shared())
-            .unwrap_err();
+        let sliced = split.admit(&subs(vec![job(1, 8)])).unwrap_err();
         assert!(sliced.contains("offers 7 whole GPUs"), "{sliced}");
-        // 15 GPUs fit the pooled 16, but no two 5-GPU members share a server.
-        let gang = JobGroup::new(1, vec![job(1, 5), job(2, 5), job(3, 5)]);
-        let stuck = spec
-            .admit(&[Submission::Gang(gang.clone())], &mut shared())
-            .unwrap_err();
-        assert!(stuck.contains("cannot be co-scheduled"), "{stuck}");
+        // 15 GPUs fit the pooled 16, but no two 5-GPU members share a
+        // server: admit lets the gang through, and the run refuses it.
+        let gang = vec![Submission::Gang(JobGroup::new(
+            1,
+            vec![job(1, 5), job(2, 5), job(3, 5)],
+        ))];
+        spec.admit(&gang).unwrap();
+        let config = SimConfig::default;
+        let stuck = spec.run(&mut shared(), config(), gang.clone()).unwrap_err();
+        assert!(
+            stuck.starts_with("gang 1 (jobs [1, 2, 3], 15 GPUs total) cannot be co-scheduled"),
+            "{stuck}"
+        );
         let three = RunSpec {
             servers: 3,
             quota_gpus: Some(4),
             ..spec
         };
-        three
-            .admit(&[Submission::Gang(gang)], &mut shared())
-            .unwrap();
+        let report = three.run(&mut shared(), config(), gang).unwrap();
+        assert_eq!(report.gangs.gangs_dispatched, 1);
     }
 }

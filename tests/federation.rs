@@ -270,15 +270,31 @@ fn spilled_gangs_count_every_member_as_a_spillover() {
 
 /// On the queued path a gang is pinned to one cluster, so a gang no
 /// single cluster can hold is refused by name — even though the
-/// federation's pooled GPUs (16) would hold it (10).
+/// federation's pooled GPUs (16) would hold it (10). The federation keeps
+/// it queued, and the engine names it when the run drains.
 #[test]
-#[should_panic(expected = "gang 7 needs 10 units, but the largest cluster has 8")]
 fn a_queued_gang_larger_than_every_cluster_is_refused_by_name() {
     let member = || fleet(1, 3, 1).with_shard_queues(4);
     let federation = Federation::new(vec![member(), member()], Box::new(SpilloverPolicy));
     let five = |id| JobSpec::new(id, GpuDemand::Whole(5), Workload::Vgg16).with_iterations(10);
     let gang = JobGroup::new(7, vec![five(1), five(2)]);
-    let _ = Engine::over(federation).run_submissions([Submission::Gang(gang)]);
+    let rejection = Engine::over(federation)
+        .try_run_submissions([Submission::Gang(gang)])
+        .unwrap_err();
+    assert_eq!(
+        rejection,
+        JobRejection::Gang {
+            gang: 7,
+            jobs: vec![1, 2],
+            gpus: 10
+        }
+    );
+    assert!(
+        rejection
+            .to_string()
+            .starts_with("gang 7 (jobs [1, 2], 10 GPUs total) cannot be co-scheduled"),
+        "{rejection}"
+    );
 }
 
 /// A load that always fits the first cluster never spills: jobs small

@@ -330,10 +330,10 @@ fn an_unsatisfiable_gang_panics_at_drain() {
 }
 
 /// With per-shard queues a federation pins a gang to one cluster, so a gang
-/// that only a cluster-spanning placement could start is refused before the
-/// run (it used to die on "backend queues must drain completely"); the same
-/// gang runs on the global path, which may span, and gangs a cluster can
-/// pack still run queued.
+/// that only a cluster-spanning placement could start ends the queued run
+/// with the engine's error naming it (it used to die on "backend queues
+/// must drain completely"); the same gang runs on the global path, which
+/// may span, and gangs a cluster can pack still run queued.
 #[test]
 fn a_gang_no_single_cluster_can_pack_is_refused_before_a_queued_run() {
     let member = |id| {
@@ -361,13 +361,14 @@ fn a_gang_no_single_cluster_can_pack_is_refused_before_a_queued_run() {
         ..global.clone()
     };
     let mut shared = Shared::new(std::sync::Arc::new(WorkerPool::new(1)));
-    let refusal = queued.admit(&three, &mut shared).unwrap_err();
+    let refusal = queued
+        .run(&mut shared, SimConfig::default(), three.clone())
+        .unwrap_err();
     assert!(
         refusal.starts_with("gang 1 (jobs [1, 2, 3], 15 GPUs total) cannot be co-scheduled"),
         "{refusal}"
     );
     for (spec, submissions, members) in [(&global, &three, 3), (&queued, &two, 2)] {
-        spec.admit(submissions, &mut shared).unwrap();
         let report = spec
             .run(&mut shared, SimConfig::default(), submissions.clone())
             .expect("valid spec");

@@ -108,8 +108,8 @@ fn hostname() -> String {
 /// Assembles a snapshot from the three raw `nvidia-smi` outputs.
 ///
 /// # Errors
-/// [`ProbeError::Malformed`] if any of the outputs cannot be parsed or
-/// they disagree on the device count.
+/// [`ProbeError::Malformed`] if any of the outputs cannot be parsed,
+/// they disagree on the device count, or a GPU index is not below it.
 pub fn build_snapshot(
     hostname: String,
     gpu_csv: &str,
@@ -125,6 +125,13 @@ pub fn build_snapshot(
             "query-gpu lists {} GPUs but 'topo -m' lists {}",
             rows.len(),
             bricks.len()
+        )));
+    }
+    if let Some(r) = rows.iter().find(|r| r.index >= rows.len()) {
+        return Err(ProbeError::Malformed(format!(
+            "query-gpu reports GPU index {} but lists {} GPUs",
+            r.index,
+            rows.len()
         )));
     }
     let uuid_to_index: HashMap<String, usize> =
@@ -244,6 +251,7 @@ GPU-zzzz, 7, 100
     /// Real tool output — the fixture `mapa-topology`'s parser tests and
     /// CI's `mapa-sched topo` smoke line read too.
     const TOPO: &str = include_str!("../../../tests/fixtures/nvidia-smi-topo.txt");
+    const TOPO_1GPU: &str = include_str!("../../../tests/fixtures/nvidia-smi-topo-1gpu.txt");
 
     #[test]
     fn gpu_csv_parses_including_na_utilization() {
@@ -308,6 +316,15 @@ GPU-zzzz, 7, 100
     }
 
     #[test]
+    fn an_out_of_range_gpu_index_is_malformed() {
+        let row = "5, GPU-x, Tesla V100, 16000, 0, 0\n";
+        assert!(matches!(
+            build_snapshot("h".into(), row, "GPU-x, 7, 100\n", TOPO_1GPU),
+            Err(ProbeError::Malformed(m)) if m == "query-gpu reports GPU index 5 but lists 1 GPUs"
+        ));
+    }
+
+    #[test]
     fn missing_binary_degrades_to_unavailable() {
         let mut probe = SmiProbe::new().with_binary("/nonexistent/nvidia-smi-stub");
         match probe.snapshot() {
@@ -315,6 +332,85 @@ GPU-zzzz, 7, 100
                 assert!(msg.contains("fake:dgx-1-v100"), "hint present: {msg}");
             }
             other => panic!("expected Unavailable, got {other:?}"),
+        }
+    }
+
+    /// Tokens of `--query-gpu` / `--query-compute-apps` CSV text, valid
+    /// and not.
+    const CSV_TOKENS: &[&str] = &[
+        "0",
+        "1",
+        "2",
+        "5",
+        "-1",
+        "+3",
+        "18446744073709551616",
+        "GPU-aaaa",
+        "GPU-bbbb",
+        "GPU-x",
+        "Tesla V100",
+        "16160",
+        "[N/A]",
+        ",",
+        " ",
+        "\n",
+        "\t",
+        "\u{e9}",
+    ];
+
+    /// Tokens of `nvidia-smi topo -m` text, valid and not.
+    const TOPO_TOKENS: &[&str] = &[
+        "GPU0", "GPU1", "GPU2", "GPU9", "X", "NV1", "NV2", "NV+4", "SYS", "PHB", "0-19", "NIC0",
+        "Legend:", "\t", " ", "\n", "\n",
+    ];
+
+    /// `csv` with the comma-separated field at each edit's position (mod
+    /// the field count) replaced by that edit's token soup.
+    fn edit_fields(csv: &str, edits: &[(usize, Vec<usize>)]) -> String {
+        let mut fields: Vec<String> = csv.split(',').map(str::to_string).collect();
+        for (at, tokens) in edits {
+            let n = fields.len();
+            fields[at % n] = tokens.iter().map(|&t| CSV_TOKENS[t]).collect();
+        }
+        fields.join(",")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// CSV token soup, alone or in place of fields of a 1- or 3-GPU
+        /// probe's outputs, against that probe's real `topo -m` text or
+        /// a soup of topology tokens, never panics the snapshot builder:
+        /// it refuses the text, or returns a snapshot that validates.
+        #[test]
+        fn build_snapshot_never_panics_on_token_soup(
+            gpu_edits in proptest::collection::vec(
+                (0usize..64, proptest::collection::vec(0usize..CSV_TOKENS.len(), 0..4)),
+                0..4,
+            ),
+            apps_edits in proptest::collection::vec(
+                (0usize..64, proptest::collection::vec(0usize..CSV_TOKENS.len(), 0..4)),
+                0..4,
+            ),
+            topo_tokens in proptest::collection::vec(0usize..TOPO_TOKENS.len(), 0..40),
+            host in 0usize..3,
+            soup_topo in proptest::prelude::any::<bool>(),
+        ) {
+            let (gpu_csv, apps_csv, topo) = match host {
+                0 => ("", "", TOPO_1GPU),
+                1 => ("0, GPU-aaaa, Tesla V100, 16160, 0, 0\n", "GPU-aaaa, 7, 100\n", TOPO_1GPU),
+                _ => (GPU_CSV, APPS_CSV, TOPO),
+            };
+            let topo = if soup_topo {
+                topo_tokens.iter().map(|&t| TOPO_TOKENS[t]).collect()
+            } else {
+                topo.to_string()
+            };
+            let gpu_csv = edit_fields(gpu_csv, &gpu_edits);
+            let apps_csv = edit_fields(apps_csv, &apps_edits);
+            if let Ok(snap) = build_snapshot("h".into(), &gpu_csv, &apps_csv, &topo) {
+                proptest::prop_assert!(snap.validate().is_ok());
+            }
         }
     }
 }

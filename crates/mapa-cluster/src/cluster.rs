@@ -119,10 +119,6 @@ struct ShardQueues {
     /// never dropped.
     backlog: VecDeque<PendingJob>,
     max_depths: Vec<usize>,
-    /// Jobs waiting across every queue plus the backlog, maintained
-    /// incrementally — the engine samples [`Self::waiting`] once per
-    /// event, so it must not re-walk `shards` queues each time.
-    waiting: usize,
     /// Non-empty-queue occupancy mask (see type docs).
     occupied: BitSet,
     /// Heads worth a placement retry (see type docs).
@@ -140,7 +136,6 @@ impl ShardQueues {
             queues: vec![VecDeque::new(); shards],
             backlog: VecDeque::new(),
             max_depths: vec![0; shards],
-            waiting: 0,
             occupied: BitSet::new(shards),
             ready: BitSet::new(shards),
             room: BitSet::full(shards),
@@ -165,7 +160,6 @@ impl ShardQueues {
         }
         self.queues[shard].push_back(item);
         self.max_depths[shard] = self.max_depths[shard].max(self.queues[shard].len());
-        self.waiting += 1;
         self.resync(shard);
     }
 
@@ -174,7 +168,6 @@ impl ShardQueues {
     fn take_at(&mut self, victim: usize, idx: usize) -> Option<PendingJob> {
         let item = self.queues[victim].remove(idx);
         if item.is_some() {
-            self.waiting -= 1;
             if idx == 0 {
                 // The next head, if any, is exposed and has never been
                 // tried against the shard's current state.
@@ -193,25 +186,8 @@ impl ShardQueues {
         }
     }
 
-    fn push_backlog(&mut self, item: PendingJob) {
-        self.backlog.push_back(item);
-        self.waiting += 1;
-    }
-
-    fn pop_backlog(&mut self) -> Option<PendingJob> {
-        let item = self.backlog.pop_front();
-        if item.is_some() {
-            self.waiting -= 1;
-        }
-        item
-    }
-
+    /// Jobs waiting across every queue plus the backlog.
     fn waiting(&self) -> usize {
-        debug_assert_eq!(
-            self.waiting,
-            self.queues.iter().map(VecDeque::len).sum::<usize>() + self.backlog.len(),
-            "incremental waiting counter must mirror the shard queues"
-        );
         debug_assert!(
             self.queues.iter().enumerate().all(|(s, q)| {
                 self.occupied.contains(s) != q.is_empty()
@@ -220,7 +196,7 @@ impl ShardQueues {
             }),
             "occupied / room masks and head sizes must mirror the shard queues"
         );
-        self.waiting
+        self.queues.iter().map(VecDeque::len).sum::<usize>() + self.backlog.len()
     }
 }
 
@@ -281,9 +257,6 @@ pub struct Cluster {
     /// for the backlog head atomically across shards, and gangs behind an
     /// unplaceable head wait (FIFO among gangs).
     gang_backlog: VecDeque<(JobGroup, f64)>,
-    /// Members across every backlogged gang — incremental mirror so
-    /// [`SchedulerBackend::queued_jobs`] is O(1) per engine event.
-    gang_members_queued: usize,
     /// Largest machine of the fleet; shards never change after
     /// construction.
     max_job_gpus: usize,
@@ -392,7 +365,6 @@ impl Cluster {
             queue_blocks: 0,
             queue_frag_blocks: 0,
             gang_backlog: VecDeque::new(),
-            gang_members_queued: 0,
             max_job_gpus,
             free_gpus,
             live: HashMap::new(),
@@ -594,7 +566,7 @@ impl Cluster {
                 return;
             };
             let queues = self.queues.as_mut().expect("routing requires queues");
-            let item = queues.pop_backlog().expect("front observed above");
+            let item = queues.backlog.pop_front().expect("front observed above");
             queues.push(target, item);
             self.admitted += 1;
         }
@@ -692,8 +664,8 @@ impl Cluster {
     }
 
     /// Releases `job` from shard `server` and books it out of the fleet
-    /// mirrors — the one release of every path (completion, batched
-    /// completion, eviction, gang rollback).
+    /// mirrors — the one release of every path (completion, eviction,
+    /// gang rollback).
     fn release_on(&mut self, server: usize, job: u64) {
         let freed = self.shards[server]
             .release(job)
@@ -758,7 +730,6 @@ impl Cluster {
                 break;
             };
             self.gang_backlog.pop_front();
-            self.gang_members_queued -= gang.len();
             for (member, placement) in gang.members.iter().zip(placements) {
                 out.push(DispatchedJob {
                     pending: PendingJob::gang_member(member.clone(), submitted_at, gang.id),
@@ -1039,21 +1010,6 @@ impl SchedulerBackend for Cluster {
         }
     }
 
-    fn release_batch(&mut self, released: &[(usize, u64)]) {
-        // The engine only batches releases while every queue (engine
-        // FIFO, shard queues, backlogs) is empty, so the per-release
-        // rebalance probe in `release` has no job to pull — release
-        // straight on the shards without N probe calls.
-        debug_assert_eq!(
-            self.queued_jobs(),
-            0,
-            "batched release requires empty queues"
-        );
-        for &(server, job) in released {
-            self.release_on(server, job);
-        }
-    }
-
     fn manages_queues(&self) -> bool {
         self.queues.is_some()
     }
@@ -1160,7 +1116,7 @@ impl SchedulerBackend for Cluster {
         // queue, and changes nothing a pump looks at (see `quiescent`).
         // Behind an empty backlog, routing it is refilling the backlog.
         let backlogged = !queues.backlog.is_empty();
-        queues.push_backlog(item);
+        queues.backlog.push_back(item);
         if !backlogged {
             self.quiescent = None;
             self.refill_from_backlog();
@@ -1172,7 +1128,6 @@ impl SchedulerBackend for Cluster {
             self.queues.is_some(),
             "admit_gang called on a cluster without shard queues"
         );
-        self.gang_members_queued += gang.len();
         self.gang_backlog.push_back((gang, submitted_at));
         self.quiescent = None;
     }
@@ -1195,15 +1150,8 @@ impl SchedulerBackend for Cluster {
     }
 
     fn queued_jobs(&self) -> usize {
-        debug_assert_eq!(
-            self.gang_members_queued,
-            self.gang_backlog
-                .iter()
-                .map(|(gang, _)| gang.len())
-                .sum::<usize>(),
-            "incremental gang-member counter must mirror the backlog"
-        );
-        self.queues.as_ref().map_or(0, ShardQueues::waiting) + self.gang_members_queued
+        let gang_members: usize = self.gang_backlog.iter().map(|(gang, _)| gang.len()).sum();
+        self.queues.as_ref().map_or(0, ShardQueues::waiting) + gang_members
     }
 
     fn dispatch_report(&self) -> Option<DispatchReport> {

@@ -130,9 +130,6 @@ pub struct Federation {
     /// Quota-deferred jobs and gangs, in arrival order: items are only
     /// pushed at the back or removed.
     held: VecDeque<QueueItem>,
-    /// Jobs in `held` (a gang counts per member): the engine reads
-    /// `queued_jobs` on every event, and a backlog can hold thousands.
-    held_jobs: usize,
     /// Jobs of queued-path items no cluster can ever host: they wait
     /// forever.
     stranded_jobs: usize,
@@ -195,7 +192,6 @@ impl Federation {
             ledger: HashMap::new(),
             quota_blocked: HashSet::new(),
             held: VecDeque::new(),
-            held_jobs: 0,
             stranded_jobs: 0,
             routed: 0,
             spillovers: 0,
@@ -386,7 +382,6 @@ impl Federation {
         let members = item.members();
         if let Some(t) = self.quota_violation(members) {
             self.note_quota_hold(t, members[0].id);
-            self.held_jobs += item.job_count();
             self.held.push_back(item);
         } else {
             self.route(item);
@@ -452,7 +447,6 @@ impl Federation {
             }
             let Some((_, i)) = best else { break };
             let item = self.held.remove(i).expect("index from enumerate");
-            self.held_jobs -= item.job_count();
             self.route(item);
         }
     }
@@ -518,23 +512,6 @@ impl SchedulerBackend for Federation {
         let (c, local) = self.local(server);
         self.clusters[c].release(local, job);
         self.settle(job);
-    }
-
-    fn release_batch(&mut self, released: &[(usize, u64)]) {
-        // Partition into per-cluster sub-batches (order preserved within
-        // each cluster) so every inner cluster keeps its own batched
-        // fast path.
-        let mut per: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.clusters.len()];
-        for &(server, job) in released {
-            let (c, local) = self.local(server);
-            per[c].push((local, job));
-            self.settle(job);
-        }
-        for (c, batch) in per.into_iter().enumerate() {
-            if !batch.is_empty() {
-                self.clusters[c].release_batch(&batch);
-            }
-        }
     }
 
     fn try_place_gang(&mut self, members: &[JobSpec]) -> Option<Vec<Placement>> {
@@ -675,7 +652,8 @@ impl SchedulerBackend for Federation {
 
     fn queued_jobs(&self) -> usize {
         let inner: usize = self.clusters.iter().map(Cluster::queued_jobs).sum();
-        inner + self.held_jobs + self.stranded_jobs
+        let held: usize = self.held.iter().map(QueueItem::job_count).sum();
+        inner + held + self.stranded_jobs
     }
 
     fn dispatch_report(&self) -> Option<DispatchReport> {

@@ -617,10 +617,8 @@ pub trait SchedulerBackend {
     /// fast path — a run of same-tick finish events with nothing waiting
     /// in any queue — where per-release dispatch is provably a no-op.
     /// The default forwards to [`Self::release`] one pair at a time, so
-    /// the batch is semantically identical to N single releases;
-    /// backends may override it to skip per-release bookkeeping (e.g.
-    /// `mapa-cluster` skips its per-release migration probe, which
-    /// cannot fire while every queue is empty).
+    /// the batch is semantically identical to N single releases; no
+    /// built-in backend overrides it.
     fn release_batch(&mut self, released: &[(usize, u64)]) {
         for &(server, job) in released {
             self.release(server, job);
@@ -694,7 +692,8 @@ pub trait SchedulerBackend {
     /// Accepts an arriving (or preemption-requeued) job into the
     /// backend's own queues (only called when [`Self::manages_queues`] is
     /// true). The backend must hold the job until a [`Self::pump`] places
-    /// it — jobs are never dropped.
+    /// it — jobs are never dropped: the engine counts every admitted job
+    /// until it starts and fails the run at drain if one went missing.
     fn admit(&mut self, pending: PendingJob) {
         unreachable!(
             "admit called for job {} on a backend that does not manage queues",
@@ -724,8 +723,10 @@ pub trait SchedulerBackend {
     }
 
     /// Jobs currently waiting inside the backend's queues (0 for backends
-    /// that do not manage queues). The engine samples this for queue-depth
-    /// statistics and asserts it drains to 0 at the end of a run.
+    /// that do not manage queues; a gang counts per member). The engine
+    /// keeps its own count of waiting jobs and reads this only to check
+    /// it: once at drain, where a job the backend admitted but neither
+    /// queues nor started fails the run, and per event in debug builds.
     fn queued_jobs(&self) -> usize {
         0
     }
@@ -1267,9 +1268,7 @@ impl<B: SchedulerBackend> Engine<B> {
                 // is provably a no-op and its queue-depth sample is 0.
                 // Take the run of finish events due at this instant and
                 // release them in one call instead of N.
-                EventKind::JobFinished(mut record)
-                    if st.queue.is_empty() && self.backend.queued_jobs() == 0 =>
-                {
+                EventKind::JobFinished(mut record) if st.waiting == 0 => {
                     released.clear();
                     loop {
                         released.push((record.server, record.pending.job.id));
@@ -1318,13 +1317,14 @@ impl<B: SchedulerBackend> Engine<B> {
             } else {
                 self.dispatch(now, &mut st);
             }
-            let depth = st.waiting_jobs() + self.backend.queued_jobs();
-            st.depth_max = st.depth_max.max(depth);
-            st.depth_sum += depth as u64;
+            debug_assert_eq!(st.waiting, st.queued(&self.backend), "{LOST_JOB}");
+            st.depth_max = st.depth_max.max(st.waiting);
+            st.depth_sum += st.waiting as u64;
             st.depth_samples += 1;
         }
 
-        if let Some(rejection) = st.unfinished(self.backend.queued_jobs()) {
+        assert_eq!(st.waiting, st.queued(&self.backend), "{LOST_JOB}");
+        if let Some(rejection) = st.unfinished() {
             return Err(rejection);
         }
 
@@ -1430,7 +1430,6 @@ impl<B: SchedulerBackend> Engine<B> {
     fn dispatch(&mut self, now: f64, st: &mut RunState) {
         let mut skipped: VecDeque<QueueItem> = VecDeque::new();
         while let Some(item) = st.queue.pop_front() {
-            st.waiting -= item.job_count();
             let blocked = match item {
                 QueueItem::Job(pending) => {
                     // If it does not fit, a high-priority arrival may take
@@ -1463,7 +1462,6 @@ impl<B: SchedulerBackend> Engine<B> {
                 st.frag_blocks += 1;
             }
             if self.config.strict_fifo {
-                st.waiting += blocked.job_count();
                 st.queue.push_front(blocked);
                 break;
             }
@@ -1471,7 +1469,6 @@ impl<B: SchedulerBackend> Engine<B> {
         }
         // Backfill mode: blocked items return to the queue head in order.
         while let Some(item) = skipped.pop_back() {
-            st.waiting += item.job_count();
             st.queue.push_front(item);
         }
     }
@@ -1559,10 +1556,11 @@ impl<B: SchedulerBackend> Engine<B> {
     }
 
     /// Puts a waiting item in line: into a queue-managing backend's own
-    /// queues, or at the back of the engine's FIFO.
+    /// queues, or at the back of the engine's FIFO. Every job starts
+    /// waiting here, and stops in [`Self::start_job`].
     fn enqueue(&mut self, item: QueueItem, st: &mut RunState) {
+        st.waiting += item.job_count();
         if !self.backend.manages_queues() {
-            st.waiting += item.job_count();
             st.queue.push_back(item);
             return;
         }
@@ -1576,6 +1574,7 @@ impl<B: SchedulerBackend> Engine<B> {
     /// per-job half of dispatch shared by the engine-queued path and the
     /// backend-managed (`pump`) path, so the two cannot drift apart.
     fn start_job(&mut self, pending: PendingJob, p: Placement, now: f64, st: &mut RunState) {
+        st.waiting -= 1;
         let topology = self.backend.server_topology(p.server);
         let job = &pending.job;
         // Price the placement: one set of ring rates serves both bandwidth
@@ -1677,6 +1676,11 @@ enum EventKind {
     JobFinished(Box<PendingRecord>),
 }
 
+/// What the engine's count of waiting jobs is checked against: per
+/// event in debug builds, and once at drain in every build, so a backend
+/// that loses an admitted job fails the run instead of dropping a record.
+const LOST_JOB: &str = "every job that waits is in the engine's FIFO or the backend's queues";
+
 /// The mutable state of one run, bundled so dispatch helpers stay
 /// readable.
 #[derive(Default)]
@@ -1685,9 +1689,10 @@ struct RunState {
     events: EventQueue<EventKind>,
     queue: VecDeque<QueueItem>,
     records: Vec<JobRecord>,
-    /// Jobs waiting in `queue` (gangs count per member) — maintained
-    /// incrementally at every queue mutation so the per-event depth
-    /// sample is O(1) instead of an O(queue) re-walk.
+    /// Jobs waiting anywhere, in `queue` or in a queue-managing backend
+    /// (gangs count per member): [`Engine::enqueue`] adds, and
+    /// [`Engine::start_job`] takes one away. The queue-depth samples
+    /// read it, so no queue is re-walked per event.
     waiting: usize,
     /// Do-not-evict set: gang members and previously-preempted jobs.
     shielded: HashSet<u64>,
@@ -1711,16 +1716,16 @@ struct RunState {
 }
 
 impl RunState {
-    /// What still waits once the events run out, given the jobs a
-    /// queue-managing backend holds: the FIFO's head, else the first gang
-    /// that arrived and never started, else the backend's count.
-    fn unfinished(&self, queued: usize) -> Option<JobRejection> {
-        let waiting = self.waiting + queued;
+    /// What still waits once the events run out: the FIFO's head, else
+    /// the first gang that arrived and never started, else the count of
+    /// jobs a queue-managing backend holds.
+    fn unfinished(&self) -> Option<JobRejection> {
+        let waiting = self.waiting;
         let unstarted = |job| JobRejection::Unstarted { job, waiting };
         match self.queue.front() {
             Some(QueueItem::Job(pending)) => Some(unstarted(Some(pending.job.id))),
             Some(QueueItem::Gang { gang, .. }) => Some(JobRejection::gang(gang)),
-            None if queued == 0 => None,
+            None if waiting == 0 => None,
             None => {
                 let gang = self.gangs_arrived.iter().find(|r| match r {
                     JobRejection::Gang { gang, .. } => !self.gangs_started.contains(gang),
@@ -1731,14 +1736,10 @@ impl RunState {
         }
     }
 
-    /// Jobs waiting in the engine's own queue (gangs count per member).
-    fn waiting_jobs(&self) -> usize {
-        debug_assert_eq!(
-            self.waiting,
-            self.queue.iter().map(QueueItem::job_count).sum::<usize>(),
-            "incremental waiting counter must mirror the queue"
-        );
-        self.waiting
+    /// Jobs in the engine's FIFO plus the jobs `backend` says it
+    /// queues: a recount of [`Self::waiting`].
+    fn queued(&self, backend: &impl SchedulerBackend) -> usize {
+        self.queue.iter().map(QueueItem::job_count).sum::<usize>() + backend.queued_jobs()
     }
 }
 
@@ -2651,6 +2652,40 @@ mod tests {
         batches: Vec<usize>,
     }
 
+    /// The [`SchedulerBackend`] methods a test backend forwards to its
+    /// `inner` [`SingleServer`] unchanged.
+    macro_rules! forward_to_inner {
+        () => {
+            fn label(&self) -> String {
+                self.inner.label()
+            }
+            fn policy_label(&self) -> String {
+                self.inner.policy_label()
+            }
+            fn server_count(&self) -> usize {
+                self.inner.server_count()
+            }
+            fn server_topology(&self, server: usize) -> &Topology {
+                self.inner.server_topology(server)
+            }
+            fn server_cache_stats(&self, server: usize) -> Option<CacheStats> {
+                self.inner.server_cache_stats(server)
+            }
+            fn max_job_gpus(&self) -> usize {
+                self.inner.max_job_gpus()
+            }
+            fn total_free_gpus(&self) -> usize {
+                self.inner.total_free_gpus()
+            }
+            fn configure(&mut self, config: &SimConfig) {
+                self.inner.configure(config);
+            }
+            fn try_place(&mut self, job: &JobSpec) -> Option<Placement> {
+                self.inner.try_place(job)
+            }
+        };
+    }
+
     /// A [`SingleServer`] that counts the engine's release calls.
     struct CountingBackend {
         inner: SingleServer,
@@ -2658,33 +2693,7 @@ mod tests {
     }
 
     impl SchedulerBackend for CountingBackend {
-        fn label(&self) -> String {
-            self.inner.label()
-        }
-        fn policy_label(&self) -> String {
-            self.inner.policy_label()
-        }
-        fn server_count(&self) -> usize {
-            self.inner.server_count()
-        }
-        fn server_topology(&self, server: usize) -> &Topology {
-            self.inner.server_topology(server)
-        }
-        fn server_cache_stats(&self, server: usize) -> Option<CacheStats> {
-            self.inner.server_cache_stats(server)
-        }
-        fn max_job_gpus(&self) -> usize {
-            self.inner.max_job_gpus()
-        }
-        fn total_free_gpus(&self) -> usize {
-            self.inner.total_free_gpus()
-        }
-        fn configure(&mut self, config: &SimConfig) {
-            self.inner.configure(config);
-        }
-        fn try_place(&mut self, job: &JobSpec) -> Option<Placement> {
-            self.inner.try_place(job)
-        }
+        forward_to_inner!();
         fn release(&mut self, server: usize, job: u64) {
             self.calls.borrow_mut().single.push(job);
             self.inner.release(server, job);
@@ -2723,5 +2732,63 @@ mod tests {
         let calls = release_calls(&small);
         assert!(calls.single.is_empty(), "{:?}", calls.single);
         assert_eq!(calls.batches, vec![8]);
+    }
+
+    /// A queue-managing [`SingleServer`] that loses the third job it is
+    /// admitted: it neither queues nor ever starts it.
+    struct LosingBackend {
+        inner: SingleServer,
+        queue: VecDeque<PendingJob>,
+        admitted: usize,
+    }
+
+    impl SchedulerBackend for LosingBackend {
+        forward_to_inner!();
+        fn release(&mut self, server: usize, job: u64) {
+            self.inner.release(server, job);
+        }
+        fn manages_queues(&self) -> bool {
+            true
+        }
+        fn admit(&mut self, pending: PendingJob) {
+            self.admitted += 1;
+            if self.admitted != 3 {
+                self.queue.push_back(pending);
+            }
+        }
+        fn pump(&mut self, _now: f64) -> Vec<DispatchedJob> {
+            let mut out = Vec::new();
+            while let Some(placement) = self
+                .queue
+                .front()
+                .and_then(|p| self.inner.try_place(&p.job))
+            {
+                let pending = self.queue.pop_front().expect("front placed above");
+                out.push(DispatchedJob { pending, placement });
+            }
+            out
+        }
+        fn queued_jobs(&self) -> usize {
+            self.queue.len()
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "every job that waits is in the engine's FIFO or the backend's queues"
+    )]
+    fn engine_count_catches_a_backend_that_loses_a_job() {
+        // Ten 1-GPU jobs on one DGX-1: the backend's own count says
+        // nothing waits once nine have run, so only the engine's count
+        // can tell that the third never did — in release builds too.
+        let jobs = (1..=10).map(|id| Submission::Job(job(id, 1, Workload::Gmm, 50)));
+        let backend = LosingBackend {
+            inner: SingleServer::new(machines::dgx1_v100(), Box::new(BaselinePolicy)),
+            queue: VecDeque::new(),
+            admitted: 0,
+        };
+        let outcome = Engine::over(backend).try_run_submissions(jobs);
+        let records = outcome.map(|report| report.records.len());
+        panic!("the run ended without the drain check firing: {records:?}");
     }
 }

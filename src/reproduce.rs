@@ -406,7 +406,9 @@ fn fig2a(t: &mut Table) {
             let gbps = effbw::measure_at_size(&dgx, &gpus, 10f64.powi(exp));
             t.put(series, format!("gbps_at_1e{exp}"), gbps);
         }
-        t.row(series, "gbps_at_1e9").paper(plateau);
+        t.row(series, "gbps_at_1e9")
+            .paper(plateau)
+            .band(0.95 * plateau, 1.05 * plateau);
     }
 }
 
@@ -433,7 +435,7 @@ fn fig2b(t: &mut Table) {
         let row = t.put(workload.name(), "double_vs_pcie", ours.double_vs_pcie);
         row.paper(double).band(lo, hi);
         let row = t.put(workload.name(), "single_vs_pcie", ours.single_vs_pcie);
-        row.paper(single);
+        row.paper(single).band(0.95 * single, 1.05 * single);
     }
 }
 

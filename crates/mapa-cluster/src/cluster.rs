@@ -6,7 +6,9 @@
 use crate::migrate::{MigrationPolicy, MigrationStats};
 use crate::policy::{Candidates, ServerPolicy};
 use mapa_core::policy::AllocationPolicy;
-use mapa_core::{AllocationOutcome, AllocatorError, CacheStats, MapaAllocator, PreemptionPolicy};
+use mapa_core::{
+    AllocationOutcome, AllocatorError, CacheStats, Capacity, MapaAllocator, PreemptionPolicy,
+};
 use mapa_isomorph::WorkerPool;
 use mapa_model::EffBwModel;
 use mapa_sim::{
@@ -257,9 +259,9 @@ pub struct Cluster {
     /// for the backlog head atomically across shards, and gangs behind an
     /// unplaceable head wait (FIFO among gangs).
     gang_backlog: VecDeque<(JobGroup, f64)>,
-    /// Largest machine of the fleet; shards never change after
-    /// construction.
-    max_job_gpus: usize,
+    /// The largest job of each demand kind a shard can run; shards never
+    /// change after construction.
+    capacity: Capacity,
     /// Free units summed over every shard — kept in step by
     /// [`Self::commit`] and [`Self::release_on`], so
     /// [`SchedulerBackend::total_free_gpus`] is O(1).
@@ -346,11 +348,7 @@ impl Cluster {
                 MapaAllocator::with_model(machine, make_policy(), model)
             })
             .collect();
-        let max_job_gpus = shards
-            .iter()
-            .map(|s| s.topology().gpu_count())
-            .max()
-            .expect("cluster is non-empty");
+        let capacity = Capacity::of_fleet(shards.iter().map(MapaAllocator::topology));
         let free_gpus = shards.iter().map(|s| s.state().free_count()).sum();
         Self {
             shards,
@@ -365,7 +363,7 @@ impl Cluster {
             queue_blocks: 0,
             queue_frag_blocks: 0,
             gang_backlog: VecDeque::new(),
-            max_job_gpus,
+            capacity,
             free_gpus,
             live: HashMap::new(),
             quiescent: None,
@@ -448,6 +446,12 @@ impl Cluster {
         &self.shards[id]
     }
 
+    /// The largest job of each demand kind a shard can run.
+    #[must_use]
+    pub fn capacity(&self) -> Capacity {
+        self.capacity
+    }
+
     /// Every shard, in shard order, for the federation's table sharing.
     pub(crate) fn shards_mut(&mut self) -> &mut [MapaAllocator] {
         &mut self.shards
@@ -527,7 +531,7 @@ impl Cluster {
     /// queue is full (the job then waits in the backlog).
     fn route_target(&mut self, job: &JobSpec) -> Option<usize> {
         let eligible = |shards: &[MapaAllocator], queues: &ShardQueues, s: usize| {
-            queues.room.contains(s) && job.num_gpus() <= shards[s].topology().gpu_count()
+            queues.room.contains(s) && Capacity::of(shards[s].topology()).fits(job)
         };
         // Ranking can be expensive (best-score peeks every shard), and
         // the backlog retries routing after every event — bail out before
@@ -759,11 +763,11 @@ impl Cluster {
             .filter(|&v| v != thief && queues.occupied.contains(v))
             .max_by_key(|&v| (queues.queues[v].len(), std::cmp::Reverse(v)));
         let Some(victim) = victim else { return false };
-        let thief_capacity = self.shards[thief].topology().gpu_count();
-        let Some(idx) = queues.queues[victim].iter().position(|item| {
-            item.job.num_gpus() <= thief_capacity
-                && matches!(self.shards[thief].peek(&item.job), Ok(Some(_)))
-        }) else {
+        // A job the thief can never run is refused by the peek itself.
+        let Some(idx) = queues.queues[victim]
+            .iter()
+            .position(|item| matches!(self.shards[thief].peek(&item.job), Ok(Some(_))))
+        else {
             return false;
         };
         let item = queues.take_at(victim, idx).expect("index found above");
@@ -832,12 +836,13 @@ impl Cluster {
         // Fragmentation accounting only matters when something is blocked.
         if blocked > 0 || !self.gang_backlog.is_empty() {
             let total_free = self.total_free_gpus();
-            // A queued head asks for at least one GPU and at most the
-            // largest machine (routing and stealing check it), so the
-            // pooled free GPUs fit no head or every head at either end.
+            // A queued head asks for at least one unit and at most the
+            // largest machine's vertices (routing and stealing ask the
+            // capacity rule), so the pooled free GPUs fit no head or every
+            // head at either end.
             frag = if total_free == 0 {
                 0
-            } else if total_free >= self.max_job_gpus {
+            } else if total_free >= self.capacity.slices {
                 blocked
             } else {
                 queues
@@ -953,10 +958,6 @@ impl SchedulerBackend for Cluster {
 
     fn server_cache_stats(&self, server: usize) -> Option<CacheStats> {
         self.shards[server].cache_stats()
-    }
-
-    fn max_job_gpus(&self) -> usize {
-        self.max_job_gpus
     }
 
     fn total_free_gpus(&self) -> usize {
@@ -1282,15 +1283,23 @@ mod tests {
     /// panic, on the engine's global FIFO and on per-shard queues alike.
     #[test]
     fn engine_returns_every_refusal_on_both_queue_protocols() {
+        use mapa_core::PolicyContext;
         use mapa_sim::{JobRejection, Submission};
         use mapa_workloads::JobGroup;
-        let fleet = |machine: &Topology, queued: bool| {
-            let c = Cluster::homogeneous(
-                machine.clone(),
-                2,
-                || Box::new(BaselinePolicy),
-                Box::new(RoundRobinPolicy),
-            );
+        /// Places nothing, so a job that fits still waits at drain.
+        struct Never;
+        impl AllocationPolicy for Never {
+            fn name(&self) -> &'static str {
+                "never"
+            }
+            fn select(&self, _: &JobSpec, _: &PolicyContext<'_>) -> Option<Vec<usize>> {
+                None
+            }
+        }
+        let fleet_of = |machine: &Topology,
+                        queued: bool,
+                        policy: fn() -> Box<dyn AllocationPolicy>| {
+            let c = Cluster::homogeneous(machine.clone(), 2, policy, Box::new(RoundRobinPolicy));
             if queued {
                 c.with_shard_queues(4)
             } else {
@@ -1322,14 +1331,15 @@ mod tests {
             ..SimConfig::default()
         };
         // GPU 0 split in two: 9 vertices, of which 7 are whole GPUs, so a
-        // whole 9-GPU job passes the size check and is never placed.
+        // whole 9-GPU job is refused as it arrives.
         let split = mapa_topology::PartitionPlan::new()
             .split(0, 2)
             .apply(&machines::dgx1_v100());
         let (dgx1, dgx2) = (machines::dgx1_v100(), machines::dgx2());
         for queued in [false, true] {
             let run = |machine: &Topology, config: SimConfig, subs: Vec<Submission>| {
-                let engine = Engine::over(fleet(machine, queued)).with_config(config);
+                let fleet = fleet_of(machine, queued, || Box::new(BaselinePolicy));
+                let engine = Engine::over(fleet).with_config(config);
                 engine.try_run_submissions(subs).unwrap_err()
             };
             let default = SimConfig::default;
@@ -1340,6 +1350,7 @@ mod tests {
                         job: 2,
                         requested: 9,
                         max_gpus: 8,
+                        unsplit: false,
                     },
                 ),
                 (
@@ -1366,6 +1377,17 @@ mod tests {
                 ),
                 (
                     run(&split, default(), jobs(&[9])),
+                    JobRejection::ServerSize {
+                        job: 1,
+                        requested: 9,
+                        max_gpus: 7,
+                        unsplit: true,
+                    },
+                ),
+                (
+                    Engine::over(fleet_of(&dgx1, queued, || Box::new(Never)))
+                        .try_run_submissions(jobs(&[2]))
+                        .unwrap_err(),
                     JobRejection::Unstarted {
                         job: (!queued).then_some(1),
                         waiting: 1,
@@ -1560,6 +1582,55 @@ mod tests {
             assert_eq!(x.predicted_eff_bw, y.predicted_eff_bw, "{context}");
         }
         assert_eq!(a.makespan_seconds, b.makespan_seconds, "{context}");
+    }
+
+    /// A DGX-1 with GPU 0 split in two has 9 vertices but 7 unsplit GPUs:
+    /// routing asks the capacity rule, so a whole 8-GPU job waits for the
+    /// unsplit DGX-1, and both queue protocols run one schedule.
+    #[test]
+    fn capacity_rule_routes_whole_jobs_past_a_split_shard() {
+        let split = mapa_topology::PartitionPlan::new()
+            .split(0, 2)
+            .apply(&machines::dgx1_v100());
+        let fleet = || {
+            Cluster::new(
+                vec![split.clone(), machines::dgx1_v100()],
+                || Box::new(BaselinePolicy),
+                Box::new(LeastLoadedPolicy),
+            )
+        };
+        assert_eq!(
+            fleet().capacity(),
+            Capacity {
+                whole: 8,
+                slices: 9
+            }
+        );
+        let slices = |id, n| JobSpec::new(id, GpuDemand::Slices(n), Workload::ResNet50);
+        let jobs = vec![
+            job(1, 8),
+            slices(2, 3).with_iterations(10),
+            job(3, 4),
+            slices(4, 2).with_iterations(10),
+            job(5, 8),
+            slices(6, 9).with_iterations(10),
+        ];
+        let global = Engine::over(fleet()).run(&jobs);
+        let queued = Engine::over(fleet().with_shard_queues(4)).run(&jobs);
+        assert_same_schedule(&global, &queued, "global vs queued");
+        let on = |id: u64| {
+            global
+                .records
+                .iter()
+                .find(|r| r.job.id == id)
+                .unwrap()
+                .server
+        };
+        assert_eq!(
+            [1, 5, 6].map(on),
+            [1, 1, 0],
+            "whole 8s wait for the unsplit server"
+        );
     }
 
     #[test]

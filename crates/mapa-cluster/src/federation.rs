@@ -352,7 +352,7 @@ impl Federation {
     /// (a gang admitted under the anti-deadlock valve would otherwise
     /// wedge halfway through).
     fn place(&mut self, job: &JobSpec) -> Option<Placement> {
-        let feasible = self.ranked(job, job.num_gpus());
+        let feasible = self.ranked(std::slice::from_ref(job));
         let first = *feasible.first()?;
         for &c in &feasible {
             if let Some(mut p) = self.clusters[c].try_place(job) {
@@ -364,16 +364,20 @@ impl Federation {
         None
     }
 
-    /// The policy's ranking for `lead`, keeping the clusters whose
-    /// largest server fits a `largest`-unit job.
-    fn ranked(&self, lead: &JobSpec, largest: usize) -> Vec<usize> {
+    /// The policy's ranking for the lead of `members`, keeping the
+    /// clusters that can host every member ([`mapa_core::Capacity::fits`]).
+    fn ranked(&self, members: &[JobSpec]) -> Vec<usize> {
+        let Some(lead) = members.first() else {
+            return Vec::new();
+        };
         let busy = |c: usize| self.busy_fraction(c);
         let candidates = Candidates::new(self.clusters.len(), &busy, &[]);
-        self.policy
-            .rank(lead, &candidates, self.routed)
-            .into_iter()
-            .filter(|&c| self.clusters[c].max_job_gpus() >= largest)
-            .collect()
+        let hosts = |c: &usize| {
+            let capacity = self.clusters[*c].capacity();
+            members.iter().all(|m| capacity.fits(m))
+        };
+        let ranking = self.policy.rank(lead, &candidates, self.routed);
+        ranking.into_iter().filter(hosts).collect()
     }
 
     /// Admits `item` at the federation gate: holds it when a member's
@@ -401,8 +405,7 @@ impl Federation {
         let members = item.members();
         self.assert_not_routed(members);
         let total = item.gpus();
-        let largest = members.iter().map(JobSpec::num_gpus).max().unwrap_or(0);
-        let mut feasible = self.ranked(&members[0], largest);
+        let mut feasible = self.ranked(members);
         feasible.retain(|&c| self.gpu_counts[c] >= total);
         let Some(&first) = feasible.first() else {
             self.stranded_jobs += item.job_count();
@@ -480,14 +483,6 @@ impl SchedulerBackend for Federation {
         self.clusters[c].server_cache_stats(local)
     }
 
-    fn max_job_gpus(&self) -> usize {
-        self.clusters
-            .iter()
-            .map(Cluster::max_job_gpus)
-            .max()
-            .unwrap_or(0)
-    }
-
     fn total_free_gpus(&self) -> usize {
         self.clusters.iter().map(Cluster::total_free_gpus).sum()
     }
@@ -522,8 +517,7 @@ impl SchedulerBackend for Federation {
             return None;
         }
         let total: usize = members.iter().map(JobSpec::num_gpus).sum();
-        let largest = members.iter().map(JobSpec::num_gpus).max().unwrap_or(0);
-        let feasible = self.ranked(members.first()?, largest);
+        let feasible = self.ranked(members);
         let first = *feasible.first()?;
         // Pinned attempt: each ranked cluster's own atomic gang path.
         for &c in &feasible {
@@ -590,7 +584,7 @@ impl SchedulerBackend for Federation {
         if self.quota_violation(std::slice::from_ref(job)).is_some() {
             return Vec::new();
         }
-        for c in self.ranked(job, job.num_gpus()) {
+        for c in self.ranked(std::slice::from_ref(job)) {
             let evictions = self.clusters[c].preempt_for(job, policy, shielded);
             if !evictions.is_empty() {
                 return evictions
@@ -711,7 +705,7 @@ impl SchedulerBackend for Federation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapa_core::policy::PreservePolicy;
+    use mapa_core::policy::{AllocationPolicy, PreservePolicy};
     use mapa_sim::{Engine, Submission};
     use mapa_topology::machines;
     use mapa_workloads::{generator, GpuDemand, Workload};
@@ -1062,6 +1056,49 @@ mod tests {
         let member = || cluster(1).with_shard_queues(4);
         let fed = Federation::new(vec![member(), member()], Box::new(SpilloverPolicy));
         let _ = Engine::over(fed).run(&[job(1, None, 8), job(1, None, 8)]);
+    }
+
+    /// Two clusters that differ only in GPU 0 of their one DGX-1 being
+    /// split: ranking keeps a cluster only if it can host every member,
+    /// so a whole 8-GPU job goes to the unsplit cluster on both paths.
+    #[test]
+    fn capacity_rule_ranks_only_clusters_that_can_host_the_job() {
+        let split = mapa_topology::PartitionPlan::new()
+            .split(0, 2)
+            .apply(&machines::dgx1_v100());
+        let member = |machine: &Topology| {
+            let policy = || Box::new(PreservePolicy) as Box<dyn AllocationPolicy>;
+            Cluster::new(vec![machine.clone()], policy, Box::new(LeastLoadedPolicy))
+        };
+        let fed = |queued: bool| {
+            let clusters = [split.clone(), machines::dgx1_v100()].map(|m| {
+                let c = member(&m);
+                if queued {
+                    c.with_shard_queues(4)
+                } else {
+                    c
+                }
+            });
+            Federation::new(clusters.into(), Box::new(SpilloverPolicy))
+        };
+        let slices = |id, n| JobSpec::new(id, GpuDemand::Slices(n), Workload::ResNet50);
+        let jobs = [
+            job(1, None, 8),
+            slices(2, 3).with_iterations(10),
+            job(3, None, 4),
+            job(4, None, 8),
+            slices(5, 9).with_iterations(10),
+        ];
+        let schedule = |queued: bool| {
+            let report = Engine::over(fed(queued)).run(&jobs);
+            let rows = report.records.iter();
+            let rows = rows.map(|r| (r.job.id, r.server, r.gpus.clone(), r.started_at));
+            rows.collect::<Vec<_>>()
+        };
+        let global = schedule(false);
+        assert_eq!(global, schedule(true));
+        let server = |id: u64| global.iter().find(|r| r.0 == id).unwrap().1;
+        assert_eq!([1, 4, 5].map(server), [1, 1, 0], "{global:?}");
     }
 
     #[test]

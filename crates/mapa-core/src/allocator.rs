@@ -1,7 +1,7 @@
 //! The MAPA allocator engine: scoring + policy + state (§3.6).
 
 use crate::cache::{AllocationCache, CacheStats, Decision};
-use crate::policy::{AllocationPolicy, PolicyContext};
+use crate::policy::{AllocationPolicy, Capacity, PolicyContext};
 use crate::preempt::PreemptionPolicy;
 use crate::scoring::{MatchScore, SetScorer};
 use mapa_model::EffBwModel;
@@ -28,11 +28,13 @@ pub struct AllocationOutcome {
 /// normal `Ok(None)`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AllocatorError {
-    /// The job requests zero GPUs or more than the machine has.
+    /// The job requests zero GPUs or more than the machine can ever give
+    /// it ([`Capacity::fits`]).
     InvalidRequest {
         /// GPUs requested.
         requested: usize,
-        /// GPUs in the machine.
+        /// The most GPUs the job's demand kind can get on the machine
+        /// ([`Capacity::bound`]).
         machine: usize,
     },
     /// State-transition failure (duplicate job id, etc.).
@@ -216,10 +218,11 @@ impl MapaAllocator {
     /// hashed, looked up, counted or stored. Otherwise, with the cache on,
     /// this is get-or-compute: the policy and the scorer run on a miss only.
     fn select_for(&mut self, job: &JobSpec) -> Result<Decision, AllocatorError> {
-        if job.num_gpus() == 0 || job.num_gpus() > self.topology.gpu_count() {
+        let capacity = Capacity::of(&self.topology);
+        if !capacity.fits(job) {
             return Err(AllocatorError::InvalidRequest {
                 requested: job.num_gpus(),
-                machine: self.topology.gpu_count(),
+                machine: capacity.bound(job),
             });
         }
         if self.state.free_count() < job.num_gpus() {
@@ -372,7 +375,7 @@ impl MapaAllocator {
         policy: PreemptionPolicy,
         shielded: &HashSet<u64>,
     ) -> Option<Vec<u64>> {
-        if !policy.enabled() || job.num_gpus() == 0 || job.num_gpus() > self.topology.gpu_count() {
+        if !policy.enabled() || !Capacity::of(&self.topology).fits(job) {
             return None;
         }
         // Victim preference order: lowest priority first, then the
@@ -781,6 +784,20 @@ mod tests {
         // The same two vertices as slices do place.
         let slices = JobSpec::new(2, mapa_workloads::GpuDemand::Slices(2), Workload::ResNet50);
         assert!(a.peek(&slices).unwrap().is_some());
+        // Eight whole GPUs exceed the seven unsplit ones: refused before
+        // the cache, whatever is free, though the machine has 11 vertices.
+        a.release(9).unwrap();
+        assert_eq!(
+            a.peek(&job(3, 8, true)),
+            Err(AllocatorError::InvalidRequest {
+                requested: 8,
+                machine: 7
+            })
+        );
+        let shielded = HashSet::new();
+        let evict = PreemptionPolicy::PriorityEvict;
+        assert_eq!(a.preemption_plan(&job(3, 8, true), evict, &shielded), None);
+        assert_eq!(a.cache_stats().unwrap().misses, 2, "no lookup for it");
     }
 
     #[test]

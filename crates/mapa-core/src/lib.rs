@@ -61,6 +61,6 @@ pub mod scoring;
 pub use allocator::{AllocationOutcome, AllocatorConfig, AllocatorError, MapaAllocator};
 pub use cache::{AllocationCache, CacheStats};
 pub use policy::{
-    allocation_policy_by_name, AllocationPolicy, PolicyContext, ALLOCATION_POLICY_NAMES,
+    allocation_policy_by_name, AllocationPolicy, Capacity, PolicyContext, ALLOCATION_POLICY_NAMES,
 };
 pub use preempt::{preemption_policy_by_name, PreemptionPolicy, PREEMPTION_POLICY_NAMES};

@@ -58,6 +58,63 @@ impl PolicyContext<'_> {
     }
 }
 
+/// The capacity rule: the largest job of each demand kind a machine — or
+/// the best of a fleet of them — can ever run. A whole-GPU job gets at
+/// most the unsplit GPUs, a slice job at most every vertex: on an idle
+/// machine, the vertices [`PolicyContext::demand_eligible`] admits for
+/// that kind. Every layer that admits or routes a job by its size asks
+/// [`Capacity::fits`], in O(1).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Capacity {
+    /// The largest whole-GPU job: the unsplit GPUs.
+    pub whole: usize,
+    /// The largest slice job: every vertex.
+    pub slices: usize,
+}
+
+impl Capacity {
+    /// What one machine can run.
+    #[must_use]
+    pub fn of(topology: &Topology) -> Self {
+        Self {
+            whole: topology.unsplit_gpu_count(),
+            slices: topology.gpu_count(),
+        }
+    }
+
+    /// The largest job of each kind any of `machines` can run (nothing
+    /// for no machine).
+    #[must_use]
+    pub fn of_fleet<'a>(machines: impl IntoIterator<Item = &'a Topology>) -> Self {
+        machines
+            .into_iter()
+            .fold(Self::default(), |fleet, machine| {
+                let one = Self::of(machine);
+                Self {
+                    whole: fleet.whole.max(one.whole),
+                    slices: fleet.slices.max(one.slices),
+                }
+            })
+    }
+
+    /// The most GPUs (or slices) a job of `job`'s demand kind can get.
+    #[must_use]
+    pub fn bound(self, job: &JobSpec) -> usize {
+        if job.is_fractional() {
+            self.slices
+        } else {
+            self.whole
+        }
+    }
+
+    /// Whether `job` could ever run: it asks for at least one unit and at
+    /// most [`Capacity::bound`].
+    #[must_use]
+    pub fn fits(self, job: &JobSpec) -> bool {
+        (1..=self.bound(job)).contains(&job.num_gpus())
+    }
+}
+
 /// A GPU-selection policy.
 ///
 /// # Purity contract (allocation caching)
@@ -614,6 +671,45 @@ mod tests {
         f.state.allocate(9, &[0, 2]).unwrap();
         let got = f.select(&BaselinePolicy, &job(3, true)).unwrap();
         assert_eq!(got, vec![1, 3, 4]);
+    }
+
+    /// The capacity rule is, per demand kind, the count of vertices
+    /// `demand_eligible` admits on an idle machine; a fleet's is the best
+    /// of its machines' per kind.
+    #[test]
+    fn capacity_rule_counts_the_eligible_vertices_of_an_idle_machine() {
+        for f in grid_machines() {
+            let capacity = Capacity::of(&f.topology);
+            for kind in 0..3 {
+                let probe = grid_job(1, kind);
+                let scorer = SetScorer::new(&f.state, &f.model, &probe);
+                let ctx = f.ctx(&f.state, &scorer);
+                let n = f.topology.gpu_count();
+                let eligible = (0..n).filter(|&v| ctx.demand_eligible(&probe, v)).count();
+                assert_eq!(capacity.bound(&probe), eligible, "{}", f.topology.name());
+                assert!(capacity.fits(&grid_job(eligible, kind)));
+                assert!(!capacity.fits(&grid_job(eligible + 1, kind)));
+                assert!(!capacity.fits(&grid_job(0, kind)));
+            }
+        }
+        let mig = &grid_machines()[6].topology;
+        let dgx1 = machines::dgx1_v100();
+        assert_eq!(
+            Capacity::of(mig),
+            Capacity {
+                whole: 6,
+                slices: 12
+            }
+        );
+        let fleet = Capacity::of_fleet([mig, &dgx1]);
+        assert_eq!(
+            fleet,
+            Capacity {
+                whole: 8,
+                slices: 12
+            }
+        );
+        assert_eq!(Capacity::of_fleet([]), Capacity::default());
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::stats::{self, SchedulingStats};
 use mapa_core::fragmentation;
 use mapa_core::policy::AllocationPolicy;
 use mapa_core::scoring::MatchScore;
-use mapa_core::{AllocatorConfig, CacheStats, MapaAllocator, PreemptionPolicy};
+use mapa_core::{AllocatorConfig, CacheStats, Capacity, MapaAllocator, PreemptionPolicy};
 use mapa_interconnect::{allreduce, effbw, rings};
 use mapa_topology::Topology;
 use mapa_workloads::{perf, JobGroup, JobSpec};
@@ -158,14 +158,19 @@ impl ArrivalClock {
 /// stream at drain if anything still waits when the events run out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobRejection {
-    /// Zero GPUs, or more than the largest server has.
+    /// Zero GPUs, or more than any server can ever give the job
+    /// ([`Capacity::fits`]).
     ServerSize {
         /// The job's id.
         job: u64,
         /// GPUs (or slices) it asks for.
         requested: usize,
-        /// GPU count of the largest server.
+        /// The most any server can give the job's demand kind
+        /// ([`Capacity::bound`]).
         max_gpus: usize,
+        /// Whether `max_gpus` counts unsplit GPUs short of the vertices:
+        /// a whole-GPU job on a fleet whose largest machine is split.
+        unsplit: bool,
     },
     /// More GPUs than the interconnect model can price: starting a job
     /// packs rings onto its allocation, and the packer is exact only up
@@ -201,18 +206,18 @@ pub enum JobRejection {
 }
 
 impl JobRejection {
-    /// Checks `job` against a backend whose largest server has `max_gpus`
-    /// GPUs.
+    /// Checks `job` against the [`Capacity`] of a backend's servers.
     ///
     /// # Errors
     /// The reason the job could never be started.
-    pub fn check(job: &JobSpec, max_gpus: usize) -> Result<(), JobRejection> {
+    pub fn check(job: &JobSpec, capacity: Capacity) -> Result<(), JobRejection> {
         let requested = job.num_gpus();
-        if requested < 1 || requested > max_gpus {
+        if !capacity.fits(job) {
             return Err(JobRejection::ServerSize {
                 job: job.id,
                 requested,
-                max_gpus,
+                max_gpus: capacity.bound(job),
+                unsplit: !job.is_fractional() && capacity.whole < capacity.slices,
             });
         }
         if requested > rings::MAX_RING_GPUS {
@@ -241,6 +246,17 @@ impl fmt::Display for JobRejection {
                 job,
                 requested,
                 max_gpus,
+                unsplit,
+            } if unsplit => write!(
+                f,
+                "job {job} requests {requested} whole GPUs on a machine with {max_gpus} \
+                 unsplit GPUs"
+            ),
+            JobRejection::ServerSize {
+                job,
+                requested,
+                max_gpus,
+                ..
             } => write!(
                 f,
                 "job {job} requests {requested} GPUs on a {max_gpus}-GPU machine"
@@ -592,8 +608,14 @@ pub trait SchedulerBackend {
     /// Cache counters of server `server`, if that server caches.
     fn server_cache_stats(&self, server: usize) -> Option<CacheStats>;
 
-    /// The largest job any server could ever host (admission bound).
-    fn max_job_gpus(&self) -> usize;
+    /// The largest slice job any server could ever host: the most
+    /// vertices. The engine admits by the per-kind [`Capacity`] of every
+    /// [`Self::server_topology`], which bounds whole-GPU jobs by unsplit
+    /// GPUs.
+    fn max_job_gpus(&self) -> usize {
+        let servers = (0..self.server_count()).map(|s| self.server_topology(s));
+        Capacity::of_fleet(servers).slices
+    }
 
     /// Free GPUs summed over every server — used to distinguish "cluster
     /// is full" from "capacity exists but is fragmented across servers".
@@ -606,7 +628,7 @@ pub trait SchedulerBackend {
 
     /// Attempts to place `job` now; `None` means "retry after a release"
     /// (the FIFO queue's normal blocking), never an error — impossible
-    /// requests are rejected by the engine upfront via [`Self::max_job_gpus`].
+    /// requests are rejected by the engine upfront ([`JobRejection::check`]).
     fn try_place(&mut self, job: &JobSpec) -> Option<Placement>;
 
     /// Releases a finished job's GPUs on the server that placed it.
@@ -825,10 +847,6 @@ impl SchedulerBackend for SingleServer {
     fn server_cache_stats(&self, server: usize) -> Option<CacheStats> {
         assert_eq!(server, 0, "single server has exactly one shard");
         self.allocator.cache_stats()
-    }
-
-    fn max_job_gpus(&self) -> usize {
-        self.allocator.topology().gpu_count()
     }
 
     fn total_free_gpus(&self) -> usize {
@@ -1213,7 +1231,8 @@ impl<B: SchedulerBackend> Engine<B> {
         let arrivals = self.config.arrivals;
         arrivals.check(0).map_err(JobRejection::Arrivals)?;
         self.backend.configure(&self.config);
-        let max_gpus = self.backend.max_job_gpus();
+        let servers = 0..self.backend.server_count();
+        let capacity = Capacity::of_fleet(servers.map(|s| self.backend.server_topology(s)));
         let managed = self.backend.manages_queues();
 
         let mut source = submissions.into_iter();
@@ -1239,12 +1258,12 @@ impl<B: SchedulerBackend> Engine<B> {
                     let sub = incoming.take().expect("arrival scheduled with a job");
                     let item = match sub {
                         Submission::Job(job) => {
-                            JobRejection::check(&job, max_gpus)?;
+                            JobRejection::check(&job, capacity)?;
                             QueueItem::Job(PendingJob::new(job, now))
                         }
                         Submission::Gang(gang) => {
                             for member in &gang.members {
-                                JobRejection::check(member, max_gpus)?;
+                                JobRejection::check(member, capacity)?;
                                 // Gang members are never preemption
                                 // victims: evicting one would break the
                                 // co-scheduling contract.
@@ -2671,9 +2690,6 @@ mod tests {
             fn server_cache_stats(&self, server: usize) -> Option<CacheStats> {
                 self.inner.server_cache_stats(server)
             }
-            fn max_job_gpus(&self) -> usize {
-                self.inner.max_job_gpus()
-            }
             fn total_free_gpus(&self) -> usize {
                 self.inner.total_free_gpus()
             }
@@ -2684,6 +2700,41 @@ mod tests {
                 self.inner.try_place(job)
             }
         };
+    }
+
+    /// A DGX-1 with GPU 0 split in two has 9 vertices but 7 unsplit GPUs:
+    /// a whole 8-GPU job is refused as it arrives, before job 2 queues
+    /// behind it, and a slice job is bounded by the vertices.
+    #[test]
+    fn capacity_rule_refuses_a_whole_job_on_a_split_machine_at_arrival() {
+        use mapa_workloads::GpuDemand;
+        let split = mapa_topology::PartitionPlan::new()
+            .split(0, 2)
+            .apply(&machines::dgx1_v100());
+        let run = |jobs: &[JobSpec]| {
+            let server = SingleServer::new(split.clone(), Box::new(BaselinePolicy));
+            let subs = jobs.iter().cloned().map(Submission::Job);
+            Engine::over(server).try_run_submissions(subs)
+        };
+        let whole = job(1, 8, Workload::Vgg16, 10);
+        let refusal = run(&[whole, job(2, 2, Workload::Vgg16, 10)]).unwrap_err();
+        assert_eq!(
+            refusal,
+            JobRejection::ServerSize {
+                job: 1,
+                requested: 8,
+                max_gpus: 7,
+                unsplit: true,
+            }
+        );
+        assert_eq!(
+            refusal.to_string(),
+            "job 1 requests 8 whole GPUs on a machine with 7 unsplit GPUs"
+        );
+        let slices = |n| JobSpec::new(1, GpuDemand::Slices(n), Workload::ResNet50);
+        assert_eq!(run(&[slices(9)]).unwrap().records.len(), 1);
+        let too_many = run(&[slices(10)]).unwrap_err().to_string();
+        assert_eq!(too_many, "job 1 requests 10 GPUs on a 9-GPU machine");
     }
 
     /// A [`SingleServer`] that counts the engine's release calls.

@@ -25,6 +25,9 @@ pub struct Topology {
     /// [`crate::virt::PartitionPlan`]: which physical GPU each vertex
     /// lives on. `None` for ordinary machines.
     slices: Option<SliceMap>,
+    /// Vertices that are not MIG slices: every vertex of an ordinary
+    /// machine.
+    unsplit: usize,
     /// [`Topology::ideal_aggregate_bandwidth`] per `k`, each worked out the
     /// first time it is asked for. Clones share the table: every server of
     /// a homogeneous fleet reads one.
@@ -75,6 +78,7 @@ impl Topology {
             pair_links,
             sockets,
             slices: None,
+            unsplit: n,
             ideal_bandwidth: (0..=n).map(|_| OnceLock::new()).collect(),
             previous_twins: Arc::default(),
         }
@@ -90,6 +94,9 @@ impl Topology {
             self.gpu_count(),
             "slice map must cover every vertex"
         );
+        self.unsplit = (0..map.vertex_count())
+            .filter(|&v| !map.is_slice(v))
+            .count();
         self.slices = Some(map);
         self
     }
@@ -104,7 +111,7 @@ impl Topology {
     /// Whether any physical GPU of this machine is split into slices.
     #[must_use]
     pub fn is_partitioned(&self) -> bool {
-        self.slices.as_ref().is_some_and(SliceMap::is_partitioned)
+        self.unsplit < self.gpu_count()
     }
 
     /// The machine's name (e.g. `"DGX-1 V100"`).
@@ -117,6 +124,13 @@ impl Topology {
     #[must_use]
     pub fn gpu_count(&self) -> usize {
         self.links.vertex_count()
+    }
+
+    /// Number of unsplit GPUs: the vertices that are not MIG slices, all
+    /// of them on an unpartitioned machine.
+    #[must_use]
+    pub fn unsplit_gpu_count(&self) -> usize {
+        self.unsplit
     }
 
     /// The socket (PCIe root / CPU domain) a GPU belongs to.

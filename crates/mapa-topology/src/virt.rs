@@ -115,12 +115,6 @@ impl SliceMap {
     pub fn is_slice(&self, v: usize) -> bool {
         self.slice_count[self.phys_of[v]] > 1
     }
-
-    /// Whether any GPU is actually split.
-    #[must_use]
-    pub fn is_partitioned(&self) -> bool {
-        self.slice_count.iter().any(|&c| c > 1)
-    }
 }
 
 /// A declarative multi-GPU partition plan: which physical GPUs split into
@@ -135,6 +129,7 @@ impl SliceMap {
 ///     .split(3, 2)
 ///     .apply(&machines::dgx1_v100());
 /// assert_eq!(virt.gpu_count(), 8 + 6 + 1);
+/// assert_eq!(virt.unsplit_gpu_count(), 6);
 /// assert_eq!(virt.slice_map().unwrap().slices_of(0), 7);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

@@ -275,7 +275,6 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         );
     }
 
-    spec.admit(&submissions)?;
     let mut shared = Shared::new(Arc::new(WorkerPool::with_default_threads()));
     let report = spec.run(&mut shared, config, submissions)?;
     print!("{}", logfile::write_log(&report));
@@ -422,4 +421,65 @@ fn cmd_reproduce(args: &Args) -> Result<(), String> {
     let rows = reproduce::rows(&args.all("--only").collect::<Vec<_>>())?;
     print!("{}", reproduce::csv(&rows));
     reproduce::verdict(&rows)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `--grid` fragments: every axis name and an unknown one, the three
+    /// separators, blanks, counts (zero, huge, negative, not a number)
+    /// and names of every kind.
+    const GRID_TOKENS: [&str; 24] = [
+        "server-policies",
+        "alloc-policies",
+        "policies",
+        "shards",
+        "jobs",
+        "dispatch",
+        "nope",
+        "=",
+        ",",
+        ";",
+        " ",
+        "0",
+        "1",
+        "4",
+        "18446744073709551616",
+        "-1",
+        "x",
+        "baseline",
+        "preserve",
+        "least-loaded",
+        "pack-first",
+        "sequential",
+        "parallel",
+        "'",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// Token soup as a `--grid` spec never panics `apply_grid_axes`,
+        /// whose refusal quotes a piece of the spec, nor the grid's
+        /// validation after it.
+        #[test]
+        fn grid_axes_never_panics_on_token_soup(
+            tokens in proptest::collection::vec(0usize..GRID_TOKENS.len(), 0..24),
+        ) {
+            let spec: String = tokens.iter().map(|&t| GRID_TOKENS[t]).collect();
+            let mut grid = CampaignGrid::new(machines::dgx1_v100());
+            match apply_grid_axes(&mut grid, &spec) {
+                Ok(()) => {
+                    if let Err(error) = grid.validate() {
+                        proptest::prop_assert!(!error.is_empty(), "{:?}", spec);
+                    }
+                }
+                Err(error) => {
+                    let quoted = error.split('\'').nth(1).unwrap_or_default();
+                    proptest::prop_assert!(spec.contains(quoted), "{:?}: {}", spec, error);
+                }
+            }
+        }
+    }
 }

@@ -17,9 +17,9 @@ use crate::report::{document, fields, Value};
 use crate::runspec::{RunSpec, Shared};
 use mapa_cluster::{DispatchMode, DEFAULT_SHARD_QUEUE_DEPTH};
 pub use mapa_core::policy::allocation_policy_by_name;
+use mapa_core::Capacity;
 use mapa_interconnect::rings;
 use mapa_isomorph::WorkerPool;
-use mapa_model::EffBwModel;
 use mapa_sim::campaign::{run_campaign, CampaignSpec, CellSummary, MetricSummary};
 use mapa_sim::{ArrivalProcess, SimConfig, SimReport, Submission};
 use mapa_topology::{PartitionPlan, Topology};
@@ -189,8 +189,15 @@ impl CampaignGrid {
         for GridCell { spec, .. } in &cells {
             spec.validate()?;
             // Otherwise a replication dies on an unplaceable job.
-            spec.fits_whole(largest)
-                .map_err(|e| format!("{e}, but the mix draws whole-GPU jobs up to {largest}"))?;
+            let machine = spec.topology();
+            let whole = Capacity::of(&machine).whole;
+            if largest > whole {
+                let name = machine.name();
+                return Err(format!(
+                    "machine '{name}' offers {whole} whole GPUs, but the mix draws whole-GPU \
+                     jobs up to {largest}"
+                ));
+            }
         }
         Ok(())
     }
@@ -213,10 +220,7 @@ impl CampaignGrid {
         for partition in &self.partitions {
             let mut spec = cells[0].spec.clone();
             spec.partition.clone_from(partition);
-            let machine = spec.topology();
-            let name = machine.name().to_string();
-            let fit = || EffBwModel::for_machine(&machine);
-            shared.models.entry(name).or_insert_with(fit);
+            shared.model(&spec.topology());
         }
         let mix = self.mix.clone();
         let spec = CampaignSpec {

@@ -6,9 +6,7 @@
 //! spec resolves its names, validates itself, builds the
 //! [`SingleServer`], [`Cluster`] or [`Federation`] its fields call for,
 //! and runs the engine over it. A stream that can never finish comes back
-//! as the engine's error ([`Engine::try_run_submissions`]); the one rule
-//! the engine cannot see, whole GPUs on a partitioned machine, is
-//! [`RunSpec::admit`]'s.
+//! as the engine's error ([`Engine::try_run_submissions`]).
 
 use crate::cli::choose;
 use mapa_cluster::{
@@ -17,7 +15,7 @@ use mapa_cluster::{
     DISPATCH_MODE_NAMES, FEDERATION_POLICY_NAMES, MIGRATION_POLICY_NAMES, SERVER_POLICY_NAMES,
 };
 use mapa_core::policy::{allocation_policy_by_name, AllocationPolicy};
-use mapa_core::ALLOCATION_POLICY_NAMES;
+use mapa_core::{MapaAllocator, ALLOCATION_POLICY_NAMES};
 use mapa_isomorph::WorkerPool;
 use mapa_model::EffBwModel;
 use mapa_sim::{Engine, SchedulerBackend, SimConfig, SimReport, SingleServer, Submission};
@@ -44,6 +42,13 @@ impl Shared {
     pub fn new(pool: Arc<WorkerPool>) -> Self {
         let models = HashMap::new();
         Self { pool, models }
+    }
+
+    /// `machine`'s model, fitted the first time it is asked for.
+    pub fn model(&mut self, machine: &Topology) -> EffBwModel {
+        let fit = || EffBwModel::for_machine(machine);
+        let model = self.models.entry(machine.name().to_string());
+        model.or_insert_with(fit).clone()
     }
 }
 
@@ -191,46 +196,6 @@ impl RunSpec {
             .map_or_else(whole, |p| p.apply(&self.machine))
     }
 
-    /// Whole-GPU jobs never land on slice vertices, so the largest one a
-    /// server can ever start is bounded by its unsplit GPUs, not by its
-    /// vertex count.
-    ///
-    /// # Errors
-    /// `machine '…' offers N whole GPUs` when `gpus` exceeds them; the
-    /// caller says who asked.
-    pub fn fits_whole(&self, gpus: usize) -> Result<(), String> {
-        let split = self.partition.as_ref().map_or(0, |p| p.splits().count());
-        let whole = self.machine.gpu_count() - split;
-        if gpus <= whole {
-            return Ok(());
-        }
-        let name = self.topology().name().to_string();
-        Err(format!("machine '{name}' offers {whole} whole GPUs"))
-    }
-
-    /// Refuses a whole-GPU job larger than a server's unsplit GPUs. The
-    /// engine counts a partitioned machine's slices as vertices, so such
-    /// a job passes its size check and would wait forever; every other
-    /// stream that can never finish is the engine's to refuse
-    /// ([`Engine::try_run_submissions`]).
-    ///
-    /// # Errors
-    /// `machine '…' offers N whole GPUs, but job J requests G`.
-    pub fn admit(&self, submissions: &[Submission]) -> Result<(), String> {
-        for submission in submissions {
-            let members = match submission {
-                Submission::Job(job) => std::slice::from_ref(job),
-                Submission::Gang(gang) => &gang.members[..],
-            };
-            for job in members.iter().filter(|job| !job.is_fractional()) {
-                let (id, gpus) = (job.id, job.num_gpus());
-                let asker = |e| format!("{e}, but job {id} requests {gpus}");
-                self.fits_whole(gpus).map_err(asker)?;
-            }
-        }
-        Ok(())
-    }
-
     fn cluster(&self, machine: &Topology, shared: &mut Shared) -> Result<Cluster, String> {
         let mut cluster = Cluster::with_shared_resources(
             vec![machine.clone(); self.servers],
@@ -290,8 +255,9 @@ impl RunSpec {
         } else if clustered {
             drive(self.cluster(&machine, shared)?, config, submissions)
         } else {
-            let server = SingleServer::new(machine, self.alloc()?);
-            drive(server, config, submissions)
+            let model = shared.model(&machine);
+            let allocator = MapaAllocator::with_model(machine, self.alloc()?, model);
+            drive(SingleServer::from_allocator(allocator), config, submissions)
         }
     }
 }
@@ -339,35 +305,39 @@ mod tests {
     }
 
     #[test]
-    fn admit_refuses_what_the_fleet_can_never_run() {
+    fn run_refuses_what_the_fleet_can_never_run() {
         let job = |id, gpus| JobSpec::new(id, GpuDemand::Whole(gpus), Workload::Gmm);
         let spec = RunSpec {
             servers: 2,
             ..RunSpec::new(machines::dgx1_v100(), "baseline")
         };
         let subs = |jobs: Vec<JobSpec>| jobs.into_iter().map(Submission::Job).collect::<Vec<_>>();
-        spec.admit(&subs(vec![job(1, 8)])).unwrap();
-        let too_big = spec.admit(&subs(vec![job(1, 9)])).unwrap_err();
-        assert!(
-            too_big.contains("offers 8 whole GPUs, but job 1 requests 9"),
-            "{too_big}"
+        let (mut fitted, config) = (shared(), SimConfig::default);
+        spec.run(&mut fitted, config(), subs(vec![job(1, 8)]))
+            .unwrap();
+        let too_big = spec.run(&mut fitted, config(), subs(vec![job(1, 9)]));
+        assert_eq!(
+            too_big.unwrap_err(),
+            "job 1 requests 9 GPUs on a 8-GPU machine"
         );
-        // Splitting GPU 0 leaves 7 whole GPUs, though the machine has 9 vertices.
+        // Splitting GPU 0 leaves 7 whole GPUs, though the machine has 9
+        // vertices: the engine refuses the job as it arrives.
         let split = RunSpec {
             partition: Some(PartitionPlan::new().split(0, 2)),
             ..spec.clone()
         };
-        let sliced = split.admit(&subs(vec![job(1, 8)])).unwrap_err();
-        assert!(sliced.contains("offers 7 whole GPUs"), "{sliced}");
+        let sliced = split.run(&mut fitted, config(), subs(vec![job(1, 8)]));
+        assert_eq!(
+            sliced.unwrap_err(),
+            "job 1 requests 8 whole GPUs on a machine with 7 unsplit GPUs"
+        );
         // 15 GPUs fit the pooled 16, but no two 5-GPU members share a
-        // server: admit lets the gang through, and the run refuses it.
+        // server: the run refuses the gang once the fleet falls idle.
         let gang = vec![Submission::Gang(JobGroup::new(
             1,
             vec![job(1, 5), job(2, 5), job(3, 5)],
         ))];
-        spec.admit(&gang).unwrap();
-        let config = SimConfig::default;
-        let stuck = spec.run(&mut shared(), config(), gang.clone()).unwrap_err();
+        let stuck = spec.run(&mut fitted, config(), gang.clone()).unwrap_err();
         assert!(
             stuck.starts_with("gang 1 (jobs [1, 2, 3], 15 GPUs total) cannot be co-scheduled"),
             "{stuck}"
@@ -377,7 +347,13 @@ mod tests {
             quota_gpus: Some(4),
             ..spec
         };
-        let report = three.run(&mut shared(), config(), gang).unwrap();
+        let report = three.run(&mut fitted, config(), gang).unwrap();
         assert_eq!(report.gangs.gangs_dispatched, 1);
+        // A single server takes its model from `Shared` too.
+        let mut single = shared();
+        let spec = RunSpec::new(machines::dgx1_v100(), "baseline");
+        spec.run(&mut single, config(), subs(vec![job(1, 8)]))
+            .unwrap();
+        assert_eq!(single.models.keys().collect::<Vec<_>>(), ["DGX-1 V100"]);
     }
 }

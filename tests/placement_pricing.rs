@@ -11,8 +11,8 @@
 //! interconnect model cannot price is refused when it enters, not when it
 //! starts.
 
-use mapa::core::fragmentation;
 use mapa::core::policy::PreservePolicy;
+use mapa::core::{fragmentation, Capacity};
 use mapa::interconnect::{effbw, rings};
 use mapa::prelude::*;
 use mapa::report::parse_json;
@@ -158,7 +158,9 @@ fn twelve_gpu_job() -> JobSpec {
 
 #[test]
 fn a_job_above_the_ring_limit_is_rejected_by_name() {
-    let rejection = JobRejection::check(&twelve_gpu_job(), 16).unwrap_err();
+    let dgx2 = Capacity::of(&machines::dgx2());
+    let dgx1 = Capacity::of(&machines::dgx1_v100());
+    let rejection = JobRejection::check(&twelve_gpu_job(), dgx2).unwrap_err();
     assert_eq!(
         rejection,
         JobRejection::RingLimit {
@@ -174,9 +176,9 @@ fn a_job_above_the_ring_limit_is_rejected_by_name() {
     );
     // The limit itself is fine, and the server-size check still comes first.
     let ten = JobSpec::new(2, GpuDemand::Whole(rings::MAX_RING_GPUS), Workload::Gmm);
-    assert_eq!(JobRejection::check(&ten, 16), Ok(()));
+    assert_eq!(JobRejection::check(&ten, dgx2), Ok(()));
     assert!(matches!(
-        JobRejection::check(&twelve_gpu_job(), 8),
+        JobRejection::check(&twelve_gpu_job(), dgx1),
         Err(JobRejection::ServerSize { max_gpus: 8, .. })
     ));
 }

@@ -5,6 +5,7 @@
 
 use crate::migrate::{MigrationPolicy, MigrationStats};
 use crate::policy::{Candidates, ServerPolicy};
+use mapa_core::cache::Decision;
 use mapa_core::policy::AllocationPolicy;
 use mapa_core::{
     AllocationOutcome, AllocatorError, CacheStats, Capacity, MapaAllocator, PreemptionPolicy,
@@ -27,26 +28,26 @@ use std::time::{Duration, Instant};
 /// instead of hiding inside one shard's queue.
 pub const DEFAULT_SHARD_QUEUE_DEPTH: usize = 16;
 
-/// How the cluster evaluates per-shard work within one dispatch round —
-/// server-selection score peeks on the global-queue path, and head-of-
-/// queue placement decisions on the per-shard-queue path.
+/// How the cluster evaluates best-score's selection peeks — every shard's
+/// would-be placement of the job being ranked. Decision rounds of queued
+/// dispatch run in place, shard after shard, in both modes.
 ///
 /// The two modes are *bit-identical* in every schedule they produce
 /// (`tests/dispatch_equivalence.rs` proves it by property test): each
-/// shard's decision reads and writes only that shard's allocator, pool
-/// results return in submission order, and all cross-shard steps
-/// (routing, outcome merging, migration) run serially in both modes —
-/// parallelism changes wall-clock time, never the answer.
+/// peek reads and writes only its shard's allocator, each task writes
+/// only its own chunk of the scores, and all cross-shard steps (routing,
+/// decision rounds, migration) run serially in both modes — parallelism
+/// changes wall-clock time, never the answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
     /// Evaluate shards one after another on the calling thread. Default.
     #[default]
     Sequential,
-    /// Evaluate the shards in chunks, one per scoped worker of the
-    /// cluster's [`WorkerPool`], each borrowing its chunk's shards, then
-    /// merge outcomes in shard order. Measured slower than `Sequential` (a
-    /// shard decision costs less than starting a thread); kept as the other
-    /// side of the equivalence proof.
+    /// Peek the shards in chunks, one per scoped worker of the cluster's
+    /// [`WorkerPool`], each borrowing its chunk's shards and writing its
+    /// chunk of the scores. Measured slower than `Sequential` (a peek
+    /// costs less than starting a thread); kept as the other side of the
+    /// equivalence proof.
     Parallel,
 }
 
@@ -209,9 +210,9 @@ impl ShardQueues {
 /// decisions are exactly the single-server engine's. What the cluster
 /// adds:
 ///
-/// * one **worker pool**: [`DispatchMode::Parallel`] evaluates the
-///   shards' decisions on the scoped workers of one [`WorkerPool`], which
-///   borrow the shards for one round and are joined before it ends;
+/// * one **worker pool**: [`DispatchMode::Parallel`] runs best-score's
+///   selection peeks on the scoped workers of one [`WorkerPool`], which
+///   borrow the shards for one ranking and are joined before it ends;
 /// * a **server-selection stage** ([`ServerPolicy`]) that ranks shards
 ///   per job; the cluster tries each ranked shard in turn, so a full (or
 ///   too-small) shard falls through to the next;
@@ -282,6 +283,10 @@ pub struct Cluster {
     /// non-empty backlog leaves it, since pumps look at the backlog's
     /// head alone.
     quiescent: Option<(u64, u64)>,
+    /// The server policy's last ranking and the selection scores it read:
+    /// buffers kept between rankings so that ranking allocates nothing.
+    order: Vec<usize>,
+    scores: Vec<Option<f64>>,
 }
 
 /// Shard decisions borrow allocators onto scoped worker threads in
@@ -367,13 +372,15 @@ impl Cluster {
             free_gpus,
             live: HashMap::new(),
             quiescent: None,
+            order: Vec::new(),
+            scores: Vec::new(),
         }
     }
 
-    /// Sets how per-shard work is evaluated within a dispatch round
-    /// (builder style). [`DispatchMode::Parallel`] runs shard decisions
-    /// concurrently on the cluster's worker pool; schedules are
-    /// bit-identical to [`DispatchMode::Sequential`].
+    /// Sets how best-score's selection peeks are evaluated (builder
+    /// style). [`DispatchMode::Parallel`] runs them concurrently on the
+    /// cluster's worker pool; schedules are bit-identical to
+    /// [`DispatchMode::Sequential`].
     #[must_use]
     pub fn with_dispatch(mut self, mode: DispatchMode) -> Self {
         self.dispatch = mode;
@@ -457,72 +464,60 @@ impl Cluster {
         &mut self.shards
     }
 
-    /// Runs `work` on each `(shard, job)` pair per the dispatch mode and
-    /// returns the results in pair order; the pairs name distinct shards in
-    /// ascending order. Selection peeks (every shard × one job) and
-    /// decision rounds (ready shards × their heads) both evaluate shards
-    /// through here.
-    ///
-    /// In [`DispatchMode::Parallel`] the pool's scoped workers *borrow* the
-    /// named shards — shard work reads and writes only its own allocator,
-    /// so tasks cannot interfere — in contiguous chunks of ⌈pairs / pool
-    /// threads⌉, one task per worker. Results and allocator end states are
-    /// the sequential path's by construction.
-    fn on_shards<'j, T: Send>(
-        &mut self,
-        pairs: impl Iterator<Item = (usize, &'j JobSpec)>,
-        work: fn(&mut MapaAllocator, &JobSpec) -> T,
-    ) -> Vec<T> {
+    /// Writes every shard's selection score for `job` into `scores`, in
+    /// shard order: the Predicted EffBW of the placement a peek finds, read
+    /// from the cached decision in place, or `None` where the shard cannot
+    /// place the job now (or ever: a heterogeneous fleet's smaller
+    /// machine). Best-score's selection peeks are the one per-shard work
+    /// the dispatch mode spreads: in [`DispatchMode::Parallel`] the pool's
+    /// scoped workers *borrow* the shards — a peek reads and writes only
+    /// its own allocator — in contiguous chunks of ⌈shards / pool
+    /// threads⌉, one task per worker, each writing its chunk of `scores`.
+    /// Scores and allocator end states are the sequential path's by
+    /// construction.
+    fn on_shards(&mut self, job: &JobSpec, scores: &mut Vec<Option<f64>>) {
+        let score = |shard: &mut MapaAllocator| {
+            let eff_bw = |d: &Decision| d.as_ref().map(|(_, score)| score.predicted_eff_bw);
+            shard.peek_with(job, eff_bw).ok().flatten()
+        };
+        scores.clear();
         if self.dispatch == DispatchMode::Sequential {
-            let shards = &mut self.shards;
-            return pairs.map(|(s, job)| work(&mut shards[s], job)).collect();
+            scores.extend(self.shards.iter_mut().map(score));
+            return;
         }
-        let mut shards = self.shards.iter_mut().enumerate();
-        let mut named: Vec<(&mut MapaAllocator, &JobSpec)> = pairs
-            .map(|(s, job)| {
-                let (_, shard) = shards
-                    .find(|&(i, _)| i == s)
-                    .expect("pairs name distinct shards in ascending order");
-                (shard, job)
-            })
-            .collect();
-        let chunk_size = named.len().div_ceil(self.pool.threads()).max(1);
-        let tasks: Vec<_> = named
+        scores.resize(self.shards.len(), None);
+        let chunk_size = self.shards.len().div_ceil(self.pool.threads()).max(1);
+        let tasks: Vec<_> = self
+            .shards
             .chunks_mut(chunk_size)
-            .map(|chunk| {
+            .zip(scores.chunks_mut(chunk_size))
+            .map(|(shards, out)| {
                 move || {
-                    chunk
-                        .iter_mut()
-                        .map(|(a, job)| work(a, job))
-                        .collect::<Vec<T>>()
+                    for (shard, slot) in shards.iter_mut().zip(out) {
+                        *slot = score(shard);
+                    }
                 }
             })
             .collect();
-        self.pool.scatter(tasks).into_iter().flatten().collect()
+        self.pool.scatter(tasks);
     }
 
-    /// Ranks the shards for `job` per the server policy, then returns
-    /// shard ids in preference order. Scores are peeked only when the
-    /// policy asks for them, and a shard's load is read only when the
-    /// policy looks at it. `seq` is the rotation state for stateless
-    /// policies — placements so far on the global-queue path, admissions
-    /// so far when routing into shard queues.
-    fn rank_shards(&mut self, job: &JobSpec, seq: u64) -> Vec<usize> {
-        let scores: Vec<Option<f64>> = if self.server_policy.needs_scores() {
-            // An impossible request on a shard (heterogeneous fleet, job
-            // larger than the machine) is simply not a candidate: no score.
-            let pairs = (0..self.shards.len()).map(|s| (s, job));
-            self.on_shards(pairs, |shard, job| {
-                let peeked = shard.peek(job).ok().flatten();
-                peeked.map(|(_, score)| score.predicted_eff_bw)
-            })
-        } else {
-            Vec::new()
-        };
+    /// Writes the shard ids for `job` in the server policy's preference
+    /// order into `order`. Scores are peeked only when the policy asks for
+    /// them, and a shard's load is read only when the policy looks at it.
+    /// `seq` is the rotation state for stateless policies — placements so
+    /// far on the global-queue path, admissions so far when routing into
+    /// shard queues.
+    fn rank_shards(&mut self, job: &JobSpec, seq: u64, order: &mut Vec<usize>) {
+        let mut scores = std::mem::take(&mut self.scores);
+        if self.server_policy.needs_scores() {
+            self.on_shards(job, &mut scores);
+        }
         let shards = &self.shards;
         let busy = |s: usize| shards[s].state().busy_fraction();
         let candidates = Candidates::new(shards.len(), &busy, &scores);
-        self.server_policy.rank(job, &candidates, seq)
+        self.server_policy.rank(job, &candidates, seq, order);
+        self.scores = scores;
     }
 
     /// Picks the shard queue an arriving job should wait in: the first
@@ -546,11 +541,15 @@ impl Cluster {
         {
             return None;
         }
-        let order = self.rank_shards(job, self.admitted);
+        let mut order = std::mem::take(&mut self.order);
+        self.rank_shards(job, self.admitted, &mut order);
         let queues = self.queues.as_ref().expect("routing requires queues");
-        order
-            .into_iter()
-            .find(|&s| eligible(&self.shards, queues, s))
+        let target = order
+            .iter()
+            .copied()
+            .find(|&s| eligible(&self.shards, queues, s));
+        self.order = order;
+        target
     }
 
     /// Moves backlog jobs into shard queues while the backlog head has an
@@ -578,40 +577,33 @@ impl Cluster {
 
     /// One decision round: every *ready* shard examines its own queue
     /// head and places it if it fits *that shard* right now (strict
-    /// per-shard FIFO). Only shards on the `ready` mask are evaluated —
-    /// a head that already failed against an unchanged shard would fail
-    /// again (feasibility is monotone in the shard's free set), so the
-    /// round costs O(ready shards), not O(all shards), with bit-identical
-    /// outcomes. Decisions are evaluated per the dispatch mode and merged
-    /// in ascending shard order, so the round is deterministic in both
-    /// modes. Returns the jobs placed this round.
-    fn decision_round(&mut self) -> Vec<DispatchedJob> {
-        let queues = self
-            .queues
-            .as_ref()
-            .expect("decision rounds require queues");
-        let heads: Vec<(usize, JobSpec)> = queues
-            .ready
-            .iter()
-            .map(|s| {
-                let head = queues.queues[s]
-                    .front()
-                    .expect("ready shards have a queue head");
-                (s, head.job.clone())
-            })
-            .collect();
-        if heads.is_empty() {
-            return Vec::new();
-        }
-        let pairs = heads.iter().map(|(s, job)| (*s, job));
-        let outcomes = self.on_shards(pairs, |shard, job| shard.try_allocate(job));
-        let mut placed = Vec::new();
-        for ((server, job), outcome) in heads.into_iter().zip(outcomes) {
+    /// per-shard FIFO), appending each placement to `placed`. Only shards
+    /// on the `ready` mask are evaluated — a head that already failed
+    /// against an unchanged shard would fail again (feasibility is
+    /// monotone in the shard's free set), so the round costs O(ready
+    /// shards), not O(all shards), with bit-identical outcomes. A cursor
+    /// walks the mask in place in ascending shard order, in both dispatch
+    /// modes, so the round is deterministic and copies nothing: a head a
+    /// placement exposes sets its shard's bit behind the cursor and waits
+    /// for the next round. Returns whether anything was placed.
+    fn decision_round(&mut self, placed: &mut Vec<DispatchedJob>) -> bool {
+        let before = placed.len();
+        let mut cursor = 0;
+        loop {
             let queues = self
                 .queues
                 .as_mut()
                 .expect("decision rounds require queues");
-            let outcome = match outcome {
+            let Some(server) = queues.ready.next_from(cursor) else {
+                break;
+            };
+            cursor = server + 1;
+            let head = &queues.queues[server]
+                .front()
+                .expect("ready shards have a queue head")
+                .job;
+            let id = head.id;
+            let outcome = match self.shards[server].try_allocate(head) {
                 Ok(Some(outcome)) => outcome,
                 Ok(None) => {
                     // Until the head changes or the shard's capacity grows,
@@ -623,8 +615,8 @@ impl Cluster {
                 // an error here is a duplicate active id: a caller bug,
                 // surfaced as the global-queue path does.
                 Err(e) => {
-                    self.assert_not_active(job.id);
-                    panic!("shard placement of job {}: {e}", job.id)
+                    self.assert_not_active(id);
+                    panic!("shard placement of job {id}: {e}")
                 }
             };
             let item = queues
@@ -639,7 +631,7 @@ impl Cluster {
                 placement: placement(server, outcome, overhead),
             });
         }
-        placed
+        placed.len() > before
     }
 
     /// Panics when job id `job` is already active anywhere in the fleet —
@@ -699,14 +691,16 @@ impl Cluster {
     /// [`SchedulerBackend::try_place`] and gang placement; it carries no
     /// global-queue-path assertions, so the queued path may use it too.
     fn place_fleetwide(&mut self, job: &JobSpec) -> Option<(usize, AllocationOutcome)> {
-        let seq = self.placements;
-        let order = self.rank_shards(job, seq);
-        for server in order {
+        let mut order = std::mem::take(&mut self.order);
+        self.rank_shards(job, self.placements, &mut order);
+        let mut placed = None;
+        for &server in &order {
             debug_assert!(server < self.shards.len(), "policy ranked unknown shard");
             match self.allocate_on(server, job) {
                 Ok(Some(outcome)) => {
                     self.placements += 1;
-                    return Some((server, outcome));
+                    placed = Some((server, outcome));
+                    break;
                 }
                 // Full right now, or impossible for this (smaller)
                 // machine of a heterogeneous fleet: the next ranked shard
@@ -720,28 +714,30 @@ impl Cluster {
                 }
             }
         }
-        None
+        self.order = order;
+        placed
     }
 
     /// Tries to co-schedule the gang-backlog head(s): each gang is
     /// reserved atomically across shards via
     /// [`SchedulerBackend::try_place_gang`]; the first gang that cannot
-    /// be satisfied blocks the ones behind it (FIFO among gangs).
-    fn launch_ready_gangs(&mut self) -> Vec<DispatchedJob> {
-        let mut out = Vec::new();
-        while let Some((gang, submitted_at)) = self.gang_backlog.front().cloned() {
+    /// be satisfied blocks the ones behind it (FIFO among gangs). Appends
+    /// the members placed to `placed`; returns whether there were any.
+    fn launch_ready_gangs(&mut self, placed: &mut Vec<DispatchedJob>) -> bool {
+        let before = placed.len();
+        while let Some((gang, submitted_at)) = self.gang_backlog.pop_front() {
             let Some(placements) = self.try_place_gang(&gang.members) else {
+                self.gang_backlog.push_front((gang, submitted_at));
                 break;
             };
-            self.gang_backlog.pop_front();
-            for (member, placement) in gang.members.iter().zip(placements) {
-                out.push(DispatchedJob {
-                    pending: PendingJob::gang_member(member.clone(), submitted_at, gang.id),
+            for (member, placement) in gang.members.into_iter().zip(placements) {
+                placed.push(DispatchedJob {
+                    pending: PendingJob::gang_member(member, submitted_at, gang.id),
                     placement,
                 });
             }
         }
-        out
+        placed.len() > before
     }
 
     /// One migration pull for `thief` (a shard with an empty queue): take
@@ -764,9 +760,10 @@ impl Cluster {
             .max_by_key(|&v| (queues.queues[v].len(), std::cmp::Reverse(v)));
         let Some(victim) = victim else { return false };
         // A job the thief can never run is refused by the peek itself.
+        let thief_shard = &mut self.shards[thief];
         let Some(idx) = queues.queues[victim]
             .iter()
-            .position(|item| matches!(self.shards[thief].peek(&item.job), Ok(Some(_))))
+            .position(|item| matches!(thief_shard.peek_with(&item.job, Option::is_some), Ok(true)))
         else {
             return false;
         };
@@ -806,22 +803,19 @@ impl Cluster {
     /// heads and free backlog slots; gang launches drain the gang
     /// backlog; migrations hand a placeable job to an idle shard (the
     /// next round starts it). Every round but the last either places or
-    /// moves a job, so the loop terminates. Returns the jobs placed.
-    fn dispatch_rounds(&mut self) -> Vec<DispatchedJob> {
-        let mut placed = Vec::new();
+    /// moves a job, so the loop terminates. Appends the jobs placed to
+    /// `placed`.
+    fn dispatch_rounds(&mut self, placed: &mut Vec<DispatchedJob>) {
         loop {
             self.refill_from_backlog();
-            let round = self.decision_round();
-            let gangs = self.launch_ready_gangs();
-            let progressed = !round.is_empty() || !gangs.is_empty();
-            placed.extend(round);
-            placed.extend(gangs);
+            let round = self.decision_round(placed);
+            let gangs = self.launch_ready_gangs(placed);
             let moved = match self.migration {
                 MigrationPolicy::StealOnIdle => self.steal_pass(),
                 MigrationPolicy::None | MigrationPolicy::RebalanceOnRelease => false,
             };
-            if !progressed && !moved {
-                return placed;
+            if !round && !gangs && !moved {
+                return;
             }
         }
     }
@@ -1080,22 +1074,21 @@ impl SchedulerBackend for Cluster {
         // one shard's queue and will be placed on that shard, so only
         // that shard's running jobs are candidate victims (pair with a
         // migration policy to escape a mis-routed head).
-        let Some(queues) = self.queues.as_ref() else {
-            return Vec::new();
-        };
-        let heads: Vec<(usize, JobSpec)> = queues
-            .occupied
-            .iter()
-            .map(|s| {
-                let head = queues.queues[s]
-                    .front()
-                    .expect("occupied queues have a head");
-                (s, head.job.clone())
-            })
-            .collect();
+        // Evictions leave the queues as they are, so a cursor over the
+        // `occupied` mask sees each blocked head once.
         let mut evictions = Vec::new();
-        for (s, head) in heads {
-            if matches!(self.shards[s].peek(&head), Ok(Some(_))) {
+        let mut cursor = 0;
+        while let Some(queues) = self.queues.as_ref() {
+            let Some(s) = queues.occupied.next_from(cursor) else {
+                break;
+            };
+            cursor = s + 1;
+            let head = queues.queues[s]
+                .front()
+                .expect("occupied queues have a head")
+                .job
+                .clone();
+            if matches!(self.shards[s].peek_with(&head, Option::is_some), Ok(true)) {
                 continue; // placeable already; the next pump starts it
             }
             if let Some(plan) = self.shards[s].preemption_plan(&head, policy, shielded) {
@@ -1141,7 +1134,7 @@ impl SchedulerBackend for Cluster {
         // this one would place nothing and end on the same blocked heads.
         let mut placed = Vec::new();
         if self.quiescent.is_none() {
-            placed = self.dispatch_rounds();
+            self.dispatch_rounds(&mut placed);
             self.quiescent = Some(self.blocked_heads());
         }
         let (blocked, frag) = self.quiescent.expect("set above");
@@ -1260,6 +1253,30 @@ mod tests {
         // error (as the single-server backend does), not place the job
         // on the other shard.
         let _ = c.try_place(&job(1, 2));
+    }
+
+    /// A head that a placement exposes waits for the next decision round,
+    /// so a round places at most one job per shard, in shard order: one
+    /// pump over two shards with two queued jobs each dispatches shard 0,
+    /// shard 1, shard 0, shard 1 — not both of shard 0's jobs first.
+    #[test]
+    fn dispatch_round_defers_an_exposed_head_to_the_next_round() {
+        let mut c = Cluster::homogeneous(
+            machines::dgx1_v100(),
+            2,
+            || Box::new(BaselinePolicy),
+            Box::new(RoundRobinPolicy),
+        )
+        .with_shard_queues(4);
+        for id in 1..=4 {
+            c.admit(PendingJob::new(job(id, 1), 0.0));
+        }
+        let placed = c.pump(0.0);
+        let order: Vec<(u64, usize)> = placed
+            .iter()
+            .map(|d| (d.pending.job.id, d.placement.server))
+            .collect();
+        assert_eq!(order, [(1, 0), (2, 1), (3, 0), (4, 1)]);
     }
 
     #[test]

@@ -118,6 +118,8 @@ pub struct Federation {
     offsets: Vec<usize>,
     /// Accelerator units per cluster (static).
     gpu_counts: Vec<usize>,
+    /// Unsplit GPUs per cluster (static): what its whole-GPU jobs may pool.
+    unsplit_counts: Vec<usize>,
     total_gpus: usize,
     default_quota: Option<usize>,
     tenants: BTreeMap<u64, TenantUsage>,
@@ -141,6 +143,9 @@ pub struct Federation {
     gangs_spanned: u64,
     jobs_routed: Vec<u64>,
     spill_ins: Vec<u64>,
+    /// The last ranking of the clusters, kept between rankings so that
+    /// ranking allocates nothing.
+    order: Vec<usize>,
 }
 
 impl Federation {
@@ -169,15 +174,14 @@ impl Federation {
         );
         let mut offsets = Vec::with_capacity(clusters.len());
         let mut gpu_counts = Vec::with_capacity(clusters.len());
+        let mut unsplit_counts = Vec::with_capacity(clusters.len());
         let mut next = 0;
         for c in &clusters {
             offsets.push(next);
             next += c.server_count();
-            gpu_counts.push(
-                (0..c.server_count())
-                    .map(|s| c.server_topology(s).gpu_count())
-                    .sum(),
-            );
+            let servers = || (0..c.server_count()).map(|s| c.server_topology(s));
+            gpu_counts.push(servers().map(Topology::gpu_count).sum());
+            unsplit_counts.push(servers().map(Topology::unsplit_gpu_count).sum());
         }
         let total_gpus = gpu_counts.iter().sum();
         let n = clusters.len();
@@ -186,6 +190,7 @@ impl Federation {
             policy,
             offsets,
             gpu_counts,
+            unsplit_counts,
             total_gpus,
             default_quota: None,
             tenants: BTreeMap::new(),
@@ -199,6 +204,7 @@ impl Federation {
             gangs_spanned: 0,
             jobs_routed: vec![0; n],
             spill_ins: vec![0; n],
+            order: Vec::new(),
         }
     }
 
@@ -352,32 +358,36 @@ impl Federation {
     /// (a gang admitted under the anti-deadlock valve would otherwise
     /// wedge halfway through).
     fn place(&mut self, job: &JobSpec) -> Option<Placement> {
-        let feasible = self.ranked(std::slice::from_ref(job));
-        let first = *feasible.first()?;
+        let mut feasible = std::mem::take(&mut self.order);
+        self.ranked(std::slice::from_ref(job), &mut feasible);
+        let mut placed = None;
         for &c in &feasible {
             if let Some(mut p) = self.clusters[c].try_place(job) {
                 p.server += self.offsets[c];
-                self.book_routed(c, first, std::slice::from_ref(job));
-                return Some(p);
+                self.book_routed(c, feasible[0], std::slice::from_ref(job));
+                placed = Some(p);
+                break;
             }
         }
-        None
+        self.order = feasible;
+        placed
     }
 
-    /// The policy's ranking for the lead of `members`, keeping the
-    /// clusters that can host every member ([`mapa_core::Capacity::fits`]).
-    fn ranked(&self, members: &[JobSpec]) -> Vec<usize> {
+    /// Writes the policy's ranking for the lead of `members` into `order`,
+    /// keeping the clusters that can host every member
+    /// ([`mapa_core::Capacity::fits`]).
+    fn ranked(&self, members: &[JobSpec], order: &mut Vec<usize>) {
+        order.clear();
         let Some(lead) = members.first() else {
-            return Vec::new();
+            return;
         };
         let busy = |c: usize| self.busy_fraction(c);
         let candidates = Candidates::new(self.clusters.len(), &busy, &[]);
-        let hosts = |c: &usize| {
-            let capacity = self.clusters[*c].capacity();
+        self.policy.rank(lead, &candidates, self.routed, order);
+        order.retain(|&c| {
+            let capacity = self.clusters[c].capacity();
             members.iter().all(|m| capacity.fits(m))
-        };
-        let ranking = self.policy.rank(lead, &candidates, self.routed);
-        ranking.into_iter().filter(hosts).collect()
+        });
     }
 
     /// Admits `item` at the federation gate: holds it when a member's
@@ -394,7 +404,10 @@ impl Federation {
 
     /// Queued-path routing: hands `item` whole to the first ranked cluster
     /// with free room for it, else to the first that can ever host it, and
-    /// charges its tenants. A spillover here is a routing heuristic, since
+    /// charges its tenants. A cluster can ever host an item when each
+    /// member fits one of its servers and the cluster's pooled units hold
+    /// them all: every unit for the total, the unsplit GPUs for the whole-GPU
+    /// members. A spillover here is a routing heuristic, since
     /// placement happens later inside the cluster. An item no cluster can
     /// ever host stays in `queued_jobs` for good, so the engine names it
     /// when the run drains.
@@ -405,17 +418,26 @@ impl Federation {
         let members = item.members();
         self.assert_not_routed(members);
         let total = item.gpus();
-        let mut feasible = self.ranked(members);
-        feasible.retain(|&c| self.gpu_counts[c] >= total);
-        let Some(&first) = feasible.first() else {
+        let whole: usize = members
+            .iter()
+            .filter(|m| !m.is_fractional())
+            .map(JobSpec::num_gpus)
+            .sum();
+        let mut feasible = std::mem::take(&mut self.order);
+        self.ranked(members, &mut feasible);
+        feasible.retain(|&c| self.gpu_counts[c] >= total && self.unsplit_counts[c] >= whole);
+        let choice = feasible.first().map(|&first| {
+            let roomy = feasible
+                .iter()
+                .copied()
+                .find(|&c| self.clusters[c].total_free_gpus() >= total);
+            (first, roomy.unwrap_or(first))
+        });
+        self.order = feasible;
+        let Some((first, pick)) = choice else {
             self.stranded_jobs += item.job_count();
             return;
         };
-        let pick = feasible
-            .iter()
-            .copied()
-            .find(|&c| self.clusters[c].total_free_gpus() >= total)
-            .unwrap_or(first);
         self.book_routed(pick, first, members);
         match item {
             QueueItem::Job(pending) => self.clusters[pick].admit(pending),
@@ -517,9 +539,10 @@ impl SchedulerBackend for Federation {
             return None;
         }
         let total: usize = members.iter().map(JobSpec::num_gpus).sum();
-        let feasible = self.ranked(members);
-        let first = *feasible.first()?;
+        let mut feasible = std::mem::take(&mut self.order);
+        self.ranked(members, &mut feasible);
         // Pinned attempt: each ranked cluster's own atomic gang path.
+        let mut pinned = None;
         for &c in &feasible {
             if self.clusters[c].total_free_gpus() < total {
                 continue;
@@ -528,10 +551,16 @@ impl SchedulerBackend for Federation {
                 for p in &mut placements {
                     p.server += self.offsets[c];
                 }
-                self.book_routed(c, first, members);
+                self.book_routed(c, feasible[0], members);
                 self.gangs_pinned += 1;
-                return Some(placements);
+                pinned = Some(placements);
+                break;
             }
+        }
+        let hosted = !feasible.is_empty();
+        self.order = feasible;
+        if !hosted || pinned.is_some() {
+            return pinned;
         }
         // Spanning fallback: generic two-phase commit across clusters —
         // place members one at a time (quota pre-checked gang-wide
@@ -584,20 +613,21 @@ impl SchedulerBackend for Federation {
         if self.quota_violation(std::slice::from_ref(job)).is_some() {
             return Vec::new();
         }
-        for c in self.ranked(std::slice::from_ref(job)) {
-            let evictions = self.clusters[c].preempt_for(job, policy, shielded);
+        let mut order = std::mem::take(&mut self.order);
+        self.ranked(std::slice::from_ref(job), &mut order);
+        let mut evictions = Vec::new();
+        for &c in &order {
+            evictions = self.clusters[c].preempt_for(job, policy, shielded);
             if !evictions.is_empty() {
-                return evictions
-                    .into_iter()
-                    .map(|mut e| {
-                        self.settle(e.job_id);
-                        e.server += self.offsets[c];
-                        e
-                    })
-                    .collect();
+                for e in &mut evictions {
+                    self.settle(e.job_id);
+                    e.server += self.offsets[c];
+                }
+                break;
             }
         }
-        Vec::new()
+        self.order = order;
+        evictions
     }
 
     fn preempt_blocked(
@@ -757,11 +787,14 @@ mod tests {
         let fed = federation(3, 1, Box::new(SpilloverPolicy));
         let busy = |c: usize| fed.busy_fraction(c);
         let views = Candidates::new(fed.clusters.len(), &busy, &[]);
-        let rr = RoundRobinPolicy;
-        assert_eq!(rr.rank(&job(1, None, 2), &views, 0), vec![0, 1, 2]);
-        assert_eq!(rr.rank(&job(1, None, 2), &views, 2), vec![2, 0, 1]);
-        let ll = LeastLoadedPolicy;
-        assert_eq!(ll.rank(&job(1, None, 2), &views, 0), vec![0, 1, 2]);
+        // One buffer throughout: each ranking replaces the last.
+        let mut order = Vec::new();
+        RoundRobinPolicy.rank(&job(1, None, 2), &views, 0, &mut order);
+        assert_eq!(order, [0, 1, 2]);
+        RoundRobinPolicy.rank(&job(1, None, 2), &views, 2, &mut order);
+        assert_eq!(order, [2, 0, 1]);
+        LeastLoadedPolicy.rank(&job(1, None, 2), &views, 0, &mut order);
+        assert_eq!(order, [0, 1, 2]);
     }
 
     #[test]
@@ -1099,6 +1132,38 @@ mod tests {
         assert_eq!(global, schedule(true));
         let server = |id: u64| global.iter().find(|r| r.0 == id).unwrap().1;
         assert_eq!([1, 4, 5].map(server), [1, 1, 0], "{global:?}");
+    }
+
+    /// A gang of two whole 4-GPU jobs fits each DGX-1 of `[DGX-1 with GPU 0
+    /// split in two, DGX-1]` member by member, and the split cluster's 9
+    /// vertices cover its 8 GPUs, but only 7 of them are unsplit GPUs: the
+    /// queued path pins it to the unsplit cluster, as the global path
+    /// places it, instead of to a cluster that can never co-start it.
+    #[test]
+    fn capacity_rule_pins_a_whole_gang_where_the_unsplit_gpus_hold_it() {
+        let split = mapa_topology::PartitionPlan::new()
+            .split(0, 2)
+            .apply(&machines::dgx1_v100());
+        let fed = |queued: bool| {
+            let clusters = [split.clone(), machines::dgx1_v100()].map(|m| {
+                let policy = || Box::new(PreservePolicy) as Box<dyn AllocationPolicy>;
+                let c = Cluster::new(vec![m], policy, Box::new(LeastLoadedPolicy));
+                if queued {
+                    c.with_shard_queues(4)
+                } else {
+                    c
+                }
+            });
+            Federation::new(clusters.into(), Box::new(SpilloverPolicy))
+        };
+        for queued in [false, true] {
+            let gang = JobGroup::new(1, vec![job(1, None, 4), job(2, None, 4)]);
+            let report = Engine::over(fed(queued))
+                .try_run_submissions([Submission::Gang(gang)])
+                .unwrap_or_else(|e| panic!("queued: {queued}: {e}"));
+            let servers: Vec<usize> = report.records.iter().map(|r| r.server).collect();
+            assert_eq!(servers, [1, 1], "queued: {queued}");
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   (its own [`mapa_topology::HardwareState`]) over its own machine;
 //!   shards on an equal machine under the same policy and model share one
 //!   allocation cache, across a federation's clusters too. Parallel
-//!   dispatch evaluates the shards on scoped worker threads that borrow
-//!   them for one dispatch round.
+//!   dispatch runs best-score's selection peeks on scoped worker threads
+//!   that borrow the shards for one ranking.
 //! * [`ServerPolicy`] — the pluggable server-selection stage that runs
 //!   *before* the per-server `AllocationPolicy`: round-robin,
 //!   least-loaded, best-pattern-score (peeks every shard's would-be
@@ -23,10 +23,10 @@
 //!   gets its own bounded FIFO queue; the server policy routes arrivals
 //!   at admission and each shard drains its own queue, so a slow shard
 //!   stalls only its own backlog instead of head-of-line blocking the
-//!   fleet. [`DispatchMode::Parallel`] evaluates shard decisions
-//!   concurrently on scoped worker threads with a deterministic
-//!   shard-order merge — schedules are bit-identical to sequential
-//!   dispatch, though measured slower. A [`MigrationPolicy`]
+//!   fleet. Decision rounds walk the ready shards in place, in shard
+//!   order, in either [`DispatchMode`] — schedules are bit-identical to
+//!   sequential dispatch, and the parallel mode is measured slower. A
+//!   [`MigrationPolicy`]
 //!   ([`migrate`]) can requeue waiting jobs from hot queues to idle shards
 //!   (work stealing or release-time rebalancing), with counters surfaced
 //!   in `SimReport`, the log file, and the CLI's `--json` report.

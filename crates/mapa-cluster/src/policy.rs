@@ -82,7 +82,7 @@ pub(crate) fn pool_busy_fraction(free: usize, total: usize) -> f64 {
 
 /// A server-selection policy, also the federation's cluster-selection one.
 ///
-/// `rank` returns candidate ids in preference order; the cluster tries
+/// `rank` writes candidate ids in preference order; the cluster tries
 /// each in turn until one accepts the job (a shard may refuse — it is
 /// full, or the job exceeds its machine). A federation ranks its clusters
 /// the same way, as pools. Implementations must be deterministic, must
@@ -101,10 +101,21 @@ pub trait ServerPolicy: Send + Sync {
         false
     }
 
-    /// Preference order over `candidates` for `job`. `seq` counts
-    /// successful placements so far — the rotation state for stateless
-    /// round-robin.
-    fn rank(&self, job: &JobSpec, candidates: &Candidates<'_>, seq: u64) -> Vec<usize>;
+    /// Writes the preference order over `candidates` for `job` into
+    /// `order`, replacing what it held. `order` is the caller's buffer,
+    /// reused across calls so that ranking allocates nothing once it has
+    /// grown to the candidate count. `seq` counts successful placements so
+    /// far — the rotation state for stateless round-robin.
+    fn rank(&self, job: &JobSpec, candidates: &Candidates<'_>, seq: u64, order: &mut Vec<usize>);
+}
+
+/// Replaces `order` with every candidate id, ascending: what the sorting
+/// policies sort. Their comparators end on the id, so no two candidates
+/// compare equal and an unstable sort, which allocates nothing, orders
+/// them as a stable one would.
+fn fill(order: &mut Vec<usize>, candidates: &Candidates<'_>) {
+    order.clear();
+    order.extend(0..candidates.len());
 }
 
 /// Names accepted by [`server_policy_by_name`], in documentation order.
@@ -133,13 +144,13 @@ impl ServerPolicy for RoundRobinPolicy {
         "round-robin"
     }
 
-    fn rank(&self, _job: &JobSpec, candidates: &Candidates<'_>, seq: u64) -> Vec<usize> {
+    fn rank(&self, _job: &JobSpec, candidates: &Candidates<'_>, seq: u64, order: &mut Vec<usize>) {
         let n = candidates.len();
-        if n == 0 {
-            return vec![];
+        order.clear();
+        if n > 0 {
+            let start = (seq % n as u64) as usize;
+            order.extend((start..n).chain(0..start));
         }
-        let start = (seq % n as u64) as usize;
-        (start..n).chain(0..start).collect()
     }
 }
 
@@ -154,15 +165,14 @@ impl ServerPolicy for LeastLoadedPolicy {
         "least-loaded"
     }
 
-    fn rank(&self, _job: &JobSpec, candidates: &Candidates<'_>, _seq: u64) -> Vec<usize> {
-        let mut ids: Vec<usize> = (0..candidates.len()).collect();
-        ids.sort_by(|&a, &b| {
+    fn rank(&self, _job: &JobSpec, candidates: &Candidates<'_>, _seq: u64, order: &mut Vec<usize>) {
+        fill(order, candidates);
+        order.sort_unstable_by(|&a, &b| {
             candidates
                 .busy_fraction(a)
                 .total_cmp(&candidates.busy_fraction(b))
                 .then(a.cmp(&b))
         });
-        ids
     }
 }
 
@@ -189,10 +199,10 @@ impl ServerPolicy for BestScorePolicy {
         true
     }
 
-    fn rank(&self, _job: &JobSpec, candidates: &Candidates<'_>, _seq: u64) -> Vec<usize> {
+    fn rank(&self, _job: &JobSpec, candidates: &Candidates<'_>, _seq: u64, order: &mut Vec<usize>) {
         let c = candidates;
-        let mut ids: Vec<usize> = (0..c.len()).collect();
-        ids.sort_by(
+        fill(order, c);
+        order.sort_unstable_by(
             |&a, &b| match (c.selection_eff_bw(a), c.selection_eff_bw(b)) {
                 (Some(sa), Some(sb)) => sb
                     .total_cmp(&sa)
@@ -203,7 +213,6 @@ impl ServerPolicy for BestScorePolicy {
                 (None, None) => a.cmp(&b),
             },
         );
-        ids
     }
 }
 
@@ -219,15 +228,14 @@ impl ServerPolicy for PackFirstPolicy {
         "pack-first"
     }
 
-    fn rank(&self, _job: &JobSpec, candidates: &Candidates<'_>, _seq: u64) -> Vec<usize> {
-        let mut ids: Vec<usize> = (0..candidates.len()).collect();
-        ids.sort_by(|&a, &b| {
+    fn rank(&self, _job: &JobSpec, candidates: &Candidates<'_>, _seq: u64, order: &mut Vec<usize>) {
+        fill(order, candidates);
+        order.sort_unstable_by(|&a, &b| {
             candidates
                 .busy_fraction(b)
                 .total_cmp(&candidates.busy_fraction(a))
                 .then(a.cmp(&b))
         });
-        ids
     }
 }
 
@@ -243,8 +251,8 @@ impl ServerPolicy for SpilloverPolicy {
         "spillover"
     }
 
-    fn rank(&self, _job: &JobSpec, candidates: &Candidates<'_>, _seq: u64) -> Vec<usize> {
-        (0..candidates.len()).collect()
+    fn rank(&self, _job: &JobSpec, candidates: &Candidates<'_>, _seq: u64, order: &mut Vec<usize>) {
+        fill(order, candidates);
     }
 }
 
@@ -281,7 +289,15 @@ mod tests {
         seq: u64,
     ) -> Vec<usize> {
         let busy = |i: usize| owned[i].1.busy_fraction();
-        p.rank(&job(2), &Candidates::new(owned.len(), &busy, scores), seq)
+        ranked(p, &Candidates::new(owned.len(), &busy, scores), seq)
+    }
+
+    /// `p`'s ranking of `candidates`, written into a buffer that still
+    /// holds another order: `rank` must replace it.
+    fn ranked(p: &dyn ServerPolicy, candidates: &Candidates<'_>, seq: u64) -> Vec<usize> {
+        let mut order = vec![usize::MAX; 3];
+        p.rank(&job(2), candidates, seq, &mut order);
+        order
     }
 
     #[test]
@@ -444,7 +460,7 @@ mod tests {
             let servers = Candidates::new(states.len(), &server, &scores);
             let pools = Candidates::new(states.len(), &pool, &scores);
             for p in POLICIES {
-                assert_eq!(p.rank(&job(1), &servers, seq), p.rank(&job(1), &pools, seq), "{}", p.name());
+                assert_eq!(ranked(p, &servers, seq), ranked(p, &pools, seq), "{}", p.name());
             }
             // Least-loaded over pools keeps the cluster-ranking rule it
             // replaced: ascending (total − free) / total, a pool without
@@ -461,7 +477,7 @@ mod tests {
             };
             let mut expected: Vec<usize> = (0..sizes.len()).collect();
             expected.sort_by(|&a, &b| busy(sizes[a]).total_cmp(&busy(sizes[b])).then(a.cmp(&b)));
-            assert_eq!(LeastLoadedPolicy.rank(&job(1), &pools, seq), expected);
+            assert_eq!(ranked(&LeastLoadedPolicy, &pools, seq), expected);
         }
     }
 
@@ -617,12 +633,12 @@ mod tests {
                 let pooled = Candidates::new(n, &pool, &[]);
                 for seq in [0, n as u64 - 1, n as u64, u64::MAX] {
                     proptest::prop_assert_eq!(
-                        p.rank(&job(1), &servers, seq),
+                        ranked(p, &servers, seq),
                         oracle::rank(p.name(), &server_views, seq),
                         "{} over servers, seq {}", p.name(), seq
                     );
                     proptest::prop_assert_eq!(
-                        p.rank(&job(1), &pooled, seq),
+                        ranked(p, &pooled, seq),
                         oracle::rank(p.name(), &pool_views, seq),
                         "{} over pools, seq {}", p.name(), seq
                     );

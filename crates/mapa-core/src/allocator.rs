@@ -211,13 +211,11 @@ impl MapaAllocator {
         self.policy.name()
     }
 
-    /// Decides `job` against the current occupancy — the policy's selection
-    /// and its scores — without touching state. A request for more GPUs
-    /// than are free is refused by that comparison alone (a policy may only
-    /// return free, distinct GPUs, so no policy could place it): nothing is
-    /// hashed, looked up, counted or stored. Otherwise, with the cache on,
-    /// this is get-or-compute: the policy and the scorer run on a miss only.
-    fn select_for(&mut self, job: &JobSpec) -> Result<Decision, AllocatorError> {
+    /// Whether `job` is worth a decision right now. A request for more
+    /// GPUs than are free is refused by that comparison alone (a policy
+    /// may only return free, distinct GPUs, so no policy could place it):
+    /// nothing is hashed, looked up, counted or stored.
+    fn has_room_for(&self, job: &JobSpec) -> Result<bool, AllocatorError> {
         let capacity = Capacity::of(&self.topology);
         if !capacity.fits(job) {
             return Err(AllocatorError::InvalidRequest {
@@ -225,9 +223,15 @@ impl MapaAllocator {
                 machine: capacity.bound(job),
             });
         }
-        if self.state.free_count() < job.num_gpus() {
-            return Ok(None);
-        }
+        Ok(self.state.free_count() >= job.num_gpus())
+    }
+
+    /// What `read` makes of the decision for `job` against the current
+    /// occupancy — the policy's selection and its scores — without
+    /// touching state; the caller has checked [`Self::has_room_for`]. With
+    /// the cache on this is get-or-compute, read in place: the policy and
+    /// the scorer run on a miss only.
+    fn decide<R>(&mut self, job: &JobSpec, read: impl FnOnce(&Decision) -> R) -> R {
         // One scorer per decision: the policy ranks candidates with it and
         // the winner is scored from the same tables — before any state
         // transition, since preserved BW is defined against the
@@ -246,20 +250,41 @@ impl MapaAllocator {
             })
         };
         let Some(cache) = self.cache.as_mut() else {
-            return Ok(decide());
+            return read(&decide());
         };
         // Fast path: answer from the allocation cache when the exact
         // (pattern, sensitivity, demand kind, SLO tag, occupancy) decision
         // was already made — here or on any allocator sharing the table.
-        Ok(cache.get_or_insert_with(job, self.state.occupancy_signature(), decide))
+        cache.read_or_insert_with(job, self.state.occupancy_signature(), decide, read)
+    }
+
+    /// What `read` makes of the placement `try_allocate` would make for
+    /// `job` right now — `Some` selected GPU set and its scores, or `None`
+    /// when the policy cannot place the job now — without transitioning
+    /// state. The preview goes through the allocation cache exactly like a
+    /// real allocation (same lookup, same hit and miss counts), so a
+    /// cluster-level server-selection stage can score every shard's
+    /// would-be placement cheaply and the winning shard's subsequent
+    /// `try_allocate` is a guaranteed cache hit. A caller after the score
+    /// or the feasibility alone reads the cached decision in place and
+    /// copies nothing.
+    ///
+    /// # Errors
+    /// [`AllocatorError::InvalidRequest`] for impossible requests.
+    pub fn peek_with<R>(
+        &mut self,
+        job: &JobSpec,
+        read: impl FnOnce(&Decision) -> R,
+    ) -> Result<R, AllocatorError> {
+        if !self.has_room_for(job)? {
+            return Ok(read(&None));
+        }
+        Ok(self.decide(job, read))
     }
 
     /// Previews the placement `try_allocate` would make for `job` right
-    /// now — the selected GPU set and its scores — without transitioning
-    /// state. The preview goes through the allocation cache exactly like
-    /// a real allocation, so a cluster-level server-selection stage can
-    /// score every shard's would-be placement cheaply and the winning
-    /// shard's subsequent `try_allocate` is a guaranteed cache hit.
+    /// now — the selected GPU set and its scores — as
+    /// [`MapaAllocator::peek_with`] does, copied out.
     ///
     /// Returns `Ok(None)` when the policy cannot place the job right now.
     ///
@@ -269,12 +294,14 @@ impl MapaAllocator {
         &mut self,
         job: &JobSpec,
     ) -> Result<Option<(Vec<usize>, MatchScore)>, AllocatorError> {
-        self.select_for(job)
+        self.peek_with(job, Clone::clone)
     }
 
     /// Attempts to place `job`. Returns `Ok(None)` when the machine lacks
     /// free GPUs for it right now (the caller should retry after a
-    /// deallocation, as the FIFO queue of Fig. 14 does).
+    /// deallocation, as the FIFO queue of Fig. 14 does). The scheduling
+    /// overhead times the decision: a request refused by the free-GPU
+    /// count alone reads no clock.
     ///
     /// # Errors
     /// [`AllocatorError::InvalidRequest`] for impossible requests;
@@ -283,8 +310,11 @@ impl MapaAllocator {
         &mut self,
         job: &JobSpec,
     ) -> Result<Option<AllocationOutcome>, AllocatorError> {
+        if !self.has_room_for(job)? {
+            return Ok(None);
+        }
         let started = Instant::now();
-        let Some((gpus, score)) = self.select_for(job)? else {
+        let Some((gpus, score)) = self.decide(job, Clone::clone) else {
             return Ok(None);
         };
         let scheduling_overhead = started.elapsed();
@@ -401,7 +431,7 @@ impl MapaAllocator {
         // Trial evictions with full rollback: deallocate victims one at a
         // time until the policy can place the job, remembering each
         // victim's GPUs so occupancy can be restored exactly.
-        let placeable = |a: &mut Self| matches!(a.peek(job), Ok(Some(_)));
+        let placeable = |a: &mut Self| matches!(a.peek_with(job, Option::is_some), Ok(true));
         let mut evicted: Vec<(u64, Vec<usize>, ActiveJob)> = Vec::new();
         let mut plan = None;
         if placeable(self) {
@@ -592,7 +622,7 @@ mod tests {
         )
         .with_config(AllocatorConfig::cached());
         let calls = || selects.load(Ordering::Relaxed);
-        // The policy runs (and the scorer with it, in `select_for`'s one
+        // The policy runs (and the scorer with it, in `decide`'s one
         // closure) on the miss only; peek, allocate and a recurrence of
         // the state all answer from the entry.
         let ring = job(1, 4, true).with_topology(AppTopology::Ring);

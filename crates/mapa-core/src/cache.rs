@@ -31,9 +31,10 @@
 //! **A hit builds no key.** A lookup probes with a borrowed view — the
 //! job's five small fields and a reference to the occupancy signature —
 //! hashed to the owned key's word and compared field by field (the
-//! `Borrow<dyn KeyView>` pattern), so a hit is one lock, one probe and one
-//! clone of the stored decision: neither the policy nor the scorer runs,
-//! and the signature is not copied. Only a miss builds the owned key, for
+//! `Borrow<dyn KeyView>` pattern), so a hit is one lock, one probe and a
+//! read of the stored decision in place — a copy only for a caller that
+//! keeps it: neither the policy nor the scorer runs, and the signature is
+//! not copied. Only a miss builds the owned key, for
 //! its insert. A miss decides while holding the lock, so one table makes
 //! each decision once even when shards decide on several threads
 //! (`mapa-cluster`'s parallel dispatch); which shard takes a key's miss
@@ -270,8 +271,8 @@ struct Table {
 impl Table {
     /// The decision stored under `key`, counting a hit or a miss into
     /// `stats`.
-    fn get(&self, key: &dyn KeyView, stats: &mut CacheStats) -> Option<Decision> {
-        let hit = self.entries.get(key).cloned();
+    fn get(&self, key: &dyn KeyView, stats: &mut CacheStats) -> Option<&Decision> {
+        let hit = self.entries.get(key);
         if hit.is_some() {
             stats.hits += 1;
         } else {
@@ -345,26 +346,30 @@ impl AllocationCache {
         self.table = Arc::clone(&other.table);
     }
 
-    /// The decision for placing `job` in the state `signature`: the stored
-    /// one on a hit (one lock, one probe, one clone); on a miss `decide`'s,
-    /// stored under a key built then. The table stays locked while `decide`
-    /// runs, so a table makes each decision once, whichever of its handles
-    /// asks first.
-    pub fn get_or_insert_with(
+    /// What `read` makes of the decision for placing `job` in the state
+    /// `signature`: the stored one on a hit (one lock, one probe, read in
+    /// place — `Clone::clone` takes a copy out, a caller after a score or
+    /// feasibility alone copies nothing); on a miss `decide`'s, read and
+    /// then stored under a key built then. The table stays locked while
+    /// `decide` and `read` run, so a table makes each decision once,
+    /// whichever of its handles asks first.
+    pub fn read_or_insert_with<R>(
         &mut self,
         job: &JobSpec,
         signature: &OccupancySignature,
         decide: impl FnOnce() -> Decision,
-    ) -> Decision {
+        read: impl FnOnce(&Decision) -> R,
+    ) -> R {
         let mut table = lock(&self.table);
         if let Some(hit) = table.get(&KeyRef::new(job, signature), &mut self.stats) {
-            return hit;
+            return read(hit);
         }
         let decision = decide();
+        let answer = read(&decision);
         let key = CacheKey::new(job, signature.clone());
         let handles = Arc::strong_count(&self.table);
-        table.insert(key, decision.clone(), handles, &mut self.stats);
-        decision
+        table.insert(key, decision, handles, &mut self.stats);
+        answer
     }
 
     /// Current counters of this handle.
@@ -426,17 +431,23 @@ mod tests {
         decision: Decision,
     ) {
         let mut called = false;
-        cache.get_or_insert_with(job, signature, || {
-            called = true;
-            decision
-        });
+        cache.read_or_insert_with(
+            job,
+            signature,
+            || {
+                called = true;
+                decision
+            },
+            |_| (),
+        );
         assert!(called, "a miss calls decide");
     }
 
     /// A lookup that must hit: `decide` is never called; returns the stored
     /// decision.
     fn hit(cache: &mut AllocationCache, job: &JobSpec, signature: &OccupancySignature) -> Decision {
-        cache.get_or_insert_with(job, signature, || panic!("a hit never calls decide"))
+        let never = || panic!("a hit never calls decide");
+        cache.read_or_insert_with(job, signature, never, Clone::clone)
     }
 
     #[test]
@@ -539,7 +550,9 @@ mod tests {
 
     /// `cache`'s lookup of `key` as its borrowed view.
     fn find(cache: &mut AllocationCache, key: &CacheKey) -> Option<Decision> {
-        lock(&cache.table).get(&view(key), &mut cache.stats)
+        lock(&cache.table)
+            .get(&view(key), &mut cache.stats)
+            .cloned()
     }
 
     /// Stores `decision` under `key` as it is, hash word included.
@@ -658,8 +671,10 @@ mod tests {
         let mut first = AllocationCache::default();
         let mut second = AllocationCache::default();
         second.join(&first);
-        let decided = first.get_or_insert_with(&spec, idle, || placed(vec![0, 1, 2]));
-        let answered = second.get_or_insert_with(&spec, idle, || unreachable!("a hit"));
+        let decided =
+            first.read_or_insert_with(&spec, idle, || placed(vec![0, 1, 2]), Clone::clone);
+        let answered =
+            second.read_or_insert_with(&spec, idle, || unreachable!("a hit"), Clone::clone);
         assert_eq!(answered, decided);
         assert_eq!(hit(&mut second, &spec, idle), placed(vec![0, 1, 2]));
         // Each handle counts its own lookups and the insertions it made.

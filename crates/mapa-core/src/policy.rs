@@ -621,7 +621,7 @@ mod tests {
             }
         }
 
-        /// The decision context `MapaAllocator::select_for` builds: this
+        /// The decision context `MapaAllocator::decide` builds: this
         /// fixture's parts around a scorer tabulated over `state`.
         fn ctx<'a>(
             &'a self,

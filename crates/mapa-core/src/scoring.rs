@@ -338,7 +338,8 @@ impl<'a> SetScorer<'a> {
         k: usize,
         eligible: impl Fn(usize) -> bool,
     ) -> Option<Vec<usize>> {
-        let pool: Vec<usize> = self.free.iter().copied().filter(|&v| eligible(v)).collect();
+        let mut pool = Vec::with_capacity(self.free.len());
+        pool.extend(self.free.iter().copied().filter(|&v| eligible(v)));
         let prune = k <= pool.len() && worth_pruning(pool.len(), k);
         self.walk(ranking, k, &pool, prune).map(|(set, _)| set)
     }

@@ -148,7 +148,22 @@ impl BitSet {
     /// Index of the lowest set bit, if any.
     #[must_use]
     pub fn first(&self) -> Option<usize> {
-        self.iter().next()
+        self.next_from(0)
+    }
+
+    /// Index of the lowest set bit at or above `from`, if any: a cursor
+    /// over the set bits of a mask that may change between steps.
+    #[must_use]
+    pub fn next_from(&self, from: usize) -> Option<usize> {
+        let mut block = from / BITS;
+        let mut word = self.blocks.get(block)? & (u64::MAX << (from % BITS));
+        loop {
+            if word != 0 {
+                return Some(block * BITS + word.trailing_zeros() as usize);
+            }
+            block += 1;
+            word = *self.blocks.get(block)?;
+        }
     }
 
     /// Collects set bit indices into a vector.
@@ -301,6 +316,9 @@ mod tests {
                 .enumerate()
                 .filter_map(|(i, &b)| b.then_some(i))
                 .collect();
+            for from in 0..=len {
+                prop_assert_eq!(s.next_from(from), expect.iter().copied().find(|&i| i >= from));
+            }
             prop_assert_eq!(s.to_vec(), expect);
             prop_assert_eq!(s.count(), model.iter().filter(|&&b| b).count());
         }

@@ -78,16 +78,24 @@ pub struct OccupancySignature {
 
 impl OccupancySignature {
     fn from_busy(busy: &BitSet) -> Self {
-        let busy_words = busy.as_words().to_vec();
+        let mut signature = Self {
+            busy_words: vec![0; busy.as_words().len()],
+            fingerprint: 0,
+        };
+        signature.rewrite(busy);
+        signature
+    }
+
+    /// Makes this the signature of `busy` (a mask of the same length)
+    /// without allocating.
+    fn rewrite(&mut self, busy: &BitSet) {
+        self.busy_words.copy_from_slice(busy.as_words());
         // Stable across runs (no RandomState).
         let mut h = Fnv1a::default();
-        for &w in &busy_words {
+        for &w in &self.busy_words {
             h.write_u64(w);
         }
-        Self {
-            busy_words,
-            fingerprint: h.finish(),
-        }
+        self.fingerprint = h.finish();
     }
 
     /// The 64-bit fingerprint (display/logging convenience; collisions
@@ -112,8 +120,8 @@ pub struct HardwareState {
     jobs: HashMap<JobId, Vec<usize>>,
     /// Busy-GPU mask, maintained incrementally (never rescanned).
     busy: BitSet,
-    /// Signature of `busy`, recomputed only when `busy` changes: failed
-    /// transitions leave it untouched.
+    /// Signature of `busy`, rewritten in place only when a transition
+    /// succeeds: failed transitions leave it untouched.
     signature: OccupancySignature,
 }
 
@@ -190,7 +198,9 @@ impl HardwareState {
     /// Free GPU indices, ascending.
     #[must_use]
     pub fn free_gpus(&self) -> Vec<usize> {
-        (0..self.owner.len()).filter(|&g| self.is_free(g)).collect()
+        let mut free = Vec::with_capacity(self.free_count());
+        free.extend((0..self.owner.len()).filter(|&g| self.is_free(g)));
+        free
     }
 
     /// The busy-GPU mask in matcher "frozen" form.
@@ -258,27 +268,34 @@ impl HardwareState {
         if gpus.is_empty() {
             return Err(AllocationError::EmptyAllocation);
         }
+        // `busy` is the seen-set: a GPU already in it is either held
+        // (it has an owner) or listed earlier in `gpus`. A refused list
+        // clears the bits it set, so `busy` ends as it began.
         let n = self.topology.gpu_count();
-        let mut seen = BitSet::new(n);
-        for &g in gpus {
-            if g >= n {
-                return Err(AllocationError::GpuOutOfRange { gpu: g, count: n });
-            }
-            if !seen.insert(g) {
-                return Err(AllocationError::DuplicateGpu(g));
-            }
-            if let Some(holder) = self.owner[g] {
-                return Err(AllocationError::GpuBusy {
+        for (i, &g) in gpus.iter().enumerate() {
+            let fault = if g >= n {
+                Some(AllocationError::GpuOutOfRange { gpu: g, count: n })
+            } else if self.busy.insert(g) {
+                None
+            } else if let Some(holder) = self.owner[g] {
+                Some(AllocationError::GpuBusy {
                     gpu: g,
                     held_by: holder,
-                });
+                })
+            } else {
+                Some(AllocationError::DuplicateGpu(g))
+            };
+            if let Some(fault) = fault {
+                for &set in &gpus[..i] {
+                    self.busy.remove(set);
+                }
+                return Err(fault);
             }
         }
         let mut sorted: Vec<usize> = gpus.to_vec();
         sorted.sort_unstable();
         for &g in &sorted {
             self.owner[g] = Some(job);
-            self.busy.insert(g);
         }
         self.jobs.insert(job, sorted);
         self.refresh_signature();
@@ -303,9 +320,10 @@ impl HardwareState {
         Ok(gpus)
     }
 
-    /// Refreshes the signature after a successful mutation of `busy`.
+    /// Rewrites the signature in place after a successful mutation of
+    /// `busy`.
     fn refresh_signature(&mut self) {
-        self.signature = OccupancySignature::from_busy(&self.busy);
+        self.signature.rewrite(&self.busy);
     }
 }
 
@@ -523,5 +541,66 @@ mod tests {
                 prop_assert_eq!(s.frozen_mask().to_vec(), owner_busy);
             }
         }
+
+        /// Hostile GPU lists — out-of-range, repeated and busy GPUs, alone
+        /// and mixed — never panic `allocate`. A refusal names the first
+        /// fault in input order (checked against a fresh seen-set, the
+        /// rule's reference), and leaves the busy mask, every owner and
+        /// the signature as they were: the in-place seen-set rolls back.
+        #[test]
+        fn allocate_never_panics_on_token_soup(
+            held in proptest::collection::vec(0usize..8, 0..6),
+            soup in proptest::collection::vec(0usize..11, 0..10),
+        ) {
+            let mut s = state();
+            for (job, &g) in held.iter().enumerate() {
+                let _ = s.allocate(100 + job as u64, &[g]);
+            }
+            let expected = first_fault(&s, &soup);
+            let (busy, owner, signature) =
+                (s.busy.clone(), s.owner.clone(), s.occupancy_signature().clone());
+            match s.allocate(1, &soup) {
+                Ok(()) => {
+                    prop_assert_eq!(expected, None, "{:?} over {:?}", soup, held);
+                    let mut sorted = soup.clone();
+                    sorted.sort_unstable();
+                    prop_assert_eq!(s.gpus_of(1), Some(&sorted[..]));
+                    let owner_busy: Vec<usize> =
+                        (0..8).filter(|&g| s.owner[g].is_some()).collect();
+                    prop_assert_eq!(s.frozen_mask().to_vec(), owner_busy);
+                    prop_assert_eq!(s.occupancy_signature(), &OccupancySignature::from_busy(&s.busy));
+                }
+                Err(e) => {
+                    prop_assert_eq!(Some(e), expected, "{:?} over {:?}", soup, held);
+                    prop_assert_eq!(&s.busy, &busy);
+                    prop_assert_eq!(&s.owner, &owner);
+                    prop_assert_eq!(s.occupancy_signature(), &signature);
+                    prop_assert_eq!(s.gpus_of(1), None);
+                }
+            }
+        }
+    }
+
+    /// The first fault of allocating `gpus` to a new job on `s`, in input
+    /// order, found with a fresh seen-set: the refusal rule `allocate`
+    /// keeps.
+    fn first_fault(s: &HardwareState, gpus: &[usize]) -> Option<AllocationError> {
+        if gpus.is_empty() {
+            return Some(AllocationError::EmptyAllocation);
+        }
+        let n = s.topology().gpu_count();
+        let mut seen = BitSet::new(n);
+        gpus.iter().find_map(|&g| {
+            if g >= n {
+                Some(AllocationError::GpuOutOfRange { gpu: g, count: n })
+            } else if !seen.insert(g) {
+                Some(AllocationError::DuplicateGpu(g))
+            } else {
+                s.owner[g].map(|holder| AllocationError::GpuBusy {
+                    gpu: g,
+                    held_by: holder,
+                })
+            }
+        })
     }
 }

@@ -10,13 +10,13 @@
 //!   PR 3's cluster — the code path is unchanged — so this half also
 //!   pins that the new dispatch layer with `MigrationPolicy::None` and
 //!   no shard queues replays PR 3 byte for byte;
-//! * the **queued path** (per-shard bounded queues), where parallel
-//!   dispatch runs every shard's head-of-queue decision concurrently on
-//!   the pool's scoped workers.
+//! * the **queued path** (per-shard bounded queues), where decision
+//!   rounds run in place in both modes and parallel dispatch spreads
+//!   best-score's routing peeks over the pool's scoped workers.
 //!
-//! The argument (see ARCHITECTURE.md): each shard's decision reads and
-//! writes only that shard's allocator, pool results return in submission
-//! order, and every cross-shard step — routing, outcome merging,
+//! The argument (see ARCHITECTURE.md): each peek reads and writes only
+//! its shard's allocator, each task writes only its own chunk of the
+//! scores, and every cross-shard step — routing, decision rounds,
 //! migration — runs serially in both modes. Wall-clock changes; the
 //! schedule cannot. The property tests below check it anyway, across
 //! randomized job streams, because that argument is exactly the kind of

@@ -255,7 +255,7 @@ impl MapaAllocator {
         // Fast path: answer from the allocation cache when the exact
         // (pattern, sensitivity, demand kind, SLO tag, occupancy) decision
         // was already made — here or on any allocator sharing the table.
-        cache.read_or_insert_with(job, self.state.occupancy_signature(), decide, read)
+        cache.read_or_insert_with(job, self.state.busy_words(), decide, read)
     }
 
     /// What `read` makes of the placement `try_allocate` would make for
@@ -583,7 +583,7 @@ mod tests {
         let mut a = MapaAllocator::new(machines::dgx1_v100(), Box::new(PreservePolicy))
             .with_config(AllocatorConfig::cached());
         // Same job shape against the idle machine, released in between:
-        // the occupancy signature recurs, so reps 2.. are cache hits.
+        // the busy mask recurs, so reps 2.. are cache hits.
         let mut placements = Vec::new();
         for rep in 0..4u64 {
             let out = a.try_allocate(&job(rep + 1, 3, true)).unwrap().unwrap();
@@ -642,7 +642,7 @@ mod tests {
         assert_eq!(clique_score, a.score_allocation(&clique, &gpus));
         assert_ne!(clique_score.aggregated_bw, score.aggregated_bw);
         // Same set, other occupancy: preserved bandwidth reads the free
-        // graph, which is the signature.
+        // graph, which the busy mask in the key fixes.
         a.adopt(9, &[6, 7]).unwrap();
         let (busier_gpus, busier_score) = a.peek(&ring).unwrap().unwrap();
         assert_eq!(busier_gpus, gpus);

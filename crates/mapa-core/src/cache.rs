@@ -28,33 +28,32 @@
 //! capacity times the number of handles reading it, so a shared table
 //! never holds fewer decisions than private ones would have.
 //!
-//! **A hit builds no key.** A lookup probes with a borrowed view — the
-//! job's five small fields and a reference to the occupancy signature —
-//! hashed to the owned key's word and compared field by field (the
-//! `Borrow<dyn KeyView>` pattern), so a hit is one lock, one probe and a
+//! **A hit builds no key.** A lookup hashes the job's five small fields
+//! and the state's busy words ([`mapa_topology::HardwareState::busy_words`],
+//! read in place) into one word, finds that word's chain and compares each
+//! entry's fields and words exactly, so a hit is one lock, one probe and a
 //! read of the stored decision in place — a copy only for a caller that
-//! keeps it: neither the policy nor the scorer runs, and the signature is
-//! not copied. Only a miss builds the owned key, for
-//! its insert. A miss decides while holding the lock, so one table makes
-//! each decision once even when shards decide on several threads
-//! (`mapa-cluster`'s parallel dispatch); which shard takes a key's miss
-//! then follows thread timing, so the per-shard split of hits and misses
-//! may vary between such runs, while decisions and (as long as nothing is
-//! evicted) the totals do not.
+//! keeps it: neither the policy nor the scorer runs. A miss copies the busy
+//! words once, into its entry. A miss decides while holding the lock, so
+//! one table makes each decision once even when shards decide on several
+//! threads (`mapa-cluster`'s parallel dispatch); which shard takes a key's
+//! miss then follows thread timing, so the per-shard split of hits and
+//! misses may vary between such runs, while decisions and (as long as
+//! nothing is evicted) the totals do not.
 //!
-//! **Soundness.** The occupancy signature is the *exact* busy set (see
-//! [`OccupancySignature`]) and the other fields are the job's own, so
-//! equal keys mean the same labelled pattern asked of the same state: a
-//! deterministic policy selects the same GPUs, and entries never go stale —
-//! "invalidation" is the signature changing under allocate/release, which
-//! simply rotates the key. The scores are pinned by the same key:
-//! aggregated bandwidth reads the pattern (`(AppTopology, size)`) on the
-//! chosen set, the link mix and Predicted EffBW read the chosen set and the
-//! allocator's fixed model, and preserved bandwidth reads the free graph,
-//! which *is* the signature (the SLO pressure term steers selection but is
-//! not part of [`MatchScore`]). A previously-seen state recurring is
-//! exactly when a hit is both safe and valuable. Two shapes that happen to
-//! be isomorphic (a 3-ring and a 3-clique) are two entries.
+//! **Soundness.** The busy words are the *exact* busy set and the other
+//! fields are the job's own, so equal keys mean the same labelled pattern
+//! asked of the same state: a deterministic policy selects the same GPUs,
+//! and entries never go stale — "invalidation" is allocate/release
+//! rewriting the busy mask, which simply rotates the key. The scores are
+//! pinned by the same key: aggregated bandwidth reads the pattern
+//! (`(AppTopology, size)`) on the chosen set, the link mix and Predicted
+//! EffBW read the chosen set and the allocator's fixed model, and
+//! preserved bandwidth reads the free graph, which the busy words fix (the
+//! SLO pressure term steers selection but is not part of [`MatchScore`]).
+//! A previously-seen state recurring is exactly when a hit is both safe
+//! and valuable. Two shapes that happen to be isomorphic (a 3-ring and a
+//! 3-clique) are two entries.
 //!
 //! **Negative entries.** A request for more vertices than are free never
 //! gets here: [`crate::MapaAllocator`] refuses it by comparing two integers
@@ -64,20 +63,20 @@
 //! although enough vertices are free: a whole-GPU job on a partitioned
 //! machine whose free vertices are mostly MIG slices.
 //!
-//! **Hashing vs equality.** A key hashes as one word — the signature's own
-//! FNV-1a fingerprint (maintained by `HardwareState`) mixed with the five
-//! small fields — and the table's hasher passes it through. Equality stays
-//! the exact comparison over the busy words, so two keys sharing a word
-//! cost an extra probe and never share an entry. Keys come from the
-//! allocators' own occupancy states, not from outside input, so SipHash's
-//! collision resistance buys nothing.
+//! **Hashing vs equality.** A key hashes as one word — the FNV-1a of the
+//! busy words mixed with the five small fields — and the table's hasher
+//! passes it through. Each word holds a chain of entries, oldest first;
+//! equality is the exact comparison of fields and busy words, so two keys
+//! sharing a word cost a step along the chain and never share an entry.
+//! Keys come from the allocators' own occupancy states, not from outside
+//! input, so SipHash's collision resistance buys nothing.
 
 use crate::scoring::MatchScore;
-use mapa_topology::OccupancySignature;
+use mapa_topology::Fnv1a;
 use mapa_workloads::{AppTopology, JobSpec};
-use std::borrow::Borrow;
+use std::collections::hash_map::Entry as Slot;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Maximum number of cached decisions per handle reading a table (FIFO
@@ -110,111 +109,30 @@ impl Shape {
         }
     }
 
-    /// The hash word of this shape in the state `signature`: the small
-    /// fields packed into one word, spread over all 64 bits by an odd
-    /// multiplier before meeting the fingerprint.
-    fn hash_word(self, signature: &OccupancySignature) -> u64 {
+    /// The hash word of this shape in the state whose busy mask is
+    /// `busy`: the FNV-1a of the busy words, and the small fields packed
+    /// into one word, spread over all 64 bits by an odd multiplier.
+    fn hash_word(self, busy: &[u64]) -> u64 {
+        let mut h = Fnv1a::default();
+        for &w in busy {
+            h.write_u64(w);
+        }
         let small = (self.num_gpus as u64) << 5
             | (self.topology as u64) << 3
             | u64::from(self.bandwidth_sensitive) << 2
             | u64::from(self.fractional) << 1
             | u64::from(self.slo_tagged);
-        signature.fingerprint() ^ small.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        h.finish() ^ small.wrapping_mul(0x9e37_79b9_7f4a_7c15)
     }
 }
 
-/// The full identity of one allocation decision on one (machine, policy,
-/// model): what a table stores, built on a miss only.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct CacheKey {
-    /// What [`Hash`] writes; a function of the fields below.
-    hash_word: u64,
-    shape: Shape,
-    signature: OccupancySignature,
-}
-
-impl CacheKey {
-    /// The key for placing `job` in the state identified by `signature`.
-    fn new(job: &JobSpec, signature: OccupancySignature) -> Self {
-        let shape = Shape::of(job);
-        Self {
-            hash_word: shape.hash_word(&signature),
-            shape,
-            signature,
-        }
-    }
-}
-
-impl Hash for CacheKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash_word);
-    }
-}
-
-/// A [`CacheKey`] that borrows its signature: what a lookup probes with.
-struct KeyRef<'a> {
-    hash_word: u64,
-    shape: Shape,
-    signature: &'a OccupancySignature,
-}
-
-impl<'a> KeyRef<'a> {
-    fn new(job: &JobSpec, signature: &'a OccupancySignature) -> Self {
-        let shape = Shape::of(job);
-        Self {
-            hash_word: shape.hash_word(signature),
-            shape,
-            signature,
-        }
-    }
-}
-
-/// An owned or a borrowed key, seen alike. The table's keys borrow as
-/// `dyn KeyView`, so a [`KeyRef`] finds its entry without a [`CacheKey`]
-/// being built; hash and equality agree with [`CacheKey`]'s own.
-trait KeyView {
-    fn parts(&self) -> (u64, Shape, &OccupancySignature);
-}
-
-impl KeyView for CacheKey {
-    fn parts(&self) -> (u64, Shape, &OccupancySignature) {
-        (self.hash_word, self.shape, &self.signature)
-    }
-}
-
-impl KeyView for KeyRef<'_> {
-    fn parts(&self) -> (u64, Shape, &OccupancySignature) {
-        (self.hash_word, self.shape, self.signature)
-    }
-}
-
-impl<'a> Borrow<dyn KeyView + 'a> for CacheKey {
-    fn borrow(&self) -> &(dyn KeyView + 'a) {
-        self
-    }
-}
-
-impl Hash for dyn KeyView + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.parts().0);
-    }
-}
-
-impl PartialEq for dyn KeyView + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.parts() == other.parts()
-    }
-}
-
-impl Eq for dyn KeyView + '_ {}
-
-/// The table's hasher: the one word a key writes, as it is.
+/// The table's hasher: the word a table key is, as it is.
 #[derive(Default)]
 struct WordHasher(u64);
 
 impl Hasher for WordHasher {
     fn write(&mut self, _: &[u8]) {
-        unreachable!("a cache key hashes as one u64");
+        unreachable!("a table key is one u64");
     }
 
     fn write_u64(&mut self, word: u64) {
@@ -258,46 +176,93 @@ impl CacheStats {
     }
 }
 
-/// The decisions every handle of one table reads, and their insertion
-/// order.
+/// One stored decision with the exact key it was made for, and the next
+/// (younger) entry whose key hashes to the same word.
+#[derive(Debug)]
+struct Entry {
+    shape: Shape,
+    busy: Box<[u64]>,
+    decision: Decision,
+    next: Option<Box<Entry>>,
+}
+
+/// The decisions every handle of one table reads, chained by hash word,
+/// and the word of every entry in insertion order.
 #[derive(Debug)]
 struct Table {
-    entries: HashMap<CacheKey, Decision, BuildHasherDefault<WordHasher>>,
-    order: VecDeque<CacheKey>,
+    entries: HashMap<u64, Entry, BuildHasherDefault<WordHasher>>,
+    order: VecDeque<u64>,
     /// Entries allowed per handle reading the table.
     capacity: usize,
 }
 
 impl Table {
-    /// The decision stored under `key`, counting a hit or a miss into
-    /// `stats`.
-    fn get(&self, key: &dyn KeyView, stats: &mut CacheStats) -> Option<&Decision> {
-        let hit = self.entries.get(key);
-        if hit.is_some() {
-            stats.hits += 1;
-        } else {
-            stats.misses += 1;
+    /// The decision stored for `(shape, busy)` on `word`'s chain,
+    /// counting a hit or a miss into `stats`.
+    fn get(
+        &self,
+        word: u64,
+        shape: Shape,
+        busy: &[u64],
+        stats: &mut CacheStats,
+    ) -> Option<&Decision> {
+        let mut entry = self.entries.get(&word);
+        while let Some(e) = entry {
+            if e.shape == shape && *e.busy == *busy {
+                stats.hits += 1;
+                return Some(&e.decision);
+            }
+            entry = e.next.as_deref();
         }
-        hit
+        stats.misses += 1;
+        None
     }
 
-    /// Stores a decision, evicting the oldest entries beyond `capacity`
-    /// per handle of the `handles` reading the table; counts into `stats`.
+    /// Stores a decision for `(shape, busy)`, which [`Table::get`] just
+    /// missed, at the tail of `word`'s chain; evicts the oldest entries
+    /// beyond `capacity` per handle of the `handles` reading the table.
+    /// Counts into `stats`.
     fn insert(
         &mut self,
-        key: CacheKey,
+        word: u64,
+        shape: Shape,
+        busy: &[u64],
         decision: Decision,
         handles: usize,
         stats: &mut CacheStats,
     ) {
-        if self.entries.insert(key.clone(), decision).is_none() {
-            self.order.push_back(key);
-            stats.insertions += 1;
-            while self.entries.len() > self.capacity.saturating_mul(handles) {
-                let oldest = self.order.pop_front().expect("every entry is queued");
-                self.entries.remove(&oldest);
-                stats.evictions += 1;
+        let entry = Entry {
+            shape,
+            busy: busy.into(),
+            decision,
+            next: None,
+        };
+        match self.entries.entry(word) {
+            Slot::Vacant(slot) => {
+                slot.insert(entry);
             }
+            Slot::Occupied(slot) => {
+                let mut tail = &mut slot.into_mut().next;
+                while let Some(next) = tail {
+                    tail = &mut next.next;
+                }
+                *tail = Some(Box::new(entry));
+            }
+        }
+        self.order.push_back(word);
+        stats.insertions += 1;
+        while self.order.len() > self.capacity.saturating_mul(handles) {
+            // The oldest entry heads its word's chain: every older entry
+            // on that word was evicted before it.
+            let oldest = self.order.pop_front().expect("the table is over capacity");
+            let head = self
+                .entries
+                .remove(&oldest)
+                .expect("a queued word has a chain");
+            if let Some(next) = head.next {
+                self.entries.insert(oldest, *next);
+            }
+            stats.evictions += 1;
         }
     }
 }
@@ -347,28 +312,29 @@ impl AllocationCache {
     }
 
     /// What `read` makes of the decision for placing `job` in the state
-    /// `signature`: the stored one on a hit (one lock, one probe, read in
-    /// place — `Clone::clone` takes a copy out, a caller after a score or
-    /// feasibility alone copies nothing); on a miss `decide`'s, read and
-    /// then stored under a key built then. The table stays locked while
-    /// `decide` and `read` run, so a table makes each decision once,
-    /// whichever of its handles asks first.
+    /// whose busy mask is `busy`: the stored one on a hit (one lock, one
+    /// probe, read in place — `Clone::clone` takes a copy out, a caller
+    /// after a score or feasibility alone copies nothing); on a miss
+    /// `decide`'s, read and then stored with a copy of `busy`. The table
+    /// stays locked while `decide` and `read` run, so a table makes each
+    /// decision once, whichever of its handles asks first.
     pub fn read_or_insert_with<R>(
         &mut self,
         job: &JobSpec,
-        signature: &OccupancySignature,
+        busy: &[u64],
         decide: impl FnOnce() -> Decision,
         read: impl FnOnce(&Decision) -> R,
     ) -> R {
+        let shape = Shape::of(job);
+        let word = shape.hash_word(busy);
         let mut table = lock(&self.table);
-        if let Some(hit) = table.get(&KeyRef::new(job, signature), &mut self.stats) {
+        if let Some(hit) = table.get(word, shape, busy, &mut self.stats) {
             return read(hit);
         }
         let decision = decide();
         let answer = read(&decision);
-        let key = CacheKey::new(job, signature.clone());
         let handles = Arc::strong_count(&self.table);
-        table.insert(key, decision, handles, &mut self.stats);
+        table.insert(word, shape, busy, decision, handles, &mut self.stats);
         answer
     }
 
@@ -381,7 +347,7 @@ impl AllocationCache {
     /// Number of live entries in the table, over every handle reading it.
     #[must_use]
     pub fn len(&self) -> usize {
-        lock(&self.table).entries.len()
+        lock(&self.table).order.len()
     }
 
     /// True when the table holds no decision.
@@ -424,16 +390,11 @@ mod tests {
 
     /// A lookup that must miss: `decide` is called, and its `decision` is
     /// stored.
-    fn miss(
-        cache: &mut AllocationCache,
-        job: &JobSpec,
-        signature: &OccupancySignature,
-        decision: Decision,
-    ) {
+    fn miss(cache: &mut AllocationCache, job: &JobSpec, busy: &[u64], decision: Decision) {
         let mut called = false;
         cache.read_or_insert_with(
             job,
-            signature,
+            busy,
             || {
                 called = true;
                 decision
@@ -445,9 +406,9 @@ mod tests {
 
     /// A lookup that must hit: `decide` is never called; returns the stored
     /// decision.
-    fn hit(cache: &mut AllocationCache, job: &JobSpec, signature: &OccupancySignature) -> Decision {
+    fn hit(cache: &mut AllocationCache, job: &JobSpec, busy: &[u64]) -> Decision {
         let never = || panic!("a hit never calls decide");
-        cache.read_or_insert_with(job, signature, never, Clone::clone)
+        cache.read_or_insert_with(job, busy, never, Clone::clone)
     }
 
     #[test]
@@ -455,22 +416,15 @@ mod tests {
         let mut cache = AllocationCache::default();
         let mut state = HardwareState::new(machines::dgx1_v100());
         let spec = job(3, AppTopology::Ring, true);
-
-        let k1 = CacheKey::new(&spec, state.occupancy_signature().clone());
-        miss(
-            &mut cache,
-            &spec,
-            state.occupancy_signature(),
-            placed(vec![0, 1, 2]),
-        );
+        let idle = state.busy_words().to_vec();
+        miss(&mut cache, &spec, &idle, placed(vec![0, 1, 2]));
 
         // The same machine state recurs after an allocate/release cycle.
         state.allocate(9, &[4, 5]).unwrap();
         state.deallocate(9).unwrap();
-        let k2 = CacheKey::new(&spec, state.occupancy_signature().clone());
-        assert_eq!(k1, k2, "recurring state rebuilds the same key");
+        assert_eq!(state.busy_words(), idle, "recurring state, same words");
         assert_eq!(
-            hit(&mut cache, &spec, state.occupancy_signature()),
+            hit(&mut cache, &spec, state.busy_words()),
             placed(vec![0, 1, 2])
         );
         assert_eq!(cache.stats().hits, 1);
@@ -482,88 +436,75 @@ mod tests {
         let mut cache = AllocationCache::default();
         let mut state = HardwareState::new(machines::dgx1_v100());
         let spec = job(2, AppTopology::Ring, true);
-        let idle = CacheKey::new(&spec, state.occupancy_signature().clone());
-        miss(
-            &mut cache,
-            &spec,
-            state.occupancy_signature(),
-            placed(vec![0, 3]),
-        );
+        let idle = state.busy_words().to_vec();
+        miss(&mut cache, &spec, &idle, placed(vec![0, 3]));
         state.allocate(1, &[0, 3]).unwrap();
-        let busy = CacheKey::new(&spec, state.occupancy_signature().clone());
-        assert_ne!(idle, busy, "allocation must invalidate (rotate) the key");
-        miss(&mut cache, &spec, state.occupancy_signature(), None);
+        assert_ne!(state.busy_words(), idle, "allocation must rotate the key");
+        miss(&mut cache, &spec, state.busy_words(), None);
     }
 
     #[test]
     fn key_distinguishes_sensitivity_machine_and_shape() {
+        let mut cache = AllocationCache::default();
         let state = HardwareState::new(machines::dgx1_v100());
-        let sig = state.occupancy_signature();
-        let base = CacheKey::new(&job(3, AppTopology::Ring, true), sig.clone());
-        let insensitive = CacheKey::new(&job(3, AppTopology::Ring, false), sig.clone());
-        let other_shape = CacheKey::new(&job(4, AppTopology::Ring, true), sig.clone());
-        assert_ne!(base, insensitive);
-        assert_ne!(base, other_shape);
+        let busy = state.busy_words();
+        miss(&mut cache, &job(3, AppTopology::Ring, true), busy, None);
+        miss(&mut cache, &job(3, AppTopology::Ring, false), busy, None);
+        miss(&mut cache, &job(4, AppTopology::Ring, true), busy, None);
         // The key is the labelled pattern: ring(3) ≡ all_to_all(3) as
         // graphs, but they are two keys.
-        let triangle = CacheKey::new(&job(3, AppTopology::AllToAll, true), sig.clone());
-        assert_ne!(base, triangle);
+        miss(&mut cache, &job(3, AppTopology::AllToAll, true), busy, None);
+        assert_eq!(cache.len(), 4);
     }
 
     #[test]
     fn key_distinguishes_demand_kind_and_slo_tag() {
+        let mut cache = AllocationCache::default();
         let state = HardwareState::new(machines::dgx1_v100());
-        let sig = state.occupancy_signature();
-        let whole = CacheKey::new(&job(3, AppTopology::Ring, true), sig.clone());
+        let busy = state.busy_words();
+        miss(&mut cache, &job(3, AppTopology::Ring, true), busy, None);
+        // Whole and slice demands see different eligible vertices.
         let mut slices = job(3, AppTopology::Ring, true);
         slices.demand = mapa_workloads::GpuDemand::Slices(3);
-        let fractional = CacheKey::new(&slices, sig.clone());
-        assert_ne!(
-            whole, fractional,
-            "whole and slice demands see different eligible vertices"
-        );
-        let tagged = CacheKey::new(&job(3, AppTopology::Ring, true).with_slo(25.0), sig.clone());
-        assert_ne!(whole, tagged, "SLO tag changes the pressure weight");
+        miss(&mut cache, &slices, busy, None);
+        // An SLO tag changes the pressure weight.
+        let tagged = job(3, AppTopology::Ring, true).with_slo(25.0);
+        miss(&mut cache, &tagged, busy, placed(vec![5, 6, 7]));
         // The SLO *value* is not part of the key — selection ignores it.
-        let tagged_other =
-            CacheKey::new(&job(3, AppTopology::Ring, true).with_slo(90.0), sig.clone());
-        assert_eq!(tagged, tagged_other);
+        let tagged_other = job(3, AppTopology::Ring, true).with_slo(90.0);
+        assert_eq!(hit(&mut cache, &tagged_other, busy), placed(vec![5, 6, 7]));
     }
 
-    impl CacheKey {
-        /// This key on another hash word, so that two unequal keys can be
-        /// made to collide.
-        fn with_hash_word(mut self, word: u64) -> Self {
-            self.hash_word = word;
-            self
-        }
+    /// The exact key of placing `job` in `state`, and its hash word.
+    fn key(job: &JobSpec, state: &HardwareState) -> (u64, Shape, Vec<u64>) {
+        let shape = Shape::of(job);
+        let busy = state.busy_words();
+        (shape.hash_word(busy), shape, busy.to_vec())
     }
 
-    /// The borrowed view a lookup of `key` probes with.
-    fn view(key: &CacheKey) -> KeyRef<'_> {
-        KeyRef {
-            hash_word: key.hash_word,
-            shape: key.shape,
-            signature: &key.signature,
-        }
-    }
-
-    /// `cache`'s lookup of `key` as its borrowed view.
-    fn find(cache: &mut AllocationCache, key: &CacheKey) -> Option<Decision> {
+    /// `cache`'s lookup of `(shape, busy)` on the chain of `word`.
+    fn find(
+        cache: &mut AllocationCache,
+        word: u64,
+        shape: Shape,
+        busy: &[u64],
+    ) -> Option<Decision> {
         lock(&cache.table)
-            .get(&view(key), &mut cache.stats)
+            .get(word, shape, busy, &mut cache.stats)
             .cloned()
     }
 
-    /// Stores `decision` under `key` as it is, hash word included.
-    fn store(cache: &mut AllocationCache, key: CacheKey, decision: Decision) {
-        lock(&cache.table).insert(key, decision, 1, &mut cache.stats);
-    }
-
-    fn hash_of(key: &(impl Hash + ?Sized)) -> u64 {
-        let mut hasher = WordHasher::default();
-        key.hash(&mut hasher);
-        hasher.finish()
+    /// Stores `decision` for `(shape, busy)` on the chain of `word`, with
+    /// as many handles counted as read the table.
+    fn store(
+        cache: &mut AllocationCache,
+        word: u64,
+        shape: Shape,
+        busy: &[u64],
+        decision: Decision,
+    ) {
+        let handles = Arc::strong_count(&cache.table);
+        lock(&cache.table).insert(word, shape, busy, decision, handles, &mut cache.stats);
     }
 
     #[test]
@@ -571,54 +512,49 @@ mod tests {
         let mut state = HardwareState::new(machines::dgx1_v100());
         state.allocate(1, &[0, 3]).unwrap();
         let base_job = job(3, AppTopology::Ring, true);
-        let base = CacheKey::new(&base_job, state.occupancy_signature().clone());
-        // Equal keys — rebuilt from a recurrence of the state — hash equal,
-        // and so does the borrowed view a lookup builds instead.
+        let base = key(&base_job, &state);
+        // Equal keys — rebuilt from a recurrence of the state — hash equal.
         let mut again = state.clone();
         again.allocate(2, &[5]).unwrap();
         again.deallocate(2).unwrap();
-        let rebuilt = CacheKey::new(&base_job, again.occupancy_signature().clone());
-        assert_eq!(base, rebuilt);
-        assert_eq!(hash_of(&base), hash_of(&rebuilt));
-        let probe = KeyRef::new(&base_job, again.occupancy_signature());
-        assert_eq!(hash_of(&base), hash_of(&probe as &dyn KeyView));
-        assert!(&probe as &dyn KeyView == base.borrow());
+        assert_eq!(base, key(&base_job, &again));
         // Each small field, and one occupancy bit, makes another key; the
         // packing keeps them apart in the hash word too.
         let mut slices = base_job.clone();
         slices.demand = mapa_workloads::GpuDemand::Slices(3);
         again.allocate(2, &[5]).unwrap();
-        let here = |job: &JobSpec| CacheKey::new(job, state.occupancy_signature().clone());
         let flipped = [
-            here(&job(4, AppTopology::Ring, true)),
-            here(&job(3, AppTopology::Tree, true)),
-            here(&job(3, AppTopology::Ring, false)),
-            here(&slices),
-            here(&base_job.clone().with_slo(25.0)),
-            CacheKey::new(&base_job, again.occupancy_signature().clone()),
+            key(&job(4, AppTopology::Ring, true), &state),
+            key(&job(3, AppTopology::Tree, true), &state),
+            key(&job(3, AppTopology::Ring, false), &state),
+            key(&slices, &state),
+            key(&base_job.clone().with_slo(25.0), &state),
+            key(&base_job, &again),
         ];
-        for (i, key) in flipped.iter().enumerate() {
-            assert_ne!(&base, key, "flip {i}");
-            assert_ne!(hash_of(&base), hash_of(key), "flip {i}");
+        for (i, (word, shape, busy)) in flipped.iter().enumerate() {
+            assert_ne!((base.1, &base.2), (*shape, busy), "flip {i}");
+            assert_ne!(base.0, *word, "flip {i}");
         }
         // Two unequal keys on one hash word are two entries, each with its
-        // own decision: a collision costs a probe, never an answer.
-        let word = hash_of(&base);
-        let colliding = flipped.map(|key| key.with_hash_word(word));
+        // own decision: a collision costs a step along the chain, never an
+        // answer.
+        let (word, shape, busy) = &base;
         let mut cache = AllocationCache::default();
-        store(&mut cache, base.clone(), placed(vec![1, 2, 4]));
-        for (i, key) in colliding.iter().enumerate() {
-            assert_eq!(hash_of(key), word);
+        store(&mut cache, *word, *shape, busy, placed(vec![1, 2, 4]));
+        for (i, (_, shape, busy)) in flipped.iter().enumerate() {
             assert!(
-                find(&mut cache, key).is_none(),
+                find(&mut cache, *word, *shape, busy).is_none(),
                 "collision {i} must not hit"
             );
-            store(&mut cache, key.clone(), placed(vec![i]));
+            store(&mut cache, *word, *shape, busy, placed(vec![i]));
         }
-        assert_eq!(cache.len(), 1 + colliding.len());
-        assert_eq!(find(&mut cache, &base), Some(placed(vec![1, 2, 4])));
-        for (i, key) in colliding.iter().enumerate() {
-            assert_eq!(find(&mut cache, key), Some(placed(vec![i])));
+        assert_eq!(cache.len(), 1 + flipped.len());
+        assert_eq!(
+            find(&mut cache, *word, *shape, busy),
+            Some(placed(vec![1, 2, 4]))
+        );
+        for (i, (_, shape, busy)) in flipped.iter().enumerate() {
+            assert_eq!(find(&mut cache, *word, *shape, busy), Some(placed(vec![i])));
         }
     }
 
@@ -627,22 +563,29 @@ mod tests {
         let mut cache = AllocationCache::new(2);
         let mut state = HardwareState::new(machines::dgx1_v100());
         let spec = job(1, AppTopology::Ring, true);
-        let mut signatures = Vec::new();
+        let mut keys = Vec::new();
         for g in 0..3usize {
             state.allocate(100 + g as u64, &[g]).unwrap();
-            miss(
-                &mut cache,
-                &spec,
-                state.occupancy_signature(),
-                placed(vec![g + 1]),
-            );
-            signatures.push(state.occupancy_signature().clone());
+            miss(&mut cache, &spec, state.busy_words(), placed(vec![g + 1]));
+            keys.push(key(&spec, &state));
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(hit(&mut cache, &spec, &signatures[2]), placed(vec![3]));
+        assert_eq!(hit(&mut cache, &spec, &keys[2].2), placed(vec![3]));
         // The oldest entry was evicted.
-        miss(&mut cache, &spec, &signatures[0], None);
+        miss(&mut cache, &spec, &keys[0].2, None);
+        // Through a chain too: three keys forced onto one word leave in
+        // the order they came.
+        let mut chained = AllocationCache::new(2);
+        for (i, (_, shape, busy)) in keys.iter().enumerate() {
+            store(&mut chained, 7, *shape, busy, placed(vec![i]));
+        }
+        assert_eq!((chained.len(), chained.stats().evictions), (2, 1));
+        let (_, shape, busy) = &keys[0];
+        assert_eq!(find(&mut chained, 7, *shape, busy), None);
+        for (i, (_, shape, busy)) in keys.iter().enumerate().skip(1) {
+            assert_eq!(find(&mut chained, 7, *shape, busy), Some(placed(vec![i])));
+        }
     }
 
     #[test]
@@ -650,7 +593,7 @@ mod tests {
         let mut cache = AllocationCache::default();
         // Keys are plain values: one per job size on one occupancy.
         let idle = HardwareState::new(machines::dgx2());
-        let idle = idle.occupancy_signature();
+        let idle = idle.busy_words();
         let size = |i: usize| job(1 + i, AppTopology::Ring, true);
         for i in 0..=DEFAULT_CACHE_CAPACITY {
             miss(&mut cache, &size(i), idle, None);
@@ -666,7 +609,7 @@ mod tests {
     #[test]
     fn shared_table_decision_made_through_one_handle_is_a_hit_through_another() {
         let state = HardwareState::new(machines::dgx1_v100());
-        let idle = state.occupancy_signature();
+        let idle = state.busy_words();
         let spec = job(3, AppTopology::Ring, true);
         let mut first = AllocationCache::default();
         let mut second = AllocationCache::default();
@@ -694,7 +637,7 @@ mod tests {
     #[test]
     fn shared_table_evicts_only_past_handles_times_capacity() {
         let idle = HardwareState::new(machines::dgx2());
-        let idle = idle.occupancy_signature();
+        let idle = idle.busy_words();
         let size = |i: usize| job(1 + i, AppTopology::Ring, true);
         let mut first = AllocationCache::new(2);
         let mut second = AllocationCache::new(2);
@@ -770,8 +713,8 @@ mod tests {
         let mut cache = AllocationCache::default();
         let state = HardwareState::new(machines::summit());
         let spec = job(4, AppTopology::Ring, true);
-        miss(&mut cache, &spec, state.occupancy_signature(), None);
-        assert_eq!(hit(&mut cache, &spec, state.occupancy_signature()), None);
+        miss(&mut cache, &spec, state.busy_words(), None);
+        assert_eq!(hit(&mut cache, &spec, state.busy_words()), None);
     }
 
     #[test]
@@ -785,5 +728,69 @@ mod tests {
         assert_eq!(s.lookups(), 4);
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
+    }
+
+    /// What a table must do, naively: every entry in a `Vec`, oldest first,
+    /// found by comparing word, shape and busy words.
+    type FifoModel = Vec<(u64, Shape, Vec<u64>, Decision)>;
+
+    proptest::proptest! {
+        /// Lookups and inserts on a few hash words — so unequal keys chain
+        /// on one word and evictions go through chains — through one or two
+        /// handles at capacity 1–4: the table answers, counts and evicts as
+        /// the FIFO model does, step by step.
+        #[test]
+        fn cache_table_matches_a_fifo_model_under_collisions(
+            capacity in 1usize..5,
+            handles in 1usize..3,
+            ops in proptest::collection::vec(
+                (0usize..2, 0u64..3, 0usize..6, proptest::prelude::any::<bool>()),
+                1..60,
+            ),
+        ) {
+            let mut caches: Vec<AllocationCache> =
+                (0..handles).map(|_| AllocationCache::new(capacity)).collect();
+            let (first, rest) = caches.split_first_mut().expect("one handle at least");
+            for cache in rest {
+                cache.join(first);
+            }
+            let busy_masks: [&[u64]; 2] = [&[1], &[1, 0]];
+            let mut model = FifoModel::new();
+            let mut model_stats = vec![CacheStats::default(); handles];
+            for (step, (handle, word, k, insert)) in ops.into_iter().enumerate() {
+                let h = handle % handles;
+                let shape = Shape::of(&job(1 + k % 3, AppTopology::Ring, true));
+                let busy = busy_masks[k / 3];
+                let decision = placed(vec![step]);
+
+                let got = find(&mut caches[h], word, shape, busy);
+                if got.is_none() && insert {
+                    store(&mut caches[h], word, shape, busy, decision.clone());
+                }
+
+                let stats = &mut model_stats[h];
+                let stored = model
+                    .iter()
+                    .find(|(w, s, b, _)| (*w, *s, &b[..]) == (word, shape, busy));
+                let expected = stored.map(|entry| entry.3.clone());
+                if expected.is_some() {
+                    stats.hits += 1;
+                } else {
+                    stats.misses += 1;
+                    if insert {
+                        model.push((word, shape, busy.to_vec(), decision));
+                        stats.insertions += 1;
+                        while model.len() > capacity * handles {
+                            model.remove(0);
+                            stats.evictions += 1;
+                        }
+                    }
+                }
+
+                proptest::prop_assert_eq!(got, expected, "step {}", step);
+                proptest::prop_assert_eq!(caches[h].stats(), model_stats[h], "step {}", step);
+                proptest::prop_assert_eq!(caches[h].len(), model.len(), "step {}", step);
+            }
+        }
     }
 }

@@ -1,6 +1,7 @@
-//! The workspace's one FNV-1a: occupancy fingerprints here, schedule
-//! digests in `mapa-sim`, ledger checksums in `mapa-agent`. It lives in
-//! this crate because both of those already depend on it directly.
+//! The workspace's one FNV-1a: the occupancy words of `mapa-core`'s
+//! decision table, schedule digests in `mapa-sim`, ledger checksums in
+//! `mapa-agent`. It lives in this crate because all three already depend
+//! on it directly.
 
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -47,6 +47,6 @@ pub mod virt;
 pub use fnv::Fnv1a;
 pub use link::{LinkMix, LinkType};
 pub use mapa_graph::BitSet;
-pub use state::{AllocationError, HardwareState, JobId, OccupancySignature};
+pub use state::{AllocationError, HardwareState, JobId};
 pub use topology::Topology;
 pub use virt::{PartitionPlan, SliceBandwidth, SliceMap};

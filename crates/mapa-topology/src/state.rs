@@ -6,7 +6,7 @@
 //! the frozen-vertex mask the matcher consumes, and computes the remaining
 //! (induced) hardware graph used for Preserved Bandwidth.
 
-use crate::{Fnv1a, Topology};
+use crate::Topology;
 use mapa_graph::{BitSet, WeightedGraph};
 use std::collections::HashMap;
 use std::fmt;
@@ -60,58 +60,6 @@ impl fmt::Display for AllocationError {
 
 impl std::error::Error for AllocationError {}
 
-/// A cheap identity key for an occupancy state: the exact busy-set words
-/// plus a 64-bit FNV-1a fingerprint over them.
-///
-/// Two signatures of states over the *same machine* are equal iff the
-/// states have identical free/busy GPU sets — the words are exact, so
-/// there are no false positives (the fingerprint is a convenience for
-/// logging, fast inequality and hashing, never the source of truth). The
-/// signature is maintained incrementally by [`HardwareState`]: reading it
-/// never rescans the owner table, which is what makes allocation-decision
-/// caching keyed on it viable on the hot path.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct OccupancySignature {
-    busy_words: Vec<u64>,
-    fingerprint: u64,
-}
-
-impl OccupancySignature {
-    fn from_busy(busy: &BitSet) -> Self {
-        let mut signature = Self {
-            busy_words: vec![0; busy.as_words().len()],
-            fingerprint: 0,
-        };
-        signature.rewrite(busy);
-        signature
-    }
-
-    /// Makes this the signature of `busy` (a mask of the same length)
-    /// without allocating.
-    fn rewrite(&mut self, busy: &BitSet) {
-        self.busy_words.copy_from_slice(busy.as_words());
-        // Stable across runs (no RandomState).
-        let mut h = Fnv1a::default();
-        for &w in &self.busy_words {
-            h.write_u64(w);
-        }
-        self.fingerprint = h.finish();
-    }
-
-    /// The 64-bit fingerprint (display/logging convenience; collisions
-    /// possible, unlike signature equality itself).
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-}
-
-impl fmt::Display for OccupancySignature {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "occ:{:016x}", self.fingerprint)
-    }
-}
-
 /// Tracks GPU occupancy for a machine across job allocations/deallocations.
 #[derive(Debug, Clone)]
 pub struct HardwareState {
@@ -120,9 +68,6 @@ pub struct HardwareState {
     jobs: HashMap<JobId, Vec<usize>>,
     /// Busy-GPU mask, maintained incrementally (never rescanned).
     busy: BitSet,
-    /// Signature of `busy`, rewritten in place only when a transition
-    /// succeeds: failed transitions leave it untouched.
-    signature: OccupancySignature,
 }
 
 impl HardwareState {
@@ -130,14 +75,11 @@ impl HardwareState {
     #[must_use]
     pub fn new(topology: Topology) -> Self {
         let n = topology.gpu_count();
-        let busy = BitSet::new(n);
-        let signature = OccupancySignature::from_busy(&busy);
         Self {
             topology,
             owner: vec![None; n],
             jobs: HashMap::new(),
-            busy,
-            signature,
+            busy: BitSet::new(n),
         }
     }
 
@@ -153,11 +95,13 @@ impl HardwareState {
         self.topology.gpu_count() - self.busy.count()
     }
 
-    /// The incremental identity key of the current free/busy set, read
-    /// in place: never rescans occupancy — see [`OccupancySignature`].
+    /// The busy-GPU mask's words, read in place: the exact identity of
+    /// the current free/busy set (job ids do not enter it), and what the
+    /// allocation cache keys a decision on. Allocate and release rotate
+    /// them; a refused transition leaves them as they were.
     #[must_use]
-    pub fn occupancy_signature(&self) -> &OccupancySignature {
-        &self.signature
+    pub fn busy_words(&self) -> &[u64] {
+        self.busy.as_words()
     }
 
     /// Number of currently busy GPUs.
@@ -298,7 +242,6 @@ impl HardwareState {
             self.owner[g] = Some(job);
         }
         self.jobs.insert(job, sorted);
-        self.refresh_signature();
         Ok(())
     }
 
@@ -316,14 +259,7 @@ impl HardwareState {
             self.owner[g] = None;
             self.busy.remove(g);
         }
-        self.refresh_signature();
         Ok(gpus)
-    }
-
-    /// Rewrites the signature in place after a successful mutation of
-    /// `busy`.
-    fn refresh_signature(&mut self) {
-        self.signature.rewrite(&self.busy);
     }
 }
 
@@ -432,48 +368,34 @@ mod tests {
     fn failed_transitions_leave_the_signature_untouched() {
         let mut s = state();
         s.allocate(1, &[0, 1]).unwrap();
-        let sig = s.occupancy_signature().clone();
+        let words = s.busy_words().to_vec();
         assert!(s.allocate(2, &[1]).is_err());
         assert!(s.deallocate(9).is_err());
-        assert_eq!(s.occupancy_signature(), &sig);
+        assert_eq!(s.busy_words(), words);
     }
 
     #[test]
     fn signature_identifies_the_free_set_exactly() {
         let mut a = state();
         let mut b = state();
-        let idle = a.occupancy_signature().clone();
-        assert_eq!(&idle, b.occupancy_signature(), "idle states agree");
+        let idle = a.busy_words().to_vec();
+        assert_eq!(idle, b.busy_words(), "idle states agree");
 
-        // Same free *count*, different free *sets* → different signatures
-        // (exact words, not just a hash — no collisions possible).
+        // Same free *count*, different free *sets* → different words.
         a.allocate(1, &[0, 1]).unwrap();
         b.allocate(1, &[6, 7]).unwrap();
-        assert_ne!(a.occupancy_signature(), b.occupancy_signature());
+        assert_ne!(a.busy_words(), b.busy_words());
         assert_eq!(a.free_count(), b.free_count());
 
         // Job identity does not matter, only the occupied set does.
         let mut c = state();
         c.allocate(42, &[1, 0]).unwrap();
-        assert_eq!(a.occupancy_signature(), c.occupancy_signature());
+        assert_eq!(a.busy_words(), c.busy_words());
 
-        // Releasing returns the state to a previously-seen signature —
-        // the recurrence an allocation cache keys on.
+        // Releasing returns the state to previously-seen words — the
+        // recurrence an allocation cache keys on.
         a.deallocate(1).unwrap();
-        assert_eq!(a.occupancy_signature(), &idle);
-    }
-
-    #[test]
-    fn signature_display_and_fingerprint() {
-        let mut s = state();
-        let idle = s.occupancy_signature().clone();
-        assert!(format!("{idle}").starts_with("occ:"));
-        s.allocate(1, &[3]).unwrap();
-        let busy = s.occupancy_signature();
-        // Fingerprints of distinct word vectors virtually always differ;
-        // for these two specific masks they must (checked here so a silent
-        // hashing regression is caught).
-        assert_ne!(idle.fingerprint(), busy.fingerprint());
+        assert_eq!(a.busy_words(), idle);
     }
 
     #[test]
@@ -545,8 +467,8 @@ mod tests {
         /// Hostile GPU lists — out-of-range, repeated and busy GPUs, alone
         /// and mixed — never panic `allocate`. A refusal names the first
         /// fault in input order (checked against a fresh seen-set, the
-        /// rule's reference), and leaves the busy mask, every owner and
-        /// the signature as they were: the in-place seen-set rolls back.
+        /// rule's reference), and leaves the busy mask and every owner as
+        /// they were: the in-place seen-set rolls back.
         #[test]
         fn allocate_never_panics_on_token_soup(
             held in proptest::collection::vec(0usize..8, 0..6),
@@ -557,8 +479,7 @@ mod tests {
                 let _ = s.allocate(100 + job as u64, &[g]);
             }
             let expected = first_fault(&s, &soup);
-            let (busy, owner, signature) =
-                (s.busy.clone(), s.owner.clone(), s.occupancy_signature().clone());
+            let (busy, owner) = (s.busy.clone(), s.owner.clone());
             match s.allocate(1, &soup) {
                 Ok(()) => {
                     prop_assert_eq!(expected, None, "{:?} over {:?}", soup, held);
@@ -568,13 +489,11 @@ mod tests {
                     let owner_busy: Vec<usize> =
                         (0..8).filter(|&g| s.owner[g].is_some()).collect();
                     prop_assert_eq!(s.frozen_mask().to_vec(), owner_busy);
-                    prop_assert_eq!(s.occupancy_signature(), &OccupancySignature::from_busy(&s.busy));
                 }
                 Err(e) => {
                     prop_assert_eq!(Some(e), expected, "{:?} over {:?}", soup, held);
                     prop_assert_eq!(&s.busy, &busy);
                     prop_assert_eq!(&s.owner, &owner);
-                    prop_assert_eq!(s.occupancy_signature(), &signature);
                     prop_assert_eq!(s.gpus_of(1), None);
                 }
             }

@@ -84,8 +84,8 @@ pub mod prelude {
     pub use crate::campaign::{allocation_policy_by_name, CampaignGrid, GridCell};
     pub use crate::runspec::{RunSpec, Shared};
     pub use mapa_topology::{
-        machines, HardwareState, LinkMix, LinkType, OccupancySignature, PartitionPlan,
-        SliceBandwidth, SliceMap, Topology,
+        machines, HardwareState, LinkMix, LinkType, PartitionPlan, SliceBandwidth, SliceMap,
+        Topology,
     };
     pub use mapa_workloads::{
         generator, perf, AppTopology, GpuDemand, JobGroup, JobSpec, Workload,

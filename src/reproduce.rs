@@ -117,14 +117,19 @@ pub fn verdict(rows: &[Row]) -> Result<(), String> {
     }
 }
 
-/// The rows of the artefacts named by `only` — of all when it is empty.
+/// The rows of the artefacts named by `only` — of all when it is empty —
+/// each artefact once, in the order it was first named.
 ///
 /// # Errors
 /// An id that is not in [`IDS`].
 pub fn rows(only: &[&str]) -> Result<Vec<Row>, String> {
     let by_id = |id: &str| ARTEFACTS.iter().find(|a| a.id == id);
     let ids = if only.is_empty() { &IDS[..] } else { only };
-    let picked = ids.iter().map(|id| choose("artefact", id, by_id, &IDS));
+    let first_named = ids
+        .iter()
+        .enumerate()
+        .filter(|&(i, id)| !ids[..i].contains(id));
+    let picked = first_named.map(|(_, id)| choose("artefact", id, by_id, &IDS));
     let shared = Shared::new(Arc::new(WorkerPool::new(1)));
     let (memo, rows) = (HashMap::new(), Vec::new());
     let mut table = Table {
@@ -818,6 +823,11 @@ mod tests {
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), table.len(), "{table:?}");
+    }
+
+    #[test]
+    fn an_artefact_named_twice_is_run_once() {
+        assert_eq!(rows(&["table1", "table1"]), rows(&["table1"]));
     }
 
     #[test]

@@ -6,26 +6,14 @@
 //! to all-to-all, the conservative choice §3.1 mentions for Unified-Memory
 //! style workloads.
 
-use mapa_graph::PatternGraph;
 use mapa_workloads::AppTopology;
 
-/// Builds the application pattern graph for `n_gpus` communicating with
-/// `topology` semantics.
-#[must_use]
-pub fn build_pattern(topology: AppTopology, n_gpus: usize) -> PatternGraph {
-    match topology {
-        AppTopology::Ring => PatternGraph::ring(n_gpus),
-        AppTopology::Tree => PatternGraph::binary_tree(n_gpus),
-        AppTopology::RingTree => PatternGraph::ring_tree(n_gpus),
-        AppTopology::AllToAll => PatternGraph::all_to_all(n_gpus),
-    }
-}
-
-/// The edges of [`build_pattern`]`(topology, n)`, each once, without
-/// building the graph: the ring `i — i+1 (mod n)`, the tree `i — (i-1)/2`,
-/// their union less the tree edges the ring has — `(1, 0)`, and at three
-/// vertices `(2, 0)` — or every pair. Edge direction and order differ from
-/// [`PatternGraph::edges`].
+/// The edges of the pattern graph of `n` GPUs communicating with
+/// `topology` semantics, each once, without building the graph: the ring
+/// `i — i+1 (mod n)`, the tree `i — (i-1)/2`, their union less the tree
+/// edges the ring has — `(1, 0)`, and at three vertices `(2, 0)` — or every
+/// pair. Edge direction and order differ from
+/// [`PatternGraph::edges`](mapa_graph::PatternGraph::edges).
 pub fn pattern_edges(topology: AppTopology, n: usize) -> impl Iterator<Item = (usize, usize)> {
     use AppTopology::{AllToAll, Ring, RingTree, Tree};
     let ring = matches!(topology, Ring | RingTree);
@@ -49,8 +37,22 @@ pub fn pattern_edges(topology: AppTopology, n: usize) -> impl Iterator<Item = (u
 
 /// The pattern graph for a job spec: the matcher-side oracles' input.
 #[cfg(test)]
-pub(crate) fn job_pattern(job: &mapa_workloads::JobSpec) -> PatternGraph {
+pub(crate) fn job_pattern(job: &mapa_workloads::JobSpec) -> mapa_graph::PatternGraph {
     build_pattern(job.topology, job.num_gpus())
+}
+
+/// Builds the application pattern graph for `n_gpus` communicating with
+/// `topology` semantics: the definition [`pattern_edges`] is tested
+/// against.
+#[cfg(test)]
+pub(crate) fn build_pattern(topology: AppTopology, n_gpus: usize) -> mapa_graph::PatternGraph {
+    use mapa_graph::PatternGraph;
+    match topology {
+        AppTopology::Ring => PatternGraph::ring(n_gpus),
+        AppTopology::Tree => PatternGraph::binary_tree(n_gpus),
+        AppTopology::RingTree => PatternGraph::ring_tree(n_gpus),
+        AppTopology::AllToAll => PatternGraph::all_to_all(n_gpus),
+    }
 }
 
 #[cfg(test)]

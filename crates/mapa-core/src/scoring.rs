@@ -31,12 +31,13 @@
 //! either. Greedy ranks sets in the same walk, by Eq. 1 of each set's best
 //! embedding, searched within the set: the hardware graph is complete
 //! (§3.2), so no embedding into the machine is enumerated. The free
-//! functions below compute the same numbers from scratch; they stay for
-//! custom policies and as the oracle the scorer is tested against.
+//! functions below compute Eq. 2, Eq. 3 and the pressure term from
+//! scratch: custom policies may call them (`examples/custom_policy.rs`
+//! ranks by [`predicted_effective_bandwidth`]), and the scorer is tested
+//! against them. Eq. 1's graph definition is test code alone.
 
 use crate::appgraph::pattern_edges;
-use mapa_graph::{BitSet, PatternGraph, WeightedGraph};
-use mapa_isomorph::Embedding;
+use mapa_graph::{BitSet, WeightedGraph};
 use mapa_model::{corpus, EffBwModel, MixCeiling};
 use mapa_topology::{HardwareState, LinkMix, LinkType, Topology};
 use mapa_workloads::{AppTopology, JobSpec};
@@ -54,18 +55,6 @@ pub struct MatchScore {
     pub preserved_bw: f64,
     /// The `(x, y, z)` link mix of the allocation (all pairs inside it).
     pub link_mix: LinkMix,
-}
-
-/// Eq. 1 — Aggregated Bandwidth: sum of hardware bandwidths over the
-/// pattern's edges under `embedding` (pattern vertex `p` placed on
-/// hardware vertex `embedding.image(p)`).
-#[must_use]
-pub fn aggregated_bandwidth(
-    pattern: &PatternGraph,
-    hardware: &WeightedGraph,
-    embedding: &Embedding,
-) -> f64 {
-    embedding.mapped_edge_weight(pattern, hardware)
 }
 
 /// Eq. 2 — Predicted Effective Bandwidth of allocating `gpus`.
@@ -284,7 +273,7 @@ impl<'a> SetScorer<'a> {
     /// under the identity embedding of its pattern onto `gpus` (pattern
     /// vertex `p` on `gpus[p]`), walked without building the pattern graph.
     /// An edgeless pattern (a 1-GPU job) aggregates `-0.0`, the empty `f64`
-    /// sum, as [`aggregated_bandwidth`] does: the schedule digests hash it.
+    /// sum, as Eq. 1's graph definition does: the schedule digests hash it.
     ///
     /// # Panics
     /// Panics if some `gpus` entry is busy, out of range or listed twice.
@@ -876,10 +865,24 @@ impl<'a> BestEmbedding<'a> {
     }
 }
 
+/// Eq. 1 — Aggregated Bandwidth: sum of hardware bandwidths over the
+/// pattern's edges under `embedding` (pattern vertex `p` placed on
+/// hardware vertex `embedding.image(p)`). The definition `SetScorer`'s
+/// edge walk is tested against.
+#[cfg(test)]
+pub(crate) fn aggregated_bandwidth(
+    pattern: &mapa_graph::PatternGraph,
+    hardware: &WeightedGraph,
+    embedding: &mapa_isomorph::Embedding,
+) -> f64 {
+    embedding.mapped_edge_weight(pattern, hardware)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mapa_graph::{Graph, PatternGraph};
+    use mapa_isomorph::Embedding;
     use mapa_model::{corpus, EffBwModel};
     use mapa_topology::{machines, PartitionPlan};
     use mapa_workloads::{GpuDemand, Workload};

@@ -7,13 +7,12 @@
 //!
 //! * [`vf2`] — a VF2-style backtracking matcher (the algorithm family the
 //!   paper cites via Cordella et al. and VF3) with bitset candidate pruning;
-//! * [`ullmann`] — Ullmann's bit-matrix algorithm, also cited by the paper,
-//!   kept as an independently-implemented cross-check backend;
+//!   [`brute_force_embeddings`] is the reference it is tested against;
 //! * [`symmetry`] — pattern automorphism detection and GraphZero-style
 //!   symmetry-breaking constraints, Peregrine's key trick for enumerating
 //!   each match exactly once per automorphism class;
-//! * [`Matcher`] — the high-level façade selecting backend and dedup mode
-//!   over one sequential enumeration;
+//! * [`Matcher`] — the high-level façade selecting search or reference and
+//!   dedup mode over one sequential enumeration;
 //! * [`pool`] — the scoped [`WorkerPool`] that cluster parallel dispatch
 //!   and campaigns run on: tasks borrow, and a nested scatter runs inline
 //!   (no matcher uses it).
@@ -56,7 +55,6 @@ mod matcher;
 mod order;
 pub mod pool;
 pub mod symmetry;
-pub mod ullmann;
 pub mod vf2;
 
 pub use brute::brute_force_embeddings;

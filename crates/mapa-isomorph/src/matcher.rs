@@ -1,15 +1,14 @@
 //! High-level matching façade.
 //!
-//! [`Matcher`] wraps the backends ([`crate::vf2`], [`crate::ullmann`],
-//! brute force) behind one configuration struct. One sequential
-//! enumeration — [`Matcher::for_each_with_frozen`] — selects the backend,
-//! applies symmetry-breaking deduplication and the frozen-vertex mask;
-//! collecting ([`Matcher::find`]) and counting ([`Matcher::count`]) are
-//! written on top of it.
+//! [`Matcher`] wraps the search ([`crate::vf2`]) and its brute-force
+//! reference behind one configuration struct. One sequential enumeration —
+//! [`Matcher::for_each_with_frozen`] — selects the backend, applies
+//! symmetry-breaking deduplication and the frozen-vertex mask; collecting
+//! ([`Matcher::find`]) is written on top of it.
 
 use crate::symmetry::{self, Constraint};
 use crate::vf2::Vf2Config;
-use crate::{brute_force_embeddings, ullmann, vf2, Embedding};
+use crate::{brute_force_embeddings, vf2, Embedding};
 use mapa_graph::{BitSet, Graph};
 
 /// Which search algorithm to run.
@@ -18,8 +17,6 @@ pub enum Backend {
     /// VF2-style backtracking with bitset pruning (default; fastest).
     #[default]
     Vf2,
-    /// Ullmann's bit-matrix algorithm (independent cross-check).
-    Ullmann,
     /// Exhaustive injective assignment (reference; exponential).
     BruteForce,
 }
@@ -103,14 +100,11 @@ impl Matcher {
             DedupMode::AllMappings => vec![],
         };
         match self.opts.backend {
-            // VF2 prunes on the constraints inside the search; the two
-            // reference backends filter complete assignments.
+            // VF2 prunes on the constraints inside the search; the
+            // reference filters complete assignments.
             Backend::Vf2 => {
                 vf2::enumerate(pattern, data, &Vf2Config { constraints }, frozen, visit)
             }
-            Backend::Ullmann => ullmann::enumerate(pattern, data, frozen, &mut |m| {
-                !symmetry::satisfies(m, &constraints) || visit(m)
-            }),
             Backend::BruteForce => {
                 for e in brute_force_embeddings(pattern, data) {
                     let m = e.as_slice();
@@ -121,17 +115,6 @@ impl Matcher {
                 }
             }
         }
-    }
-
-    /// Counts embeddings without materialising them.
-    #[must_use]
-    pub fn count<P: Copy, D: Copy>(&self, pattern: &Graph<P>, data: &Graph<D>) -> usize {
-        let mut n = 0usize;
-        self.for_each_with_frozen(pattern, data, None, &mut |_| {
-            n += 1;
-            true
-        });
-        n
     }
 }
 
@@ -149,7 +132,7 @@ mod tests {
         let pattern = PatternGraph::ring(4);
         let data = k(6);
         let mut results = Vec::new();
-        for backend in [Backend::Vf2, Backend::Ullmann, Backend::BruteForce] {
+        for backend in [Backend::Vf2, Backend::BruteForce] {
             let m = Matcher::new(MatchOptions {
                 backend,
                 dedup: DedupMode::AllMappings,
@@ -157,7 +140,6 @@ mod tests {
             results.push(m.find(&pattern, &data));
         }
         assert_eq!(results[0], results[1]);
-        assert_eq!(results[1], results[2]);
         assert!(!results[0].is_empty());
     }
 
@@ -166,7 +148,7 @@ mod tests {
         let pattern = PatternGraph::ring(5);
         let data = k(6);
         let mut results = Vec::new();
-        for backend in [Backend::Vf2, Backend::Ullmann, Backend::BruteForce] {
+        for backend in [Backend::Vf2, Backend::BruteForce] {
             let m = Matcher::new(MatchOptions {
                 backend,
                 ..MatchOptions::default()
@@ -174,7 +156,6 @@ mod tests {
             results.push(m.find(&pattern, &data));
         }
         assert_eq!(results[0], results[1]);
-        assert_eq!(results[1], results[2]);
         // C5 in K6: C(6,5) vertex sets × (5!/10) distinct cycles per set
         //   = 6 × 12 = 72 occurrences.
         assert_eq!(results[0].len(), 72);
@@ -198,7 +179,7 @@ mod tests {
         let pattern = PatternGraph::ring(3);
         let data = k(5);
         let frozen = mapa_graph::BitSet::from_indices(5, &[0, 1]);
-        for backend in [Backend::Vf2, Backend::Ullmann, Backend::BruteForce] {
+        for backend in [Backend::Vf2, Backend::BruteForce] {
             let m = Matcher::new(MatchOptions {
                 backend,
                 ..MatchOptions::default()
@@ -224,7 +205,7 @@ mod tests {
     fn streaming_agrees_with_collecting() {
         let pattern = PatternGraph::ring(4);
         let data = k(7);
-        for backend in [Backend::Vf2, Backend::Ullmann, Backend::BruteForce] {
+        for backend in [Backend::Vf2, Backend::BruteForce] {
             for dedup in [DedupMode::CanonicalOnly, DedupMode::AllMappings] {
                 let m = Matcher::new(MatchOptions { backend, dedup });
                 let collected = m.find(&pattern, &data);
@@ -237,7 +218,7 @@ mod tests {
                 let collected_raw: Vec<Vec<usize>> =
                     collected.iter().map(|e| e.as_slice().to_vec()).collect();
                 assert_eq!(streamed, collected_raw, "{backend:?}/{dedup:?}");
-                assert_eq!(m.count(&pattern, &data), collected.len());
+                assert_eq!(streamed.len(), collected.len(), "visit count");
             }
         }
     }
@@ -246,7 +227,7 @@ mod tests {
     fn streaming_early_stop() {
         let pattern = PatternGraph::ring(2);
         let data = k(6);
-        for backend in [Backend::Vf2, Backend::Ullmann, Backend::BruteForce] {
+        for backend in [Backend::Vf2, Backend::BruteForce] {
             let m = Matcher::new(MatchOptions {
                 backend,
                 ..MatchOptions::default()

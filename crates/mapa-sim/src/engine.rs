@@ -1287,11 +1287,11 @@ impl<B: SchedulerBackend> Engine<B> {
                 // is provably a no-op and its queue-depth sample is 0.
                 // Take the run of finish events due at this instant and
                 // release them in one call instead of N.
-                EventKind::JobFinished(mut record) if st.waiting == 0 => {
+                EventKind::JobFinished(mut running) if st.waiting == 0 => {
                     released.clear();
                     loop {
-                        released.push((record.server, record.pending.job.id));
-                        st.records.push(record.into_record(now));
+                        released.push((running.record.server, running.record.job.id));
+                        st.records.push(running.record);
                         let Some(TimedEvent {
                             payload: EventKind::JobFinished(next),
                             ..
@@ -1302,7 +1302,7 @@ impl<B: SchedulerBackend> Engine<B> {
                         else {
                             break;
                         };
-                        record = next;
+                        running = next;
                     }
                     self.backend.release_batch(&released);
                     // Each finish still contributes its (zero)
@@ -1310,9 +1310,10 @@ impl<B: SchedulerBackend> Engine<B> {
                     st.depth_samples += released.len() as u64;
                     continue;
                 }
-                EventKind::JobFinished(record) => {
-                    self.backend.release(record.server, record.pending.job.id);
-                    st.records.push(record.into_record(now));
+                EventKind::JobFinished(running) => {
+                    let record = running.record;
+                    self.backend.release(record.server, record.job.id);
+                    st.records.push(record);
                 }
             }
             if managed {
@@ -1525,12 +1526,12 @@ impl<B: SchedulerBackend> Engine<B> {
     /// backend).
     fn handle_evictions(&mut self, evictions: Vec<Eviction>, now: f64, st: &mut RunState) {
         let is_victim = |id: u64| evictions.iter().any(|ev| ev.job_id == id);
-        let mut victims: Vec<Box<PendingRecord>> = st
+        let mut victims: Vec<Box<Running>> = st
             .events
-            .extract(|e| matches!(e, EventKind::JobFinished(r) if is_victim(r.pending.job.id)))
+            .extract(|e| matches!(e, EventKind::JobFinished(r) if is_victim(r.record.job.id)))
             .into_iter()
             .filter_map(|e| match e {
-                EventKind::JobFinished(record) => Some(record),
+                EventKind::JobFinished(running) => Some(running),
                 EventKind::JobArrival => None,
             })
             .collect();
@@ -1538,16 +1539,28 @@ impl<B: SchedulerBackend> Engine<B> {
         for ev in evictions {
             let at = victims
                 .iter()
-                .position(|r| r.pending.job.id == ev.job_id)
+                .position(|r| r.record.job.id == ev.job_id)
                 .expect("evicted job was running");
-            let record = victims.swap_remove(at);
+            let Running {
+                record,
+                completed_iterations,
+                restore_penalty_seconds,
+            } = *victims.swap_remove(at);
             debug_assert_eq!(
                 record.server, ev.server,
                 "eviction names the victim's server"
             );
             st.shielded.insert(ev.job_id);
             let elapsed = now - record.started_at;
-            let mut pending = record.pending;
+            let mut pending = PendingJob {
+                job: record.job,
+                submitted_at: record.submitted_at,
+                gang: record.gang,
+                completed_iterations,
+                preemptions: record.preemptions,
+                preempted_seconds: record.preempted_seconds,
+                restore_penalty_seconds,
+            };
             // Checkpoint whole iterations completed this run (the restore
             // penalty at the head of the run is not productive time).
             let remaining = pending.remaining_iterations();
@@ -1626,20 +1639,31 @@ impl<B: SchedulerBackend> Engine<B> {
                 st.gangs.max_wait_seconds = st.gangs.max_wait_seconds.max(wait);
             }
         }
-        let record = Box::new(PendingRecord {
-            server: p.server,
-            gpus: p.gpus,
-            started_at: now,
-            execution_seconds: exec,
-            predicted_eff_bw: p.score.predicted_eff_bw,
-            measured_eff_bw,
-            workload_eff_bw: workload_bw,
-            aggregated_bw: p.score.aggregated_bw,
-            allocation_quality,
-            scheduling_overhead: p.scheduling_overhead,
-            pending,
+        let finished_at = now + exec;
+        let running = Box::new(Running {
+            completed_iterations: pending.completed_iterations,
+            restore_penalty_seconds: pending.restore_penalty_seconds,
+            record: JobRecord {
+                queue_wait_seconds: now - pending.submitted_at - pending.preempted_seconds,
+                submitted_at: pending.submitted_at,
+                started_at: now,
+                finished_at,
+                execution_seconds: exec,
+                gang: pending.gang,
+                preemptions: pending.preemptions,
+                preempted_seconds: pending.preempted_seconds,
+                job: pending.job,
+                server: p.server,
+                gpus: p.gpus,
+                predicted_eff_bw: p.score.predicted_eff_bw,
+                measured_eff_bw,
+                workload_eff_bw: workload_bw,
+                aggregated_bw: p.score.aggregated_bw,
+                allocation_quality,
+                scheduling_overhead: p.scheduling_overhead,
+            },
         });
-        st.events.push(now + exec, EventKind::JobFinished(record));
+        st.events.push(finished_at, EventKind::JobFinished(running));
     }
 }
 
@@ -1689,10 +1713,19 @@ enum EventKind {
     /// fires.
     JobArrival,
     /// A running job completes and frees its GPUs. The event owns the
-    /// job's running record — there is no other — so evicting the job is
-    /// taking its event out of the queue. Boxed: the heap moves events
-    /// on every sift, and the record is 232 bytes against the box's 8.
-    JobFinished(Box<PendingRecord>),
+    /// job's record — there is no other — so evicting the job is taking
+    /// its event out of the queue. Boxed: the heap moves events on every
+    /// sift, and the running job is 248 bytes against the box's 8.
+    JobFinished(Box<Running>),
+}
+
+/// A running job: the record it logs when it finishes (its finish time is
+/// the event's), and the two fields of its [`PendingJob`] the record
+/// lacks, which an eviction needs to requeue it.
+struct Running {
+    record: JobRecord,
+    completed_iterations: u64,
+    restore_penalty_seconds: f64,
 }
 
 /// What the engine's count of waiting jobs is checked against: per
@@ -1759,46 +1792,6 @@ impl RunState {
     /// queues: a recount of [`Self::waiting`].
     fn queued(&self, backend: &impl SchedulerBackend) -> usize {
         self.queue.iter().map(QueueItem::job_count).sum::<usize>() + backend.queued_jobs()
-    }
-}
-
-struct PendingRecord {
-    pending: PendingJob,
-    server: usize,
-    gpus: Vec<usize>,
-    started_at: f64,
-    execution_seconds: f64,
-    predicted_eff_bw: f64,
-    measured_eff_bw: f64,
-    workload_eff_bw: f64,
-    aggregated_bw: f64,
-    allocation_quality: f64,
-    scheduling_overhead: Duration,
-}
-
-impl PendingRecord {
-    fn into_record(self, finished_at: f64) -> JobRecord {
-        JobRecord {
-            queue_wait_seconds: self.started_at
-                - self.pending.submitted_at
-                - self.pending.preempted_seconds,
-            submitted_at: self.pending.submitted_at,
-            started_at: self.started_at,
-            finished_at,
-            execution_seconds: self.execution_seconds,
-            gang: self.pending.gang,
-            preemptions: self.pending.preemptions,
-            preempted_seconds: self.pending.preempted_seconds,
-            job: self.pending.job,
-            server: self.server,
-            gpus: self.gpus,
-            predicted_eff_bw: self.predicted_eff_bw,
-            measured_eff_bw: self.measured_eff_bw,
-            workload_eff_bw: self.workload_eff_bw,
-            aggregated_bw: self.aggregated_bw,
-            allocation_quality: self.allocation_quality,
-            scheduling_overhead: self.scheduling_overhead,
-        }
     }
 }
 

@@ -4,10 +4,13 @@
 //! a bursty job mix, and compares the four server-selection policies on
 //! makespan, balance, and cross-server fragmentation — the scale axis the
 //! single-server paper setting cannot ask about. A second study switches
-//! the fleet to per-shard queues (`--dispatch parallel --migration steal`
-//! in the CLI) and compares the three migration policies: per-shard FIFO
-//! routing is cheap but can strand work behind a hot shard; stealing and
-//! release-time rebalancing drain the imbalance.
+//! the fleet to per-shard queues (`--shard-queue-depth 8` in the CLI, or
+//! any `--migration` other than `none`) and compares the three migration
+//! policies: per-shard FIFO routing is cheap but can strand work behind a
+//! hot shard; stealing and release-time rebalancing drain the imbalance.
+//!
+//! The fleet is built by hand, not through `mapa::runspec::RunSpec`: it is
+//! heterogeneous, and a `RunSpec` runs copies of one machine.
 //!
 //! Run with: `cargo run --release --example cluster_fleet`
 
@@ -86,7 +89,7 @@ fn main() {
     );
 
     println!(
-        "\nper-shard queues (depth 8, parallel dispatch) under least-loaded\n\
+        "\nper-shard queues (depth 8) under least-loaded\n\
          routing — migration drains work stranded behind hot shards:"
     );
     for migration in [
@@ -102,11 +105,6 @@ fn main() {
         );
         describe(&report);
     }
-    println!(
-        "\nparallel dispatch evaluates every shard's head-of-queue decision\n\
-         concurrently on scoped worker threads; tests/dispatch_equivalence.rs\n\
-         proves the schedules above are bit-identical to sequential dispatch."
-    );
 }
 
 fn run_queued(migration: MigrationPolicy, jobs: &[JobSpec]) -> SimReport {
@@ -116,7 +114,6 @@ fn run_queued(migration: MigrationPolicy, jobs: &[JobSpec]) -> SimReport {
         Box::new(LeastLoadedPolicy),
     )
     .with_shard_queues(8)
-    .with_dispatch(DispatchMode::Parallel)
     .with_migration(migration);
     Engine::over(cluster)
         .with_config(SimConfig {

@@ -6,6 +6,9 @@
 //! useful as a lower bound), and compares it with Preserve on the same
 //! job stream.
 //!
+//! It builds its own `Simulation` rather than a `mapa::runspec::RunSpec`: a
+//! `RunSpec` resolves a built-in policy by name, and WorstFit is not one.
+//!
 //! Run with: `cargo run --release --example custom_policy`
 
 use mapa::core::policy::{AllocationPolicy, PolicyContext};

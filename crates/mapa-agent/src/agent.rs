@@ -55,7 +55,7 @@ pub enum AgentError {
     LockTimeout {
         /// Lock path.
         path: String,
-        /// Holder pid, when the lockfile named one.
+        /// Holder pid, when the lock file named one.
         holder: Option<u32>,
     },
     /// The probe failed.
@@ -329,7 +329,7 @@ impl<P: GpuProbe> Agent<P> {
         Ok(self)
     }
 
-    /// The coordination directory (reclaim counters live here).
+    /// The coordination directory (lock file and ledger).
     #[must_use]
     pub fn state_dir(&self) -> &StateDir {
         &self.state

@@ -1,21 +1,20 @@
-//! Lockfile-coordinated on-disk state: how concurrent agent invocations
+//! Lock-coordinated on-disk state: how concurrent agent invocations
 //! share one machine without double-booking a GPU.
 //!
 //! A *state directory* holds two things:
 //!
-//! * **`agent.lock`** — a classic O_EXCL-style lockfile serializing
-//!   every probe→decide→actuate critical section. Acquisition is
-//!   atomic: the claimant writes its identity (`pid <pid> nonce <n>`)
-//!   to a private temp file and [`std::fs::hard_link`]s it onto the
-//!   lock path, so the lock file is never observable half-written.
-//!   A lock whose recorded pid is dead (per the injectable liveness
-//!   check) is *stale*: reclaiming renames it to a per-pid graveyard
-//!   name — the rename succeeds for exactly one contender — verifies
-//!   the corpse still names the dead pid (guarding the ABA case where
-//!   the owner released and someone else re-acquired between the read
-//!   and the rename; a mismatch is renamed straight back), and retries
-//!   acquisition. [`StateDir::lock_reclaims`] counts wins, which the
-//!   concurrency harness pins to exactly one per crashed agent.
+//! * **`agent.lock`** — the file whose kernel advisory lock
+//!   ([`std::fs::File::try_lock`]) serializes every
+//!   probe→decide→actuate critical section. [`LockGuard`] owns the open
+//!   file, so the lock is released whenever that file closes: on drop,
+//!   on a panic's unwind, or when the process dies. No holder is ever
+//!   judged stale, so a leftover file — whatever pid it names — blocks
+//!   no one. The holder writes `pid <pid>` into the file so a timed-out
+//!   contender can name it. No code path removes `agent.lock`: a
+//!   contender may already have it open, and after an unlink two agents
+//!   could lock two different inodes. Agents built before this lock
+//!   (which linked and unlinked the file instead) do not see it, so
+//!   agents of both kinds must not share a state directory.
 //! * **`agent.ledger`** — the allocation ledger: every live lease
 //!   (id, owning pid, GPU set, tag) under a monotonic generation
 //!   counter, serialized in a strict line format that ends with an
@@ -25,9 +24,11 @@
 //!   *fails closed*: no lease is ever derived from a ledger it cannot
 //!   prove it read back intact.
 //!
-//! Pid liveness is a [`StateDir::with_liveness`]-injectable function
-//! (default: `/proc/<pid>` existence) so the offline harness can model
-//! crashed agents deterministically.
+//! Pid liveness, which prunes dead agents' leases and tells ghost
+//! processes from stale accounting, is a [`StateDir::with_liveness`]-
+//! injectable function (default: `/proc/<pid>` existence) so the
+//! offline harness can model crashed agents deterministically. The lock
+//! does not consult it.
 
 use crate::AgentError;
 use mapa_topology::Fnv1a;
@@ -35,7 +36,6 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
@@ -43,8 +43,8 @@ use std::time::{Duration, Instant, SystemTime};
 pub type LivenessFn = Arc<dyn Fn(u32) -> bool + Send + Sync>;
 
 /// Default liveness: does `/proc/<pid>` exist? On platforms without
-/// procfs every pid is presumed alive, which disables stale-lock
-/// reclaim rather than risking the theft of a live lock.
+/// procfs every pid is presumed alive, so every lease is kept and no
+/// process-table entry is discounted as stale.
 #[must_use]
 pub fn proc_liveness() -> LivenessFn {
     Arc::new(|pid: u32| {
@@ -58,6 +58,8 @@ pub fn proc_liveness() -> LivenessFn {
 
 const LOCK_FILE: &str = "agent.lock";
 const LEDGER_FILE: &str = "agent.ledger";
+/// The ledger's staging name; one suffices, as only the lock holder writes.
+const LEDGER_TMP_FILE: &str = ".ledger.tmp";
 const LEDGER_MAGIC: &str = "mapa-agent ledger v1";
 
 /// One granted allocation, as recorded in the ledger.
@@ -241,9 +243,6 @@ pub struct StateDir {
     pid: u32,
     liveness: LivenessFn,
     lock_timeout: Duration,
-    poll_interval: Duration,
-    reclaims: AtomicU64,
-    nonce: AtomicU64,
 }
 
 impl std::fmt::Debug for StateDir {
@@ -272,13 +271,10 @@ impl StateDir {
             pid: std::process::id(),
             liveness: proc_liveness(),
             lock_timeout: Duration::from_secs(10),
-            poll_interval: Duration::from_millis(2),
-            reclaims: AtomicU64::new(0),
-            nonce: AtomicU64::new(0),
         })
     }
 
-    /// Overrides the pid recorded in locks and leases (testing).
+    /// Overrides the pid recorded in the lock file and leases (testing).
     #[must_use]
     pub fn with_pid(mut self, pid: u32) -> Self {
         self.pid = pid;
@@ -311,7 +307,7 @@ impl StateDir {
         self.pid
     }
 
-    /// Path of the lockfile.
+    /// Path of the lock file.
     #[must_use]
     pub fn lock_path(&self) -> PathBuf {
         self.root.join(LOCK_FILE)
@@ -323,20 +319,10 @@ impl StateDir {
         self.root.join(LEDGER_FILE)
     }
 
-    /// How many stale locks this handle has reclaimed.
-    #[must_use]
-    pub fn lock_reclaims(&self) -> u64 {
-        self.reclaims.load(Ordering::SeqCst)
-    }
-
     /// Whether `pid` is alive per this handle's liveness check.
     #[must_use]
     pub fn pid_alive(&self, pid: u32) -> bool {
         (self.liveness)(pid)
-    }
-
-    fn next_nonce(&self) -> u64 {
-        self.nonce.fetch_add(1, Ordering::SeqCst)
     }
 
     fn io_err(&self, what: &str, e: &std::io::Error) -> AgentError {
@@ -346,94 +332,46 @@ impl StateDir {
         }
     }
 
-    /// Acquires the exclusive agent lock, reclaiming stale (dead-pid)
-    /// locks along the way.
+    /// Acquires the exclusive agent lock: the kernel's advisory lock on
+    /// `agent.lock`, retried every 2 ms until the configured timeout,
+    /// whatever the file already says. The holder then records its pid
+    /// in the file; the file itself is never removed.
     ///
     /// # Errors
-    /// [`AgentError::LockTimeout`] if a live holder keeps the lock past
+    /// [`AgentError::LockTimeout`] if another holder keeps the lock past
     /// the configured timeout; [`AgentError::StateIo`] on filesystem
     /// failures.
     pub fn lock(&self) -> Result<LockGuard, AgentError> {
-        let lock = self.lock_path();
+        let path = self.lock_path();
+        let mut file = fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path)
+            .map_err(|e| self.io_err("opening lock", &e))?;
         let deadline = Instant::now() + self.lock_timeout;
         loop {
-            // Stage identity in a private file, then link it onto the
-            // lock path: atomic acquire, content complete at link time.
-            let nonce = self.next_nonce();
-            let tmp = self.root.join(format!(".lock.{}.{}", self.pid, nonce));
-            let claim = format!("pid {} nonce {}\n", self.pid, nonce);
-            fs::write(&tmp, &claim).map_err(|e| self.io_err("staging lock claim", &e))?;
-            let linked = fs::hard_link(&tmp, &lock);
-            let _ = fs::remove_file(&tmp);
-            match linked {
-                Ok(()) => {
-                    return Ok(LockGuard {
-                        path: lock,
-                        armed: true,
-                    })
+            match file.try_lock() {
+                Ok(()) => break,
+                Err(fs::TryLockError::WouldBlock) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(2));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {}
-                Err(e) => return Err(self.io_err("acquiring lock", &e)),
-            }
-
-            // Held. Read the holder; a vanished file means it was just
-            // released — retry immediately.
-            let content = match fs::read_to_string(&lock) {
-                Ok(c) => c,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(self.io_err("reading lock holder", &e)),
-            };
-            let holder = parse_lock_pid(&content);
-            match holder {
-                Some(pid) if !(self.liveness)(pid) => {
-                    if self.try_reclaim(&lock, &content, pid)? {
-                        self.reclaims.fetch_add(1, Ordering::SeqCst);
-                    }
-                    // Either way the stale lock is gone (we removed it,
-                    // a contender did, or it turned out live again) —
-                    // retry without sleeping.
-                    continue;
+                Err(fs::TryLockError::WouldBlock) => {
+                    let holder = fs::read_to_string(&path).ok();
+                    return Err(AgentError::LockTimeout {
+                        path: path.display().to_string(),
+                        holder: holder.as_deref().and_then(parse_lock_pid),
+                    });
                 }
-                // Live holder, or a claim we cannot attribute (possibly
-                // a foreign writer): wait politely.
-                _ => {}
+                Err(fs::TryLockError::Error(e)) => return Err(self.io_err("acquiring lock", &e)),
             }
-            if Instant::now() >= deadline {
-                return Err(AgentError::LockTimeout {
-                    path: lock.display().to_string(),
-                    holder,
-                });
-            }
-            std::thread::sleep(self.poll_interval);
         }
-    }
-
-    /// Moves a stale lock out of the way. Returns `true` when *this*
-    /// contender retired it (exactly one contender can: the graveyard
-    /// rename races on the shared source path and the loser sees
-    /// `NotFound`).
-    fn try_reclaim(&self, lock: &Path, observed: &str, dead_pid: u32) -> Result<bool, AgentError> {
-        let grave = self
-            .root
-            .join(format!(".lock.stale.{}.{}", self.pid, self.next_nonce()));
-        match fs::rename(lock, &grave) {
-            Ok(()) => {}
-            // Someone else reclaimed (or the owner released) first.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-            Err(e) => return Err(self.io_err("reclaiming stale lock", &e)),
-        }
-        // ABA guard: between our read and the rename, the dead holder's
-        // lock could have been released by a reclaim and re-acquired by
-        // a *live* agent. Verify the corpse is the claim we observed;
-        // if not, put it straight back and treat this as no reclaim.
-        let corpse = fs::read_to_string(&grave).unwrap_or_default();
-        if corpse == observed && parse_lock_pid(&corpse) == Some(dead_pid) {
-            let _ = fs::remove_file(&grave);
-            Ok(true)
-        } else {
-            fs::rename(&grave, lock).map_err(|e| self.io_err("restoring stolen lock", &e))?;
-            Ok(false)
-        }
+        // Truncated only once locked, so a waiting contender never erases
+        // the holder's name.
+        file.set_len(0)
+            .and_then(|()| file.write_all(format!("pid {}\n", self.pid).as_bytes()))
+            .map_err(|e| self.io_err("recording lock holder", &e))?;
+        Ok(LockGuard { _file: file })
     }
 
     /// Reads the ledger. A missing file is an empty ledger; anything
@@ -457,9 +395,7 @@ impl StateDir {
     /// # Errors
     /// [`AgentError::StateIo`].
     pub fn write_ledger(&self, _guard: &LockGuard, ledger: &Ledger) -> Result<(), AgentError> {
-        let tmp = self
-            .root
-            .join(format!(".ledger.{}.{}", self.pid, self.next_nonce()));
+        let tmp = self.root.join(LEDGER_TMP_FILE);
         let write = || -> std::io::Result<()> {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(ledger.render().as_bytes())?;
@@ -485,8 +421,8 @@ impl StateDir {
     }
 }
 
-/// The pid a lock file names: ASCII digits only, so a lock that does not
-/// name its holder plainly is unattributable and left alone.
+/// The pid the lock file names: ASCII digits only, so content that does
+/// not name its holder plainly names no one.
 fn parse_lock_pid(content: &str) -> Option<u32> {
     let pid = content.strip_prefix("pid ")?.split_whitespace().next()?;
     if !pid.bytes().all(|b| b.is_ascii_digit()) {
@@ -495,31 +431,12 @@ fn parse_lock_pid(content: &str) -> Option<u32> {
     pid.parse().ok()
 }
 
-/// RAII guard for the agent lock: dropping it releases the lock.
+/// The held agent lock. It owns the locked file, and the kernel releases
+/// the lock when that file closes: on drop, on a panic's unwind, or when
+/// the process dies.
 #[derive(Debug)]
 pub struct LockGuard {
-    path: PathBuf,
-    armed: bool,
-}
-
-impl LockGuard {
-    /// Releases explicitly (drop does the same).
-    pub fn release(mut self) {
-        self.release_inner();
-    }
-
-    fn release_inner(&mut self) {
-        if self.armed {
-            self.armed = false;
-            let _ = fs::remove_file(&self.path);
-        }
-    }
-}
-
-impl Drop for LockGuard {
-    fn drop(&mut self) {
-        self.release_inner();
-    }
+    _file: fs::File,
 }
 
 #[cfg(test)]
@@ -635,10 +552,31 @@ mod tests {
         drop(guard);
         let again = a.lock().unwrap();
         drop(again);
-        assert!(!a.lock_path().exists());
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Whatever a dead agent, a reused pid or a foreign writer left in
+    /// `agent.lock`, the lock is free while no open file holds it.
+    #[test]
+    fn a_leftover_lock_file_does_not_block() {
+        let dir = tmpdir("leftover");
+        let state = StateDir::new(&dir)
+            .unwrap()
+            .with_lock_timeout(Duration::ZERO);
+        let live = format!("pid {} nonce 0\n", std::process::id());
+        for leftover in ["pid 666 nonce 0\n", &live, "something else entirely\n"] {
+            fs::write(state.lock_path(), leftover).unwrap();
+            let guard = state
+                .lock()
+                .unwrap_or_else(|e| panic!("leftover {leftover:?} blocked the lock: {e}"));
+            drop(guard);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A lock file a crashed agent left behind blocks no one: the next
+    /// holder takes it over and names itself. A held lock is never taken,
+    /// not even by a contender whose liveness check calls its holder dead.
     #[test]
     fn stale_lock_is_reclaimed_live_lock_is_not() {
         let dir = tmpdir("stale");
@@ -652,15 +590,27 @@ mod tests {
         // A crashed agent (pid 666) left its lock behind.
         fs::write(state.lock_path(), "pid 666 nonce 0\n").unwrap();
         let guard = state.lock().expect("stale lock must be reclaimed");
-        assert_eq!(state.lock_reclaims(), 1);
+        assert_eq!(fs::read_to_string(state.lock_path()).unwrap(), "pid 1000\n");
         drop(guard);
         // A live holder's lock is respected until timeout.
-        fs::write(state.lock_path(), "pid 1000 nonce 1\n").unwrap();
-        assert!(state.lock().is_err());
-        assert_eq!(state.lock_reclaims(), 1);
+        let guard = state.lock().unwrap();
+        let contender = StateDir::new(&dir)
+            .unwrap()
+            .with_pid(2000)
+            .with_liveness(Arc::new(|_| false))
+            .with_lock_timeout(Duration::from_millis(40));
+        match contender.lock().unwrap_err() {
+            AgentError::LockTimeout { holder, .. } => assert_eq!(holder, Some(1000)),
+            other => panic!("expected LockTimeout, got {other}"),
+        }
+        drop(guard);
+        drop(contender.lock().expect("a released lock is free"));
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Lock file content that names no holder plainly neither blocks a
+    /// free lock nor frees a held one; a contender timing out on such a
+    /// lock names no holder.
     #[test]
     fn unattributable_lock_content_is_respected_not_reclaimed() {
         let dir = tmpdir("foreign");
@@ -670,12 +620,19 @@ mod tests {
             .with_lock_timeout(Duration::from_millis(40));
         for foreign in ["something else entirely\n", "pid +123 nonce 0\n"] {
             fs::write(state.lock_path(), foreign).unwrap();
-            assert!(
-                state.lock().is_err(),
-                "foreign lock content must not be stolen: {foreign:?}"
-            );
+            let guard = state
+                .lock()
+                .unwrap_or_else(|e| panic!("leftover {foreign:?} blocked the lock: {e}"));
+            // A foreign writer overwrites the held lock's content.
+            fs::write(state.lock_path(), foreign).unwrap();
+            match state.lock().unwrap_err() {
+                AgentError::LockTimeout { holder, .. } => {
+                    assert_eq!(holder, None, "{foreign:?} names no holder");
+                }
+                other => panic!("expected LockTimeout, got {other}"),
+            }
+            drop(guard);
         }
-        assert_eq!(state.lock_reclaims(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -20,17 +20,19 @@
 //!    `MapaAllocator`, so placements on hardware are the same
 //!    placements the simulator would make. No allocator semantics are
 //!    duplicated here.
-//! 4. **Actuate** — the decision is recorded in a lockfile-coordinated
+//! 4. **Actuate** — the decision is recorded in a lock-coordinated
 //!    on-disk ledger ([`StateDir`]) and handed back as a
 //!    `CUDA_VISIBLE_DEVICES` string. Concurrent agents on one machine
-//!    serialize through the lock, reclaim stale (dead-pid) locks
-//!    exactly once, and fail closed on any ledger they cannot prove
-//!    intact — no double-booking, no partial actuation.
+//!    serialize through the kernel's lock on one file, which an agent
+//!    that dies gives up with its open files, and fail closed on any
+//!    ledger they cannot prove intact — no double-booking, no partial
+//!    actuation.
 //!
 //! The CLI lives in the workspace root (`mapa-agent` binary); this
 //! crate is the library underneath it and under the offline test
 //! harness (`tests/agent_*.rs` at the workspace root).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agent;

@@ -157,6 +157,18 @@ pub trait GpuProbe {
     fn snapshot(&mut self) -> Result<ProbeSnapshot, ProbeError>;
 }
 
+/// A boxed probe is a probe, so a front end can pick its backend at run
+/// time (`Agent<Box<dyn GpuProbe>>`).
+impl<P: GpuProbe + ?Sized> GpuProbe for Box<P> {
+    fn source(&self) -> String {
+        (**self).source()
+    }
+
+    fn snapshot(&mut self) -> Result<ProbeSnapshot, ProbeError> {
+        (**self).snapshot()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -875,7 +875,10 @@ pub(crate) fn aggregated_bandwidth(
     hardware: &WeightedGraph,
     embedding: &mapa_isomorph::Embedding,
 ) -> f64 {
-    embedding.mapped_edge_weight(pattern, hardware)
+    pattern
+        .edges()
+        .filter_map(|(u, v, _)| hardware.weight(embedding.image(u), embedding.image(v)))
+        .sum()
 }
 
 #[cfg(test)]

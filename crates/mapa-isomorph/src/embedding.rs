@@ -1,7 +1,5 @@
 //! Embeddings: injective maps from pattern vertices to data vertices.
 
-use mapa_graph::Graph;
-
 /// An embedding of a pattern graph into a data graph.
 ///
 /// `map[p]` is the data vertex assigned to pattern vertex `p`. The map is
@@ -63,20 +61,6 @@ impl Embedding {
         v.sort_unstable();
         v
     }
-
-    /// Sum of data-graph weights over the *pattern's* edges — the paper's
-    /// Aggregated Bandwidth (Eq. 1) when `data` is a hardware graph: only
-    /// links the application actually uses are counted.
-    ///
-    /// Pattern edges whose images are not connected in `data` contribute 0
-    /// (cannot happen for monomorphic embeddings, but the method is total).
-    #[must_use]
-    pub fn mapped_edge_weight<W: Copy>(&self, pattern: &Graph<W>, data: &Graph<f64>) -> f64 {
-        pattern
-            .edges()
-            .filter_map(|(u, v, _)| data.weight(self.image(u), self.image(v)))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -85,8 +69,8 @@ impl Embedding {
     /// into `data`: injective, in-range, and edge-preserving.
     pub(crate) fn is_valid_monomorphism<P: Copy, D: Copy>(
         &self,
-        pattern: &Graph<P>,
-        data: &Graph<D>,
+        pattern: &mapa_graph::Graph<P>,
+        data: &mapa_graph::Graph<D>,
     ) -> bool {
         if self.map.len() != pattern.vertex_count() {
             return false;
@@ -118,22 +102,6 @@ mod tests {
         assert_eq!(e.vertex_set(), vec![1, 2, 3]);
         assert!(!e.is_empty());
         assert!(Embedding::new(vec![]).is_empty());
-    }
-
-    #[test]
-    fn mapped_edge_weight_counts_only_pattern_edges() {
-        // Pattern: chain 0-1-2. Data: triangle with distinct weights.
-        let pattern = PatternGraph::chain(3);
-        let mut data = Graph::new(3);
-        for (u, v, w) in [(0, 1, 50.0), (1, 2, 25.0), (0, 2, 12.0)] {
-            data.add_edge(u, v, w).unwrap();
-        }
-        let e = Embedding::new(vec![0, 1, 2]);
-        // Chain uses edges (0,1) and (1,2) only; the 12.0 link is unused.
-        assert!((e.mapped_edge_weight(&pattern, &data) - 75.0).abs() < 1e-12);
-        // Different embedding of the same vertex set uses different links.
-        let e2 = Embedding::new(vec![1, 0, 2]);
-        assert!((e2.mapped_edge_weight(&pattern, &data) - 62.0).abs() < 1e-12);
     }
 
     #[test]

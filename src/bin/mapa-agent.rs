@@ -6,7 +6,7 @@
 //! works offline), maps what it sees onto a MAPA machine description,
 //! places the request with the same allocator the simulator uses, and
 //! actuates by printing a `CUDA_VISIBLE_DEVICES` line and recording a
-//! lease in the lockfile-coordinated state directory. Concurrent agents
+//! lease in the lock-coordinated state directory. Concurrent agents
 //! pointed at one `--state-dir` never double-book a GPU.
 
 use mapa::agent::{Agent, AllocateRequest, FakeProbe, GpuProbe, SmiProbe, StateDir};
@@ -51,31 +51,9 @@ fn main() -> ExitCode {
     })
 }
 
-/// Either probe backend behind one seam.
-enum AnyProbe {
-    Smi(SmiProbe),
-    Fake(FakeProbe),
-}
-
-impl GpuProbe for AnyProbe {
-    fn source(&self) -> String {
-        match self {
-            AnyProbe::Smi(p) => p.source(),
-            AnyProbe::Fake(p) => p.source(),
-        }
-    }
-
-    fn snapshot(&mut self) -> Result<mapa::agent::ProbeSnapshot, mapa::agent::ProbeError> {
-        match self {
-            AnyProbe::Smi(p) => p.snapshot(),
-            AnyProbe::Fake(p) => p.snapshot(),
-        }
-    }
-}
-
-fn resolve_probe(spec: &str) -> Result<AnyProbe, String> {
+fn resolve_probe(spec: &str) -> Result<Box<dyn GpuProbe>, String> {
     if spec == "smi" {
-        return Ok(AnyProbe::Smi(SmiProbe::new()));
+        return Ok(Box::new(SmiProbe::new()));
     }
     let Some(machine_name) = spec.strip_prefix("fake:") else {
         return Err(format!(
@@ -94,16 +72,14 @@ fn resolve_probe(spec: &str) -> Result<AnyProbe, String> {
     } else {
         "Tesla V100-SXM2-16GB"
     };
-    Ok(AnyProbe::Fake(FakeProbe::from_machine(
-        &machine, model, 16_160,
-    )))
+    Ok(Box::new(FakeProbe::from_machine(&machine, model, 16_160)))
 }
 
 fn state_dir(args: &Args) -> Result<StateDir, String> {
     StateDir::new(args.str("--state-dir").unwrap_or(".mapa-agent")).map_err(|e| e.to_string())
 }
 
-fn build_agent(args: &Args) -> Result<Agent<AnyProbe>, String> {
+fn build_agent(args: &Args) -> Result<Agent<Box<dyn GpuProbe>>, String> {
     let probe = resolve_probe(args.str("--probe").unwrap_or("smi"))?;
     Ok(Agent::new(probe, state_dir(args)?))
 }
@@ -203,7 +179,7 @@ fn cmd_release(args: &Args) -> Result<(), String> {
     let lease = args.get("--lease")?.expect("required by the table");
     // Release never probes hardware; any probe backend satisfies the
     // type, so hand it the offline fake.
-    let mut agent = Agent::new(AnyProbe::Fake(FakeProbe::dgx1_v100()), state_dir(args)?);
+    let mut agent = Agent::new(FakeProbe::dgx1_v100(), state_dir(args)?);
     let gpus = agent.release(lease).map_err(|e| e.to_string())?;
     println!("released lease {lease}: GPUs {gpus:?}");
     Ok(())

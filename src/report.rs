@@ -667,7 +667,10 @@ mod tests {
         let n = r >> 11;
         match r % if depth < 3 { 7 } else { 5 } {
             0 => (Value::Null, Json::Null),
-            1 => (Value::Bool(n % 2 == 0), Json::Bool(n % 2 == 0)),
+            1 => (
+                Value::Bool(n.is_multiple_of(2)),
+                Json::Bool(n.is_multiple_of(2)),
+            ),
             2 => (Value::Int(n), Json::Number(n as f64)),
             3 | 4 => {
                 let text: String = (0..n % 9)

@@ -14,8 +14,9 @@
 
 use mapa::agent::{LivenessFn, ProbeError};
 use mapa::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -25,6 +26,15 @@ fn tmpdir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Whether a fresh agent locks `dir` at once.
+fn lock_is_free(dir: &Path) -> bool {
+    StateDir::new(dir)
+        .unwrap()
+        .with_lock_timeout(Duration::ZERO)
+        .lock()
+        .is_ok()
 }
 
 /// Liveness that knows exactly one live pid besides the agent's own.
@@ -152,7 +162,7 @@ fn corrupt_ledger_fails_closed_with_no_partial_actuation() {
             bad,
             "{name}"
         );
-        assert!(!dir.join("agent.lock").exists(), "{name}: lock leaked");
+        assert!(lock_is_free(&dir), "{name}: lock leaked");
     }
 
     // Restoring the intact ledger restores service — nothing was lost.
@@ -181,9 +191,9 @@ fn probe_fault_mid_allocate_rolls_back_the_lock() {
         matches!(err, AgentError::Probe(ProbeError::Injected(_))),
         "expected the injected probe fault, got {err}"
     );
-    // Rollback: the lock is gone and the ledger is byte-identical.
+    // Rollback: the lock is free and the ledger is byte-identical.
     assert!(
-        !dir.join("agent.lock").exists(),
+        lock_is_free(&dir),
         "probe fault must not leak the agent lock"
     );
     let after = std::fs::read_to_string(dir.join("agent.ledger")).unwrap();

@@ -1,16 +1,17 @@
-//! Concurrency safety of the agent's lockfile + ledger protocol,
-//! checked with many fake agents hammering one state directory:
+//! Concurrency safety of the agent's lock + ledger protocol, checked
+//! with many fake agents hammering one state directory:
 //!
 //! * **mutual exclusion** — no GPU is ever held by two live leases at
 //!   the same time (a shared holder map is asserted at every claim);
 //! * **conservation** — every claimed GPU is released exactly once, and
 //!   the machine ends with its full device set free and an empty ledger;
-//! * **stale-lock reclaim** — a lock left by a crashed (dead-pid) agent
-//!   is reclaimed by *exactly one* of the contenders racing for it.
+//! * **a holder that dies frees the lock** — the kernel lock goes with
+//!   the holder's open file, so contenders are never left waiting on an
+//!   agent that is gone, while a live holder blocks them until it lets go.
 //!
 //! All agents run in one process with synthetic pids and an injected
-//! liveness registry, so "crashed" is deterministic and the test needs
-//! no real processes, GPUs, or drivers.
+//! liveness registry (which prunes dead agents' leases), so the test
+//! needs no real processes, GPUs, or drivers.
 
 use mapa::agent::LivenessFn;
 use mapa::prelude::*;
@@ -138,24 +139,26 @@ proptest! {
     }
 }
 
-/// A lock left behind by a crashed agent is reclaimed exactly once, no
-/// matter how many contenders race for it.
+/// A holder that dies — here a thread that panics while holding the
+/// lock — frees it: every contender then locks.
 #[test]
-fn dead_agent_lock_is_reclaimed_exactly_once() {
-    let dir = tmpdir("reclaim");
-    let registry = Arc::new(Mutex::new(
-        (0..AGENTS as u32).map(|i| 6000 + i).collect::<HashSet<_>>(),
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    // Pid 666 is in no registry: the crashed agent.
-    std::fs::write(dir.join("agent.lock"), "pid 666 nonce 0\n").unwrap();
+fn a_holder_that_dies_frees_the_lock() {
+    let dir = tmpdir("dies");
+    let dying = std::thread::spawn({
+        let dir = dir.clone();
+        move || {
+            let state = StateDir::new(&dir).unwrap().with_pid(666);
+            let _guard = state.lock().unwrap();
+            panic!("the holder dies with the lock held");
+        }
+    });
+    assert!(dying.join().is_err(), "the holder must have died");
 
     let states: Vec<StateDir> = (0..AGENTS)
         .map(|a| {
             StateDir::new(&dir)
                 .unwrap()
                 .with_pid(6000 + a as u32)
-                .with_liveness(registry_liveness(&registry))
                 .with_lock_timeout(Duration::from_secs(30))
         })
         .collect();
@@ -168,35 +171,27 @@ fn dead_agent_lock_is_reclaimed_exactly_once() {
             });
         }
     });
-    let total_reclaims: u64 = states.iter().map(StateDir::lock_reclaims).sum();
-    assert_eq!(
-        total_reclaims, 1,
-        "the stale lock must be reclaimed by exactly one contender"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The reclaim counter stays at zero when the lock holder is alive —
-/// contenders wait rather than stealing a live lock.
+/// A live holder blocks contenders, who time out naming it, until it
+/// drops its guard.
 #[test]
-fn live_locks_are_never_reclaimed() {
+fn live_locks_block_until_released() {
     let dir = tmpdir("live");
-    let registry = Arc::new(Mutex::new(HashSet::from([7000u32, 7001])));
-    let holder = StateDir::new(&dir)
-        .unwrap()
-        .with_pid(7000)
-        .with_liveness(registry_liveness(&registry));
+    let holder = StateDir::new(&dir).unwrap().with_pid(7000);
     let contender = StateDir::new(&dir)
         .unwrap()
         .with_pid(7001)
-        .with_liveness(registry_liveness(&registry))
         .with_lock_timeout(Duration::from_millis(50));
     let guard = holder.lock().unwrap();
     assert!(matches!(
         contender.lock(),
-        Err(AgentError::LockTimeout { .. })
+        Err(AgentError::LockTimeout {
+            holder: Some(7000),
+            ..
+        })
     ));
-    assert_eq!(contender.lock_reclaims(), 0);
     drop(guard);
     assert!(contender.lock().is_ok());
     let _ = std::fs::remove_dir_all(&dir);

@@ -15,7 +15,7 @@ use mapa_model::EffBwModel;
 use mapa_sim::{
     DispatchReport, DispatchedJob, Eviction, PendingJob, Placement, SchedulerBackend, SimConfig,
 };
-use mapa_topology::{BitSet, Topology};
+use mapa_topology::{BitSet, Topology, WordMap};
 use mapa_workloads::{JobGroup, JobSpec};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -270,7 +270,7 @@ pub struct Cluster {
     /// The shard each live job holds GPUs on, kept in step by the same two
     /// helpers: a duplicate-id check is one lookup, not a walk over the
     /// shards.
-    live: HashMap<u64, usize>,
+    live: WordMap<usize>,
     /// The quiescence memo: the `(blocked, fragmentation-blocked)` head
     /// counts the last [`SchedulerBackend::pump`] ended on, while nothing
     /// that could change a pump's outcome has happened since. A pump
@@ -370,7 +370,7 @@ impl Cluster {
             gang_backlog: VecDeque::new(),
             capacity,
             free_gpus,
-            live: HashMap::new(),
+            live: WordMap::default(),
             quiescent: None,
             order: Vec::new(),
             scores: Vec::new(),
@@ -2086,7 +2086,7 @@ mod tests {
     fn assert_mirrors(c: &Cluster, ids: std::ops::RangeInclusive<u64>) {
         let free: usize = c.shards.iter().map(|s| s.state().free_count()).sum();
         assert_eq!(c.total_free_gpus(), free, "fleet free count");
-        let mut held = HashMap::new();
+        let mut held = WordMap::default();
         for id in ids {
             for (s, shard) in c.shards.iter().enumerate() {
                 if shard.state().gpus_of(id).is_some() {

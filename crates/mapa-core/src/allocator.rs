@@ -5,9 +5,9 @@ use crate::policy::{AllocationPolicy, Capacity, PolicyContext};
 use crate::preempt::PreemptionPolicy;
 use crate::scoring::{MatchScore, SetScorer};
 use mapa_model::EffBwModel;
-use mapa_topology::{AllocationError, HardwareState, Topology};
+use mapa_topology::{AllocationError, HardwareState, Topology, WordMap};
 use mapa_workloads::JobSpec;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -98,7 +98,7 @@ pub struct MapaAllocator {
     /// Scheduling metadata of every active job — what preemption victim
     /// selection ranks on. Keyed by job id; maintained by
     /// `try_allocate`/`release`.
-    active: HashMap<u64, ActiveJob>,
+    active: WordMap<ActiveJob>,
     /// Monotonic allocation counter; `ActiveJob::seq` snapshots it so
     /// victim ordering can prefer the youngest allocation.
     alloc_seq: u64,
@@ -137,7 +137,7 @@ impl MapaAllocator {
             policy,
             topology,
             cache: None,
-            active: HashMap::new(),
+            active: WordMap::default(),
             alloc_seq: 0,
         }
     }

@@ -64,19 +64,19 @@
 //! machine whose free vertices are mostly MIG slices.
 //!
 //! **Hashing vs equality.** A key hashes as one word — the FNV-1a of the
-//! busy words mixed with the five small fields — and the table's hasher
-//! passes it through. Each word holds a chain of entries, oldest first;
-//! equality is the exact comparison of fields and busy words, so two keys
-//! sharing a word cost a step along the chain and never share an entry.
-//! Keys come from the allocators' own occupancy states, not from outside
-//! input, so SipHash's collision resistance buys nothing.
+//! busy words mixed with the five small fields — and the table is a
+//! [`WordMap`] on that word (its hasher's doc states which tables may be
+//! one: keys the program makes qualify, and these come from the
+//! allocators' own occupancy states). Each word holds a chain of entries,
+//! oldest first; equality is the exact comparison of fields and busy
+//! words, so two keys sharing a word cost a step along the chain and
+//! never share an entry.
 
 use crate::scoring::MatchScore;
-use mapa_topology::Fnv1a;
+use mapa_topology::{Fnv1a, WordMap};
 use mapa_workloads::{AppTopology, JobSpec};
 use std::collections::hash_map::Entry as Slot;
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Maximum number of cached decisions per handle reading a table (FIFO
@@ -126,24 +126,6 @@ impl Shape {
     }
 }
 
-/// The table's hasher: the word a table key is, as it is.
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("a table key is one u64");
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = word;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Hit/miss/eviction counters of one [`AllocationCache`] handle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -190,7 +172,7 @@ struct Entry {
 /// and the word of every entry in insertion order.
 #[derive(Debug)]
 struct Table {
-    entries: HashMap<u64, Entry, BuildHasherDefault<WordHasher>>,
+    entries: WordMap<Entry>,
     order: VecDeque<u64>,
     /// Entries allowed per handle reading the table.
     capacity: usize,
@@ -294,7 +276,7 @@ impl AllocationCache {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         let table = Table {
-            entries: HashMap::default(),
+            entries: WordMap::default(),
             order: VecDeque::new(),
             capacity: capacity.max(1),
         };

@@ -1447,65 +1447,67 @@ impl<B: SchedulerBackend> Engine<B> {
         })
     }
 
+    /// One pass over the FIFO: each item is tried where it sits and taken
+    /// out only when it starts. Strict FIFO stops at the first blocked
+    /// item; backfill steps past it, so blocked items keep their order.
+    /// Jobs evicted on the way join the back and are reached in the
+    /// same pass.
     fn dispatch(&mut self, now: f64, st: &mut RunState) {
-        let mut skipped: VecDeque<QueueItem> = VecDeque::new();
-        while let Some(item) = st.queue.pop_front() {
-            let blocked = match item {
+        let mut at = 0;
+        while let Some(item) = st.queue.get(at) {
+            match item {
                 QueueItem::Job(pending) => {
                     // If it does not fit, a high-priority arrival may take
                     // GPUs back from running lower-priority jobs (once per
                     // pass).
-                    let placed = self
-                        .backend
-                        .try_place(&pending.job)
-                        .or_else(|| self.preempt_and_place(&pending.job, now, st));
+                    let mut placed = self.backend.try_place(&pending.job);
+                    if placed.is_none() && self.config.preemption.enabled() {
+                        let job = pending.job.clone();
+                        placed = self.preempt_and_place(&job, now, st);
+                    }
                     if let Some(p) = placed {
+                        let Some(QueueItem::Job(pending)) = st.queue.remove(at) else {
+                            unreachable!("the item just placed is a job");
+                        };
                         self.start_job(pending, p, now, st);
                         continue;
                     }
-                    QueueItem::Job(pending)
                 }
-                QueueItem::Gang { gang, submitted_at } => {
+                QueueItem::Gang { gang, .. } => {
                     if let Some(placements) = self.backend.try_place_gang(&gang.members) {
-                        for (member, p) in gang.members.iter().zip(placements) {
-                            let pending =
-                                PendingJob::gang_member(member.clone(), submitted_at, gang.id);
+                        let Some(QueueItem::Gang { gang, submitted_at }) = st.queue.remove(at)
+                        else {
+                            unreachable!("the item just placed is a gang");
+                        };
+                        for (member, p) in gang.members.into_iter().zip(placements) {
+                            let pending = PendingJob::gang_member(member, submitted_at, gang.id);
                             self.start_job(pending, p, now, st);
                         }
                         continue;
                     }
-                    QueueItem::Gang { gang, submitted_at }
                 }
-            };
+            }
             st.blocks += 1;
-            if self.backend.total_free_gpus() >= blocked.gpus() {
+            if self.backend.total_free_gpus() >= st.queue[at].gpus() {
                 st.frag_blocks += 1;
             }
             if self.config.strict_fifo {
-                st.queue.push_front(blocked);
                 break;
             }
-            skipped.push_back(blocked);
-        }
-        // Backfill mode: blocked items return to the queue head in order.
-        while let Some(item) = skipped.pop_back() {
-            st.queue.push_front(item);
+            at += 1;
         }
     }
 
-    /// Attempts preemption for blocked arrival `job` and, on success,
-    /// places it in the vacated capacity. `None` when preemption is off,
-    /// found no eligible victims, or (defensively) the post-eviction
-    /// placement still fails.
+    /// Attempts preemption for blocked arrival `job` under the engine's
+    /// (enabled) preemption policy and, on success, places it in the
+    /// vacated capacity. `None` when it found no eligible victims, or
+    /// (defensively) the post-eviction placement still fails.
     fn preempt_and_place(
         &mut self,
         job: &JobSpec,
         now: f64,
         st: &mut RunState,
     ) -> Option<Placement> {
-        if !self.config.preemption.enabled() {
-            return None;
-        }
         let evictions = self
             .backend
             .preempt_for(job, self.config.preemption, &st.shielded);
@@ -2549,6 +2551,105 @@ mod tests {
         // gang 1's two finishes (3). Each time fewer GPUs are free than
         // the gang needs in total, so none is fragmentation.
         assert_eq!(report.queue.dispatch_blocks, 6);
+        assert_eq!(report.queue.fragmentation_blocks, 0);
+    }
+
+    /// `(id, started_at, gpus)` of every record, in start order (a tick's
+    /// starts in the order dispatch made them: each takes the lowest free
+    /// GPUs under the baseline policy).
+    fn starts(report: &SimReport) -> Vec<(u64, f64, Vec<usize>)> {
+        let mut starts: Vec<_> = report
+            .records
+            .iter()
+            .map(|r| (r.job.id, r.started_at, r.gpus.clone()))
+            .collect();
+        starts.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.2.cmp(&b.2)));
+        starts
+    }
+
+    /// When job `id` finished.
+    fn end(report: &SimReport, id: u64) -> f64 {
+        let record = report.records.iter().find(|r| r.job.id == id);
+        record.expect("every job runs").finished_at
+    }
+
+    #[test]
+    fn dispatch_backfill_walks_the_queue_in_place() {
+        use mapa_workloads::JobGroup;
+        // Two 4-GPU holders fill the machine; behind them wait an 8-GPU
+        // job, a 1-GPU job, a 3 + 2-GPU gang and another 1-GPU job. When
+        // the short holder ends, one pass starts both 1-GPU jobs past the
+        // blocked job and the blocked gang, which keep their places.
+        let subs = vec![
+            Submission::Job(pri_job(1, 4, 400, 0)),
+            Submission::Job(pri_job(2, 4, 100, 0)),
+            Submission::Job(pri_job(3, 8, 10, 0)),
+            Submission::Job(pri_job(4, 1, 10, 0)),
+            Submission::Gang(JobGroup::new(
+                1,
+                vec![pri_job(5, 3, 10, 0), pri_job(6, 2, 10, 0)],
+            )),
+            Submission::Job(pri_job(7, 1, 10, 0)),
+        ];
+        let report = Simulation::new(machines::dgx1_v100(), Box::new(BaselinePolicy))
+            .with_config(SimConfig {
+                strict_fifo: false,
+                ..SimConfig::default()
+            })
+            .run_submissions(subs);
+        let end = |id| end(&report, id);
+        assert_eq!(
+            starts(&report),
+            [
+                (1, 0.0, vec![0, 1, 2, 3]),
+                (2, 0.0, vec![4, 5, 6, 7]),
+                (4, end(2), vec![4]),
+                (7, end(2), vec![5]),
+                (3, end(1), vec![0, 1, 2, 3, 4, 5, 6, 7]),
+                (5, end(3), vec![0, 1, 2]),
+                (6, end(3), vec![3, 4]),
+            ]
+        );
+        // At t = 0 every arrival's pass blocks on each waiting item (1 + 2
+        // + 3 + 4); job 2's end blocks job 3 and the gang (2), each 1-GPU
+        // job's end both again (4), and job 1's end the gang (1). Fewer
+        // GPUs are free than each blocked item needs, so none is
+        // fragmentation.
+        assert_eq!(report.queue.dispatch_blocks, 17);
+        assert_eq!(report.queue.fragmentation_blocks, 0);
+    }
+
+    #[test]
+    fn dispatch_strict_fifo_places_its_head_after_an_eviction() {
+        use mapa_core::PreemptionPolicy;
+        // A priority-2 job holds 3 GPUs and a priority-0 job 4. The
+        // priority-1 8-GPU job cannot evict its way in while the first
+        // runs, and a 1-GPU job waits behind it. When the first ends, the
+        // head evicts the priority-0 job and starts; in the same pass the
+        // 1-GPU job blocks, and the victim waits behind it at the back.
+        let jobs = [
+            pri_job(1, 3, 300, 2),
+            pri_job(2, 4, 100_000, 0),
+            pri_job(3, 8, 100, 1),
+            pri_job(4, 1, 100, 0),
+        ];
+        let report = Simulation::new(machines::dgx1_v100(), Box::new(BaselinePolicy))
+            .with_config(preemptive_config(PreemptionPolicy::PriorityEvict, 1.0))
+            .run(&jobs);
+        let end = |id| end(&report, id);
+        assert_eq!(
+            starts(&report),
+            [
+                (1, 0.0, vec![0, 1, 2]),
+                (3, end(1), vec![0, 1, 2, 3, 4, 5, 6, 7]),
+                (4, end(3), vec![0]),
+                (2, end(3), vec![1, 2, 3, 4]),
+            ]
+        );
+        assert_eq!(report.preemption.jobs_preempted, 1);
+        // Job 3 blocks at its own arrival and at job 4's (2); in the
+        // eviction's pass job 4 blocks with no GPU free (1).
+        assert_eq!(report.queue.dispatch_blocks, 3);
         assert_eq!(report.queue.fragmentation_blocks, 0);
     }
 

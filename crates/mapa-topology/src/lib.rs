@@ -44,7 +44,7 @@ mod state;
 mod topology;
 pub mod virt;
 
-pub use fnv::Fnv1a;
+pub use fnv::{Fnv1a, WordHasher, WordMap};
 pub use link::{LinkMix, LinkType};
 pub use mapa_graph::BitSet;
 pub use state::{AllocationError, HardwareState, JobId};

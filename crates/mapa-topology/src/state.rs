@@ -6,9 +6,9 @@
 //! the frozen-vertex mask the matcher consumes, and computes the remaining
 //! (induced) hardware graph used for Preserved Bandwidth.
 
-use crate::Topology;
+use crate::{Topology, WordMap};
 use mapa_graph::{BitSet, WeightedGraph};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 /// Identifier of a scheduled job (assigned by the caller).
@@ -65,7 +65,7 @@ impl std::error::Error for AllocationError {}
 pub struct HardwareState {
     topology: Topology,
     owner: Vec<Option<JobId>>,
-    jobs: HashMap<JobId, Vec<usize>>,
+    jobs: WordMap<Vec<usize>>,
     /// Busy-GPU mask, maintained incrementally (never rescanned).
     busy: BitSet,
 }
@@ -78,7 +78,7 @@ impl HardwareState {
         Self {
             topology,
             owner: vec![None; n],
-            jobs: HashMap::new(),
+            jobs: WordMap::default(),
             busy: BitSet::new(n),
         }
     }
@@ -206,9 +206,9 @@ impl HardwareState {
     /// Fails (without mutating state) if the job exists, the set is empty,
     /// any GPU is out of range, duplicated, or busy.
     pub fn allocate(&mut self, job: JobId, gpus: &[usize]) -> Result<(), AllocationError> {
-        if self.jobs.contains_key(&job) {
+        let Entry::Vacant(slot) = self.jobs.entry(job) else {
             return Err(AllocationError::JobExists(job));
-        }
+        };
         if gpus.is_empty() {
             return Err(AllocationError::EmptyAllocation);
         }
@@ -241,7 +241,7 @@ impl HardwareState {
         for &g in &sorted {
             self.owner[g] = Some(job);
         }
-        self.jobs.insert(job, sorted);
+        slot.insert(sorted);
         Ok(())
     }
 

@@ -3,14 +3,19 @@
 //! family of 16-GPU point-to-point designs and ask which fabric keeps
 //! bandwidth-sensitive tenants fastest under the Preserve policy.
 //!
-//! Since PR 7 the sweep runs on the campaign runner: every design is a
-//! campaign cell, replicated under **common random numbers** (replication
+//! The sweep runs on the campaign runner: every design is a campaign
+//! cell, replicated under **common random numbers** (replication
 //! `r` of every design sees the identical job stream, seeded by
 //! `crn_seed(base_seed, r)`), with mean ± 95% CI columns instead of
 //! single-run point estimates. A paired Preserve-vs-baseline comparison
 //! at the end shows the CRN variance-reduction win directly: the paired
 //! difference is far tighter than the same comparison across independent
 //! streams.
+//!
+//! Each replication builds its one server by hand (`Simulation::new`), not
+//! through `mapa::runspec::RunSpec`: the cells here are machines, which
+//! `mapa::campaign`'s grid (one machine, a `RunSpec` per cell) does not
+//! sweep, and one server under one policy needs no fleet description.
 //!
 //! Run with: `cargo run --release --example design_space`
 

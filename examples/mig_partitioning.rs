@@ -3,6 +3,13 @@
 //! schedule a mixed training + inference tenancy on the expanded hardware
 //! graph, and compare against the unpartitioned machine.
 //!
+//! It applies the plan by hand and builds each server with
+//! `Simulation::new`, not through `mapa::runspec::RunSpec` (whose
+//! `partition` field applies a plan too): the example prints the
+//! partitioned machine's slice map before it runs, so it needs the
+//! machine itself, and one server under one policy needs no fleet
+//! description.
+//!
 //! Run with: `cargo run --release --example mig_partitioning`
 
 use mapa::prelude::*;

@@ -10,11 +10,15 @@
 //! refuses to evict bandwidth-sensitive batch jobs (the MoCA-style SLA
 //! shield).
 //!
+//! The fleet is a `RunSpec`, as `mapa-sched simulate --machine dgx-1-v100
+//! --servers 2 --server-policy least-loaded --policy preserve` builds it.
+//!
 //! Run with: `cargo run --release --example priority_tenants`
 
 use mapa::core::PreemptionPolicy;
 use mapa::prelude::*;
 use mapa::sim::JobRecord;
+use std::sync::Arc;
 
 fn tenant_mix() -> Vec<JobSpec> {
     // Every third job belongs to the interactive tenant (priority 1);
@@ -26,25 +30,26 @@ fn tenant_mix() -> Vec<JobSpec> {
     jobs
 }
 
-fn run(policy: PreemptionPolicy, jobs: &[JobSpec]) -> SimReport {
-    let cluster = Cluster::homogeneous(
-        machines::dgx1_v100(),
-        2,
-        || Box::new(PreservePolicy),
-        Box::new(LeastLoadedPolicy),
-    );
-    Engine::over(cluster)
-        .with_config(SimConfig {
-            preemption: policy,
-            // Offered load high enough that the fleet is usually busy
-            // when an interactive job arrives.
-            arrivals: ArrivalProcess::Poisson {
-                mean_gap: 45.0,
-                seed: 7,
-            },
-            ..SimConfig::default()
-        })
-        .run(jobs)
+fn run(policy: PreemptionPolicy, jobs: &[JobSpec], shared: &mut Shared) -> SimReport {
+    let fleet = RunSpec {
+        servers: 2,
+        server_policy: Some("least-loaded".to_string()),
+        ..RunSpec::new(machines::dgx1_v100(), "preserve")
+    };
+    let config = SimConfig {
+        preemption: policy,
+        // Offered load high enough that the fleet is usually busy
+        // when an interactive job arrives.
+        arrivals: ArrivalProcess::Poisson {
+            mean_gap: 45.0,
+            seed: 7,
+        },
+        ..SimConfig::default()
+    };
+    let submissions = jobs.iter().cloned().map(Submission::Job);
+    fleet
+        .run(shared, config, submissions)
+        .expect("every job fits a DGX-1 V100")
 }
 
 fn class_wait(report: &SimReport, priority: u8) -> stats::Summary {
@@ -59,6 +64,7 @@ fn class_wait(report: &SimReport, priority: u8) -> stats::Summary {
 
 fn main() {
     let jobs = tenant_mix();
+    let mut shared = Shared::new(Arc::new(WorkerPool::new(1)));
     let interactive = jobs.iter().filter(|j| j.priority > 0).count();
     println!(
         "{} jobs on 2× DGX-1 V100: {} batch (priority 0), {interactive} interactive (priority 1)\n",
@@ -74,7 +80,7 @@ fn main() {
         PreemptionPolicy::PriorityEvict,
         PreemptionPolicy::SensitivityAwareEvict,
     ] {
-        let report = run(policy, &jobs);
+        let report = run(policy, &jobs, &mut shared);
         let int_wait = class_wait(&report, 1);
         let batch_wait = class_wait(&report, 0);
         println!(

@@ -12,6 +12,7 @@
 use mapa::agent::{Agent, AllocateRequest, FakeProbe, GpuProbe, SmiProbe, StateDir};
 use mapa::cli::{choose, Args, Cli};
 use mapa::core::ALLOCATION_POLICY_NAMES;
+use mapa::outln;
 use mapa::report::{agent_placement_to_json, agent_status_to_json};
 use mapa::topology::machines;
 use std::process::ExitCode;
@@ -84,6 +85,8 @@ fn build_agent(args: &Args) -> Result<Agent<Box<dyn GpuProbe>>, String> {
     Ok(Agent::new(probe, state_dir(args)?))
 }
 
+/// Writes the `--json` artifact, if one was asked for. Each command does
+/// so before it prints: a reader that stops early ends the command.
 fn write_artifact(args: &Args, json: &str) -> Result<(), String> {
     if let Some(path) = args.str("--json") {
         std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
@@ -95,13 +98,19 @@ fn write_artifact(args: &Args, json: &str) -> Result<(), String> {
 fn cmd_probe(args: &Args) -> Result<(), String> {
     let mut agent = build_agent(args)?;
     let (snapshot, machine) = agent.probe_machine().map_err(|e| e.to_string())?;
-    println!("host {}: {} GPUs", snapshot.hostname, snapshot.gpu_count());
+    // The probe artifact is a status-shaped report (ledger will be
+    // empty/absent); one schema for CI to check on every subcommand.
+    if args.has("--json") {
+        let status = build_agent(args)?.status().map_err(|e| e.to_string())?;
+        write_artifact(args, &agent_status_to_json(&status))?;
+    }
+    outln!("host {}: {} GPUs", snapshot.hostname, snapshot.gpu_count());
     match &machine.matched_profile {
-        Some(p) => println!("machine: {p} (matched built-in profile)"),
-        None => println!("machine: {} (synthesized)", machine.topology.name()),
+        Some(p) => outln!("machine: {p} (matched built-in profile)"),
+        None => outln!("machine: {} (synthesized)", machine.topology.name()),
     }
     for gpu in &snapshot.gpus {
-        println!(
+        outln!(
             "  GPU{}: {}, {} MiB used / {} MiB, util {}%, {} process(es)",
             gpu.index,
             gpu.model,
@@ -111,42 +120,40 @@ fn cmd_probe(args: &Args) -> Result<(), String> {
             gpu.processes.len()
         );
     }
-    // The probe artifact is a status-shaped report (ledger will be
-    // empty/absent); one schema for CI to check on every subcommand.
-    if args.has("--json") {
-        let status = build_agent(args)?.status().map_err(|e| e.to_string())?;
-        write_artifact(args, &agent_status_to_json(&status))?;
-    }
     Ok(())
 }
 
 fn cmd_status(args: &Args) -> Result<(), String> {
     let mut agent = build_agent(args)?;
     let status = agent.status().map_err(|e| e.to_string())?;
+    write_artifact(args, &agent_status_to_json(&status))?;
     let profile = status
         .machine
         .matched_profile
         .clone()
         .unwrap_or_else(|| format!("{} (synthesized)", status.machine.topology.name()));
-    println!("host {} via {}: {profile}", status.hostname, status.source);
+    outln!("host {} via {}: {profile}", status.hostname, status.source);
     for gpu in &status.gpus {
         let lease = gpu
             .leased_by
             .map_or_else(|| "-".to_string(), |id| format!("lease {id}"));
-        println!("  GPU{}: {:<9} {:?}", gpu.index, lease, gpu.occupancy);
+        outln!("  GPU{}: {:<9} {:?}", gpu.index, lease, gpu.occupancy);
     }
-    println!(
+    outln!(
         "free: {:?}; {} lease(s)",
         status.free_gpus(),
         status.leases.len()
     );
     for lease in &status.leases {
-        println!(
+        outln!(
             "  lease {} pid {} gpus {:?} tag '{}'",
-            lease.id, lease.pid, lease.gpus, lease.tag
+            lease.id,
+            lease.pid,
+            lease.gpus,
+            lease.tag
         );
     }
-    write_artifact(args, &agent_status_to_json(&status))
+    Ok(())
 }
 
 fn cmd_allocate(args: &Args) -> Result<(), String> {
@@ -160,7 +167,8 @@ fn cmd_allocate(args: &Args) -> Result<(), String> {
         request = request.with_tag(tag.to_string());
     }
     let placement = agent.allocate(&request).map_err(|e| e.to_string())?;
-    println!(
+    write_artifact(args, &agent_placement_to_json(&placement))?;
+    outln!(
         "lease {} on {} via {} policy: GPUs {:?}",
         placement.lease_id,
         placement
@@ -171,8 +179,8 @@ fn cmd_allocate(args: &Args) -> Result<(), String> {
         placement.policy,
         placement.gpus
     );
-    println!("CUDA_VISIBLE_DEVICES={}", placement.cuda_visible_devices);
-    write_artifact(args, &agent_placement_to_json(&placement))
+    outln!("CUDA_VISIBLE_DEVICES={}", placement.cuda_visible_devices);
+    Ok(())
 }
 
 fn cmd_release(args: &Args) -> Result<(), String> {
@@ -181,6 +189,6 @@ fn cmd_release(args: &Args) -> Result<(), String> {
     // type, so hand it the offline fake.
     let mut agent = Agent::new(FakeProbe::dgx1_v100(), state_dir(args)?);
     let gpus = agent.release(lease).map_err(|e| e.to_string())?;
-    println!("released lease {lease}: GPUs {gpus:?}");
+    outln!("released lease {lease}: GPUs {gpus:?}");
     Ok(())
 }

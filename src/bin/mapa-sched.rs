@@ -31,6 +31,7 @@ use mapa::reproduce;
 use mapa::sim::logfile;
 use mapa::topology::parse::{parse_topology_matrix, to_topology_matrix, NvlinkGeneration};
 use mapa::workloads::jobs;
+use mapa::{out, outln};
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -94,12 +95,15 @@ fn main() -> ExitCode {
 }
 
 fn cmd_machines() -> Result<(), String> {
-    println!(
+    outln!(
         "{:<14} {:>6} {:>8} {:>9}",
-        "name", "GPUs", "NVLinks", "sockets"
+        "name",
+        "GPUs",
+        "NVLinks",
+        "sockets"
     );
     for m in machines::all_machines() {
-        println!(
+        outln!(
             "{:<14} {:>6} {:>8} {:>9}",
             m.name(),
             m.gpu_count(),
@@ -124,9 +128,9 @@ fn resolve_machine(arg: &str) -> Result<Topology, String> {
 
 fn cmd_topo(arg: &str) -> Result<(), String> {
     let m = resolve_machine(arg)?;
-    println!("# {} — {} GPUs\n", m.name(), m.gpu_count());
-    println!("{}", to_topology_matrix(&m));
-    println!("{}", m.to_dot());
+    outln!("# {} — {} GPUs\n", m.name(), m.gpu_count());
+    outln!("{}", to_topology_matrix(&m));
+    outln!("{}", m.to_dot());
     Ok(())
 }
 
@@ -168,7 +172,7 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
         ..Default::default()
     };
     let seed = args.get("--seed")?.unwrap_or(42);
-    print!(
+    out!(
         "{}",
         jobs::write_job_file(&generator::generate_jobs(&cfg, seed))
     );
@@ -277,12 +281,13 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
 
     let mut shared = Shared::new(Arc::new(WorkerPool::with_default_threads()));
     let report = spec.run(&mut shared, config, submissions)?;
-    print!("{}", logfile::write_log(&report));
+    // The artifact first: a reader that stops early ends the command.
     if let Some(path) = args.str("--json") {
         std::fs::write(path, mapa::report::to_json(&report))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("report JSON written to {path}");
     }
+    out!("{}", logfile::write_log(&report));
     Ok(())
 }
 
@@ -385,19 +390,24 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
     });
 
     let summaries = grid.run(&pool)?;
-    println!(
+    outln!(
         "campaign: {} cells x {} replications (base seed {}, {} workers)",
         summaries.len(),
         grid.replications,
         grid.base_seed,
         pool.threads()
     );
-    println!(
+    outln!(
         "{:<55} {:>16} {:>18} {:>8} {:>8} {:>8}",
-        "cell", "makespan (s)", "jobs/hour", "p50 wait", "p95", "p99"
+        "cell",
+        "makespan (s)",
+        "jobs/hour",
+        "p50 wait",
+        "p95",
+        "p99"
     );
     for s in &summaries {
-        println!(
+        outln!(
             "{:<55} {:>8.0} ±{:>5.0} {:>10.1} ±{:>5.1} {:>8.1} {:>8.1} {:>8.1}",
             s.label,
             s.makespan_seconds.mean,
@@ -412,14 +422,14 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
     if let Some(path) = args.str("--json") {
         let doc = mapa::campaign::campaign_to_json(&summaries, grid.replications, grid.base_seed);
         std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("campaign JSON written to {path}");
+        outln!("campaign JSON written to {path}");
     }
     Ok(())
 }
 
 fn cmd_reproduce(args: &Args) -> Result<(), String> {
     let rows = reproduce::rows(&args.all("--only").collect::<Vec<_>>())?;
-    print!("{}", reproduce::csv(&rows));
+    out!("{}", reproduce::csv(&rows));
     reproduce::verdict(&rows)
 }
 

@@ -2,11 +2,44 @@
 //! subcommand declares its flags once, as the synopsis the usage text
 //! prints, and parsing and the typed getters read that same table — so a
 //! flag a subcommand does not list is refused, and the usage cannot drift
-//! from what the parser accepts.
+//! from what the parser accepts. What a command prints goes through
+//! [`out!`](crate::out) and [`outln!`](crate::outln), so a reader that
+//! stops early ends it quietly.
 
 use std::borrow::Borrow;
+use std::fmt;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::str::FromStr;
+
+/// `print!` for a command's output, through [`cli::write_stdout`](crate::cli::write_stdout).
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` for a command's output, through [`cli::write_stdout`](crate::cli::write_stdout).
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes a command's output to standard output. When the reader has
+/// gone (`mapa-sched machines | head -1`) the command ends there, quietly
+/// and with exit status 0, as a tool that `SIGPIPE` stops would; any
+/// other write failure panics, as `print!` does.
+pub fn write_stdout(args: fmt::Arguments) {
+    if let Err(e) = io::stdout().write_fmt(args) {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
 
 /// One subcommand: its name and its synopsis, which is also its flag
 /// table. An entry starts at each word opening with `<`, `--` or `[--`:
@@ -153,7 +186,7 @@ impl Cli {
         let argv: Vec<String> = std::env::args().skip(1).collect();
         let failure = match self.parse(&argv) {
             Ok(None) => {
-                print!("{}", self.usage());
+                write_stdout(format_args!("{}", self.usage()));
                 return ExitCode::SUCCESS;
             }
             Ok(Some(args)) => match run(&args) {

@@ -22,7 +22,9 @@ use crate::ledger::{Lease, Ledger, StateDir};
 use crate::map::{machine_from_snapshot, MachineDescription};
 use crate::probe::{GpuInfo, GpuProbe, ProbeError};
 use mapa_core::scoring::MatchScore;
-use mapa_core::{allocation_policy_by_name, AllocatorError, MapaAllocator};
+use mapa_core::{
+    allocation_policy_by_name, AllocatorError, MapaAllocator, ALLOCATION_POLICY_NAMES,
+};
 use mapa_workloads::{GpuDemand, JobSpec, Workload};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -99,8 +101,8 @@ impl fmt::Display for AgentError {
             AgentError::UnknownLease(id) => write!(f, "no lease {id} in the ledger"),
             AgentError::UnknownPolicy(name) => write!(
                 f,
-                "unknown allocation policy '{name}' \
-                 (try: baseline, topo-aware, greedy, preserve, effbw-greedy)"
+                "unknown allocation policy '{name}' (choose from: {})",
+                ALLOCATION_POLICY_NAMES.join(" | ")
             ),
         }
     }

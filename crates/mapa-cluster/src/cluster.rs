@@ -38,6 +38,10 @@ pub const DEFAULT_SHARD_QUEUE_DEPTH: usize = 16;
 /// only its own chunk of the scores, and all cross-shard steps (routing,
 /// decision rounds, migration) run serially in both modes — parallelism
 /// changes wall-clock time, never the answer.
+///
+/// Library-only: no front end selects it. ROADMAP direction 2 deletes
+/// `Parallel` in the `[benchmark]` change that drops the harness probe
+/// building it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
     /// Evaluate shards one after another on the calling thread. Default.
@@ -52,26 +56,13 @@ pub enum DispatchMode {
 }
 
 impl DispatchMode {
-    /// Short name used in reports and the CLI.
+    /// Short name used in reports (the pinned `dispatch.mode` key).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             DispatchMode::Sequential => "sequential",
             DispatchMode::Parallel => "parallel",
         }
-    }
-}
-
-/// Names accepted by [`dispatch_mode_by_name`], in documentation order.
-pub const DISPATCH_MODE_NAMES: [&str; 2] = ["sequential", "parallel"];
-
-/// Resolves a dispatch mode from its CLI name (case-insensitive).
-#[must_use]
-pub fn dispatch_mode_by_name(name: &str) -> Option<DispatchMode> {
-    match name.to_ascii_lowercase().as_str() {
-        "sequential" | "seq" => Some(DispatchMode::Sequential),
-        "parallel" | "par" => Some(DispatchMode::Parallel),
-        _ => None,
     }
 }
 
@@ -380,7 +371,9 @@ impl Cluster {
     /// Sets how best-score's selection peeks are evaluated (builder
     /// style). [`DispatchMode::Parallel`] runs them concurrently on the
     /// cluster's worker pool; schedules are bit-identical to
-    /// [`DispatchMode::Sequential`].
+    /// [`DispatchMode::Sequential`]. Kept for the benchmark harness's
+    /// parallel-over-sequential probe until ROADMAP direction 2's
+    /// `[benchmark]` change deletes both.
     #[must_use]
     pub fn with_dispatch(mut self, mode: DispatchMode) -> Self {
         self.dispatch = mode;
@@ -670,6 +663,13 @@ impl Cluster {
         debug_assert_eq!(holder, Some(server), "job map must mirror the shards");
         self.free_gpus += freed.len();
         self.quiescent = None;
+    }
+
+    /// Takes back a placement just made — GPUs and rotation both — so a
+    /// gang that fails to co-start leaves round-robin where it was.
+    pub(crate) fn unplace(&mut self, server: usize, job: u64) {
+        self.release_on(server, job);
+        self.placements -= 1;
     }
 
     /// Tries `job` on shard `server` alone and commits it on success (a
@@ -1029,9 +1029,8 @@ impl SchedulerBackend for Cluster {
             match self.place_fleetwide(member) {
                 Some(p) => placed.push(p),
                 None => {
-                    self.placements -= placed.len() as u64;
                     for (member, &(server, _)) in members.iter().zip(&placed) {
-                        self.release_on(server, member.id);
+                        self.unplace(server, member.id);
                     }
                     return None;
                 }

@@ -579,7 +579,9 @@ impl SchedulerBackend for Federation {
                 Some(p) => placed.push(p),
                 None => {
                     for (m, p) in members[..idx].iter().zip(&placed) {
-                        self.release(p.server, m.id);
+                        let (c, local) = self.local(p.server);
+                        self.clusters[c].unplace(local, m.id);
+                        self.settle(m.id);
                     }
                     (
                         self.spillovers,

@@ -79,9 +79,7 @@ pub mod federation;
 pub mod migrate;
 pub mod policy;
 
-pub use cluster::{
-    dispatch_mode_by_name, Cluster, DispatchMode, DEFAULT_SHARD_QUEUE_DEPTH, DISPATCH_MODE_NAMES,
-};
+pub use cluster::{Cluster, DispatchMode, DEFAULT_SHARD_QUEUE_DEPTH};
 pub use federation::{federation_policy_by_name, Federation, FEDERATION_POLICY_NAMES};
 pub use migrate::{
     migration_policy_by_name, MigrationPolicy, MigrationStats, MIGRATION_POLICY_NAMES,

@@ -858,15 +858,18 @@ impl SchedulerBackend for SingleServer {
     }
 
     fn try_place(&mut self, job: &JobSpec) -> Option<Placement> {
-        self.allocator
-            .try_allocate(job)
-            .expect("job sizes pre-validated")
-            .map(|outcome| Placement {
-                server: 0,
-                gpus: outcome.gpus,
-                score: outcome.score,
-                scheduling_overhead: outcome.scheduling_overhead,
-            })
+        // The engine refuses an oversized job as it arrives, so an error
+        // here is a duplicate active job id: a caller bug.
+        let outcome = match self.allocator.try_allocate(job) {
+            Ok(outcome) => outcome?,
+            Err(e) => panic!("server placement of job {}: {e}", job.id),
+        };
+        Some(Placement {
+            server: 0,
+            gpus: outcome.gpus,
+            score: outcome.score,
+            scheduling_overhead: outcome.scheduling_overhead,
+        })
     }
 
     fn release(&mut self, server: usize, job: u64) {
@@ -1409,7 +1412,7 @@ impl<B: SchedulerBackend> Engine<B> {
         };
         // A federating backend reports its routing-side counters; the
         // completion-side counters come from the records (the federation
-        // never sees finishes, only the engine does).
+        // settles each finish, but never learns its execution time).
         let federation = self.backend.federation_report().map(|mut fed| {
             for r in &records {
                 let gpu_seconds = r.execution_seconds * r.gpus.len() as f64;
@@ -1994,6 +1997,13 @@ mod tests {
     #[should_panic(expected = "requests 9 GPUs")]
     fn oversized_job_panics_upfront() {
         let jobs = vec![job(1, 9, Workload::Gmm, 10)];
+        let _ = Simulation::new(machines::dgx1_v100(), Box::new(BaselinePolicy)).run(&jobs);
+    }
+
+    #[test]
+    #[should_panic(expected = "server placement of job 1: state error: job 1 is already allocated")]
+    fn a_duplicate_active_job_id_panics_by_name() {
+        let jobs = vec![job(1, 2, Workload::Gmm, 10), job(1, 2, Workload::Gmm, 10)];
         let _ = Simulation::new(machines::dgx1_v100(), Box::new(BaselinePolicy)).run(&jobs);
     }
 

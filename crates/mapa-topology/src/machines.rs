@@ -109,27 +109,14 @@ pub fn dgx2() -> Topology {
 /// GPUs form a 4×4 grid with wraparound. Row neighbors share double
 /// NVLink-v2, column neighbors single NVLink-v2 — the figure's mix of both
 /// link classes — and everything else rides PCIe. One CPU socket per row.
+/// The links are [`torus`]`(4, 4, DoubleNvLink2, SingleNvLink2)`'s.
 #[must_use]
 pub fn torus_2d() -> Topology {
-    let side = 4;
-    let mut g = Graph::new(side * side);
-    let id = |r: usize, c: usize| r * side + c;
-    for r in 0..side {
-        for c in 0..side {
-            // Horizontal (row) link with wraparound: double NVLink.
-            let right = id(r, (c + 1) % side);
-            if !g.has_edge(id(r, c), right) {
-                g.add_edge(id(r, c), right, DoubleNvLink2).unwrap();
-            }
-            // Vertical (column) link with wraparound: single NVLink.
-            let down = id((r + 1) % side, c);
-            if !g.has_edge(id(r, c), down) {
-                g.add_edge(id(r, c), down, SingleNvLink2).unwrap();
-            }
-        }
-    }
-    let sockets = (0..side * side).map(|g| g / side).collect();
-    Topology::new("Torus-2d", g, sockets)
+    let links = torus(4, 4, DoubleNvLink2, SingleNvLink2)
+        .link_graph()
+        .clone();
+    let sockets = (0..16).map(|g| g / 4).collect();
+    Topology::new("Torus-2d", links, sockets)
 }
 
 /// The 16-GPU cube-mesh of §5 (Fig. 17b).
@@ -140,27 +127,13 @@ pub fn torus_2d() -> Topology {
 /// non-uniformity grows.
 #[must_use]
 pub fn cube_mesh() -> Topology {
-    let board = |g: &mut Graph<LinkType>, o: usize| {
-        g.add_edge(o, o + 1, SingleNvLink2).unwrap();
-        g.add_edge(o, o + 2, SingleNvLink2).unwrap();
-        g.add_edge(o, o + 3, DoubleNvLink2).unwrap();
-        g.add_edge(o + 1, o + 2, DoubleNvLink2).unwrap();
-        g.add_edge(o + 1, o + 3, SingleNvLink2).unwrap();
-        g.add_edge(o + 2, o + 3, DoubleNvLink2).unwrap();
-        g.add_edge(o + 4, o + 5, SingleNvLink2).unwrap();
-        g.add_edge(o + 4, o + 6, SingleNvLink2).unwrap();
-        g.add_edge(o + 4, o + 7, DoubleNvLink2).unwrap();
-        g.add_edge(o + 5, o + 6, DoubleNvLink2).unwrap();
-        g.add_edge(o + 5, o + 7, SingleNvLink2).unwrap();
-        g.add_edge(o + 6, o + 7, DoubleNvLink2).unwrap();
-        g.add_edge(o, o + 4, DoubleNvLink2).unwrap();
-        g.add_edge(o + 1, o + 5, DoubleNvLink2).unwrap();
-        g.add_edge(o + 2, o + 6, SingleNvLink2).unwrap();
-        g.add_edge(o + 3, o + 7, SingleNvLink2).unwrap();
-    };
+    let board = dgx1_v100();
     let mut g = Graph::new(16);
-    board(&mut g, 0);
-    board(&mut g, 8);
+    for o in [0, 8] {
+        for (a, b, link) in board.link_graph().edges() {
+            g.add_edge(o + a, o + b, link).unwrap();
+        }
+    }
     for i in 0..4 {
         g.add_edge(i, i + 8, SingleNvLink2).unwrap();
     }

@@ -242,7 +242,7 @@ impl Topology {
     /// Returns 0 for `k < 2` (no links to aggregate) and for `k` above the
     /// GPU count (no such allocation). Computed once per `k` and machine by
     /// a branch-and-bound search that drops every prefix no completion of
-    /// which can beat the best set found so far: 329 prefixes for `k = 8`
+    /// which can beat the best set found so far: 338 prefixes for `k = 8`
     /// on the 16-GPU cube-mesh instead of all 12 870 subsets.
     #[must_use]
     pub fn ideal_aggregate_bandwidth(&self, k: usize) -> f64 {
@@ -309,10 +309,10 @@ impl Topology {
 }
 
 /// The search behind [`Topology::ideal_aggregate_bandwidth`]: depth-first
-/// over the `k`-subsets of the machine in lexicographic order, from the
-/// best greedy set as incumbent. Link bandwidths are whole GB/s, so every
-/// pair sum and half-sum below is exact in whatever order it is added up,
-/// and the bound test compares exact values.
+/// over the `k`-subsets of the machine in lexicographic order; the first
+/// set reached is the first incumbent. Link bandwidths are whole GB/s, so
+/// every pair sum and half-sum below is exact in whatever order it is added
+/// up, and the bound test compares exact values.
 struct IdealSearch<'a> {
     pair_links: &'a [LinkType],
     n: usize,
@@ -354,7 +354,6 @@ impl<'a> IdealSearch<'a> {
                 search.half_fastest.push(sum / 2.0);
             }
         }
-        search.best = search.greedy();
         search
     }
 
@@ -367,40 +366,6 @@ impl<'a> IdealSearch<'a> {
     fn best(mut self) -> f64 {
         self.extend(0, 0, 0.0);
         self.best
-    }
-
-    /// The best pair sum over the greedy sets: from each start GPU, add
-    /// the GPU with the most bandwidth into the set until it holds `k`.
-    fn greedy(&self) -> f64 {
-        let n = self.n;
-        let mut best = 0.0f64;
-        let mut gain = vec![0.0; n];
-        let mut taken = vec![false; n];
-        for start in 0..n {
-            taken.fill(false);
-            taken[start] = true;
-            for (v, slot) in gain.iter_mut().enumerate() {
-                *slot = if v == start {
-                    0.0
-                } else {
-                    self.bandwidth(start, v)
-                };
-            }
-            let mut total = 0.0;
-            for _ in 1..self.k {
-                let next = (0..n)
-                    .filter(|&v| !taken[v])
-                    .max_by(|&a, &b| gain[a].total_cmp(&gain[b]))
-                    .expect("k <= n leaves a GPU to add");
-                taken[next] = true;
-                total += gain[next];
-                for v in (0..n).filter(|&v| !taken[v]) {
-                    gain[v] += self.bandwidth(next, v);
-                }
-            }
-            best = best.max(total);
-        }
-        best
     }
 
     /// Completes the first `d` chosen GPUs, whose pair sum is `within`,

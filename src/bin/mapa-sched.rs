@@ -6,7 +6,7 @@
 //! output, which is how MAPA would attach to a real machine. `simulate`
 //! replays a job file on the fleet its flags describe (a
 //! [`RunSpec`]): one server by default; `--servers N` or any other
-//! cluster-layer flag (`--server-policy`, `--dispatch`, `--migration`,
+//! cluster-layer flag (`--server-policy`, `--migration`,
 //! `--shard-queue-depth`) makes a cluster of N copies of the machine, and
 //! `--clusters N`, `--federation-policy` or `--quota-gpus G` federates N
 //! such clusters. `--shard-queue-depth` or a non-none `--migration`
@@ -21,10 +21,7 @@
 //! its band. The full semantics is documented in `docs/SCHEDULING.md`.
 
 use mapa::cli::{choose, Args, Cli};
-use mapa::cluster::{
-    dispatch_mode_by_name, DISPATCH_MODE_NAMES, FEDERATION_POLICY_NAMES, MIGRATION_POLICY_NAMES,
-    SERVER_POLICY_NAMES,
-};
+use mapa::cluster::{FEDERATION_POLICY_NAMES, MIGRATION_POLICY_NAMES, SERVER_POLICY_NAMES};
 use mapa::core::{preemption_policy_by_name, PreemptionPolicy, PREEMPTION_POLICY_NAMES};
 use mapa::prelude::*;
 use mapa::reproduce;
@@ -49,7 +46,7 @@ static CLI: Cli = Cli {
             "simulate",
             "--machine NAME-OR-FILE --policy NAME --jobs FILE
              [--partition GPU:SLICES,...[;degraded]] [--servers N] [--server-policy NAME]
-             [--dispatch MODE] [--migration NAME] [--shard-queue-depth N]
+             [--migration NAME] [--shard-queue-depth N]
              [--preemption NAME] [--preemption-penalty SECONDS] [--priorities N]
              [--gang-size K] [--clusters N] [--federation-policy NAME] [--tenants T]
              [--quota-gpus G] [--backfill] [--no-cache] [--seed S]
@@ -66,7 +63,6 @@ static CLI: Cli = Cli {
     choices: &[
         ("policies", &ALLOCATION_POLICY_NAMES),
         ("server policies", &SERVER_POLICY_NAMES),
-        ("dispatch modes", &DISPATCH_MODE_NAMES),
         ("migration policies", &MIGRATION_POLICY_NAMES),
         ("preemption policies", &PREEMPTION_POLICY_NAMES),
         ("federation policies", &FEDERATION_POLICY_NAMES),
@@ -192,7 +188,6 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         federation_policy: name("--federation-policy"),
         servers: args.get("--servers")?.unwrap_or(1),
         clusters: args.get("--clusters")?.unwrap_or(1),
-        dispatch: name("--dispatch"),
         migration: name("--migration"),
         shard_queue_depth: args.get("--shard-queue-depth")?,
         quota_gpus: args.get("--quota-gpus")?,
@@ -291,13 +286,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-const GRID_AXES: [&str; 5] = [
-    "server-policies",
-    "alloc-policies",
-    "shards",
-    "jobs",
-    "dispatch",
-];
+const GRID_AXES: [&str; 4] = ["server-policies", "alloc-policies", "shards", "jobs"];
 
 /// Parses the `--grid` axis syntax: `;`-separated `axis=v1,v2,...`
 /// entries applied over the grid's defaults.
@@ -328,17 +317,6 @@ fn apply_grid_axes(grid: &mut CampaignGrid, spec: &str) -> Result<(), String> {
             "alloc-policies" | "policies" => grid.alloc_policies = names(),
             "shards" => grid.shards = numbers()?,
             "jobs" => grid.job_counts = numbers()?,
-            "dispatch" => {
-                let mode = |v: &&str| {
-                    choose(
-                        "dispatch mode",
-                        v,
-                        dispatch_mode_by_name,
-                        &DISPATCH_MODE_NAMES,
-                    )
-                };
-                grid.dispatch = values.iter().map(mode).collect::<Result<_, _>>()?;
-            }
             other => return choose("grid axis", other, |_| None, &GRID_AXES),
         }
     }
@@ -437,9 +415,9 @@ fn cmd_reproduce(args: &Args) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    /// `--grid` fragments: every axis name and an unknown one, the three
-    /// separators, blanks, counts (zero, huge, negative, not a number)
-    /// and names of every kind.
+    /// `--grid` fragments: every axis name and unknown ones (`dispatch`
+    /// among them), the three separators, blanks, counts (zero, huge,
+    /// negative, not a number) and names of every kind.
     const GRID_TOKENS: [&str; 24] = [
         "server-policies",
         "alloc-policies",

@@ -3,8 +3,8 @@
 //! ([`RunSpec`]).
 //!
 //! A [`CampaignGrid`] names a cross-product of server policies ×
-//! allocation policies × fleet sizes × load levels × dispatch modes ×
-//! arrival intensities × partition plans;
+//! allocation policies × fleet sizes × load levels × arrival
+//! intensities × partition plans;
 //! [`CampaignGrid::run`] flattens it into cells, validates every cell's
 //! [`RunSpec`] up front, pre-fits the effective-bandwidth model once per
 //! machine type, and fans the cells out over one shared worker pool.
@@ -15,7 +15,7 @@
 
 use crate::report::{document, fields, Value};
 use crate::runspec::{RunSpec, Shared};
-use mapa_cluster::{DispatchMode, DEFAULT_SHARD_QUEUE_DEPTH};
+use mapa_cluster::DEFAULT_SHARD_QUEUE_DEPTH;
 pub use mapa_core::policy::allocation_policy_by_name;
 use mapa_core::Capacity;
 use mapa_interconnect::rings;
@@ -48,12 +48,11 @@ impl GridCell {
     pub fn label(&self) -> String {
         let spec = &self.spec;
         let mut label = format!(
-            "{}/{}/shards={}/jobs={}/{}",
+            "{}/{}/shards={}/jobs={}",
             spec.server_policy.as_deref().unwrap_or_default(),
             spec.alloc_policy,
             spec.servers,
-            self.jobs,
-            spec.dispatch.as_deref().unwrap_or_default()
+            self.jobs
         );
         if let Some(gap) = self.poisson_gap {
             label.push_str(&format!("/gap={gap}"));
@@ -81,8 +80,6 @@ pub struct CampaignGrid {
     pub shards: Vec<usize>,
     /// Load axis: jobs per replication.
     pub job_counts: Vec<usize>,
-    /// Dispatch-mode axis.
-    pub dispatch: Vec<DispatchMode>,
     /// Per-shard queue bound for the queued dispatch path.
     pub shard_queue_depth: usize,
     /// Arrival-intensity axis: each `Some(gap)` cell runs Poisson
@@ -115,7 +112,6 @@ impl CampaignGrid {
             alloc_policies: vec!["preserve".into()],
             shards: vec![4],
             job_counts: vec![200],
-            dispatch: vec![DispatchMode::Sequential],
             shard_queue_depth: DEFAULT_SHARD_QUEUE_DEPTH,
             arrival_gaps: vec![None],
             partitions: vec![None],
@@ -126,7 +122,7 @@ impl CampaignGrid {
     }
 
     /// Flattens the grid into cells, slowest axis first (server policy,
-    /// then allocation policy, shards, jobs, dispatch, arrival gap,
+    /// then allocation policy, shards, jobs, arrival gap,
     /// partition plan) — the output order of [`CampaignGrid::run`].
     #[must_use]
     pub fn cells(&self) -> Vec<GridCell> {
@@ -135,23 +131,20 @@ impl CampaignGrid {
             for ap in &self.alloc_policies {
                 for &shards in &self.shards {
                     for &jobs in &self.job_counts {
-                        for &dispatch in &self.dispatch {
-                            for &gap in &self.arrival_gaps {
-                                for partition in &self.partitions {
-                                    let spec = RunSpec {
-                                        partition: partition.clone(),
-                                        server_policy: Some(sp.clone()),
-                                        servers: shards,
-                                        dispatch: Some(dispatch.name().to_string()),
-                                        shard_queue_depth: Some(self.shard_queue_depth),
-                                        ..RunSpec::new(self.machine.clone(), ap)
-                                    };
-                                    out.push(GridCell {
-                                        spec,
-                                        jobs,
-                                        poisson_gap: gap,
-                                    });
-                                }
+                        for &gap in &self.arrival_gaps {
+                            for partition in &self.partitions {
+                                let spec = RunSpec {
+                                    partition: partition.clone(),
+                                    server_policy: Some(sp.clone()),
+                                    servers: shards,
+                                    shard_queue_depth: Some(self.shard_queue_depth),
+                                    ..RunSpec::new(self.machine.clone(), ap)
+                                };
+                                out.push(GridCell {
+                                    spec,
+                                    jobs,
+                                    poisson_gap: gap,
+                                });
                             }
                         }
                     }
@@ -317,7 +310,6 @@ mod tests {
             alloc_policies: vec!["baseline".into()],
             shards: vec![2],
             job_counts: vec![30],
-            dispatch: vec![DispatchMode::Sequential],
             replications: 2,
             base_seed: 7,
             ..CampaignGrid::new(machines::dgx1_v100())
@@ -331,10 +323,7 @@ mod tests {
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].spec.server_policy.as_deref(), Some("round-robin"));
         assert_eq!(cells[1].spec.server_policy.as_deref(), Some("least-loaded"));
-        assert_eq!(
-            cells[0].label(),
-            "round-robin/baseline/shards=2/jobs=30/sequential"
-        );
+        assert_eq!(cells[0].label(), "round-robin/baseline/shards=2/jobs=30");
     }
 
     #[test]
@@ -394,21 +383,12 @@ mod tests {
         let cells = grid.cells();
         assert_eq!(cells.len(), 4);
         let labels: Vec<String> = cells.iter().map(GridCell::label).collect();
-        assert_eq!(
-            labels[0],
-            "round-robin/baseline/shards=2/jobs=30/sequential"
-        );
-        assert_eq!(
-            labels[1],
-            "round-robin/baseline/shards=2/jobs=30/sequential/mig=0:4"
-        );
-        assert_eq!(
-            labels[2],
-            "round-robin/baseline/shards=2/jobs=30/sequential/gap=12"
-        );
+        assert_eq!(labels[0], "round-robin/baseline/shards=2/jobs=30");
+        assert_eq!(labels[1], "round-robin/baseline/shards=2/jobs=30/mig=0:4");
+        assert_eq!(labels[2], "round-robin/baseline/shards=2/jobs=30/gap=12");
         assert_eq!(
             labels[3],
-            "round-robin/baseline/shards=2/jobs=30/sequential/gap=12/mig=0:4"
+            "round-robin/baseline/shards=2/jobs=30/gap=12/mig=0:4"
         );
     }
 

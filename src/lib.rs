@@ -58,10 +58,10 @@ pub mod prelude {
         Placement, ProbeSnapshot, SmiProbe, StateDir, StatusReport,
     };
     pub use mapa_cluster::{
-        dispatch_mode_by_name, federation_policy_by_name, migration_policy_by_name,
-        server_policy_by_name, BestScorePolicy, Candidates, Cluster, DispatchMode, Federation,
-        LeastLoadedPolicy, MigrationPolicy, MigrationStats, PackFirstPolicy, RoundRobinPolicy,
-        ServerPolicy, SpilloverPolicy, DEFAULT_SHARD_QUEUE_DEPTH, FEDERATION_POLICY_NAMES,
+        federation_policy_by_name, migration_policy_by_name, server_policy_by_name,
+        BestScorePolicy, Candidates, Cluster, DispatchMode, Federation, LeastLoadedPolicy,
+        MigrationPolicy, MigrationStats, PackFirstPolicy, RoundRobinPolicy, ServerPolicy,
+        SpilloverPolicy, DEFAULT_SHARD_QUEUE_DEPTH, FEDERATION_POLICY_NAMES,
     };
     pub use mapa_core::policy::{
         AllocationPolicy, BaselinePolicy, EffBwGreedyPolicy, GreedyPolicy, PreservePolicy,

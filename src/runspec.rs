@@ -10,9 +10,9 @@
 
 use crate::cli::choose;
 use mapa_cluster::{
-    dispatch_mode_by_name, federation_policy_by_name, migration_policy_by_name,
-    server_policy_by_name, Cluster, DispatchMode, Federation, MigrationPolicy, ServerPolicy,
-    DISPATCH_MODE_NAMES, FEDERATION_POLICY_NAMES, MIGRATION_POLICY_NAMES, SERVER_POLICY_NAMES,
+    federation_policy_by_name, migration_policy_by_name, server_policy_by_name, Cluster,
+    Federation, MigrationPolicy, ServerPolicy, FEDERATION_POLICY_NAMES, MIGRATION_POLICY_NAMES,
+    SERVER_POLICY_NAMES,
 };
 use mapa_core::policy::{allocation_policy_by_name, AllocationPolicy};
 use mapa_core::{MapaAllocator, ALLOCATION_POLICY_NAMES};
@@ -29,8 +29,9 @@ use std::sync::Arc;
 /// cell builds a fresh fleet per replication but fits no model twice.
 #[derive(Clone)]
 pub struct Shared {
-    /// The pool clusters dispatch in parallel on and campaigns run their
-    /// cells on.
+    /// The pool campaigns run their cells on. Every cluster takes it too,
+    /// though a spec's clusters always dispatch sequentially; ROADMAP
+    /// direction 2 drops that parameter.
     pub pool: Arc<WorkerPool>,
     /// Fitted models, extended by every fleet built.
     pub models: HashMap<String, EffBwModel>,
@@ -74,8 +75,6 @@ pub struct RunSpec {
     pub servers: usize,
     /// Clusters in the federation.
     pub clusters: usize,
-    /// Dispatch mode name (default `sequential`).
-    pub dispatch: Option<String>,
     /// Migration policy name (default `none`); any other policy implies
     /// per-shard queues.
     pub migration: Option<String>,
@@ -97,7 +96,6 @@ impl RunSpec {
             federation_policy: None,
             servers: 1,
             clusters: 1,
-            dispatch: None,
             migration: None,
             shard_queue_depth: None,
             quota_gpus: None,
@@ -123,16 +121,6 @@ impl RunSpec {
         let name = self.federation_policy.as_deref().unwrap_or("spillover");
         let names = &FEDERATION_POLICY_NAMES;
         choose("federation policy", name, federation_policy_by_name, names)
-    }
-
-    fn dispatch(&self) -> Result<DispatchMode, String> {
-        let name = self.dispatch.as_deref().unwrap_or("sequential");
-        choose(
-            "dispatch mode",
-            name,
-            dispatch_mode_by_name,
-            &DISPATCH_MODE_NAMES,
-        )
     }
 
     fn migration(&self) -> Result<MigrationPolicy, String> {
@@ -166,7 +154,6 @@ impl RunSpec {
         self.alloc()?;
         self.server()?;
         self.federation()?;
-        self.dispatch()?;
         self.migration()?;
         let Some(plan) = &self.partition else {
             return Ok(());
@@ -203,8 +190,7 @@ impl RunSpec {
             self.server()?,
             Arc::clone(&shared.pool),
             &mut shared.models,
-        )
-        .with_dispatch(self.dispatch()?);
+        );
         if let Some(depth) = self.shard_queue_depth {
             cluster = cluster.with_shard_queues(depth);
         }
@@ -240,7 +226,6 @@ impl RunSpec {
             self.clusters > 1 || self.federation_policy.is_some() || self.quota_gpus.is_some();
         let clustered = self.servers > 1
             || self.server_policy.is_some()
-            || self.dispatch.is_some()
             || self.migration.is_some()
             || self.shard_queue_depth.is_some();
         if federated {

@@ -112,7 +112,6 @@ fn campaign_tables_are_bit_identical_across_thread_counts() {
         alloc_policies: vec!["baseline".into()],
         shards: vec![2],
         job_counts: vec![30],
-        dispatch: vec![DispatchMode::Sequential, DispatchMode::Parallel],
         replications: 2,
         base_seed: 1234,
         ..CampaignGrid::new(machines::dgx1_v100())
@@ -122,7 +121,7 @@ fn campaign_tables_are_bit_identical_across_thread_counts() {
         grid.run(&pool).expect("valid grid")
     };
     let one = run_with(1);
-    assert_eq!(one.len(), 4);
+    assert_eq!(one.len(), 2);
     for s in &one {
         assert_eq!(s.replications, 2);
         assert!(s.jobs > 0);
@@ -131,11 +130,6 @@ fn campaign_tables_are_bit_identical_across_thread_counts() {
     // exact equality, not approximate.
     assert_eq!(one, run_with(2), "1-thread vs 2-thread tables differ");
     assert_eq!(one, run_with(5), "1-thread vs 5-thread tables differ");
-    // Sequential and parallel dispatch cells of the same configuration
-    // must also agree with each other (dispatch-mode equivalence seen
-    // through the campaign lens).
-    assert_eq!(one[0].schedule_digest, one[1].schedule_digest);
-    assert_eq!(one[2].schedule_digest, one[3].schedule_digest);
 }
 
 proptest! {

@@ -113,6 +113,30 @@ fn golden_replay_single_cluster_federation_is_a_pass_through() {
     golden::check_goldens("dispatch.txt", &entries);
 }
 
+/// A gang that fails to co-start leaves its cluster as it found it, so a
+/// 1-cluster federation replays the bare cluster with gangs in the stream
+/// too, under every server policy. The federation's spanning rollback used
+/// to free the members' GPUs but leave the round-robin rotation advanced.
+#[test]
+fn a_1_cluster_federation_replays_the_bare_cluster_with_gangs() {
+    for server_policy_idx in 0..4 {
+        for seed in 0..40 {
+            let mut jobs = generator::paper_job_mix(seed).into_iter();
+            let subs: Vec<Submission> = (0..30)
+                .map(|i| match i % 3 {
+                    2 => Submission::Gang(JobGroup::new(i, jobs.by_ref().take(2).collect())),
+                    _ => Submission::Job(jobs.next().expect("a long enough mix")),
+                })
+                .collect();
+            let bare = Engine::over(fleet(2, 0, server_policy_idx)).run_submissions(subs.clone());
+            let federated =
+                Engine::over(solo(fleet(2, 0, server_policy_idx))).run_submissions(subs);
+            let context = format!("server #{server_policy_idx}, seed {seed}");
+            assert_identical_schedules(&bare, &federated, &context);
+        }
+    }
+}
+
 /// Two federated clusters, tenants and quotas on: parallel shard
 /// dispatch must replay sequential bit-identically across the full
 /// 5 allocation × 4 server policy matrix, on both the global-queue and

@@ -245,6 +245,9 @@ fn the_cli_reports_bad_input_instead_of_panicking() {
     let with = |extra: &[&'static str]| [&two[..], extra].concat();
     let campaign = |machine, grid| vec!["campaign", "--machine", machine, "--grid", grid];
 
+    let unknown_policy = "unknown allocation policy 'nope' (choose from: baseline | topo-aware \
+                          | greedy | preserve | effbw-greedy)";
+
     // Runs that fail on their input: the message alone, no usage text.
     let refused_runs = [
         // A job the interconnect model cannot price.
@@ -282,7 +285,7 @@ fn the_cli_reports_bad_input_instead_of_panicking() {
                 "--jobs",
                 &two_gpu_job,
             ],
-            "unknown allocation policy 'nope' (choose from: baseline | topo-aware",
+            unknown_policy,
         ),
         // The default mix draws 5-GPU jobs: a campaign on a 4-GPU machine is
         // refused before any cell runs (used to panic in a pool worker).
@@ -294,6 +297,12 @@ fn the_cli_reports_bad_input_instead_of_panicking() {
         (
             campaign("dgx-1-v100", "jobs=0"),
             "job counts must be at least 1",
+        ),
+        // Every run dispatches sequentially: no dispatch axis.
+        (
+            campaign("dgx-1-v100", "dispatch=parallel"),
+            "unknown grid axis 'dispatch' (choose from: server-policies | alloc-policies | \
+             shards | jobs)",
         ),
         // `--only` lists the artefact ids like every other by-name flag.
         (
@@ -315,10 +324,16 @@ fn the_cli_reports_bad_input_instead_of_panicking() {
     for (args, message) in &refused_runs {
         assert_cli_refuses(SCHED, args, message, false);
     }
+    // The agent refuses an unknown policy in the same words.
+    let state = tmp.join("unknown-policy");
+    let state = state.to_str().expect("utf-8 tmpdir");
+    let allocate = ["allocate", "--gpus", "2", "--policy", "nope", "--probe"];
+    let allocate = [&allocate[..], &["fake:dgx-1-v100", "--state-dir", state]].concat();
+    assert_cli_refuses(AGENT, &allocate, unknown_policy, false);
     // Command lines the flag tables refuse, usage attached — each used to be
     // accepted and the stray words ignored: a flag of another subcommand,
     // trailing arguments.
-    let refused_command_lines: [(&str, &[&str], &str); 4] = [
+    let refused_command_lines: [(&str, &[&str], &str); 5] = [
         (
             AGENT,
             &["release", "--lease", "1", "--gpus", "3"],
@@ -338,6 +353,22 @@ fn the_cli_reports_bad_input_instead_of_panicking() {
             SCHED,
             &["machines", "--bogus"],
             "machines: unknown flag '--bogus'",
+        ),
+        // Every run dispatches sequentially: no dispatch flag.
+        (
+            SCHED,
+            &[
+                "simulate",
+                "--machine",
+                "dgx-2",
+                "--policy",
+                "baseline",
+                "--jobs",
+                "jobs.txt",
+                "--dispatch",
+                "parallel",
+            ],
+            "simulate: unknown flag '--dispatch'",
         ),
     ];
     for (exe, args, message) in refused_command_lines {

@@ -8,14 +8,10 @@
 
 use mapa_topology::Topology;
 
-/// Aggregate bandwidth of an allocation: the sum over all GPU pairs inside
-/// it (the complete matching pattern, as in the §2.2 worked example).
-#[must_use]
-pub fn aggregate_bandwidth(topology: &Topology, gpus: &[usize]) -> f64 {
-    topology.bandwidth_among(gpus)
-}
-
-/// The Fig. 4 quality metric `BW_Allocated / BW_IdealAllocation`.
+/// The Fig. 4 quality metric `BW_Allocated / BW_IdealAllocation`. The
+/// numerator sums every GPU pair inside the allocation
+/// ([`Topology::bandwidth_among`], the complete matching pattern of the
+/// §2.2 worked example).
 ///
 /// Defined as 1.0 for 1-GPU allocations (no bandwidth at stake). The
 /// denominator is memoised on the machine
@@ -25,7 +21,7 @@ pub fn allocation_quality(topology: &Topology, gpus: &[usize]) -> f64 {
     if gpus.len() < 2 {
         return 1.0;
     }
-    aggregate_bandwidth(topology, gpus) / topology.ideal_aggregate_bandwidth(gpus.len())
+    topology.bandwidth_among(gpus) / topology.ideal_aggregate_bandwidth(gpus.len())
 }
 
 #[cfg(test)]
@@ -36,7 +32,7 @@ mod tests {
     #[test]
     fn paper_worked_example() {
         let dgx = machines::dgx1_v100();
-        assert_eq!(aggregate_bandwidth(&dgx, &[0, 1, 4]), 87.0);
+        assert_eq!(dgx.bandwidth_among(&[0, 1, 4]), 87.0);
         assert_eq!(dgx.ideal_aggregate_bandwidth(3), 125.0);
         assert!((allocation_quality(&dgx, &[0, 1, 4]) - 87.0 / 125.0).abs() < 1e-12);
         // The ideal allocation itself scores 1.0.
@@ -92,7 +88,7 @@ mod tests {
             for k in 0..=machine.gpu_count() + 1 {
                 let listed = mapa_model::corpus::combinations(machine.gpu_count(), k)
                     .into_iter()
-                    .map(|combo| aggregate_bandwidth(&machine, &combo))
+                    .map(|combo| machine.bandwidth_among(&combo))
                     .fold(0.0, f64::max);
                 let expected = if k < 2 { 0.0 } else { listed };
                 assert_eq!(

@@ -384,18 +384,17 @@ mod tests {
     }
 
     /// Oracle: what the set-scored policies selected before `SetScorer` —
-    /// every candidate scored from scratch, Preserved BW by building the
-    /// graph that remains.
+    /// every candidate scored from scratch, Preserved BW summed pair by
+    /// pair over the GPUs that remain.
     fn oracle_best_set(
         job: &JobSpec,
         ctx: &PolicyContext<'_>,
         ranking: Ranking,
     ) -> Option<Vec<usize>> {
-        let (free_graph, free_map) = ctx.state.available_graph();
         let eff_bw =
             |gpus: &[usize]| scoring::predicted_effective_bandwidth(ctx.model, ctx.topology, gpus);
         let penalty = |gpus: &[usize]| scoring::pressure_penalty(job, ctx.state, gpus);
-        let preserved = |gpus: &[usize]| scoring::preserved_bandwidth(&free_graph, &free_map, gpus);
+        let preserved = |gpus: &[usize]| scoring::preserved_bandwidth(ctx.state, gpus);
         argmax_set_by_score2(job, ctx, |gpus| match ranking {
             Ranking::EffBwThenPreserved => (eff_bw(gpus) - penalty(gpus), preserved(gpus)),
             Ranking::PreservedThenLeastEffBw => (preserved(gpus) - penalty(gpus), -eff_bw(gpus)),
@@ -407,7 +406,9 @@ mod tests {
     /// The matcher's frozen mask for `job` on `state`: busy vertices, plus
     /// slice vertices when the job wants whole GPUs.
     fn eligible_frozen(job: &JobSpec, state: &HardwareState) -> BitSet {
-        let mut frozen = state.frozen_mask();
+        let n = state.topology().gpu_count();
+        let busy: Vec<usize> = (0..n).filter(|&v| !state.is_free(v)).collect();
+        let mut frozen = BitSet::from_indices(n, &busy);
         if let (false, Some(m)) = (job.is_fractional(), state.topology().slice_map()) {
             for v in (0..m.vertex_count()).filter(|&v| m.is_slice(v)) {
                 frozen.insert(v);
@@ -454,13 +455,12 @@ mod tests {
     }
 
     /// Oracle: `MapaAllocator::score_allocation` as it was before
-    /// `SetScorer` — `available_graph` plus three graph walks.
+    /// `SetScorer` — each score summed from scratch.
     fn oracle_score(allocator: &MapaAllocator, job: &JobSpec, gpus: &[usize]) -> MatchScore {
-        let (free_graph, free_map) = allocator.state().available_graph();
         MatchScore {
             aggregated_bw: scoring::aggregated_bandwidth(
                 &appgraph::job_pattern(job),
-                &allocator.topology().bandwidth_graph(),
+                allocator.topology(),
                 &Embedding::new(gpus.to_vec()),
             ),
             predicted_eff_bw: scoring::predicted_effective_bandwidth(
@@ -468,7 +468,7 @@ mod tests {
                 allocator.topology(),
                 gpus,
             ),
-            preserved_bw: scoring::preserved_bandwidth(&free_graph, &free_map, gpus),
+            preserved_bw: scoring::preserved_bandwidth(allocator.state(), gpus),
             link_mix: corpus::allocation_mix(allocator.topology(), gpus),
         }
     }
@@ -769,16 +769,11 @@ mod tests {
         // links are weak.
         let f = Fixture::dgx();
         let got = f.select(&PreservePolicy, &job(2, false)).unwrap();
-        let (free_graph, free_map) = f.state.available_graph();
-        let chosen = scoring::preserved_bandwidth(&free_graph, &free_map, &got);
+        let chosen = scoring::preserved_bandwidth(&f.state, &got);
         let mut best = f64::NEG_INFINITY;
         for a in 0..8 {
             for b in (a + 1)..8 {
-                best = best.max(scoring::preserved_bandwidth(
-                    &free_graph,
-                    &free_map,
-                    &[a, b],
-                ));
+                best = best.max(scoring::preserved_bandwidth(&f.state, &[a, b]));
             }
         }
         assert_eq!(
@@ -1097,7 +1092,7 @@ mod tests {
 
         /// The prefix walk selects exactly what scoring every candidate
         /// set from scratch selects, and `score_allocation` prices a set
-        /// exactly as `available_graph` + three graph walks did: across
+        /// exactly as summing each score from scratch does: across
         /// machines (MIG-partitioned included), occupancies, sizes, demand
         /// kinds and rankings.
         #[test]

@@ -21,23 +21,21 @@
 //!
 //! Eq. 2, Eq. 3 and the pressure term are all sums over the vertices and
 //! vertex pairs of the candidate set, so the built-in policies and
-//! [`crate::MapaAllocator::score_allocation`] never build a graph to get
-//! them: one `SetScorer` per decision tabulates the free part of the
+//! [`crate::MapaAllocator::score_allocation`] do not add them up per
+//! candidate: one `SetScorer` per decision tabulates the free part of the
 //! machine. It scores one given set from its prefix in O(k), and ranks
 //! every candidate set of a size by a walk that scores a set in O(1),
 //! bounds each prefix in O(1) and drops the prefixes that cannot win.
 //! Eq. 1 of the chosen set is summed over the pattern's edge walk
-//! ([`crate::appgraph::pattern_edges`]), so no pattern graph is built
-//! either. Greedy ranks sets in the same walk, by Eq. 1 of each set's best
+//! ([`crate::appgraph::pattern_edges`]), so no pattern graph is built. Greedy ranks sets in the same walk, by Eq. 1 of each set's best
 //! embedding, searched within the set: the hardware graph is complete
 //! (§3.2), so no embedding into the machine is enumerated. The free
 //! functions below compute Eq. 2, Eq. 3 and the pressure term from
 //! scratch: custom policies may call them (`examples/custom_policy.rs`
 //! ranks by [`predicted_effective_bandwidth`]), and the scorer is tested
-//! against them. Eq. 1's graph definition is test code alone.
+//! against them. Eq. 1's pattern-graph definition is test code alone.
 
 use crate::appgraph::pattern_edges;
-use mapa_graph::{BitSet, WeightedGraph};
 use mapa_model::{corpus, EffBwModel, MixCeiling};
 use mapa_topology::{HardwareState, LinkMix, LinkType, Topology};
 use mapa_workloads::{AppTopology, JobSpec};
@@ -75,38 +73,26 @@ pub fn predicted_effective_bandwidth(
     model.predict(&corpus::allocation_mix(topology, gpus))
 }
 
-/// Eq. 3 — Preserved Bandwidth: total link bandwidth of the hardware graph
-/// induced by the *free* vertices that remain if `gpus` are allocated.
+/// Eq. 3 — Preserved Bandwidth: the bandwidth among the GPUs of `state`
+/// that stay free if `gpus` are allocated
+/// ([`Topology::bandwidth_among`]).
 ///
-/// `free_graph` is the currently-available hardware graph (complete over
-/// free GPUs) and `free_map` maps its vertex ids to physical GPU ids —
-/// both as produced by `HardwareState::available_graph`.
-///
-/// Builds the induced graph of what remains, so it costs O(free²) and
-/// allocates per call. The built-in policies and
-/// [`crate::MapaAllocator::score_allocation`] no longer call it — a
-/// `SetScorer` gets the same number from three running sums — and it
+/// Sums pair by pair in O(free²) and allocates per call. The built-in
+/// policies and [`crate::MapaAllocator::score_allocation`] do not call it
+/// — a `SetScorer` gets the same number from three running sums — and it
 /// stays as the definition they are tested against.
 ///
-/// An allocation that leaves nothing free preserves `+0.0`, as the
-/// scorer's running sums give it, not an empty `f64` sum's `-0.0`: adding
-/// `+0.0` turns the one into the other and keeps any other value's bits.
-///
 /// # Panics
-/// Panics if some `gpus` entry is not in `free_map` (allocating a busy
+/// Panics if some `gpus` entry is busy or out of range (allocating a busy
 /// GPU is a state error upstream).
 #[must_use]
-pub fn preserved_bandwidth(free_graph: &WeightedGraph, free_map: &[usize], gpus: &[usize]) -> f64 {
-    let mut removed = BitSet::new(free_graph.vertex_count());
+pub fn preserved_bandwidth(state: &HardwareState, gpus: &[usize]) -> f64 {
     for &g in gpus {
-        let local = free_map
-            .iter()
-            .position(|&phys| phys == g)
-            .expect("allocated GPU must be free");
-        removed.insert(local);
+        assert!(state.is_free(g), "allocated GPU {g} must be free");
     }
-    let (remaining, _) = free_graph.without_vertices(&removed);
-    remaining.total_weight() + 0.0
+    let mut remaining = state.free_gpus();
+    remaining.retain(|g| !gpus.contains(g));
+    state.topology().bandwidth_among(&remaining)
 }
 
 /// Penalty in GB/s per busy co-resident slice for untagged jobs.
@@ -872,12 +858,12 @@ impl<'a> BestEmbedding<'a> {
 #[cfg(test)]
 pub(crate) fn aggregated_bandwidth(
     pattern: &mapa_graph::PatternGraph,
-    hardware: &WeightedGraph,
+    topology: &Topology,
     embedding: &mapa_isomorph::Embedding,
 ) -> f64 {
     pattern
         .edges()
-        .filter_map(|(u, v, _)| hardware.weight(embedding.image(u), embedding.image(v)))
+        .map(|(u, v, ())| topology.bandwidth(embedding.image(u), embedding.image(v)))
         .sum()
 }
 
@@ -1171,13 +1157,12 @@ mod tests {
         // Fig. 10 / §2.2: a 3-GPU triangle on {GPU0, GPU1, GPU4}
         // aggregates 25 + 50 + 12 = 87 GB/s.
         let dgx = machines::dgx1_v100();
-        let hw = dgx.bandwidth_graph();
         let pattern = PatternGraph::all_to_all(3);
         let e = Embedding::new(vec![0, 1, 4]);
-        assert_eq!(aggregated_bandwidth(&pattern, &hw, &e), 87.0);
+        assert_eq!(aggregated_bandwidth(&pattern, &dgx, &e), 87.0);
         // Ideal {0,2,3} = 125 GB/s.
         let ideal = Embedding::new(vec![0, 2, 3]);
-        assert_eq!(aggregated_bandwidth(&pattern, &hw, &ideal), 125.0);
+        assert_eq!(aggregated_bandwidth(&pattern, &dgx, &ideal), 125.0);
     }
 
     #[test]
@@ -1185,12 +1170,11 @@ mod tests {
         // A chain 0-1-2 placed on {0,1,4}: orientation decides which two of
         // the three links are used.
         let dgx = machines::dgx1_v100();
-        let hw = dgx.bandwidth_graph();
         let chain = PatternGraph::chain(3);
         // 0-1 (25) + 1-4 (12) = 37.
-        let a = aggregated_bandwidth(&chain, &hw, &Embedding::new(vec![0, 1, 4]));
+        let a = aggregated_bandwidth(&chain, &dgx, &Embedding::new(vec![0, 1, 4]));
         // 1-0 (25) + 0-4 (50) = 75.
-        let b = aggregated_bandwidth(&chain, &hw, &Embedding::new(vec![1, 0, 4]));
+        let b = aggregated_bandwidth(&chain, &dgx, &Embedding::new(vec![1, 0, 4]));
         assert_eq!(a, 37.0);
         assert_eq!(b, 75.0);
     }
@@ -1198,31 +1182,33 @@ mod tests {
     #[test]
     fn preserved_bandwidth_on_idle_machine() {
         // Fig. 10 (right): allocating {0,1,3} on DGX-1V leaves
-        // {2,4,5,6,7}; preserved BW is that induced subgraph's weight.
-        let dgx = machines::dgx1_v100();
-        let free = dgx.bandwidth_graph();
-        let map: Vec<usize> = (0..8).collect();
-        let preserved = preserved_bandwidth(&free, &map, &[0, 1, 3]);
+        // {2,4,5,6,7}; preserved BW is the bandwidth among them.
+        let state = HardwareState::new(machines::dgx1_v100());
+        let all: Vec<usize> = (0..8).collect();
+        let preserved = preserved_bandwidth(&state, &[0, 1, 3]);
         // Induced {2,4,5,6,7}: NVLinks 2-6(25), 4-5(25), 4-6(25), 4-7(50),
         // 5-6(50), 5-7(25), 6-7(50) = 250; PCIe pairs: C(5,2)=10 pairs,
         // 3 PCIe (2-4, 2-5, 2-7) = 36. Total 286.
         assert_eq!(preserved, 286.0);
-        // Allocating everything preserves nothing.
-        assert_eq!(preserved_bandwidth(&free, &map, &map), 0.0);
-        // Allocating nothing preserves the full graph.
-        assert_eq!(preserved_bandwidth(&free, &map, &[]), free.total_weight());
+        // Allocating everything preserves nothing, as a positive zero.
+        assert_eq!(
+            preserved_bandwidth(&state, &all).to_bits(),
+            0.0f64.to_bits()
+        );
+        // Allocating nothing preserves the whole machine.
+        assert_eq!(
+            preserved_bandwidth(&state, &[]),
+            state.topology().bandwidth_among(&all)
+        );
     }
 
     #[test]
     fn preserved_bandwidth_respects_partial_occupancy() {
-        // With GPUs 6,7 already busy, the free graph has 6 vertices;
-        // allocating {0,1} preserves the induced {2,3,4,5} subgraph.
-        let dgx = machines::dgx1_v100();
-        let mut state = mapa_topology::HardwareState::new(dgx);
+        // With GPUs 6,7 already busy, 6 GPUs are free; allocating {0,1}
+        // preserves the bandwidth among {2,3,4,5}.
+        let mut state = HardwareState::new(machines::dgx1_v100());
         state.allocate(99, &[6, 7]).unwrap();
-        let (free, map) = state.available_graph();
-        assert_eq!(map, vec![0, 1, 2, 3, 4, 5]);
-        let p = preserved_bandwidth(&free, &map, &[0, 1]);
+        let p = preserved_bandwidth(&state, &[0, 1]);
         // Induced {2,3,4,5}: NVLink 2-3 (50), 4-5 (25); PCIe ×4 = 48.
         assert_eq!(p, 123.0);
     }
@@ -1238,11 +1224,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be free")]
     fn preserved_bandwidth_rejects_busy_gpu() {
-        let dgx = machines::dgx1_v100();
-        let mut state = mapa_topology::HardwareState::new(dgx);
+        let mut state = HardwareState::new(machines::dgx1_v100());
         state.allocate(1, &[0]).unwrap();
-        let (free, map) = state.available_graph();
-        let _ = preserved_bandwidth(&free, &map, &[0]);
+        let _ = preserved_bandwidth(&state, &[0]);
     }
 
     #[test]

@@ -8,9 +8,8 @@ use crate::{BitSet, GraphError};
 /// bitset rows (for O(words) intersection in the matcher) and as an `n × n`
 /// weight matrix (graphs here are tiny, so density is the right trade).
 ///
-/// Two aliases cover the MAPA use-cases:
-/// * [`WeightedGraph`] (`Graph<f64>`) — hardware graphs, weights in GB/s;
-/// * [`PatternGraph`] (`Graph<()>`) — application pattern graphs.
+/// Machines label their direct links with a link type; application
+/// pattern graphs are [`PatternGraph`] (`Graph<()>`).
 #[derive(Clone, PartialEq)]
 pub struct Graph<W> {
     n: usize,
@@ -18,9 +17,6 @@ pub struct Graph<W> {
     weights: Vec<Option<W>>, // row-major n × n, both triangles mirrored
     edge_count: usize,
 }
-
-/// Hardware-style graph: edge weights are link bandwidths in GB/s.
-pub type WeightedGraph = Graph<f64>;
 
 /// Application-style pattern graph: edges carry no weight.
 pub type PatternGraph = Graph<()>;
@@ -136,64 +132,6 @@ impl<W: Copy> Graph<W> {
         }
     }
 
-    /// The induced subgraph on `vertices`, relabelled `0..vertices.len()` in
-    /// the given order. Edge `(i, j)` exists in the result iff
-    /// `(vertices[i], vertices[j])` exists here.
-    ///
-    /// # Errors
-    /// Rejects out-of-range or duplicate vertices.
-    pub fn induced_subgraph(&self, vertices: &[usize]) -> Result<Graph<W>, GraphError> {
-        let mut seen = BitSet::new(self.n);
-        for &v in vertices {
-            self.check_vertex(v)?;
-            if !seen.insert(v) {
-                return Err(GraphError::DuplicateEdge(v, v));
-            }
-        }
-        let mut g = Graph::new(vertices.len());
-        for (i, &vi) in vertices.iter().enumerate() {
-            for (j, &vj) in vertices.iter().enumerate().skip(i + 1) {
-                if let Some(w) = self.weight(vi, vj) {
-                    g.add_edge(i, j, w).expect("induced edges valid");
-                }
-            }
-        }
-        Ok(g)
-    }
-
-    /// The induced subgraph on the vertices *not* in `removed`, together
-    /// with the mapping from new index to original vertex id.
-    ///
-    /// This is the "remaining hardware graph" `G ∖ M` of the paper's
-    /// Preserved Bandwidth definition (Eq. 3).
-    ///
-    /// # Panics
-    /// Panics if `removed.len() != vertex_count()`.
-    #[must_use]
-    pub fn without_vertices(&self, removed: &BitSet) -> (Graph<W>, Vec<usize>) {
-        assert_eq!(
-            removed.len(),
-            self.n,
-            "bitset capacity must equal vertex count"
-        );
-        let keep: Vec<usize> = (0..self.n).filter(|&v| !removed.contains(v)).collect();
-        let g = self
-            .induced_subgraph(&keep)
-            .expect("kept vertices are valid and unique");
-        (g, keep)
-    }
-
-    /// Applies `f` to every edge weight, producing a graph of a new weight
-    /// type with identical structure.
-    #[must_use]
-    pub fn map_weights<V: Copy>(&self, mut f: impl FnMut(usize, usize, W) -> V) -> Graph<V> {
-        let mut g = Graph::new(self.n);
-        for (u, v, w) in self.edges() {
-            g.add_edge(u, v, f(u, v, w)).expect("structure preserved");
-        }
-        g
-    }
-
     fn check_vertex(&self, v: usize) -> Result<(), GraphError> {
         if v < self.n {
             Ok(())
@@ -203,15 +141,6 @@ impl<W: Copy> Graph<W> {
                 len: self.n,
             })
         }
-    }
-}
-
-impl Graph<f64> {
-    /// Sum of all edge weights — the "aggregate bandwidth" of a hardware
-    /// graph when weights are link bandwidths.
-    #[must_use]
-    pub fn total_weight(&self) -> f64 {
-        self.edges().map(|(_, _, w)| w).sum()
     }
 }
 
@@ -346,7 +275,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn from_edges(n: usize, edges: &[(usize, usize, f64)]) -> WeightedGraph {
+    fn from_edges(n: usize, edges: &[(usize, usize, f64)]) -> Graph<f64> {
         let mut g = Graph::new(n);
         for &(u, v, w) in edges {
             g.add_edge(u, v, w).unwrap();
@@ -354,7 +283,7 @@ mod tests {
         g
     }
 
-    fn triangle() -> WeightedGraph {
+    fn triangle() -> Graph<f64> {
         from_edges(3, &[(0, 1, 50.0), (1, 2, 25.0), (0, 2, 12.0)])
     }
 
@@ -368,12 +297,12 @@ mod tests {
         assert_eq!(g.weight(2, 1), Some(25.0));
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.neighbors(1).collect::<Vec<_>>(), vec![0, 2]);
-        assert!((g.total_weight() - 87.0).abs() < 1e-12);
+        assert_eq!(g.edges().map(|(_, _, w)| w).sum::<f64>(), 87.0);
     }
 
     #[test]
     fn rejects_self_loop_and_duplicates() {
-        let mut g: WeightedGraph = Graph::new(3);
+        let mut g: Graph<f64> = Graph::new(3);
         assert_eq!(g.add_edge(1, 1, 1.0), Err(GraphError::SelfLoop(1)));
         g.add_edge(0, 1, 1.0).unwrap();
         assert_eq!(g.add_edge(1, 0, 2.0), Err(GraphError::DuplicateEdge(1, 0)));
@@ -388,33 +317,6 @@ mod tests {
         let g = from_edges(4, &[(2, 3, 1.0), (0, 3, 2.0), (1, 0, 3.0)]);
         let edges: Vec<_> = g.edges().collect();
         assert_eq!(edges, vec![(0, 1, 3.0), (0, 3, 2.0), (2, 3, 1.0)]);
-    }
-
-    #[test]
-    fn induced_subgraph_relabels() {
-        let g = triangle();
-        let sub = g.induced_subgraph(&[2, 0]).unwrap();
-        assert_eq!(sub.vertex_count(), 2);
-        assert_eq!(sub.edge_count(), 1);
-        // (2, 0) in g is weight 12 and becomes (0, 1) in sub.
-        assert_eq!(sub.weight(0, 1), Some(12.0));
-    }
-
-    #[test]
-    fn induced_subgraph_rejects_duplicates() {
-        let g = triangle();
-        assert!(g.induced_subgraph(&[0, 0]).is_err());
-        assert!(g.induced_subgraph(&[0, 7]).is_err());
-    }
-
-    #[test]
-    fn without_vertices_is_complement_induced() {
-        let g = Graph::complete(5, 1.0);
-        let removed = BitSet::from_indices(5, &[1, 3]);
-        let (rest, map) = g.without_vertices(&removed);
-        assert_eq!(map, vec![0, 2, 4]);
-        assert_eq!(rest.vertex_count(), 3);
-        assert_eq!(rest.edge_count(), 3); // K3
     }
 
     #[test]
@@ -444,46 +346,7 @@ mod tests {
         assert_eq!(PatternGraph::ring(3).edge_count(), 3);
     }
 
-    #[test]
-    fn map_weights_and_to_pattern() {
-        let g = triangle();
-        let doubled = g.map_weights(|_, _, w| w * 2.0);
-        assert_eq!(doubled.weight(0, 1), Some(100.0));
-        let p = g.map_weights(|_, _, _| ());
-        assert_eq!(p.edge_count(), 3);
-        assert_eq!(p.weight(0, 1), Some(()));
-    }
-
     proptest! {
-        #[test]
-        fn induced_subgraph_preserves_adjacency(
-            n in 2usize..10,
-            edges in proptest::collection::vec((0usize..10, 0usize..10), 0..30),
-            pick in proptest::collection::vec(0usize..10, 1..8),
-        ) {
-            let mut g: Graph<f64> = Graph::new(n);
-            for (u, v) in edges {
-                let (u, v) = (u % n, v % n);
-                if u != v {
-                    let _ = g.add_edge(u, v, (u + v) as f64);
-                }
-            }
-            // Deduplicate picked vertices, keep in-range.
-            let mut picked: Vec<usize> = vec![];
-            for p in pick {
-                let p = p % n;
-                if !picked.contains(&p) {
-                    picked.push(p);
-                }
-            }
-            let sub = g.induced_subgraph(&picked).unwrap();
-            for i in 0..picked.len() {
-                for j in 0..picked.len() {
-                    prop_assert_eq!(sub.has_edge(i, j), g.has_edge(picked[i], picked[j]));
-                }
-            }
-        }
-
         #[test]
         fn edge_count_matches_iterator(
             n in 1usize..12,

@@ -9,7 +9,8 @@
 //! The main types:
 //!
 //! * [`Graph`] — an undirected graph with per-edge weights of any `Copy`
-//!   type. Hardware graphs use `f64` bandwidths, pattern graphs use `()`.
+//!   type. Machines label their direct links with a link type, pattern
+//!   graphs use `()`.
 //! * [`BitSet`] — a dynamic bitset used for adjacency rows and vertex sets.
 //!
 //! # Example
@@ -23,7 +24,7 @@
 //! g.add_edge(1, 2, 25.0).unwrap();
 //! g.add_edge(0, 2, 12.0).unwrap();
 //! assert_eq!(g.edge_count(), 3);
-//! assert!((g.total_weight() - 87.0).abs() < 1e-12);
+//! assert_eq!(g.edges().map(|(_, _, w)| w).sum::<f64>(), 87.0);
 //! ```
 //!
 //! [Ranganath et al., SC '21]: https://doi.org/10.1145/3458817.3480853
@@ -37,4 +38,4 @@ mod graph;
 
 pub use bitset::BitSet;
 pub use error::GraphError;
-pub use graph::{EdgeIter, Graph, NeighborIter, PatternGraph, WeightedGraph};
+pub use graph::{EdgeIter, Graph, NeighborIter, PatternGraph};

@@ -28,18 +28,17 @@
 //! # Example
 //!
 //! ```
-//! use mapa_graph::{Graph, PatternGraph};
+//! use mapa_graph::PatternGraph;
 //! use mapa_isomorph::{Matcher, MatchOptions};
 //!
 //! // 3-GPU ring pattern in a 4-GPU server where only some links exist.
 //! let pattern = PatternGraph::ring(3);
-//! let mut hw: Graph<f64> = Graph::new(4);
-//! hw.add_edge(0, 1, 50.0).unwrap();
-//! hw.add_edge(1, 2, 25.0).unwrap();
-//! hw.add_edge(0, 2, 12.0).unwrap();
-//! hw.add_edge(2, 3, 12.0).unwrap();
+//! let mut hw = PatternGraph::new(4);
+//! for (u, v) in [(0, 1), (1, 2), (0, 2), (2, 3)] {
+//!     hw.add_edge(u, v, ()).unwrap();
+//! }
 //!
-//! let matches = Matcher::new(MatchOptions::default()).find(&pattern, &hw.map_weights(|_, _, _| ()));
+//! let matches = Matcher::new(MatchOptions::default()).find(&pattern, &hw);
 //! // Only {0,1,2} forms a triangle; one canonical embedding survives
 //! // symmetry breaking (C3 has 6 automorphisms).
 //! assert_eq!(matches.len(), 1);

@@ -2,7 +2,7 @@
 //!
 //! This crate is the hardware substrate of the reproduction: it encodes the
 //! machines the paper evaluates (Fig. 1: Summit, DGX-1 P100, DGX-1 V100;
-//! Fig. 17: Torus-2d and Cube-mesh 16-GPU designs) as weighted graphs, the
+//! Fig. 17: Torus-2d and Cube-mesh 16-GPU designs) as link-labelled graphs, the
 //! per-link peak bandwidths of Table 1, PCIe/NUMA socket domains used by the
 //! Topo-aware baseline, the `nvidia-smi topo -m` matrix format as the
 //! machine-readable entry point, and the mutable allocation state a

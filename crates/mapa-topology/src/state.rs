@@ -2,12 +2,12 @@
 //!
 //! §3.6 of the paper: "The hardware graph G is updated whenever there is an
 //! allocation (a job is scheduled) and a deallocation (a job is finished)."
-//! [`HardwareState`] tracks which GPUs belong to which running job, exposes
-//! the frozen-vertex mask the matcher consumes, and computes the remaining
-//! (induced) hardware graph used for Preserved Bandwidth.
+//! [`HardwareState`] tracks which GPUs belong to which running job and
+//! keeps the busy mask the allocation cache keys on; the free GPUs it
+//! lists are what Preserved Bandwidth sums over.
 
 use crate::{Topology, WordMap};
-use mapa_graph::{BitSet, WeightedGraph};
+use mapa_graph::BitSet;
 use std::collections::hash_map::Entry;
 use std::fmt;
 
@@ -147,12 +147,6 @@ impl HardwareState {
         free
     }
 
-    /// The busy-GPU mask in matcher "frozen" form.
-    #[must_use]
-    pub fn frozen_mask(&self) -> BitSet {
-        self.busy.clone()
-    }
-
     /// The physical GPU vertex `v` lives on. Identity on unpartitioned
     /// machines; the slice→physical map on machines built by a
     /// [`crate::virt::PartitionPlan`].
@@ -181,23 +175,6 @@ impl HardwareState {
                 .count(),
             None => 0,
         }
-    }
-
-    /// The remaining hardware graph `G ∖ busy` (complete over free GPUs)
-    /// plus the mapping from its vertex ids back to physical GPU ids.
-    #[must_use]
-    pub fn available_graph(&self) -> (WeightedGraph, Vec<usize>) {
-        self.topology
-            .bandwidth_graph()
-            .without_vertices(&self.frozen_mask())
-    }
-
-    /// Sum of link bandwidths among currently-free GPUs — the "preserved
-    /// bandwidth" of the machine as a whole (Eq. 3 applied to the current
-    /// occupancy).
-    #[must_use]
-    pub fn free_aggregate_bandwidth(&self) -> f64 {
-        self.topology.bandwidth_among(&self.free_gpus())
     }
 
     /// Assigns `gpus` to `job`.
@@ -290,7 +267,7 @@ mod tests {
         assert_eq!(s.free_count(), 8);
         assert_eq!(s.busy_count(), 0);
         assert_eq!(s.free_gpus(), (0..8).collect::<Vec<_>>());
-        assert!(s.frozen_mask().is_empty());
+        assert!(s.busy_words().iter().all(|&w| w == 0));
     }
 
     #[test]
@@ -301,7 +278,7 @@ mod tests {
         assert_eq!(s.owner[2], Some(1));
         assert!(s.is_free(1));
         assert_eq!(s.free_count(), 5);
-        assert_eq!(s.frozen_mask().to_vec(), vec![0, 2, 3]);
+        assert_eq!(s.busy.to_vec(), vec![0, 2, 3]);
 
         let released = s.deallocate(1).unwrap();
         assert_eq!(released, vec![0, 2, 3]);
@@ -339,16 +316,16 @@ mod tests {
 
     #[test]
     fn available_graph_shrinks_and_recovers() {
+        // The bandwidth among the free GPUs: Preserved BW of allocating
+        // nothing.
+        let free_bw = |s: &HardwareState| s.topology().bandwidth_among(&s.free_gpus());
         let mut s = state();
-        let full_bw = s.free_aggregate_bandwidth();
+        let full_bw = free_bw(&s);
         s.allocate(1, &[0, 3]).unwrap();
-        let (g, map) = s.available_graph();
-        assert_eq!(g.vertex_count(), 6);
-        assert_eq!(map, vec![1, 2, 4, 5, 6, 7]);
-        assert!(s.free_aggregate_bandwidth() < full_bw);
-        assert_eq!(s.free_aggregate_bandwidth(), g.total_weight());
+        assert_eq!(s.free_gpus(), vec![1, 2, 4, 5, 6, 7]);
+        assert!(free_bw(&s) < full_bw);
         s.deallocate(1).unwrap();
-        assert_eq!(s.free_aggregate_bandwidth(), full_bw);
+        assert_eq!(free_bw(&s), full_bw);
     }
 
     #[test]
@@ -460,7 +437,8 @@ mod tests {
                 // owner table (the rescans it replaced).
                 let owner_busy: Vec<usize> =
                     (0..8).filter(|&g| s.owner[g].is_some()).collect();
-                prop_assert_eq!(s.frozen_mask().to_vec(), owner_busy);
+                let owner_busy = BitSet::from_indices(8, &owner_busy);
+                prop_assert_eq!(s.busy_words(), owner_busy.as_words());
             }
         }
 
@@ -488,7 +466,8 @@ mod tests {
                     prop_assert_eq!(s.gpus_of(1), Some(&sorted[..]));
                     let owner_busy: Vec<usize> =
                         (0..8).filter(|&g| s.owner[g].is_some()).collect();
-                    prop_assert_eq!(s.frozen_mask().to_vec(), owner_busy);
+                    let owner_busy = BitSet::from_indices(8, &owner_busy);
+                    prop_assert_eq!(s.busy_words(), owner_busy.as_words());
                 }
                 Err(e) => {
                     prop_assert_eq!(Some(e), expected, "{:?} over {:?}", soup, held);

@@ -3,16 +3,16 @@
 
 use crate::virt::SliceMap;
 use crate::{LinkMix, LinkType};
-use mapa_graph::{Graph, WeightedGraph};
+use mapa_graph::Graph;
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 
 /// A multi-GPU server topology.
 ///
 /// Stores only *direct* (NVLink) links explicitly; every other GPU pair
-/// implicitly communicates over PCIe at 12 GB/s, per §3.2 of the paper. The
-/// effective hardware graph handed to the matcher is therefore complete —
-/// see [`Topology::bandwidth_graph`].
+/// implicitly communicates over PCIe at 12 GB/s, per §3.2 of the paper, so
+/// every pair has a [`Topology::bandwidth`] and the hardware graph the
+/// paper scores is complete.
 #[derive(Debug, Clone)]
 pub struct Topology {
     name: String,
@@ -194,22 +194,6 @@ impl Topology {
         &self.links
     }
 
-    /// The complete hardware graph the paper's matcher mines: every pair of
-    /// GPUs is connected, weighted with the best available bandwidth
-    /// (NVLink where present, PCIe 12 GB/s otherwise).
-    #[must_use]
-    pub fn bandwidth_graph(&self) -> WeightedGraph {
-        let n = self.gpu_count();
-        let mut g = WeightedGraph::new(n);
-        for a in 0..n {
-            for b in (a + 1)..n {
-                g.add_edge(a, b, self.bandwidth(a, b))
-                    .expect("complete graph edges valid");
-            }
-        }
-        g
-    }
-
     /// Counts the link-type mix over a set of GPU pairs (the `(x, y, z)` of
     /// the paper's Eq. 2).
     #[must_use]
@@ -217,15 +201,9 @@ impl Topology {
         LinkMix::from_links(pairs.into_iter().map(|&(a, b)| self.link_type(a, b)))
     }
 
-    /// Sum of peak bandwidths over all *direct* NVLink links plus implicit
-    /// PCIe pairs — the total capacity of the complete hardware graph.
-    #[must_use]
-    pub fn total_bandwidth(&self) -> f64 {
-        let all: Vec<usize> = (0..self.gpu_count()).collect();
-        self.bandwidth_among(&all)
-    }
-
-    /// Sum of peak bandwidths over every pair of the distinct `gpus`.
+    /// Sum of peak bandwidths over every pair of the distinct `gpus`: the
+    /// aggregate bandwidth of an allocation, and, over the free GPUs, what
+    /// a machine has left (the paper's Eq. 3). `+0.0` for fewer than two.
     #[must_use]
     pub fn bandwidth_among(&self, gpus: &[usize]) -> f64 {
         let mut total = 0.0;
@@ -428,14 +406,11 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_graph_is_complete() {
+    fn bandwidth_among_sums_every_pair() {
         let t = tiny();
-        let g = t.bandwidth_graph();
-        assert_eq!(g.edge_count(), 6); // C(4,2)
-        assert_eq!(g.weight(0, 1), Some(50.0));
-        assert_eq!(g.weight(0, 3), Some(12.0));
-        // total: 50 + 25 + 4 * 12
-        assert_eq!(t.total_bandwidth(), 50.0 + 25.0 + 4.0 * 12.0);
+        assert_eq!(t.bandwidth_among(&[0, 1, 2, 3]), 50.0 + 25.0 + 4.0 * 12.0);
+        assert_eq!(t.bandwidth_among(&[3, 0]), 12.0);
+        assert_eq!(t.bandwidth_among(&[1]), 0.0);
     }
 
     #[test]

@@ -423,12 +423,15 @@ mod tests {
     #[test]
     fn mig_machine_schedules_jobs_end_to_end() {
         // The virtual topology plugs into the normal matcher/policy path:
-        // verify it produces a valid complete bandwidth graph.
+        // verify every pair of its vertices has a bandwidth.
         let dgx = machines::dgx1_v100();
         let (virt, _) = split_one(&dgx, 0, 7, SliceBandwidth::Shared);
         assert_eq!(virt.gpu_count(), 14);
-        let bw = virt.bandwidth_graph();
-        assert_eq!(bw.edge_count(), 14 * 13 / 2);
+        for a in 0..14 {
+            for b in (a + 1)..14 {
+                assert!(virt.bandwidth(a, b) > 0.0, "({a}, {b})");
+            }
+        }
     }
 
     #[test]

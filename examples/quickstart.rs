@@ -53,6 +53,6 @@ fn main() {
     println!("\nFree GPUs remaining: {:?}", allocator.state().free_gpus());
     println!(
         "Bandwidth still available to future jobs: {:.0} GB/s",
-        allocator.state().free_aggregate_bandwidth()
+        scoring::preserved_bandwidth(allocator.state(), &[])
     );
 }

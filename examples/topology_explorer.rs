@@ -43,7 +43,7 @@ fn main() {
         );
         println!(
             "   total machine bandwidth {:.0} GB/s\n",
-            machine.total_bandwidth()
+            machine.bandwidth_among(&(0..n).collect::<Vec<_>>())
         );
     }
 

@@ -71,7 +71,7 @@ pub mod prelude {
         preemption_policy_by_name, scoring, AllocationCache, AllocationOutcome, AllocatorConfig,
         CacheStats, MapaAllocator, PreemptionPolicy, ALLOCATION_POLICY_NAMES,
     };
-    pub use mapa_graph::{Graph, PatternGraph, WeightedGraph};
+    pub use mapa_graph::{Graph, PatternGraph};
     pub use mapa_isomorph::{default_threads, WorkerPool};
     pub use mapa_model::{corpus, EffBwModel};
     pub use mapa_sim::campaign::{crn_seed, CampaignSpec, CellSummary};
